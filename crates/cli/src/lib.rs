@@ -1062,14 +1062,15 @@ struct ExploreReportDoc {
     resume_hint: Option<String>,
 }
 
-/// Builds the provenance manifest every JSON report embeds. Phase wall
-/// times come from the live span recorder when a `--profile` run has it
-/// enabled; otherwise only the `total` entry (measured around the command)
-/// is present.
+/// Builds the provenance manifest every JSON report embeds. `workers` is
+/// the requested count (`0` = one per core) and is recorded resolved, as
+/// the worker pool runs it. Phase wall times come from the live span
+/// recorder when a `--profile` run has it enabled; otherwise only the
+/// `total` entry (measured around the command) is present.
 fn provenance_for(command_echo: &str, seeds: Vec<u64>, workers: usize, total_us: u64) -> Provenance {
     let mut p = Provenance::new(command_echo);
     p.seeds = seeds;
-    p.workers = workers;
+    p.workers = resolved_workers(workers);
     if tensorlib_obs::is_enabled() {
         p.phase_wall_times_us = tensorlib_obs::snapshot()
             .phase_totals()
@@ -1079,6 +1080,11 @@ fn provenance_for(command_echo: &str, seeds: Vec<u64>, workers: usize, total_us:
     }
     p.phase_wall_times_us.insert("total".to_string(), total_us);
     p
+}
+
+/// The worker count a pool runs for a requested count (`0` = one per core).
+fn resolved_workers(requested: usize) -> usize {
+    tensorlib::linalg::par::effective_workers(requested, usize::MAX)
 }
 
 /// Builds campaign durability options from the shared `--resume` /
@@ -2004,11 +2010,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 return Err(CliError("--seeds and --cycles must be at least 1".into()));
             }
             let t0 = std::time::Instant::now();
-            let workers = if workers == 0 {
-                std::thread::available_parallelism().map_or(1, usize::from)
-            } else {
-                workers
-            };
+            // The verify runners treat 0 as serial, not one per core.
+            let workers = resolved_workers(workers);
             let cfg = VerifyConfig {
                 seed_start: seed,
                 seeds,
@@ -2107,7 +2110,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let mut provenance = provenance_for(
                 &format!("explore {workload} --top {top}"),
                 Vec::new(),
-                ExploreOptions::default().workers.max(1),
+                ExploreOptions::default().workers,
                 t0.elapsed().as_micros() as u64,
             );
             provenance.journal = journal_provenance(&resume, &stats);
@@ -2214,7 +2217,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 &session,
                 &format!("profile {workload} --rows {rows} --cols {cols}"),
                 vec![42],
-                workers.max(1),
+                workers,
                 t0.elapsed().as_micros() as u64,
             );
             let mut table = format!(
@@ -2321,7 +2324,7 @@ fn provenance_from_session(
 ) -> Provenance {
     let mut p = Provenance::new(command_echo);
     p.seeds = seeds;
-    p.workers = workers;
+    p.workers = resolved_workers(workers);
     p.phase_wall_times_us = session
         .phase_totals()
         .into_iter()
@@ -3249,6 +3252,27 @@ mod tests {
         ] {
             assert!(out.contains(needle), "missing {needle}:\n{out}");
         }
+    }
+
+    #[test]
+    fn explore_report_records_the_resolved_worker_count() {
+        let out = run(Command::Explore {
+            workload: "gemm:4,4,4".into(),
+            top: 3,
+            resume: None,
+            chunk_timeout: None,
+            out: "-".into(),
+        })
+        .unwrap();
+        let doc = tensorlib_obs::json::parse(&out).unwrap();
+        let workers = doc
+            .get("provenance")
+            .and_then(|p| p.get("workers"))
+            .and_then(tensorlib_obs::json::Value::as_u64)
+            .expect("provenance.workers");
+        // `explore` has no --workers flag: its pool runs one worker per core.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(workers, cores as u64);
     }
 
     #[test]

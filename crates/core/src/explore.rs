@@ -7,7 +7,7 @@ use serde::Serialize;
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
 use tensorlib_dataflow::dse::{design_space, DseConfig};
 use tensorlib_dataflow::Dataflow;
-use tensorlib_hw::design::{generate, HwConfig};
+use tensorlib_hw::design::{plan, DesignPlan, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
 use tensorlib_linalg::par::{
@@ -159,10 +159,14 @@ pub struct ExploreOutcome {
     pub skipped: usize,
 }
 
-/// Enumerates the kernel's dataflow design space, generates hardware for
-/// every *implementable* candidate (non-neighbour reuse vectors are skipped —
-/// the same designs the paper's templates cannot wire), and scores each with
-/// the cycle model and the ASIC cost model.
+/// Enumerates the kernel's dataflow design space, plans hardware for every
+/// *implementable* candidate (non-neighbour reuse vectors are skipped — the
+/// same designs the paper's templates cannot wire), and scores each plan
+/// with the cycle model and the ASIC cost model.
+///
+/// Scoring needs only the [`DesignPlan`] (resource census, port catalog,
+/// tiling, controller phases), so no array netlist is built unless
+/// [`ExploreOptions::functional_verify`] asks to simulate the candidate.
 ///
 /// Candidates are scored on a scoped worker pool
 /// ([`ExploreOptions::workers`] threads; the work is embarrassingly
@@ -210,7 +214,7 @@ pub fn explore_outcome(kernel: &Kernel, opts: &ExploreOptions) -> ExploreOutcome
         .iter()
         .flat_map(|df| variants.iter().map(move |&h| (df, h)))
         .collect();
-    // Scoring a candidate (hardware generation + cycle model + cost model)
+    // Scoring a candidate (hardware planning + cycle model + cost model)
     // is orders of magnitude heavier than the queue bookkeeping, so small
     // chunks keep the pool balanced.
     tensorlib_obs::counter_add("explore.jobs", jobs.len() as u64);
@@ -279,8 +283,8 @@ fn score(
         hardening,
         ..opts.hw
     };
-    let design = generate(df, &hw).ok()?;
-    let performance = perf::estimate(&design, kernel, &opts.sim);
+    let plan = plan(df, &hw).ok()?;
+    let performance = perf::estimate(&plan, kernel, &opts.sim);
     if let Some(budget) = opts.cycle_budget {
         if performance.total_cycles > budget {
             return Some(Err(PointError::BudgetExceeded {
@@ -290,8 +294,11 @@ fn score(
             }));
         }
     }
-    if opts.functional_verify {
-        match functional::simulate_budgeted(&design, kernel, 42, opts.cycle_budget) {
+    // Only functional verification needs the netlist.
+    let built;
+    let scored: &DesignPlan = if opts.functional_verify {
+        built = plan.build();
+        match functional::simulate_budgeted(&built, kernel, 42, opts.cycle_budget) {
             Ok(_) => {}
             Err(SimError::CycleBudgetExceeded { budget, needed }) => {
                 return Some(Err(PointError::BudgetExceeded {
@@ -307,7 +314,10 @@ fn score(
                 }))
             }
         }
-    }
+        &built
+    } else {
+        &plan
+    };
     let activity = if opts.synthesis_activity {
         Activity {
             utilization: 1.0,
@@ -319,7 +329,7 @@ fn score(
             freq_mhz: opts.sim.freq_mhz,
         }
     };
-    let asic = asic_cost(&design, &activity);
+    let asic = asic_cost(scored, &activity);
     Some(Ok(DesignPoint {
         name: point_name(df, hardening),
         letters: df.letters(),

@@ -56,6 +56,6 @@ pub use tensorlib_sim as sim;
 // Convenience re-exports of the most-used types.
 pub use tensorlib_cost::{Activity, AsicReport, FpgaDevice, FpgaReport};
 pub use tensorlib_dataflow::{Dataflow, FlowClass, LoopSelection, Stt};
-pub use tensorlib_hw::{AcceleratorDesign, ArrayConfig, HwConfig, ResourceSummary};
+pub use tensorlib_hw::{AcceleratorDesign, ArrayConfig, DesignPlan, HwConfig, ResourceSummary};
 pub use tensorlib_ir::{DataType, DenseTensor, Kernel, LoopNest};
 pub use tensorlib_sim::{FunctionalRun, InterpreterStats, MeasuredRun, SimConfig, SimReport, TraceConfig};

@@ -1,7 +1,7 @@
 //! ASIC area and power model (55 nm class).
 
 use serde::{Deserialize, Serialize};
-use tensorlib_hw::design::AcceleratorDesign;
+use tensorlib_hw::design::DesignPlan;
 
 use crate::calibration::asic55 as k;
 
@@ -59,7 +59,8 @@ pub struct AsicReport {
     pub leakage_mw: f64,
 }
 
-/// Evaluates the ASIC cost of `design` at `activity`.
+/// Evaluates the ASIC cost of `design` at `activity`. It reads only the
+/// [`DesignPlan`], so a generated `AcceleratorDesign` scores the same way.
 ///
 /// Area is activity-independent; power is energy-per-cycle × frequency with
 /// per-component activity factors (compute scales with utilization,
@@ -82,7 +83,7 @@ pub struct AsicReport {
 /// assert!(report.area_mm2 > 0.0 && report.power_mw > 0.0);
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
-pub fn asic_cost(design: &AcceleratorDesign, activity: &Activity) -> AsicReport {
+pub fn asic_cost(design: &DesignPlan, activity: &Activity) -> AsicReport {
     let _span = tensorlib_obs::span("cost.asic");
     let s = design.summary();
     let dt = design.config().datatype;
@@ -160,7 +161,7 @@ fn broadcast_endpoint_count(s: &tensorlib_hw::ResourceSummary) -> f64 {
 /// streaming input multicasts count: reduction trees are adders (already
 /// charged as compute), and stationary load multicasts are active only
 /// during the short load phase (charged at load duty cycle ≈ 10%).
-fn broadcast_byte_endpoints(design: &AcceleratorDesign) -> f64 {
+fn broadcast_byte_endpoints(design: &DesignPlan) -> f64 {
     use tensorlib_hw::array::PortKind;
     design
         .array_ports()

@@ -1,7 +1,7 @@
 //! FPGA resource and frequency model (Xilinx VU9P class).
 
 use serde::{Deserialize, Serialize};
-use tensorlib_hw::design::AcceleratorDesign;
+use tensorlib_hw::design::DesignPlan;
 use tensorlib_ir::DataType;
 
 use crate::calibration::vu9p as k;
@@ -92,7 +92,7 @@ pub struct FpgaReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn fpga_cost(
-    design: &AcceleratorDesign,
+    design: &DesignPlan,
     device: &FpgaDevice,
     placement_optimized: bool,
 ) -> FpgaReport {
@@ -133,11 +133,7 @@ pub fn fpga_cost(
     let lanes = design.config().vectorize as u64;
     let mut brams = 0u64;
     for binding in design.bank_bindings() {
-        let bank = design
-            .mem_banks()
-            .iter()
-            .find(|b| b.module_name() == binding.bank_module)
-            .expect("bank template exists");
+        let bank = design.bank(binding);
         brams += lanes * bank.bits().div_ceil(36 * 1024).max(1) * k::BRAM_DEPTH_FACTOR;
     }
 
@@ -175,7 +171,7 @@ pub fn fpga_cost(
 mod tests {
     use super::*;
     use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
-    use tensorlib_hw::design::{generate, HwConfig};
+    use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
     use tensorlib_hw::ArrayConfig;
     use tensorlib_ir::workloads;
 

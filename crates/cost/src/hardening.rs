@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 use tensorlib_dataflow::Dataflow;
-use tensorlib_hw::design::{generate, HwConfig};
+use tensorlib_hw::design::{plan, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_hw::HwError;
 
@@ -50,7 +50,7 @@ fn pct(base: f64, hardened: f64) -> f64 {
     }
 }
 
-/// Prices `hardening` for `dataflow` under `cfg`: generates the unhardened
+/// Prices `hardening` for `dataflow` under `cfg`: plans the unhardened
 /// baseline and the hardened variant from the same dataflow/config, runs
 /// both through [`asic_cost`] and [`fpga_cost`], and reports the deltas.
 ///
@@ -59,7 +59,7 @@ fn pct(base: f64, hardened: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`HwError`] if either design fails to generate (both share the
+/// Returns [`HwError`] if either design fails to plan (both share the
 /// same wiring feasibility, so in practice they fail together).
 ///
 /// # Examples
@@ -90,8 +90,8 @@ pub fn hardening_overhead(
         ..*cfg
     };
     let hard_cfg = HwConfig { hardening, ..*cfg };
-    let base = generate(dataflow, &base_cfg)?;
-    let hard = generate(dataflow, &hard_cfg)?;
+    let base = plan(dataflow, &base_cfg)?;
+    let hard = plan(dataflow, &hard_cfg)?;
     let base_asic = asic_cost(&base, activity);
     let hard_asic = asic_cost(&hard, activity);
     let device = FpgaDevice::vu9p();

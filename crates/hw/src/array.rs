@@ -195,20 +195,139 @@ pub struct ArrayPort {
     pub fanout: usize,
 }
 
-/// Result of array assembly: the array module, any reduction-tree modules it
-/// instantiates, and the catalog of top-level data ports.
-#[derive(Debug, Clone)]
-pub struct ArrayBuild {
-    /// The array module (instantiates the PE `rows × cols` times).
-    pub module: Module,
-    /// Reduction-tree modules referenced by the array.
-    pub tree_modules: Vec<Module>,
+/// Which PE lines one tensor's ports serve, one port per line, in
+/// [`PortLines::lines`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortLines {
+    /// The maximal lines along a direction ([`direction_lines`]).
+    Along([i64; 2]),
+    /// One line holding every PE, row-major.
+    Whole,
+    /// One single-PE line per PE, row-major.
+    PerPe,
+}
+
+impl PortLines {
+    /// Each line's first PE and length on a `rows × cols` grid, in line
+    /// order, without materializing the lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Along([0, 0])`.
+    pub fn spans(self, rows: usize, cols: usize) -> Vec<((usize, usize), usize)> {
+        match self {
+            PortLines::Along(dp) => {
+                assert!(dp != [0, 0], "direction must be nonzero");
+                let in_grid =
+                    |r: i64, c: i64| r >= 0 && c >= 0 && (r as usize) < rows && (c as usize) < cols;
+                let mut spans = Vec::new();
+                for r in 0..rows as i64 {
+                    for c in 0..cols as i64 {
+                        // A line starts only at a cell with no predecessor.
+                        if in_grid(r - dp[0], c - dp[1]) {
+                            continue;
+                        }
+                        let mut len = 0;
+                        while in_grid(r + len as i64 * dp[0], c + len as i64 * dp[1]) {
+                            len += 1;
+                        }
+                        spans.push(((r as usize, c as usize), len));
+                    }
+                }
+                spans
+            }
+            PortLines::Whole => vec![((0, 0), rows * cols)],
+            PortLines::PerPe => (0..rows)
+                .flat_map(|r| (0..cols).map(move |c| ((r, c), 1)))
+                .collect(),
+        }
+    }
+
+    /// The PE lines of a `rows × cols` grid: each span walked in order.
+    pub fn lines(self, rows: usize, cols: usize) -> Vec<Vec<(usize, usize)>> {
+        self.spans(rows, cols)
+            .into_iter()
+            .map(|((r, c), len)| match self {
+                PortLines::Along(dp) => (0..len as i64)
+                    .map(|i| {
+                        (
+                            (r as i64 + i * dp[0]) as usize,
+                            (c as i64 + i * dp[1]) as usize,
+                        )
+                    })
+                    .collect(),
+                PortLines::Whole => (0..len).map(|i| (i / cols, i % cols)).collect(),
+                PortLines::PerPe => vec![(r, c)],
+            })
+            .collect()
+    }
+}
+
+/// How a port connects to the PEs of its line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortWiring {
+    /// A shift chain through the line: an input port feeds its head, an
+    /// output port drains its tail (output chains start from zero).
+    Chain,
+    /// An input port drives every PE of its line combinationally; an output
+    /// port reads its line's single PE.
+    Fanout,
+    /// A pipelined reduction tree sums the line into the port.
+    Tree,
+}
+
+/// One tensor's share of the [`ArrayCatalog`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PortGroup {
+    /// The PE lines its ports serve.
+    pub lines: PortLines,
+    /// How each port meets its line.
+    pub wiring: PortWiring,
+    /// Its ports, as a range of [`ArrayCatalog::ports`].
+    pub ports: std::ops::Range<usize>,
+}
+
+/// A reduction-tree module the array instantiates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeSpec {
+    /// Module name.
+    pub name: String,
+    /// Summed inputs.
+    pub inputs: usize,
+    /// Operand width in bits.
+    pub width: u32,
+}
+
+/// The array's interface and reduction-tree census, derived from the flows
+/// alone: everything the cost and cycle models read about the array, and
+/// the plan [`build_array`] wires the netlist from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArrayCatalog {
     /// Top-level data ports, in deterministic order.
     pub ports: Vec<ArrayPort>,
+    /// Port groups, one per flow (and PE spec entry), in flow order.
+    pub groups: Vec<PortGroup>,
+    /// Distinct reduction-tree modules, in first-use order.
+    pub trees: Vec<TreeSpec>,
     /// Total adders instantiated in reduction trees.
     pub tree_adders: u64,
     /// Total pipeline register bits in reduction trees.
     pub tree_reg_bits: u64,
+}
+
+impl ArrayCatalog {
+    /// Builds the reduction-tree modules the array instantiates.
+    pub fn tree_modules(&self) -> Vec<Module> {
+        self.trees
+            .iter()
+            .map(|t| build_reduce_tree(&t.name, t.inputs, t.width).0)
+            .collect()
+    }
+}
+
+/// Name of the reduction-tree module summing `inputs` values of tensor `lo`.
+fn tree_name(array: &str, lo: &str, inputs: usize) -> String {
+    format!("{array}_{lo}_tree{inputs}")
 }
 
 /// Enumerates the maximal lines of the `rows × cols` grid in direction `dp`
@@ -231,30 +350,11 @@ pub struct ArrayBuild {
 ///
 /// Panics if `dp` is zero or steps more than one PE per axis.
 pub fn direction_lines(rows: usize, cols: usize, dp: [i64; 2]) -> Vec<Vec<(usize, usize)>> {
-    assert!(dp != [0, 0], "direction must be nonzero");
     assert!(
         dp[0].abs() <= 1 && dp[1].abs() <= 1,
         "direction must step at most one PE per axis"
     );
-    let in_grid = |r: i64, c: i64| r >= 0 && c >= 0 && (r as usize) < rows && (c as usize) < cols;
-    let mut lines = Vec::new();
-    for r in 0..rows as i64 {
-        for c in 0..cols as i64 {
-            // Start a line only at cells with no predecessor.
-            if in_grid(r - dp[0], c - dp[1]) {
-                continue;
-            }
-            let mut line = Vec::new();
-            let (mut cr, mut cc) = (r, c);
-            while in_grid(cr, cc) {
-                line.push((cr as usize, cc as usize));
-                cr += dp[0];
-                cc += dp[1];
-            }
-            lines.push(line);
-        }
-    }
-    lines
+    PortLines::Along(dp).lines(rows, cols)
 }
 
 /// Builds a pipelined binary reduction tree module summing `n` inputs of
@@ -314,22 +414,22 @@ fn wiring_dp(class: &FlowClass) -> Option<[i64; 2]> {
     }
 }
 
-/// Assembles the PE array for the given per-tensor flows.
+/// Enumerates the top-level ports and reduction trees of the array named
+/// `name` for the given per-tensor flows, without building any netlist.
 ///
 /// `pe_spec` must have one entry per flow, in the same order (use
-/// [`crate::design::generate`] for the end-to-end path).
+/// [`crate::design::plan`] for the end-to-end path).
 ///
 /// # Errors
 ///
 /// Returns [`HwError::NonNeighborReuse`] if any tensor's spatial step exceeds
 /// one PE per axis, or [`HwError::EmptyArray`] for a degenerate array.
-#[allow(clippy::needless_range_loop)] // r/c are grid coordinates, not slice walks
-pub fn build_array(
+pub fn array_catalog(
     name: &str,
     pe_spec: &PeSpec,
     flows: &[TensorFlow],
     cfg: &ArrayConfig,
-) -> Result<ArrayBuild, HwError> {
+) -> Result<ArrayCatalog, HwError> {
     if cfg.rows == 0 || cfg.cols == 0 {
         return Err(HwError::EmptyArray);
     }
@@ -346,11 +446,157 @@ pub fn build_array(
 
     let w = pe_spec.datatype.bits();
     let acc_w = pe_spec.datatype.accumulator_bits();
+    let mut catalog = ArrayCatalog {
+        ports: Vec::new(),
+        groups: Vec::with_capacity(flows.len()),
+        trees: Vec::new(),
+        tree_adders: 0,
+        tree_reg_bits: 0,
+    };
+    for (fi, f) in flows.iter().enumerate() {
+        let lo = f.tensor.to_lowercase();
+        // (lines, wiring, port kind, name stem; `None` names ports by grid
+        // position instead of line index).
+        let (lines, wiring, kind, stem) = match pe_spec.tensors[fi].kind {
+            PeIoKind::SystolicIn => (
+                PortLines::Along(wiring_dp(&f.class).unwrap_or([1, 0])),
+                PortWiring::Chain,
+                PortKind::SystolicFeed,
+                Some("feed"),
+            ),
+            PeIoKind::SystolicOut => (
+                PortLines::Along(wiring_dp(&f.class).unwrap_or([1, 0])),
+                PortWiring::Chain,
+                PortKind::SystolicDrain,
+                Some("drain"),
+            ),
+            // Stationary outputs drain down columns.
+            PeIoKind::StationaryOut => (
+                PortLines::Along([1, 0]),
+                PortWiring::Chain,
+                PortKind::StationaryDrain,
+                Some("drain"),
+            ),
+            PeIoKind::StationaryIn => match &f.class {
+                // Load by line multicast (or full-array broadcast).
+                FlowClass::MulticastStationary { dp } => (
+                    PortLines::Along(*dp),
+                    PortWiring::Fanout,
+                    PortKind::StationaryLoad,
+                    Some("load"),
+                ),
+                FlowClass::FullReuse => (
+                    PortLines::Whole,
+                    PortWiring::Fanout,
+                    PortKind::StationaryLoad,
+                    Some("load"),
+                ),
+                // Shift-chain load down columns.
+                _ => (
+                    PortLines::Along([1, 0]),
+                    PortWiring::Chain,
+                    PortKind::StationaryLoad,
+                    Some("load"),
+                ),
+            },
+            PeIoKind::DirectIn => match &f.class {
+                FlowClass::Multicast { dp } => (
+                    PortLines::Along(*dp),
+                    PortWiring::Fanout,
+                    PortKind::Multicast,
+                    Some("mc"),
+                ),
+                FlowClass::Broadcast { .. } => (
+                    PortLines::Whole,
+                    PortWiring::Fanout,
+                    PortKind::Multicast,
+                    Some("bc"),
+                ),
+                // Unicast: a port per PE.
+                _ => (
+                    PortLines::PerPe,
+                    PortWiring::Fanout,
+                    PortKind::Unicast,
+                    None,
+                ),
+            },
+            PeIoKind::ReduceOut => (
+                // Broadcast-style outputs reduce whole rows.
+                PortLines::Along(match &f.class {
+                    FlowClass::ReductionTree { dp } => *dp,
+                    _ => [0, 1],
+                }),
+                PortWiring::Tree,
+                PortKind::ReduceSum,
+                Some("sum"),
+            ),
+            PeIoKind::DirectOut => (
+                PortLines::PerPe,
+                PortWiring::Fanout,
+                PortKind::UnicastOut,
+                None,
+            ),
+        };
+        // Inputs carry operands; outputs carry accumulators.
+        let width = if kind.is_input() { w } else { acc_w };
+        let first = catalog.ports.len();
+        for (li, ((r, c), len)) in lines.spans(cfg.rows, cfg.cols).into_iter().enumerate() {
+            let port_name = match stem {
+                // The one broadcast port carries no line index.
+                Some("bc") => format!("{lo}_bc"),
+                Some(stem) => format!("{lo}_{stem}{li}"),
+                None => {
+                    let io = if kind.is_input() { "u" } else { "o" };
+                    format!("{lo}_{io}_r{r}c{c}")
+                }
+            };
+            let fanout = match wiring {
+                PortWiring::Chain => 1,
+                PortWiring::Fanout | PortWiring::Tree => len,
+            };
+            if wiring == PortWiring::Tree {
+                let tree = tree_name(name, &lo, len);
+                if !catalog.trees.iter().any(|t| t.name == tree) {
+                    catalog.trees.push(TreeSpec {
+                        name: tree,
+                        inputs: len,
+                        width,
+                    });
+                }
+                catalog.tree_adders += (len as u64).saturating_sub(1);
+                catalog.tree_reg_bits += tree_instance_reg_bits(len, width);
+            }
+            catalog.ports.push(ArrayPort {
+                tensor: f.tensor.clone(),
+                kind,
+                name: port_name,
+                width,
+                fanout,
+            });
+        }
+        catalog.groups.push(PortGroup {
+            lines,
+            wiring,
+            ports: first..catalog.ports.len(),
+        });
+    }
+    Ok(catalog)
+}
+
+/// Assembles the PE array module named `name`, wiring the ports of
+/// `catalog` (from [`array_catalog`] with the same arguments) to the PE
+/// grid. Reduction-tree modules come from [`ArrayCatalog::tree_modules`].
+#[allow(clippy::needless_range_loop)] // r/c are grid coordinates, not slice walks
+pub fn build_array(
+    name: &str,
+    pe_spec: &PeSpec,
+    flows: &[TensorFlow],
+    cfg: &ArrayConfig,
+    catalog: &ArrayCatalog,
+) -> Module {
+    let w = pe_spec.datatype.bits();
+    let acc_w = pe_spec.datatype.accumulator_bits();
     let mut m = Module::new(name);
-    let mut ports = Vec::new();
-    let mut tree_modules = Vec::new();
-    let mut tree_adders = 0u64;
-    let mut tree_reg_bits = 0u64;
 
     // Control inputs, fanned to every PE.
     let en = m.input("en", 1);
@@ -420,224 +666,60 @@ pub fn build_array(
         }
     }
 
-    // Wire each tensor's interconnect.
-    for (fi, f) in flows.iter().enumerate() {
-        let lo = f.tensor.to_lowercase();
-        let kind = pe_spec.tensors[fi].kind;
-        match kind {
-            PeIoKind::SystolicIn | PeIoKind::SystolicOut | PeIoKind::StationaryOut => {
-                // Chain along dp (stationary-out drains along columns).
-                let dp = match (&f.class, kind) {
-                    (_, PeIoKind::StationaryOut) => [1, 0],
-                    (class, _) => wiring_dp(class).unwrap_or([1, 0]),
-                };
-                let lines = direction_lines(cfg.rows, cfg.cols, dp);
-                let width = if kind == PeIoKind::SystolicIn { w } else { acc_w };
-                for (li, line) in lines.iter().enumerate() {
-                    // Head of chain.
+    // Wire every catalog port to its line of PEs.
+    for (fi, group) in catalog.groups.iter().enumerate() {
+        let lo = flows[fi].tensor.to_lowercase();
+        let lines = group.lines.lines(cfg.rows, cfg.cols);
+        let ports = &catalog.ports[group.ports.clone()];
+        for (li, (port, line)) in ports.iter().zip(&lines).enumerate() {
+            match group.wiring {
+                PortWiring::Chain => {
                     let (hr, hc) = line[0];
-                    match kind {
-                        PeIoKind::SystolicIn => {
-                            let port = m.input(format!("{lo}_feed{li}"), width);
-                            m.assign(in_nets[hr][fi][hc], Expr::net(port));
-                            ports.push(ArrayPort {
-                                tensor: f.tensor.clone(),
-                                kind: PortKind::SystolicFeed,
-                                name: format!("{lo}_feed{li}"),
-                                width,
-                                fanout: 1,
-                            });
-                        }
-                        _ => {
-                            // Output chains start from zero partial sums.
-                            m.assign(in_nets[hr][fi][hc], Expr::lit(0, width));
-                        }
+                    if port.kind.is_input() {
+                        let p = m.input(port.name.clone(), port.width);
+                        m.assign(in_nets[hr][fi][hc], Expr::net(p));
+                    } else {
+                        // Output chains start from zero partial sums.
+                        m.assign(in_nets[hr][fi][hc], Expr::lit(0, port.width));
                     }
-                    // Interior links.
                     for win in line.windows(2) {
                         let (pr, pc) = win[0];
                         let (nr, nc) = win[1];
                         m.assign(in_nets[nr][fi][nc], Expr::net(out_nets[pr][fi][pc]));
                     }
-                    // Tail of chain.
-                    let (tr, tc) = *line.last().expect("nonempty line");
-                    if kind != PeIoKind::SystolicIn {
-                        let port = m.output(format!("{lo}_drain{li}"), width);
-                        m.assign(port, Expr::net(out_nets[tr][fi][tc]));
-                        ports.push(ArrayPort {
-                            tensor: f.tensor.clone(),
-                            kind: if kind == PeIoKind::SystolicOut {
-                                PortKind::SystolicDrain
-                            } else {
-                                PortKind::StationaryDrain
-                            },
-                            name: format!("{lo}_drain{li}"),
-                            width,
-                            fanout: 1,
-                        });
+                    if !port.kind.is_input() {
+                        let (tr, tc) = *line.last().expect("nonempty line");
+                        let p = m.output(port.name.clone(), port.width);
+                        m.assign(p, Expr::net(out_nets[tr][fi][tc]));
                     }
                 }
-            }
-            PeIoKind::StationaryIn => {
-                let multicast_load = matches!(
-                    f.class,
-                    FlowClass::MulticastStationary { .. } | FlowClass::FullReuse
-                );
-                if multicast_load {
-                    // Load by line multicast (or full-array broadcast).
-                    let lines = match &f.class {
-                        FlowClass::MulticastStationary { dp } => {
-                            direction_lines(cfg.rows, cfg.cols, *dp)
-                        }
-                        _ => vec![(0..cfg.rows)
-                            .flat_map(|r| (0..cfg.cols).map(move |c| (r, c)))
-                            .collect()],
-                    };
-                    for (li, line) in lines.iter().enumerate() {
-                        let port = m.input(format!("{lo}_load{li}"), w);
-                        for &(r, c) in line {
-                            m.assign(in_nets[r][fi][c], Expr::net(port));
-                        }
-                        ports.push(ArrayPort {
-                            tensor: f.tensor.clone(),
-                            kind: PortKind::StationaryLoad,
-                            name: format!("{lo}_load{li}"),
-                            width: w,
-                            fanout: line.len(),
-                        });
-                    }
-                } else {
-                    // Shift-chain load down columns.
-                    let lines = direction_lines(cfg.rows, cfg.cols, [1, 0]);
-                    for (li, line) in lines.iter().enumerate() {
-                        let (hr, hc) = line[0];
-                        let port = m.input(format!("{lo}_load{li}"), w);
-                        m.assign(in_nets[hr][fi][hc], Expr::net(port));
-                        for win in line.windows(2) {
-                            let (pr, pc) = win[0];
-                            let (nr, nc) = win[1];
-                            m.assign(in_nets[nr][fi][nc], Expr::net(out_nets[pr][fi][pc]));
-                        }
-                        ports.push(ArrayPort {
-                            tensor: f.tensor.clone(),
-                            kind: PortKind::StationaryLoad,
-                            name: format!("{lo}_load{li}"),
-                            width: w,
-                            fanout: 1,
-                        });
+                PortWiring::Fanout if port.kind.is_input() => {
+                    let p = m.input(port.name.clone(), port.width);
+                    for &(r, c) in line {
+                        m.assign(in_nets[r][fi][c], Expr::net(p));
                     }
                 }
-            }
-            PeIoKind::DirectIn => match &f.class {
-                FlowClass::Multicast { dp } => {
-                    let lines = direction_lines(cfg.rows, cfg.cols, *dp);
-                    for (li, line) in lines.iter().enumerate() {
-                        let port = m.input(format!("{lo}_mc{li}"), w);
-                        for &(r, c) in line {
-                            m.assign(in_nets[r][fi][c], Expr::net(port));
-                        }
-                        ports.push(ArrayPort {
-                            tensor: f.tensor.clone(),
-                            kind: PortKind::Multicast,
-                            name: format!("{lo}_mc{li}"),
-                            width: w,
-                            fanout: line.len(),
-                        });
-                    }
+                PortWiring::Fanout => {
+                    let (r, c) = line[0];
+                    let p = m.output(port.name.clone(), port.width);
+                    m.assign(p, Expr::net(out_nets[r][fi][c]));
                 }
-                FlowClass::Broadcast { .. } => {
-                    let port = m.input(format!("{lo}_bc"), w);
-                    for r in 0..cfg.rows {
-                        for c in 0..cfg.cols {
-                            m.assign(in_nets[r][fi][c], Expr::net(port));
-                        }
-                    }
-                    ports.push(ArrayPort {
-                        tensor: f.tensor.clone(),
-                        kind: PortKind::Multicast,
-                        name: format!("{lo}_bc"),
-                        width: w,
-                        fanout: cfg.pes(),
-                    });
-                }
-                _ => {
-                    // Unicast: a port per PE.
-                    for r in 0..cfg.rows {
-                        for c in 0..cfg.cols {
-                            let port = m.input(format!("{lo}_u_r{r}c{c}"), w);
-                            m.assign(in_nets[r][fi][c], Expr::net(port));
-                            ports.push(ArrayPort {
-                                tensor: f.tensor.clone(),
-                                kind: PortKind::Unicast,
-                                name: format!("{lo}_u_r{r}c{c}"),
-                                width: w,
-                                fanout: 1,
-                            });
-                        }
-                    }
-                }
-            },
-            PeIoKind::ReduceOut => {
-                let dp = match &f.class {
-                    FlowClass::ReductionTree { dp } => *dp,
-                    // Broadcast-style outputs reduce over the whole array;
-                    // approximate with row trees feeding a column tree is
-                    // overkill here — reduce whole rows then a final tree.
-                    _ => [0, 1],
-                };
-                let lines = direction_lines(cfg.rows, cfg.cols, dp);
-                for (li, line) in lines.iter().enumerate() {
-                    let tree_name = format!("{}_{lo}_tree{}", name, line.len());
-                    if !tree_modules.iter().any(|t: &Module| t.name() == tree_name) {
-                        let (tm, a, rb) = build_reduce_tree(&tree_name, line.len(), acc_w);
-                        tree_modules.push(tm);
-                        // Adders/bits counted per *instance* below; store per
-                        // module here only once.
-                        let _ = (a, rb);
-                    }
-                    tree_adders += (line.len() as u64).saturating_sub(1);
-                    // Reg bits per instance: every level registers every lane.
-                    tree_reg_bits += tree_instance_reg_bits(line.len(), acc_w);
-                    let sum_port = m.output(format!("{lo}_sum{li}"), acc_w);
-                    let mut conns = vec![("sum".to_string(), sum_port)];
+                PortWiring::Tree => {
+                    let sum = m.output(port.name.clone(), port.width);
+                    let mut conns = vec![("sum".to_string(), sum)];
                     for (i, &(r, c)) in line.iter().enumerate() {
                         conns.push((format!("in{i}"), out_nets[r][fi][c]));
                     }
-                    m.instance(tree_name, format!("{lo}_tree_i{li}"), conns);
-                    ports.push(ArrayPort {
-                        tensor: f.tensor.clone(),
-                        kind: PortKind::ReduceSum,
-                        name: format!("{lo}_sum{li}"),
-                        width: acc_w,
-                        fanout: line.len(),
-                    });
-                }
-            }
-            PeIoKind::DirectOut => {
-                for r in 0..cfg.rows {
-                    for c in 0..cfg.cols {
-                        let port = m.output(format!("{lo}_o_r{r}c{c}"), acc_w);
-                        m.assign(port, Expr::net(out_nets[r][fi][c]));
-                        ports.push(ArrayPort {
-                            tensor: f.tensor.clone(),
-                            kind: PortKind::UnicastOut,
-                            name: format!("{lo}_o_r{r}c{c}"),
-                            width: acc_w,
-                            fanout: 1,
-                        });
-                    }
+                    m.instance(
+                        tree_name(name, &lo, line.len()),
+                        format!("{lo}_tree_i{li}"),
+                        conns,
+                    );
                 }
             }
         }
     }
-
-    Ok(ArrayBuild {
-        module: m,
-        tree_modules,
-        ports,
-        tree_adders,
-        tree_reg_bits,
-    })
+    m
 }
 
 /// Register bits one reduction-tree instance of `n` inputs uses (every level
@@ -665,6 +747,13 @@ mod tests {
             role,
             class,
         }
+    }
+
+    /// Catalog plus wired module, as `DesignPlan::build` assembles them.
+    fn assemble(spec: &PeSpec, flows: &[TensorFlow], cfg: &ArrayConfig) -> (ArrayCatalog, Module) {
+        let catalog = array_catalog("arr", spec, flows, cfg).unwrap();
+        let module = build_array("arr", spec, flows, cfg, &catalog);
+        (catalog, module)
     }
 
     fn spec_for(flows: &[TensorFlow]) -> PeSpec {
@@ -735,8 +824,8 @@ mod tests {
         let pe = build_pe(&spec);
         pe.validate().unwrap();
         let cfg = ArrayConfig { rows: 3, cols: 4 };
-        let ab = build_array("arr", &spec, &flows, &cfg).unwrap();
-        ab.module.validate().unwrap();
+        let (ab, module) = assemble(&spec, &flows, &cfg);
+        module.validate().unwrap();
         // A feeds 3 rows, B feeds 4 columns, C drains 4 columns.
         let feeds_a = ab
             .ports
@@ -754,7 +843,7 @@ mod tests {
             .filter(|p| p.kind == PortKind::StationaryDrain)
             .count();
         assert_eq!((feeds_a, feeds_b, drains_c), (3, 4, 4));
-        assert!(ab.tree_modules.is_empty());
+        assert!(ab.trees.is_empty());
     }
 
     #[test]
@@ -766,8 +855,8 @@ mod tests {
         ];
         let spec = spec_for(&flows);
         let cfg = ArrayConfig { rows: 4, cols: 4 };
-        let ab = build_array("arr", &spec, &flows, &cfg).unwrap();
-        ab.module.validate().unwrap();
+        let (ab, module) = assemble(&spec, &flows, &cfg);
+        module.validate().unwrap();
         // One tree per row.
         assert_eq!(
             ab.ports
@@ -784,7 +873,7 @@ mod tests {
             .find(|p| p.kind == PortKind::Multicast)
             .unwrap();
         assert_eq!(mc.fanout, 4);
-        assert_eq!(ab.tree_modules.len(), 1, "tree module deduplicated");
+        assert_eq!(ab.trees.len(), 1, "tree module deduplicated");
     }
 
     #[test]
@@ -796,8 +885,8 @@ mod tests {
         ];
         let spec = spec_for(&flows);
         let cfg = ArrayConfig { rows: 3, cols: 3 };
-        let ab = build_array("arr", &spec, &flows, &cfg).unwrap();
-        ab.module.validate().unwrap();
+        let (ab, module) = assemble(&spec, &flows, &cfg);
+        module.validate().unwrap();
         // 3 + 3 - 1 diagonal lines.
         assert_eq!(
             ab.ports
@@ -817,8 +906,8 @@ mod tests {
         ];
         let spec = spec_for(&flows);
         let cfg = ArrayConfig { rows: 2, cols: 2 };
-        let ab = build_array("arr", &spec, &flows, &cfg).unwrap();
-        ab.module.validate().unwrap();
+        let (ab, module) = assemble(&spec, &flows, &cfg);
+        module.validate().unwrap();
         assert_eq!(
             ab.ports
                 .iter()
@@ -843,7 +932,7 @@ mod tests {
             flow("C", TensorRole::Output, FlowClass::Stationary { dt: 1 }),
         ];
         let spec = spec_for(&flows);
-        let err = build_array("arr", &spec, &flows, &ArrayConfig::square(4)).unwrap_err();
+        let err = array_catalog("arr", &spec, &flows, &ArrayConfig::square(4)).unwrap_err();
         assert!(matches!(err, HwError::NonNeighborReuse { .. }));
         assert!(err.to_string().contains("(2, 0)"));
     }
@@ -856,7 +945,7 @@ mod tests {
         ];
         let spec = spec_for(&flows);
         assert_eq!(
-            build_array("arr", &spec, &flows, &ArrayConfig { rows: 0, cols: 4 }).unwrap_err(),
+            array_catalog("arr", &spec, &flows, &ArrayConfig { rows: 0, cols: 4 }).unwrap_err(),
             HwError::EmptyArray
         );
     }

@@ -7,7 +7,9 @@ use serde::{Deserialize, Serialize};
 use tensorlib_dataflow::{Dataflow, FlowClass};
 use tensorlib_ir::DataType;
 
-use crate::array::{build_array, ArrayConfig, ArrayPort, HwError, PortKind};
+use crate::array::{
+    array_catalog, build_array, ArrayCatalog, ArrayConfig, ArrayPort, HwError, PortKind,
+};
 use crate::ctrl::{build_controller, CtrlPhases};
 use crate::fault::{build_tmr_controller, Hardening, TMR_VOTER_GATE_BITS};
 use crate::mem::MemBank;
@@ -114,48 +116,58 @@ impl ResourceSummary {
 /// One scratchpad bank instance bound to an array port.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankBinding {
-    /// Module name of the bank template.
-    pub bank_module: String,
+    /// Index of the bank template in [`DesignPlan::mem_banks`].
+    pub bank: usize,
     /// Instance name in the top module.
     pub instance: String,
     /// The array port it serves.
     pub port: ArrayPort,
 }
 
-/// A complete generated accelerator: netlist modules, memory plan, tiling,
-/// and resource summary.
+/// Stage one of generation: everything about an accelerator that the cost
+/// and cycle models read, computed without building the array netlist.
+///
+/// A plan holds the name, the PE spec and its one PE module, the array's
+/// port catalog and reduction-tree census, the tiling and controller
+/// phases, the controller modules, the memory plan, and the resource
+/// summary. [`DesignPlan::build`] (stage two) adds the reduction-tree
+/// modules, the wired array, and the top level. `perf::estimate`,
+/// `asic_cost` and `fpga_cost` score a plan directly, which is how
+/// `explore` ranks thousands of candidates without building any of them.
 ///
 /// # Examples
 ///
 /// ```
 /// use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
-/// use tensorlib_hw::design::{generate, HwConfig};
+/// use tensorlib_hw::design::{generate, plan, HwConfig};
 /// use tensorlib_ir::workloads;
 ///
 /// let gemm = workloads::gemm(64, 64, 64);
 /// let sel = LoopSelection::by_names(&gemm, ["m", "n", "k"])?;
 /// let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary())?;
-/// let design = generate(&df, &HwConfig::default()).expect("wireable dataflow");
-/// design.validate().expect("structurally sound");
-/// assert_eq!(design.summary().pes, 256);
+/// let p = plan(&df, &HwConfig::default()).expect("wireable dataflow");
+/// assert_eq!(p.summary().pes, 256);
+/// let design = p.build();
+/// assert_eq!(design.summary(), generate(&df, &HwConfig::default()).unwrap().summary());
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct AcceleratorDesign {
+pub struct DesignPlan {
     name: String,
     dataflow: Dataflow,
     config: HwConfig,
+    pe_spec: PeSpec,
+    pe: Module,
+    array: ArrayCatalog,
     tiling: Tiling,
     phases: CtrlPhases,
-    modules: Vec<Module>,
+    ctrl: Vec<Module>,
     mem_banks: Vec<MemBank>,
     bank_bindings: Vec<BankBinding>,
-    array_ports: Vec<ArrayPort>,
-    top: String,
     summary: ResourceSummary,
 }
 
-impl AcceleratorDesign {
+impl DesignPlan {
     /// The design's name (derived from the dataflow name).
     pub fn name(&self) -> &str {
         &self.name
@@ -181,16 +193,6 @@ impl AcceleratorDesign {
         &self.phases
     }
 
-    /// All netlist modules (PE, trees, controller, array, top).
-    pub fn modules(&self) -> &[Module] {
-        &self.modules
-    }
-
-    /// The module named `name`, if present.
-    pub fn module(&self, name: &str) -> Option<&Module> {
-        self.modules.iter().find(|m| m.name() == name)
-    }
-
     /// Unique memory bank templates.
     pub fn mem_banks(&self) -> &[MemBank] {
         &self.mem_banks
@@ -201,19 +203,182 @@ impl AcceleratorDesign {
         &self.bank_bindings
     }
 
-    /// The array's top-level data ports.
-    pub fn array_ports(&self) -> &[ArrayPort] {
-        &self.array_ports
+    /// The bank template `binding` instantiates.
+    pub fn bank(&self, binding: &BankBinding) -> &MemBank {
+        &self.mem_banks[binding.bank]
     }
 
-    /// Name of the top module.
-    pub fn top(&self) -> &str {
-        &self.top
+    /// The array's port catalog and reduction-tree census.
+    pub fn array_catalog(&self) -> &ArrayCatalog {
+        &self.array
+    }
+
+    /// The array's top-level data ports.
+    pub fn array_ports(&self) -> &[ArrayPort] {
+        &self.array.ports
     }
 
     /// The resource census.
     pub fn summary(&self) -> &ResourceSummary {
         &self.summary
+    }
+
+    /// Stage two of generation: builds the reduction-tree modules, wires
+    /// the PE array from the port catalog, and wires the top level around
+    /// the controller and one bank per array port.
+    pub fn build(self) -> AcceleratorDesign {
+        let _span = tensorlib_obs::span("hw.elaboration");
+        let array_name = format!("{}_array", self.name);
+        let array = build_array(
+            &array_name,
+            &self.pe_spec,
+            self.dataflow.flows(),
+            &self.config.array,
+            &self.array,
+        );
+        let top = self.build_top(&array_name);
+        let mut modules = vec![self.pe.clone()];
+        modules.extend(self.array.tree_modules());
+        modules.extend(self.ctrl.iter().cloned());
+        modules.push(array);
+        let top_name = top.name().to_string();
+        modules.push(top);
+        AcceleratorDesign {
+            plan: self,
+            modules,
+            top: top_name,
+        }
+    }
+
+    /// The top module: controller, one bank per array port, and the array.
+    fn build_top(&self, array_name: &str) -> Module {
+        let name = &self.name;
+        let mut top = Module::new(format!("{name}_top"));
+        let start = top.input("start", 1);
+        let done = top.output("done", 1);
+        let fill_en = top.input("fill_en", 1);
+        let en = top.net("en", 1);
+        let load_en = top.net("load_en", 1);
+        let phase = top.net("phase", 1);
+        let swap = top.net("swap", 1);
+        let drain_en = top.net("drain_en", 1);
+        let mut ctrl_conns = vec![
+            ("start".to_string(), start),
+            ("en".into(), en),
+            ("load_en".into(), load_en),
+            ("phase".into(), phase),
+            ("swap".into(), swap),
+            ("drain_en".into(), drain_en),
+            ("done".into(), done),
+        ];
+        if self.config.hardening.tmr_ctrl {
+            // Surface the TMR divergence detector at the top level.
+            let mismatch = top.output("tmr_mismatch", 1);
+            ctrl_conns.push(("tmr_mismatch".into(), mismatch));
+        }
+        top.instance(format!("{name}_ctrl"), "ctrl_i".to_string(), ctrl_conns);
+
+        let mut array_conns = vec![("en".to_string(), en)];
+        if self.pe_spec.needs_load_phase() {
+            array_conns.push(("load_en".into(), load_en));
+            array_conns.push(("phase".into(), phase));
+        }
+        if self.pe_spec.needs_swap_drain() {
+            array_conns.push(("swap".into(), swap));
+            array_conns.push(("drain_en".into(), drain_en));
+        }
+        for (bi, binding) in self.bank_bindings.iter().enumerate() {
+            let port = &binding.port;
+            let data_net = top.net(format!("n_{}", port.name), port.width);
+            array_conns.push((port.name.clone(), data_net));
+            let bank = self.bank(binding);
+            let mut conns: Vec<(String, usize)> = Vec::new();
+            if port.kind.is_input() {
+                // Bank streams into the array; filled from outside.
+                let fill = top.input(format!("fill_{bi}"), port.width);
+                let stream_en = if port.kind == PortKind::StationaryLoad {
+                    load_en
+                } else {
+                    en
+                };
+                conns.push(("en".into(), stream_en));
+                conns.push(("wen".into(), fill_en));
+                conns.push(("wdata".into(), fill));
+                conns.push(("rdata".into(), data_net));
+            } else {
+                // Bank captures array results; exposed for readback.
+                let out = top.output(format!("result_{bi}"), port.width);
+                let capture_en = if port.kind == PortKind::StationaryDrain {
+                    drain_en
+                } else {
+                    en
+                };
+                let read_back = top.input(format!("readback_{bi}"), 1);
+                conns.push(("en".into(), read_back));
+                conns.push(("wen".into(), capture_en));
+                conns.push(("wdata".into(), data_net));
+                let rd = top.net(format!("rd_{bi}"), port.width);
+                conns.push(("rdata".into(), rd));
+                top.assign(out, Expr::net(rd));
+            }
+            if bank.is_double_buffered() {
+                conns.push(("buf_sel".into(), phase));
+            }
+            top.instance(bank.module_name(), binding.instance.clone(), conns);
+        }
+        top.instance(array_name.to_string(), "array_i".to_string(), array_conns);
+        top
+    }
+}
+
+/// A complete generated accelerator: its [`DesignPlan`] (tiling, memory
+/// plan, resource summary, ...), reachable through `Deref`, plus the
+/// netlist modules.
+///
+/// # Examples
+///
+/// ```
+/// use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
+/// use tensorlib_hw::design::{generate, HwConfig};
+/// use tensorlib_ir::workloads;
+///
+/// let gemm = workloads::gemm(64, 64, 64);
+/// let sel = LoopSelection::by_names(&gemm, ["m", "n", "k"])?;
+/// let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary())?;
+/// let design = generate(&df, &HwConfig::default()).expect("wireable dataflow");
+/// design.validate().expect("structurally sound");
+/// assert_eq!(design.summary().pes, 256);
+/// # Ok::<(), tensorlib_dataflow::DataflowError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct AcceleratorDesign {
+    plan: DesignPlan,
+    modules: Vec<Module>,
+    top: String,
+}
+
+impl std::ops::Deref for AcceleratorDesign {
+    type Target = DesignPlan;
+
+    fn deref(&self) -> &DesignPlan {
+        &self.plan
+    }
+}
+
+impl AcceleratorDesign {
+    /// All netlist modules (PE, trees, controller, array, top).
+    pub fn modules(&self) -> &[Module] {
+        &self.modules
+    }
+
+    /// The module named `name`, if present.
+    pub fn module(&self, name: &str) -> Option<&Module> {
+        self.modules.iter().find(|m| m.name() == name)
+    }
+
+    /// Name of the top module.
+    pub fn top(&self) -> &str {
+        &self.top
     }
 
     /// Runs the [`crate::opt`] rewrite pipeline over every module in place
@@ -380,18 +545,32 @@ fn next_pow2(v: u64) -> u64 {
 /// campaign's golden-versus-reference cross-check).
 pub const STREAM_PIPELINE_LATENCY: u64 = 2;
 
-/// Generates the complete accelerator for `dataflow`.
+/// Generates the complete accelerator for `dataflow`: [`plan`] followed by
+/// [`DesignPlan::build`].
 ///
-/// Pipeline: PE template selection (Figure 3) → PE assembly → array
-/// interconnect (Figure 4) → tiling → controller → memory banking → top-level
-/// wiring → resource census.
+/// Pipeline: PE template selection (Figure 3) → PE assembly → array port
+/// catalog (Figure 4) → tiling → controller → memory banking → resource
+/// census → array interconnect → top-level wiring.
 ///
 /// # Errors
 ///
 /// Returns [`HwError`] if the dataflow's reuse steps cannot be wired
 /// (non-neighbour `dp`) or the array is degenerate.
 pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign, HwError> {
-    let _span = tensorlib_obs::span("hw.elaboration");
+    plan(dataflow, cfg).map(DesignPlan::build)
+}
+
+/// Plans the accelerator for `dataflow` without building its array
+/// netlist: stage one of [`generate`], and all the cost and cycle models
+/// need.
+///
+/// # Errors
+///
+/// Returns [`HwError`] if the dataflow's reuse steps cannot be wired
+/// (non-neighbour `dp`) or the array is degenerate — exactly when
+/// [`generate`] fails.
+pub fn plan(dataflow: &Dataflow, cfg: &HwConfig) -> Result<DesignPlan, HwError> {
+    let _span = tensorlib_obs::span("hw.plan");
     let mut name = format!(
         "{}_{}",
         dataflow.kernel_name().to_lowercase().replace('-', "_"),
@@ -424,9 +603,13 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
     };
     let pe = build_pe(&pe_spec);
 
-    // 2. Array.
-    let array_name = format!("{name}_array");
-    let ab = build_array(&array_name, &pe_spec, dataflow.flows(), &cfg.array)?;
+    // 2. Array ports and reduction trees.
+    let array = array_catalog(
+        &format!("{name}_array"),
+        &pe_spec,
+        dataflow.flows(),
+        &cfg.array,
+    )?;
 
     // 3. Tiling and controller phases.
     let tiling = tile_for_array(dataflow.stt(), dataflow.selected_extents(), &cfg.array);
@@ -457,7 +640,7 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
     };
     let ctrl_name = format!("{name}_ctrl");
     // Plain controller, or a TMR-voted triple with a mismatch detector.
-    let (ctrl_modules, ctrl_reg_bits) = if cfg.hardening.tmr_ctrl {
+    let (ctrl, ctrl_reg_bits) = if cfg.hardening.tmr_ctrl {
         let mods = build_tmr_controller(&ctrl_name, &phases);
         let bits = mods[0].reg_bits() * 3;
         (mods, bits)
@@ -469,8 +652,8 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
 
     // 4. Memory plan: one bank instance per array data port.
     let mut mem_banks: Vec<MemBank> = Vec::new();
-    let mut bank_bindings = Vec::new();
-    for (i, port) in ab.ports.iter().enumerate() {
+    let mut bank_bindings = Vec::with_capacity(array.ports.len());
+    for (i, port) in array.ports.iter().enumerate() {
         let stationary = matches!(
             port.kind,
             PortKind::StationaryLoad | PortKind::StationaryDrain
@@ -483,97 +666,21 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
         if cfg.hardening.parity_banks {
             bank = bank.with_parity();
         }
-        if !mem_banks.contains(&bank) {
-            mem_banks.push(bank.clone());
-        }
+        let bank = match mem_banks.iter().position(|b| *b == bank) {
+            Some(existing) => existing,
+            None => {
+                mem_banks.push(bank);
+                mem_banks.len() - 1
+            }
+        };
         bank_bindings.push(BankBinding {
-            bank_module: bank.module_name(),
+            bank,
             instance: format!("bank_{i}_{}", port.name),
             port: port.clone(),
         });
     }
 
-    // 5. Top-level wiring.
-    let top_name = format!("{name}_top");
-    let mut top = Module::new(top_name.clone());
-    let start = top.input("start", 1);
-    let done = top.output("done", 1);
-    let fill_en = top.input("fill_en", 1);
-    let en = top.net("en", 1);
-    let load_en = top.net("load_en", 1);
-    let phase = top.net("phase", 1);
-    let swap = top.net("swap", 1);
-    let drain_en = top.net("drain_en", 1);
-    let mut ctrl_conns = vec![
-        ("start".to_string(), start),
-        ("en".into(), en),
-        ("load_en".into(), load_en),
-        ("phase".into(), phase),
-        ("swap".into(), swap),
-        ("drain_en".into(), drain_en),
-        ("done".into(), done),
-    ];
-    if cfg.hardening.tmr_ctrl {
-        // Surface the TMR divergence detector at the top level.
-        let mismatch = top.output("tmr_mismatch", 1);
-        ctrl_conns.push(("tmr_mismatch".into(), mismatch));
-    }
-    top.instance(ctrl_name.clone(), "ctrl_i".to_string(), ctrl_conns);
-
-    let mut array_conns = vec![("en".to_string(), en)];
-    if has_stationary_in {
-        array_conns.push(("load_en".into(), load_en));
-        array_conns.push(("phase".into(), phase));
-    }
-    if has_stationary_out {
-        array_conns.push(("swap".into(), swap));
-        array_conns.push(("drain_en".into(), drain_en));
-    }
-    for (bi, binding) in bank_bindings.iter().enumerate() {
-        let port = &binding.port;
-        let data_net = top.net(format!("n_{}", port.name), port.width);
-        array_conns.push((port.name.clone(), data_net));
-        let bank = mem_banks
-            .iter()
-            .find(|b| b.module_name() == binding.bank_module)
-            .expect("bank template exists");
-        let mut conns: Vec<(String, usize)> = Vec::new();
-        if port.kind.is_input() {
-            // Bank streams into the array; filled from outside.
-            let fill = top.input(format!("fill_{bi}"), port.width);
-            let stream_en = if port.kind == PortKind::StationaryLoad {
-                load_en
-            } else {
-                en
-            };
-            conns.push(("en".into(), stream_en));
-            conns.push(("wen".into(), fill_en));
-            conns.push(("wdata".into(), fill));
-            conns.push(("rdata".into(), data_net));
-        } else {
-            // Bank captures array results; exposed for readback.
-            let out = top.output(format!("result_{bi}"), port.width);
-            let capture_en = if port.kind == PortKind::StationaryDrain {
-                drain_en
-            } else {
-                en
-            };
-            let read_back = top.input(format!("readback_{bi}"), 1);
-            conns.push(("en".into(), read_back));
-            conns.push(("wen".into(), capture_en));
-            conns.push(("wdata".into(), data_net));
-            let rd = top.net(format!("rd_{bi}"), port.width);
-            conns.push(("rdata".into(), rd));
-            top.assign(out, Expr::net(rd));
-        }
-        if bank.is_double_buffered() {
-            conns.push(("buf_sel".into(), phase));
-        }
-        top.instance(binding.bank_module.clone(), binding.instance.clone(), conns);
-    }
-    top.instance(array_name.clone(), "array_i".to_string(), array_conns);
-
-    // 6. Resource census.
+    // 5. Resource census.
     let lanes = cfg.vectorize as u64;
     let pe_ops = pe.count_ops();
     let pes = cfg.array.pes() as u64;
@@ -597,9 +704,9 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
         pes,
         multipliers: pe_ops.multipliers * compute_pes * lanes,
         pe_adders: pe_ops.adders * compute_pes * lanes,
-        tree_adders: ab.tree_adders * lanes,
+        tree_adders: array.tree_adders * lanes,
         pe_reg_bits: pe.reg_bits() * compute_pes * lanes,
-        tree_reg_bits: ab.tree_reg_bits * lanes,
+        tree_reg_bits: array.tree_reg_bits * lanes,
         mux_bits: pe_ops.mux_bits * compute_pes * lanes + voter_bits,
         voter_bits,
         abft_pes,
@@ -614,7 +721,7 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
         ctrl_reg_bits,
         ..ResourceSummary::default()
     };
-    for port in &ab.ports {
+    for port in &array.ports {
         summary.max_fanout = summary.max_fanout.max(port.fanout as u64);
         match port.kind {
             PortKind::Multicast => {
@@ -643,10 +750,7 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
         }
     }
     for binding in &bank_bindings {
-        let bank = mem_banks
-            .iter()
-            .find(|b| b.module_name() == binding.bank_module)
-            .expect("bank template exists");
+        let bank = &mem_banks[binding.bank];
         summary.mem_banks += 1;
         summary.mem_bits += bank.bits();
         if bank.has_parity() {
@@ -655,23 +759,18 @@ pub fn generate(dataflow: &Dataflow, cfg: &HwConfig) -> Result<AcceleratorDesign
         }
     }
 
-    let mut modules = vec![pe];
-    modules.extend(ab.tree_modules.clone());
-    modules.extend(ctrl_modules);
-    modules.push(ab.module);
-    modules.push(top);
-
-    Ok(AcceleratorDesign {
+    Ok(DesignPlan {
         name,
         dataflow: dataflow.clone(),
         config: *cfg,
+        pe_spec,
+        pe,
+        array,
         tiling,
         phases,
-        modules,
+        ctrl,
         mem_banks,
         bank_bindings,
-        array_ports: ab.ports,
-        top: top_name,
         summary,
     })
 }
@@ -761,11 +860,7 @@ mod tests {
         assert_eq!(d.summary().mem_banks, d.bank_bindings().len() as u64);
         // Stationary drain banks are double-buffered.
         for b in d.bank_bindings() {
-            let bank = d
-                .mem_banks()
-                .iter()
-                .find(|mb| mb.module_name() == b.bank_module)
-                .unwrap();
+            let bank = d.bank(b);
             if matches!(
                 b.port.kind,
                 PortKind::StationaryLoad | PortKind::StationaryDrain

@@ -4,19 +4,30 @@
 //!
 //! The paper implements this layer as parameterized Chisel templates; this
 //! crate substitutes a compact structural netlist IR (see `DESIGN.md`). The
-//! generation pipeline mirrors the paper's bottom-up flow:
+//! generation pipeline mirrors the paper's bottom-up flow, in two stages.
+//! [`design::plan`] computes everything the cost and cycle models read:
 //!
 //! 1. [`pe::PeIoKind::for_flow`] selects a per-tensor PE-internal template
 //!    from the classified dataflow.
 //! 2. [`pe::build_pe`] assembles the PE around the computation cell.
-//! 3. [`array::build_array`] instantiates the PE grid and wires systolic
-//!    chains, multicast lines, reduction trees, load chains, and unicast
-//!    ports.
+//! 3. [`array::array_catalog`] enumerates the array's top-level ports
+//!    (systolic feeds and drains, multicast lines, reduction-tree sums,
+//!    load chains, unicast ports) and its reduction-tree census.
 //! 4. [`tiling::tile_for_array`] fits the selected loops onto the array.
 //! 5. [`ctrl::build_controller`] sequences load / compute / drain.
-//! 6. Memory banks ([`mem::MemBank`]) are planned one per reuse group.
-//! 7. [`design::generate`] wires everything into a validated top level;
-//!    [`verilog::emit_design`] prints RTL.
+//! 6. Memory banks ([`mem::MemBank`]) are planned one per array port.
+//! 7. The [`design::ResourceSummary`] census prices the plan.
+//!
+//! [`design::DesignPlan::build`] then builds the netlist around the plan:
+//!
+//! 8. [`array::build_array`] instantiates the PE grid and wires the
+//!    catalog's ports to it; [`array::ArrayCatalog::tree_modules`] builds
+//!    the reduction trees.
+//! 9. The top level wires the controller, the banks and the array.
+//!
+//! [`design::generate`] runs both stages; [`verilog::emit_design`] prints
+//! RTL. Scoring a candidate needs only the plan, so design-space
+//! exploration stops after stage one.
 //!
 //! # Examples
 //!
@@ -58,4 +69,4 @@ pub mod yosys;
 pub use array::{ArrayConfig, HwError};
 pub use fault::{FaultKind, FaultSpec, Hardening};
 pub use trace::{InterpreterStats, TraceConfig, TraceEvent};
-pub use design::{generate, AcceleratorDesign, HwConfig, ResourceSummary};
+pub use design::{generate, plan, AcceleratorDesign, DesignPlan, HwConfig, ResourceSummary};

@@ -18,13 +18,14 @@
 
 use serde::Serialize;
 use tensorlib_dataflow::FlowClass;
-use tensorlib_hw::design::AcceleratorDesign;
+use tensorlib_hw::design::{AcceleratorDesign, DesignPlan};
 use tensorlib_ir::Kernel;
 
 use crate::trace::{measure, MeasureError, TraceConfig};
 use crate::{SimConfig, SimReport};
 
-/// Estimates execution of `kernel` on `design` under `cfg`.
+/// Estimates execution of `kernel` on `design` under `cfg`. It reads only the
+/// [`DesignPlan`], so a generated `AcceleratorDesign` estimates the same way.
 ///
 /// # Panics
 ///
@@ -34,7 +35,7 @@ use crate::{SimConfig, SimReport};
 /// # Examples
 ///
 /// See the crate-level example in [`crate`].
-pub fn estimate(design: &AcceleratorDesign, kernel: &Kernel, cfg: &SimConfig) -> SimReport {
+pub fn estimate(design: &DesignPlan, kernel: &Kernel, cfg: &SimConfig) -> SimReport {
     let _span = tensorlib_obs::span("sim.cost_model");
     assert_eq!(
         design.dataflow().kernel_name(),
@@ -176,7 +177,7 @@ pub fn cross_check(
 
 /// Extra cycles a tile occupies after its last input: reduction-tree depth
 /// plus systolic-output drain hops.
-fn pipeline_tail(design: &AcceleratorDesign) -> u64 {
+fn pipeline_tail(design: &DesignPlan) -> u64 {
     let array = design.config().array;
     let mut tail = 0u64;
     for f in design.dataflow().flows() {

@@ -390,11 +390,7 @@ fn load_skewed_inputs(
         if !binding.port.kind.is_input() {
             continue;
         }
-        let bank = design
-            .mem_banks()
-            .iter()
-            .find(|m| m.module_name() == binding.bank_module)
-            .expect("binding references a planned bank");
+        let bank = design.bank(binding);
         let mult = if bank.is_double_buffered() { 2 } else { 1 };
         let cap = (bank.words() * mult) as usize;
         let name = &binding.port.name;

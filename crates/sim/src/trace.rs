@@ -88,11 +88,7 @@ pub fn fill_input_banks(
         if !binding.port.kind.is_input() {
             continue;
         }
-        let bank = design
-            .mem_banks()
-            .iter()
-            .find(|b| b.module_name() == binding.bank_module)
-            .expect("binding references a planned bank");
+        let bank = design.bank(binding);
         let mult = if bank.is_double_buffered() { 2 } else { 1 };
         let cap = (bank.words() * mult) as usize;
         let words: Vec<u64> = (0..cap).map(|i| (i as u64 % 97) + 1).collect();

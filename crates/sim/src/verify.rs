@@ -491,11 +491,7 @@ fn batched_round(design: &AcceleratorDesign, lanes: usize) -> Result<(), (String
         if !binding.port.kind.is_input() {
             continue;
         }
-        let bank = design
-            .mem_banks()
-            .iter()
-            .find(|b| b.module_name() == binding.bank_module)
-            .expect("binding references a planned bank");
+        let bank = design.bank(binding);
         let mult = if bank.is_double_buffered() { 2 } else { 1 };
         let cap = (bank.words() * mult) as usize;
         for (l, r) in refs.iter_mut().enumerate() {

@@ -110,6 +110,19 @@ test -s "$profile_dir/p.folded"
     | grep -q '"provenance"'
 rm -rf "$profile_dir"
 
+# Explore smoke: a small sweep prints the same top-20 table inert, journaled
+# across several chunks, and replayed from that journal.
+explore_dir=$(mktemp -d)
+./target/release/tensorlib explore gemm:8,8,8 --top 20 > "$explore_dir/inert.txt"
+./target/release/tensorlib explore gemm:8,8,8 --top 20 \
+    --resume "$explore_dir/journal" > "$explore_dir/journaled.txt"
+test "$(grep -c '"event":"chunk_completed"' "$explore_dir/journal/events.jsonl")" -ge 2
+cmp "$explore_dir/inert.txt" "$explore_dir/journaled.txt"
+./target/release/tensorlib explore gemm:8,8,8 --top 20 \
+    --resume "$explore_dir/journal" > "$explore_dir/replayed.txt"
+cmp "$explore_dir/inert.txt" "$explore_dir/replayed.txt"
+rm -rf "$explore_dir"
+
 # Crash-safety smoke (DESIGN.md §14): SIGKILL a journaled fault campaign
 # mid-run, resume it with the identical command, and require the resumed
 # report to be byte-identical to an uninterrupted journaled run. Wall times

@@ -89,11 +89,7 @@ fn bank_plan_matches_array_ports_exactly() {
     for design in designs_under_test() {
         assert_eq!(design.bank_bindings().len(), design.array_ports().len());
         for binding in design.bank_bindings() {
-            let bank = design
-                .mem_banks()
-                .iter()
-                .find(|b| b.module_name() == binding.bank_module)
-                .unwrap_or_else(|| panic!("unknown bank template {}", binding.bank_module));
+            let bank = design.bank(binding);
             assert_eq!(bank.width(), binding.port.width);
         }
         // The top module instantiates exactly one bank per binding plus the

@@ -89,6 +89,39 @@ fn profiled_runs_are_byte_identical_modulo_timestamps() {
     assert_eq!(traces[0].1, traces[1].1);
 }
 
+/// `explore` scores from the netlist-free plan: one `hw.plan` span per job
+/// and no netlist build (`hw.elaboration`) unless functional verification
+/// needs the netlist, in which case every planned design is built. Span
+/// counts are deterministic, so full generation cannot quietly return to
+/// the scoring path.
+#[test]
+fn explore_builds_netlists_only_for_functional_verification() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let kernel = workloads::gemm(16, 16, 16);
+    for functional_verify in [false, true] {
+        let options = ExploreOptions {
+            functional_verify,
+            ..opts(2)
+        };
+        tensorlib_obs::enable();
+        let outcome = explore_outcome(&kernel, &options);
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        let spans = |name: &str| session.spans.iter().filter(|s| s.name == name).count() as u64;
+        let jobs = session.metrics.counters["explore.jobs"];
+        assert!(jobs > 100, "GEMM-16 sweep has {jobs} jobs");
+        assert_eq!(spans("hw.plan"), jobs, "one plan per job");
+        let planned = jobs - outcome.skipped as u64;
+        let built = if functional_verify { planned } else { 0 };
+        assert_eq!(
+            spans("hw.elaboration"),
+            built,
+            "netlist builds with functional_verify = {functional_verify}"
+        );
+    }
+}
+
 #[test]
 fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
