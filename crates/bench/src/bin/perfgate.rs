@@ -864,8 +864,8 @@ fn bench_opt() -> OptReport {
     }
 }
 
-/// A/B comparison: the same seeded fault campaign run inert (the legacy
-/// in-memory path) vs journaled to a fresh directory, where every chunk is
+/// A/B comparison: the same seeded fault campaign run inert (one
+/// unjournaled chunk) vs journaled to a fresh directory, where every chunk is
 /// executed and appended (the worst case for journal cost — a resume only
 /// replays). Interleaved pairs with alternating order, like the trace and
 /// fault benchmarks, and a byte-identity cross-check on the two reports.

@@ -42,14 +42,13 @@ use std::time::Duration;
 use tensorlib::cost::{hardening_overhead, Activity, HardeningOverhead};
 use tensorlib::dataflow::dse::{find_named, DseConfig};
 use tensorlib::dataflow::{Dataflow, LoopSelection, Stt};
-use tensorlib::explore::{explore_durable, explore_outcome, ExploreOptions};
+use tensorlib::explore::{explore_outcome, ExploreCampaign, ExploreOptions, ExploreRow};
 use tensorlib::hw::design::generate;
 use tensorlib::hw::fault::Hardening;
 use tensorlib::ir::workloads;
-use tensorlib::sim::resilience::{
-    run_accumulator_sweep_durable, run_gemm_campaign_durable, CampaignConfig, ResilienceReport,
-};
-use tensorlib::sim::verify::{run_verify_durable, VerifyConfig};
+use tensorlib::sim::journal::{self, Campaign};
+use tensorlib::sim::resilience::{CampaignConfig, FaultCampaign, ResilienceReport};
+use tensorlib::sim::verify::{VerifyCampaign, VerifyConfig};
 use tensorlib::sim::{DurabilityOptions, RunStats};
 use tensorlib::{Accelerator, ArrayConfig, HwConfig, Kernel, SimConfig, TraceConfig};
 use tensorlib_obs::{atomic_write, JournalProvenance, Provenance, SCHEMA_VERSION};
@@ -1031,18 +1030,6 @@ struct FuzzReportDoc {
     resume_hint: Option<String>,
 }
 
-/// One row of the `tensorlib explore -o` JSON report (the full
-/// [`tensorlib::explore::DesignPoint`] is too heavy to serialize per point).
-#[derive(serde::Serialize)]
-struct ExplorePointRow {
-    name: String,
-    letters: String,
-    total_cycles: u64,
-    normalized_perf: f64,
-    power_mw: f64,
-    area_mm2: f64,
-}
-
 /// The JSON document `tensorlib explore -o` emits.
 #[derive(serde::Serialize)]
 struct ExploreReportDoc {
@@ -1054,7 +1041,9 @@ struct ExploreReportDoc {
     skipped: usize,
     /// Candidates demoted by the per-chunk watchdog (`--chunk-timeout`).
     degraded: u64,
-    top: Vec<ExplorePointRow>,
+    /// The fastest rows (the full [`tensorlib::explore::DesignPoint`] is too
+    /// heavy to serialize per point).
+    top: Vec<ExploreRow>,
     /// `true` when the sweep was interrupted (SIGINT) after draining the
     /// in-flight chunk: the report above is valid but partial.
     interrupted: bool,
@@ -1088,7 +1077,8 @@ fn resolved_workers(requested: usize) -> usize {
 }
 
 /// Builds campaign durability options from the shared `--resume` /
-/// `--chunk-timeout` flags. Both absent means the inert legacy path.
+/// `--chunk-timeout` flags. Both absent runs the campaign as one
+/// unjournaled chunk.
 fn durability_from(resume: &Option<String>, chunk_timeout: Option<u64>) -> DurabilityOptions {
     DurabilityOptions {
         dir: resume.as_ref().map(PathBuf::from),
@@ -1097,26 +1087,83 @@ fn durability_from(resume: &Option<String>, chunk_timeout: Option<u64>) -> Durab
     }
 }
 
-/// The provenance `journal` block for a `--resume` run: which directory the
-/// journal lives in and how much of the campaign was replayed versus
-/// executed. `None` (serialized `"journal": null`) on non-journaled runs.
-fn journal_provenance(resume: &Option<String>, stats: &RunStats) -> Option<JournalProvenance> {
-    resume.as_ref().map(|dir| JournalProvenance {
+/// Where and how a campaign command reports.
+struct CampaignOutput<'a> {
+    /// The provenance command echo.
+    echo: String,
+    /// Seeds the campaign consumed.
+    seeds: Vec<u64>,
+    /// Requested worker count (`0` = one per core).
+    workers: usize,
+    /// Batched-simulation lanes (`0` = not applicable).
+    lanes: usize,
+    /// The `--resume` directory, if any.
+    resume: &'a Option<String>,
+    /// `-o` value: `-` for stdout, empty for `default_path`.
+    out: &'a str,
+    default_path: String,
+    /// What the report is, for the `wrote … to …` note.
+    what: &'a str,
+    started: std::time::Instant,
+}
+
+/// Wraps a finished campaign run into its JSON document (built by `doc`
+/// from the report, the provenance, whether the run was interrupted, and
+/// the resume hint), emits it, and, unless the run was interrupted, appends
+/// the campaign's
+/// history metrics to the `history.jsonl` next to the report. The history
+/// entry is keyed by the campaign's journal canonical config, so a clean
+/// run, its `--resume` re-run, and a run with different `--workers` share
+/// one series.
+fn emit_campaign<C: Campaign, D: serde::Serialize>(
+    campaign: C,
+    (report, stats): (C::Report, RunStats),
+    output: CampaignOutput<'_>,
+    doc: impl FnOnce(C::Report, Provenance, bool, Option<String>) -> D,
+) -> Result<String, CliError> {
+    let canonical = campaign.canonical_config();
+    // The campaign's setup (design, fault list, interpreters) is dead
+    // weight while the report is serialized.
+    drop(campaign);
+    let metrics = (!stats.interrupted).then(|| C::history_metrics(&report));
+    let mut provenance = provenance_for(
+        &output.echo,
+        output.seeds,
+        output.workers,
+        output.started.elapsed().as_micros() as u64,
+    );
+    provenance.lanes = output.lanes;
+    // The journal block records how much of the campaign was replayed
+    // versus executed; `null` on non-journaled runs.
+    provenance.journal = output.resume.as_ref().map(|dir| JournalProvenance {
         dir: dir.clone(),
         chunks_total: stats.chunks_total,
         chunks_replayed: stats.chunks_replayed,
         chunks_executed: stats.chunks_executed,
-    })
-}
-
-/// Operator-facing resume instructions embedded in an interrupted report.
-fn resume_hint_for(stats: &RunStats, resume: &Option<String>) -> Option<String> {
-    stats.interrupted.then(|| match resume {
+    });
+    let resume_hint = stats.interrupted.then(|| match output.resume {
         Some(dir) => format!(
             "campaign interrupted; re-run the same command with --resume {dir} to finish"
         ),
         None => "campaign interrupted before completion".to_string(),
-    })
+    });
+    let doc = doc(report, provenance.clone(), stats.interrupted, resume_hint);
+    let text = serde_json::to_string_pretty(&doc)
+        .map_err(|err| CliError(format!("serializing report: {err}")))?
+        + "\n";
+    let msg = emit_report(output.out, output.default_path.clone(), &text, output.what)?;
+    let history_note = match metrics {
+        Some(metrics) => append_history(
+            resolved_report_path(output.out, &output.default_path).as_deref(),
+            C::KIND,
+            &canonical,
+            &provenance,
+            metrics,
+            output.started.elapsed().as_millis() as u64,
+        ),
+        None => String::new(),
+    };
+    Ok(format!("{msg}{history_note}"))
 }
 
 /// Default report path for `stats`/`trace`: `reports/<kind>_<workload>_<dataflow>.<ext>`
@@ -1173,11 +1220,12 @@ fn resolved_report_path(out: &str, default_path: &str) -> Option<String> {
     }
 }
 
-/// Hex FNV-1a hash of a canonical config string. The canonical strings
-/// deliberately exclude `--workers`, `--lanes`, `--resume`, and output
-/// paths, so a clean run, its resumed re-run, and a different parallelism
-/// of the same campaign all land in one comparison series; machine shape is
-/// checked separately (and loudly) by `history --check`.
+/// Hex FNV-1a hash of a canonical config string. For campaigns this is the
+/// journal's canonical config, which excludes `--workers`, `--resume`,
+/// `--chunk-timeout`, and output paths, so a clean run, its resumed re-run,
+/// and a different worker count of the same campaign all land in one
+/// comparison series; machine shape is checked separately (and loudly) by
+/// `history --check`.
 fn history_config_hash(canonical: &str) -> String {
     format!(
         "{:016x}",
@@ -1894,7 +1942,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 opt,
             };
             let durability = durability_from(&resume, chunk_timeout);
-            let (mode, (report, stats)) = if sweep_acc {
+            let (mode, campaign) = if sweep_acc {
                 // Flip every accumulator bit 0..8 mid-accumulation: half-way
                 // through the compute phase (t-extent = k plus the skew in
                 // each direction, plus the streaming-pipeline tail), after
@@ -1902,16 +1950,14 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 let compute = k + rows as u64 - 1 + cols as u64 - 1 + 2;
                 let cycle = 1 + compute / 2;
                 (
-                    "accumulator-sweep".to_string(),
-                    run_accumulator_sweep_durable(&cfg, 8, cycle, &durability)
-                        .map_err(|err| e(&err))?,
+                    "accumulator-sweep",
+                    FaultCampaign::accumulator_sweep(&cfg, 8, cycle),
                 )
             } else {
-                (
-                    "seeded".to_string(),
-                    run_gemm_campaign_durable(&cfg, &durability).map_err(|err| e(&err))?,
-                )
+                ("seeded", FaultCampaign::gemm(&cfg))
             };
+            let campaign = campaign.map_err(|err| e(&err))?;
+            let run = journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
             let hardening_cost = if hardening.is_any() {
                 let gemm = workloads::gemm(rows as u64, cols as u64, k);
                 let sel =
@@ -1929,60 +1975,36 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             } else {
                 None
             };
-            let mut provenance = provenance_for(
-                &format!(
+            let output = CampaignOutput {
+                echo: format!(
                     "faults --rows {rows} --cols {cols} --k {k} --seed {seed} --harden {hardening}"
                 ),
-                vec![seed],
-                cfg.workers,
-                t0.elapsed().as_micros() as u64,
-            );
-            provenance.journal = journal_provenance(&resume, &stats);
-            provenance.lanes = lanes;
-            let doc = FaultsReportDoc {
-                schema_version: SCHEMA_VERSION,
-                provenance,
-                config: cfg,
-                mode,
-                report,
-                hardening_overhead: hardening_cost,
-                interrupted: stats.interrupted,
-                resume_hint: resume_hint_for(&stats, &resume),
-            };
-            let text = serde_json::to_string_pretty(&doc)
-                .map_err(|err| CliError(format!("serializing report: {err}")))?
-                + "\n";
-            let default_path = report_path(
-                "faults",
-                &format!("gemm-{rows}x{cols}x{k}"),
-                &hardening.to_string(),
-                "json",
-            );
-            let msg = emit_report(&out, default_path.clone(), &text, "resilience report")?;
-            let mut history_note = String::new();
-            if !doc.interrupted {
-                let r = &doc.report;
-                let mut metrics = std::collections::BTreeMap::new();
-                metrics.insert("faults".to_string(), r.faults as f64);
-                metrics.insert("masked".to_string(), r.masked as f64);
-                metrics.insert("detected".to_string(), r.detected as f64);
-                metrics.insert("sdc".to_string(), r.sdc as f64);
-                metrics.insert("errors".to_string(), r.errors as f64);
-                metrics.insert("degraded".to_string(), r.degraded as f64);
-                metrics.insert("detection_coverage".to_string(), r.detection_coverage);
-                history_note = append_history(
-                    resolved_report_path(&out, &default_path).as_deref(),
+                seeds: vec![seed],
+                workers,
+                lanes,
+                resume: &resume,
+                out: &out,
+                default_path: report_path(
                     "faults",
-                    &format!(
-                        "faults|rows={rows}|cols={cols}|k={k}|faults={faults}|seed={seed}\
-                         |harden={hardening}|sweep={sweep_acc}|opt={opt}"
-                    ),
-                    &doc.provenance,
-                    metrics,
-                    t0.elapsed().as_millis() as u64,
-                );
-            }
-            Ok(format!("{msg}{history_note}"))
+                    &format!("gemm-{rows}x{cols}x{k}"),
+                    &hardening.to_string(),
+                    "json",
+                ),
+                what: "resilience report",
+                started: t0,
+            };
+            emit_campaign(campaign, run, output, |report, provenance, interrupted, resume_hint| {
+                FaultsReportDoc {
+                    schema_version: SCHEMA_VERSION,
+                    provenance,
+                    config: cfg,
+                    mode: mode.to_string(),
+                    report,
+                    hardening_overhead: hardening_cost,
+                    interrupted,
+                    resume_hint,
+                }
+            })
         }
         Command::Fuzz {
             mode,
@@ -2021,52 +2043,28 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 opt,
             };
             let durability = durability_from(&resume, chunk_timeout);
-            let (report, stats) =
-                run_verify_durable(&cfg, netlist, pipeline, &durability).map_err(|err| e(&err))?;
-            let mut provenance = provenance_for(
-                &format!("fuzz --mode {mode} --seed {seed} --seeds {seeds} --cycles {cycles}"),
-                vec![seed],
+            let campaign = VerifyCampaign::new(&cfg, netlist, pipeline);
+            let run = journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
+            let output = CampaignOutput {
+                echo: format!("fuzz --mode {mode} --seed {seed} --seeds {seeds} --cycles {cycles}"),
+                seeds: vec![seed],
                 workers,
-                t0.elapsed().as_micros() as u64,
-            );
-            provenance.journal = journal_provenance(&resume, &stats);
-            provenance.lanes = lanes;
-            let doc = FuzzReportDoc {
-                schema_version: SCHEMA_VERSION,
-                provenance,
-                report,
-                interrupted: stats.interrupted,
-                resume_hint: resume_hint_for(&stats, &resume),
+                lanes,
+                resume: &resume,
+                out: &out,
+                default_path: report_path("fuzz", &mode, &format!("{seed}-{seeds}"), "json"),
+                what: "fuzz report",
+                started: t0,
             };
-            let text = serde_json::to_string_pretty(&doc)
-                .map_err(|err| CliError(format!("serializing report: {err}")))?
-                + "\n";
-            let default_path = report_path("fuzz", &mode, &format!("{seed}-{seeds}"), "json");
-            let msg = emit_report(&out, default_path.clone(), &text, "fuzz report")?;
-            let mut history_note = String::new();
-            if !doc.interrupted {
-                let modes = [doc.report.netlist.as_ref(), doc.report.pipeline.as_ref()];
-                let sum = |f: &dyn Fn(&tensorlib::sim::verify::ModeReport) -> u64| -> f64 {
-                    modes.iter().flatten().map(|m| f(m)).sum::<u64>() as f64
-                };
-                let mut metrics = std::collections::BTreeMap::new();
-                metrics.insert("seeds_run".to_string(), sum(&|m| m.seeds_run));
-                metrics.insert("rejected".to_string(), sum(&|m| m.rejected));
-                metrics.insert("degraded".to_string(), sum(&|m| m.degraded));
-                metrics.insert(
-                    "total_findings".to_string(),
-                    doc.report.total_findings as f64,
-                );
-                history_note = append_history(
-                    resolved_report_path(&out, &default_path).as_deref(),
-                    "fuzz",
-                    &format!("fuzz|mode={mode}|seed={seed}|seeds={seeds}|cycles={cycles}|opt={opt}"),
-                    &doc.provenance,
-                    metrics,
-                    t0.elapsed().as_millis() as u64,
-                );
-            }
-            Ok(format!("{msg}{history_note}"))
+            emit_campaign(campaign, run, output, |report, provenance, interrupted, resume_hint| {
+                FuzzReportDoc {
+                    schema_version: SCHEMA_VERSION,
+                    provenance,
+                    report,
+                    interrupted,
+                    resume_hint,
+                }
+            })
         }
         Command::Explore {
             workload,
@@ -2078,8 +2076,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let t0 = std::time::Instant::now();
             let kernel = resolve_workload(&workload)?;
             let durability = durability_from(&resume, chunk_timeout);
-            let (sweep, stats) = explore_durable(&kernel, &ExploreOptions::default(), &durability)
-                .map_err(|err| e(&err))?;
+            let opts = ExploreOptions::default();
+            let campaign = ExploreCampaign::new(&kernel, &opts);
+            let (sweep, stats) =
+                journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
             if out.is_empty() {
                 let mut s = format!(
                     "{}: {} implementable designs (fastest {top}):\n",
@@ -2107,65 +2107,32 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
                 return Ok(s);
             }
-            let mut provenance = provenance_for(
-                &format!("explore {workload} --top {top}"),
-                Vec::new(),
-                ExploreOptions::default().workers,
-                t0.elapsed().as_micros() as u64,
-            );
-            provenance.journal = journal_provenance(&resume, &stats);
-            let doc = ExploreReportDoc {
-                schema_version: SCHEMA_VERSION,
-                provenance,
-                workload: workload.clone(),
-                implementable_designs: sweep.rows.len(),
-                errors: sweep.errors.len(),
-                skipped: sweep.skipped as usize,
-                degraded: sweep.degraded,
-                top: sweep
-                    .rows
-                    .iter()
-                    .take(top)
-                    .map(|r| ExplorePointRow {
-                        name: r.name.clone(),
-                        letters: r.letters.clone(),
-                        total_cycles: r.total_cycles,
-                        normalized_perf: r.normalized_perf,
-                        power_mw: r.power_mw,
-                        area_mm2: r.area_mm2,
-                    })
-                    .collect(),
-                interrupted: stats.interrupted,
-                resume_hint: resume_hint_for(&stats, &resume),
+            let output = CampaignOutput {
+                echo: format!("explore {workload} --top {top}"),
+                seeds: Vec::new(),
+                workers: opts.workers,
+                lanes: 0,
+                resume: &resume,
+                out: &out,
+                default_path: report_path("explore", &workload, "sweep", "json"),
+                what: "explore report",
+                started: t0,
             };
-            let text = serde_json::to_string_pretty(&doc)
-                .map_err(|err| CliError(format!("serializing report: {err}")))?
-                + "\n";
-            let default_path = report_path("explore", &workload, "sweep", "json");
-            let msg = emit_report(&out, default_path.clone(), &text, "explore report")?;
-            let mut history_note = String::new();
-            if !doc.interrupted {
-                let mut metrics = std::collections::BTreeMap::new();
-                metrics.insert(
-                    "implementable_designs".to_string(),
-                    doc.implementable_designs as f64,
-                );
-                metrics.insert("errors".to_string(), doc.errors as f64);
-                metrics.insert("skipped".to_string(), doc.skipped as f64);
-                metrics.insert("degraded".to_string(), doc.degraded as f64);
-                if let Some(best) = doc.top.first() {
-                    metrics.insert("best_total_cycles".to_string(), best.total_cycles as f64);
+            let run = (sweep, stats);
+            emit_campaign(campaign, run, output, |sweep, provenance, interrupted, resume_hint| {
+                ExploreReportDoc {
+                    schema_version: SCHEMA_VERSION,
+                    provenance,
+                    workload: workload.clone(),
+                    implementable_designs: sweep.rows.len(),
+                    errors: sweep.errors.len(),
+                    skipped: sweep.skipped as usize,
+                    degraded: sweep.degraded,
+                    top: sweep.rows.into_iter().take(top).collect(),
+                    interrupted,
+                    resume_hint,
                 }
-                history_note = append_history(
-                    resolved_report_path(&out, &default_path).as_deref(),
-                    "explore",
-                    &format!("explore|{workload}|top={top}"),
-                    &doc.provenance,
-                    metrics,
-                    t0.elapsed().as_millis() as u64,
-                );
-            }
-            Ok(format!("{msg}{history_note}"))
+            })
         }
         Command::Profile {
             workload,
@@ -2395,6 +2362,7 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensorlib::sim::resilience::run_gemm_campaign_durable;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -3073,35 +3041,88 @@ mod tests {
     }
 
     #[test]
-    fn run_faults_journaled_report_matches_legacy_body() {
-        let dir = std::env::temp_dir().join(format!("tl_cli_journal_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let journaled = run(Command::Faults {
+    fn run_faults_report_body_is_independent_of_chunk_geometry() {
+        let dir = tmpdir("faults_geometry");
+        let cmd = |resume: Option<&std::path::Path>, chunk_timeout: Option<u64>| Command::Faults {
             rows: 4,
             cols: 4,
             k: 4,
-            faults: 6,
+            faults: 40,
             seed: 1,
             harden: "full".into(),
             workers: 1,
             lanes: 1,
             sweep_acc: false,
             opt: true,
-            resume: Some(dir.to_str().unwrap().into()),
-            chunk_timeout: None,
+            resume: resume.map(|d| d.to_str().unwrap().into()),
+            chunk_timeout,
             out: "-".into(),
-        })
-        .unwrap();
-        let legacy = run(faults_cmd("full", 6, "-")).unwrap();
+        };
+        // One derived chunk, three default 16-fault chunks journaled, and
+        // the default geometry under a (generous) watchdog without a journal.
+        let single = run(cmd(None, None)).unwrap();
+        let journaled = run(cmd(Some(&dir), None)).unwrap();
+        let watched = run(cmd(None, Some(3600))).unwrap();
         // The campaign body (config + report) is byte-identical; only the
         // provenance journal block and wall times differ.
         let body_of = |doc: &str| {
             let v = tensorlib_obs::json::parse(doc).unwrap();
             format!("{:?}|{:?}", v.get("config"), v.get("report"))
         };
-        assert_eq!(body_of(&journaled), body_of(&legacy));
+        assert_eq!(body_of(&journaled), body_of(&single));
+        assert_eq!(body_of(&watched), body_of(&single));
         assert!(journaled.contains("\"chunks_executed\""), "{journaled}");
-        assert!(legacy.contains("\"journal\": null"), "{legacy}");
+        assert!(single.contains("\"journal\": null"), "{single}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn history_hash_is_the_campaign_identity() {
+        let dir = tmpdir("history_identity");
+        let reports = dir.join("reports");
+        let cmd = |seed: u64, workers: usize, resume: bool, name: &str| Command::Faults {
+            rows: 2,
+            cols: 2,
+            k: 2,
+            faults: 8,
+            seed,
+            harden: "none".into(),
+            workers,
+            lanes: 1,
+            sweep_acc: false,
+            opt: true,
+            resume: resume.then(|| dir.join("journal").to_str().unwrap().into()),
+            chunk_timeout: None,
+            out: reports.join(name).to_str().unwrap().into(),
+        };
+        run(cmd(1, 1, false, "clean.json")).unwrap();
+        run(cmd(1, 1, true, "resumed.json")).unwrap();
+        run(cmd(1, 2, false, "workers.json")).unwrap();
+        run(cmd(2, 1, false, "seed.json")).unwrap();
+        let hashes: Vec<String> =
+            tensorlib_obs::history::read(&reports.join(tensorlib_obs::history::HISTORY_FILE))
+                .unwrap()
+                .into_iter()
+                .map(|entry| entry.config_hash)
+                .collect();
+        assert_eq!(hashes.len(), 4);
+        assert_eq!(hashes[0], hashes[1], "a --resume run is the same campaign");
+        assert_eq!(hashes[0], hashes[2], "--workers does not change the campaign");
+        assert_ne!(hashes[0], hashes[3], "--seed does");
+        // The hash is the journal's canonical config, hashed.
+        let cfg = CampaignConfig {
+            rows: 2,
+            cols: 2,
+            k: 2,
+            faults: 8,
+            seed: 1,
+            hardening: Hardening::none(),
+            workers: 1,
+            lanes: 1,
+            opt: true,
+        };
+        let canonical = FaultCampaign::gemm(&cfg).unwrap().canonical_config();
+        assert_eq!(hashes[0], history_config_hash(&canonical));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! Design-space exploration: sweep every dataflow, score each design.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
@@ -10,11 +10,8 @@ use tensorlib_dataflow::Dataflow;
 use tensorlib_hw::design::{plan, DesignPlan, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
-use tensorlib_linalg::par::{
-    panic_message, par_map_catch, par_map_catch_ctl, CatchOutcome, MapControl,
-};
 use tensorlib_obs::json::Value;
-use tensorlib_sim::journal::{self, DurabilityOptions, JournalError, RunStats};
+use tensorlib_sim::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use tensorlib_sim::{functional, perf, SimConfig, SimError, SimReport};
 
 /// One scored point of the design space.
@@ -197,58 +194,26 @@ pub fn explore(kernel: &Kernel, opts: &ExploreOptions) -> Vec<DesignPoint> {
 /// either in `points`, in `errors` (typed — panic, budget, functional), or
 /// in the `skipped` count. A panicking or budget-blowing candidate never
 /// takes the sweep down and never steals another candidate's slot: scoring
-/// runs under per-point panic isolation
-/// ([`tensorlib_linalg::par::par_map_catch`]) and both `points` and `errors`
-/// are byte-identical for any worker count.
+/// runs under per-point panic isolation ([`journal::run_items`]) and both
+/// `points` and `errors` are byte-identical for any worker count.
 pub fn explore_outcome(kernel: &Kernel, opts: &ExploreOptions) -> ExploreOutcome {
     let _span = tensorlib_obs::span("explore");
-    let candidates = design_space(kernel, &opts.dse);
-    // An empty variant list means "whatever the base config carries";
-    // otherwise every candidate is scored once per hardening variant.
-    let variants: Vec<Hardening> = if opts.hardening_variants.is_empty() {
-        vec![opts.hw.hardening]
-    } else {
-        opts.hardening_variants.clone()
-    };
-    let jobs: Vec<(&Dataflow, Hardening)> = candidates
-        .iter()
-        .flat_map(|df| variants.iter().map(move |&h| (df, h)))
-        .collect();
-    // Scoring a candidate (hardware planning + cycle model + cost model)
-    // is orders of magnitude heavier than the queue bookkeeping, so small
-    // chunks keep the pool balanced.
-    tensorlib_obs::counter_add("explore.jobs", jobs.len() as u64);
-    let scored = par_map_catch(&jobs, opts.workers, 4, |_, &(df, h)| {
-        let _point_span = tensorlib_obs::span("explore.point");
-        let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
-        let result = score(kernel, opts, df, h);
-        if let Some(t0) = t0 {
-            tensorlib_obs::hist_record(
-                "explore.point_us",
-                tensorlib_obs::now_micros().saturating_sub(t0),
-            );
-        }
-        result
-    });
+    let sweep = ExploreCampaign::new(kernel, opts);
+    let jobs = sweep.jobs(0..sweep.job_count());
     let mut points = Vec::new();
     let mut errors = Vec::new();
     let mut skipped = 0usize;
-    for (result, (df, h)) in scored.into_iter().zip(&jobs) {
+    for result in score_jobs(kernel, opts, &jobs, &DurabilityOptions::default()) {
         match result {
-            Ok(Some(Ok(point))) => points.push(point),
-            Ok(Some(Err(e))) => errors.push(e),
-            Ok(None) => skipped += 1,
-            Err(message) => errors.push(PointError::Panicked {
-                name: point_name(df, *h),
-                message,
-            }),
+            JobResult::Point(point) => points.push(point),
+            JobResult::Error(e) => errors.push(e),
+            JobResult::Skipped => skipped += 1,
+            // No watchdog deadline, so no job is ever demoted.
+            JobResult::Degraded => {}
         }
     }
-    tensorlib_obs::counter_add("explore.points", points.len() as u64);
-    tensorlib_obs::counter_add("explore.errors", errors.len() as u64);
-    tensorlib_obs::counter_add("explore.skipped", skipped as u64);
-    // `scored` is in enumeration order, so this stable sort reproduces the
-    // serial implementation's output exactly, ties and all.
+    // Jobs are scored in enumeration order, so this stable sort reproduces
+    // the serial implementation's output exactly, ties and all.
     points.sort_by(|a, b| {
         a.performance
             .total_cycles
@@ -260,6 +225,73 @@ pub fn explore_outcome(kernel: &Kernel, opts: &ExploreOptions) -> ExploreOutcome
         errors,
         skipped,
     }
+}
+
+/// What scoring one (candidate, hardening) job produced. Points are moved
+/// straight into their sweep's output, so boxing the large variant would
+/// only add an allocation per point.
+#[allow(clippy::large_enum_variant)]
+enum JobResult {
+    Point(DesignPoint),
+    Error(PointError),
+    /// Not implementable by the hardware templates (expected).
+    Skipped,
+    /// Demoted by the chunk watchdog before it started.
+    Degraded,
+}
+
+/// The scoring and quarantine core of every sweep: scores `jobs` on the
+/// worker pool ([`ExploreOptions::workers`] threads, small batches because
+/// one job is orders of magnitude heavier than the queue bookkeeping) under
+/// the durability policy ([`journal::run_items`]) — late jobs come back
+/// [`JobResult::Degraded`], a job that panics on every retry becomes a typed
+/// [`PointError::Panicked`], and the chaos hook serves fault-injection
+/// tests. Results are in `jobs` order for any worker count. Records the
+/// `explore.*` counters, an `explore.point` span per attempt, and the
+/// `explore.point_us` histogram.
+fn score_jobs(
+    kernel: &Kernel,
+    opts: &ExploreOptions,
+    jobs: &[(&Dataflow, Hardening)],
+    durability: &DurabilityOptions,
+) -> Vec<JobResult> {
+    tensorlib_obs::counter_add("explore.jobs", jobs.len() as u64);
+    let outcomes = journal::run_items(durability, jobs, opts.workers, 4, |&(df, h)| {
+        let _point_span = tensorlib_obs::span("explore.point");
+        let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
+        durability.chaos_check(&point_name(df, h));
+        let result = score(kernel, opts, df, h);
+        if let Some(t0) = t0 {
+            tensorlib_obs::hist_record(
+                "explore.point_us",
+                tensorlib_obs::now_micros().saturating_sub(t0),
+            );
+        }
+        result
+    });
+    let results: Vec<JobResult> = (outcomes.into_iter().zip(jobs))
+        .map(|(outcome, &(df, h))| match outcome {
+            ItemOutcome::Done(Some(Ok(point))) => JobResult::Point(point),
+            ItemOutcome::Done(Some(Err(e))) => JobResult::Error(e),
+            ItemOutcome::Done(None) => JobResult::Skipped,
+            ItemOutcome::Degraded => JobResult::Degraded,
+            ItemOutcome::Quarantined { attempts, message } => {
+                JobResult::Error(PointError::Panicked {
+                    name: point_name(df, h),
+                    message: if attempts > 1 {
+                        format!("quarantined after {attempts} attempts: {message}")
+                    } else {
+                        message
+                    },
+                })
+            }
+        })
+        .collect();
+    let count = |pred: fn(&JobResult) -> bool| results.iter().filter(|r| pred(r)).count() as u64;
+    tensorlib_obs::counter_add("explore.points", count(|r| matches!(r, JobResult::Point(_))));
+    tensorlib_obs::counter_add("explore.errors", count(|r| matches!(r, JobResult::Error(_))));
+    tensorlib_obs::counter_add("explore.skipped", count(|r| matches!(r, JobResult::Skipped)));
+    results
 }
 
 /// The display name of one (dataflow, hardening) design point.
@@ -396,7 +428,7 @@ impl ExploreRow {
 /// A durable sweep's full accounting: reduced rows plus typed failures,
 /// demotions, and skips. Byte-stable for a given kernel and options
 /// regardless of worker count, chunking, or crash/resume history.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ExploreSweepReport {
     /// Scored candidates, sorted by total cycles (fastest first, ties by
     /// name) — the same order [`explore`] returns points in.
@@ -407,95 +439,6 @@ pub struct ExploreSweepReport {
     pub skipped: u64,
     /// Candidates demoted by the per-chunk watchdog before they could run.
     pub degraded: u64,
-}
-
-impl ExploreSweepReport {
-    fn from_outcome(o: ExploreOutcome) -> ExploreSweepReport {
-        ExploreSweepReport {
-            rows: o.points.iter().map(ExploreRow::from_point).collect(),
-            errors: o.errors,
-            skipped: o.skipped as u64,
-            degraded: 0,
-        }
-    }
-}
-
-/// One journal chunk's worth of sweep results, in enumeration order.
-#[derive(Serialize)]
-struct ExploreChunk {
-    rows: Vec<ExploreRow>,
-    errors: Vec<PointError>,
-    skipped: u64,
-    degraded: u64,
-}
-
-/// Scores `jobs` under the durability policy: chunk-wide watchdog deadline
-/// (late candidates demote to `degraded`), bounded serial retries for
-/// panicking candidates before the panic is quarantined as a typed
-/// [`PointError::Panicked`], and the chaos hook for fault-injection tests.
-fn run_explore_chunk(
-    kernel: &Kernel,
-    opts: &ExploreOptions,
-    jobs: &[(&Dataflow, Hardening)],
-    durability: &DurabilityOptions,
-) -> ExploreChunk {
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let run_job = |df: &Dataflow, h: Hardening| {
-        durability.chaos_check(&point_name(df, h));
-        score(kernel, opts, df, h)
-    };
-    let scored = par_map_catch_ctl(jobs, opts.workers, 4, ctl, |_, &(df, h)| run_job(df, h));
-    let mut out = ExploreChunk {
-        rows: Vec::new(),
-        errors: Vec::new(),
-        skipped: 0,
-        degraded: 0,
-    };
-    for (r, &(df, h)) in scored.into_iter().zip(jobs) {
-        let resolved = match r {
-            CatchOutcome::Skipped => {
-                out.degraded += 1;
-                continue;
-            }
-            CatchOutcome::Done(x) => Some(x),
-            CatchOutcome::Panicked(first) => {
-                let attempts = durability.panic_attempts();
-                let mut msg = first;
-                let mut retried = None;
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_job(df, h))) {
-                        Ok(x) => {
-                            retried = Some(x);
-                            break;
-                        }
-                        Err(payload) => msg = panic_message(payload),
-                    }
-                }
-                if retried.is_none() {
-                    let message = if attempts > 1 {
-                        format!("quarantined after {attempts} attempts: {msg}")
-                    } else {
-                        msg
-                    };
-                    out.errors.push(PointError::Panicked {
-                        name: point_name(df, h),
-                        message,
-                    });
-                }
-                retried
-            }
-        };
-        match resolved {
-            Some(Some(Ok(point))) => out.rows.push(ExploreRow::from_point(&point)),
-            Some(Some(Err(e))) => out.errors.push(e),
-            Some(None) => out.skipped += 1,
-            None => {}
-        }
-    }
-    out
 }
 
 fn decode_row(v: &Value) -> Result<ExploreRow, String> {
@@ -534,78 +477,189 @@ fn decode_point_error(v: &Value) -> Result<PointError, String> {
     }
 }
 
-/// Decodes one journaled chunk payload. Inverse of
-/// `serde_json::to_string(&ExploreChunk)`.
-fn decode_explore_chunk(payload: &str) -> Result<(Vec<ExploreRow>, Vec<PointError>, u64, u64), String> {
-    let doc = tensorlib_obs::json::parse(payload)?;
-    Ok((
-        journal::field_array(&doc, "rows")?
-            .iter()
-            .map(decode_row)
-            .collect::<Result<Vec<ExploreRow>, String>>()?,
-        journal::field_array(&doc, "errors")?
-            .iter()
-            .map(decode_point_error)
-            .collect::<Result<Vec<PointError>, String>>()?,
-        journal::field_u64(&doc, "skipped")?,
-        journal::field_u64(&doc, "degraded")?,
-    ))
+/// A design-space sweep as a chunked campaign for
+/// [`tensorlib_sim::journal::execute`]: the enumerated candidates × hardening
+/// variants, in enumeration order.
+pub struct ExploreCampaign<'a> {
+    kernel: &'a Kernel,
+    opts: &'a ExploreOptions,
+    candidates: Vec<Dataflow>,
+    /// Every candidate is scored once per variant. An empty
+    /// [`ExploreOptions::hardening_variants`] means "whatever the base
+    /// config carries".
+    variants: Vec<Hardening>,
 }
 
-/// Canonical config string for journal keying: the kernel and every option
-/// that shapes the result, with the worker count zeroed (resuming with a
-/// different `--workers` is legal — sweeps are worker-count-independent)
-/// and the test-only chaos hook excluded.
-fn canonical_explore_config(kernel: &Kernel, opts: &ExploreOptions, jobs: usize) -> String {
-    let canon = ExploreOptions {
-        workers: 0,
-        chaos_panic_names: Vec::new(),
-        ..opts.clone()
-    };
-    format!("{kernel:?}|{canon:?}|jobs={jobs}")
-}
-
-/// Telemetry outcome counter for one explore chunk payload: scored designs,
-/// point errors (with the `panicked` subset), skipped candidates, and
-/// degraded (watchdog-demoted) candidates. Tolerant by design — telemetry
-/// is best-effort, so an undecodable payload counts as nothing (replay
-/// decoding is where strictness lives).
-fn count_explore_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    if let Some(rows) = doc.get("rows").and_then(Value::as_array) {
-        *counts.entry("designs".to_string()).or_insert(0) += rows.len() as u64;
-    }
-    if let Some(errors) = doc.get("errors").and_then(Value::as_array) {
-        *counts.entry("errors".to_string()).or_insert(0) += errors.len() as u64;
-        let panicked = errors
-            .iter()
-            .filter(|e| e.get("Panicked").is_some())
-            .count() as u64;
-        if panicked > 0 {
-            *counts.entry("panicked".to_string()).or_insert(0) += panicked;
+impl<'a> ExploreCampaign<'a> {
+    /// Enumerates the kernel's design space.
+    pub fn new(kernel: &'a Kernel, opts: &'a ExploreOptions) -> ExploreCampaign<'a> {
+        let variants = if opts.hardening_variants.is_empty() {
+            vec![opts.hw.hardening]
+        } else {
+            opts.hardening_variants.clone()
+        };
+        ExploreCampaign {
+            kernel,
+            opts,
+            candidates: design_space(kernel, &opts.dse),
+            variants,
         }
     }
-    for key in ["skipped", "degraded"] {
-        if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-            *counts.entry(key.to_string()).or_insert(0) += n;
-        }
+
+    fn job_count(&self) -> usize {
+        self.candidates.len() * self.variants.len()
     }
-    counts
+
+    /// The jobs at enumeration indices `range`.
+    fn jobs(&self, range: std::ops::Range<usize>) -> Vec<(&Dataflow, Hardening)> {
+        let n = self.variants.len();
+        range
+            .map(|i| (&self.candidates[i / n], self.variants[i % n]))
+            .collect()
+    }
 }
 
-/// [`explore_outcome`] with campaign durability: the enumerated candidate
-/// list is split into deterministic chunks, completed chunks are journaled
-/// to `durability.dir` (when set) and replayed on resume, the per-chunk
-/// watchdog demotes late candidates to the `degraded` tally, panicking
-/// candidates are retried then quarantined as [`PointError::Panicked`], and
-/// an interrupt drains the in-flight chunk before returning a partial (but
-/// valid and resumable) report with `stats.interrupted` set.
-///
-/// With inert options this scores exactly like [`explore_outcome`], reduced
-/// to [`ExploreRow`]s.
+impl journal::Campaign for ExploreCampaign<'_> {
+    const KIND: &'static str = "explore";
+    /// The chunk's own sweep report, rows in enumeration order.
+    type Chunk = ExploreSweepReport;
+    type Report = ExploreSweepReport;
+
+    /// The kernel and every option that shapes the result, with the worker
+    /// count zeroed (resuming with a different `--workers` is legal —
+    /// sweeps are worker-count independent) and the test-only chaos hook
+    /// excluded.
+    fn canonical_config(&self) -> String {
+        let canon = ExploreOptions {
+            workers: 0,
+            chaos_panic_names: Vec::new(),
+            ..self.opts.clone()
+        };
+        format!("{:?}|{canon:?}|jobs={}", self.kernel, self.job_count())
+    }
+
+    fn chunk_plan(&self, durability: &DurabilityOptions) -> journal::ChunkPlan {
+        let jobs = self.job_count();
+        let chunk_size = durability.chunk_size_for(jobs, 32);
+        journal::ChunkPlan {
+            chunk_size,
+            chunks: jobs.div_ceil(chunk_size),
+        }
+    }
+
+    fn run_chunk(
+        &self,
+        plan: &journal::ChunkPlan,
+        index: usize,
+        durability: &DurabilityOptions,
+    ) -> ExploreSweepReport {
+        let lo = index * plan.chunk_size;
+        let hi = (lo + plan.chunk_size).min(self.job_count());
+        let mut chunk = ExploreSweepReport::default();
+        for result in score_jobs(self.kernel, self.opts, &self.jobs(lo..hi), durability) {
+            match result {
+                JobResult::Point(point) => chunk.rows.push(ExploreRow::from_point(&point)),
+                JobResult::Error(e) => chunk.errors.push(e),
+                JobResult::Skipped => chunk.skipped += 1,
+                JobResult::Degraded => chunk.degraded += 1,
+            }
+        }
+        chunk
+    }
+
+    fn decode_chunk(payload: &str) -> Result<ExploreSweepReport, String> {
+        let doc = tensorlib_obs::json::parse(payload)?;
+        Ok(ExploreSweepReport {
+            rows: journal::field_array(&doc, "rows")?
+                .iter()
+                .map(decode_row)
+                .collect::<Result<Vec<ExploreRow>, String>>()?,
+            errors: journal::field_array(&doc, "errors")?
+                .iter()
+                .map(decode_point_error)
+                .collect::<Result<Vec<PointError>, String>>()?,
+            skipped: journal::field_u64(&doc, "skipped")?,
+            degraded: journal::field_u64(&doc, "degraded")?,
+        })
+    }
+
+    fn aggregate(
+        &self,
+        _plan: &journal::ChunkPlan,
+        chunks: Vec<ExploreSweepReport>,
+    ) -> ExploreSweepReport {
+        let mut report = ExploreSweepReport::default();
+        for chunk in chunks {
+            report.rows.extend(chunk.rows);
+            report.errors.extend(chunk.errors);
+            report.skipped += chunk.skipped;
+            report.degraded += chunk.degraded;
+        }
+        // Chunks concatenate in enumeration order; this stable sort gives
+        // the same fastest-first ordering as [`explore`], ties and all.
+        report
+            .rows
+            .sort_by(|a, b| a.total_cycles.cmp(&b.total_cycles).then_with(|| a.name.cmp(&b.name)));
+        report
+    }
+
+    fn history_metrics(r: &ExploreSweepReport) -> BTreeMap<String, f64> {
+        let mut metrics: BTreeMap<String, f64> = [
+            ("implementable_designs", r.rows.len() as f64),
+            ("errors", r.errors.len() as f64),
+            ("skipped", r.skipped as f64),
+            ("degraded", r.degraded as f64),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        if let Some(best) = r.rows.first() {
+            metrics.insert("best_total_cycles".to_string(), best.total_cycles as f64);
+        }
+        metrics
+    }
+
+    /// Scored designs, point errors (with the `panicked` subset), skipped
+    /// and degraded candidates. An undecodable payload counts as nothing:
+    /// telemetry is best-effort.
+    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
+        let mut counts = BTreeMap::new();
+        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
+            return counts;
+        };
+        if let Some(rows) = doc.get("rows").and_then(Value::as_array) {
+            *counts.entry("designs".to_string()).or_insert(0) += rows.len() as u64;
+        }
+        if let Some(errors) = doc.get("errors").and_then(Value::as_array) {
+            *counts.entry("errors".to_string()).or_insert(0) += errors.len() as u64;
+            let panicked = errors
+                .iter()
+                .filter(|e| e.get("Panicked").is_some())
+                .count() as u64;
+            if panicked > 0 {
+                *counts.entry("panicked".to_string()).or_insert(0) += panicked;
+            }
+        }
+        for key in ["skipped", "degraded"] {
+            if let Some(n) = doc.get(key).and_then(Value::as_u64) {
+                *counts.entry(key.to_string()).or_insert(0) += n;
+            }
+        }
+        counts
+    }
+}
+
+/// The sweep of [`explore_outcome`] as a chunked campaign
+/// ([`ExploreCampaign`]): the enumerated candidate list is split into
+/// deterministic chunks (one chunk when there is neither a journal nor a
+/// watchdog), completed chunks are journaled to `durability.dir` (when set)
+/// and replayed on resume, the per-chunk watchdog demotes late candidates
+/// to the `degraded` tally, panicking candidates are retried then
+/// quarantined as [`PointError::Panicked`], and an interrupt drains the
+/// in-flight chunk before returning a partial (but valid and resumable)
+/// report with `stats.interrupted` set. Scoring is shared with
+/// [`explore_outcome`], reduced to [`ExploreRow`]s, and the report bytes do
+/// not depend on the chunk geometry.
 ///
 /// # Errors
 ///
@@ -616,65 +670,7 @@ pub fn explore_durable(
     opts: &ExploreOptions,
     durability: &DurabilityOptions,
 ) -> Result<(ExploreSweepReport, RunStats), JournalError> {
-    if durability.is_inert() {
-        return Ok((
-            ExploreSweepReport::from_outcome(explore_outcome(kernel, opts)),
-            RunStats::default(),
-        ));
-    }
-    let _span = tensorlib_obs::span("explore.durable");
-    let candidates = design_space(kernel, &opts.dse);
-    let variants: Vec<Hardening> = if opts.hardening_variants.is_empty() {
-        vec![opts.hw.hardening]
-    } else {
-        opts.hardening_variants.clone()
-    };
-    let jobs: Vec<(&Dataflow, Hardening)> = candidates
-        .iter()
-        .flat_map(|df| variants.iter().map(move |&h| (df, h)))
-        .collect();
-    let chunk_size = durability.chunk_size.unwrap_or(32).max(1);
-    let total = jobs.len().div_ceil(chunk_size);
-    let hash = journal::config_hash(
-        "explore",
-        chunk_size,
-        total,
-        &canonical_explore_config(kernel, opts, jobs.len()),
-    );
-    let telemetry = journal::TelemetrySpec {
-        kind: "explore",
-        count_outcomes: &count_explore_outcomes,
-    };
-    let (slots, stats) =
-        journal::run_chunked_observed(durability, hash, total, Some(&telemetry), |i| {
-            let lo = i * chunk_size;
-            let hi = (lo + chunk_size).min(jobs.len());
-            let chunk = run_explore_chunk(kernel, opts, &jobs[lo..hi], durability);
-            serde_json::to_string(&chunk).expect("explore chunk serializes")
-        })?;
-    let mut report = ExploreSweepReport {
-        rows: Vec::new(),
-        errors: Vec::new(),
-        skipped: 0,
-        degraded: 0,
-    };
-    for slot in &slots {
-        // Completed chunks are always a prefix (the executor runs missing
-        // chunks in ascending order), so the first hole ends the report.
-        let Some(payload) = slot else { break };
-        let (rows, errors, skipped, degraded) =
-            decode_explore_chunk(payload).map_err(JournalError::Decode)?;
-        report.rows.extend(rows);
-        report.errors.extend(errors);
-        report.skipped += skipped;
-        report.degraded += degraded;
-    }
-    // Chunks concatenate in enumeration order; this stable sort reproduces
-    // the legacy sweep's fastest-first ordering exactly, ties and all.
-    report
-        .rows
-        .sort_by(|a, b| a.total_cycles.cmp(&b.total_cycles).then_with(|| a.name.cmp(&b.name)));
-    Ok((report, stats))
+    journal::execute(&ExploreCampaign::new(kernel, opts), durability)
 }
 
 #[cfg(test)]
@@ -756,25 +752,54 @@ mod tests {
         d
     }
 
+    /// [`explore_outcome`]'s points reduced to the sweep report's rows.
+    fn reduced(o: ExploreOutcome) -> ExploreSweepReport {
+        ExploreSweepReport {
+            rows: o.points.iter().map(ExploreRow::from_point).collect(),
+            errors: o.errors,
+            skipped: o.skipped as u64,
+            degraded: 0,
+        }
+    }
+
     #[test]
-    fn durable_inert_path_matches_legacy_reduction() {
+    fn report_bytes_are_invariant_under_chunk_geometry() {
         let k = workloads::gemm(16, 16, 16);
-        let opts = ExploreOptions::default();
-        let legacy = ExploreSweepReport::from_outcome(explore_outcome(&k, &opts));
-        let (durable, stats) = explore_durable(&k, &opts, &DurabilityOptions::default()).unwrap();
-        assert_eq!(durable, legacy);
-        assert_eq!(stats, RunStats::default());
-        assert!(!durable.rows.is_empty());
+        let opts = ExploreOptions {
+            workers: 2,
+            ..ExploreOptions::default()
+        };
+        let (single, stats) = explore_durable(&k, &opts, &DurabilityOptions::default()).unwrap();
+        assert_eq!(stats.chunks_total, 1, "derived single chunk");
+        assert!(!single.rows.is_empty());
+        // The chunked sweep and the full-point sweep share one scoring core.
+        assert_eq!(single, reduced(explore_outcome(&k, &opts)));
+        let want = serde_json::to_string(&single).unwrap();
+        let jobs = single.rows.len() + single.errors.len() + single.skipped as usize;
+        // 1, the pool's own work-stealing chunk, the journaled default, the
+        // derived single chunk, and no override at all.
+        for chunk_size in [Some(1), Some(4), Some(32), Some(jobs), None] {
+            for journaled in [false, true] {
+                let dir = tmpdir(&format!("geom_{chunk_size:?}_{journaled}"));
+                let durability = DurabilityOptions {
+                    dir: journaled.then(|| dir.clone()),
+                    chunk_size,
+                    ..DurabilityOptions::default()
+                };
+                let (report, stats) = explore_durable(&k, &opts, &durability).unwrap();
+                let tag = format!("chunk={chunk_size:?} journaled={journaled}");
+                assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
+                assert_eq!(stats.chunks_executed, stats.chunks_total, "{tag}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
     fn durable_journaled_resume_is_byte_identical() {
         let k = workloads::gemm(16, 16, 16);
         let opts = ExploreOptions::default();
-        let single = serde_json::to_string(&ExploreSweepReport::from_outcome(explore_outcome(
-            &k, &opts,
-        )))
-        .unwrap();
+        let single = serde_json::to_string(&reduced(explore_outcome(&k, &opts))).unwrap();
         let dir = tmpdir("resume");
         let durability = DurabilityOptions {
             chunk_size: Some(25),
@@ -817,7 +842,7 @@ mod tests {
     fn durable_panicking_candidate_is_quarantined() {
         let k = workloads::gemm(16, 16, 16);
         let opts = ExploreOptions::default();
-        let clean = ExploreSweepReport::from_outcome(explore_outcome(&k, &opts));
+        let clean = reduced(explore_outcome(&k, &opts));
         let victim = clean.rows[0].name.clone();
         let durability = DurabilityOptions {
             panic_retries: 1,

@@ -223,15 +223,15 @@ mod tests {
     #[test]
     fn latch_set_before_campaign_start_stops_at_chunk_zero() {
         // The drain ordering the campaign loop guarantees: a latch that
-        // fires before run_chunked starts means zero chunks execute and the
-        // run reports interrupted — not one chunk, not a hang.
+        // fires before run_chunked_observed starts means zero chunks execute
+        // and the run reports interrupted — not one chunk, not a hang.
         let flag = Arc::new(AtomicBool::new(true)); // latched before start
         let opts = crate::DurabilityOptions {
             interrupt: Some(flag),
             ..crate::DurabilityOptions::default()
         };
         let mut executed = 0usize;
-        let (slots, stats) = crate::journal::run_chunked(&opts, 0xfeed, 3, |_| {
+        let (slots, stats) = crate::journal::run_chunked_observed(&opts, 0xfeed, 3, None, |_| {
             executed += 1;
             "unreachable".to_string()
         })

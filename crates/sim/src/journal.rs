@@ -46,10 +46,13 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use tensorlib_linalg::par::{panic_message, par_map_catch_ctl, CatchOutcome, MapControl};
 
 /// Journal file name inside the `--resume` directory.
 pub const JOURNAL_FILE: &str = "campaign.journal";
@@ -283,10 +286,8 @@ impl Journal {
 }
 
 /// Durability knobs threaded through every campaign entry point. The
-/// default value is *inert*: no journal, no watchdog, default chunk
-/// geometry, one panic retry, SIGINT latch consulted via the process-wide
-/// flag — campaigns behave exactly as they did before this subsystem
-/// existed.
+/// default value runs the campaign as one chunk with no journal, no
+/// watchdog and no telemetry, consulting the process-wide SIGINT flag.
 #[derive(Clone, Default)]
 pub struct DurabilityOptions {
     /// Journal directory (`--resume <dir>`). `None` disables journaling.
@@ -295,12 +296,13 @@ pub struct DurabilityOptions {
     /// yet started when a chunk's deadline passes are demoted to a typed
     /// `Degraded` outcome instead of stalling the campaign.
     pub chunk_timeout: Option<Duration>,
-    /// Override the campaign's default chunk size (work items per journal
-    /// record). Tests use small chunks to exercise record boundaries.
+    /// Override the campaign's chunk size (work items per journal record);
+    /// see [`DurabilityOptions::chunk_size_for`]. Tests use small chunks to
+    /// exercise record boundaries.
     pub chunk_size: Option<usize>,
     /// How many times a panicking work item is retried serially before
     /// being quarantined with its panic payload captured in the report.
-    /// `0` (the inert default) means one attempt, no retries.
+    /// `0` (the default) means one attempt, no retries.
     pub panic_retries: usize,
     /// Interrupt latch. `None` uses the process-wide SIGINT flag
     /// ([`crate::interrupt::interrupted`]); tests install a local flag so
@@ -313,15 +315,13 @@ pub struct DurabilityOptions {
     /// Disables the campaign telemetry layer (`events.jsonl` /
     /// `status.json`) for journaled runs. Off by default — journaled
     /// campaigns stream telemetry unless the caller opts out (the perfgate
-    /// uses this to A/B the telemetry overhead). Deliberately *not* part of
-    /// [`DurabilityOptions::is_inert`]: telemetry only ever activates when a
-    /// journal directory is set, so the knob cannot drag an otherwise inert
-    /// run off the legacy path.
+    /// uses this to A/B the telemetry overhead). Telemetry only ever
+    /// activates when a journal directory is set.
     pub telemetry_off: bool,
 }
 
 impl DurabilityOptions {
-    /// Inert options plus one non-default knob commonly set together.
+    /// Default options with a journal directory.
     pub fn with_dir(dir: impl Into<PathBuf>) -> DurabilityOptions {
         DurabilityOptions {
             dir: Some(dir.into()),
@@ -329,14 +329,20 @@ impl DurabilityOptions {
         }
     }
 
-    /// True when every knob is at its inert default, i.e. the campaign can
-    /// take its legacy non-chunked path with identical behaviour.
-    pub fn is_inert(&self) -> bool {
-        self.dir.is_none()
-            && self.chunk_timeout.is_none()
-            && self.chunk_size.is_none()
-            && self.interrupt.is_none()
-            && self.chaos_panic_targets.is_empty()
+    /// Work items per chunk for a campaign of `items` work items whose
+    /// journaled chunk size is `default`. An explicit
+    /// [`DurabilityOptions::chunk_size`] wins. A run with neither a journal
+    /// directory nor a watchdog has no use for chunk boundaries, so it runs
+    /// as a single chunk and pays one worker-pool spawn instead of one per
+    /// chunk. Everything else (`--resume`, `--chunk-timeout`) uses
+    /// `default`, which is part of the journal key.
+    pub fn chunk_size_for(&self, items: usize, default: usize) -> usize {
+        let size = match self.chunk_size {
+            Some(size) => size,
+            None if self.dir.is_none() && self.chunk_timeout.is_none() => items,
+            None => default,
+        };
+        size.max(1)
     }
 
     /// Panics if `identity` matches a chaos target. Call at the top of each
@@ -372,6 +378,62 @@ impl DurabilityOptions {
     }
 }
 
+/// What became of one work item run by [`run_items`].
+#[derive(Debug)]
+pub enum ItemOutcome<U> {
+    /// The item ran, possibly after retries.
+    Done(U),
+    /// The chunk's watchdog deadline passed before the item started.
+    Degraded,
+    /// The item panicked on every one of `attempts` attempts; `message` is
+    /// the last panic payload.
+    Quarantined {
+        /// Attempts made (see [`DurabilityOptions::panic_attempts`]).
+        attempts: usize,
+        /// The last panic message.
+        message: String,
+    },
+}
+
+/// Runs one chunk's work items on the worker pool (`workers` threads,
+/// `batch` items per queue grab) under the durability policy: items not yet
+/// started when the chunk's watchdog deadline passes come back
+/// [`ItemOutcome::Degraded`], and a panicking item is retried serially (a
+/// deterministic panic recurs; an environmental one, such as resource
+/// exhaustion under a full pool, gets a second chance on a quiet thread)
+/// before it is [`ItemOutcome::Quarantined`]. Outcomes are in item order for
+/// any worker count.
+pub fn run_items<T: Sync, U: Send>(
+    durability: &DurabilityOptions,
+    items: &[T],
+    workers: usize,
+    batch: usize,
+    run: impl Fn(&T) -> U + Sync,
+) -> Vec<ItemOutcome<U>> {
+    let ctl = MapControl {
+        deadline: durability.chunk_deadline(),
+        cancel: None,
+    };
+    let attempts = durability.panic_attempts();
+    par_map_catch_ctl(items, workers, batch, ctl, |_, item| run(item))
+        .into_iter()
+        .zip(items)
+        .map(|(result, item)| match result {
+            CatchOutcome::Done(u) => ItemOutcome::Done(u),
+            CatchOutcome::Skipped => ItemOutcome::Degraded,
+            CatchOutcome::Panicked(mut message) => {
+                for _ in 1..attempts {
+                    match catch_unwind(AssertUnwindSafe(|| run(item))) {
+                        Ok(u) => return ItemOutcome::Done(u),
+                        Err(payload) => message = panic_message(payload),
+                    }
+                }
+                ItemOutcome::Quarantined { attempts, message }
+            }
+        })
+        .collect()
+}
+
 /// Replay/execution accounting for a chunked campaign run. Feeds the
 /// `journal` provenance block — never the report body, because replay
 /// counts legitimately differ between a clean run and a resumed run whose
@@ -389,35 +451,108 @@ pub struct RunStats {
     pub interrupted: bool,
 }
 
-/// Runs a campaign as `total_chunks` deterministic work units with
-/// journaled checkpoint/resume.
-///
-/// Chunks already present in the journal are replayed without calling
-/// `exec`. Missing chunks run in ascending index order; each result is
-/// appended (and fsynced) to the journal before the next chunk starts. The
-/// interrupt latch is checked *between* chunks — an in-flight chunk always
-/// drains to completion — so an interrupted run returns a prefix-complete
-/// set of slots plus `interrupted: true`, and a later resume picks up at
-/// the first missing chunk.
-///
-/// `exec` receives the chunk index and returns the chunk's canonical JSON
-/// payload; determinism of `exec` is what makes a resumed report
-/// byte-identical to an uninterrupted one.
+/// Chunk geometry of one campaign run: work items per chunk and the number
+/// of chunks. Both are part of the journal key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkPlan {
+    /// Work items per chunk.
+    pub chunk_size: usize,
+    /// Chunks in the campaign.
+    pub chunks: usize,
+}
+
+/// A campaign the one chunked runner ([`execute`]) can drive: faults,
+/// fuzz and explore each implement it once.
+pub trait Campaign {
+    /// Campaign kind (`"faults"`, `"fuzz"`, `"explore"`): part of the
+    /// journal key and the telemetry and history kind.
+    const KIND: &'static str;
+    /// One chunk's results; its compact JSON is the journal payload.
+    type Chunk: serde::Serialize;
+    /// The assembled report.
+    type Report;
+
+    /// Canonical config string: the config with run-irrelevant knobs
+    /// (worker count) zeroed. Keys the journal (together with the chunk
+    /// plan) and identifies the run in the cross-run history.
+    fn canonical_config(&self) -> String;
+
+    /// The chunk geometry for these durability options.
+    fn chunk_plan(&self, durability: &DurabilityOptions) -> ChunkPlan;
+
+    /// Runs chunk `index`.
+    fn run_chunk(&self, plan: &ChunkPlan, index: usize, durability: &DurabilityOptions)
+        -> Self::Chunk;
+
+    /// Decodes a journaled payload. Must invert `serde_json::to_string`
+    /// exactly: that is what keeps a resumed report byte-identical to an
+    /// uninterrupted one.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first field that fails to decode.
+    fn decode_chunk(payload: &str) -> Result<Self::Chunk, String>;
+
+    /// Assembles the report from the completed chunks, a prefix of the
+    /// plan's chunks (all of them unless the run was interrupted).
+    fn aggregate(&self, plan: &ChunkPlan, chunks: Vec<Self::Chunk>) -> Self::Report;
+
+    /// Key deterministic metrics of a finished report for the cross-run
+    /// history index.
+    fn history_metrics(report: &Self::Report) -> BTreeMap<String, f64>;
+
+    /// Telemetry outcome counter for one chunk payload; see
+    /// [`TelemetrySpec::count_outcomes`].
+    fn count_outcomes(payload: &str) -> BTreeMap<String, u64>;
+}
+
+/// Runs `campaign` through [`run_chunked_observed`]: chunk plan, journal
+/// key, telemetry, chunk loop, then aggregation of the completed prefix.
+/// Executed chunks stay typed; only the journal (and its telemetry) read
+/// their JSON, so an unjournaled run never serializes them.
 ///
 /// # Errors
 ///
-/// Journal open/append failures ([`JournalError`]); `dir: None` runs the
-/// same chunked loop without persistence and cannot fail.
-pub fn run_chunked<F>(
-    opts: &DurabilityOptions,
-    config_hash: u64,
-    total_chunks: usize,
-    exec: F,
-) -> Result<(Vec<Option<String>>, RunStats), JournalError>
-where
-    F: FnMut(usize) -> String,
-{
-    run_chunked_observed(opts, config_hash, total_chunks, None, exec)
+/// Journal open/append failures, and [`JournalError::Decode`] when a
+/// replayed payload does not decode.
+pub fn execute<C: Campaign>(
+    campaign: &C,
+    durability: &DurabilityOptions,
+) -> Result<(C::Report, RunStats), JournalError> {
+    let plan = campaign.chunk_plan(durability);
+    let hash = config_hash(
+        C::KIND,
+        plan.chunk_size,
+        plan.chunks,
+        &campaign.canonical_config(),
+    );
+    let telemetry = TelemetrySpec {
+        kind: C::KIND,
+        count_outcomes: &C::count_outcomes,
+    };
+    let mut executed: Vec<Option<C::Chunk>> = (0..plan.chunks).map(|_| None).collect();
+    let (slots, stats) =
+        run_chunked_observed(durability, hash, plan.chunks, Some(&telemetry), |i| {
+            let chunk = campaign.run_chunk(&plan, i, durability);
+            let payload = match durability.dir {
+                Some(_) => serde_json::to_string(&chunk).expect("chunk serializes"),
+                None => String::new(),
+            };
+            executed[i] = Some(chunk);
+            payload
+        })?;
+    // Completed chunks are always a prefix (chunks execute in ascending
+    // order and an interrupt stops the loop), so assembly stops at the
+    // first missing slot.
+    let mut chunks = Vec::with_capacity(plan.chunks);
+    for (typed, slot) in executed.into_iter().zip(slots) {
+        chunks.push(match (typed, slot) {
+            (Some(chunk), _) => chunk,
+            (None, Some(payload)) => C::decode_chunk(&payload).map_err(JournalError::Decode)?,
+            (None, None) => break,
+        });
+    }
+    Ok((campaign.aggregate(&plan, chunks), stats))
 }
 
 /// How a campaign's chunk payloads translate into telemetry: the campaign
@@ -434,17 +569,36 @@ pub struct TelemetrySpec<'a> {
     pub count_outcomes: &'a dyn Fn(&str) -> BTreeMap<String, u64>,
 }
 
-/// [`run_chunked`] plus streaming telemetry. When a journal directory is
-/// set, telemetry is on (a `spec` was supplied, `opts.telemetry_off` is
-/// false), the run additionally maintains `events.jsonl` and `status.json`
-/// in the campaign directory — see [`tensorlib_obs::events`].
+/// Runs a campaign as `total_chunks` deterministic work units with
+/// journaled checkpoint/resume and streaming telemetry. This is the one
+/// chunk loop every campaign runs through (see [`execute`]).
 ///
-/// Telemetry is observational only and strictly best-effort: every
-/// telemetry write failure is swallowed, the chunk loop and its journal
-/// durability guarantees are identical with telemetry on, off, or failing,
-/// and no wall-clock data ever reaches the returned slots (the report
-/// inputs) — it lives only in the telemetry files, quarantined under
-/// `timing` sub-objects.
+/// Chunks already present in the journal are replayed without calling
+/// `exec`. Missing chunks run in ascending index order; each result is
+/// appended (and fsynced) to the journal before the next chunk starts. The
+/// interrupt latch is checked *between* chunks — an in-flight chunk always
+/// drains to completion — so an interrupted run returns a prefix-complete
+/// set of slots plus `interrupted: true`, and a later resume picks up at
+/// the first missing chunk.
+///
+/// `exec` receives the chunk index and returns the chunk's canonical JSON
+/// payload; determinism of `exec` is what makes a resumed report
+/// byte-identical to an uninterrupted one.
+///
+/// When a journal directory is set and telemetry is on (a `spec` was
+/// supplied, `opts.telemetry_off` is false), the run additionally maintains
+/// `events.jsonl` and `status.json` in the campaign directory — see
+/// [`tensorlib_obs::events`]. Telemetry is observational only and strictly
+/// best-effort: every telemetry write failure is swallowed, the chunk loop
+/// and its journal durability guarantees are identical with telemetry on,
+/// off, or failing, and no wall-clock data ever reaches the returned slots
+/// (the report inputs) — it lives only in the telemetry files, quarantined
+/// under `timing` sub-objects.
+///
+/// # Errors
+///
+/// Journal open/append failures ([`JournalError`]); `dir: None` runs the
+/// same chunked loop without persistence and cannot fail.
 pub fn run_chunked_observed<F>(
     opts: &DurabilityOptions,
     config_hash: u64,
@@ -837,7 +991,7 @@ mod tests {
         };
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (slots, stats) = run_chunked(&opts, hash, 4, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -852,7 +1006,7 @@ mod tests {
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (slots, stats) = run_chunked(&opts, hash, 4, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
             ran.push(i);
             format!("chunk-{i}")
         })
@@ -1002,33 +1156,46 @@ mod tests {
         run_chunked_observed(&opts, hash, 2, Some(&spec), |i| format!("chunk-{i}")).unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
-        // The knob does not drag inert options off the legacy path.
-        let inert = DurabilityOptions {
-            telemetry_off: true,
-            ..DurabilityOptions::default()
-        };
-        assert!(inert.is_inert());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn run_chunked_without_dir_still_chunks() {
         let opts = DurabilityOptions::default();
-        let (slots, stats) = run_chunked(&opts, 0, 3, |i| i.to_string()).unwrap();
+        let (slots, stats) =
+            run_chunked_observed(&opts, 0, 3, None, |i| i.to_string()).unwrap();
         assert_eq!(slots.len(), 3);
         assert_eq!(stats.chunks_executed, 3);
         assert_eq!(stats.chunks_replayed, 0);
     }
 
     #[test]
-    fn durability_options_inertness() {
-        assert!(DurabilityOptions::default().is_inert());
-        assert!(!DurabilityOptions::with_dir("/tmp/x").is_inert());
+    fn chunk_geometry_is_single_without_journal_or_watchdog() {
+        let plain = DurabilityOptions::default();
+        assert_eq!(plain.chunk_size_for(100, 16), 100);
+        assert_eq!(plain.chunk_size_for(0, 16), 1, "never a zero chunk size");
+        // The telemetry knob and the test hooks leave the geometry alone.
+        let hooked = DurabilityOptions {
+            telemetry_off: true,
+            panic_retries: 2,
+            chaos_panic_targets: vec!["x".into()],
+            interrupt: Some(Arc::new(AtomicBool::new(false))),
+            ..DurabilityOptions::default()
+        };
+        assert_eq!(hooked.chunk_size_for(100, 16), 100);
+        // A journal or a watchdog keeps the journaled default.
+        assert_eq!(DurabilityOptions::with_dir("/tmp/x").chunk_size_for(100, 16), 16);
         let timed = DurabilityOptions {
             chunk_timeout: Some(Duration::from_secs(1)),
             ..DurabilityOptions::default()
         };
-        assert!(!timed.is_inert());
+        assert_eq!(timed.chunk_size_for(100, 16), 16);
+        // An explicit size wins everywhere.
+        let explicit = DurabilityOptions {
+            chunk_size: Some(3),
+            ..DurabilityOptions::with_dir("/tmp/x")
+        };
+        assert_eq!(explicit.chunk_size_for(100, 16), 3);
         assert_eq!(DurabilityOptions::default().panic_attempts(), 1);
     }
 

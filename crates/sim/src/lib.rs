@@ -65,4 +65,4 @@ pub use functional::{simulate_budgeted, FunctionalRun, SimError};
 pub use journal::{DurabilityOptions, Journal, JournalError, RunStats};
 pub use resilience::{CampaignConfig, CampaignError, FaultClass, ResilienceReport};
 pub use trace::{InterpreterStats, MeasuredRun, MeasureError, TraceConfig};
-pub use verify::{run_verify, VerifyConfig, VerifyReport};
+pub use verify::{run_verify_durable, VerifyConfig, VerifyReport};

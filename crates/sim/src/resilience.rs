@@ -2,16 +2,21 @@
 //! netlist itself*, compare against a golden fault-free run, and classify
 //! every fault as masked, detected, or silent data corruption.
 //!
-//! Two campaign shapes:
+//! Two campaign shapes share one setup ([`FaultCampaign`]):
 //!
 //! - [`run_campaign`] drives any generated top level under the fixed
 //!   counter-harness protocol (ramp-filled banks, `start` pulsed) and uses
 //!   the per-cycle output-port signature as the golden reference.
-//! - [`run_gemm_campaign`] runs a real output-stationary GEMM with real
-//!   matrices through the top level (banks preloaded with the skewed
+//! - [`run_gemm_campaign_durable`] runs a real output-stationary GEMM with
+//!   real matrices through the top level (banks preloaded with the skewed
 //!   systolic schedule), harvests the result banks, cross-checks the golden
 //!   run against the reference executor, and additionally applies **ABFT**
 //!   row/column checksum verification when the design is hardened with it.
+//!   [`FaultCampaign::accumulator_sweep`] sets up the same campaign over an
+//!   exhaustive accumulator bit-flip sweep instead of sampled faults.
+//!
+//! Every campaign runs through the one chunked runner
+//! ([`journal::execute`]), journaled or not.
 //!
 //! Detection comes from the hardened design's own mechanisms: scratchpad
 //! parity (sticky per-bank counters), the TMR controller's `tmr_mismatch`
@@ -23,21 +28,20 @@
 //! isolation; the outcome list is in fault order and byte-identical for any
 //! worker count, so reports are seed-deterministic artifacts.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib_hw::batch::BatchSim;
 use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
 use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultKind, FaultSpec, Hardening};
-use tensorlib_hw::interp::{elaborate_design, ElaborateError, FlatDesign, Interpreter};
+use tensorlib_hw::interp::{elaborate_design, ElaborateError, Interpreter};
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::workloads;
-use tensorlib_linalg::par::{panic_message, par_map_catch_ctl, CatchOutcome, MapControl};
 use tensorlib_obs::json::Value;
 
-use crate::journal::{self, DurabilityOptions, JournalError, RunStats};
+use crate::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Outcome class of one injected fault (standard fault-injection taxonomy).
@@ -231,27 +235,6 @@ fn as_u16(v: i64) -> u64 {
     (v as u64) & 0xFFFF
 }
 
-/// Builds the output-stationary GEMM design a campaign runs on.
-fn gemm_design(cfg: &CampaignConfig) -> Result<AcceleratorDesign, CampaignError> {
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let sel = LoopSelection::by_names(&gemm, ["m", "n", "k"])
-        .expect("gemm always has m, n, k");
-    let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary())
-        .expect("output-stationary gemm always analyzes");
-    generate(
-        &df,
-        &HwConfig {
-            array: ArrayConfig {
-                rows: cfg.rows,
-                cols: cfg.cols,
-            },
-            hardening: cfg.hardening,
-            ..HwConfig::default()
-        },
-    )
-    .map_err(CampaignError::Generate)
-}
-
 /// What one (golden or faulted) netlist run produced.
 struct RunResult {
     /// Harvested result matrix, row-major `rows x cols`.
@@ -397,544 +380,327 @@ fn load_skewed_inputs(
         // Port names are `a_feed{i}` / `b_feed{j}`; word t carries the
         // operand entering that edge at compute cycle t (zero outside the
         // valid diagonal window).
-        let words: Vec<u64> = if let Some(i) = name.strip_prefix("a_feed") {
-            let i: i64 = i.parse().expect("generated port index");
-            (0..cap as i64)
-                .map(|t| {
-                    let kk = t - i;
-                    if (0..k).contains(&kk) {
-                        as_u16(a.get(&[i, kk]))
-                    } else {
-                        0
-                    }
-                })
-                .collect()
-        } else if let Some(j) = name.strip_prefix("b_feed") {
-            let j: i64 = j.parse().expect("generated port index");
-            (0..cap as i64)
-                .map(|t| {
-                    let kk = t - j;
-                    if (0..k).contains(&kk) {
-                        as_u16(b.get(&[j, kk]))
-                    } else {
-                        0
-                    }
-                })
-                .collect()
-        } else {
-            vec![0; cap]
+        let feed = (name.strip_prefix("a_feed").map(|i| (a, i)))
+            .or_else(|| name.strip_prefix("b_feed").map(|j| (b, j)));
+        let words: Vec<u64> = match feed {
+            Some((operand, edge)) => {
+                let edge: i64 = edge.parse().expect("generated port index");
+                (0..cap as i64)
+                    .map(|t| match t - edge {
+                        kk if (0..k).contains(&kk) => as_u16(operand.get(&[edge, kk])),
+                        _ => 0,
+                    })
+                    .collect()
+            }
+            None => vec![0; cap],
         };
         sim.load_bank(bi, &words)?;
     }
     Ok(())
 }
 
-/// Classifies one faulted run against golden.
-fn classify(
-    cfg: &CampaignConfig,
-    fault: &FaultSpec,
-    run: &RunResult,
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-) -> FaultOutcome {
-    let mut detectors = Vec::new();
-    if run.parity_errors > 0 {
-        detectors.push("parity".to_string());
-    }
-    if run.tmr_seen {
-        detectors.push("tmr".to_string());
-    }
-    if cfg.hardening.abft {
-        let rows = cfg.rows;
-        let cols = cfg.cols;
-        let mut mismatch = false;
-        for (i, expected) in abft_row_sums.iter().enumerate().take(rows) {
-            let sum: i64 = (0..cols).map(|j| run.c[i * cols + j]).sum();
-            if sum != *expected {
-                mismatch = true;
-            }
-        }
-        for (j, expected) in abft_col_sums.iter().enumerate().take(cols) {
-            let sum: i64 = (0..rows).map(|i| run.c[i * cols + j]).sum();
-            if sum != *expected {
-                mismatch = true;
-            }
-        }
-        if mismatch {
-            detectors.push("abft".to_string());
-        }
-    }
-    let class = if !detectors.is_empty() {
-        FaultClass::Detected
-    } else if run.c != golden.c {
-        FaultClass::Sdc
-    } else {
-        FaultClass::Masked
-    };
-    FaultOutcome {
-        fault: fault.clone(),
-        class,
-        detectors,
-        error: None,
-    }
+/// What a campaign's input banks hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stimulus {
+    /// Seeded random GEMM operands in the skewed systolic schedule. The
+    /// golden run is checked against the reference executor and supplies
+    /// the ABFT checksums.
+    Gemm,
+    /// The counter-harness ramp ([`fill_input_banks`]); no reference check.
+    Ramp,
 }
 
-fn aggregate(
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
+/// Which faults a campaign injects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FaultSelection {
+    /// `cfg.faults` faults sampled with `cfg.seed` over every register,
+    /// bank word, and controller state in the flattened design.
+    Sampled,
+    /// Every PE accumulator register (`*_acc`) × every bit in `0..bits`,
+    /// flipped at `cycle`.
+    AccumulatorSweep { bits: u32, cycle: u64 },
+}
+
+/// A fault campaign after setup: the design, its fault list, and the golden
+/// run every injected run is classified against. Implements
+/// [`journal::Campaign`], so it runs through [`journal::execute`] — one
+/// chunk without a journal, many with `--resume`.
+pub struct FaultCampaign {
+    cfg: CampaignConfig,
+    /// Journal-key tag for the stimulus and fault selection.
+    variant: String,
+    design: AcceleratorDesign,
     cycles: u64,
-    outcomes: Vec<FaultOutcome>,
-) -> ResilienceReport {
-    let masked = outcomes.iter().filter(|o| o.class == FaultClass::Masked).count();
-    let detected = outcomes.iter().filter(|o| o.class == FaultClass::Detected).count();
-    let sdc = outcomes.iter().filter(|o| o.class == FaultClass::Sdc).count();
-    let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
-    let degraded = outcomes.iter().filter(|o| o.class == FaultClass::Degraded).count();
-    let denom = detected + sdc;
-    ResilienceReport {
-        design: design.name().to_string(),
-        hardening: cfg.hardening.to_string(),
-        cycles_per_run: cycles,
-        faults: outcomes.len(),
-        masked,
-        detected,
-        sdc,
-        errors,
-        degraded,
-        detection_coverage: if denom == 0 {
-            1.0
-        } else {
-            detected as f64 / denom as f64
-        },
-        outcomes,
-    }
-}
-
-/// The outcome assigned to a fault that never ran because the chunk's
-/// watchdog deadline passed first.
-fn degraded_outcome(fault: &FaultSpec) -> FaultOutcome {
-    FaultOutcome {
-        fault: fault.clone(),
-        class: FaultClass::Degraded,
-        detectors: Vec::new(),
-        error: None,
-    }
-}
-
-/// The quarantine outcome for a fault (or lane group member) whose injected
-/// run still panicked after every retry. The fault spec in the outcome *is*
-/// the repro: replaying it with the campaign seed reproduces the panic.
-fn quarantined_outcome(fault: &FaultSpec, attempts: usize, message: &str) -> FaultOutcome {
-    let error = if attempts <= 1 {
-        format!("injected run panicked: {message}")
-    } else {
-        format!("injected run panicked (quarantined after {attempts} attempts): {message}")
-    };
-    FaultOutcome {
-        fault: fault.clone(),
-        class: FaultClass::Sdc,
-        detectors: Vec::new(),
-        error: Some(error),
-    }
-}
-
-/// Runs a fault campaign over specific `faults` on a prepared base
-/// interpreter (shared by [`run_campaign`] and [`run_gemm_campaign`]).
-///
-/// `durability` supplies the graceful-degradation knobs: a per-call
-/// watchdog deadline (items not started in time come back
-/// [`FaultClass::Degraded`]), a bounded serial retry for panicking items
-/// before they are quarantined, and the test-only chaos hook. The inert
-/// default reproduces the historical behaviour exactly.
-#[allow(clippy::too_many_arguments)]
-fn drive_campaign(
-    base: &Interpreter,
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
     has_tmr: bool,
-    faults: &[FaultSpec],
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-    durability: &DurabilityOptions,
-) -> Vec<FaultOutcome> {
-    let _span = tensorlib_obs::span("sim.fault_injection");
-    tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
-    if cfg.lanes > 1 {
-        return drive_campaign_batched(
-            base,
-            design,
+    faults: Vec<FaultSpec>,
+    /// The preloaded interpreter (banks loaded, `start` high) every run
+    /// clones.
+    base: Interpreter,
+    golden: RunResult,
+    abft_row_sums: Vec<i64>,
+    abft_col_sums: Vec<i64>,
+}
+
+impl FaultCampaign {
+    /// Sets up the real-data GEMM campaign over `cfg.faults` sampled faults.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError`] if the design fails to generate, flatten, or
+    /// preload, or if the golden run disagrees with the reference executor.
+    pub fn gemm(cfg: &CampaignConfig) -> Result<FaultCampaign, CampaignError> {
+        FaultCampaign::new(cfg, Stimulus::Gemm, FaultSelection::Sampled)
+    }
+
+    /// Sets up the GEMM campaign over the exhaustive accumulator sweep:
+    /// every `*_acc` register × every bit in `0..bits`, flipped at `cycle`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FaultCampaign::gemm`].
+    pub fn accumulator_sweep(
+        cfg: &CampaignConfig,
+        bits: u32,
+        cycle: u64,
+    ) -> Result<FaultCampaign, CampaignError> {
+        FaultCampaign::new(
             cfg,
+            Stimulus::Gemm,
+            FaultSelection::AccumulatorSweep { bits, cycle },
+        )
+    }
+
+    /// The one campaign setup: design (optionally optimized) → flattened
+    /// netlist → fault list → stimulus (for GEMM: `random_inputs` →
+    /// reference → `load_skewed_inputs`) → golden run → reference check and
+    /// ABFT sums.
+    fn new(
+        cfg: &CampaignConfig,
+        stimulus: Stimulus,
+        selection: FaultSelection,
+    ) -> Result<FaultCampaign, CampaignError> {
+        // The output-stationary GEMM design every campaign faults.
+        let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
+        let sel = LoopSelection::by_names(&gemm, ["m", "n", "k"]).expect("gemm always has m, n, k");
+        let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary())
+            .expect("output-stationary gemm always analyzes");
+        let hw = HwConfig {
+            array: ArrayConfig {
+                rows: cfg.rows,
+                cols: cfg.cols,
+            },
+            hardening: cfg.hardening,
+            ..HwConfig::default()
+        };
+        let mut design = generate(&df, &hw).map_err(CampaignError::Generate)?;
+        if cfg.opt {
+            design.optimize(&tensorlib_hw::opt::OptOptions::default());
+        }
+        let flat = elaborate_design(&design, design.top())?;
+        // One idle handshake cycle plus one full load/compute/drain round.
+        let cycles = 1 + design.phases().total();
+        let has_tmr = cfg.hardening.tmr_ctrl;
+        let (faults, tag) = match selection {
+            FaultSelection::Sampled => (
+                sample_faults(&enumerate_sites(&flat), cfg.faults, cfg.seed, cycles),
+                "sampled".to_string(),
+            ),
+            FaultSelection::AccumulatorSweep { bits, cycle } => (
+                flat.regs()
+                    .iter()
+                    .map(|r| flat.nets()[r.target].name.as_str())
+                    .filter(|n| n.ends_with("_acc"))
+                    .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net, b, cycle)))
+                    .collect(),
+                format!("sweep|bits={bits}|cycle={cycle}"),
+            ),
+        };
+        let mut base = Interpreter::new(flat);
+        let (variant, reference) = match stimulus {
+            Stimulus::Gemm => {
+                let inputs = gemm.random_inputs(cfg.seed);
+                let reference = gemm
+                    .execute_reference(&inputs)
+                    .expect("self-generated inputs fit the kernel");
+                load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
+                (tag, Some(reference))
+            }
+            Stimulus::Ramp => {
+                fill_input_banks(&mut base, &design)?;
+                (format!("ramp|{tag}"), None)
+            }
+        };
+        base.poke("start", 1);
+        let golden = {
+            let _golden_span = tensorlib_obs::span("sim.golden_run");
+            run_round(&mut base.clone(), &design, has_tmr)
+        };
+        let (rows, cols) = (cfg.rows, cfg.cols);
+        let (abft_row_sums, abft_col_sums) = match reference {
+            Some(reference) => {
+                // The golden harvest must equal the reference execution
+                // exactly.
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let expected = reference.get(&[i as i64, j as i64]);
+                        let got = golden.c[i * cols + j];
+                        if got != expected {
+                            return Err(CampaignError::GoldenMismatch {
+                                row: i,
+                                col: j,
+                                expected,
+                                got,
+                            });
+                        }
+                    }
+                }
+                // ABFT checksums from the (verified) golden result.
+                (
+                    (0..rows)
+                        .map(|i| (0..cols).map(|j| golden.c[i * cols + j]).sum())
+                        .collect(),
+                    (0..cols)
+                        .map(|j| (0..rows).map(|i| golden.c[i * cols + j]).sum())
+                        .collect(),
+                )
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        Ok(FaultCampaign {
+            cfg: *cfg,
+            variant,
+            design,
+            cycles,
             has_tmr,
             faults,
+            base,
             golden,
             abft_row_sums,
             abft_col_sums,
-            durability,
-        );
-    }
-    let run_one = |fault: &FaultSpec| -> FaultOutcome {
-        durability.chaos_check(&fault.target);
-        let mut sim = base.clone();
-        match sim.attach_faults(std::slice::from_ref(fault)) {
-            Ok(()) => {
-                let run = run_round(&mut sim, design, has_tmr);
-                classify(cfg, fault, &run, golden, abft_row_sums, abft_col_sums)
-            }
-            Err(e) => FaultOutcome {
-                fault: fault.clone(),
-                class: FaultClass::Masked,
-                detectors: Vec::new(),
-                error: Some(format!("attach failed: {e}")),
-            },
-        }
-    };
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let attempts = durability.panic_attempts();
-    let results = par_map_catch_ctl(faults, cfg.workers, 1, ctl, |_, fault| run_one(fault));
-    results
-        .into_iter()
-        .zip(faults)
-        .map(|(r, fault)| match r {
-            CatchOutcome::Done(outcome) => outcome,
-            CatchOutcome::Skipped => degraded_outcome(fault),
-            CatchOutcome::Panicked(mut message) => {
-                // Bounded serial retry before quarantine: a deterministic
-                // panic will recur, but an environmental one (resource
-                // exhaustion under a full worker pool) gets a second chance
-                // on a quiet thread.
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_one(fault))) {
-                        Ok(outcome) => return outcome,
-                        Err(payload) => message = panic_message(payload),
-                    }
-                }
-                quarantined_outcome(fault, attempts, &message)
-            }
         })
-        .collect()
-}
+    }
 
-/// The lane-batched campaign drive: the fault list is chunked into lane
-/// groups *before* the worker pool, each group broadcast onto a
-/// [`BatchSim`] with one fault per lane, and one batched round retires the
-/// whole group. Outcomes stay in fault order and — because every lane is
-/// bit-identical to its scalar counterpart — the assembled report is
-/// byte-identical to the scalar path's for any lane width and worker count.
-/// (The one divergence, shared with the scalar path's per-fault panic
-/// isolation: a panic poisons its whole lane group, so *which* faults carry
-/// a panic error can differ. Clean campaigns are unaffected.)
-#[allow(clippy::too_many_arguments)]
-fn drive_campaign_batched(
-    base: &Interpreter,
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
-    has_tmr: bool,
-    faults: &[FaultSpec],
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-    durability: &DurabilityOptions,
-) -> Vec<FaultOutcome> {
-    let chunks: Vec<&[FaultSpec]> = faults.chunks(cfg.lanes).collect();
-    let run_group = |chunk: &[FaultSpec]| -> Vec<FaultOutcome> {
-        for fault in chunk {
-            durability.chaos_check(&fault.target);
+    /// Classifies one faulted run against golden.
+    fn classify(&self, fault: &FaultSpec, run: &RunResult) -> FaultOutcome {
+        let mut detectors = Vec::new();
+        if run.parity_errors > 0 {
+            detectors.push("parity".to_string());
         }
-        let mut sim = BatchSim::from_scalar(base, chunk.len());
-        let per_lane: Vec<Vec<FaultSpec>> = chunk.iter().map(|f| vec![f.clone()]).collect();
-        let attach = sim.attach_lane_faults(&per_lane);
-        let runs = run_round_batch(&mut sim, design, has_tmr);
-        chunk
-            .iter()
-            .zip(attach)
-            .zip(runs)
-            .map(|((fault, att), run)| match att {
-                Ok(()) => classify(cfg, fault, &run, golden, abft_row_sums, abft_col_sums),
-                Err(e) => FaultOutcome {
-                    fault: fault.clone(),
-                    class: FaultClass::Masked,
-                    detectors: Vec::new(),
-                    error: Some(format!("attach failed: {e}")),
-                },
+        if run.tmr_seen {
+            detectors.push("tmr".to_string());
+        }
+        if self.cfg.hardening.abft {
+            let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+            let row_bad = (self.abft_row_sums.iter().enumerate().take(rows))
+                .any(|(i, &want)| (0..cols).map(|j| run.c[i * cols + j]).sum::<i64>() != want);
+            let col_bad = (self.abft_col_sums.iter().enumerate().take(cols))
+                .any(|(j, &want)| (0..rows).map(|i| run.c[i * cols + j]).sum::<i64>() != want);
+            if row_bad || col_bad {
+                detectors.push("abft".to_string());
+            }
+        }
+        let class = if !detectors.is_empty() {
+            FaultClass::Detected
+        } else if run.c != self.golden.c {
+            FaultClass::Sdc
+        } else {
+            FaultClass::Masked
+        };
+        FaultOutcome {
+            fault: fault.clone(),
+            class,
+            detectors,
+            error: None,
+        }
+    }
+
+    /// Injects `faults` (one chunk) and classifies each against golden.
+    ///
+    /// The fault list is cut into lane groups *before* the worker pool: with
+    /// `lanes == 1` each fault runs on a clone of the scalar base
+    /// interpreter; wider groups are broadcast onto a [`BatchSim`] with one
+    /// fault per lane and retired in one batched round. Every lane is
+    /// bit-identical to its scalar run, so the outcomes — in fault order —
+    /// are byte-identical for any lane width and worker count. (The one
+    /// divergence: a panic poisons its whole lane group, so *which* faults
+    /// carry a panic error can differ. Clean campaigns are unaffected.)
+    ///
+    /// `durability` supplies the watchdog deadline (groups not started in
+    /// time come back [`FaultClass::Degraded`]), the bounded serial retry
+    /// before a panicking group is quarantined, and the chaos hook.
+    fn drive(&self, faults: &[FaultSpec], durability: &DurabilityOptions) -> Vec<FaultOutcome> {
+        let _span = tensorlib_obs::span("sim.fault_injection");
+        tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
+        let lanes = self.cfg.lanes.max(1);
+        let attach_failed = |fault: &FaultSpec, e: &dyn fmt::Display| FaultOutcome {
+            fault: fault.clone(),
+            class: FaultClass::Masked,
+            detectors: Vec::new(),
+            error: Some(format!("attach failed: {e}")),
+        };
+        let run_group = |group: &&[FaultSpec]| -> Vec<FaultOutcome> {
+            for fault in group.iter() {
+                durability.chaos_check(&fault.target);
+            }
+            if lanes == 1 {
+                let fault = &group[0];
+                let mut sim = self.base.clone();
+                return vec![match sim.attach_faults(std::slice::from_ref(fault)) {
+                    Ok(()) => {
+                        let run = run_round(&mut sim, &self.design, self.has_tmr);
+                        self.classify(fault, &run)
+                    }
+                    Err(e) => attach_failed(fault, &e),
+                }];
+            }
+            let mut sim = BatchSim::from_scalar(&self.base, group.len());
+            let per_lane: Vec<Vec<FaultSpec>> = group.iter().map(|f| vec![f.clone()]).collect();
+            let attach = sim.attach_lane_faults(&per_lane);
+            let runs = run_round_batch(&mut sim, &self.design, self.has_tmr);
+            (group.iter().zip(attach).zip(runs))
+                .map(|((fault, att), run)| match att {
+                    Ok(()) => self.classify(fault, &run),
+                    Err(e) => attach_failed(fault, &e),
+                })
+                .collect()
+        };
+        let groups: Vec<&[FaultSpec]> = faults.chunks(lanes).collect();
+        let outcomes = journal::run_items(durability, &groups, self.cfg.workers, 1, run_group);
+        (outcomes.into_iter().zip(&groups))
+            .flat_map(|(outcome, group)| match outcome {
+                ItemOutcome::Done(outcomes) => outcomes,
+                ItemOutcome::Degraded => (group.iter())
+                    .map(|fault| FaultOutcome {
+                        fault: fault.clone(),
+                        class: FaultClass::Degraded,
+                        detectors: Vec::new(),
+                        error: None,
+                    })
+                    .collect(),
+                // The fault spec in the outcome *is* the repro: replaying it
+                // with the campaign seed reproduces the panic.
+                ItemOutcome::Quarantined { attempts, message } => {
+                    let error = if attempts <= 1 {
+                        format!("injected run panicked: {message}")
+                    } else {
+                        format!(
+                            "injected run panicked (quarantined after {attempts} attempts): \
+                             {message}"
+                        )
+                    };
+                    (group.iter())
+                        .map(|fault| FaultOutcome {
+                            fault: fault.clone(),
+                            class: FaultClass::Sdc,
+                            detectors: Vec::new(),
+                            error: Some(error.clone()),
+                        })
+                        .collect()
+                }
             })
-            .collect::<Vec<FaultOutcome>>()
-    };
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let attempts = durability.panic_attempts();
-    let results = par_map_catch_ctl(&chunks, cfg.workers, 1, ctl, |_, chunk| run_group(chunk));
-    results
-        .into_iter()
-        .zip(&chunks)
-        .flat_map(|(r, chunk)| match r {
-            CatchOutcome::Done(outcomes) => outcomes,
-            CatchOutcome::Skipped => chunk.iter().map(degraded_outcome).collect(),
-            CatchOutcome::Panicked(mut message) => {
-                // A panic poisons the whole lane group; retry the group
-                // serially before quarantining every member.
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_group(chunk))) {
-                        Ok(outcomes) => return outcomes,
-                        Err(payload) => message = panic_message(payload),
-                    }
-                }
-                chunk
-                    .iter()
-                    .map(|fault| quarantined_outcome(fault, attempts, &message))
-                    .collect()
-            }
-        })
-        .collect()
-}
-
-/// Output of campaign setup shared by both entry points.
-struct CampaignBase {
-    design: AcceleratorDesign,
-    flat: FlatDesign,
-    cycles: u64,
-    has_tmr: bool,
-}
-
-fn prepare(cfg: &CampaignConfig) -> Result<CampaignBase, CampaignError> {
-    let mut design = gemm_design(cfg)?;
-    if cfg.opt {
-        design.optimize(&tensorlib_hw::opt::OptOptions::default());
+            .collect()
     }
-    let flat = elaborate_design(&design, design.top())?;
-    // One idle handshake cycle plus one full load/compute/drain round.
-    let cycles = 1 + design.phases().total();
-    let has_tmr = cfg.hardening.tmr_ctrl;
-    Ok(CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    })
 }
-
-/// Runs a generic ramp-stimulus campaign: banks filled with the counter
-/// harness ramp, `count` seeded faults sampled over every register, bank
-/// word, and controller state in the flattened design.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the design fails to generate, flatten, or
-/// preload.
-pub fn run_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
-    let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let sites = enumerate_sites(&flat);
-    let faults = sample_faults(&sites, cfg.faults, cfg.seed, cycles);
-
-    let mut base = Interpreter::new(flat);
-    fill_input_banks(&mut base, &design)?;
-    base.poke("start", 1);
-
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        &faults,
-        &golden,
-        &[],
-        &[],
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
-}
-
-/// Runs the real-data GEMM campaign: output-stationary `rows x cols` GEMM
-/// with seeded random matrices streamed through the top level. The golden
-/// run is cross-checked element-wise against [`tensorlib_ir`]'s reference
-/// executor before any fault is injected, and ABFT row/column checksums are
-/// verified on every harvested result when the design is hardened with
-/// ABFT.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] on setup failure or if the golden run
-/// disagrees with the reference executor.
-pub fn run_gemm_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
-    let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-
-    let sites = enumerate_sites(&flat);
-    let faults = sample_faults(&sites, cfg.faults, cfg.seed, cycles);
-
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    // The golden harvest must equal the reference execution exactly.
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
-            }
-        }
-    }
-    // ABFT checksums from the (verified) golden result.
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        &faults,
-        &golden,
-        &abft_row_sums,
-        &abft_col_sums,
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
-}
-
-/// Enumerates PE accumulator registers (`*_acc` nets) of a campaign design —
-/// the datapath state ABFT protects. Used by coverage tests and the CLI's
-/// accumulator-sweep mode.
-pub fn accumulator_sites(cfg: &CampaignConfig) -> Result<Vec<String>, CampaignError> {
-    let CampaignBase { flat, .. } = prepare(cfg)?;
-    Ok(flat
-        .regs()
-        .iter()
-        .map(|r| flat.nets()[r.target].name.clone())
-        .filter(|n| n.ends_with("_acc"))
-        .collect())
-}
-
-/// Runs the GEMM campaign over an exhaustive accumulator bit-flip sweep:
-/// every `*_acc` register × every bit in `0..bits` flipped at `cycle`.
-/// This is the ABFT acceptance sweep — with ABFT on, every flip that lands
-/// while accumulation is still live must be detected.
-///
-/// # Errors
-///
-/// Same as [`run_gemm_campaign`].
-pub fn run_accumulator_sweep(
-    cfg: &CampaignConfig,
-    bits: u32,
-    cycle: u64,
-) -> Result<ResilienceReport, CampaignError> {
-    let accs = accumulator_sites(cfg)?;
-    let faults: Vec<FaultSpec> = accs
-        .iter()
-        .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net.as_str(), b, cycle)))
-        .collect();
-    run_gemm_campaign_with_faults(cfg, &faults)
-}
-
-/// [`run_gemm_campaign`] with an explicit fault list instead of seeded
-/// sampling.
-///
-/// # Errors
-///
-/// Same as [`run_gemm_campaign`].
-pub fn run_gemm_campaign_with_faults(
-    cfg: &CampaignConfig,
-    faults: &[FaultSpec],
-) -> Result<ResilienceReport, CampaignError> {
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
-            }
-        }
-    }
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        faults,
-        &golden,
-        &abft_row_sums,
-        &abft_col_sums,
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
-}
-
-// ---------------------------------------------------------------------------
-// Durable (journaled / budget-bounded) campaign path.
-// ---------------------------------------------------------------------------
 
 fn decode_fault_kind(v: &Value) -> Result<FaultKind, String> {
     let entries = v
@@ -995,178 +761,165 @@ fn decode_outcome(v: &Value) -> Result<FaultOutcome, String> {
     })
 }
 
-/// Telemetry outcome counter for one fault-campaign chunk payload: fault
-/// classes by lowercased name (`masked` / `detected` / `sdc` / `degraded`),
-/// plus `errors` for outcomes carrying an error string and `panicked` for
-/// the quarantined-panic subset. Tolerant by design — telemetry is
-/// best-effort, so an undecodable payload counts as nothing rather than
-/// failing the campaign (replay decoding is where strictness lives).
-fn count_fault_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    let Some(items) = doc.as_array() else {
-        return counts;
-    };
-    for item in items {
-        let class = item
-            .get("class")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown");
-        *counts.entry(class.to_ascii_lowercase()).or_insert(0) += 1;
-        if let Some(error) = item.get("error").and_then(Value::as_str) {
-            *counts.entry("errors".to_string()).or_insert(0) += 1;
-            if error.contains("panicked") {
-                *counts.entry("panicked".to_string()).or_insert(0) += 1;
-            }
+impl journal::Campaign for FaultCampaign {
+    const KIND: &'static str = "faults";
+    type Chunk = Vec<FaultOutcome>;
+    type Report = ResilienceReport;
+
+    /// The serialized config with the worker count zeroed (resuming with a
+    /// different `--workers` is legal — reports are worker-count
+    /// independent), plus the knobs serde skips but which shape the run
+    /// (`lanes` sets lane-group and default chunk boundaries; `opt` selects
+    /// which netlist is faulted).
+    fn canonical_config(&self) -> String {
+        let canon = CampaignConfig {
+            workers: 0,
+            ..self.cfg
+        };
+        format!(
+            "{}|{}|lanes={}|opt={}",
+            serde_json::to_string(&canon).expect("campaign config serializes"),
+            self.variant,
+            self.cfg.lanes.max(1),
+            self.cfg.opt,
+        )
+    }
+
+    /// A chunk is a multiple of the lane width by default, so lane-group
+    /// boundaries inside a chunk coincide with a single-chunk run's. (Any
+    /// other size gives the same bytes too: every lane is bit-identical to
+    /// its scalar run.)
+    fn chunk_plan(&self, durability: &DurabilityOptions) -> journal::ChunkPlan {
+        let chunk_size = durability.chunk_size_for(self.faults.len(), 16 * self.cfg.lanes.max(1));
+        journal::ChunkPlan {
+            chunk_size,
+            chunks: self.faults.len().div_ceil(chunk_size),
         }
     }
-    counts
-}
 
-/// Decodes one journaled chunk payload back into typed outcomes. Inverse of
-/// `serde_json::to_string(&Vec<FaultOutcome>)`: re-serializing the decoded
-/// outcomes reproduces the payload byte-for-byte, which is what keeps a
-/// resumed report identical to an uninterrupted one.
-fn decode_outcomes(payload: &str) -> Result<Vec<FaultOutcome>, String> {
-    let doc = tensorlib_obs::json::parse(payload)?;
-    doc.as_array()
-        .ok_or_else(|| "chunk payload is not an array".to_string())?
-        .iter()
-        .map(decode_outcome)
+    fn run_chunk(
+        &self,
+        plan: &journal::ChunkPlan,
+        index: usize,
+        durability: &DurabilityOptions,
+    ) -> Vec<FaultOutcome> {
+        let lo = index * plan.chunk_size;
+        let hi = (lo + plan.chunk_size).min(self.faults.len());
+        self.drive(&self.faults[lo..hi], durability)
+    }
+
+    fn decode_chunk(payload: &str) -> Result<Vec<FaultOutcome>, String> {
+        let doc = tensorlib_obs::json::parse(payload)?;
+        (doc.as_array())
+            .ok_or_else(|| "chunk payload is not an array".to_string())?
+            .iter()
+            .map(decode_outcome)
+            .collect()
+    }
+
+    fn aggregate(
+        &self,
+        _plan: &journal::ChunkPlan,
+        chunks: Vec<Vec<FaultOutcome>>,
+    ) -> ResilienceReport {
+        // Appending onto the first chunk keeps a single-chunk run copy-free.
+        let mut chunks = chunks.into_iter();
+        let mut outcomes = chunks.next().unwrap_or_default();
+        outcomes.extend(chunks.flatten());
+        let count = |class| outcomes.iter().filter(|o| o.class == class).count();
+        let (masked, detected, sdc) = (
+            count(FaultClass::Masked),
+            count(FaultClass::Detected),
+            count(FaultClass::Sdc),
+        );
+        ResilienceReport {
+            design: self.design.name().to_string(),
+            hardening: self.cfg.hardening.to_string(),
+            cycles_per_run: self.cycles,
+            faults: outcomes.len(),
+            masked,
+            detected,
+            sdc,
+            errors: outcomes.iter().filter(|o| o.error.is_some()).count(),
+            degraded: count(FaultClass::Degraded),
+            detection_coverage: if detected + sdc == 0 {
+                1.0
+            } else {
+                detected as f64 / (detected + sdc) as f64
+            },
+            outcomes,
+        }
+    }
+
+    fn history_metrics(r: &ResilienceReport) -> BTreeMap<String, f64> {
+        [
+            ("faults", r.faults as f64),
+            ("masked", r.masked as f64),
+            ("detected", r.detected as f64),
+            ("sdc", r.sdc as f64),
+            ("errors", r.errors as f64),
+            ("degraded", r.degraded as f64),
+            ("detection_coverage", r.detection_coverage),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
         .collect()
-}
+    }
 
-/// Canonical config string for journal keying: the serialized config with
-/// the worker count zeroed (resuming with a different `--workers` is legal —
-/// reports are worker-count-independent), plus the knobs serde skips but
-/// which shape the run (`lanes` sets lane-group and default chunk
-/// boundaries; `opt` selects which netlist is faulted).
-fn canonical_config(cfg: &CampaignConfig, variant: &str) -> String {
-    let canon = CampaignConfig {
-        workers: 0,
-        ..*cfg
-    };
-    format!(
-        "{}|{variant}|lanes={}|opt={}",
-        serde_json::to_string(&canon).expect("campaign config serializes"),
-        cfg.lanes.max(1),
-        cfg.opt,
-    )
-}
-
-fn run_gemm_campaign_chunked(
-    cfg: &CampaignConfig,
-    faults_override: Option<Vec<FaultSpec>>,
-    variant: &str,
-    durability: &DurabilityOptions,
-) -> Result<(ResilienceReport, RunStats), CampaignError> {
-    let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-    let faults = match faults_override {
-        Some(f) => f,
-        None => {
-            let sites = enumerate_sites(&flat);
-            sample_faults(&sites, cfg.faults, cfg.seed, cycles)
-        }
-    };
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
+    /// Fault classes by lowercased name, plus `errors` for outcomes carrying
+    /// an error string and `panicked` for the quarantined-panic subset. An
+    /// undecodable payload counts as nothing: telemetry is best-effort.
+    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
+        let mut counts = BTreeMap::new();
+        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
+            return counts;
+        };
+        let Some(items) = doc.as_array() else {
+            return counts;
+        };
+        for item in items {
+            let class = item
+                .get("class")
+                .and_then(Value::as_str)
+                .unwrap_or("unknown");
+            *counts.entry(class.to_ascii_lowercase()).or_insert(0) += 1;
+            if let Some(error) = item.get("error").and_then(Value::as_str) {
+                *counts.entry("errors".to_string()).or_insert(0) += 1;
+                if error.contains("panicked") {
+                    *counts.entry("panicked".to_string()).or_insert(0) += 1;
+                }
             }
         }
+        counts
     }
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-
-    // A chunk is a multiple of the lane width, so lane-group boundaries
-    // inside a chunk coincide with the non-chunked batched path's and the
-    // assembled outcome list is byte-identical to a single-shot run.
-    let lanes = cfg.lanes.max(1);
-    let chunk_size = durability.chunk_size.unwrap_or(16 * lanes).max(1);
-    let total_chunks = faults.len().div_ceil(chunk_size);
-    let hash = journal::config_hash(
-        "faults",
-        chunk_size,
-        total_chunks,
-        &canonical_config(cfg, variant),
-    );
-    let telemetry = journal::TelemetrySpec {
-        kind: "faults",
-        count_outcomes: &count_fault_outcomes,
-    };
-    let (slots, stats) =
-        journal::run_chunked_observed(durability, hash, total_chunks, Some(&telemetry), |i| {
-            let lo = i * chunk_size;
-            let hi = (lo + chunk_size).min(faults.len());
-            let outcomes = drive_campaign(
-                &base,
-                &design,
-                cfg,
-                has_tmr,
-                &faults[lo..hi],
-                &golden,
-                &abft_row_sums,
-                &abft_col_sums,
-                durability,
-            );
-            serde_json::to_string(&outcomes).expect("outcomes serialize")
-        })?;
-    // Completed chunks are always a prefix (chunks execute in ascending
-    // order and an interrupt stops the loop), so assembly stops at the
-    // first missing slot.
-    let mut outcomes = Vec::with_capacity(faults.len());
-    for slot in slots {
-        let Some(payload) = slot else { break };
-        outcomes.extend(decode_outcomes(&payload).map_err(JournalError::Decode)?);
-    }
-    Ok((aggregate(&design, cfg, cycles, outcomes), stats))
 }
 
-/// [`run_gemm_campaign`] with campaign durability: the fault list is split
-/// into deterministic chunks, completed chunks are journaled to
-/// `durability.dir` (when set) and replayed on resume, the per-chunk
-/// watchdog demotes late faults to [`FaultClass::Degraded`], panicking
-/// faults are retried then quarantined, and an interrupt drains the
-/// in-flight chunk before returning a partial (but valid and resumable)
-/// report with `stats.interrupted` set.
-///
-/// With inert options this is exactly [`run_gemm_campaign`].
+/// Runs a generic ramp-stimulus campaign: banks filled with the counter
+/// harness ramp, `count` seeded faults sampled over every register, bank
+/// word, and controller state in the flattened design.
 ///
 /// # Errors
 ///
-/// Everything [`run_gemm_campaign`] returns, plus
+/// Returns [`CampaignError`] if the design fails to generate, flatten, or
+/// preload.
+pub fn run_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
+    let campaign = FaultCampaign::new(cfg, Stimulus::Ramp, FaultSelection::Sampled)?;
+    Ok(journal::execute(&campaign, &DurabilityOptions::default())?.0)
+}
+
+/// Runs the real-data GEMM campaign ([`FaultCampaign::gemm`]) with campaign
+/// durability: the fault list is split into deterministic chunks (one chunk
+/// when there is neither a journal nor a watchdog), completed chunks are
+/// journaled to `durability.dir` (when set) and replayed on resume, the
+/// per-chunk watchdog demotes late faults to [`FaultClass::Degraded`],
+/// panicking faults are retried then quarantined, and an interrupt drains
+/// the in-flight chunk before returning a partial (but valid and resumable)
+/// report with `stats.interrupted` set. The report bytes do not depend on
+/// the chunk geometry.
+///
+/// # Errors
+///
+/// Setup failures from [`FaultCampaign::gemm`], plus
 /// [`CampaignError::Journal`] for journal open/append/decode failures —
 /// including a `--resume` directory whose journal belongs to a different
 /// config.
@@ -1174,49 +927,34 @@ pub fn run_gemm_campaign_durable(
     cfg: &CampaignConfig,
     durability: &DurabilityOptions,
 ) -> Result<(ResilienceReport, RunStats), CampaignError> {
-    if durability.is_inert() {
-        return Ok((run_gemm_campaign(cfg)?, RunStats::default()));
-    }
-    run_gemm_campaign_chunked(cfg, None, "sampled", durability)
-}
-
-/// [`run_accumulator_sweep`] with campaign durability; see
-/// [`run_gemm_campaign_durable`].
-///
-/// # Errors
-///
-/// Same as [`run_gemm_campaign_durable`].
-pub fn run_accumulator_sweep_durable(
-    cfg: &CampaignConfig,
-    bits: u32,
-    cycle: u64,
-    durability: &DurabilityOptions,
-) -> Result<(ResilienceReport, RunStats), CampaignError> {
-    if durability.is_inert() {
-        return Ok((run_accumulator_sweep(cfg, bits, cycle)?, RunStats::default()));
-    }
-    let accs = accumulator_sites(cfg)?;
-    let faults: Vec<FaultSpec> = accs
-        .iter()
-        .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net.as_str(), b, cycle)))
-        .collect();
-    run_gemm_campaign_chunked(
-        cfg,
-        Some(faults),
-        &format!("sweep|bits={bits}|cycle={cycle}"),
-        durability,
-    )
+    Ok(journal::execute(&FaultCampaign::gemm(cfg)?, durability)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The GEMM campaign with default durability: one unjournaled chunk.
+    fn run_gemm(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
+        run_gemm_campaign_durable(cfg, &DurabilityOptions::default()).map(|(report, _)| report)
+    }
+
+    /// The accumulator sweep of `bits` bits flipped at `cycle`.
+    fn run_sweep(
+        cfg: &CampaignConfig,
+        bits: u32,
+        cycle: u64,
+        durability: &DurabilityOptions,
+    ) -> Result<(ResilienceReport, RunStats), CampaignError> {
+        let campaign = FaultCampaign::accumulator_sweep(cfg, bits, cycle)?;
+        Ok(journal::execute(&campaign, durability)?)
+    }
+
     #[test]
     fn golden_gemm_round_matches_reference() {
         // The campaign's own golden cross-check is the assertion: any skew
         // or drain mis-protocol fails here with GoldenMismatch.
-        let report = run_gemm_campaign(&CampaignConfig {
+        let report = run_gemm(&CampaignConfig {
             faults: 4,
             ..CampaignConfig::default()
         })
@@ -1227,7 +965,7 @@ mod tests {
 
     #[test]
     fn unhardened_campaign_detects_nothing() {
-        let report = run_gemm_campaign(&CampaignConfig {
+        let report = run_gemm(&CampaignConfig {
             faults: 24,
             seed: 3,
             ..CampaignConfig::default()
@@ -1240,7 +978,7 @@ mod tests {
     #[test]
     fn campaigns_are_seed_deterministic_across_worker_counts() {
         let mk = |workers| {
-            run_gemm_campaign(&CampaignConfig {
+            run_gemm(&CampaignConfig {
                 faults: 16,
                 seed: 11,
                 hardening: Hardening::full(),
@@ -1254,7 +992,7 @@ mod tests {
         assert_eq!(one, four, "worker count must not change the report");
         assert_ne!(
             one,
-            run_gemm_campaign(&CampaignConfig {
+            run_gemm(&CampaignConfig {
                 faults: 16,
                 seed: 12,
                 hardening: Hardening::full(),
@@ -1269,7 +1007,7 @@ mod tests {
     #[test]
     fn batched_campaign_report_is_byte_identical_to_scalar() {
         let mk = |lanes| {
-            run_gemm_campaign(&CampaignConfig {
+            run_gemm(&CampaignConfig {
                 faults: 20,
                 seed: 11,
                 hardening: Hardening::full(),
@@ -1300,7 +1038,8 @@ mod tests {
         // Every accumulator × bits 0..8, flipped mid-accumulation: the
         // injected delta persists into the swap capture, so ABFT checksums
         // must catch every single one — zero silent corruptions.
-        let report = run_accumulator_sweep(&cfg, 8, 6).unwrap();
+        let (report, _) =
+            run_sweep(&cfg, 8, 6, &DurabilityOptions::default()).unwrap();
         assert_eq!(report.faults, 16 * 8);
         assert_eq!(report.sdc, 0, "ABFT missed a corrupting accumulator flip");
         assert_eq!(report.masked, 0, "an accumulator flip cannot be masked");
@@ -1315,17 +1054,45 @@ mod tests {
     }
 
     #[test]
-    fn durable_inert_path_matches_legacy_exactly() {
-        let cfg = CampaignConfig {
-            faults: 8,
-            seed: 7,
-            ..CampaignConfig::default()
-        };
-        let legacy = run_gemm_campaign(&cfg).unwrap();
-        let (durable, stats) =
-            run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
-        assert_eq!(legacy, durable);
-        assert_eq!(stats, RunStats::default());
+    fn report_bytes_are_invariant_under_chunk_geometry() {
+        type Run = dyn Fn(
+            &CampaignConfig,
+            &DurabilityOptions,
+        ) -> Result<(ResilienceReport, RunStats), CampaignError>;
+        let sampled: &Run = &|cfg, d| run_gemm_campaign_durable(cfg, d);
+        let sweep: &Run = &|cfg, d| run_sweep(cfg, 4, 6, d);
+        for lanes in [1, 8] {
+            let cfg = CampaignConfig {
+                faults: 19,
+                seed: 11,
+                hardening: Hardening::full(),
+                lanes,
+                ..CampaignConfig::default()
+            };
+            for (name, run) in [("sampled", sampled), ("sweep", sweep)] {
+                let (single, stats) = run(&cfg, &DurabilityOptions::default()).unwrap();
+                assert_eq!(stats.chunks_total, 1, "{name}: derived single chunk");
+                let want = serde_json::to_string(&single).unwrap();
+                let items = single.faults;
+                // 1, the lane width, the journaled default, the derived
+                // single chunk, and no override at all.
+                for chunk_size in [Some(1), Some(lanes), Some(16 * lanes), Some(items), None] {
+                    for journaled in [false, true] {
+                        let tag = format!("{name}_{lanes}_{chunk_size:?}_{journaled}");
+                        let dir = tmpdir(&format!("geom_{tag}"));
+                        let opts = DurabilityOptions {
+                            dir: journaled.then(|| dir.clone()),
+                            chunk_size,
+                            ..DurabilityOptions::default()
+                        };
+                        let (report, stats) = run(&cfg, &opts).unwrap();
+                        assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
+                        assert_eq!(stats.chunks_executed, stats.chunks_total, "{tag}");
+                        let _ = std::fs::remove_dir_all(&dir);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1336,7 +1103,7 @@ mod tests {
             hardening: Hardening::full(),
             ..CampaignConfig::default()
         };
-        let single = serde_json::to_string(&run_gemm_campaign(&cfg).unwrap()).unwrap();
+        let single = serde_json::to_string(&run_gemm(&cfg).unwrap()).unwrap();
         for chunk_size in [1, 4, 19, 64] {
             let opts = DurabilityOptions {
                 chunk_size: Some(chunk_size),
@@ -1361,7 +1128,7 @@ mod tests {
             seed: 5,
             ..CampaignConfig::default()
         };
-        let clean = serde_json::to_string(&run_gemm_campaign(&cfg).unwrap()).unwrap();
+        let clean = serde_json::to_string(&run_gemm(&cfg).unwrap()).unwrap();
         let opts = DurabilityOptions {
             dir: Some(dir.clone()),
             chunk_size: Some(3),
@@ -1455,7 +1222,7 @@ mod tests {
         // Every sampled fault target lives under the top module; chaos on
         // the full campaign would quarantine everything, so aim at one
         // sampled target by running a clean campaign first.
-        let clean = run_gemm_campaign(&cfg).unwrap();
+        let clean = run_gemm(&cfg).unwrap();
         let victim = clean.outcomes[2].fault.target.clone();
         let opts = DurabilityOptions {
             chunk_size: Some(4),

@@ -22,7 +22,7 @@
 //! report deliberately omits the worker count, so the serialized report is
 //! byte-identical for any `workers` setting — a property CI asserts.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 
 use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
@@ -38,11 +38,10 @@ use tensorlib_hw::interp::{elaborate_design, Interpreter};
 use tensorlib_hw::trace::TraceConfig;
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::{workloads, Kernel};
-use tensorlib_linalg::par::{panic_message, par_map_catch, par_map_catch_ctl, CatchOutcome, MapControl};
 use tensorlib_obs::json::Value;
 
 use crate::functional::{simulate_budgeted, SimError};
-use crate::journal::{self, DurabilityOptions, JournalError, RunStats};
+use crate::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Campaign parameters shared by both fuzzing modes.
@@ -110,14 +109,14 @@ pub struct Finding {
 }
 
 /// Per-mode campaign tallies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ModeReport {
     /// Seeds executed.
     pub seeds_run: u64,
     /// Samples the pipeline legitimately rejected (pipeline mode only).
     pub rejected: u64,
-    /// Seeds demoted by the per-chunk watchdog before they could run
-    /// (durable campaigns only; always 0 on the legacy path).
+    /// Seeds demoted by the per-chunk watchdog (`--chunk-timeout`) before
+    /// they could run.
     pub degraded: u64,
     /// Surviving disagreements, in seed order.
     pub findings: Vec<Finding>,
@@ -191,17 +190,6 @@ fn netlist_finding(seed: u64, cfg: &VerifyConfig) -> Option<Finding> {
         rust_snippet: Some(rust_repro(&shrunk, &stop, seed, cfg.cycles)),
         pipeline: None,
     })
-}
-
-/// Runs the netlist-mode campaign: `cfg.seeds` random netlists through the
-/// full [`tensorlib_hw::fuzz`] oracle stack, shrinking every failure.
-pub fn run_netlist_campaign(cfg: &VerifyConfig) -> ModeReport {
-    let _span = tensorlib_obs::span("verify.netlist_campaign");
-    let seeds: Vec<u64> = (cfg.seed_start..cfg.seed_start + cfg.seeds).collect();
-    let results = par_map_catch(&seeds, cfg.workers.max(1), 8, |_, &seed| {
-        netlist_finding(seed, cfg)
-    });
-    collect_findings(cfg.seeds, 0, seeds, results)
 }
 
 // ---------------------------------------------------------------------------
@@ -678,230 +666,78 @@ fn opt_round(design: &AcceleratorDesign) -> Result<(), (String, String)> {
 
 /// Runs the pipeline-mode campaign: `cfg.seeds` sampled generation
 /// pipelines, each through design validation, the reference functional
-/// executor, and a dual-engine controller round.
+/// executor, and a dual-engine controller round. Equivalent to the
+/// pipeline half of [`run_verify_durable`] with default durability.
 pub fn run_pipeline_campaign(cfg: &VerifyConfig) -> ModeReport {
-    let _span = tensorlib_obs::span("verify.pipeline_campaign");
-    let seeds: Vec<u64> = (cfg.seed_start..cfg.seed_start + cfg.seeds).collect();
-    let results = par_map_catch(&seeds, cfg.workers.max(1), 4, |_, &seed| {
-        match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
-            PipelineOutcome::Clean => (false, None),
-            PipelineOutcome::Rejected => (true, None),
-            PipelineOutcome::Failed { kind, detail } => (
-                false,
-                Some(Finding {
-                    mode: "pipeline".into(),
-                    seed,
-                    kind,
-                    detail,
-                    shrunk_nets: None,
-                    modules_json: None,
-                    rust_snippet: None,
-                    pipeline: Some(sample_pipeline(seed)),
-                }),
-            ),
-        }
-    });
-    let mut rejected = 0u64;
-    let mut findings = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok((true, _)) => rejected += 1,
-            Ok((false, Some(f))) => findings.push(f),
-            Ok((false, None)) => {}
-            Err(panic_msg) => findings.push(panic_finding("pipeline", seeds[i], panic_msg)),
-        }
-    }
-    ModeReport {
-        seeds_run: cfg.seeds,
-        rejected,
-        degraded: 0,
-        findings,
-    }
+    let (report, _) = run_verify_durable(cfg, false, true, &DurabilityOptions::default())
+        .expect("an unjournaled campaign cannot fail");
+    report.pipeline.expect("pipeline mode was enabled")
 }
 
 // ---------------------------------------------------------------------------
-// Report assembly
+// Chunked (journaled) campaigns
 // ---------------------------------------------------------------------------
 
-fn panic_finding(mode: &str, seed: u64, msg: String) -> Finding {
-    Finding {
-        mode: mode.into(),
-        seed,
-        kind: "panic".into(),
-        detail: msg,
-        shrunk_nets: None,
-        modules_json: None,
-        rust_snippet: None,
-        pipeline: None,
-    }
-}
-
-fn collect_findings(
-    seeds_run: u64,
-    rejected: u64,
-    seeds: Vec<u64>,
-    results: Vec<Result<Option<Finding>, String>>,
-) -> ModeReport {
-    let mut findings = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(Some(f)) => findings.push(f),
-            Ok(None) => {}
-            Err(panic_msg) => findings.push(panic_finding("netlist", seeds[i], panic_msg)),
-        }
-    }
-    ModeReport {
-        seeds_run,
-        rejected,
-        degraded: 0,
-        findings,
-    }
-}
-
-/// Runs the requested campaign modes and assembles the final report.
-pub fn run_verify(
-    cfg: &VerifyConfig,
-    netlist: bool,
-    pipeline: bool,
-) -> VerifyReport {
-    let netlist = netlist.then(|| run_netlist_campaign(cfg));
-    let pipeline = pipeline.then(|| run_pipeline_campaign(cfg));
-    let total_findings = netlist.as_ref().map_or(0, |m| m.findings.len())
-        + pipeline.as_ref().map_or(0, |m| m.findings.len());
-    VerifyReport {
-        seed_start: cfg.seed_start,
-        seeds: cfg.seeds,
-        cycles: cfg.cycles,
-        netlist,
-        pipeline,
-        total_findings,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Durable (journaled) campaigns
-// ---------------------------------------------------------------------------
-
-/// One journal chunk's worth of fuzz results: a contiguous seed range from
-/// one mode, fully classified. Serialization must round-trip through
-/// [`decode_verify_chunk`] byte-for-byte — that is what keeps a resumed
-/// report identical to an uninterrupted one.
-#[derive(Serialize)]
-struct VerifyChunk {
-    seeds_run: u64,
-    rejected: u64,
-    degraded: u64,
-    findings: Vec<Finding>,
-}
-
-/// Canonical config string for journal keying: the serialized config with
-/// the worker count zeroed (resuming with a different `--workers` is legal —
-/// reports are worker-count-independent), plus the enabled-mode flags and
-/// the knobs serde skips but which select which oracles run on each seed.
-fn canonical_verify_config(cfg: &VerifyConfig, netlist: bool, pipeline: bool) -> String {
-    let canon = VerifyConfig {
-        workers: 0,
-        ..*cfg
-    };
-    format!(
-        "{}|netlist={netlist}|pipeline={pipeline}|lanes={}|opt={}",
-        serde_json::to_string(&canon).expect("verify config serializes"),
-        cfg.lanes.max(1),
-        cfg.opt,
-    )
-}
-
-/// Runs the seeds `lo..hi` of one mode under the durability policy:
-/// chunk-wide watchdog deadline (late seeds demote to `degraded`), bounded
-/// serial retries for panicking seeds before the panic is quarantined as a
-/// `kind: "panic"` finding, and the chaos hook for fault-injection tests.
+/// Runs the seeds `lo..hi` of one mode under the durability policy
+/// ([`journal::run_items`]): late seeds demote to `degraded`, a seed that
+/// panics on every retry is quarantined as a `kind: "panic"` finding, and
+/// the chaos hook serves fault-injection tests.
 fn run_seed_chunk(
     cfg: &VerifyConfig,
     netlist_mode: bool,
     lo: u64,
     hi: u64,
     durability: &DurabilityOptions,
-) -> VerifyChunk {
+) -> ModeReport {
     let mode = if netlist_mode { "netlist" } else { "pipeline" };
-    let seeds: Vec<u64> = (lo..hi).collect();
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
+    let finding = |seed: u64, kind: String, detail: String| Finding {
+        mode: mode.into(),
+        seed,
+        kind,
+        detail,
+        shrunk_nets: None,
+        modules_json: None,
+        rust_snippet: None,
+        pipeline: None,
     };
-    // `(rejected, finding)` mirrors the legacy pipeline tuple; netlist mode
-    // never rejects.
-    let run_seed = |seed: u64| -> (bool, Option<Finding>) {
+    // `(rejected, finding)`; netlist mode never rejects.
+    let run_seed = |&seed: &u64| -> (bool, Option<Finding>) {
         durability.chaos_check(&format!("{mode}:{seed}"));
         if netlist_mode {
-            (false, netlist_finding(seed, cfg))
-        } else {
-            match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
-                PipelineOutcome::Clean => (false, None),
-                PipelineOutcome::Rejected => (true, None),
-                PipelineOutcome::Failed { kind, detail } => (
-                    false,
-                    Some(Finding {
-                        mode: "pipeline".into(),
-                        seed,
-                        kind,
-                        detail,
-                        shrunk_nets: None,
-                        modules_json: None,
-                        rust_snippet: None,
-                        pipeline: Some(sample_pipeline(seed)),
-                    }),
-                ),
-            }
+            return (false, netlist_finding(seed, cfg));
+        }
+        match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
+            PipelineOutcome::Clean => (false, None),
+            PipelineOutcome::Rejected => (true, None),
+            PipelineOutcome::Failed { kind, detail } => (
+                false,
+                Some(Finding {
+                    pipeline: Some(sample_pipeline(seed)),
+                    ..finding(seed, kind, detail)
+                }),
+            ),
         }
     };
-    let par_chunk = if netlist_mode { 8 } else { 4 };
-    let results = par_map_catch_ctl(&seeds, cfg.workers.max(1), par_chunk, ctl, |_, &seed| {
-        run_seed(seed)
-    });
-    let mut out = VerifyChunk {
+    let seeds: Vec<u64> = (lo..hi).collect();
+    let batch = if netlist_mode { 8 } else { 4 };
+    let mut out = ModeReport {
         seeds_run: seeds.len() as u64,
-        rejected: 0,
-        degraded: 0,
-        findings: Vec::new(),
+        ..ModeReport::default()
     };
-    for (i, r) in results.into_iter().enumerate() {
-        let seed = seeds[i];
-        let resolved = match r {
-            CatchOutcome::Skipped => {
-                out.degraded += 1;
-                continue;
+    let outcomes = journal::run_items(durability, &seeds, cfg.workers.max(1), batch, run_seed);
+    for (outcome, &seed) in outcomes.into_iter().zip(&seeds) {
+        match outcome {
+            ItemOutcome::Done((true, _)) => out.rejected += 1,
+            ItemOutcome::Done((false, f)) => out.findings.extend(f),
+            ItemOutcome::Degraded => out.degraded += 1,
+            ItemOutcome::Quarantined { attempts, message } => {
+                let detail = if attempts > 1 {
+                    format!("quarantined after {attempts} attempts: {message}")
+                } else {
+                    message
+                };
+                out.findings.push(finding(seed, "panic".into(), detail));
             }
-            CatchOutcome::Done(x) => Some(x),
-            CatchOutcome::Panicked(first) => {
-                // Bounded serial retries: a flaky panic may clear, a
-                // deterministic one is quarantined and the campaign goes on.
-                let attempts = durability.panic_attempts();
-                let mut msg = first;
-                let mut retried = None;
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_seed(seed))) {
-                        Ok(x) => {
-                            retried = Some(x);
-                            break;
-                        }
-                        Err(payload) => msg = panic_message(payload),
-                    }
-                }
-                if retried.is_none() {
-                    let detail = if attempts > 1 {
-                        format!("quarantined after {attempts} attempts: {msg}")
-                    } else {
-                        msg
-                    };
-                    out.findings.push(panic_finding(mode, seed, detail));
-                }
-                retried
-            }
-        };
-        match resolved {
-            Some((true, _)) => out.rejected += 1,
-            Some((false, Some(f))) => out.findings.push(f),
-            Some((false, None)) | None => {}
         }
     }
     out
@@ -973,59 +809,182 @@ fn decode_finding(v: &Value) -> Result<Finding, String> {
     })
 }
 
-/// Decodes one journaled chunk payload. Inverse of
-/// `serde_json::to_string(&VerifyChunk)`.
-fn decode_verify_chunk(payload: &str) -> Result<(u64, u64, u64, Vec<Finding>), String> {
-    let doc = tensorlib_obs::json::parse(payload)?;
-    Ok((
-        journal::field_u64(&doc, "seeds_run")?,
-        journal::field_u64(&doc, "rejected")?,
-        journal::field_u64(&doc, "degraded")?,
-        journal::field_array(&doc, "findings")?
-            .iter()
-            .map(decode_finding)
-            .collect::<Result<Vec<Finding>, String>>()?,
-    ))
+/// The fuzz campaign over the enabled modes, for [`journal::execute`].
+/// Each mode's seed range is split into the same chunks; netlist chunks
+/// come first, then pipeline chunks, sharing one journal.
+pub struct VerifyCampaign {
+    cfg: VerifyConfig,
+    netlist: bool,
+    pipeline: bool,
 }
 
-/// Telemetry outcome counter for one fuzz chunk payload: seeds run,
-/// rejected and degraded seeds, findings, plus the `panicked` subset of
-/// findings (quarantined panics surface as `kind: "panic"`). Tolerant by
-/// design — telemetry is best-effort, so an undecodable payload counts as
-/// nothing (replay decoding is where strictness lives).
-fn count_verify_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    for key in ["seeds_run", "rejected", "degraded"] {
-        if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-            *counts.entry(key.to_string()).or_insert(0) += n;
+impl VerifyCampaign {
+    /// The campaign over the enabled modes.
+    pub fn new(cfg: &VerifyConfig, netlist: bool, pipeline: bool) -> VerifyCampaign {
+        VerifyCampaign {
+            cfg: *cfg,
+            netlist,
+            pipeline,
         }
     }
-    if let Some(findings) = doc.get("findings").and_then(Value::as_array) {
-        *counts.entry("findings".to_string()).or_insert(0) += findings.len() as u64;
-        let panicked = findings
-            .iter()
-            .filter(|f| f.get("kind").and_then(Value::as_str) == Some("panic"))
-            .count() as u64;
-        if panicked > 0 {
-            *counts.entry("panicked".to_string()).or_insert(0) += panicked;
+
+    /// Chunks in the netlist mode (0 when the mode is off).
+    fn netlist_chunks(&self, plan: &journal::ChunkPlan) -> usize {
+        if self.netlist {
+            (self.cfg.seeds as usize).div_ceil(plan.chunk_size)
+        } else {
+            0
         }
     }
-    counts
 }
 
-/// [`run_verify`] with campaign durability: each enabled mode's seed range
-/// is split into deterministic chunks (netlist chunks first, then pipeline,
-/// sharing one journal), completed chunks are journaled to `durability.dir`
-/// (when set) and replayed on resume, the per-chunk watchdog demotes late
-/// seeds to the `degraded` tally, panicking seeds are retried then
-/// quarantined as `kind: "panic"` findings, and an interrupt drains the
-/// in-flight chunk before returning a partial (but valid and resumable)
-/// report with `stats.interrupted` set.
-///
-/// With inert options this is exactly [`run_verify`].
+impl journal::Campaign for VerifyCampaign {
+    const KIND: &'static str = "fuzz";
+    /// One mode's tallies over the chunk's contiguous seed range.
+    type Chunk = ModeReport;
+    type Report = VerifyReport;
+
+    /// The serialized config with the worker count zeroed (resuming with a
+    /// different `--workers` is legal — reports are worker-count
+    /// independent), plus the enabled-mode flags and the knobs serde skips
+    /// but which select which oracles run on each seed.
+    fn canonical_config(&self) -> String {
+        let canon = VerifyConfig {
+            workers: 0,
+            ..self.cfg
+        };
+        format!(
+            "{}|netlist={}|pipeline={}|lanes={}|opt={}",
+            serde_json::to_string(&canon).expect("verify config serializes"),
+            self.netlist,
+            self.pipeline,
+            self.cfg.lanes.max(1),
+            self.cfg.opt,
+        )
+    }
+
+    /// Without a journal or watchdog, one chunk per enabled mode.
+    fn chunk_plan(&self, durability: &DurabilityOptions) -> journal::ChunkPlan {
+        let seeds = self.cfg.seeds as usize;
+        let chunk_size = durability.chunk_size_for(seeds, 16);
+        let modes = usize::from(self.netlist) + usize::from(self.pipeline);
+        journal::ChunkPlan {
+            chunk_size,
+            chunks: modes * seeds.div_ceil(chunk_size),
+        }
+    }
+
+    fn run_chunk(
+        &self,
+        plan: &journal::ChunkPlan,
+        index: usize,
+        durability: &DurabilityOptions,
+    ) -> ModeReport {
+        let netlist_chunks = self.netlist_chunks(plan);
+        let (netlist_mode, ci) = if index < netlist_chunks {
+            (true, index)
+        } else {
+            (false, index - netlist_chunks)
+        };
+        let cfg = &self.cfg;
+        let lo = cfg.seed_start + (ci * plan.chunk_size) as u64;
+        let hi = (lo + plan.chunk_size as u64).min(cfg.seed_start + cfg.seeds);
+        run_seed_chunk(cfg, netlist_mode, lo, hi, durability)
+    }
+
+    fn decode_chunk(payload: &str) -> Result<ModeReport, String> {
+        let doc = tensorlib_obs::json::parse(payload)?;
+        Ok(ModeReport {
+            seeds_run: journal::field_u64(&doc, "seeds_run")?,
+            rejected: journal::field_u64(&doc, "rejected")?,
+            degraded: journal::field_u64(&doc, "degraded")?,
+            findings: journal::field_array(&doc, "findings")?
+                .iter()
+                .map(decode_finding)
+                .collect::<Result<Vec<Finding>, String>>()?,
+        })
+    }
+
+    fn aggregate(&self, plan: &journal::ChunkPlan, chunks: Vec<ModeReport>) -> VerifyReport {
+        let mut netlist_report = self.netlist.then(ModeReport::default);
+        let mut pipeline_report = self.pipeline.then(ModeReport::default);
+        let netlist_chunks = self.netlist_chunks(plan);
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let target = if i < netlist_chunks {
+                netlist_report.as_mut()
+            } else {
+                pipeline_report.as_mut()
+            };
+            let m = target.expect("chunk index maps to an enabled mode");
+            m.seeds_run += chunk.seeds_run;
+            m.rejected += chunk.rejected;
+            m.degraded += chunk.degraded;
+            m.findings.extend(chunk.findings);
+        }
+        let total_findings = netlist_report.as_ref().map_or(0, |m| m.findings.len())
+            + pipeline_report.as_ref().map_or(0, |m| m.findings.len());
+        VerifyReport {
+            seed_start: self.cfg.seed_start,
+            seeds: self.cfg.seeds,
+            cycles: self.cfg.cycles,
+            netlist: netlist_report,
+            pipeline: pipeline_report,
+            total_findings,
+        }
+    }
+
+    fn history_metrics(r: &VerifyReport) -> BTreeMap<String, f64> {
+        let modes = [r.netlist.as_ref(), r.pipeline.as_ref()];
+        let sum =
+            |f: fn(&ModeReport) -> u64| modes.iter().flatten().map(|m| f(m)).sum::<u64>() as f64;
+        [
+            ("seeds_run", sum(|m| m.seeds_run)),
+            ("rejected", sum(|m| m.rejected)),
+            ("degraded", sum(|m| m.degraded)),
+            ("total_findings", r.total_findings as f64),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+    }
+
+    /// Seeds run, rejected and degraded seeds, findings, and the `panicked`
+    /// subset of findings (quarantined panics surface as `kind: "panic"`).
+    /// An undecodable payload counts as nothing: telemetry is best-effort.
+    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
+        let mut counts = BTreeMap::new();
+        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
+            return counts;
+        };
+        for key in ["seeds_run", "rejected", "degraded"] {
+            if let Some(n) = doc.get(key).and_then(Value::as_u64) {
+                *counts.entry(key.to_string()).or_insert(0) += n;
+            }
+        }
+        if let Some(findings) = doc.get("findings").and_then(Value::as_array) {
+            *counts.entry("findings".to_string()).or_insert(0) += findings.len() as u64;
+            let panicked = findings
+                .iter()
+                .filter(|f| f.get("kind").and_then(Value::as_str) == Some("panic"))
+                .count() as u64;
+            if panicked > 0 {
+                *counts.entry("panicked".to_string()).or_insert(0) += panicked;
+            }
+        }
+        counts
+    }
+}
+
+/// Runs the requested fuzz modes ([`VerifyCampaign`]) with campaign
+/// durability: each enabled mode's seed range is split into deterministic
+/// chunks (one per mode when there is neither a journal nor a watchdog),
+/// completed chunks are journaled to `durability.dir` (when set) and
+/// replayed on resume, the per-chunk watchdog demotes late seeds to the
+/// `degraded` tally, panicking seeds are retried then quarantined as
+/// `kind: "panic"` findings, and an interrupt drains the in-flight chunk
+/// before returning a partial (but valid and resumable) report with
+/// `stats.interrupted` set. The report bytes do not depend on the chunk
+/// geometry or the worker count.
 ///
 /// # Errors
 ///
@@ -1037,80 +996,20 @@ pub fn run_verify_durable(
     pipeline: bool,
     durability: &DurabilityOptions,
 ) -> Result<(VerifyReport, RunStats), JournalError> {
-    if durability.is_inert() {
-        return Ok((run_verify(cfg, netlist, pipeline), RunStats::default()));
-    }
-    let _span = tensorlib_obs::span("verify.durable_campaign");
-    let chunk_size = durability.chunk_size.unwrap_or(16).max(1) as u64;
-    let mode_chunks = cfg.seeds.div_ceil(chunk_size);
-    let netlist_chunks = if netlist { mode_chunks } else { 0 };
-    let pipeline_chunks = if pipeline { mode_chunks } else { 0 };
-    let total = (netlist_chunks + pipeline_chunks) as usize;
-    let hash = journal::config_hash(
-        "fuzz",
-        chunk_size as usize,
-        total,
-        &canonical_verify_config(cfg, netlist, pipeline),
-    );
-    let telemetry = journal::TelemetrySpec {
-        kind: "fuzz",
-        count_outcomes: &count_verify_outcomes,
-    };
-    let (slots, stats) = journal::run_chunked_observed(durability, hash, total, Some(&telemetry), |i| {
-        let i = i as u64;
-        let (netlist_mode, ci) = if i < netlist_chunks {
-            (true, i)
-        } else {
-            (false, i - netlist_chunks)
-        };
-        let lo = cfg.seed_start + ci * chunk_size;
-        let hi = (lo + chunk_size).min(cfg.seed_start + cfg.seeds);
-        let chunk = run_seed_chunk(cfg, netlist_mode, lo, hi, durability);
-        serde_json::to_string(&chunk).expect("verify chunk serializes")
-    })?;
-    let empty_mode = || ModeReport {
-        seeds_run: 0,
-        rejected: 0,
-        degraded: 0,
-        findings: Vec::new(),
-    };
-    let mut netlist_report = netlist.then(empty_mode);
-    let mut pipeline_report = pipeline.then(empty_mode);
-    for (i, slot) in slots.iter().enumerate() {
-        // Completed chunks are always a prefix (the executor runs missing
-        // chunks in ascending order), so the first hole ends the report.
-        let Some(payload) = slot else { break };
-        let (seeds_run, rejected, degraded, findings) =
-            decode_verify_chunk(payload).map_err(JournalError::Decode)?;
-        let target = if (i as u64) < netlist_chunks {
-            netlist_report.as_mut()
-        } else {
-            pipeline_report.as_mut()
-        };
-        let m = target.expect("chunk index maps to an enabled mode");
-        m.seeds_run += seeds_run;
-        m.rejected += rejected;
-        m.degraded += degraded;
-        m.findings.extend(findings);
-    }
-    let total_findings = netlist_report.as_ref().map_or(0, |m| m.findings.len())
-        + pipeline_report.as_ref().map_or(0, |m| m.findings.len());
-    Ok((
-        VerifyReport {
-            seed_start: cfg.seed_start,
-            seeds: cfg.seeds,
-            cycles: cfg.cycles,
-            netlist: netlist_report,
-            pipeline: pipeline_report,
-            total_findings,
-        },
-        stats,
-    ))
+    journal::execute(&VerifyCampaign::new(cfg, netlist, pipeline), durability)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both-or-either-mode campaign with default durability: one
+    /// unjournaled chunk per mode.
+    fn plain(cfg: &VerifyConfig, netlist: bool, pipeline: bool) -> VerifyReport {
+        run_verify_durable(cfg, netlist, pipeline, &DurabilityOptions::default())
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn netlist_campaign_is_clean_on_default_seeds() {
@@ -1118,7 +1017,7 @@ mod tests {
             seeds: 40,
             ..VerifyConfig::default()
         };
-        let report = run_netlist_campaign(&cfg);
+        let report = plain(&cfg, true, false).netlist.unwrap();
         assert_eq!(report.seeds_run, 40);
         assert!(
             report.findings.is_empty(),
@@ -1159,9 +1058,9 @@ mod tests {
             workers: 1,
             ..VerifyConfig::default()
         };
-        let a = serde_json::to_string(&run_verify(&one, true, true)).unwrap();
+        let a = serde_json::to_string(&plain(&one, true, true)).unwrap();
         one.workers = 4;
-        let b = serde_json::to_string(&run_verify(&one, true, true)).unwrap();
+        let b = serde_json::to_string(&plain(&one, true, true)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1181,19 +1080,40 @@ mod tests {
     }
 
     #[test]
-    fn durable_inert_path_matches_legacy_exactly() {
-        let cfg = small_cfg();
-        let legacy = run_verify(&cfg, true, false);
-        let (durable, stats) =
-            run_verify_durable(&cfg, true, false, &DurabilityOptions::default()).unwrap();
-        assert_eq!(durable, legacy);
-        assert_eq!(stats, RunStats::default());
+    fn report_bytes_are_invariant_under_chunk_geometry() {
+        let cfg = VerifyConfig {
+            seeds: 6,
+            workers: 2,
+            lanes: 2,
+            ..VerifyConfig::default()
+        };
+        let (single, stats) =
+            run_verify_durable(&cfg, true, true, &DurabilityOptions::default()).unwrap();
+        assert_eq!(stats.chunks_total, 2, "one derived chunk per mode");
+        let want = serde_json::to_string(&single).unwrap();
+        // 1, the lane width, the journaled default, the derived single
+        // chunk, and no override at all.
+        for chunk_size in [Some(1), Some(cfg.lanes), Some(16), Some(6), None] {
+            for journaled in [false, true] {
+                let dir = tmpdir(&format!("geom_{chunk_size:?}_{journaled}"));
+                let durability = DurabilityOptions {
+                    dir: journaled.then(|| dir.clone()),
+                    chunk_size,
+                    ..DurabilityOptions::default()
+                };
+                let (report, stats) = run_verify_durable(&cfg, true, true, &durability).unwrap();
+                let tag = format!("chunk={chunk_size:?} journaled={journaled}");
+                assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
+                assert_eq!(stats.chunks_executed, stats.chunks_total, "{tag}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
     fn durable_chunked_report_is_byte_identical_to_single_shot() {
         let cfg = small_cfg();
-        let single = serde_json::to_string(&run_verify(&cfg, true, true)).unwrap();
+        let single = serde_json::to_string(&plain(&cfg, true, true)).unwrap();
         for chunk_size in [1, 4, 16] {
             let durability = DurabilityOptions {
                 chunk_size: Some(chunk_size),
@@ -1212,7 +1132,7 @@ mod tests {
     #[test]
     fn durable_journaled_resume_is_byte_identical() {
         let cfg = small_cfg();
-        let single = serde_json::to_string(&run_verify(&cfg, true, true)).unwrap();
+        let single = serde_json::to_string(&plain(&cfg, true, true)).unwrap();
         let dir = tmpdir("resume");
         let durability = DurabilityOptions {
             chunk_size: Some(2),
@@ -1272,7 +1192,7 @@ mod tests {
     #[test]
     fn panicking_seed_is_quarantined_and_campaign_completes() {
         let cfg = small_cfg();
-        let clean = run_verify(&cfg, true, false);
+        let clean = plain(&cfg, true, false);
         let durability = DurabilityOptions {
             chunk_size: Some(4),
             panic_retries: 1,

@@ -130,7 +130,8 @@ rm -rf "$explore_dir"
 # report blocks, so both are stripped before the comparison.
 crash_dir=$(mktemp -d)
 strip_run_provenance() {
-    sed -e '/"phase_wall_times_us"/,/}/d' -e '/"journal": {/,/}/d' "$1"
+    sed -e '/"phase_wall_times_us"/,/}/d' -e '/"journal": {/,/}/d' \
+        -e '/"journal": null/d' "$1"
 }
 ./target/release/tensorlib faults --faults 1024 --k 512 --seed 7 --harden full \
     --resume "$crash_dir/clean_journal" -o "$crash_dir/clean.json" >/dev/null
@@ -156,6 +157,34 @@ if ./target/release/tensorlib faults --faults 1024 --k 512 --seed 8 --harden ful
 fi
 grep -q "different campaign config" "$crash_dir/drift.err"
 rm -rf "$crash_dir"
+
+# Chunk-geometry smoke: an unjournaled campaign runs as one chunk (one per
+# fuzz mode), a --resume run as default-size chunks; both, and a replay of
+# the journal, must produce the same report bytes once the run-dependent
+# provenance is stripped. The first argument is the least number of
+# journal chunks the campaign must span.
+geom_dir=$(mktemp -d)
+geometry_smoke() {
+    min_chunks=$1
+    shift
+    ./target/release/tensorlib "$@" -o "$geom_dir/inert.json" >/dev/null
+    ./target/release/tensorlib "$@" --resume "$geom_dir/journal" \
+        -o "$geom_dir/journaled.json" >/dev/null
+    ./target/release/tensorlib "$@" --resume "$geom_dir/journal" \
+        -o "$geom_dir/replayed.json" >/dev/null
+    test "$(grep -c '"event":"chunk_completed"' "$geom_dir/journal/events.jsonl")" \
+        -ge "$min_chunks"
+    for run in inert journaled replayed; do
+        strip_run_provenance "$geom_dir/$run.json" > "$geom_dir/$run.stripped"
+    done
+    cmp "$geom_dir/inert.stripped" "$geom_dir/journaled.stripped"
+    cmp "$geom_dir/inert.stripped" "$geom_dir/replayed.stripped"
+    rm -rf "$geom_dir/journal"
+}
+geometry_smoke 2 fuzz --mode both --seed 0 --seeds 200
+# 64 faults fit one default journal chunk (16 x lanes = 128 faults).
+geometry_smoke 1 faults --faults 64 --lanes 8 --harden full --seed 7
+rm -rf "$geom_dir"
 
 # Campaign-telemetry smoke (DESIGN.md §16): a journaled campaign streams an
 # append-only events.jsonl and an atomically-replaced status.json into its

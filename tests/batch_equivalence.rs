@@ -9,8 +9,16 @@
 //! baseline at several lane widths and worker counts).
 
 use tensorlib::hw::fuzz::{check_batch_netlist, gen_netlist, NetlistFuzzConfig};
-use tensorlib::sim::resilience::{run_campaign, run_gemm_campaign, CampaignConfig};
+use tensorlib::sim::resilience::{
+    run_campaign, run_gemm_campaign_durable, CampaignConfig, CampaignError, ResilienceReport,
+};
+use tensorlib::sim::DurabilityOptions;
 use tensorlib_hw::fault::Hardening;
+
+/// The GEMM campaign with default durability: one unjournaled chunk.
+fn run_gemm(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
+    run_gemm_campaign_durable(cfg, &DurabilityOptions::default()).map(|(report, _)| report)
+}
 
 /// The tentpole equivalence sweep: ≥200 generator seeds, every flat net
 /// compared against a scalar reference on every lane after every cycle, at
@@ -38,7 +46,7 @@ fn batched_engine_matches_scalar_on_fuzzed_netlists() {
 #[test]
 fn batched_gemm_campaign_reports_match_scalar_bytes() {
     let mk = |lanes: usize, workers: usize| {
-        let report = run_gemm_campaign(&CampaignConfig {
+        let report = run_gemm(&CampaignConfig {
             faults: 24,
             seed: 7,
             hardening: Hardening::full(),

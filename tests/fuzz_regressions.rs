@@ -15,7 +15,8 @@ use tensorlib::hw::fuzz::{
 use tensorlib::hw::netlist::{Expr, Module};
 use tensorlib::hw::opt::{optimize_netlist, OptOptions};
 use tensorlib::hw::verilog::emit_module;
-use tensorlib::sim::verify::{run_verify, VerifyConfig};
+use tensorlib::sim::verify::{run_verify_durable, VerifyConfig};
+use tensorlib::sim::DurabilityOptions;
 
 /// Shrunk repro of the narrowing-resize emission bug: `(a + b)[3:0]` is not
 /// legal Verilog, so the emitter must hoist the sum into a named wire. The
@@ -158,9 +159,14 @@ fn fuzz_reports_are_byte_identical_across_worker_counts() {
         lanes: 1,
         opt: true,
     };
-    let one = serde_json::to_string_pretty(&run_verify(&cfg, true, true)).unwrap();
+    let report = |cfg: &VerifyConfig| {
+        let (report, _) =
+            run_verify_durable(cfg, true, true, &DurabilityOptions::default()).unwrap();
+        serde_json::to_string_pretty(&report).unwrap()
+    };
+    let one = report(&cfg);
     cfg.workers = 4;
-    let four = serde_json::to_string_pretty(&run_verify(&cfg, true, true)).unwrap();
+    let four = report(&cfg);
     assert_eq!(one, four);
     assert!(one.contains("\"total_findings\": 0"), "{one}");
 }

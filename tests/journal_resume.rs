@@ -9,8 +9,8 @@
 use tensorlib::explore::{explore_durable, ExploreOptions};
 use tensorlib::ir::workloads;
 use tensorlib_sim::journal::JOURNAL_FILE;
-use tensorlib_sim::resilience::{run_gemm_campaign, run_gemm_campaign_durable, CampaignConfig};
-use tensorlib_sim::verify::{run_verify, run_verify_durable, VerifyConfig};
+use tensorlib_sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+use tensorlib_sim::verify::{run_verify_durable, VerifyConfig};
 use tensorlib_sim::DurabilityOptions;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -49,7 +49,8 @@ fn faults_report_survives_a_torn_journal_tail_at_every_byte_offset() {
         seed: 3,
         ..CampaignConfig::default()
     };
-    let golden = serde_json::to_string_pretty(&run_gemm_campaign(&cfg).unwrap()).unwrap();
+    let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
+    let golden = serde_json::to_string_pretty(&clean).unwrap();
     let dir = tmpdir("torn_sweep");
     let opts = DurabilityOptions {
         chunk_size: Some(2),
@@ -84,7 +85,8 @@ fn fuzz_verify_report_resumes_byte_identically_after_a_crash() {
         cycles: 32,
         ..VerifyConfig::default()
     };
-    let golden = serde_json::to_string_pretty(&run_verify(&cfg, true, true)).unwrap();
+    let (clean, _) = run_verify_durable(&cfg, true, true, &DurabilityOptions::default()).unwrap();
+    let golden = serde_json::to_string_pretty(&clean).unwrap();
     let dir = tmpdir("fuzz_crash");
     let opts = DurabilityOptions {
         chunk_size: Some(2),
@@ -117,7 +119,7 @@ fn fuzz_verify_report_resumes_byte_identically_after_a_crash() {
 fn explore_sweep_resumes_byte_identically_after_a_crash() {
     let kernel = workloads::gemm(16, 16, 16);
     let opts = ExploreOptions::default();
-    // Inert durability short-circuits to the legacy sweep — the golden run.
+    // Default durability: one unjournaled chunk — the golden run.
     let (golden_report, _) =
         explore_durable(&kernel, &opts, &DurabilityOptions::default()).unwrap();
     let golden = serde_json::to_string_pretty(&golden_report).unwrap();
@@ -150,7 +152,8 @@ fn quarantined_panic_survives_resume() {
         seed: 3,
         ..CampaignConfig::default()
     };
-    let victim = run_gemm_campaign(&cfg).unwrap().outcomes[2].fault.target.clone();
+    let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
+    let victim = clean.outcomes[2].fault.target.clone();
     let dir = tmpdir("quarantine");
     let opts = DurabilityOptions {
         chunk_size: Some(4),
@@ -174,4 +177,45 @@ fn quarantined_panic_survives_resume() {
     assert_eq!(stats.chunks_executed, 0);
     assert_eq!(stats.chunks_replayed, stats.chunks_total);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Without a journal or a watchdog a campaign runs as one chunk per mode:
+/// a chunk costs a worker-pool spawn and barrier, which at the journaled
+/// default sizes added 25-33% wall time to unjournaled fuzz and explore
+/// runs on a 2-vCPU host. A watchdog alone keeps the default geometry,
+/// because the deadline is per chunk.
+#[test]
+fn unjournaled_runs_are_one_chunk_per_campaign_mode() {
+    let plain = DurabilityOptions::default();
+    let watched = DurabilityOptions {
+        chunk_timeout: Some(std::time::Duration::from_secs(3600)),
+        ..DurabilityOptions::default()
+    };
+    let faults = CampaignConfig {
+        faults: 40,
+        seed: 3,
+        ..CampaignConfig::default()
+    };
+    let (_, stats) = run_gemm_campaign_durable(&faults, &plain).unwrap();
+    assert_eq!(stats.chunks_total, 1, "faults");
+    let (_, stats) = run_gemm_campaign_durable(&faults, &watched).unwrap();
+    assert_eq!(stats.chunks_total, 40usize.div_ceil(16), "faults under a watchdog");
+
+    let fuzz = VerifyConfig {
+        seeds: 20,
+        cycles: 8,
+        ..VerifyConfig::default()
+    };
+    let (_, stats) = run_verify_durable(&fuzz, true, true, &plain).unwrap();
+    assert_eq!(stats.chunks_total, 2, "fuzz, both modes");
+    let (_, stats) = run_verify_durable(&fuzz, true, true, &watched).unwrap();
+    assert_eq!(stats.chunks_total, 2 * 20usize.div_ceil(16), "fuzz under a watchdog");
+
+    let kernel = workloads::gemm(4, 4, 4);
+    let opts = ExploreOptions::default();
+    let (sweep, stats) = explore_durable(&kernel, &opts, &plain).unwrap();
+    assert_eq!(stats.chunks_total, 1, "explore");
+    let jobs = sweep.rows.len() + sweep.errors.len() + sweep.skipped as usize;
+    let (_, stats) = explore_durable(&kernel, &opts, &watched).unwrap();
+    assert_eq!(stats.chunks_total, jobs.div_ceil(32), "explore under a watchdog");
 }

@@ -14,8 +14,9 @@
 
 use std::sync::Mutex;
 
-use tensorlib::explore::{explore_outcome, ExploreOptions};
+use tensorlib::explore::{explore_durable, explore_outcome, ExploreOptions};
 use tensorlib::ir::workloads;
+use tensorlib::sim::DurabilityOptions;
 use tensorlib_obs::json;
 
 /// Serializes tests that flip the process-global recording switch.
@@ -178,4 +179,48 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
         thread_names.contains(&"w00") && thread_names.contains(&"w01"),
         "stable worker labels missing: {thread_names:?}"
     );
+}
+
+/// A journaled (`explore --resume`) sweep scores through the same core as
+/// [`explore_outcome`], so it records the same `explore.*` counters, one
+/// `explore.point` span per job, and one `explore.point_us` sample per
+/// job, summed over every chunk.
+#[test]
+fn journaled_sweep_records_explore_telemetry() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let kernel = workloads::gemm(4, 4, 4);
+    let options = ExploreOptions {
+        functional_verify: false,
+        ..opts(2)
+    };
+    let dir = std::env::temp_dir().join(format!("tl_obs_journaled_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityOptions {
+        chunk_size: Some(16),
+        ..DurabilityOptions::with_dir(&dir)
+    };
+    tensorlib_obs::enable();
+    let (sweep, stats) = explore_durable(&kernel, &options, &durability).expect("sweep runs");
+    let session = tensorlib_obs::drain();
+    tensorlib_obs::disable();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(stats.chunks_total >= 2, "sweep spans several chunks");
+    let counter = |name: &str| session.metrics.counters.get(name).copied().unwrap_or(0);
+    let jobs = counter("explore.jobs");
+    assert_eq!(
+        jobs,
+        (sweep.rows.len() + sweep.errors.len()) as u64 + sweep.skipped,
+        "every job counted once"
+    );
+    assert_eq!(counter("explore.points"), sweep.rows.len() as u64);
+    assert_eq!(counter("explore.errors"), sweep.errors.len() as u64);
+    assert_eq!(counter("explore.skipped"), sweep.skipped);
+    let point_spans = session
+        .spans
+        .iter()
+        .filter(|s| s.name == "explore.point")
+        .count() as u64;
+    assert_eq!(point_spans, jobs, "one explore.point span per job");
+    assert_eq!(session.metrics.histograms["explore.point_us"].count, jobs);
 }

@@ -6,7 +6,16 @@
 use tensorlib::explore::{explore_outcome, ExploreOptions, PointError};
 use tensorlib::ir::workloads;
 use tensorlib_hw::fault::Hardening;
-use tensorlib_sim::resilience::{run_gemm_campaign, CampaignConfig, FaultClass};
+use tensorlib_sim::resilience::{
+    run_gemm_campaign_durable, CampaignConfig, CampaignError, FaultClass, ResilienceReport,
+};
+use tensorlib_sim::DurabilityOptions;
+
+/// The GEMM campaign with default durability: one unjournaled chunk.
+fn run_gemm(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
+    run_gemm_campaign_durable(cfg, &DurabilityOptions::default()).map(|(report, _)| report)
+}
+
 
 /// Satellite 5: the same seed produces the *serialized-byte-identical*
 /// report for one worker and for many. Struct equality is checked in the
@@ -25,11 +34,11 @@ fn campaign_json_is_byte_identical_across_worker_counts() {
         lanes: 1,
         opt: true,
     };
-    let serial = run_gemm_campaign(&base).expect("campaign runs");
+    let serial = run_gemm(&base).expect("campaign runs");
     assert_eq!(serial.outcomes.len(), 24);
     let serial_json = serde_json::to_string_pretty(&serial).expect("serializes");
     for workers in [2, 4, 0] {
-        let report = run_gemm_campaign(&CampaignConfig { workers, ..base }).expect("campaign runs");
+        let report = run_gemm(&CampaignConfig { workers, ..base }).expect("campaign runs");
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert_eq!(
             serial_json, json,
@@ -46,10 +55,10 @@ fn campaign_seed_changes_the_sampled_faults() {
         faults: 16,
         ..CampaignConfig::default()
     };
-    let a = run_gemm_campaign(&base).expect("campaign runs");
-    let b = run_gemm_campaign(&CampaignConfig { seed: base.seed + 1, ..base })
+    let a = run_gemm(&base).expect("campaign runs");
+    let b = run_gemm(&CampaignConfig { seed: base.seed + 1, ..base })
         .expect("campaign runs");
-    let faults = |r: &tensorlib_sim::resilience::ResilienceReport| {
+    let faults = |r: &ResilienceReport| {
         r.outcomes
             .iter()
             .map(|o| format!("{:?}", o.fault))
@@ -68,10 +77,10 @@ fn hardening_turns_sdc_into_detections() {
         seed: 3,
         ..CampaignConfig::default()
     };
-    let plain = run_gemm_campaign(&unhardened).expect("campaign runs");
+    let plain = run_gemm(&unhardened).expect("campaign runs");
     assert_eq!(plain.masked + plain.detected + plain.sdc, plain.faults);
     assert_eq!(plain.detected, 0, "no detector exists, yet one fired");
-    let hard = run_gemm_campaign(&CampaignConfig {
+    let hard = run_gemm(&CampaignConfig {
         hardening: Hardening::full(),
         ..unhardened
     })
