@@ -1515,41 +1515,36 @@ fn run_history(path: &str, check: bool, threshold: f64) -> Result<(String, u8), 
     }
 }
 
-/// Runs the compiled bytecode engine over an interchange document for
-/// `cycles` cycles under a fixed seeded stimulus and renders one line per
-/// top-level output per cycle. The seed and the line format are fixed, so
-/// the emitting side and the re-parsing side of a round trip produce
-/// byte-identical traces exactly when the interchange preserved the design.
-fn smoke_trace(doc: &tensorlib::hw::text::NetlistDoc, cycles: u64) -> Result<String, CliError> {
-    use tensorlib::hw::interp::{elaborate, Interpreter};
+/// Runs the compiled bytecode engine over an elaborated design for `cycles`
+/// cycles under a fixed seeded stimulus and renders one line per top-level
+/// output per cycle. The seed and the line format are fixed, so the emitting
+/// side and the re-parsing side of a round trip produce byte-identical traces
+/// exactly when the interchange preserved the design. Each cycle drives every
+/// input in one batch, so the design settles once per cycle.
+fn smoke_trace(flat: tensorlib::hw::interp::FlatDesign, cycles: u64) -> String {
+    use tensorlib::hw::interp::Interpreter;
     use tensorlib::hw::netlist::Dir;
-    let flat = elaborate(&doc.modules, &doc.banks, &doc.top)
-        .map_err(|err| CliError(err.to_string()))?;
-    let inputs: Vec<String> = flat
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Input)
-        .map(|(id, _)| flat.nets()[*id].name.clone())
-        .collect();
-    let outputs: Vec<String> = flat
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Output)
-        .map(|(id, _)| flat.nets()[*id].name.clone())
-        .collect();
+    let port_names = |dir: Dir| -> Vec<String> {
+        flat.ports()
+            .iter()
+            .filter(|(_, d)| *d == dir)
+            .map(|(id, _)| flat.nets()[*id].name.clone())
+            .collect()
+    };
+    let inputs = port_names(Dir::Input);
+    let outputs = port_names(Dir::Output);
     let mut sim = Interpreter::new(flat);
+    let input_ids: Vec<_> = inputs.iter().map(|name| sim.input_id(name)).collect();
     let mut rng = tensorlib::linalg::rng::SplitMix64::new(0x7E57_0A7C_0000_0001);
     let mut text = String::new();
     for cycle in 0..cycles {
-        for name in &inputs {
-            sim.poke(name, rng.next_u64());
-        }
+        sim.poke_by_id(input_ids.iter().map(|&id| (id, rng.next_u64())));
         sim.step();
         for name in &outputs {
             text.push_str(&format!("{cycle} {name}={}\n", sim.peek(name)));
         }
     }
-    Ok(text)
+    text
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -1658,7 +1653,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
             }
             let trace_note = if sim_cycles > 0 {
-                let trace = smoke_trace(&doc, sim_cycles)?;
+                let flat = tensorlib::hw::interp::elaborate(&doc.modules, &doc.banks, &doc.top)
+                    .map_err(|err| e(&err))?;
+                let trace = smoke_trace(flat, sim_cycles);
                 atomic_write(&trace_out, trace.as_bytes())
                     .map_err(|err| CliError(format!("writing {trace_out}: {err}")))?;
                 format!("wrote {sim_cycles}-cycle smoke trace to {trace_out}\n")
@@ -1745,7 +1742,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 ));
             }
             if sim_cycles > 0 {
-                let trace = smoke_trace(&doc, sim_cycles)?;
+                let trace = smoke_trace(flat, sim_cycles);
                 atomic_write(&trace_out, trace.as_bytes())
                     .map_err(|err| CliError(format!("writing {trace_out}: {err}")))?;
                 s.push_str(&format!(
@@ -2647,6 +2644,55 @@ mod tests {
             assert_eq!(a, b, "{format} smoke traces must be byte-identical");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn smoke_trace_matches_per_port_pokes() {
+        use tensorlib::hw::interp::{elaborate, Interpreter};
+        use tensorlib::hw::netlist::Dir;
+        // A port-heavy design: every PE row and column has its own inputs.
+        let kernel = resolve_workload("mttkrp").unwrap();
+        let df = find_named(&kernel, "IKL-UBBB", &DseConfig::default()).unwrap();
+        let cfg = HwConfig {
+            array: ArrayConfig { rows: 4, cols: 4 },
+            ..HwConfig::default()
+        };
+        let mut design = generate(&df, &cfg).unwrap();
+        design.optimize(&tensorlib::hw::opt::OptOptions::default());
+        let doc = tensorlib::hw::text::NetlistDoc::from_design(&design);
+        let flat = elaborate(&doc.modules, &doc.banks, &doc.top).unwrap();
+        // The result outputs stay zero for the first ~80 cycles at this size.
+        let cycles = 128;
+
+        // Reference: poke each input by name, settling after every poke.
+        let names = |dir: Dir| -> Vec<String> {
+            flat.ports()
+                .iter()
+                .filter(|(_, d)| *d == dir)
+                .map(|(id, _)| flat.nets()[*id].name.clone())
+                .collect()
+        };
+        let (inputs, outputs) = (names(Dir::Input), names(Dir::Output));
+        assert!(inputs.len() > 16, "{} inputs", inputs.len());
+        let mut sim = Interpreter::new(flat.clone());
+        let mut rng = tensorlib::linalg::rng::SplitMix64::new(0x7E57_0A7C_0000_0001);
+        let mut want = String::new();
+        for cycle in 0..cycles {
+            for name in &inputs {
+                sim.poke(name, rng.next_u64());
+            }
+            sim.step();
+            for name in &outputs {
+                want.push_str(&format!("{cycle} {name}={}\n", sim.peek(name)));
+            }
+        }
+        assert_eq!(want.lines().count(), cycles as usize * outputs.len());
+        assert!(
+            want.lines()
+                .any(|l| l.contains(" result_") && !l.ends_with("=0")),
+            "no result output ever leaves zero"
+        );
+        assert_eq!(smoke_trace(flat, cycles), want);
     }
 
     #[test]

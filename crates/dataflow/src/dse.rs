@@ -208,6 +208,12 @@ pub fn design_space(kernel: &Kernel, config: &DseConfig) -> Vec<Dataflow> {
 /// simplest is returned (fewest nonzero entries, then smallest magnitudes),
 /// which recovers the textbook transformation for the classic dataflows.
 ///
+/// The canonical matrix is the matching one with the lowest simplicity score
+/// (see above); ties go to the matrix [`enumerate_stt`] yields first.
+/// Candidates are analyzed in that order — a stable sort by score — and the
+/// search stops at the first match, so a name that resolves costs a handful
+/// of analyses; only a name that matches nothing scans every candidate.
+///
 /// # Errors
 ///
 /// Returns [`DataflowError::BadName`] if the name is malformed, names unknown
@@ -230,13 +236,31 @@ pub fn find_named(
     config: &DseConfig,
 ) -> Result<Dataflow, DataflowError> {
     let _span = tensorlib_obs::span("dse.find_named");
+    let (sel, letters) = parse_name(kernel, name)?;
+    let mut candidates = enumerate_stt(config);
+    // Stable: equal-cost matrices keep their enumeration order.
+    candidates.sort_by_key(matrix_simplicity);
+    for stt in candidates {
+        let df = Dataflow::analyze(kernel, sel.clone(), stt)?;
+        if df.matches_letters(letters) {
+            return Ok(df);
+        }
+    }
+    Err(DataflowError::BadName(name.to_string()))
+}
+
+/// Splits a paper-style dataflow name into its loop selection (tag initials
+/// resolved to loop names, in tag order) and its flow letters.
+fn parse_name<'a>(
+    kernel: &Kernel,
+    name: &'a str,
+) -> Result<(LoopSelection, &'a str), DataflowError> {
     let (tag, letters) = name
         .split_once('-')
         .ok_or_else(|| DataflowError::BadName(name.to_string()))?;
     if tag.len() != 3 || letters.len() != kernel.tensors().len() {
         return Err(DataflowError::BadName(name.to_string()));
     }
-    // Resolve tag initials to loop names, in tag order.
     let mut loop_names = Vec::new();
     for ch in tag.chars() {
         let found = kernel
@@ -251,19 +275,7 @@ pub fn find_named(
         kernel,
         [&loop_names[0], &loop_names[1], &loop_names[2]],
     )?;
-
-    let mut best: Option<(u64, Dataflow)> = None;
-    for stt in enumerate_stt(config) {
-        let df = Dataflow::analyze(kernel, sel.clone(), stt)?;
-        if df.matches_letters(letters) {
-            let cost = matrix_simplicity(df.stt());
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, df));
-            }
-        }
-    }
-    best.map(|(_, df)| df)
-        .ok_or_else(|| DataflowError::BadName(name.to_string()))
+    Ok((sel, letters))
 }
 
 /// Complexity score used to pick the canonical matrix for a named dataflow:
@@ -288,6 +300,7 @@ fn matrix_simplicity(stt: &Stt) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use tensorlib_ir::workloads;
 
     #[test]
@@ -375,6 +388,87 @@ mod tests {
             });
             assert_eq!(df.selection().tag(), &name[..3]);
         }
+    }
+
+    /// The exhaustive scan `find_named` replaced, over every candidate
+    /// analyzed under one selection in enumeration order: keep the matching
+    /// dataflow with the strictly lowest score, so the first-enumerated
+    /// matrix wins ties.
+    fn exhaustive_pick<'a>(analyzed: &'a [Dataflow], letters: &str) -> Option<&'a Dataflow> {
+        let mut best: Option<(u64, &Dataflow)> = None;
+        for df in analyzed {
+            if df.matches_letters(letters) {
+                let cost = matrix_simplicity(df.stt());
+                if best.is_none_or(|(c, _)| cost < c) {
+                    best = Some((cost, df));
+                }
+            }
+        }
+        best.map(|(_, df)| df)
+    }
+
+    #[test]
+    fn find_named_matches_exhaustive_scan_on_fig5_names() {
+        // Figure 5's §VI-A names on its kernels, at small extents: the
+        // winning matrix depends only on the access functions.
+        let cases = [
+            (
+                workloads::gemm(4, 4, 4),
+                &["MNK-MTM", "MNK-MMT", "MNK-SST", "MNK-STS", "MNK-TSS"][..],
+            ),
+            (
+                workloads::batched_gemv(4, 4, 4),
+                &["MNK-UTS", "MNK-UST", "MNK-UTM"][..],
+            ),
+            (
+                workloads::conv2d(4, 4, 4, 4, 3, 3),
+                &[
+                    "KCX-SST", "KCX-STS", "XYP-MMT", "XYP-MST", "XYP-SMM", "KPX-TMM", "KPX-MST",
+                ][..],
+            ),
+            (
+                workloads::depthwise_conv(4, 4, 4, 3, 3),
+                &["KPX-MMM", "XYP-MMM", "KYX-MST", "KYX-SST"][..],
+            ),
+            (
+                workloads::mttkrp(4, 4, 4, 4),
+                &["IKL-UBBB", "IJK-SBST", "IJK-TBSS"][..],
+            ),
+            (
+                workloads::ttmc(4, 4, 4, 4, 4),
+                &["IJK-BBBU", "ILM-SSBT", "ILM-TSBS"][..],
+            ),
+        ];
+        let cfg = DseConfig::default();
+        let (mut resolved, mut unresolved) = (0, 0);
+        for (kernel, names) in &cases {
+            // Names sharing a selection share one exhaustive analysis.
+            let mut analyzed: HashMap<String, Vec<Dataflow>> = HashMap::new();
+            for name in *names {
+                let (sel, letters) = parse_name(kernel, name).unwrap();
+                let space = analyzed.entry(sel.tag()).or_insert_with(|| {
+                    enumerate_stt(&cfg)
+                        .into_iter()
+                        .map(|stt| Dataflow::analyze(kernel, sel.clone(), stt).unwrap())
+                        .collect()
+                });
+                let context = format!("{} {name}", kernel.name());
+                match (
+                    find_named(kernel, name, &cfg),
+                    exhaustive_pick(space, letters),
+                ) {
+                    (Ok(got), Some(want)) => {
+                        assert_eq!(got.stt(), want.stt(), "{context}");
+                        assert_eq!(got.letters(), want.letters(), "{context}");
+                        resolved += 1;
+                    }
+                    (Err(DataflowError::BadName(_)), None) => unresolved += 1,
+                    (got, want) => panic!("{context}: {got:?} vs exhaustive {want:?}"),
+                }
+            }
+        }
+        // Both outcomes are exercised.
+        assert_eq!((resolved, unresolved), (18, 7));
     }
 
     #[test]

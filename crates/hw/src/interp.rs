@@ -1345,8 +1345,10 @@ impl Interpreter {
 
     /// Sets a top-level input port and resettles combinational logic.
     ///
-    /// When driving many ports in the same cycle, prefer
-    /// [`Interpreter::poke_many`], which settles once for the whole batch.
+    /// Every call settles, re-running the whole combinational netlist. When
+    /// driving many ports in the same cycle, prefer [`Interpreter::poke_many`]
+    /// or [`Interpreter::poke_by_id`]: they settle once per batch, and the
+    /// settled state is the same as after poking the ports one by one.
     ///
     /// # Panics
     ///

@@ -73,7 +73,33 @@ cmp "$rt_dir/emit_text.trace" "$rt_dir/parse_text.trace"
 cmp "$rt_dir/emit_json.trace" "$rt_dir/parse_json.trace"
 # Both formats describe the same design, so all four traces agree.
 cmp "$rt_dir/emit_text.trace" "$rt_dir/emit_json.trace"
+# The same round trip on two of the largest Fig. 5 designs at the paper's
+# 16x16 array, the shape the tlbench rtl-roundtrip workload runs.
+roundtrip_16x16() {
+    ./target/release/tensorlib emit "$1" "$2" --rows 16 --cols 16 --format text \
+        --sim-cycles 64 --trace-out "$rt_dir/$1.emit.trace" -o "$rt_dir/$1.tl" >/dev/null
+    ./target/release/tensorlib parse "$rt_dir/$1.tl" --sim-cycles 64 \
+        --trace-out "$rt_dir/$1.parse.trace" >/dev/null
+    cmp "$rt_dir/$1.emit.trace" "$rt_dir/$1.parse.trace"
+}
+roundtrip_16x16 mttkrp IKL-UBBB
+roundtrip_16x16 ttmc IJK-BBBU
 rm -rf "$rt_dir"
+
+# Committed-figure smoke: fig5 and fig6 regenerate reports/ byte for byte,
+# which also pins the matrix find_named picks for every Fig. 5 name. Each
+# binary rewrites reports/<fig>.json in place, so the JSON is compared
+# against a copy taken first (on a mismatch, `git diff reports/` shows the
+# drift). The stdout's `wrote <path>` line names the checkout, so it is
+# dropped from both sides of the text comparison.
+fig_dir=$(mktemp -d)
+for fig in fig5 fig6; do
+    cp "reports/$fig.json" "$fig_dir/$fig.committed.json"
+    ./target/release/$fig | grep -v '^wrote ' > "$fig_dir/$fig.txt"
+    grep -v '^wrote ' "reports/$fig.txt" | cmp - "$fig_dir/$fig.txt"
+    cmp "$fig_dir/$fig.committed.json" "reports/$fig.json"
+done
+rm -rf "$fig_dir"
 
 # Optimizer smokes. First, 200 netlist-fuzz seeds with the opt-vs-unoptimized
 # lock-step oracle explicitly armed: every generated netlist is optimized and
