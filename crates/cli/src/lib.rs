@@ -1,30 +1,12 @@
 //! Command-line front end for the TensorLib accelerator generator.
 //!
-//! The binary is `tensorlib`; the library half holds the argument parsing
-//! and command execution so they are unit-testable.
-//!
-//! ```text
-//! tensorlib workloads
-//! tensorlib analyze  <workload> <dataflow>          # e.g. gemm MNK-SST
-//! tensorlib generate <workload> <dataflow> [-o f.v] [--rows N] [--cols N]
-//! tensorlib emit     <workload> <dataflow> [--format text|yosys-json|verilog]
-//!                    [--rows N] [--cols N] [--sim-cycles C --trace-out f] [-o f]
-//! tensorlib parse    <netlist-file> [--format auto|text|yosys-json]
-//!                    [--sim-cycles C --trace-out f] [-o report]
-//! tensorlib simulate <workload> <dataflow> [--rows N] [--cols N]
-//! tensorlib explore  <workload> [--top N]
-//! tensorlib stats    <workload> <dataflow> [--rows N] [--cols N] [--tiles T] [-o f.json]
-//! tensorlib trace    <workload> <dataflow> [--nets a,b,c] [--tiles T] [-o f.vcd]
-//! tensorlib faults   [--rows N] [--cols N] [--k K] [--faults N] [--seed S]
-//!                    [--harden tmr,parity,abft] [--workers W] [--lanes L]
-//!                    [--sweep-acc] [-o f.json]
-//! tensorlib fuzz     [--mode netlist|pipeline|both] [--seed S] [--seeds N]
-//!                    [--cycles C] [--workers W] [--lanes L] [-o f.json]
-//! tensorlib profile  <workload> [--top N] [--rows N] [--cols N] [--workers W] [-o f.trace.json]
-//! ```
-//!
-//! Workloads take optional sizes after a colon: `gemm:64,64,64`,
-//! `conv2d:64,64,56,56,3,3`, `mttkrp:32,32,32,32`, …
+//! The binary is `tensorlib`; `tensorlib --help` prints every command's
+//! synopsis ([`usage`]). Each command's arguments are declared once, in its
+//! `…Args` struct: every field names the positional or the flag (one `Flag`
+//! entry with its kind and range rule) it is read from, with this command's
+//! default. That declaration drives parsing, the rejection of flags a
+//! command does not take, the range checks (for parsed and directly built
+//! [`Command`]s alike), the synopsis, and the provenance command echo.
 //!
 //! A global `--profile <out.trace.json>` flag (any command, any position)
 //! records framework spans during the run and writes a Chrome Trace Event
@@ -37,21 +19,22 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tensorlib::cost::{hardening_overhead, Activity, HardeningOverhead};
 use tensorlib::dataflow::dse::{find_named, DseConfig};
 use tensorlib::dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib::explore::{explore_outcome, ExploreCampaign, ExploreOptions, ExploreRow};
-use tensorlib::hw::design::generate;
+use tensorlib::hw::design::{generate, AcceleratorDesign};
 use tensorlib::hw::fault::Hardening;
+use tensorlib::hw::opt::{OptOptions, OptStats};
 use tensorlib::ir::workloads;
 use tensorlib::sim::journal::{self, Campaign};
 use tensorlib::sim::resilience::{CampaignConfig, FaultCampaign, ResilienceReport};
 use tensorlib::sim::verify::{VerifyCampaign, VerifyConfig};
 use tensorlib::sim::{DurabilityOptions, RunStats};
 use tensorlib::{Accelerator, ArrayConfig, HwConfig, Kernel, SimConfig, TraceConfig};
-use tensorlib_obs::{atomic_write, JournalProvenance, Provenance, SCHEMA_VERSION};
+use tensorlib_obs::{atomic_write, JournalProvenance, Provenance, Session, SCHEMA_VERSION};
 
 /// The process-wide SIGINT latch campaigns drain on; `main` installs it for
 /// `--resume` runs and maps a latched interrupt to exit code 130.
@@ -62,246 +45,301 @@ pub use tensorlib::sim::interrupt;
 pub enum Command {
     /// List the built-in Table II workloads.
     Workloads,
-    /// Print the dataflow analysis for `workload` under `dataflow`.
-    Analyze {
-        /// Workload spec (`gemm:64,64,64`).
-        workload: String,
-        /// Paper-style dataflow name (`MNK-SST`).
-        dataflow: String,
-    },
+    /// Print the dataflow analysis for a workload under a dataflow.
+    Analyze(AnalyzeArgs),
     /// Generate Verilog.
-    Generate {
-        /// Workload spec.
-        workload: String,
-        /// Dataflow name.
-        dataflow: String,
-        /// Output path (`-` for stdout).
-        out: String,
-        /// PE array rows.
-        rows: usize,
-        /// PE array columns.
-        cols: usize,
-        /// Run the netlist optimizer before emission (`--opt=off` emits the
-        /// raw generated netlist byte-identically to older releases).
-        opt: bool,
-    },
-    /// Emit the generated design as a round-trippable interchange netlist
-    /// (textual IR or Yosys JSON) or as Verilog. Interchange emissions
-    /// self-check `parse(emit(design))` before any bytes leave the process.
-    Emit {
-        /// Workload spec.
-        workload: String,
-        /// Dataflow name.
-        dataflow: String,
-        /// PE array rows.
-        rows: usize,
-        /// PE array columns.
-        cols: usize,
-        /// `text`, `yosys-json`, or `verilog`.
-        format: String,
-        /// Run the netlist optimizer before emission.
-        opt: bool,
-        /// Cycles of the deterministic seeded smoke trace (`0` = none).
-        sim_cycles: u64,
-        /// Where the smoke trace is written (paired with `--sim-cycles`).
-        trace_out: String,
-        /// Output path (`-` for stdout).
-        out: String,
-    },
-    /// Parse an interchange netlist back into the in-memory IR,
-    /// re-validate and re-elaborate it, and report a summary; `--opt on`
-    /// additionally re-runs the optimizer over the parsed netlist as an
-    /// extra oracle.
-    Parse {
-        /// Input netlist path.
-        input: String,
-        /// `auto`, `text`, or `yosys-json`.
-        format: String,
-        /// Re-run the optimizer over the parsed modules and recompile.
-        opt: bool,
-        /// Cycles of the deterministic seeded smoke trace (`0` = none).
-        sim_cycles: u64,
-        /// Where the smoke trace is written (paired with `--sim-cycles`).
-        trace_out: String,
-        /// Report path (`-` for stdout).
-        out: String,
-    },
+    Generate(GenerateArgs),
+    /// Emit the generated design as an interchange netlist or as Verilog.
+    Emit(EmitArgs),
+    /// Parse an interchange netlist back and report a summary.
+    Parse(ParseArgs),
     /// Verify bit-exactly and report performance.
-    Simulate {
-        /// Workload spec.
-        workload: String,
-        /// Dataflow name.
-        dataflow: String,
-        /// PE array rows.
-        rows: usize,
-        /// PE array columns.
-        cols: usize,
-    },
+    Simulate(SimulateArgs),
     /// Sweep the design space and print the best designs.
-    Explore {
+    Explore(ExploreArgs),
+    /// Run a profiled design-space sweep.
+    Profile(ProfileArgs),
+    /// Measure the generated netlist with hardware counters.
+    Stats(StatsArgs),
+    /// Trace selected nets into a VCD waveform.
+    Trace(TraceArgs),
+    /// Run a seeded fault-injection campaign.
+    Faults(FaultsArgs),
+    /// Run the differential fuzzing campaign.
+    Fuzz(FuzzArgs),
+    /// Render one status snapshot of a journaled campaign directory.
+    Status(StatusArgs),
+    /// Poll a journaled campaign directory until the campaign ends.
+    Watch(WatchArgs),
+    /// List or check the cross-run metrics history.
+    History(HistoryArgs),
+}
+
+/// Declares argument structs together with their `visit`, so each field is
+/// written once: `field: Type = arg` reads it from a positional or a flag
+/// (with this command's default), `field: Group` visits a nested group.
+macro_rules! arguments {
+    (@field $v:ident, $group:expr) => {
+        $group.visit($v)
+    };
+    (@field $v:ident, $slot:expr, $arg:expr) => {
+        $v($arg, &mut $slot)
+    };
+    ($($(#[$doc:meta])* $name:ident {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty $(= $arg:expr)?,)*
+    })*) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct $name {
+            $($(#[$field_doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            fn visit(&mut self, v: &mut Visitor) {
+                $(arguments!(@field v, self.$field $(, $arg)?);)*
+            }
+        }
+    )*};
+}
+
+arguments! {
+    /// The design group shared by `generate`, `emit`, `stats` and `trace`:
+    /// which accelerator to build, and whether to optimize it.
+    DesignArgs {
+        /// Workload spec (`gemm:64,64,64`).
+        workload: String = Arg::Pos("workload", None),
+        /// Paper-style dataflow name (`MNK-SST`).
+        dataflow: String = Arg::Pos("dataflow", None),
+        /// PE array rows.
+        rows: usize = Arg::Flag(&ROWS, "16"),
+        /// PE array columns.
+        cols: usize = Arg::Flag(&COLS, "16"),
+        /// Run the netlist optimizer on the generated design (`--opt=off`
+        /// keeps the raw generated netlist, byte-identical to older releases).
+        opt: bool = Arg::Flag(&OPT, "on"),
+    }
+
+    /// The campaign group shared by `faults` and `fuzz`: how a resumable
+    /// campaign runs and where it reports. None of it changes what the
+    /// campaign computes.
+    CampaignArgs {
+        /// Worker threads (`None` = one per core).
+        workers: Option<usize> = Arg::Flag(&WORKERS, ""),
+        /// Simulation lanes per bytecode pass (`1` = scalar engine).
+        lanes: usize = Arg::Flag(&LANES, "1"),
+        /// Journal directory for crash-safe resume.
+        resume: Option<String> = Arg::Flag(&RESUME, ""),
+        /// Per-chunk watchdog budget in seconds.
+        chunk_timeout: Option<u64> = Arg::Flag(&CHUNK_TIMEOUT, ""),
+        /// Report path (`-` for stdout, empty for the `reports/` default).
+        out: String = Arg::Flag(&OUT, ""),
+    }
+
+    /// The deterministic seeded smoke trace of `emit` and `parse`: one
+    /// feature behind two flags that only come as a pair.
+    SmokeArgs {
+        /// Cycles to run.
+        sim_cycles: Option<u64> = Arg::Flag(&SIM_CYCLES, ""),
+        /// Where the trace is written.
+        trace_out: Option<String> = Arg::Flag(&TRACE_OUT, ""),
+    }
+
+    /// `analyze` arguments.
+    AnalyzeArgs {
         /// Workload spec.
-        workload: String,
+        workload: String = Arg::Pos("workload", None),
+        /// Dataflow name.
+        dataflow: String = Arg::Pos("dataflow", None),
+    }
+
+    /// `generate` arguments.
+    GenerateArgs {
+        /// The design to generate.
+        design: DesignArgs,
+        /// Output path (`-` for stdout).
+        out: String = Arg::Flag(&OUT, "-"),
+    }
+
+    /// `emit` arguments. Interchange emissions (textual IR or Yosys JSON)
+    /// self-check `parse(emit(design))` before any bytes leave the process.
+    EmitArgs {
+        /// The design to emit.
+        design: DesignArgs,
+        /// The netlist format.
+        format: String = Arg::Choice(&FORMAT, &["text", "yosys-json", "verilog"]),
+        /// Smoke trace of the emitted netlist.
+        smoke: SmokeArgs,
+        /// Output path (`-` for stdout).
+        out: String = Arg::Flag(&OUT, "-"),
+    }
+
+    /// `parse` arguments: the netlist is re-validated and re-elaborated, and
+    /// `opt` re-runs the optimizer over it as an extra oracle.
+    ParseArgs {
+        /// Input netlist path.
+        input: String = Arg::Pos("netlist-file", None),
+        /// The netlist format (`auto` sniffs JSON by the leading brace).
+        format: String = Arg::Choice(&FORMAT, &["auto", "text", "yosys-json"]),
+        /// Re-run the optimizer over the parsed modules and recompile.
+        opt: bool = Arg::Flag(&OPT, "on"),
+        /// Smoke trace of the parsed netlist.
+        smoke: SmokeArgs,
+        /// Report path (`-` for stdout).
+        out: String = Arg::Flag(&OUT, "-"),
+    }
+
+    /// `simulate` arguments.
+    SimulateArgs {
+        /// Workload spec.
+        workload: String = Arg::Pos("workload", None),
+        /// Dataflow name.
+        dataflow: String = Arg::Pos("dataflow", None),
+        /// PE array rows.
+        rows: usize = Arg::Flag(&ROWS, "16"),
+        /// PE array columns.
+        cols: usize = Arg::Flag(&COLS, "16"),
+    }
+
+    /// `explore` arguments: the journal half of the campaign group (lanes
+    /// do not apply to a sweep, whose pool runs one worker per core).
+    ExploreArgs {
+        /// Workload spec.
+        workload: String = Arg::Pos("workload", None),
         /// How many designs to print.
-        top: usize,
-        /// Journal directory for crash-safe resume (`--resume`).
-        resume: Option<String>,
-        /// Per-chunk watchdog budget in seconds (`--chunk-timeout`).
-        chunk_timeout: Option<u64>,
-        /// JSON report path (`-` for stdout JSON, empty for the text table).
-        out: String,
-    },
-    /// Run a profiled design-space sweep (functional verification on, so
-    /// the trace covers every pipeline phase), print the per-phase wall-time
-    /// breakdown, and write a Chrome Trace Event file plus a folded-stack
-    /// flamegraph sibling.
-    Profile {
+        top: usize = Arg::Flag(&TOP, "10"),
+        /// Journal directory for crash-safe resume.
+        resume: Option<String> = Arg::Flag(&RESUME, ""),
+        /// Per-chunk watchdog budget in seconds.
+        chunk_timeout: Option<u64> = Arg::Flag(&CHUNK_TIMEOUT, ""),
+        /// JSON report path (`-` for stdout, empty for the text table).
+        out: String = Arg::Flag(&OUT, ""),
+    }
+
+    /// `profile` arguments: a sweep with functional verification on, so the
+    /// trace covers every pipeline phase, written as a Chrome Trace Event
+    /// file plus a folded-stack flamegraph sibling.
+    ProfileArgs {
         /// Workload spec.
-        workload: String,
-        /// How many designs to list in the breakdown.
-        top: usize,
-        /// PE array rows.
-        rows: usize,
+        workload: String = Arg::Pos("workload", None),
+        /// How many phases to list in the breakdown.
+        top: usize = Arg::Flag(&TOP, "10"),
+        /// PE array rows; the sweep simulates every point, so the default
+        /// array is a tractable 4x4.
+        rows: usize = Arg::Flag(&ROWS, "4"),
         /// PE array columns.
-        cols: usize,
-        /// Worker threads (`0` = one per core).
-        workers: usize,
-        /// Trace output path (`-` for stdout, empty for `reports/` default).
-        out: String,
-    },
-    /// Run the generated netlist with hardware counters attached and emit a
-    /// JSON stats report (measured counters + analytic cross-check).
-    Stats {
-        /// Workload spec.
-        workload: String,
-        /// Dataflow name.
-        dataflow: String,
-        /// PE array rows.
-        rows: usize,
-        /// PE array columns.
-        cols: usize,
+        cols: usize = Arg::Flag(&COLS, "4"),
+        /// Worker threads (`None` = one per core).
+        workers: Option<usize> = Arg::Flag(&WORKERS, ""),
+        /// Trace output path (`-` for stdout, empty for the `reports/`
+        /// default).
+        out: String = Arg::Flag(&OUT, ""),
+    }
+
+    /// `stats` arguments: a JSON report of measured hardware counters plus
+    /// the analytic cross-check.
+    StatsArgs {
+        /// The design to measure; with `opt` the report carries the pre/post
+        /// size census.
+        design: DesignArgs,
         /// Controller rounds to measure.
-        tiles: u64,
-        /// Run the netlist optimizer before measuring; the report then
-        /// carries the pre/post size census.
-        opt: bool,
-        /// Output path (`-` for stdout, empty for `reports/` default).
-        out: String,
-    },
-    /// Run with event tracing on selected nets and emit a VCD waveform.
-    Trace {
-        /// Workload spec.
-        workload: String,
-        /// Dataflow name.
-        dataflow: String,
-        /// PE array rows.
-        rows: usize,
-        /// PE array columns.
-        cols: usize,
+        tiles: u64 = Arg::Flag(&TILES, "2"),
+        /// Output path (`-` for stdout, empty for the `reports/` default).
+        out: String = Arg::Flag(&OUT, ""),
+    }
+
+    /// `trace` arguments.
+    TraceArgs {
+        /// The design to trace; watched nets survive optimization by the
+        /// pass pipeline's preservation contract.
+        design: DesignArgs,
         /// Controller rounds to trace.
-        tiles: u64,
-        /// Comma-separated top-level nets to watch.
-        nets: String,
-        /// Run the netlist optimizer before tracing (watched nets survive
-        /// optimization by the pass pipeline's preservation contract).
-        opt: bool,
-        /// Output path (`-` for stdout, empty for `reports/` default).
-        out: String,
-    },
-    /// Run a seeded fault-injection campaign on a generated
-    /// output-stationary GEMM design and emit a JSON resilience report
-    /// (per-fault masked/detected/SDC classification plus the hardening
-    /// options' priced area/power overhead).
-    Faults {
-        /// Array rows (and GEMM `m` extent).
-        rows: usize,
+        tiles: u64 = Arg::Flag(&TILES, "2"),
+        /// Comma-separated top-level nets to watch (empty: `en,swap,done`).
+        nets: String = Arg::Flag(&NETS, ""),
+        /// Output path (`-` for stdout, empty for the `reports/` default).
+        out: String = Arg::Flag(&OUT, ""),
+    }
+
+    /// `faults` arguments: a campaign on an output-stationary GEMM design
+    /// whose report classifies every fault masked/detected/SDC and prices
+    /// the hardening's area/power overhead.
+    FaultsArgs {
+        /// Array rows (and GEMM `m` extent); campaigns clone one interpreter
+        /// per fault, so the default array is a small 4x4.
+        rows: usize = Arg::Flag(&ROWS, "4"),
         /// Array columns (and GEMM `n` extent).
-        cols: usize,
+        cols: usize = Arg::Flag(&COLS, "4"),
         /// GEMM reduction extent.
-        k: u64,
+        k: u64 = Arg::Flag(&K, "4"),
         /// Faults to sample and inject.
-        faults: usize,
+        faults: usize = Arg::Flag(&FAULTS, "64"),
         /// Seed for input data and fault sampling.
-        seed: u64,
+        seed: u64 = Arg::Flag(&SEED, "1"),
         /// Hardening option list (`tmr,parity,abft`, `full`, `none`).
-        harden: String,
-        /// Campaign worker threads (`0` = one per core).
-        workers: usize,
-        /// Simulation lanes per bytecode pass (`1` = scalar engine; wider
-        /// lanes retire one fault site per lane per pass).
-        lanes: usize,
-        /// Run the exhaustive accumulator bit-flip sweep (the ABFT
-        /// acceptance campaign) instead of seeded sampling.
-        sweep_acc: bool,
+        harden: String = Arg::Flag(&HARDEN, "none"),
+        /// Run the exhaustive accumulator bit-flip sweep (the ABFT acceptance
+        /// campaign) instead of seeded sampling.
+        sweep_acc: bool = Arg::Flag(&SWEEP_ACC, "off"),
         /// Optimize the campaign design before injecting faults. The pass
         /// pipeline preserves every register, so classification counts are
         /// byte-identical either way (CI asserts exactly that).
-        opt: bool,
-        /// Journal directory for crash-safe resume (`--resume`).
-        resume: Option<String>,
-        /// Per-chunk watchdog budget in seconds (`--chunk-timeout`).
-        chunk_timeout: Option<u64>,
-        /// Output path (`-` for stdout, empty for `reports/` default).
-        out: String,
-    },
-    /// Run the differential fuzzing campaign (random netlists and sampled
-    /// generation pipelines through every verification oracle) and emit a
-    /// JSON report whose `total_findings` CI gates on.
-    Fuzz {
-        /// `netlist`, `pipeline`, or `both`.
-        mode: String,
+        opt: bool = Arg::Flag(&OPT, "on"),
+        /// How the campaign runs and where it reports.
+        campaign: CampaignArgs,
+    }
+
+    /// `fuzz` arguments: random netlists and sampled generation pipelines
+    /// through every verification oracle; CI gates on `total_findings`.
+    FuzzArgs {
+        /// Which campaigns run.
+        mode: String = Arg::Choice(&MODE, &["both", "netlist", "pipeline"]),
         /// First seed (inclusive).
-        seed: u64,
+        seed: u64 = Arg::Flag(&SEED, "1"),
         /// Seeds per enabled mode.
-        seeds: u64,
+        seeds: u64 = Arg::Flag(&SEEDS, "256"),
         /// Cycles per netlist differential run.
-        cycles: u64,
-        /// Campaign worker threads (`0` = one per core).
-        workers: usize,
-        /// Lane width of the batched-engine oracle (`1` = scalar-only).
-        lanes: usize,
+        cycles: u64 = Arg::Flag(&CYCLES, "16"),
         /// Chain the optimizer equivalence oracle (optimized-vs-unoptimized
         /// lock-step) into both fuzz modes.
-        opt: bool,
-        /// Journal directory for crash-safe resume (`--resume`).
-        resume: Option<String>,
-        /// Per-chunk watchdog budget in seconds (`--chunk-timeout`).
-        chunk_timeout: Option<u64>,
-        /// Output path (`-` for stdout, empty for `reports/` default).
-        out: String,
-    },
-    /// Render a one-shot status snapshot of a journaled campaign directory
-    /// (`status.json` + `events.jsonl` telemetry written by `--resume`
-    /// runs). The exit code distinguishes finished (0) / running (2) /
-    /// interrupted (3); a `running` snapshot whose writer process is gone
-    /// is reported as interrupted with a resume hint.
-    Status {
+        opt: bool = Arg::Flag(&OPT, "on"),
+        /// How the campaign runs and where it reports; `lanes` is the width
+        /// of the batched-engine oracle (`1` = scalar-only).
+        campaign: CampaignArgs,
+    }
+
+    /// `status` arguments. Exits 0 finished / 2 running / 3 interrupted; a
+    /// `running` snapshot whose writer process is gone counts as
+    /// interrupted.
+    StatusArgs {
         /// Campaign directory (the `--resume` dir).
-        dir: String,
+        dir: String = Arg::Pos("campaign-dir", None),
         /// Emit the raw JSON snapshot instead of the human table.
-        json: bool,
-    },
-    /// Poll a journaled campaign directory, printing one progress + ETA
-    /// line per interval, until the campaign finishes (exit 0) or is
-    /// interrupted / its writer dies (exit 3).
-    Watch {
+        json: bool = Arg::Flag(&JSON, "off"),
+    }
+
+    /// `watch` arguments. Exits 0 when the campaign finishes, 3 when it is
+    /// interrupted or its writer dies.
+    WatchArgs {
         /// Campaign directory (the `--resume` dir).
-        dir: String,
-        /// Poll interval in milliseconds.
-        interval_ms: u64,
-    },
-    /// List the cross-run metrics history (`history.jsonl`), or with
-    /// `--check` compare the newest run against the most recent earlier
-    /// run with the same config hash and flag metric deltas beyond
-    /// `--threshold` percent (exit 4 when anything is flagged; comparing
-    /// runs from different machine shapes is a loud error).
-    History {
+        dir: String = Arg::Pos("campaign-dir", None),
+        /// Poll interval in seconds.
+        interval: f64 = Arg::Flag(&INTERVAL, "1"),
+    }
+
+    /// `history` arguments. `check` compares the newest run against the
+    /// most recent earlier run with the same config hash and exits 4 when a
+    /// metric moved beyond `threshold`; runs from different machine shapes
+    /// are refused.
+    HistoryArgs {
         /// History file, or a reports directory containing `history.jsonl`.
-        path: String,
+        path: String = Arg::Pos("file-or-reports-dir", Some("reports/history.jsonl")),
         /// Compare newest vs the most recent same-config run.
-        check: bool,
-        /// Flagging threshold for `--check`, in percent relative delta.
-        threshold: f64,
-    },
+        check: bool = Arg::Flag(&CHECK, "off"),
+        /// Flagging threshold for `--check`, in percent relative delta; the
+        /// default is `history::DEFAULT_CHECK_THRESHOLD_PCT` (a test pins
+        /// the two equal).
+        threshold: f64 = Arg::Flag(&THRESHOLD, "10"),
+    }
 }
 
 /// Command-line failure: bad usage or a pipeline error, with a message
@@ -317,41 +355,490 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Usage text.
-pub const USAGE: &str = "\
-usage:
-  tensorlib workloads
-  tensorlib analyze  <workload> <dataflow>
-  tensorlib generate <workload> <dataflow> [-o out.v] [--rows N] [--cols N]
-                     [--opt on|off]
-  tensorlib emit     <workload> <dataflow> [--rows N] [--cols N]
-                     [--format text|yosys-json|verilog] [--opt on|off]
-                     [--sim-cycles C --trace-out f.trace] [-o out]
-  tensorlib parse    <netlist-file> [--format auto|text|yosys-json]
-                     [--opt on|off] [--sim-cycles C --trace-out f.trace]
-                     [-o report]
-  tensorlib simulate <workload> <dataflow> [--rows N] [--cols N]
-  tensorlib explore  <workload> [--top N] [--resume DIR] [--chunk-timeout S]
-                     [-o f.json]
-  tensorlib stats    <workload> <dataflow> [--rows N] [--cols N] [--tiles T]
-                     [--opt on|off] [-o f.json]
-  tensorlib trace    <workload> <dataflow> [--nets a,b,c] [--tiles T]
-                     [--opt on|off] [-o f.vcd]
-  tensorlib faults   [--rows N] [--cols N] [--k K] [--faults N] [--seed S]
-                     [--harden tmr,parity,abft] [--workers W] [--lanes L]
-                     [--sweep-acc] [--opt on|off] [--resume DIR]
-                     [--chunk-timeout S] [-o f.json]
-  tensorlib fuzz     [--mode netlist|pipeline|both] [--seed S] [--seeds N]
-                     [--cycles C] [--workers W] [--lanes L] [--opt on|off]
-                     [--resume DIR] [--chunk-timeout S] [-o f.json]
-  tensorlib profile  <workload> [--top N] [--rows N] [--cols N] [--workers W]
-                     [-o f.trace.json]
-  tensorlib status   <campaign-dir> [--json]
-  tensorlib watch    <campaign-dir> [--interval SECONDS]
-  tensorlib history  [file-or-reports-dir] [--check] [--threshold PCT]
+/// Wraps any pipeline error as a [`CliError`].
+fn cli_err(err: impl fmt::Display) -> CliError {
+    CliError(err.to_string())
+}
 
-global flags (any command):
-  --profile <f.trace.json>   record framework spans during the run and write
+/// How a flag is spelled with its value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Present or absent; no value.
+    Switch,
+    /// `on` or `off`, also spelled `--flag=on`.
+    OnOff,
+    /// A value, shown in the synopsis as this placeholder.
+    Value(&'static str),
+}
+
+/// The range or format a flag's value must satisfy.
+#[derive(Clone, Copy)]
+enum Rule {
+    Any,
+    /// An integer of at least this much.
+    Min(u64),
+    /// An integer in this inclusive range.
+    Range(u64, u64),
+    NonEmpty,
+    /// A finite number above zero.
+    Positive,
+    /// A finite number of at least zero.
+    NonNegative,
+    /// A hardening option list.
+    Hardening,
+}
+
+impl Rule {
+    fn check(self, raw: &str) -> Result<(), String> {
+        let int = raw.parse::<u64>().ok();
+        let num = raw.parse::<f64>().ok().filter(|v| v.is_finite());
+        match self {
+            Rule::Min(lo) if int.is_none_or(|v| v < lo) => Err(format!("must be at least {lo}")),
+            Rule::Range(lo, hi) if int.is_none_or(|v| !(lo..=hi).contains(&v)) => {
+                Err(format!("must be between {lo} and {hi} (got {raw})"))
+            }
+            Rule::NonEmpty if raw.is_empty() => Err("needs a value".to_string()),
+            Rule::Positive if num.is_none_or(|v| v <= 0.0) => {
+                Err("must be a positive number".to_string())
+            }
+            Rule::NonNegative if num.is_none_or(|v| v < 0.0) => {
+                Err("must be a non-negative number".to_string())
+            }
+            Rule::Hardening => Hardening::parse(raw).map(drop),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// One command-line flag: the one place its spelling, kind and rule are
+/// written. Which commands take it, and with what default, is declared in
+/// their `…Args` structs.
+struct Flag {
+    name: &'static str,
+    alias: Option<&'static str>,
+    kind: Kind,
+    rule: Rule,
+    /// Run-shape flags change how a run executes, never what it computes,
+    /// so the provenance echo leaves them out.
+    run_shape: bool,
+}
+
+const fn flag(name: &'static str, kind: Kind, rule: Rule) -> Flag {
+    Flag {
+        name,
+        alias: None,
+        kind,
+        rule,
+        run_shape: false,
+    }
+}
+
+const fn run_shape(flag: Flag) -> Flag {
+    Flag {
+        run_shape: true,
+        ..flag
+    }
+}
+
+use Kind::{OnOff, Switch, Value as V};
+
+static OUT: Flag = run_shape(Flag {
+    alias: Some("--out"),
+    ..flag("-o", V("FILE"), Rule::Any)
+});
+static ROWS: Flag = flag("--rows", V("N"), Rule::Min(1));
+static COLS: Flag = flag("--cols", V("N"), Rule::Min(1));
+static OPT: Flag = flag("--opt", OnOff, Rule::Any);
+static FORMAT: Flag = flag("--format", V("FORMAT"), Rule::Any);
+static SIM_CYCLES: Flag = flag("--sim-cycles", V("C"), Rule::Min(1));
+static TRACE_OUT: Flag = flag("--trace-out", V("f.trace"), Rule::NonEmpty);
+static TOP: Flag = flag("--top", V("N"), Rule::Any);
+static TILES: Flag = flag("--tiles", V("T"), Rule::Min(1));
+static NETS: Flag = flag("--nets", V("a,b,c"), Rule::Any);
+static K: Flag = flag("--k", V("K"), Rule::Min(1));
+static FAULTS: Flag = flag("--faults", V("N"), Rule::Any);
+static SEED: Flag = flag("--seed", V("S"), Rule::Any);
+static HARDEN: Flag = flag("--harden", V("tmr,parity,abft"), Rule::Hardening);
+static SWEEP_ACC: Flag = flag("--sweep-acc", Switch, Rule::Any);
+static MODE: Flag = flag("--mode", V("MODE"), Rule::Any);
+static SEEDS: Flag = flag("--seeds", V("N"), Rule::Min(1));
+static CYCLES: Flag = flag("--cycles", V("C"), Rule::Min(1));
+static WORKERS: Flag = run_shape(flag("--workers", V("W"), Rule::Min(1)));
+static LANES: Flag = run_shape(flag("--lanes", V("L"), Rule::Range(1, 64)));
+static RESUME: Flag = run_shape(flag("--resume", V("DIR"), Rule::NonEmpty));
+static CHUNK_TIMEOUT: Flag = run_shape(flag("--chunk-timeout", V("S"), Rule::Min(1)));
+static JSON: Flag = flag("--json", Switch, Rule::Any);
+static INTERVAL: Flag = flag("--interval", V("SECONDS"), Rule::Positive);
+static CHECK: Flag = flag("--check", Switch, Rule::Any);
+static THRESHOLD: Flag = flag("--threshold", V("PCT"), Rule::NonNegative);
+/// The global flags: any command, any position (see [`parse_invocation`]
+/// and [`is_help`]).
+static PROFILE: Flag = run_shape(flag("--profile", V("f.trace.json"), Rule::Any));
+static HELP: Flag = Flag {
+    alias: Some("-h"),
+    ..flag("--help", Switch, Rule::Any)
+};
+
+/// One argument in a command's declaration.
+enum Arg {
+    /// A positional, with its default when it may be omitted.
+    Pos(&'static str, Option<&'static str>),
+    /// A flag with this command's default (empty: the field's blank value,
+    /// which for an optional flag is "omitted").
+    Flag(&'static Flag, &'static str),
+    /// A flag taking one of these values, the first being the default.
+    Choice(&'static Flag, &'static [&'static str]),
+}
+
+/// A typed argument field, read from and written back to its text.
+trait Slot {
+    /// Sets the field from `raw`; `false` when `raw` is malformed.
+    fn set(&mut self, raw: &str) -> bool;
+    /// The field as text, `None` for an omitted optional flag.
+    fn get(&self) -> Option<String>;
+}
+
+macro_rules! parsed_slot {
+    ($($t:ty),*) => {$(
+        impl Slot for $t {
+            fn set(&mut self, raw: &str) -> bool {
+                raw.parse().map(|v| *self = v).is_ok()
+            }
+            fn get(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+
+parsed_slot!(usize, u64, f64, String);
+
+impl Slot for bool {
+    fn set(&mut self, raw: &str) -> bool {
+        *self = raw == "on";
+        matches!(raw, "on" | "off")
+    }
+    fn get(&self) -> Option<String> {
+        Some(if *self { "on" } else { "off" }.to_string())
+    }
+}
+
+impl<T: Slot + Default> Slot for Option<T> {
+    fn set(&mut self, raw: &str) -> bool {
+        self.get_or_insert_with(T::default).set(raw)
+    }
+    fn get(&self) -> Option<String> {
+        self.as_ref().and_then(T::get)
+    }
+}
+
+/// A pass over a command's declaration: parsing, checking, the synopsis and
+/// the provenance echo are each one.
+type Visitor<'a> = dyn FnMut(Arg, &mut dyn Slot) + 'a;
+
+impl CampaignArgs {
+    /// Durability options from `--resume` / `--chunk-timeout`; both absent
+    /// runs the campaign as one unjournaled chunk.
+    fn durability(&self) -> DurabilityOptions {
+        DurabilityOptions {
+            dir: self.resume.as_ref().map(PathBuf::from),
+            chunk_timeout: self.chunk_timeout.map(Duration::from_secs),
+            ..DurabilityOptions::default()
+        }
+    }
+}
+
+/// Makes a command with blank arguments, for its declaration to fill in.
+type Blank = fn() -> Command;
+
+/// Every command by name.
+const COMMANDS: [(&str, Blank); 15] = [
+    ("workloads", || Command::Workloads),
+    ("analyze", || Command::Analyze(AnalyzeArgs::default())),
+    ("generate", || Command::Generate(GenerateArgs::default())),
+    ("emit", || Command::Emit(EmitArgs::default())),
+    ("parse", || Command::Parse(ParseArgs::default())),
+    ("simulate", || Command::Simulate(SimulateArgs::default())),
+    ("explore", || Command::Explore(ExploreArgs::default())),
+    ("stats", || Command::Stats(StatsArgs::default())),
+    ("trace", || Command::Trace(TraceArgs::default())),
+    ("faults", || Command::Faults(FaultsArgs::default())),
+    ("fuzz", || Command::Fuzz(FuzzArgs::default())),
+    ("profile", || Command::Profile(ProfileArgs::default())),
+    ("status", || Command::Status(StatusArgs::default())),
+    ("watch", || Command::Watch(WatchArgs::default())),
+    ("history", || Command::History(HistoryArgs::default())),
+];
+
+impl Command {
+    /// Visits the command's declaration: its positionals, then its flags,
+    /// each flag with this command's default.
+    fn visit(&mut self, v: &mut Visitor) {
+        match self {
+            Command::Workloads => {}
+            Command::Analyze(a) => a.visit(v),
+            Command::Generate(a) => a.visit(v),
+            Command::Emit(a) => a.visit(v),
+            Command::Parse(a) => a.visit(v),
+            Command::Simulate(a) => a.visit(v),
+            Command::Explore(a) => a.visit(v),
+            Command::Profile(a) => a.visit(v),
+            Command::Stats(a) => a.visit(v),
+            Command::Trace(a) => a.visit(v),
+            Command::Faults(a) => a.visit(v),
+            Command::Fuzz(a) => a.visit(v),
+            Command::Status(a) => a.visit(v),
+            Command::Watch(a) => a.visit(v),
+            Command::History(a) => a.visit(v),
+        }
+    }
+
+    /// Collects what `f` makes of each argument, over a copy of the command.
+    fn each<T>(&self, mut f: impl FnMut(Arg, &mut dyn Slot) -> Option<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        self.clone()
+            .visit(&mut |arg, slot| out.extend(f(arg, slot)));
+        out
+    }
+
+    /// The command's name on the command line.
+    fn name(&self) -> &'static str {
+        let this = std::mem::discriminant(self);
+        COMMANDS
+            .iter()
+            .find(|(_, blank)| std::mem::discriminant(&blank()) == this)
+            .map_or("", |(name, _)| *name)
+    }
+
+    /// The flags the command takes, in declaration order.
+    fn flags(&self) -> Vec<&'static Flag> {
+        self.each(|arg, _| match arg {
+            Arg::Flag(flag, _) | Arg::Choice(flag, _) => Some(flag),
+            Arg::Pos(..) => None,
+        })
+    }
+
+    /// Checks every flag's rule, and the two rules that span flags. `run`
+    /// applies this to every command, so a [`Command`] built directly is held
+    /// to the same rules as a parsed one. The error names the first offending
+    /// flag.
+    fn check(&self) -> Result<(), CliError> {
+        let errors = self.each(|arg, slot| match (arg, slot.get()) {
+            (Arg::Flag(flag, _), Some(raw)) => {
+                let why = flag.rule.check(&raw).err()?;
+                Some(format!("{} {why}", flag.name))
+            }
+            (Arg::Choice(flag, options), Some(raw)) if !options.contains(&raw.as_str()) => {
+                let options = options.join("|");
+                Some(format!("{} expects {options} (got {raw:?})", flag.name))
+            }
+            _ => None,
+        });
+        if let Some(err) = errors.into_iter().next() {
+            return Err(CliError(err));
+        }
+        let smoke = match self {
+            Command::Faults(a) if !a.sweep_acc && a.faults == 0 => {
+                return Err(CliError(format!(
+                    "{} must be at least 1 (or pass {} for the exhaustive accumulator sweep)",
+                    FAULTS.name, SWEEP_ACC.name
+                )))
+            }
+            Command::Emit(EmitArgs { smoke, .. }) | Command::Parse(ParseArgs { smoke, .. }) => {
+                smoke
+            }
+            _ => return Ok(()),
+        };
+        // The smoke trace is one feature behind two flags: requiring the
+        // pair keeps "trace requested but silently skipped" unrepresentable.
+        match (smoke.sim_cycles.is_some(), smoke.trace_out.is_some()) {
+            (true, false) => Err(format!("{} needs {}", SIM_CYCLES.name, TRACE_OUT.name)),
+            (false, true) => Err(format!("{} needs {}", TRACE_OUT.name, SIM_CYCLES.name)),
+            _ => Ok(()),
+        }
+        .map_err(CliError)
+    }
+
+    /// The synopsis line `tensorlib <name> <positionals> [flags]`, wrapped.
+    fn synopsis(&self) -> String {
+        let words = self.each(|arg, _| {
+            Some(match arg {
+                Arg::Pos(name, None) => format!("<{name}>"),
+                Arg::Pos(name, Some(_)) => format!("[{name}]"),
+                Arg::Choice(flag, options) => format!("[{} {}]", flag.name, options.join("|")),
+                Arg::Flag(flag, _) => match flag.kind {
+                    Switch => format!("[{}]", flag.name),
+                    OnOff => format!("[{} on|off]", flag.name),
+                    V(meta) => format!("[{} {meta}]", flag.name),
+                },
+            })
+        });
+        let head = format!("tensorlib {:8}", self.name());
+        let mut lines = vec![head.clone()];
+        for word in words {
+            if lines.last().map_or(0, String::len) + 1 + word.len() > 76 {
+                lines.push(" ".repeat(head.len()));
+            }
+            let line = lines.last_mut().expect("never empty");
+            line.push(' ');
+            line.push_str(&word);
+        }
+        lines.join("\n  ")
+    }
+
+    /// The command line that reproduces what this command computes: every
+    /// argument except the run-shape flags. Report provenance records it.
+    fn echo(&self) -> String {
+        let mut words = self.each(|arg, slot| {
+            let value = slot.get().filter(|v| !v.is_empty())?;
+            match arg {
+                Arg::Pos(..) => Some(value),
+                Arg::Flag(flag, _) if flag.run_shape => None,
+                Arg::Flag(flag, _) if flag.kind == Switch => {
+                    (value == "on").then(|| flag.name.to_string())
+                }
+                Arg::Flag(flag, _) | Arg::Choice(flag, _) => Some(format!("{} {value}", flag.name)),
+            }
+        });
+        words.insert(0, self.name().to_string());
+        words.join(" ")
+    }
+}
+
+/// The usage text: the synopsis of every command, generated from the
+/// declarations, then the prose.
+pub fn usage() -> String {
+    let synopses: Vec<String> = COMMANDS
+        .iter()
+        .map(|(_, blank)| blank().synopsis())
+        .collect();
+    let V(meta) = PROFILE.kind else {
+        unreachable!("{} takes a value", PROFILE.name)
+    };
+    format!(
+        "usage:\n  {}\n\nglobal flags (any command):\n  {} <{meta}>   {USAGE_PROSE}",
+        synopses.join("\n  "),
+        PROFILE.name,
+    )
+}
+
+/// Whether `arg`, the first argument, asks for the usage text.
+pub fn is_help(arg: &str) -> bool {
+    arg == HELP.name || HELP.alias == Some(arg)
+}
+
+/// Parses the argument list (without the program name).
+///
+/// # Errors
+///
+/// Returns [`CliError`] on malformed input, including a flag the command
+/// does not take (the error names both).
+pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
+    let Some((name, rest)) = args.split_first() else {
+        return Err(CliError(usage()));
+    };
+    let Some((_, blank)) = COMMANDS.iter().find(|(n, _)| n == name) else {
+        return Err(CliError(format!("unknown command {name:?}\n\n{}", usage())));
+    };
+    let mut cmd = blank();
+    let synopsis = cmd.synopsis();
+    let bad = |msg: String| CliError(format!("{msg}\nusage:\n  {synopsis}"));
+    let declared = cmd.flags();
+    let (mut positionals, mut given) = (Vec::new(), Vec::new());
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            positionals.push(arg.as_str());
+            continue;
+        }
+        let (spelled, inline) = match arg.split_once('=') {
+            Some((spelled, value)) => (spelled, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let flag = declared
+            .iter()
+            .find(|f| {
+                (f.name == spelled || f.alias == Some(spelled))
+                    && (inline.is_none() || f.kind == OnOff)
+            })
+            .ok_or_else(|| bad(format!("{name} does not take {arg}")))?;
+        let value = match (inline, flag.kind) {
+            (Some(value), _) => value,
+            (None, Switch) => "on",
+            (None, _) => rest
+                .next()
+                .map(String::as_str)
+                .ok_or_else(|| bad(format!("flag {arg} needs a value")))?,
+        };
+        given.push((flag.name, value));
+    }
+    // Fill the blank command: given values where present, else defaults.
+    let mut positionals = positionals.into_iter();
+    let mut errors = Vec::new();
+    cmd.visit(&mut |arg, slot| {
+        let (label, raw) = match arg {
+            Arg::Pos(pos, default) => match positionals.next().or(default) {
+                Some(raw) => (pos, raw),
+                None => return errors.push(format!("missing <{pos}>")),
+            },
+            Arg::Flag(flag, default) => match given.iter().rfind(|(n, _)| *n == flag.name) {
+                Some(&(_, raw)) => (flag.name, raw),
+                None if default.is_empty() => return,
+                None => (flag.name, default),
+            },
+            Arg::Choice(flag, options) => {
+                let given = given.iter().rfind(|(n, _)| *n == flag.name);
+                (flag.name, given.map_or(options[0], |&(_, raw)| raw))
+            }
+        };
+        if !slot.set(raw) {
+            errors.push(format!("{label} got a malformed value {raw:?}"));
+        }
+    });
+    errors.extend(
+        positionals
+            .next()
+            .map(|extra| format!("unexpected argument {extra:?}")),
+    );
+    if let Some(err) = errors.into_iter().next() {
+        return Err(bad(format!("{name}: {err}")));
+    }
+    cmd.check()?;
+    Ok(cmd)
+}
+
+/// A fully parsed invocation: the command plus global flags.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Invocation {
+    /// `--profile <path>`: record framework spans during the run and write a
+    /// Chrome Trace Event file there afterwards.
+    pub profile: Option<String>,
+    /// The command itself.
+    pub command: Command,
+}
+
+/// Parses the argument list (without the program name), extracting global
+/// flags (`--profile <path>`) before command parsing. This is what `main`
+/// calls; [`parse_args`] stays available for command-only parsing.
+///
+/// # Errors
+///
+/// Returns [`CliError`] with a usage message on malformed input.
+pub fn parse_invocation(args: &[String]) -> Result<Invocation, CliError> {
+    let (mut rest, mut profile) = (args.to_vec(), None);
+    while let Some(i) = rest.iter().position(|arg| arg == PROFILE.name) {
+        let missing = || CliError(format!("{} needs a trace output path", PROFILE.name));
+        profile = Some(rest.get(i + 1).cloned().ok_or_else(missing)?);
+        rest.drain(i..i + 2);
+    }
+    Ok(Invocation {
+        profile,
+        command: parse_args(&rest)?,
+    })
+}
+
+/// The hand-written half of [`usage`], after the generated synopsis.
+const USAGE_PROSE: &str = "record framework spans during the run and write
                              a Chrome Trace Event file (open in Perfetto or
                              chrome://tracing); never changes results
 
@@ -449,447 +936,6 @@ Event file plus a .folded flamegraph sibling. Every JSON report embeds a
 schema_version and a run-provenance manifest (seeds, command echo, per-phase
 wall times, worker count, package version).";
 
-/// Parses the argument list (without the program name).
-///
-/// # Errors
-///
-/// Returns [`CliError`] with a usage message on malformed input.
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let usage = || CliError(USAGE.to_string());
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(usage)?;
-    let mut positional: Vec<String> = Vec::new();
-    let mut out = "-".to_string();
-    let mut out_given = false;
-    let mut rows = 16usize;
-    let mut cols = 16usize;
-    let mut rows_given = false;
-    let mut cols_given = false;
-    let mut top = 10usize;
-    let mut tiles = 2u64;
-    let mut nets = String::new();
-    let mut k = 4u64;
-    let mut faults = 64usize;
-    let mut seed = 1u64;
-    let mut harden = "none".to_string();
-    let mut workers = 0usize;
-    let mut lanes = 1usize;
-    let mut sweep_acc = false;
-    let mut mode = "both".to_string();
-    let mut seeds = 256u64;
-    let mut cycles = 16u64;
-    let mut opt = true;
-    let mut format = String::new();
-    let mut sim_cycles = 0u64;
-    let mut trace_out = String::new();
-    let mut resume: Option<String> = None;
-    let mut chunk_timeout: Option<u64> = None;
-    let mut json = false;
-    let mut interval_ms = 1000u64;
-    let mut check = false;
-    let mut threshold = tensorlib_obs::history::DEFAULT_CHECK_THRESHOLD_PCT;
-    let parse_opt = |v: &str| -> Result<bool, CliError> {
-        match v {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(CliError(format!(
-                "--opt expects on or off (got {other:?})"
-            ))),
-        }
-    };
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = rest[i].as_str();
-        let take_value = |i: &mut usize| -> Result<String, CliError> {
-            *i += 1;
-            rest.get(*i)
-                .map(|s| s.to_string())
-                .ok_or_else(|| CliError(format!("flag {a} needs a value")))
-        };
-        match a {
-            "-o" | "--out" => {
-                out = take_value(&mut i)?;
-                out_given = true;
-            }
-            "--rows" => {
-                rows = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--rows expects an integer".into()))?;
-                if rows == 0 {
-                    return Err(CliError("--rows must be at least 1".into()));
-                }
-                rows_given = true;
-            }
-            "--cols" => {
-                cols = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--cols expects an integer".into()))?;
-                if cols == 0 {
-                    return Err(CliError("--cols must be at least 1".into()));
-                }
-                cols_given = true;
-            }
-            "--top" => {
-                top = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--top expects an integer".into()))?
-            }
-            "--tiles" => {
-                tiles = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--tiles expects an integer".into()))?
-            }
-            "--nets" => nets = take_value(&mut i)?,
-            "--k" => {
-                k = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--k expects an integer".into()))?;
-                if k == 0 {
-                    return Err(CliError("--k must be at least 1".into()));
-                }
-            }
-            "--faults" => {
-                faults = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--faults expects an integer".into()))?
-            }
-            "--seed" => {
-                seed = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--seed expects an integer".into()))?
-            }
-            "--harden" => harden = take_value(&mut i)?,
-            "--workers" => {
-                workers = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--workers expects an integer".into()))?;
-                if workers == 0 {
-                    return Err(CliError(
-                        "--workers must be at least 1 (omit the flag for one worker per core)"
-                            .into(),
-                    ));
-                }
-            }
-            "--lanes" => {
-                lanes = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--lanes expects an integer".into()))?;
-                if lanes == 0 || lanes > 64 {
-                    return Err(CliError(format!(
-                        "--lanes must be between 1 and 64 (the batched engine packs 64 \
-                         lanes per bytecode pass; got {lanes})"
-                    )));
-                }
-            }
-            "--sweep-acc" => sweep_acc = true,
-            "--format" => format = take_value(&mut i)?,
-            "--sim-cycles" => {
-                sim_cycles = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--sim-cycles expects an integer".into()))?;
-                if sim_cycles == 0 {
-                    return Err(CliError(
-                        "--sim-cycles must be at least 1 (omit the flag to skip the \
-                         smoke trace)"
-                            .into(),
-                    ));
-                }
-            }
-            "--trace-out" => {
-                trace_out = take_value(&mut i)?;
-                if trace_out.is_empty() {
-                    return Err(CliError("--trace-out needs a file path".into()));
-                }
-            }
-            "--opt" => opt = parse_opt(&take_value(&mut i)?)?,
-            _ if a.starts_with("--opt=") => opt = parse_opt(&a["--opt=".len()..])?,
-            "--mode" => mode = take_value(&mut i)?,
-            "--seeds" => {
-                seeds = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--seeds expects an integer".into()))?;
-                if seeds == 0 {
-                    return Err(CliError(
-                        "--seeds must be at least 1 (a zero-seed campaign runs nothing)".into(),
-                    ));
-                }
-            }
-            "--cycles" => {
-                cycles = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--cycles expects an integer".into()))?;
-                if cycles == 0 {
-                    return Err(CliError("--cycles must be at least 1".into()));
-                }
-            }
-            "--resume" => {
-                let dir = take_value(&mut i)?;
-                if dir.is_empty() {
-                    return Err(CliError("--resume needs a journal directory".into()));
-                }
-                resume = Some(dir);
-            }
-            "--chunk-timeout" => {
-                let secs: u64 = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--chunk-timeout expects whole seconds".into()))?;
-                if secs == 0 {
-                    return Err(CliError(
-                        "--chunk-timeout must be at least 1 second (omit the flag to \
-                         disable the watchdog)"
-                            .into(),
-                    ));
-                }
-                chunk_timeout = Some(secs);
-            }
-            "--json" => json = true,
-            "--interval" => {
-                let secs: f64 = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--interval expects seconds (fractions ok)".into()))?;
-                if secs <= 0.0 || !secs.is_finite() {
-                    return Err(CliError(
-                        "--interval must be a positive number of seconds".into(),
-                    ));
-                }
-                interval_ms = ((secs * 1000.0).round() as u64).max(1);
-            }
-            "--check" => check = true,
-            "--threshold" => {
-                threshold = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError("--threshold expects a percentage".into()))?;
-                if threshold < 0.0 || !threshold.is_finite() {
-                    return Err(CliError(
-                        "--threshold must be a non-negative percentage".into(),
-                    ));
-                }
-            }
-            _ if a.starts_with('-') => {
-                return Err(CliError(format!("unknown flag {a}\n\n{USAGE}")))
-            }
-            _ => positional.push(a.to_string()),
-        }
-        i += 1;
-    }
-    // The smoke trace is one feature behind two flags: requiring the pair
-    // keeps "trace requested but silently skipped" unrepresentable.
-    let check_trace_pair = |sim_cycles: u64, trace_out: &str| -> Result<(), CliError> {
-        match (sim_cycles > 0, !trace_out.is_empty()) {
-            (true, false) => Err(CliError(
-                "--sim-cycles needs --trace-out <file> for the smoke trace".into(),
-            )),
-            (false, true) => Err(CliError(
-                "--trace-out needs --sim-cycles <C> to drive the smoke trace".into(),
-            )),
-            _ => Ok(()),
-        }
-    };
-    match (cmd.as_str(), positional.len()) {
-        ("workloads", 0) => Ok(Command::Workloads),
-        ("analyze", 2) => Ok(Command::Analyze {
-            workload: positional[0].clone(),
-            dataflow: positional[1].clone(),
-        }),
-        ("generate", 2) => Ok(Command::Generate {
-            workload: positional[0].clone(),
-            dataflow: positional[1].clone(),
-            out,
-            rows,
-            cols,
-            opt,
-        }),
-        ("emit", 2) => {
-            let format = if format.is_empty() {
-                "text".to_string()
-            } else {
-                format
-            };
-            if !matches!(format.as_str(), "text" | "yosys-json" | "verilog") {
-                return Err(CliError(format!(
-                    "--format for emit expects text, yosys-json, or verilog (got {format:?})"
-                )));
-            }
-            check_trace_pair(sim_cycles, &trace_out)?;
-            Ok(Command::Emit {
-                workload: positional[0].clone(),
-                dataflow: positional[1].clone(),
-                rows,
-                cols,
-                format,
-                opt,
-                sim_cycles,
-                trace_out,
-                out,
-            })
-        }
-        ("parse", 1) => {
-            let format = if format.is_empty() {
-                "auto".to_string()
-            } else {
-                format
-            };
-            if !matches!(format.as_str(), "auto" | "text" | "yosys-json") {
-                return Err(CliError(format!(
-                    "--format for parse expects auto, text, or yosys-json (got {format:?})"
-                )));
-            }
-            check_trace_pair(sim_cycles, &trace_out)?;
-            Ok(Command::Parse {
-                input: positional[0].clone(),
-                format,
-                opt,
-                sim_cycles,
-                trace_out,
-                out,
-            })
-        }
-        ("simulate", 2) => Ok(Command::Simulate {
-            workload: positional[0].clone(),
-            dataflow: positional[1].clone(),
-            rows,
-            cols,
-        }),
-        ("explore", 1) => Ok(Command::Explore {
-            workload: positional[0].clone(),
-            top,
-            resume,
-            chunk_timeout,
-            out: if out_given { out } else { String::new() },
-        }),
-        // Profile defaults to a small array: the sweep runs the functional
-        // simulator on every point, and 4x4 keeps that tractable.
-        ("profile", 1) => Ok(Command::Profile {
-            workload: positional[0].clone(),
-            top,
-            rows: if rows_given { rows } else { 4 },
-            cols: if cols_given { cols } else { 4 },
-            workers,
-            out: if out_given { out } else { String::new() },
-        }),
-        ("stats", 2) => Ok(Command::Stats {
-            workload: positional[0].clone(),
-            dataflow: positional[1].clone(),
-            rows,
-            cols,
-            tiles,
-            opt,
-            out: if out_given { out } else { String::new() },
-        }),
-        ("trace", 2) => Ok(Command::Trace {
-            workload: positional[0].clone(),
-            dataflow: positional[1].clone(),
-            rows,
-            cols,
-            tiles,
-            nets,
-            opt,
-            out: if out_given { out } else { String::new() },
-        }),
-        // Campaigns clone one interpreter per fault, so the faults default
-        // array is the small 4x4 campaign rather than the 16x16 generator
-        // default.
-        ("faults", 0) => {
-            if !sweep_acc && faults == 0 {
-                return Err(CliError(
-                    "--faults must be at least 1 (or pass --sweep-acc for the \
-                     exhaustive accumulator sweep)"
-                        .into(),
-                ));
-            }
-            Ok(Command::Faults {
-                rows: if rows_given { rows } else { 4 },
-                cols: if cols_given { cols } else { 4 },
-                k,
-                faults,
-                seed,
-                harden,
-                workers,
-                lanes,
-                sweep_acc,
-                opt,
-                resume,
-                chunk_timeout,
-                out: if out_given { out } else { String::new() },
-            })
-        }
-        ("fuzz", 0) => Ok(Command::Fuzz {
-            mode,
-            seed,
-            seeds,
-            cycles,
-            workers,
-            lanes,
-            opt,
-            resume,
-            chunk_timeout,
-            out: if out_given { out } else { String::new() },
-        }),
-        ("status", 1) => Ok(Command::Status {
-            dir: positional[0].clone(),
-            json,
-        }),
-        ("watch", 1) => Ok(Command::Watch {
-            dir: positional[0].clone(),
-            interval_ms,
-        }),
-        // With no path, history reads the default reports-dir index.
-        ("history", 0) => Ok(Command::History {
-            path: "reports/history.jsonl".to_string(),
-            check,
-            threshold,
-        }),
-        ("history", 1) => Ok(Command::History {
-            path: positional[0].clone(),
-            check,
-            threshold,
-        }),
-        _ => Err(usage()),
-    }
-}
-
-/// A fully parsed invocation: the command plus global flags.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Invocation {
-    /// `--profile <path>`: record framework spans during the run and write a
-    /// Chrome Trace Event file there afterwards.
-    pub profile: Option<String>,
-    /// The command itself.
-    pub command: Command,
-    /// The raw argument echo, recorded in report provenance.
-    pub echo: String,
-}
-
-/// Parses the argument list (without the program name), extracting global
-/// flags (`--profile <path>`) before command parsing. This is what `main`
-/// calls; [`parse_args`] stays available for command-only parsing.
-///
-/// # Errors
-///
-/// Returns [`CliError`] with a usage message on malformed input.
-pub fn parse_invocation(args: &[String]) -> Result<Invocation, CliError> {
-    let mut profile = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--profile" {
-            i += 1;
-            profile = Some(args.get(i).cloned().ok_or_else(|| {
-                CliError("--profile needs a trace output path".to_string())
-            })?);
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    Ok(Invocation {
-        profile,
-        command: parse_args(&rest)?,
-        echo: args.join(" "),
-    })
-}
-
 /// Resolves a workload spec like `gemm:64,64,64` to a kernel.
 ///
 /// # Errors
@@ -906,67 +952,37 @@ pub fn resolve_workload(spec: &str) -> Result<Kernel, CliError> {
         }
         None => (spec, None),
     };
-    let need = |n: usize, sizes: &Option<Vec<u64>>| -> Result<Vec<u64>, CliError> {
-        match sizes {
-            None => Ok(Vec::new()),
-            Some(v) if v.len() == n => Ok(v.clone()),
-            Some(v) => Err(CliError(format!(
-                "{name} takes {n} sizes, got {}",
-                v.len()
-            ))),
+    // Each workload's default sizes (which also give its arity) and its
+    // constructor.
+    type Build = fn(&[u64]) -> Kernel;
+    let (defaults, build): (&[u64], Build) = match name {
+        "gemm" => (&[64, 64, 64], |s| workloads::gemm(s[0], s[1], s[2])),
+        "batched-gemv" => (&[64, 64, 64], |s| workloads::batched_gemv(s[0], s[1], s[2])),
+        // The ResNet layer-2 preset.
+        "conv2d" => (&[64, 64, 56, 56, 3, 3], |s| {
+            workloads::conv2d(s[0], s[1], s[2], s[3], s[4], s[5])
+        }),
+        "depthwise" => (&[64, 56, 56, 3, 3], |s| {
+            workloads::depthwise_conv(s[0], s[1], s[2], s[3], s[4])
+        }),
+        "mttkrp" => (&[32; 4], |s| workloads::mttkrp(s[0], s[1], s[2], s[3])),
+        "ttmc" => (&[16; 5], |s| workloads::ttmc(s[0], s[1], s[2], s[3], s[4])),
+        other => {
+            return Err(CliError(format!(
+                "unknown workload {other:?}\n\n{}",
+                usage()
+            )))
         }
     };
-    Ok(match name {
-        "gemm" => {
-            let s = need(3, &sizes)?;
-            if s.is_empty() {
-                workloads::gemm(64, 64, 64)
-            } else {
-                workloads::gemm(s[0], s[1], s[2])
-            }
-        }
-        "batched-gemv" => {
-            let s = need(3, &sizes)?;
-            if s.is_empty() {
-                workloads::batched_gemv(64, 64, 64)
-            } else {
-                workloads::batched_gemv(s[0], s[1], s[2])
-            }
-        }
-        "conv2d" => {
-            let s = need(6, &sizes)?;
-            if s.is_empty() {
-                workloads::resnet_layer2()
-            } else {
-                workloads::conv2d(s[0], s[1], s[2], s[3], s[4], s[5])
-            }
-        }
-        "depthwise" => {
-            let s = need(5, &sizes)?;
-            if s.is_empty() {
-                workloads::depthwise_conv(64, 56, 56, 3, 3)
-            } else {
-                workloads::depthwise_conv(s[0], s[1], s[2], s[3], s[4])
-            }
-        }
-        "mttkrp" => {
-            let s = need(4, &sizes)?;
-            if s.is_empty() {
-                workloads::mttkrp(32, 32, 32, 32)
-            } else {
-                workloads::mttkrp(s[0], s[1], s[2], s[3])
-            }
-        }
-        "ttmc" => {
-            let s = need(5, &sizes)?;
-            if s.is_empty() {
-                workloads::ttmc(16, 16, 16, 16, 16)
-            } else {
-                workloads::ttmc(s[0], s[1], s[2], s[3], s[4])
-            }
-        }
-        other => return Err(CliError(format!("unknown workload {other:?}\n\n{USAGE}"))),
-    })
+    match sizes {
+        None => Ok(build(defaults)),
+        Some(s) if s.len() == defaults.len() => Ok(build(&s)),
+        Some(s) => Err(CliError(format!(
+            "{name} takes {} sizes, got {}",
+            defaults.len(),
+            s.len()
+        ))),
+    }
 }
 
 /// Headline numbers of a measured run, duplicated out of the raw counters so
@@ -1053,22 +1069,49 @@ struct ExploreReportDoc {
 
 /// Builds the provenance manifest every JSON report embeds. `workers` is
 /// the requested count (`0` = one per core) and is recorded resolved, as
-/// the worker pool runs it. Phase wall times come from the live span
-/// recorder when a `--profile` run has it enabled; otherwise only the
-/// `total` entry (measured around the command) is present.
-fn provenance_for(command_echo: &str, seeds: Vec<u64>, workers: usize, total_us: u64) -> Provenance {
-    let mut p = Provenance::new(command_echo);
+/// the worker pool runs it. Phase wall times come from `session` (empty
+/// unless spans were recorded), plus the `total` measured since `started`.
+fn provenance(
+    echo: &str,
+    seeds: Vec<u64>,
+    workers: usize,
+    started: Instant,
+    session: &Session,
+) -> Provenance {
+    let mut p = Provenance::new(echo);
     p.seeds = seeds;
     p.workers = resolved_workers(workers);
-    if tensorlib_obs::is_enabled() {
-        p.phase_wall_times_us = tensorlib_obs::snapshot()
-            .phase_totals()
-            .into_iter()
-            .map(|(name, (_count, total))| (name, total))
-            .collect();
-    }
-    p.phase_wall_times_us.insert("total".to_string(), total_us);
+    p.phase_wall_times_us = session
+        .phase_totals()
+        .into_iter()
+        .map(|(name, (_count, total))| (name, total))
+        .collect();
+    p.phase_wall_times_us
+        .insert("total".to_string(), started.elapsed().as_micros() as u64);
     p
+}
+
+/// The spans recorded so far when a `--profile` run has the recorder on;
+/// empty otherwise.
+fn live_session() -> Session {
+    if tensorlib_obs::is_enabled() {
+        tensorlib_obs::snapshot()
+    } else {
+        Session::default()
+    }
+}
+
+/// Runs `f` with span recording on and returns its result with the drained
+/// session, leaving the recorder as it found it.
+fn recorded<T>(f: impl FnOnce() -> T) -> (T, Session) {
+    let was_enabled = tensorlib_obs::is_enabled();
+    tensorlib_obs::enable();
+    let out = f();
+    let session = tensorlib_obs::drain();
+    if !was_enabled {
+        tensorlib_obs::disable();
+    }
+    (out, session)
 }
 
 /// The worker count a pool runs for a requested count (`0` = one per core).
@@ -1076,14 +1119,11 @@ fn resolved_workers(requested: usize) -> usize {
     tensorlib::linalg::par::effective_workers(requested, usize::MAX)
 }
 
-/// Builds campaign durability options from the shared `--resume` /
-/// `--chunk-timeout` flags. Both absent runs the campaign as one
-/// unjournaled chunk.
-fn durability_from(resume: &Option<String>, chunk_timeout: Option<u64>) -> DurabilityOptions {
-    DurabilityOptions {
-        dir: resume.as_ref().map(PathBuf::from),
-        chunk_timeout: chunk_timeout.map(Duration::from_secs),
-        ..DurabilityOptions::default()
+/// An array shape with every other hardware knob at its default.
+fn hw_config(rows: usize, cols: usize) -> HwConfig {
+    HwConfig {
+        array: ArrayConfig { rows, cols },
+        ..HwConfig::default()
     }
 }
 
@@ -1093,28 +1133,22 @@ struct CampaignOutput<'a> {
     echo: String,
     /// Seeds the campaign consumed.
     seeds: Vec<u64>,
-    /// Requested worker count (`0` = one per core).
-    workers: usize,
-    /// Batched-simulation lanes (`0` = not applicable).
-    lanes: usize,
-    /// The `--resume` directory, if any.
-    resume: &'a Option<String>,
-    /// `-o` value: `-` for stdout, empty for `default_path`.
-    out: &'a str,
+    /// Workers, lanes (`0` = not applicable), journal and report path.
+    args: &'a CampaignArgs,
+    /// Where the report lands when `-o` is not given.
     default_path: String,
     /// What the report is, for the `wrote … to …` note.
     what: &'a str,
-    started: std::time::Instant,
+    started: Instant,
 }
 
 /// Wraps a finished campaign run into its JSON document (built by `doc`
 /// from the report, the provenance, whether the run was interrupted, and
 /// the resume hint), emits it, and, unless the run was interrupted, appends
-/// the campaign's
-/// history metrics to the `history.jsonl` next to the report. The history
-/// entry is keyed by the campaign's journal canonical config, so a clean
-/// run, its `--resume` re-run, and a run with different `--workers` share
-/// one series.
+/// the campaign's history metrics to the `history.jsonl` next to the report.
+/// The history entry is keyed by the campaign's journal canonical config,
+/// so a clean run, its `--resume` re-run, and a run with different
+/// `--workers` share one series.
 fn emit_campaign<C: Campaign, D: serde::Serialize>(
     campaign: C,
     (report, stats): (C::Report, RunStats),
@@ -1125,23 +1159,25 @@ fn emit_campaign<C: Campaign, D: serde::Serialize>(
     // The campaign's setup (design, fault list, interpreters) is dead
     // weight while the report is serialized.
     drop(campaign);
+    let args = output.args;
     let metrics = (!stats.interrupted).then(|| C::history_metrics(&report));
-    let mut provenance = provenance_for(
+    let mut provenance = provenance(
         &output.echo,
         output.seeds,
-        output.workers,
-        output.started.elapsed().as_micros() as u64,
+        args.workers.unwrap_or(0),
+        output.started,
+        &live_session(),
     );
-    provenance.lanes = output.lanes;
+    provenance.lanes = args.lanes;
     // The journal block records how much of the campaign was replayed
     // versus executed; `null` on non-journaled runs.
-    provenance.journal = output.resume.as_ref().map(|dir| JournalProvenance {
+    provenance.journal = args.resume.as_ref().map(|dir| JournalProvenance {
         dir: dir.clone(),
         chunks_total: stats.chunks_total,
         chunks_replayed: stats.chunks_replayed,
         chunks_executed: stats.chunks_executed,
     });
-    let resume_hint = stats.interrupted.then(|| match output.resume {
+    let resume_hint = stats.interrupted.then(|| match &args.resume {
         Some(dir) => format!(
             "campaign interrupted; re-run the same command with --resume {dir} to finish"
         ),
@@ -1151,10 +1187,10 @@ fn emit_campaign<C: Campaign, D: serde::Serialize>(
     let text = serde_json::to_string_pretty(&doc)
         .map_err(|err| CliError(format!("serializing report: {err}")))?
         + "\n";
-    let msg = emit_report(output.out, output.default_path.clone(), &text, output.what)?;
+    let msg = emit_report(&args.out, output.default_path.clone(), &text, output.what)?;
     let history_note = match metrics {
         Some(metrics) => append_history(
-            resolved_report_path(output.out, &output.default_path).as_deref(),
+            resolved_report_path(&args.out, &output.default_path).as_deref(),
             C::KIND,
             &canonical,
             &provenance,
@@ -1190,13 +1226,8 @@ fn emit_report(
     text: &str,
     what: &str,
 ) -> Result<String, CliError> {
-    if out == "-" {
+    let Some(path) = resolved_report_path(out, &default_path) else {
         return Ok(text.to_string());
-    }
-    let path = if out.is_empty() {
-        default_path
-    } else {
-        out.to_string()
     };
     if let Some(parent) = std::path::Path::new(&path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -1248,6 +1279,11 @@ fn append_history(
     let Some(report_path) = report_path else {
         return String::new();
     };
+    // A report sent to a device or a FIFO (`-o /dev/null`) sits in no
+    // reports directory to index.
+    if !std::fs::metadata(report_path).is_ok_and(|meta| meta.is_file()) {
+        return String::new();
+    }
     let dir = std::path::Path::new(report_path)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -1303,9 +1339,10 @@ fn status_resume_hint(dir: &str) -> String {
 fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
     use tensorlib_obs::events::StatusSnapshot;
     use tensorlib_obs::json::Value;
-    let snapshot = StatusSnapshot::read(std::path::Path::new(dir))
+    let mut snapshot = StatusSnapshot::read(std::path::Path::new(dir))
         .map_err(|err| CliError(format!("reading campaign status in {dir}: {err}")))?;
-    let state = effective_status_state(&snapshot);
+    snapshot.state = effective_status_state(&snapshot);
+    let state = snapshot.state.clone();
     let code = match state.as_str() {
         "finished" => 0u8,
         "running" => 2,
@@ -1313,18 +1350,9 @@ fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
     };
     if json {
         let mut v = snapshot.to_value();
-        if let Value::Obj(entries) = &mut v {
-            for (key, val) in entries.iter_mut() {
-                if key == "state" {
-                    *val = Value::Str(state.clone());
-                }
-            }
-            if state == "interrupted" {
-                entries.push((
-                    "resume_hint".to_string(),
-                    Value::Str(status_resume_hint(dir)),
-                ));
-            }
+        if let (Value::Obj(entries), "interrupted") = (&mut v, state.as_str()) {
+            let hint = Value::Str(status_resume_hint(dir));
+            entries.push(("resume_hint".to_string(), hint));
         }
         return Ok((format!("{v}\n"), code));
     }
@@ -1376,7 +1404,7 @@ fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
 /// `tensorlib watch <dir>`: polls the status snapshot, printing one
 /// progress + ETA line per interval, until the campaign finishes (exit 0)
 /// or is interrupted / its writer dies (exit 3).
-fn run_watch(dir: &str, interval_ms: u64) -> Result<(String, u8), CliError> {
+fn run_watch(dir: &str, interval: f64) -> Result<(String, u8), CliError> {
     use tensorlib_obs::events::StatusSnapshot;
     loop {
         let snapshot = StatusSnapshot::read(std::path::Path::new(dir))
@@ -1406,7 +1434,7 @@ fn run_watch(dir: &str, interval_ms: u64) -> Result<(String, u8), CliError> {
                     snapshot.timing.throughput_chunks_per_s,
                     snapshot.timing.eta_ms as f64 / 1000.0
                 );
-                std::thread::sleep(Duration::from_millis(interval_ms));
+                std::thread::sleep(Duration::from_secs_f64(interval));
             }
             _ => {
                 return Ok((
@@ -1547,713 +1575,60 @@ fn smoke_trace(flat: tensorlib::hw::interp::FlatDesign, cycles: u64) -> String {
     text
 }
 
+/// The single-design pipeline the design commands share: resolve the
+/// workload, look up the named dataflow, generate, validate, and with `opt`
+/// optimize and validate again. Returns the kernel, the design, and the
+/// optimizer's size census when it ran.
+fn build_design(d: &DesignArgs) -> Result<(Kernel, AcceleratorDesign, Option<OptStats>), CliError> {
+    let kernel = resolve_workload(&d.workload)?;
+    let df = find_named(&kernel, &d.dataflow, &DseConfig::default()).map_err(cli_err)?;
+    let mut design = generate(&df, &hw_config(d.rows, d.cols)).map_err(cli_err)?;
+    design.validate().map_err(cli_err)?;
+    let opt_stats = d.opt.then(|| design.optimize(&OptOptions::default()));
+    if opt_stats.is_some() {
+        design.validate().map_err(cli_err)?;
+    }
+    Ok((kernel, design, opt_stats))
+}
+
+/// Writes `text` to `out`, or returns it for `-` (stdout); `note` is what a
+/// file write reports instead.
+fn write_or_print(
+    out: &str,
+    text: String,
+    note: impl FnOnce() -> String,
+) -> Result<String, CliError> {
+    if out == "-" {
+        return Ok(text);
+    }
+    atomic_write(out, text.as_bytes()).map_err(|err| CliError(format!("writing {out}: {err}")))?;
+    Ok(note())
+}
+
+/// Runs the smoke trace when the pair of flags asked for one, returning the
+/// note to print.
+fn write_smoke_trace(
+    smoke: &SmokeArgs,
+    flat: impl FnOnce() -> Result<tensorlib::hw::interp::FlatDesign, CliError>,
+) -> Result<String, CliError> {
+    let (Some(cycles), Some(path)) = (smoke.sim_cycles, &smoke.trace_out) else {
+        return Ok(String::new());
+    };
+    let trace = smoke_trace(flat()?, cycles);
+    atomic_write(path, trace.as_bytes())
+        .map_err(|err| CliError(format!("writing {path}: {err}")))?;
+    Ok(format!("wrote {cycles}-cycle smoke trace to {path}\n"))
+}
+
 /// Executes a parsed command, returning the text to print.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] when the pipeline fails (unknown dataflow,
-/// unwireable design, simulation mismatch).
+/// Returns [`CliError`] when the command breaks a flag rule or the
+/// pipeline fails (unknown dataflow, unwireable design, simulation
+/// mismatch).
 pub fn run(cmd: Command) -> Result<String, CliError> {
-    let e = |err: &dyn fmt::Display| CliError(err.to_string());
-    match cmd {
-        Command::Workloads => {
-            let mut s = String::new();
-            for k in workloads::table2_catalog() {
-                s.push_str(&format!("{k}\n"));
-            }
-            Ok(s)
-        }
-        Command::Analyze { workload, dataflow } => {
-            let kernel = resolve_workload(&workload)?;
-            let df = find_named(&kernel, &dataflow, &DseConfig::default())
-                .map_err(|err| e(&err))?;
-            Ok(format!("{df}\n"))
-        }
-        Command::Generate {
-            workload,
-            dataflow,
-            out,
-            rows,
-            cols,
-            opt,
-        } => {
-            let kernel = resolve_workload(&workload)?;
-            let df = find_named(&kernel, &dataflow, &DseConfig::default())
-                .map_err(|err| e(&err))?;
-            let cfg = HwConfig {
-                array: ArrayConfig { rows, cols },
-                ..HwConfig::default()
-            };
-            let mut design = generate(&df, &cfg).map_err(|err| e(&err))?;
-            design.validate().map_err(|err| e(&err))?;
-            if opt {
-                design.optimize(&tensorlib::hw::opt::OptOptions::default());
-                design.validate().map_err(|err| e(&err))?;
-            }
-            let verilog = tensorlib::hw::verilog::emit_design(&design);
-            if out == "-" {
-                Ok(verilog)
-            } else {
-                atomic_write(&out, verilog.as_bytes())
-                    .map_err(|err| CliError(format!("writing {out}: {err}")))?;
-                Ok(format!(
-                    "wrote {out}: {} lines, top module {}\n",
-                    verilog.lines().count(),
-                    design.top()
-                ))
-            }
-        }
-        Command::Emit {
-            workload,
-            dataflow,
-            rows,
-            cols,
-            format,
-            opt,
-            sim_cycles,
-            trace_out,
-            out,
-        } => {
-            let kernel = resolve_workload(&workload)?;
-            let df = find_named(&kernel, &dataflow, &DseConfig::default())
-                .map_err(|err| e(&err))?;
-            let cfg = HwConfig {
-                array: ArrayConfig { rows, cols },
-                ..HwConfig::default()
-            };
-            let mut design = generate(&df, &cfg).map_err(|err| e(&err))?;
-            design.validate().map_err(|err| e(&err))?;
-            if opt {
-                design.optimize(&tensorlib::hw::opt::OptOptions::default());
-                design.validate().map_err(|err| e(&err))?;
-            }
-            let doc = tensorlib::hw::text::NetlistDoc::from_design(&design);
-            let emitted = match format.as_str() {
-                "text" => tensorlib::hw::text::emit_text(&doc),
-                "yosys-json" => tensorlib::hw::yosys::emit_yosys(&doc),
-                _ => tensorlib::hw::verilog::emit_design(&design),
-            };
-            // Interchange emissions self-check their own round trip before
-            // any bytes leave the process: what we wrote is what a reader
-            // gets back.
-            if format != "verilog" {
-                let reparse = |s: &str| -> Result<tensorlib::hw::text::NetlistDoc, CliError> {
-                    let bad = |err: &dyn fmt::Display| {
-                        CliError(format!("emitted {format} does not re-parse: {err}"))
-                    };
-                    match format.as_str() {
-                        "text" => tensorlib::hw::text::parse_text(s).map_err(|err| bad(&err)),
-                        _ => tensorlib::hw::yosys::parse_yosys(s).map_err(|err| bad(&err)),
-                    }
-                };
-                if reparse(&emitted)? != doc {
-                    return Err(CliError(format!(
-                        "emitted {format} round trip is not structurally identical"
-                    )));
-                }
-            }
-            let trace_note = if sim_cycles > 0 {
-                let flat = tensorlib::hw::interp::elaborate(&doc.modules, &doc.banks, &doc.top)
-                    .map_err(|err| e(&err))?;
-                let trace = smoke_trace(flat, sim_cycles);
-                atomic_write(&trace_out, trace.as_bytes())
-                    .map_err(|err| CliError(format!("writing {trace_out}: {err}")))?;
-                format!("wrote {sim_cycles}-cycle smoke trace to {trace_out}\n")
-            } else {
-                String::new()
-            };
-            if out == "-" {
-                // The netlist itself is the stdout payload; the trace (if
-                // any) already landed in its own file.
-                Ok(emitted)
-            } else {
-                atomic_write(&out, emitted.as_bytes())
-                    .map_err(|err| CliError(format!("writing {out}: {err}")))?;
-                Ok(format!(
-                    "wrote {format} netlist to {out}: {} lines, top module {}\n{trace_note}",
-                    emitted.lines().count(),
-                    design.top()
-                ))
-            }
-        }
-        Command::Parse {
-            input,
-            format,
-            opt,
-            sim_cycles,
-            trace_out,
-            out,
-        } => {
-            let src = std::fs::read_to_string(&input)
-                .map_err(|err| CliError(format!("reading {input}: {err}")))?;
-            let fmt = if format == "auto" {
-                if src.trim_start().starts_with('{') {
-                    "yosys-json"
-                } else {
-                    "text"
-                }
-            } else {
-                format.as_str()
-            };
-            let doc = match fmt {
-                "text" => tensorlib::hw::text::parse_text(&src)
-                    .map_err(|err| CliError(format!("{input}: {err}")))?,
-                _ => tensorlib::hw::yosys::parse_yosys(&src)
-                    .map_err(|err| CliError(format!("{input}: {err}")))?,
-            };
-            doc.validate()
-                .map_err(|msg| CliError(format!("{input}: {msg}")))?;
-            let flat = tensorlib::hw::interp::elaborate(&doc.modules, &doc.banks, &doc.top)
-                .map_err(|err| CliError(format!("{input}: {err}")))?;
-            let ops = tensorlib::hw::interp::flat_op_count(&flat);
-            let mut s = format!(
-                "parsed {fmt} netlist {input}: top module {:?}, {} modules, {} banks\n\
-                 elaborated: {} flat nets, {ops} bytecode ops\n",
-                doc.top,
-                doc.modules.len(),
-                doc.banks.len(),
-                flat.nets().len(),
-            );
-            if opt {
-                let (opt_modules, _) = tensorlib::hw::opt::optimize_netlist(
-                    &doc.modules,
-                    &doc.top,
-                    &tensorlib::hw::opt::OptOptions::default(),
-                );
-                let opt_doc = tensorlib::hw::text::NetlistDoc {
-                    modules: opt_modules,
-                    banks: doc.banks.clone(),
-                    top: doc.top.clone(),
-                };
-                opt_doc.validate().map_err(|msg| {
-                    CliError(format!("{input}: optimized netlist fails validation: {msg}"))
-                })?;
-                let opt_flat = tensorlib::hw::interp::elaborate(
-                    &opt_doc.modules,
-                    &opt_doc.banks,
-                    &opt_doc.top,
-                )
-                .map_err(|err| {
-                    CliError(format!("{input}: optimized netlist fails elaboration: {err}"))
-                })?;
-                s.push_str(&format!(
-                    "optimizer recompile: {ops} -> {} bytecode ops\n",
-                    tensorlib::hw::interp::flat_op_count(&opt_flat),
-                ));
-            }
-            if sim_cycles > 0 {
-                let trace = smoke_trace(flat, sim_cycles);
-                atomic_write(&trace_out, trace.as_bytes())
-                    .map_err(|err| CliError(format!("writing {trace_out}: {err}")))?;
-                s.push_str(&format!(
-                    "wrote {sim_cycles}-cycle smoke trace to {trace_out}\n"
-                ));
-            }
-            if out == "-" {
-                Ok(s)
-            } else {
-                atomic_write(&out, s.as_bytes())
-                    .map_err(|err| CliError(format!("writing {out}: {err}")))?;
-                Ok(format!("wrote parse report to {out}\n"))
-            }
-        }
-        Command::Simulate {
-            workload,
-            dataflow,
-            rows,
-            cols,
-        } => {
-            let kernel = resolve_workload(&workload)?;
-            let acc = Accelerator::builder(kernel)
-                .dataflow_name(&dataflow)
-                .array(rows, cols)
-                .build()
-                .map_err(|err| e(&err))?;
-            let run = acc.verify(42).map_err(|err| e(&err))?;
-            let perf = acc.performance(&SimConfig::paper_default());
-            Ok(format!(
-                "verified: bit-exact over {} MACs\n\
-                 cycles: {} total ({} stall), {:.1}% of peak, {:.1} Gop/s\n",
-                run.macs_executed,
-                perf.total_cycles,
-                perf.stall_cycles,
-                100.0 * perf.normalized_perf,
-                perf.gops
-            ))
-        }
-        Command::Stats {
-            workload,
-            dataflow,
-            rows,
-            cols,
-            tiles,
-            opt,
-            out,
-        } => {
-            if tiles == 0 {
-                return Err(CliError("--tiles must be at least 1".into()));
-            }
-            let t0 = std::time::Instant::now();
-            let kernel = resolve_workload(&workload)?;
-            let df = find_named(&kernel, &dataflow, &DseConfig::default())
-                .map_err(|err| e(&err))?;
-            let cfg = HwConfig {
-                array: ArrayConfig { rows, cols },
-                ..HwConfig::default()
-            };
-            let mut design = generate(&df, &cfg).map_err(|err| e(&err))?;
-            let opt_stats = opt
-                .then(|| design.optimize(&tensorlib::hw::opt::OptOptions::default()));
-            let measured =
-                tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), tiles)
-                    .map_err(|err| e(&err))?;
-            let cross = tensorlib::sim::perf::cross_check(
-                &design,
-                &kernel,
-                &SimConfig::paper_default(),
-                tiles,
-            )
-            .map_err(|err| e(&err))?;
-            let s = &measured.stats;
-            let report = StatsReport {
-                schema_version: SCHEMA_VERSION,
-                provenance: provenance_for(
-                    &format!("stats {workload} {dataflow} --rows {rows} --cols {cols} --tiles {tiles}"),
-                    Vec::new(),
-                    1,
-                    t0.elapsed().as_micros() as u64,
-                ),
-                workload: workload.clone(),
-                dataflow: dataflow.clone(),
-                rows,
-                cols,
-                tiles,
-                summary: StatsSummary {
-                    cycles: s.cycles,
-                    total_mac_cycles: s.total_mac_cycles(),
-                    utilization: s.utilization(),
-                    stall_cycles: s.stall_cycles(),
-                    total_bank_conflicts: s.total_bank_conflicts(),
-                },
-                stats: s.clone(),
-                cross_check: cross,
-                opt: opt_stats,
-            };
-            let text = serde_json::to_string_pretty(&report)
-                .map_err(|err| CliError(format!("serializing report: {err}")))?
-                + "\n";
-            emit_report(
-                &out,
-                report_path("stats", &workload, &dataflow, "json"),
-                &text,
-                "stats report",
-            )
-        }
-        Command::Trace {
-            workload,
-            dataflow,
-            rows,
-            cols,
-            tiles,
-            nets,
-            opt,
-            out,
-        } => {
-            if tiles == 0 {
-                return Err(CliError("--tiles must be at least 1".into()));
-            }
-            let kernel = resolve_workload(&workload)?;
-            let df = find_named(&kernel, &dataflow, &DseConfig::default())
-                .map_err(|err| e(&err))?;
-            let cfg = HwConfig {
-                array: ArrayConfig { rows, cols },
-                ..HwConfig::default()
-            };
-            let mut design = generate(&df, &cfg).map_err(|err| e(&err))?;
-            if opt {
-                design.optimize(&tensorlib::hw::opt::OptOptions::default());
-            }
-            let watch: Vec<String> = if nets.is_empty() {
-                ["en", "swap", "done"].iter().map(|s| s.to_string()).collect()
-            } else {
-                nets.split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            };
-            let trace_cfg = TraceConfig::default().with_watch(watch);
-            let measured = tensorlib::sim::trace::measure(&design, &trace_cfg, tiles)
-                .map_err(|err| e(&err))?;
-            let vcd = measured
-                .sim
-                .write_vcd()
-                .ok_or_else(|| CliError("tracing produced no waveform".into()))?;
-            let s = &measured.stats;
-            let summary = format!(
-                "{} signals, {} events recorded ({} dropped), {} cycles",
-                measured.sim.watched_signals().len(),
-                s.events_recorded,
-                s.events_dropped,
-                s.cycles
-            );
-            let msg = emit_report(
-                &out,
-                report_path("trace", &workload, &dataflow, "vcd"),
-                &vcd,
-                &format!("VCD ({summary})"),
-            )?;
-            Ok(msg)
-        }
-        Command::Faults {
-            rows,
-            cols,
-            k,
-            faults,
-            seed,
-            harden,
-            workers,
-            lanes,
-            sweep_acc,
-            opt,
-            resume,
-            chunk_timeout,
-            out,
-        } => {
-            if rows == 0 || cols == 0 || k == 0 {
-                return Err(CliError("--rows, --cols, and --k must be at least 1".into()));
-            }
-            if !sweep_acc && faults == 0 {
-                return Err(CliError("--faults must be at least 1".into()));
-            }
-            let t0 = std::time::Instant::now();
-            let hardening = Hardening::parse(&harden).map_err(CliError)?;
-            let cfg = CampaignConfig {
-                rows,
-                cols,
-                k,
-                faults,
-                seed,
-                hardening,
-                workers,
-                lanes,
-                opt,
-            };
-            let durability = durability_from(&resume, chunk_timeout);
-            let (mode, campaign) = if sweep_acc {
-                // Flip every accumulator bit 0..8 mid-accumulation: half-way
-                // through the compute phase (t-extent = k plus the skew in
-                // each direction, plus the streaming-pipeline tail), after
-                // the 1-cycle start handshake.
-                let compute = k + rows as u64 - 1 + cols as u64 - 1 + 2;
-                let cycle = 1 + compute / 2;
-                (
-                    "accumulator-sweep",
-                    FaultCampaign::accumulator_sweep(&cfg, 8, cycle),
-                )
-            } else {
-                ("seeded", FaultCampaign::gemm(&cfg))
-            };
-            let campaign = campaign.map_err(|err| e(&err))?;
-            let run = journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
-            let hardening_cost = if hardening.is_any() {
-                let gemm = workloads::gemm(rows as u64, cols as u64, k);
-                let sel =
-                    LoopSelection::by_names(&gemm, ["m", "n", "k"]).map_err(|err| e(&err))?;
-                let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary())
-                    .map_err(|err| e(&err))?;
-                let hw = HwConfig {
-                    array: ArrayConfig { rows, cols },
-                    ..HwConfig::default()
-                };
-                Some(
-                    hardening_overhead(&df, &hw, hardening, &Activity::default())
-                        .map_err(|err| e(&err))?,
-                )
-            } else {
-                None
-            };
-            let output = CampaignOutput {
-                echo: format!(
-                    "faults --rows {rows} --cols {cols} --k {k} --seed {seed} --harden {hardening}"
-                ),
-                seeds: vec![seed],
-                workers,
-                lanes,
-                resume: &resume,
-                out: &out,
-                default_path: report_path(
-                    "faults",
-                    &format!("gemm-{rows}x{cols}x{k}"),
-                    &hardening.to_string(),
-                    "json",
-                ),
-                what: "resilience report",
-                started: t0,
-            };
-            emit_campaign(campaign, run, output, |report, provenance, interrupted, resume_hint| {
-                FaultsReportDoc {
-                    schema_version: SCHEMA_VERSION,
-                    provenance,
-                    config: cfg,
-                    mode: mode.to_string(),
-                    report,
-                    hardening_overhead: hardening_cost,
-                    interrupted,
-                    resume_hint,
-                }
-            })
-        }
-        Command::Fuzz {
-            mode,
-            seed,
-            seeds,
-            cycles,
-            workers,
-            lanes,
-            opt,
-            resume,
-            chunk_timeout,
-            out,
-        } => {
-            let (netlist, pipeline) = match mode.as_str() {
-                "netlist" => (true, false),
-                "pipeline" => (false, true),
-                "both" => (true, true),
-                other => {
-                    return Err(CliError(format!(
-                        "--mode must be netlist, pipeline, or both (got {other:?})"
-                    )))
-                }
-            };
-            if seeds == 0 || cycles == 0 {
-                return Err(CliError("--seeds and --cycles must be at least 1".into()));
-            }
-            let t0 = std::time::Instant::now();
-            // The verify runners treat 0 as serial, not one per core.
-            let workers = resolved_workers(workers);
-            let cfg = VerifyConfig {
-                seed_start: seed,
-                seeds,
-                workers,
-                cycles,
-                lanes,
-                opt,
-            };
-            let durability = durability_from(&resume, chunk_timeout);
-            let campaign = VerifyCampaign::new(&cfg, netlist, pipeline);
-            let run = journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
-            let output = CampaignOutput {
-                echo: format!("fuzz --mode {mode} --seed {seed} --seeds {seeds} --cycles {cycles}"),
-                seeds: vec![seed],
-                workers,
-                lanes,
-                resume: &resume,
-                out: &out,
-                default_path: report_path("fuzz", &mode, &format!("{seed}-{seeds}"), "json"),
-                what: "fuzz report",
-                started: t0,
-            };
-            emit_campaign(campaign, run, output, |report, provenance, interrupted, resume_hint| {
-                FuzzReportDoc {
-                    schema_version: SCHEMA_VERSION,
-                    provenance,
-                    report,
-                    interrupted,
-                    resume_hint,
-                }
-            })
-        }
-        Command::Explore {
-            workload,
-            top,
-            resume,
-            chunk_timeout,
-            out,
-        } => {
-            let t0 = std::time::Instant::now();
-            let kernel = resolve_workload(&workload)?;
-            let durability = durability_from(&resume, chunk_timeout);
-            let opts = ExploreOptions::default();
-            let campaign = ExploreCampaign::new(&kernel, &opts);
-            let (sweep, stats) =
-                journal::execute(&campaign, &durability).map_err(|err| e(&err))?;
-            if out.is_empty() {
-                let mut s = format!(
-                    "{}: {} implementable designs (fastest {top}):\n",
-                    kernel.name(),
-                    sweep.rows.len()
-                );
-                let mut seen = std::collections::HashSet::new();
-                for r in sweep
-                    .rows
-                    .iter()
-                    .filter(|r| seen.insert(r.name.clone()))
-                    .take(top)
-                {
-                    s.push_str(&format!(
-                        "  {:14} {:>12} cycles  {:6.1} mW  {:.3} mm2\n",
-                        r.name, r.total_cycles, r.power_mw, r.area_mm2
-                    ));
-                }
-                if stats.interrupted {
-                    s.push_str("interrupted: partial sweep");
-                    if let Some(dir) = &resume {
-                        s.push_str(&format!("; re-run with --resume {dir} to finish"));
-                    }
-                    s.push('\n');
-                }
-                return Ok(s);
-            }
-            let output = CampaignOutput {
-                echo: format!("explore {workload} --top {top}"),
-                seeds: Vec::new(),
-                workers: opts.workers,
-                lanes: 0,
-                resume: &resume,
-                out: &out,
-                default_path: report_path("explore", &workload, "sweep", "json"),
-                what: "explore report",
-                started: t0,
-            };
-            let run = (sweep, stats);
-            emit_campaign(campaign, run, output, |sweep, provenance, interrupted, resume_hint| {
-                ExploreReportDoc {
-                    schema_version: SCHEMA_VERSION,
-                    provenance,
-                    workload: workload.clone(),
-                    implementable_designs: sweep.rows.len(),
-                    errors: sweep.errors.len(),
-                    skipped: sweep.skipped as usize,
-                    degraded: sweep.degraded,
-                    top: sweep.rows.into_iter().take(top).collect(),
-                    interrupted,
-                    resume_hint,
-                }
-            })
-        }
-        Command::Profile {
-            workload,
-            top,
-            rows,
-            cols,
-            workers,
-            out,
-        } => {
-            let t0 = std::time::Instant::now();
-            let kernel = resolve_workload(&workload)?;
-            // Profile the full pipeline: enumeration, classification,
-            // elaboration, bytecode compile, functional simulation, cost.
-            let opts = ExploreOptions {
-                hw: HwConfig {
-                    array: ArrayConfig { rows, cols },
-                    ..HwConfig::default()
-                },
-                workers,
-                functional_verify: true,
-                ..ExploreOptions::default()
-            };
-            let was_enabled = tensorlib_obs::is_enabled();
-            tensorlib_obs::enable();
-            let outcome = explore_outcome(&kernel, &opts);
-            // The sweep's functional verifier is a behavioural model; the
-            // netlist-flattening and bytecode-compilation phases only run in
-            // the cycle-accurate interpreter. Deep-measure the fastest point
-            // so the trace covers those too.
-            if let Some(best) = outcome.points.first() {
-                let measured = generate(&best.dataflow, &opts.hw).map_err(|err| e(&err)).and_then(
-                    |design| {
-                        tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), 1)
-                            .map_err(|err| e(&err))
-                    },
-                );
-                if let Err(err) = measured {
-                    if !was_enabled {
-                        tensorlib_obs::disable();
-                    }
-                    return Err(err);
-                }
-            }
-            let session = tensorlib_obs::drain();
-            if !was_enabled {
-                tensorlib_obs::disable();
-            }
-            let provenance = provenance_from_session(
-                &session,
-                &format!("profile {workload} --rows {rows} --cols {cols}"),
-                vec![42],
-                workers,
-                t0.elapsed().as_micros() as u64,
-            );
-            let mut table = format!(
-                "profiled {}: {} points, {} errors, {} skipped\n\n\
-                 {:<28} {:>8} {:>12} {:>10}\n",
-                kernel.name(),
-                outcome.points.len(),
-                outcome.errors.len(),
-                outcome.skipped,
-                "phase",
-                "count",
-                "total_us",
-                "mean_us",
-            );
-            for (phase, (count, total_us)) in session.phase_totals().into_iter().take(top.max(1)) {
-                table.push_str(&format!(
-                    "{:<28} {:>8} {:>12} {:>10}\n",
-                    phase,
-                    count,
-                    total_us,
-                    total_us / count.max(1),
-                ));
-            }
-            for (name, value) in &session.metrics.counters {
-                table.push_str(&format!("counter {name} = {value}\n"));
-            }
-            let trace = session.to_chrome_trace(Some(&provenance));
-            let msg = emit_report(
-                &out,
-                report_path("profile", &workload, "sweep", "trace.json"),
-                &trace,
-                "Chrome trace",
-            )?;
-            // A folded-stacks sibling rides along for flamegraph tooling
-            // whenever the trace goes to a file.
-            let mut folded_note = String::new();
-            if out != "-" {
-                let trace_path = if out.is_empty() {
-                    report_path("profile", &workload, "sweep", "trace.json")
-                } else {
-                    out.clone()
-                };
-                let folded_path = format!("{}.folded", trace_path.trim_end_matches(".trace.json"));
-                atomic_write(&folded_path, session.to_folded().as_bytes())
-                    .map_err(|err| CliError(format!("writing {folded_path}: {err}")))?;
-                folded_note = format!("wrote folded stacks to {folded_path}\n");
-            }
-            let mut metrics = std::collections::BTreeMap::new();
-            metrics.insert("points".to_string(), outcome.points.len() as f64);
-            metrics.insert("errors".to_string(), outcome.errors.len() as f64);
-            metrics.insert("skipped".to_string(), outcome.skipped as f64);
-            let history_note = append_history(
-                resolved_report_path(&out, &report_path("profile", &workload, "sweep", "trace.json"))
-                    .as_deref(),
-                "profile",
-                &format!("profile|{workload}|rows={rows}|cols={cols}|top={top}"),
-                &provenance,
-                metrics,
-                t0.elapsed().as_millis() as u64,
-            );
-            Ok(format!("{table}\n{msg}{folded_note}{history_note}"))
-        }
-        // The exit-code-bearing commands: `run` discards the code for
-        // callers that only want text; `run_coded` keeps it.
-        Command::Status { dir, json } => run_status(&dir, json).map(|(text, _)| text),
-        Command::Watch { dir, interval_ms } => run_watch(&dir, interval_ms).map(|(text, _)| text),
-        Command::History {
-            path,
-            check,
-            threshold,
-        } => run_history(&path, check, threshold).map(|(text, _)| text),
-    }
+    run_coded(cmd).map(|(text, _)| text)
 }
 
 /// Like [`run`], but also returning the process exit code. Most commands
@@ -2265,67 +1640,499 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
 ///
 /// Returns [`CliError`] when the command fails (exit code 1 in `main`).
 pub fn run_coded(cmd: Command) -> Result<(String, u8), CliError> {
-    match cmd {
-        Command::Status { dir, json } => run_status(&dir, json),
-        Command::Watch { dir, interval_ms } => run_watch(&dir, interval_ms),
-        Command::History {
-            path,
-            check,
-            threshold,
-        } => run_history(&path, check, threshold),
-        other => run(other).map(|text| (text, 0)),
-    }
+    cmd.check()?;
+    let echo = cmd.echo();
+    let text = match cmd {
+        Command::Status(a) => return run_status(&a.dir, a.json),
+        Command::Watch(a) => return run_watch(&a.dir, a.interval),
+        Command::History(a) => return run_history(&a.path, a.check, a.threshold),
+        Command::Workloads => workloads::table2_catalog()
+            .iter()
+            .map(|k| format!("{k}\n"))
+            .collect(),
+        Command::Analyze(a) => {
+            let kernel = resolve_workload(&a.workload)?;
+            let df = find_named(&kernel, &a.dataflow, &DseConfig::default()).map_err(cli_err)?;
+            format!("{df}\n")
+        }
+        Command::Generate(a) => {
+            let (_, design, _) = build_design(&a.design)?;
+            let verilog = tensorlib::hw::verilog::emit_design(&design);
+            let lines = verilog.lines().count();
+            write_or_print(&a.out, verilog, || {
+                format!(
+                    "wrote {}: {lines} lines, top module {}\n",
+                    a.out,
+                    design.top()
+                )
+            })?
+        }
+        Command::Emit(a) => run_emit(a)?,
+        Command::Parse(a) => run_parse(a)?,
+        Command::Simulate(a) => {
+            let kernel = resolve_workload(&a.workload)?;
+            let acc = Accelerator::builder(kernel)
+                .dataflow_name(&a.dataflow)
+                .array(a.rows, a.cols)
+                .build()
+                .map_err(cli_err)?;
+            let run = acc.verify(42).map_err(cli_err)?;
+            let perf = acc.performance(&SimConfig::paper_default());
+            format!(
+                "verified: bit-exact over {} MACs\n\
+                 cycles: {} total ({} stall), {:.1}% of peak, {:.1} Gop/s\n",
+                run.macs_executed,
+                perf.total_cycles,
+                perf.stall_cycles,
+                100.0 * perf.normalized_perf,
+                perf.gops
+            )
+        }
+        Command::Stats(a) => run_stats(a, &echo)?,
+        Command::Trace(a) => run_trace(a)?,
+        Command::Faults(a) => run_faults(a, echo)?,
+        Command::Fuzz(a) => run_fuzz(a, echo)?,
+        Command::Explore(a) => run_explore(a, echo)?,
+        Command::Profile(a) => run_profile(a, &echo)?,
+    };
+    Ok((text, 0))
 }
 
-/// [`provenance_for`], but reading phase wall times out of an already-drained
-/// [`tensorlib_obs::Session`] instead of the live recorder.
-fn provenance_from_session(
-    session: &tensorlib_obs::Session,
-    command_echo: &str,
-    seeds: Vec<u64>,
-    workers: usize,
-    total_us: u64,
-) -> Provenance {
-    let mut p = Provenance::new(command_echo);
-    p.seeds = seeds;
-    p.workers = resolved_workers(workers);
-    p.phase_wall_times_us = session
-        .phase_totals()
-        .into_iter()
-        .map(|(name, (_count, total))| (name, total))
-        .collect();
-    p.phase_wall_times_us.insert("total".to_string(), total_us);
-    p
+fn run_emit(a: EmitArgs) -> Result<String, CliError> {
+    let (_, design, _) = build_design(&a.design)?;
+    let format = a.format.as_str();
+    let doc = tensorlib::hw::text::NetlistDoc::from_design(&design);
+    let emitted = match format {
+        "text" => tensorlib::hw::text::emit_text(&doc),
+        "yosys-json" => tensorlib::hw::yosys::emit_yosys(&doc),
+        _ => tensorlib::hw::verilog::emit_design(&design),
+    };
+    // Interchange emissions self-check their own round trip before any
+    // bytes leave the process: what we wrote is what a reader gets back.
+    if format != "verilog" {
+        let reparsed = match format {
+            "text" => tensorlib::hw::text::parse_text(&emitted).map_err(cli_err),
+            _ => tensorlib::hw::yosys::parse_yosys(&emitted).map_err(cli_err),
+        }
+        .map_err(|err| CliError(format!("emitted {format} does not re-parse: {err}")))?;
+        if reparsed != doc {
+            return Err(CliError(format!(
+                "emitted {format} round trip is not structurally identical"
+            )));
+        }
+    }
+    let trace_note = write_smoke_trace(&a.smoke, || {
+        tensorlib::hw::interp::elaborate(&doc.modules, &doc.banks, &doc.top).map_err(cli_err)
+    })?;
+    // On stdout the netlist itself is the payload; the trace (if any)
+    // already landed in its own file.
+    let lines = emitted.lines().count();
+    write_or_print(&a.out, emitted, || {
+        format!(
+            "wrote {format} netlist to {}: {lines} lines, top module {}\n{trace_note}",
+            a.out,
+            design.top()
+        )
+    })
+}
+
+fn run_parse(a: ParseArgs) -> Result<String, CliError> {
+    use tensorlib::hw::interp::{elaborate, flat_op_count};
+    let input = &a.input;
+    let src = std::fs::read_to_string(input)
+        .map_err(|err| CliError(format!("reading {input}: {err}")))?;
+    let fmt = match a.format.as_str() {
+        "auto" if src.trim_start().starts_with('{') => "yosys-json",
+        "auto" => "text",
+        other => other,
+    };
+    let at_input = |err: &dyn fmt::Display| CliError(format!("{input}: {err}"));
+    let doc = match fmt {
+        "text" => tensorlib::hw::text::parse_text(&src).map_err(|err| at_input(&err))?,
+        _ => tensorlib::hw::yosys::parse_yosys(&src).map_err(|err| at_input(&err))?,
+    };
+    doc.validate().map_err(|msg| at_input(&msg))?;
+    let flat = elaborate(&doc.modules, &doc.banks, &doc.top).map_err(|err| at_input(&err))?;
+    let ops = flat_op_count(&flat);
+    let mut s = format!(
+        "parsed {fmt} netlist {input}: top module {:?}, {} modules, {} banks\n\
+         elaborated: {} flat nets, {ops} bytecode ops\n",
+        doc.top,
+        doc.modules.len(),
+        doc.banks.len(),
+        flat.nets().len(),
+    );
+    if a.opt {
+        let (modules, _) =
+            tensorlib::hw::opt::optimize_netlist(&doc.modules, &doc.top, &OptOptions::default());
+        let opt_doc = tensorlib::hw::text::NetlistDoc {
+            modules,
+            banks: doc.banks.clone(),
+            top: doc.top.clone(),
+        };
+        let at_opt = |what: &str, err: &dyn fmt::Display| {
+            at_input(&format!("optimized netlist fails {what}: {err}"))
+        };
+        opt_doc
+            .validate()
+            .map_err(|msg| at_opt("validation", &msg))?;
+        let opt_flat = elaborate(&opt_doc.modules, &opt_doc.banks, &opt_doc.top)
+            .map_err(|err| at_opt("elaboration", &err))?;
+        s.push_str(&format!(
+            "optimizer recompile: {ops} -> {} bytecode ops\n",
+            flat_op_count(&opt_flat),
+        ));
+    }
+    s.push_str(&write_smoke_trace(&a.smoke, || Ok(flat))?);
+    write_or_print(&a.out, s, || format!("wrote parse report to {}\n", a.out))
+}
+
+fn run_stats(a: StatsArgs, echo: &str) -> Result<String, CliError> {
+    let t0 = Instant::now();
+    let (kernel, design, opt_stats) = build_design(&a.design)?;
+    let measured = tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), a.tiles)
+        .map_err(cli_err)?;
+    let cross =
+        tensorlib::sim::perf::cross_check(&design, &kernel, &SimConfig::paper_default(), a.tiles)
+            .map_err(cli_err)?;
+    let (s, d) = (&measured.stats, &a.design);
+    let report = StatsReport {
+        schema_version: SCHEMA_VERSION,
+        provenance: provenance(echo, Vec::new(), 1, t0, &live_session()),
+        workload: d.workload.clone(),
+        dataflow: d.dataflow.clone(),
+        rows: d.rows,
+        cols: d.cols,
+        tiles: a.tiles,
+        summary: StatsSummary {
+            cycles: s.cycles,
+            total_mac_cycles: s.total_mac_cycles(),
+            utilization: s.utilization(),
+            stall_cycles: s.stall_cycles(),
+            total_bank_conflicts: s.total_bank_conflicts(),
+        },
+        stats: s.clone(),
+        cross_check: cross,
+        opt: opt_stats,
+    };
+    let text = serde_json::to_string_pretty(&report)
+        .map_err(|err| CliError(format!("serializing report: {err}")))?
+        + "\n";
+    emit_report(
+        &a.out,
+        report_path("stats", &d.workload, &d.dataflow, "json"),
+        &text,
+        "stats report",
+    )
+}
+
+fn run_trace(a: TraceArgs) -> Result<String, CliError> {
+    let (_, design, _) = build_design(&a.design)?;
+    // With no nets named, watch the controller handshake.
+    let watch: Vec<String> = match a.nets.as_str() {
+        "" => "en,swap,done",
+        nets => nets,
+    }
+    .split(',')
+    .map(|s| s.trim().to_string())
+    .filter(|s| !s.is_empty())
+    .collect();
+    let trace_cfg = TraceConfig::default().with_watch(watch);
+    let measured = tensorlib::sim::trace::measure(&design, &trace_cfg, a.tiles).map_err(cli_err)?;
+    let vcd = measured
+        .sim
+        .write_vcd()
+        .ok_or_else(|| CliError("tracing produced no waveform".into()))?;
+    let s = &measured.stats;
+    let summary = format!(
+        "{} signals, {} events recorded ({} dropped), {} cycles",
+        measured.sim.watched_signals().len(),
+        s.events_recorded,
+        s.events_dropped,
+        s.cycles
+    );
+    emit_report(
+        &a.out,
+        report_path("trace", &a.design.workload, &a.design.dataflow, "vcd"),
+        &vcd,
+        &format!("VCD ({summary})"),
+    )
+}
+
+fn run_faults(a: FaultsArgs, echo: String) -> Result<String, CliError> {
+    let t0 = Instant::now();
+    let hardening = Hardening::parse(&a.harden).map_err(CliError)?;
+    let (rows, cols, k) = (a.rows, a.cols, a.k);
+    let cfg = CampaignConfig {
+        rows,
+        cols,
+        k,
+        faults: a.faults,
+        seed: a.seed,
+        hardening,
+        workers: a.campaign.workers.unwrap_or(0),
+        lanes: a.campaign.lanes,
+        opt: a.opt,
+    };
+    let (mode, campaign) = if a.sweep_acc {
+        // Flip every accumulator bit 0..8 mid-accumulation: half-way through
+        // the compute phase (t-extent = k plus the skew in each direction,
+        // plus the streaming-pipeline tail), after the 1-cycle start
+        // handshake.
+        let compute = k + rows as u64 - 1 + cols as u64 - 1 + 2;
+        let cycle = 1 + compute / 2;
+        (
+            "accumulator-sweep",
+            FaultCampaign::accumulator_sweep(&cfg, 8, cycle),
+        )
+    } else {
+        ("seeded", FaultCampaign::gemm(&cfg))
+    };
+    let campaign = campaign.map_err(cli_err)?;
+    let run = journal::execute(&campaign, &a.campaign.durability()).map_err(cli_err)?;
+    let hardening_cost = if hardening.is_any() {
+        let gemm = workloads::gemm(rows as u64, cols as u64, k);
+        let sel = LoopSelection::by_names(&gemm, ["m", "n", "k"]).map_err(cli_err)?;
+        let df = Dataflow::analyze(&gemm, sel, Stt::output_stationary()).map_err(cli_err)?;
+        let hw = hw_config(rows, cols);
+        Some(hardening_overhead(&df, &hw, hardening, &Activity::default()).map_err(cli_err)?)
+    } else {
+        None
+    };
+    let output = CampaignOutput {
+        echo,
+        seeds: vec![a.seed],
+        args: &a.campaign,
+        default_path: report_path(
+            "faults",
+            &format!("gemm-{rows}x{cols}x{k}"),
+            &hardening.to_string(),
+            "json",
+        ),
+        what: "resilience report",
+        started: t0,
+    };
+    emit_campaign(
+        campaign,
+        run,
+        output,
+        |report, provenance, interrupted, resume_hint| FaultsReportDoc {
+            schema_version: SCHEMA_VERSION,
+            provenance,
+            config: cfg,
+            mode: mode.to_string(),
+            report,
+            hardening_overhead: hardening_cost,
+            interrupted,
+            resume_hint,
+        },
+    )
+}
+
+fn run_fuzz(a: FuzzArgs, echo: String) -> Result<String, CliError> {
+    let t0 = Instant::now();
+    let cfg = VerifyConfig {
+        seed_start: a.seed,
+        seeds: a.seeds,
+        // The verify runners treat 0 as serial, not one per core.
+        workers: resolved_workers(a.campaign.workers.unwrap_or(0)),
+        cycles: a.cycles,
+        lanes: a.campaign.lanes,
+        opt: a.opt,
+    };
+    let campaign = VerifyCampaign::new(&cfg, a.mode != "pipeline", a.mode != "netlist");
+    let run = journal::execute(&campaign, &a.campaign.durability()).map_err(cli_err)?;
+    let output = CampaignOutput {
+        echo,
+        seeds: vec![a.seed],
+        args: &a.campaign,
+        default_path: report_path("fuzz", &a.mode, &format!("{}-{}", a.seed, a.seeds), "json"),
+        what: "fuzz report",
+        started: t0,
+    };
+    emit_campaign(
+        campaign,
+        run,
+        output,
+        |report, provenance, interrupted, resume_hint| FuzzReportDoc {
+            schema_version: SCHEMA_VERSION,
+            provenance,
+            report,
+            interrupted,
+            resume_hint,
+        },
+    )
+}
+
+fn run_explore(a: ExploreArgs, echo: String) -> Result<String, CliError> {
+    let t0 = Instant::now();
+    let kernel = resolve_workload(&a.workload)?;
+    // A sweep has no lanes, and its pool runs one worker per core.
+    let args = CampaignArgs {
+        resume: a.resume,
+        chunk_timeout: a.chunk_timeout,
+        out: a.out,
+        ..CampaignArgs::default()
+    };
+    let opts = ExploreOptions::default();
+    let campaign = ExploreCampaign::new(&kernel, &opts);
+    let (sweep, stats) = journal::execute(&campaign, &args.durability()).map_err(cli_err)?;
+    let top = a.top;
+    if args.out.is_empty() {
+        let mut s = format!(
+            "{}: {} implementable designs (fastest {top}):\n",
+            kernel.name(),
+            sweep.rows.len()
+        );
+        let mut seen = std::collections::HashSet::new();
+        for r in sweep
+            .rows
+            .iter()
+            .filter(|r| seen.insert(r.name.clone()))
+            .take(top)
+        {
+            s.push_str(&format!(
+                "  {:14} {:>12} cycles  {:6.1} mW  {:.3} mm2\n",
+                r.name, r.total_cycles, r.power_mw, r.area_mm2
+            ));
+        }
+        if stats.interrupted {
+            s.push_str("interrupted: partial sweep");
+            if let Some(dir) = &args.resume {
+                s.push_str(&format!("; re-run with --resume {dir} to finish"));
+            }
+            s.push('\n');
+        }
+        return Ok(s);
+    }
+    let output = CampaignOutput {
+        echo,
+        seeds: Vec::new(),
+        args: &args,
+        default_path: report_path("explore", &a.workload, "sweep", "json"),
+        what: "explore report",
+        started: t0,
+    };
+    let workload = a.workload.clone();
+    emit_campaign(
+        campaign,
+        (sweep, stats),
+        output,
+        |sweep, provenance, interrupted, resume_hint| ExploreReportDoc {
+            schema_version: SCHEMA_VERSION,
+            provenance,
+            workload,
+            implementable_designs: sweep.rows.len(),
+            errors: sweep.errors.len(),
+            skipped: sweep.skipped as usize,
+            degraded: sweep.degraded,
+            top: sweep.rows.into_iter().take(top).collect(),
+            interrupted,
+            resume_hint,
+        },
+    )
+}
+
+fn run_profile(a: ProfileArgs, echo: &str) -> Result<String, CliError> {
+    let t0 = Instant::now();
+    let kernel = resolve_workload(&a.workload)?;
+    // Profile the full pipeline: enumeration, classification, elaboration,
+    // bytecode compile, functional simulation, cost.
+    let opts = ExploreOptions {
+        hw: hw_config(a.rows, a.cols),
+        workers: a.workers.unwrap_or(0),
+        functional_verify: true,
+        ..ExploreOptions::default()
+    };
+    let (outcome, session) = recorded(|| {
+        let outcome = explore_outcome(&kernel, &opts);
+        // The sweep's functional verifier is a behavioural model; the
+        // netlist-flattening and bytecode-compilation phases only run in the
+        // cycle-accurate interpreter. Deep-measure the fastest point so the
+        // trace covers those too.
+        if let Some(best) = outcome.points.first() {
+            let design = generate(&best.dataflow, &opts.hw).map_err(cli_err)?;
+            tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), 1)
+                .map_err(cli_err)?;
+        }
+        Ok::<_, CliError>(outcome)
+    });
+    let outcome = outcome?;
+    let provenance = provenance(echo, vec![42], opts.workers, t0, &session);
+    let mut table = format!(
+        "profiled {}: {} points, {} errors, {} skipped\n\n\
+         {:<28} {:>8} {:>12} {:>10}\n",
+        kernel.name(),
+        outcome.points.len(),
+        outcome.errors.len(),
+        outcome.skipped,
+        "phase",
+        "count",
+        "total_us",
+        "mean_us",
+    );
+    for (phase, (count, total_us)) in session.phase_totals().into_iter().take(a.top.max(1)) {
+        table.push_str(&format!(
+            "{:<28} {:>8} {:>12} {:>10}\n",
+            phase,
+            count,
+            total_us,
+            total_us / count.max(1),
+        ));
+    }
+    for (name, value) in &session.metrics.counters {
+        table.push_str(&format!("counter {name} = {value}\n"));
+    }
+    let trace = session.to_chrome_trace(Some(&provenance));
+    let default_path = report_path("profile", &a.workload, "sweep", "trace.json");
+    let msg = emit_report(&a.out, default_path.clone(), &trace, "Chrome trace")?;
+    // A folded-stacks sibling rides along for flamegraph tooling whenever
+    // the trace goes to a file.
+    let trace_path = resolved_report_path(&a.out, &default_path);
+    let mut folded_note = String::new();
+    if let Some(trace_path) = &trace_path {
+        let folded_path = format!("{}.folded", trace_path.trim_end_matches(".trace.json"));
+        atomic_write(&folded_path, session.to_folded().as_bytes())
+            .map_err(|err| CliError(format!("writing {folded_path}: {err}")))?;
+        folded_note = format!("wrote folded stacks to {folded_path}\n");
+    }
+    let mut metrics = std::collections::BTreeMap::new();
+    metrics.insert("points".to_string(), outcome.points.len() as f64);
+    metrics.insert("errors".to_string(), outcome.errors.len() as f64);
+    metrics.insert("skipped".to_string(), outcome.skipped as f64);
+    let history_note = append_history(
+        trace_path.as_deref(),
+        "profile",
+        &format!(
+            "profile|{}|rows={}|cols={}|top={}",
+            a.workload, a.rows, a.cols, a.top
+        ),
+        &provenance,
+        metrics,
+        t0.elapsed().as_millis() as u64,
+    );
+    Ok(format!("{table}\n{msg}{folded_note}{history_note}"))
 }
 
 /// Whether `main` should install the process-wide SIGINT latch before
 /// running: only journaled campaigns (`--resume`) drain-and-flush on
 /// Ctrl-C; every other command keeps the default kill-immediately behavior.
 pub fn wants_interrupt_latch(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Faults { resume: Some(_), .. }
-            | Command::Fuzz { resume: Some(_), .. }
-            | Command::Explore { resume: Some(_), .. }
-    )
+    match cmd {
+        Command::Faults(FaultsArgs { campaign, .. }) | Command::Fuzz(FuzzArgs { campaign, .. }) => {
+            campaign.resume.is_some()
+        }
+        Command::Explore(a) => a.resume.is_some(),
+        _ => false,
+    }
 }
 
 /// Runs a parsed invocation: the command itself, plus (when the global
 /// `--profile <out.trace.json>` flag was given) a span-tracing session
 /// around it whose Chrome trace — with the run's provenance embedded — is
 /// written to the requested path. The flag never changes what the command
-/// computes; see the module docs.
-///
-/// # Errors
-///
-/// Returns [`CliError`] when the command fails or the trace cannot be
-/// written.
-pub fn run_invocation(inv: Invocation) -> Result<String, CliError> {
-    run_invocation_coded(inv).map(|(text, _)| text)
-}
-
-/// [`run_invocation`], but also returning the process exit code (see
-/// [`run_coded`]). This is what `main` calls.
+/// computes. Returns the text to print and the process exit code (see
+/// [`run_coded`]); this is what `main` calls.
 ///
 /// # Errors
 ///
@@ -2335,22 +2142,11 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
     let Some(trace_path) = inv.profile else {
         return run_coded(inv.command);
     };
-    let t0 = std::time::Instant::now();
-    let was_enabled = tensorlib_obs::is_enabled();
-    tensorlib_obs::enable();
-    let result = run_coded(inv.command);
-    let session = tensorlib_obs::drain();
-    if !was_enabled {
-        tensorlib_obs::disable();
-    }
+    let t0 = Instant::now();
+    let echo = inv.command.echo();
+    let (result, session) = recorded(|| run_coded(inv.command));
     let (output, code) = result?;
-    let provenance = provenance_from_session(
-        &session,
-        &inv.echo,
-        Vec::new(),
-        1,
-        t0.elapsed().as_micros() as u64,
-    );
+    let provenance = provenance(&echo, Vec::new(), 1, t0, &session);
     let trace = session.to_chrome_trace(Some(&provenance));
     let note = emit_report(&trace_path, String::new(), &trace, "profile trace")?;
     Ok((format!("{output}{note}"), code))
@@ -2365,41 +2161,113 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Every `tensorlib` invocation the repository's scripts and docs run:
+    /// `scripts/ci.sh` (directories made concrete), the argument lists of
+    /// the tlbench workloads (`crates/bench/src/bin/tlbench/src/workloads.rs`),
+    /// and the README's command-line section; then `trace` and `watch`,
+    /// which none of those run.
+    const INVOCATIONS: &[&str] = &[
+        // scripts/ci.sh
+        "faults --faults 8 --seed 7 --harden full -o -",
+        "fuzz --mode both --seed 0 --seeds 200 -o -",
+        "faults --faults 8 --seed 7 --harden full --lanes 8 -o -",
+        "fuzz --mode netlist --seed 0 --seeds 50 --lanes 8 -o -",
+        "emit gemm:8,8,8 MNK-SST --rows 2 --cols 2 --format text --sim-cycles 64 \
+         --trace-out d/emit_text.trace -o d/n.tl",
+        "emit gemm:8,8,8 MNK-SST --rows 2 --cols 2 --format yosys-json --sim-cycles 64 \
+         --trace-out d/emit_json.trace -o d/n.json",
+        "parse d/n.tl --sim-cycles 64 --trace-out d/parse_text.trace -o -",
+        "parse d/n.json --sim-cycles 64 --trace-out d/parse_json.trace -o -",
+        "emit mttkrp IKL-UBBB --rows 16 --cols 16 --format text --sim-cycles 64 \
+         --trace-out d/mttkrp.emit.trace -o d/mttkrp.tl",
+        "parse d/mttkrp.tl --sim-cycles 64 --trace-out d/mttkrp.parse.trace",
+        "fuzz --mode netlist --seed 0 --seeds 200 --opt on -o -",
+        "faults --faults 8 --seed 7 --harden full --opt on -o -",
+        "faults --faults 8 --seed 7 --harden full --opt off -o -",
+        "profile gemm:4,4,4 --workers 2 -o d/p.trace.json",
+        "stats gemm:4,4,4 MNK-SST --rows 4 --cols 4 -o -",
+        "explore gemm:8,8,8 --top 20",
+        "explore gemm:8,8,8 --top 20 --resume d/journal",
+        "faults --faults 1024 --k 512 --seed 7 --harden full --resume d/journal -o d/clean.json",
+        "faults --faults 1024 --k 512 --seed 8 --harden full --resume d/journal -o -",
+        "fuzz --mode both --seed 0 --seeds 200 -o d/inert.json",
+        "fuzz --mode both --seed 0 --seeds 200 --resume d/journal -o d/journaled.json",
+        "faults --faults 64 --lanes 8 --harden full --seed 7 -o d/inert.json",
+        "faults --faults 64 --lanes 8 --harden full --seed 7 --resume d/journal -o d/r.json",
+        "faults --faults 1024 --k 512 --seed 7 --harden full --resume d/journal \
+         -o d/reports/run.json",
+        "status d/journal --json",
+        "status d/journal",
+        "history d/reports --check",
+        // crates/bench/src/bin/tlbench/src/workloads.rs
+        "explore conv2d -o explore.json",
+        "faults --rows 8 --cols 8 --k 16 --faults 40000 --harden tmr,parity,abft \
+         --lanes 64 --workers 2 --seed 1 --resume journal -o fresh.json",
+        "fuzz --mode both --seed 1500 --seeds 1500 --workers 2 -o fuzz.json",
+        "generate gemm MNK-SST --rows 16 --cols 16 -o gemm.v",
+        "emit gemm MNK-SST --rows 16 --cols 16 --format text \
+         --sim-cycles 64 --trace-out gemm.emit.trace -o gemm.txt",
+        "parse gemm.txt --sim-cycles 64 --trace-out gemm.parse.trace",
+        // README.md, command-line section
+        "workloads",
+        "analyze gemm MNK-SST",
+        "simulate gemm:256,256,256 MNK-MTM",
+        "generate conv2d KCX-STS -o conv.v --rows 10 --cols 16",
+        "emit gemm:64,64,64 MNK-SST --format yosys-json -o gemm.json",
+        "parse gemm.json",
+        "explore depthwise --top 5",
+        "faults --faults 64 --harden tmr,par,abft",
+        "fuzz --mode both --seeds 1000",
+        "profile gemm:64,64,64 --workers 4",
+        // The rest of the command set.
+        "trace gemm MNK-SST --rows 4 --cols 4 --nets en,swap --tiles 3 --opt=off -o -",
+        "watch d/journal --interval 0.25",
+        "history",
+    ];
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn parse_all_commands() {
         assert_eq!(parse_args(&sv(&["workloads"])).unwrap(), Command::Workloads);
         assert_eq!(
             parse_args(&sv(&["analyze", "gemm", "MNK-SST"])).unwrap(),
-            Command::Analyze {
+            Command::Analyze(AnalyzeArgs {
                 workload: "gemm".into(),
                 dataflow: "MNK-SST".into()
-            }
+            })
         );
         assert_eq!(
             parse_args(&sv(&[
                 "generate", "gemm", "MNK-SST", "-o", "x.v", "--rows", "4", "--cols", "8"
             ]))
             .unwrap(),
-            Command::Generate {
-                workload: "gemm".into(),
-                dataflow: "MNK-SST".into(),
-                out: "x.v".into(),
-                rows: 4,
-                cols: 8,
-                opt: true,
-            }
+            Command::Generate(GenerateArgs {
+                design: DesignArgs {
+                    workload: "gemm".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 4,
+                    cols: 8,
+                    opt: true
+                },
+                out: "x.v".into()
+            })
         );
         // Both --opt spellings parse; bad values are errors.
         assert_eq!(
             parse_args(&sv(&["generate", "gemm", "MNK-SST", "--opt=off"])).unwrap(),
-            Command::Generate {
-                workload: "gemm".into(),
-                dataflow: "MNK-SST".into(),
-                out: "-".into(),
-                rows: 16,
-                cols: 16,
-                opt: false,
-            }
+            Command::Generate(GenerateArgs {
+                design: DesignArgs {
+                    workload: "gemm".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 16,
+                    cols: 16,
+                    opt: false
+                },
+                out: "-".into()
+            })
         );
         assert_eq!(
             parse_args(&sv(&["generate", "gemm", "MNK-SST", "--opt", "off"])).unwrap(),
@@ -2408,35 +2276,74 @@ mod tests {
         assert!(parse_args(&sv(&["generate", "gemm", "MNK-SST", "--opt=maybe"])).is_err());
         assert_eq!(
             parse_args(&sv(&["explore", "gemm", "--top", "3"])).unwrap(),
-            Command::Explore {
+            Command::Explore(ExploreArgs {
                 workload: "gemm".into(),
                 top: 3,
                 resume: None,
                 chunk_timeout: None,
                 out: String::new()
-            }
+            })
         );
         assert_eq!(
             parse_args(&sv(&["explore", "gemm", "-o", "sweep.json"])).unwrap(),
-            Command::Explore {
+            Command::Explore(ExploreArgs {
                 workload: "gemm".into(),
                 top: 10,
                 resume: None,
                 chunk_timeout: None,
                 out: "sweep.json".into()
-            }
+            })
         );
         assert_eq!(
             parse_args(&sv(&["profile", "gemm", "--workers", "2", "-o", "-"])).unwrap(),
-            Command::Profile {
+            Command::Profile(ProfileArgs {
                 workload: "gemm".into(),
                 top: 10,
                 rows: 4,
                 cols: 4,
-                workers: 2,
+                workers: Some(2),
                 out: "-".into()
-            }
+            })
         );
+        // Every invocation the repository runs still parses.
+        for line in INVOCATIONS {
+            if let Err(err) = parse_args(&words(line)) {
+                panic!("{line}: {err}");
+            }
+        }
+    }
+
+    /// The provenance echo leaves out only run-shape flags: parsing it back
+    /// gives every other argument of the command.
+    #[test]
+    fn echo_reparses_to_the_same_identity() {
+        let identity = |cmd: &Command| {
+            cmd.each(|arg, slot| match arg {
+                Arg::Flag(flag, _) if flag.run_shape => None,
+                Arg::Pos(name, _) => Some((name, slot.get())),
+                Arg::Flag(flag, _) | Arg::Choice(flag, _) => Some((flag.name, slot.get())),
+            })
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for line in INVOCATIONS {
+            let cmd = parse_args(&words(line)).unwrap();
+            let echo = cmd.echo();
+            assert!(
+                !echo.contains("--resume") && !echo.contains("-o "),
+                "{echo}"
+            );
+            let reparsed = parse_args(&words(&echo)).unwrap_or_else(|e| panic!("{echo}: {e}"));
+            assert_eq!(identity(&reparsed), identity(&cmd), "{line} -> {echo}");
+            seen.insert(cmd.name());
+        }
+        let all: std::collections::BTreeSet<_> = COMMANDS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(seen, all, "INVOCATIONS must cover every command");
+        // The echo names what makes two campaigns differ.
+        let echo = |line: &str| parse_args(&words(line)).unwrap().echo();
+        assert_ne!(echo("faults --sweep-acc"), echo("faults"));
+        assert_ne!(echo("faults --opt off"), echo("faults"));
+        assert_ne!(echo("faults --faults 9"), echo("faults"));
+        assert_eq!(echo("faults --lanes 8 --workers 2"), echo("faults"));
     }
 
     #[test]
@@ -2444,7 +2351,7 @@ mod tests {
         let inv = parse_invocation(&sv(&["--profile", "run.trace.json", "workloads"])).unwrap();
         assert_eq!(inv.profile.as_deref(), Some("run.trace.json"));
         assert_eq!(inv.command, Command::Workloads);
-        assert_eq!(inv.echo, "--profile run.trace.json workloads");
+        assert_eq!(inv.command.echo(), "workloads");
 
         // The flag may appear anywhere, including after the command.
         let inv = parse_invocation(&sv(&["workloads", "--profile", "t.json"])).unwrap();
@@ -2467,6 +2374,33 @@ mod tests {
         assert!(parse_args(&sv(&["generate", "gemm", "MNK-SST", "--rows"])).is_err());
         assert!(parse_args(&sv(&["simulate", "gemm", "X", "--bogus", "1"])).is_err());
         assert!(parse_args(&sv(&["explore", "gemm", "--top", "zz"])).is_err());
+        // Every command rejects every flag it does not declare, naming both.
+        let blanks: Vec<Command> = COMMANDS.iter().map(|(_, blank)| blank()).collect();
+        let mut every_flag: Vec<&'static Flag> = blanks.iter().flat_map(Command::flags).collect();
+        every_flag.extend([&PROFILE, &HELP]);
+        for cmd in &blanks {
+            let declared = cmd.flags();
+            for flag in &every_flag {
+                if declared.iter().any(|d| d.name == flag.name) {
+                    continue;
+                }
+                let args = sv(&[cmd.name(), flag.name, "1"]);
+                let err = parse_args(&args).unwrap_err().to_string();
+                assert!(
+                    err.starts_with(&format!("{} does not take {}", cmd.name(), flag.name)),
+                    "{args:?}: {err}"
+                );
+            }
+        }
+        // Including the foreign flags CI runs.
+        for line in [
+            "explore gemm:4,4,4 --workers 2",
+            "generate gemm:4,4,4 MNK-SST --faults 3 --mode bogus --harden voodoo",
+            "faults --format text",
+        ] {
+            let err = parse_args(&words(line)).unwrap_err().to_string();
+            assert!(err.contains("does not take"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -2474,10 +2408,7 @@ mod tests {
         assert_eq!(resolve_workload("gemm").unwrap().name(), "GEMM");
         let k = resolve_workload("gemm:4,5,6").unwrap();
         assert_eq!(k.loop_nest().extents(), vec![4, 5, 6]);
-        assert_eq!(
-            resolve_workload("mttkrp:2,3,4,5").unwrap().name(),
-            "MTTKRP"
-        );
+        assert_eq!(resolve_workload("mttkrp:2,3,4,5").unwrap().name(), "MTTKRP");
         assert!(resolve_workload("nonsense").is_err());
         assert!(resolve_workload("gemm:1,2").is_err());
         assert!(resolve_workload("gemm:a,b,c").is_err());
@@ -2488,10 +2419,10 @@ mod tests {
         let out = run(Command::Workloads).unwrap();
         assert!(out.contains("GEMM"));
         assert!(out.contains("MTTKRP"));
-        let out = run(Command::Analyze {
+        let out = run(Command::Analyze(AnalyzeArgs {
             workload: "gemm:16,16,16".into(),
             dataflow: "MNK-SST".into(),
-        })
+        }))
         .unwrap();
         assert!(out.contains("systolic"));
         assert!(out.contains("stationary"));
@@ -2499,12 +2430,12 @@ mod tests {
 
     #[test]
     fn run_simulate_small() {
-        let out = run(Command::Simulate {
+        let out = run(Command::Simulate(SimulateArgs {
             workload: "gemm:8,8,8".into(),
             dataflow: "MNK-SST".into(),
             rows: 4,
             cols: 4,
-        })
+        }))
         .unwrap();
         assert!(out.contains("bit-exact"));
         assert!(out.contains("Gop/s"));
@@ -2512,14 +2443,16 @@ mod tests {
 
     #[test]
     fn run_generate_to_stdout() {
-        let out = run(Command::Generate {
-            workload: "gemm:8,8,8".into(),
-            dataflow: "MNK-SST".into(),
+        let out = run(Command::Generate(GenerateArgs {
+            design: DesignArgs {
+                workload: "gemm:8,8,8".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 2,
+                cols: 2,
+                opt: true,
+            },
             out: "-".into(),
-            rows: 2,
-            cols: 2,
-            opt: true,
-        })
+        }))
         .unwrap();
         assert!(out.contains("endmodule"));
     }
@@ -2528,17 +2461,21 @@ mod tests {
     fn parse_emit_and_parse_commands() {
         assert_eq!(
             parse_args(&sv(&["emit", "gemm", "MNK-SST"])).unwrap(),
-            Command::Emit {
-                workload: "gemm".into(),
-                dataflow: "MNK-SST".into(),
-                rows: 16,
-                cols: 16,
+            Command::Emit(EmitArgs {
+                design: DesignArgs {
+                    workload: "gemm".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 16,
+                    cols: 16,
+                    opt: true
+                },
                 format: "text".into(),
-                opt: true,
-                sim_cycles: 0,
-                trace_out: String::new(),
-                out: "-".into(),
-            }
+                smoke: SmokeArgs {
+                    sim_cycles: None,
+                    trace_out: None
+                },
+                out: "-".into()
+            })
         );
         assert_eq!(
             parse_args(&sv(&[
@@ -2560,40 +2497,48 @@ mod tests {
                 "n.json",
             ]))
             .unwrap(),
-            Command::Emit {
-                workload: "gemm:8,8,8".into(),
-                dataflow: "MNK-SST".into(),
-                rows: 2,
-                cols: 2,
+            Command::Emit(EmitArgs {
+                design: DesignArgs {
+                    workload: "gemm:8,8,8".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 2,
+                    cols: 2,
+                    opt: false
+                },
                 format: "yosys-json".into(),
-                opt: false,
-                sim_cycles: 64,
-                trace_out: "t.trace".into(),
-                out: "n.json".into(),
-            }
+                smoke: SmokeArgs {
+                    sim_cycles: Some(64),
+                    trace_out: Some("t.trace".into())
+                },
+                out: "n.json".into()
+            })
         );
         assert_eq!(
             parse_args(&sv(&["parse", "n.tl", "--format", "text", "-o", "r.txt"])).unwrap(),
-            Command::Parse {
+            Command::Parse(ParseArgs {
                 input: "n.tl".into(),
                 format: "text".into(),
                 opt: true,
-                sim_cycles: 0,
-                trace_out: String::new(),
-                out: "r.txt".into(),
-            }
+                smoke: SmokeArgs {
+                    sim_cycles: None,
+                    trace_out: None
+                },
+                out: "r.txt".into()
+            })
         );
         // Defaults: emit → text, parse → auto-sniff.
         assert_eq!(
             parse_args(&sv(&["parse", "n.json"])).unwrap(),
-            Command::Parse {
+            Command::Parse(ParseArgs {
                 input: "n.json".into(),
                 format: "auto".into(),
                 opt: true,
-                sim_cycles: 0,
-                trace_out: String::new(),
-                out: "-".into(),
-            }
+                smoke: SmokeArgs {
+                    sim_cycles: None,
+                    trace_out: None
+                },
+                out: "-".into()
+            })
         );
         // Format values are validated per command, and the smoke-trace
         // flags only come as a pair.
@@ -2613,28 +2558,34 @@ mod tests {
             let netlist = p(file);
             let emit_trace = p(&format!("{format}.emit.trace"));
             let parse_trace = p(&format!("{format}.parse.trace"));
-            let out = run(Command::Emit {
-                workload: "gemm:8,8,8".into(),
-                dataflow: "MNK-SST".into(),
-                rows: 2,
-                cols: 2,
+            let out = run(Command::Emit(EmitArgs {
+                design: DesignArgs {
+                    workload: "gemm:8,8,8".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 2,
+                    cols: 2,
+                    opt: true,
+                },
                 format: format.into(),
-                opt: true,
-                sim_cycles: 16,
-                trace_out: emit_trace.clone(),
+                smoke: SmokeArgs {
+                    sim_cycles: Some(16),
+                    trace_out: Some(emit_trace.clone()),
+                },
                 out: netlist.clone(),
-            })
+            }))
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
             // Auto-detection picks the right parser for both formats.
-            let out = run(Command::Parse {
+            let out = run(Command::Parse(ParseArgs {
                 input: netlist,
                 format: "auto".into(),
                 opt: true,
-                sim_cycles: 16,
-                trace_out: parse_trace.clone(),
+                smoke: SmokeArgs {
+                    sim_cycles: Some(16),
+                    trace_out: Some(parse_trace.clone()),
+                },
                 out: "-".into(),
-            })
+            }))
             .unwrap();
             assert!(out.contains(&format!("parsed {format} netlist")), "{out}");
             assert!(out.contains("optimizer recompile"), "{out}");
@@ -2697,26 +2648,32 @@ mod tests {
 
     #[test]
     fn run_emit_verilog_matches_generate() {
-        let emit = run(Command::Emit {
-            workload: "gemm:8,8,8".into(),
-            dataflow: "MNK-SST".into(),
-            rows: 2,
-            cols: 2,
+        let emit = run(Command::Emit(EmitArgs {
+            design: DesignArgs {
+                workload: "gemm:8,8,8".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 2,
+                cols: 2,
+                opt: true,
+            },
             format: "verilog".into(),
-            opt: true,
-            sim_cycles: 0,
-            trace_out: String::new(),
+            smoke: SmokeArgs {
+                sim_cycles: None,
+                trace_out: None,
+            },
             out: "-".into(),
-        })
+        }))
         .unwrap();
-        let generate = run(Command::Generate {
-            workload: "gemm:8,8,8".into(),
-            dataflow: "MNK-SST".into(),
+        let generate = run(Command::Generate(GenerateArgs {
+            design: DesignArgs {
+                workload: "gemm:8,8,8".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 2,
+                cols: 2,
+                opt: true,
+            },
             out: "-".into(),
-            rows: 2,
-            cols: 2,
-            opt: true,
-        })
+        }))
         .unwrap();
         assert_eq!(emit, generate);
     }
@@ -2727,14 +2684,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.tl").to_string_lossy().into_owned();
         std::fs::write(&path, "tensorlib-netlist v1\nmodule \"m\"\n").unwrap();
-        let err = run(Command::Parse {
+        let err = run(Command::Parse(ParseArgs {
             input: path,
             format: "text".into(),
             opt: false,
-            sim_cycles: 0,
-            trace_out: String::new(),
+            smoke: SmokeArgs {
+                sim_cycles: None,
+                trace_out: None,
+            },
             out: "-".into(),
-        })
+        }))
         .unwrap_err();
         assert!(err.to_string().contains("line"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -2744,33 +2703,46 @@ mod tests {
     fn parse_stats_and_trace() {
         assert_eq!(
             parse_args(&sv(&[
-                "stats", "gemm:4,4,4", "MNK-SST", "--rows", "4", "--cols", "4", "--tiles",
+                "stats",
+                "gemm:4,4,4",
+                "MNK-SST",
+                "--rows",
+                "4",
+                "--cols",
+                "4",
+                "--tiles",
                 "3"
             ]))
             .unwrap(),
-            Command::Stats {
-                workload: "gemm:4,4,4".into(),
-                dataflow: "MNK-SST".into(),
-                rows: 4,
-                cols: 4,
+            Command::Stats(StatsArgs {
+                design: DesignArgs {
+                    workload: "gemm:4,4,4".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 4,
+                    cols: 4,
+                    opt: true
+                },
                 tiles: 3,
-                opt: true,
                 out: String::new()
-            }
+            })
         );
         assert_eq!(
-            parse_args(&sv(&["trace", "gemm", "MNK-SST", "--nets", "en,swap", "-o", "-"]))
-                .unwrap(),
-            Command::Trace {
-                workload: "gemm".into(),
-                dataflow: "MNK-SST".into(),
-                rows: 16,
-                cols: 16,
+            parse_args(&sv(&[
+                "trace", "gemm", "MNK-SST", "--nets", "en,swap", "-o", "-"
+            ]))
+            .unwrap(),
+            Command::Trace(TraceArgs {
+                design: DesignArgs {
+                    workload: "gemm".into(),
+                    dataflow: "MNK-SST".into(),
+                    rows: 16,
+                    cols: 16,
+                    opt: true
+                },
                 tiles: 2,
                 nets: "en,swap".into(),
-                opt: true,
                 out: "-".into()
-            }
+            })
         );
         assert!(parse_args(&sv(&["stats", "gemm", "MNK-SST", "--tiles", "x"])).is_err());
     }
@@ -2796,15 +2768,17 @@ mod tests {
     ///   cycle, so 0 conflicts; the only stall is the 1 idle cycle.
     #[test]
     fn run_stats_matches_hand_computed_os_gemm_4x4() {
-        let out = run(Command::Stats {
-            workload: "gemm:4,4,4".into(),
-            dataflow: "MNK-SST".into(),
-            rows: 4,
-            cols: 4,
+        let out = run(Command::Stats(StatsArgs {
+            design: DesignArgs {
+                workload: "gemm:4,4,4".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 4,
+                cols: 4,
+                opt: true,
+            },
             tiles: 2,
-            opt: true,
             out: "-".into(),
-        })
+        }))
         .unwrap();
         for needle in [
             "\"cycles\": 33",
@@ -2827,16 +2801,18 @@ mod tests {
 
     #[test]
     fn run_trace_emits_vcd_with_watched_nets() {
-        let out = run(Command::Trace {
-            workload: "gemm:4,4,4".into(),
-            dataflow: "MNK-SST".into(),
-            rows: 4,
-            cols: 4,
+        let out = run(Command::Trace(TraceArgs {
+            design: DesignArgs {
+                workload: "gemm:4,4,4".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 4,
+                cols: 4,
+                opt: true,
+            },
             tiles: 1,
             nets: "en,swap,done".into(),
-            opt: true,
             out: "-".into(),
-        })
+        }))
         .unwrap();
         assert!(out.starts_with("$timescale"), "not a VCD:\n{out}");
         for net in ["en", "swap", "done"] {
@@ -2847,16 +2823,18 @@ mod tests {
 
     #[test]
     fn run_trace_unknown_net_is_an_error() {
-        let err = run(Command::Trace {
-            workload: "gemm:4,4,4".into(),
-            dataflow: "MNK-SST".into(),
-            rows: 4,
-            cols: 4,
+        let err = run(Command::Trace(TraceArgs {
+            design: DesignArgs {
+                workload: "gemm:4,4,4".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 4,
+                cols: 4,
+                opt: true,
+            },
             tiles: 1,
             nets: "no_such_net".into(),
-            opt: true,
             out: "-".into(),
-        })
+        }))
         .unwrap_err();
         assert!(err.to_string().contains("no_such_net"), "{err}");
     }
@@ -2865,45 +2843,66 @@ mod tests {
     fn parse_faults_defaults_and_flags() {
         assert_eq!(
             parse_args(&sv(&["faults"])).unwrap(),
-            Command::Faults {
+            Command::Faults(FaultsArgs {
                 rows: 4,
                 cols: 4,
                 k: 4,
                 faults: 64,
                 seed: 1,
                 harden: "none".into(),
-                workers: 0,
-                lanes: 1,
                 sweep_acc: false,
                 opt: true,
-                resume: None,
-                chunk_timeout: None,
-                out: String::new(),
-            }
+                campaign: CampaignArgs {
+                    workers: None,
+                    lanes: 1,
+                    resume: None,
+                    chunk_timeout: None,
+                    out: String::new()
+                }
+            })
         );
         assert_eq!(
             parse_args(&sv(&[
-                "faults", "--rows", "16", "--cols", "8", "--k", "6", "--faults", "12",
-                "--seed", "9", "--harden", "tmr,parity", "--workers", "2", "--lanes", "8",
-                "--sweep-acc", "--opt=off",
-                "-o", "-",
+                "faults",
+                "--rows",
+                "16",
+                "--cols",
+                "8",
+                "--k",
+                "6",
+                "--faults",
+                "12",
+                "--seed",
+                "9",
+                "--harden",
+                "tmr,parity",
+                "--workers",
+                "2",
+                "--lanes",
+                "8",
+                "--sweep-acc",
+                "--opt=off",
+                "-o",
+                "-",
             ]))
             .unwrap(),
-            Command::Faults {
+            Command::Faults(FaultsArgs {
                 rows: 16,
                 cols: 8,
                 k: 6,
                 faults: 12,
                 seed: 9,
                 harden: "tmr,parity".into(),
-                workers: 2,
-                lanes: 8,
                 sweep_acc: true,
                 opt: false,
-                resume: None,
-                chunk_timeout: None,
-                out: "-".into(),
-            }
+                campaign: CampaignArgs {
+                    workers: Some(2),
+                    lanes: 8,
+                    resume: None,
+                    chunk_timeout: None,
+                    out: "-".into()
+                }
+            })
         );
         // Malformed arguments are parse errors, not panics.
         assert!(parse_args(&sv(&["faults", "--seed", "banana"])).is_err());
@@ -2915,37 +2914,56 @@ mod tests {
     fn parse_fuzz_defaults_and_flags() {
         assert_eq!(
             parse_args(&sv(&["fuzz"])).unwrap(),
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 mode: "both".into(),
                 seed: 1,
                 seeds: 256,
                 cycles: 16,
-                workers: 0,
-                lanes: 1,
                 opt: true,
-                resume: None,
-                chunk_timeout: None,
-                out: String::new(),
-            }
+                campaign: CampaignArgs {
+                    workers: None,
+                    lanes: 1,
+                    resume: None,
+                    chunk_timeout: None,
+                    out: String::new()
+                }
+            })
         );
         assert_eq!(
             parse_args(&sv(&[
-                "fuzz", "--mode", "netlist", "--seed", "7", "--seeds", "99", "--cycles",
-                "8", "--workers", "3", "--lanes", "16", "--opt", "off", "-o", "-",
+                "fuzz",
+                "--mode",
+                "netlist",
+                "--seed",
+                "7",
+                "--seeds",
+                "99",
+                "--cycles",
+                "8",
+                "--workers",
+                "3",
+                "--lanes",
+                "16",
+                "--opt",
+                "off",
+                "-o",
+                "-",
             ]))
             .unwrap(),
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 mode: "netlist".into(),
                 seed: 7,
                 seeds: 99,
                 cycles: 8,
-                workers: 3,
-                lanes: 16,
                 opt: false,
-                resume: None,
-                chunk_timeout: None,
-                out: "-".into(),
-            }
+                campaign: CampaignArgs {
+                    workers: Some(3),
+                    lanes: 16,
+                    resume: None,
+                    chunk_timeout: None,
+                    out: "-".into()
+                }
+            })
         );
         assert!(parse_args(&sv(&["fuzz", "--seeds", "banana"])).is_err());
         assert!(parse_args(&sv(&["fuzz", "extra-positional"])).is_err());
@@ -2953,18 +2971,20 @@ mod tests {
 
     #[test]
     fn run_fuzz_reports_zero_findings_on_clean_seeds() {
-        let out = run(Command::Fuzz {
+        let out = run(Command::Fuzz(FuzzArgs {
             mode: "both".into(),
             seed: 0,
             seeds: 10,
             cycles: 8,
-            workers: 2,
-            lanes: 4,
             opt: true,
-            resume: None,
-            chunk_timeout: None,
-            out: "-".into(),
-        })
+            campaign: CampaignArgs {
+                workers: Some(2),
+                lanes: 4,
+                resume: None,
+                chunk_timeout: None,
+                out: "-".into(),
+            },
+        }))
         .unwrap();
         assert!(out.contains("\"total_findings\": 0"), "{out}");
         assert!(out.contains("\"netlist\""), "{out}");
@@ -2973,50 +2993,58 @@ mod tests {
 
     #[test]
     fn run_fuzz_rejects_bad_mode() {
-        let err = run(Command::Fuzz {
+        let err = run(Command::Fuzz(FuzzArgs {
             mode: "bogus".into(),
             seed: 0,
             seeds: 1,
             cycles: 1,
-            workers: 1,
-            lanes: 1,
             opt: true,
-            resume: None,
-            chunk_timeout: None,
-            out: "-".into(),
-        })
+            campaign: CampaignArgs {
+                workers: Some(1),
+                lanes: 1,
+                resume: None,
+                chunk_timeout: None,
+                out: "-".into(),
+            },
+        }))
         .unwrap_err();
         assert!(err.to_string().contains("--mode"), "{err}");
     }
 
     fn faults_cmd(harden: &str, faults: usize, out: &str) -> Command {
-        Command::Faults {
+        Command::Faults(FaultsArgs {
             rows: 4,
             cols: 4,
             k: 4,
             faults,
             seed: 1,
             harden: harden.into(),
-            workers: 1,
-            lanes: 1,
             sweep_acc: false,
             opt: true,
-            resume: None,
-            chunk_timeout: None,
-            out: out.into(),
-        }
+            campaign: CampaignArgs {
+                workers: Some(1),
+                lanes: 1,
+                resume: None,
+                chunk_timeout: None,
+                out: out.into(),
+            },
+        })
     }
 
     #[test]
     fn parse_campaign_durability_flags() {
-        match parse_args(&sv(&["faults", "--resume", "j/dir", "--chunk-timeout", "30"])).unwrap() {
-            Command::Faults {
-                resume,
-                chunk_timeout,
-                ..
-            } => {
-                assert_eq!(resume.as_deref(), Some("j/dir"));
-                assert_eq!(chunk_timeout, Some(30));
+        match parse_args(&sv(&[
+            "faults",
+            "--resume",
+            "j/dir",
+            "--chunk-timeout",
+            "30",
+        ]))
+        .unwrap()
+        {
+            Command::Faults(FaultsArgs { campaign, .. }) => {
+                assert_eq!(campaign.resume.as_deref(), Some("j/dir"));
+                assert_eq!(campaign.chunk_timeout, Some(30));
             }
             other => panic!("parsed {other:?}"),
         }
@@ -3058,20 +3086,24 @@ mod tests {
     fn run_faults_resume_with_drifted_config_fails_loudly() {
         let dir = std::env::temp_dir().join(format!("tl_cli_drift_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cmd = |seed: u64| Command::Faults {
-            rows: 4,
-            cols: 4,
-            k: 4,
-            faults: 6,
-            seed,
-            harden: "none".into(),
-            workers: 1,
-            lanes: 1,
-            sweep_acc: false,
-            opt: true,
-            resume: Some(dir.to_str().unwrap().into()),
-            chunk_timeout: None,
-            out: "-".into(),
+        let cmd = |seed: u64| {
+            Command::Faults(FaultsArgs {
+                rows: 4,
+                cols: 4,
+                k: 4,
+                faults: 6,
+                seed,
+                harden: "none".into(),
+                sweep_acc: false,
+                opt: true,
+                campaign: CampaignArgs {
+                    workers: Some(1),
+                    lanes: 1,
+                    resume: Some(dir.to_str().unwrap().into()),
+                    chunk_timeout: None,
+                    out: "-".into(),
+                },
+            })
         };
         let clean = run(cmd(1)).unwrap();
         assert!(clean.contains("\"interrupted\": false"), "{clean}");
@@ -3089,20 +3121,24 @@ mod tests {
     #[test]
     fn run_faults_report_body_is_independent_of_chunk_geometry() {
         let dir = tmpdir("faults_geometry");
-        let cmd = |resume: Option<&std::path::Path>, chunk_timeout: Option<u64>| Command::Faults {
-            rows: 4,
-            cols: 4,
-            k: 4,
-            faults: 40,
-            seed: 1,
-            harden: "full".into(),
-            workers: 1,
-            lanes: 1,
-            sweep_acc: false,
-            opt: true,
-            resume: resume.map(|d| d.to_str().unwrap().into()),
-            chunk_timeout,
-            out: "-".into(),
+        let cmd = |resume: Option<&std::path::Path>, chunk_timeout: Option<u64>| {
+            Command::Faults(FaultsArgs {
+                rows: 4,
+                cols: 4,
+                k: 4,
+                faults: 40,
+                seed: 1,
+                harden: "full".into(),
+                sweep_acc: false,
+                opt: true,
+                campaign: CampaignArgs {
+                    workers: Some(1),
+                    lanes: 1,
+                    resume: resume.map(|d| d.to_str().unwrap().into()),
+                    chunk_timeout,
+                    out: "-".into(),
+                },
+            })
         };
         // One derived chunk, three default 16-fault chunks journaled, and
         // the default geometry under a (generous) watchdog without a journal.
@@ -3126,20 +3162,24 @@ mod tests {
     fn history_hash_is_the_campaign_identity() {
         let dir = tmpdir("history_identity");
         let reports = dir.join("reports");
-        let cmd = |seed: u64, workers: usize, resume: bool, name: &str| Command::Faults {
-            rows: 2,
-            cols: 2,
-            k: 2,
-            faults: 8,
-            seed,
-            harden: "none".into(),
-            workers,
-            lanes: 1,
-            sweep_acc: false,
-            opt: true,
-            resume: resume.then(|| dir.join("journal").to_str().unwrap().into()),
-            chunk_timeout: None,
-            out: reports.join(name).to_str().unwrap().into(),
+        let cmd = |seed: u64, workers: usize, resume: bool, name: &str| {
+            Command::Faults(FaultsArgs {
+                rows: 2,
+                cols: 2,
+                k: 2,
+                faults: 8,
+                seed,
+                harden: "none".into(),
+                sweep_acc: false,
+                opt: true,
+                campaign: CampaignArgs {
+                    workers: Some(workers),
+                    lanes: 1,
+                    resume: resume.then(|| dir.join("journal").to_str().unwrap().into()),
+                    chunk_timeout: None,
+                    out: reports.join(name).to_str().unwrap().into(),
+                },
+            })
         };
         run(cmd(1, 1, false, "clean.json")).unwrap();
         run(cmd(1, 1, true, "resumed.json")).unwrap();
@@ -3153,7 +3193,10 @@ mod tests {
                 .collect();
         assert_eq!(hashes.len(), 4);
         assert_eq!(hashes[0], hashes[1], "a --resume run is the same campaign");
-        assert_eq!(hashes[0], hashes[2], "--workers does not change the campaign");
+        assert_eq!(
+            hashes[0], hashes[2],
+            "--workers does not change the campaign"
+        );
         assert_ne!(hashes[0], hashes[3], "--seed does");
         // The hash is the journal's canonical config, hashed.
         let cfg = CampaignConfig {
@@ -3196,21 +3239,23 @@ mod tests {
     fn run_faults_bad_hardening_and_zero_params_are_errors() {
         let err = run(faults_cmd("voodoo", 4, "-")).unwrap_err();
         assert!(err.to_string().contains("voodoo"), "{err}");
-        let err = run(Command::Faults {
+        let err = run(Command::Faults(FaultsArgs {
             rows: 0,
             cols: 4,
             k: 4,
             faults: 4,
             seed: 1,
             harden: "none".into(),
-            workers: 1,
-            lanes: 1,
             sweep_acc: false,
             opt: true,
-            resume: None,
-            chunk_timeout: None,
-            out: "-".into(),
-        })
+            campaign: CampaignArgs {
+                workers: Some(1),
+                lanes: 1,
+                resume: None,
+                chunk_timeout: None,
+                out: "-".into(),
+            },
+        }))
         .unwrap_err();
         assert!(err.to_string().contains("--rows"), "{err}");
         let err = run(faults_cmd("none", 0, "-")).unwrap_err();
@@ -3234,40 +3279,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn report_to_a_fifo_keeps_the_fifo_and_records_no_history() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = tmpdir("fifo_report");
+        let fifo = dir.join("report.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|s| s.success()), "mkfifo failed");
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || std::fs::read_to_string(fifo).unwrap())
+        };
+        let note = run(faults_cmd("none", 2, fifo.to_str().unwrap())).unwrap();
+        let kind = std::fs::symlink_metadata(&fifo).unwrap().file_type();
+        assert!(kind.is_fifo(), "the FIFO was replaced by {kind:?}");
+        assert!(reader.join().unwrap().contains("\"detection_coverage\""));
+        assert!(!note.contains("history"), "{note}");
+        assert!(!dir.join(tensorlib_obs::history::HISTORY_FILE).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn run_bad_dataflow_is_error() {
-        let err = run(Command::Analyze {
+        let err = run(Command::Analyze(AnalyzeArgs {
             workload: "gemm".into(),
             dataflow: "ZZZ-XXX".into(),
-        })
+        }))
         .unwrap_err();
         assert!(err.to_string().contains("ZZZ-XXX"));
     }
 
     #[test]
     fn reports_carry_schema_version_and_provenance() {
-        let stats = run(Command::Stats {
-            workload: "gemm:4,4,4".into(),
-            dataflow: "MNK-SST".into(),
-            rows: 4,
-            cols: 4,
+        let stats = run(Command::Stats(StatsArgs {
+            design: DesignArgs {
+                workload: "gemm:4,4,4".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 4,
+                cols: 4,
+                opt: true,
+            },
             tiles: 1,
-            opt: true,
             out: "-".into(),
-        })
+        }))
         .unwrap();
-        let fuzz = run(Command::Fuzz {
+        let fuzz = run(Command::Fuzz(FuzzArgs {
             mode: "netlist".into(),
             seed: 3,
             seeds: 4,
             cycles: 8,
-            workers: 1,
-            lanes: 1,
             opt: true,
-            resume: None,
-            chunk_timeout: None,
-            out: "-".into(),
-        })
+            campaign: CampaignArgs {
+                workers: Some(1),
+                lanes: 1,
+                resume: None,
+                chunk_timeout: None,
+                out: "-".into(),
+            },
+        }))
         .unwrap();
         let faults = run(faults_cmd("none", 4, "-")).unwrap();
         for (name, doc) in [("stats", &stats), ("fuzz", &fuzz), ("faults", &faults)] {
@@ -3279,17 +3349,27 @@ mod tests {
                 "\"phase_wall_times_us\"",
                 "\"total\"",
             ] {
-                assert!(doc.contains(needle), "{name} report missing {needle}:\n{doc}");
+                assert!(
+                    doc.contains(needle),
+                    "{name} report missing {needle}:\n{doc}"
+                );
             }
             // Every emitted document passes the reader-side schema check.
-            assert_eq!(tensorlib_obs::check_schema_version(doc).unwrap(), 1, "{name}");
+            assert_eq!(
+                tensorlib_obs::check_schema_version(doc).unwrap(),
+                1,
+                "{name}"
+            );
         }
         // The campaign seeds land in the provenance block, machine-readably.
         let seeds_of = |doc: &str| {
             let v = tensorlib_obs::json::parse(doc).unwrap();
             v.get("provenance")
                 .and_then(|p| p.get("seeds"))
-                .and_then(|s| s.as_array().map(|a| a.iter().filter_map(|x| x.as_u64()).collect::<Vec<_>>()))
+                .and_then(|s| {
+                    s.as_array()
+                        .map(|a| a.iter().filter_map(|x| x.as_u64()).collect::<Vec<_>>())
+                })
                 .unwrap()
         };
         assert_eq!(seeds_of(&fuzz), vec![3]);
@@ -3302,13 +3382,13 @@ mod tests {
 
     #[test]
     fn run_explore_json_report_lists_top_points() {
-        let out = run(Command::Explore {
+        let out = run(Command::Explore(ExploreArgs {
             workload: "gemm:4,4,4".into(),
             top: 3,
             resume: None,
             chunk_timeout: None,
             out: "-".into(),
-        })
+        }))
         .unwrap();
         for needle in [
             "\"schema_version\": 1",
@@ -3323,13 +3403,13 @@ mod tests {
 
     #[test]
     fn explore_report_records_the_resolved_worker_count() {
-        let out = run(Command::Explore {
+        let out = run(Command::Explore(ExploreArgs {
             workload: "gemm:4,4,4".into(),
             top: 3,
             resume: None,
             chunk_timeout: None,
             out: "-".into(),
-        })
+        }))
         .unwrap();
         let doc = tensorlib_obs::json::parse(&out).unwrap();
         let workers = doc
@@ -3348,16 +3428,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tl_profile_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("p.trace.json");
-        let out = run(Command::Profile {
+        let out = run(Command::Profile(ProfileArgs {
             workload: "gemm:2,2,2".into(),
             top: 50,
             rows: 2,
             cols: 2,
-            workers: 1,
+            workers: Some(1),
             out: trace_path.to_str().unwrap().into(),
-        })
+        }))
         .unwrap();
-        assert!(!tensorlib_obs::is_enabled(), "profile must restore disabled state");
+        assert!(
+            !tensorlib_obs::is_enabled(),
+            "profile must restore disabled state"
+        );
         for phase in [
             "dse.stt_enumeration",
             "dse.classification",
@@ -3371,7 +3454,10 @@ mod tests {
             assert!(out.contains(phase), "phase table missing {phase}:\n{out}");
         }
         let trace = std::fs::read_to_string(&trace_path).unwrap();
-        assert!(trace.contains("\"traceEvents\""), "{trace_path:?} not a trace");
+        assert!(
+            trace.contains("\"traceEvents\""),
+            "{trace_path:?} not a trace"
+        );
         assert!(trace.contains("\"provenance\""));
         assert_eq!(tensorlib_obs::check_schema_version(&trace).unwrap(), 1);
         let folded = std::fs::read_to_string(dir.join("p.folded")).unwrap();
@@ -3399,13 +3485,19 @@ mod tests {
             "-",
         ]);
         let inv = parse_invocation(&args).unwrap();
-        let out = run_invocation(inv).unwrap();
-        assert!(!tensorlib_obs::is_enabled(), "--profile must restore disabled state");
+        let (out, _) = run_invocation_coded(inv).unwrap();
+        assert!(
+            !tensorlib_obs::is_enabled(),
+            "--profile must restore disabled state"
+        );
         // The command's own output is unchanged and the note rides along.
         assert!(out.contains("\"cycles\""), "{out}");
         assert!(out.contains("wrote profile trace"), "{out}");
         let trace = std::fs::read_to_string(&trace_path).unwrap();
-        assert!(trace.contains("hw.elaboration"), "trace missing spans:\n{trace}");
+        assert!(
+            trace.contains("hw.elaboration"),
+            "trace missing spans:\n{trace}"
+        );
         // The provenance echoes the full argument vector.
         assert!(trace.contains("stats gemm:4,4,4 MNK-SST"), "{trace}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -3422,35 +3514,35 @@ mod tests {
     fn parse_status_watch_history_commands() {
         assert_eq!(
             parse_args(&sv(&["status", "j/dir", "--json"])).unwrap(),
-            Command::Status {
+            Command::Status(StatusArgs {
                 dir: "j/dir".into(),
                 json: true
-            }
+            })
         );
         assert_eq!(
             parse_args(&sv(&["watch", "j/dir", "--interval", "0.25"])).unwrap(),
-            Command::Watch {
+            Command::Watch(WatchArgs {
                 dir: "j/dir".into(),
-                interval_ms: 250
-            }
+                interval: 0.25
+            })
         );
         // history defaults to the reports-dir index; an explicit path and
         // --check/--threshold parse.
         assert_eq!(
             parse_args(&sv(&["history"])).unwrap(),
-            Command::History {
+            Command::History(HistoryArgs {
                 path: "reports/history.jsonl".into(),
                 check: false,
-                threshold: tensorlib_obs::history::DEFAULT_CHECK_THRESHOLD_PCT,
-            }
+                threshold: tensorlib_obs::history::DEFAULT_CHECK_THRESHOLD_PCT
+            })
         );
         assert_eq!(
             parse_args(&sv(&["history", "r", "--check", "--threshold", "2.5"])).unwrap(),
-            Command::History {
+            Command::History(HistoryArgs {
                 path: "r".into(),
                 check: true,
                 threshold: 2.5
-            }
+            })
         );
         assert!(parse_args(&sv(&["watch", "d", "--interval", "0"])).is_err());
         assert!(parse_args(&sv(&["history", "--threshold", "-3"])).is_err());
@@ -3462,20 +3554,24 @@ mod tests {
         let dir = tmpdir("telemetry_e2e");
         let journal = dir.join("journal");
         let report = dir.join("reports").join("faults.json");
-        let cmd = |journal: &std::path::Path| Command::Faults {
-            rows: 2,
-            cols: 2,
-            k: 2,
-            faults: 8,
-            seed: 1,
-            harden: "none".into(),
-            workers: 1,
-            lanes: 1,
-            sweep_acc: false,
-            opt: true,
-            resume: Some(journal.to_str().unwrap().into()),
-            chunk_timeout: None,
-            out: report.to_str().unwrap().into(),
+        let cmd = |journal: &std::path::Path| {
+            Command::Faults(FaultsArgs {
+                rows: 2,
+                cols: 2,
+                k: 2,
+                faults: 8,
+                seed: 1,
+                harden: "none".into(),
+                sweep_acc: false,
+                opt: true,
+                campaign: CampaignArgs {
+                    workers: Some(1),
+                    lanes: 1,
+                    resume: Some(journal.to_str().unwrap().into()),
+                    chunk_timeout: None,
+                    out: report.to_str().unwrap().into(),
+                },
+            })
         };
         let note = run(cmd(&journal)).unwrap();
         assert!(note.contains("appended history entry"), "{note}");
@@ -3488,27 +3584,27 @@ mod tests {
             .collect();
         assert_eq!(names.first().map(String::as_str), Some("campaign_started"));
         assert_eq!(names.last().map(String::as_str), Some("campaign_finished"));
-        let (text, code) = run_coded(Command::Status {
+        let (text, code) = run_coded(Command::Status(StatusArgs {
             dir: journal.to_str().unwrap().into(),
             json: false,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("state       finished"), "{text}");
         // --json emits a parsable snapshot.
-        let (json_text, code) = run_coded(Command::Status {
+        let (json_text, code) = run_coded(Command::Status(StatusArgs {
             dir: journal.to_str().unwrap().into(),
             json: true,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 0);
         let v = tensorlib_obs::json::parse(&json_text).unwrap();
         assert_eq!(v.get("state").and_then(|s| s.as_str()), Some("finished"));
         // watch on a finished campaign returns immediately with code 0.
-        let (watch_text, code) = run_coded(Command::Watch {
+        let (watch_text, code) = run_coded(Command::Watch(WatchArgs {
             dir: journal.to_str().unwrap().into(),
-            interval_ms: 10,
-        })
+            interval: 0.01,
+        }))
         .unwrap();
         assert_eq!(code, 0, "{watch_text}");
         assert!(watch_text.contains("campaign finished"), "{watch_text}");
@@ -3516,20 +3612,20 @@ mod tests {
         // history --check compares them without machine-shape false
         // positives and exits 0 (the runs are deterministic, so no deltas).
         run(cmd(&dir.join("journal2"))).unwrap();
-        let (check_text, code) = run_coded(Command::History {
+        let (check_text, code) = run_coded(Command::History(HistoryArgs {
             path: dir.join("reports").to_str().unwrap().into(),
             check: true,
             threshold: tensorlib_obs::history::DEFAULT_CHECK_THRESHOLD_PCT,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 0, "{check_text}");
         assert!(check_text.contains("no metric moved"), "{check_text}");
         // The listing shows both runs with their machine shape.
-        let (list_text, code) = run_coded(Command::History {
+        let (list_text, code) = run_coded(Command::History(HistoryArgs {
             path: dir.join("reports").to_str().unwrap().into(),
             check: false,
             threshold: tensorlib_obs::history::DEFAULT_CHECK_THRESHOLD_PCT,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 0);
         assert_eq!(list_text.lines().count(), 2, "{list_text}");
@@ -3554,32 +3650,29 @@ mod tests {
             timing: tensorlib_obs::events::StatusTiming::default(),
         };
         snapshot.write(&dir).unwrap();
-        let (text, code) = run_coded(Command::Status {
+        let (text, code) = run_coded(Command::Status(StatusArgs {
             dir: dir.to_str().unwrap().into(),
             json: false,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 3, "{text}");
         assert!(text.contains("state       interrupted"), "{text}");
         assert!(text.contains("--resume"), "no resume hint:\n{text}");
         // The JSON form substitutes the effective state and carries the hint.
-        let (json_text, code) = run_coded(Command::Status {
+        let (json_text, code) = run_coded(Command::Status(StatusArgs {
             dir: dir.to_str().unwrap().into(),
             json: true,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 3);
         let v = tensorlib_obs::json::parse(&json_text).unwrap();
-        assert_eq!(
-            v.get("state").and_then(|s| s.as_str()),
-            Some("interrupted")
-        );
+        assert_eq!(v.get("state").and_then(|s| s.as_str()), Some("interrupted"));
         assert!(v.get("resume_hint").is_some(), "{json_text}");
         // watch exits 3 on the same evidence.
-        let (_, code) = run_coded(Command::Watch {
+        let (_, code) = run_coded(Command::Watch(WatchArgs {
             dir: dir.to_str().unwrap().into(),
-            interval_ms: 10,
-        })
+            interval: 0.01,
+        }))
         .unwrap();
         assert_eq!(code, 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -3606,21 +3699,21 @@ mod tests {
         };
         append(&path, &entry(0.9, 4)).unwrap();
         append(&path, &entry(0.5, 4)).unwrap(); // -44%: flagged at 10%
-        let (text, code) = run_coded(Command::History {
+        let (text, code) = run_coded(Command::History(HistoryArgs {
             path: path.to_str().unwrap().into(),
             check: true,
             threshold: 10.0,
-        })
+        }))
         .unwrap();
         assert_eq!(code, 4, "{text}");
         assert!(text.contains("FLAGGED"), "{text}");
         // A lanes mismatch is a loud refusal (exit 1), not a comparison.
         append(&path, &entry(0.5, 8)).unwrap();
-        let err = run_coded(Command::History {
+        let err = run_coded(Command::History(HistoryArgs {
             path: path.to_str().unwrap().into(),
             check: true,
             threshold: 10.0,
-        })
+        }))
         .unwrap_err();
         assert!(err.0.contains("machine shapes"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();

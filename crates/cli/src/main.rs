@@ -7,8 +7,8 @@ use tensorlib_cli::{parse_invocation, run_invocation_coded, wants_interrupt_latc
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--help" || a == "-h") {
-        println!("{}", tensorlib_cli::USAGE);
+    if args.first().is_some_and(|a| tensorlib_cli::is_help(a)) {
+        println!("{}", tensorlib_cli::usage());
         return ExitCode::SUCCESS;
     }
     let inv = match parse_invocation(&args) {

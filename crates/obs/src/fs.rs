@@ -16,12 +16,19 @@ use std::path::Path;
 /// the previous file or the complete new one. The containing directory is
 /// fsynced best-effort afterwards so the rename itself is durable.
 ///
+/// A target that exists but is not a regular file (`/dev/null`, a FIFO, a
+/// terminal) is written in place: renaming over it would replace the node
+/// itself with a regular file.
+///
 /// # Errors
 ///
 /// Any I/O failure from create, write, sync, or rename, with the temp file
 /// cleaned up on the way out.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
+    if std::fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
+        return OpenOptions::new().write(true).open(path)?.write_all(bytes);
+    }
     let tmp = {
         let mut os = path.as_os_str().to_os_string();
         os.push(".tmp");
@@ -73,6 +80,26 @@ mod tests {
         atomic_write(&path, b"{\"v\": 2}").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"{\"v\": 2}");
         assert!(!dir.join("report.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_regular_target_is_written_in_place() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = tmpdir("fifo");
+        let fifo = dir.join("report.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|s| s.success()), "mkfifo failed");
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || std::fs::read(fifo).unwrap())
+        };
+        atomic_write(&fifo, b"report").unwrap();
+        let kind = std::fs::symlink_metadata(&fifo).unwrap().file_type();
+        assert!(kind.is_fifo(), "the FIFO was replaced by {kind:?}");
+        assert_eq!(reader.join().unwrap(), b"report");
+        assert!(!dir.join("report.fifo.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -110,11 +110,14 @@ rm -rf "$fig_dir"
 # Second, the same fault campaign with the optimizer on and off must classify
 # identically — optimization preserves every port and register, so the fault
 # site list and every per-fault outcome are byte-identical (wall times are
-# the one nondeterministic block).
+# the one nondeterministic block, and the provenance command echo records
+# the --opt value itself).
 ./target/release/tensorlib faults --faults 8 --seed 7 --harden full --opt on -o - \
-    | sed '/"phase_wall_times_us"/,/}/d' > /tmp/ci_faults_opt_on.json
+    | sed -e '/"phase_wall_times_us"/,/}/d' -e '/^    "command": /d' \
+    > /tmp/ci_faults_opt_on.json
 ./target/release/tensorlib faults --faults 8 --seed 7 --harden full --opt off -o - \
-    | sed '/"phase_wall_times_us"/,/}/d' > /tmp/ci_faults_opt_off.json
+    | sed -e '/"phase_wall_times_us"/,/}/d' -e '/^    "command": /d' \
+    > /tmp/ci_faults_opt_off.json
 cmp /tmp/ci_faults_opt_on.json /tmp/ci_faults_opt_off.json
 grep -q '"masked"' /tmp/ci_faults_opt_on.json
 rm -f /tmp/ci_faults_opt_on.json /tmp/ci_faults_opt_off.json
@@ -281,6 +284,22 @@ for bad in "faults --faults 8 --lanes 70" "faults --faults 8 --workers 0" \
         exit 1
     fi
 done
+# A flag the command does not declare is nonsense too: the run is refused
+# with an error naming the command and the flag.
+bad_err=$(mktemp)
+foreign_flag_smoke() {
+    flag=$1
+    shift
+    if ./target/release/tensorlib "$@" -o - >/dev/null 2>"$bad_err"; then
+        echo "ci: a foreign flag was accepted: $*" >&2
+        exit 1
+    fi
+    grep -q "^error: $1 does not take $flag" "$bad_err"
+}
+foreign_flag_smoke --workers explore gemm:4,4,4 --workers 2
+foreign_flag_smoke --faults generate gemm:4,4,4 MNK-SST --faults 3
+foreign_flag_smoke --format faults --format text
+rm -f "$bad_err"
 
 # Perf gate. perfgate itself enforces the trace-off overhead ceiling; with a
 # committed baseline it also gates compiled-interpreter throughput.

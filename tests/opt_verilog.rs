@@ -21,7 +21,7 @@ use tensorlib::hw::ArrayConfig;
 use tensorlib::ir::{workloads, DataType, Kernel};
 use tensorlib::sim::trace::measure;
 use tensorlib::sim::TraceConfig;
-use tensorlib_cli::{run, Command};
+use tensorlib_cli::{run, Command, DesignArgs, GenerateArgs};
 
 fn gemm_design(n: usize) -> AcceleratorDesign {
     let gemm = workloads::gemm(4, 4, 4);
@@ -154,14 +154,16 @@ fn opt_off_generates_the_legacy_netlist_byte_identically() {
     .expect("wireable");
     let legacy = emit_design(&design);
     let gen = |opt: bool| {
-        run(Command::Generate {
-            workload: "gemm:4,4,4".into(),
-            dataflow: "MNK-SST".into(),
+        run(Command::Generate(GenerateArgs {
+            design: DesignArgs {
+                workload: "gemm:4,4,4".into(),
+                dataflow: "MNK-SST".into(),
+                rows: 4,
+                cols: 4,
+                opt,
+            },
             out: "-".into(),
-            rows: 4,
-            cols: 4,
-            opt,
-        })
+        }))
         .unwrap()
     };
     assert_eq!(gen(false), legacy, "--opt=off must not touch the netlist");
