@@ -9,6 +9,8 @@
 //! With `--check-against <path>` the run additionally compares its compiled
 //! interpreter throughput to the baseline report at `<path>` and exits
 //! non-zero on a regression of more than 20% — see `scripts/perfgate.sh`.
+//! A baseline recorded with a different `host_cores` is not compared: the
+//! gate prints `"skipped": {"reason": ...}` and passes.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -167,6 +169,12 @@ struct PerfGateReport {
 #[derive(Serialize)]
 struct GateSkip {
     reason: String,
+}
+
+/// A gate that did not run, as printed on its own line.
+#[derive(Serialize)]
+struct SkippedGate {
+    skipped: GateSkip,
 }
 
 #[derive(Serialize)]
@@ -1429,6 +1437,27 @@ fn main() {
             Err(err @ tensorlib_obs::SchemaError::TooNew { .. }) => {
                 eprintln!("FAIL: baseline {}: {err}", path.display());
                 std::process::exit(1);
+            }
+        }
+        // Absolute cycles/s only compare on the same host shape, as in
+        // `history --check`: a baseline from another core count reports the
+        // gate as skipped instead of judging it against the floor.
+        if let Some(base_cores) = extract_number(&baseline, "host_cores") {
+            if base_cores != host_cores as f64 {
+                let gate = SkippedGate {
+                    skipped: GateSkip {
+                        reason: format!(
+                            "baseline host_cores {base_cores} vs current {host_cores}: \
+                             throughput does not compare across host shapes; re-record \
+                             the baseline on this shape"
+                        ),
+                    },
+                };
+                println!(
+                    "regression gate: {}",
+                    serde_json::to_string(&gate).expect("gate serializes")
+                );
+                return;
             }
         }
         let Some(base_rate) = extract_number(&baseline, "compiled_cycles_per_sec") else {

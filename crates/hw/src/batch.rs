@@ -17,6 +17,10 @@
 //!   with its own stimulus, so fuzz and measured-stats campaigns evaluate
 //!   `lanes` seeds at once.
 //!
+//! [`BatchSim::load_state`] broadcasts a scalar run's [`Snapshot`] onto
+//! every lane, so one compiled batch can be reused and can start mid-run:
+//! fault campaigns fork each lane group from the golden run.
+//!
 //! **Determinism contract:** lane `l` of a batched run is bit-identical —
 //! every net, every cycle, every bank word, every parity counter — to a
 //! scalar [`Interpreter`] run given the same initial state, stimulus, and
@@ -36,6 +40,7 @@ use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultSpec, RegHold, SlotFlip, StuckForce};
 use crate::interp::{
     mask, resolve_fault_spec, sign_extend, Compiled, FlatDesign, Instr, Interpreter, ResolvedFault,
+    Snapshot,
 };
 use crate::netlist::{BinOp, NetId};
 
@@ -77,6 +82,14 @@ struct BatchFaultState {
     bank_flips: Vec<LaneBankFlip>,
     holds: Vec<LaneHold>,
     cycle: u64,
+}
+
+/// A net resolved once for repeated lane reads ([`BatchSim::probe`]): its
+/// alias-resolved value slot and declared width.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    slot: usize,
+    width: u32,
 }
 
 /// Lane-batched interpreter over a [`FlatDesign`]. See the module docs for
@@ -398,6 +411,15 @@ fn exec_stream_lanes<const FORCED: bool>(
     }
 }
 
+/// Fills lane row `i` of `dst` with `src[i]`: one scalar value per row of
+/// `lanes` lane words.
+fn broadcast<T: Copy>(dst: &mut [T], src: &[T], lanes: usize) {
+    assert_eq!(dst.len(), src.len() * lanes, "snapshot of a different design");
+    for (row, &v) in dst.chunks_exact_mut(lanes).zip(src) {
+        row.fill(v);
+    }
+}
+
 impl BatchSim {
     /// Creates a batched interpreter with every lane at the reset state
     /// (registers at their init values, banks zeroed).
@@ -469,10 +491,8 @@ impl BatchSim {
     }
 
     /// Creates a batch whose every lane starts from `base`'s current
-    /// architectural state — values, bank contents, bank address counters,
-    /// parity bookkeeping. This is how campaigns broadcast a preloaded
-    /// golden base across lanes before diverging them with per-lane faults
-    /// or stimulus.
+    /// architectural state: [`BatchSim::new`] plus [`BatchSim::load_state`]
+    /// of `base`'s [`Interpreter::snapshot`].
     ///
     /// # Panics
     ///
@@ -484,29 +504,42 @@ impl BatchSim {
             "broadcast requires a fault-free scalar base"
         );
         let mut sim = BatchSim::new(base.flat.clone(), lanes);
-        for (n, &v) in base.values.iter().enumerate() {
-            sim.values[n * lanes..(n + 1) * lanes].fill(v);
-        }
-        for (i, mem) in base.bank_mem.iter().enumerate() {
-            for (w, &word) in mem.iter().enumerate() {
-                sim.bank_mem[i][w * lanes..(w + 1) * lanes].fill(word);
-            }
-        }
-        let n_banks = base.flat.banks.len();
-        for i in 0..n_banks {
-            sim.bank_raddr[i * lanes..(i + 1) * lanes].fill(base.bank_raddr[i]);
-            sim.bank_waddr[i * lanes..(i + 1) * lanes].fill(base.bank_waddr[i]);
-            sim.bank_rdata[i * lanes..(i + 1) * lanes].fill(base.bank_rdata[i]);
-            sim.parity_errors[i * lanes..(i + 1) * lanes].fill(base.parity_errors[i]);
-            if let (Some(dst), Some(src)) = (&mut sim.bank_parity[i], &base.bank_parity[i]) {
-                for (w, &p) in src.iter().enumerate() {
-                    dst[w * lanes..(w + 1) * lanes].fill(p);
-                }
-            }
-        }
-        sim.dirty = true;
-        sim.settle();
+        sim.load_state(&base.snapshot());
         sim
+    }
+
+    /// Broadcasts `state` onto every lane — net values, bank words, bank
+    /// addresses and read latches, parity bits and counters — detaches all
+    /// faults, and resettles. Afterwards every lane is bit-identical to the
+    /// scalar run the snapshot came from, so stepping the batch continues
+    /// that run on every lane; the next [`BatchSim::attach_lane_faults`]
+    /// counts fault cycles from here.
+    ///
+    /// This is how fault campaigns reuse one compiled batch for many lane
+    /// groups, each forked from the golden run at its own cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was taken from a different design (its net or bank
+    /// sizes do not match this batch's).
+    pub fn load_state(&mut self, state: &Snapshot) {
+        let lanes = self.lanes;
+        broadcast(&mut self.values, &state.values, lanes);
+        broadcast(&mut self.bank_raddr, &state.bank_raddr, lanes);
+        broadcast(&mut self.bank_waddr, &state.bank_waddr, lanes);
+        broadcast(&mut self.bank_rdata, &state.bank_rdata, lanes);
+        broadcast(&mut self.parity_errors, &state.parity_errors, lanes);
+        for (dst, src) in self.bank_mem.iter_mut().zip(&state.bank_mem) {
+            broadcast(dst, src, lanes);
+        }
+        for (dst, src) in self.bank_parity.iter_mut().zip(&state.bank_parity) {
+            if let (Some(dst), Some(src)) = (dst, src) {
+                broadcast(dst, src, lanes);
+            }
+        }
+        self.faults = None;
+        self.dirty = true;
+        self.settle();
     }
 
     /// The lane count this batch was built with.
@@ -621,24 +654,47 @@ impl BatchSim {
         self.settle();
     }
 
-    /// Reads any net by hierarchical name on one lane (alias-resolved, like
+    /// Resolves a net by hierarchical name once, for repeated reads with
+    /// [`BatchSim::read`] and [`BatchSim::read_signed`] (alias-resolved, like
     /// the scalar compiled engine's peek).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no such net exists.
+    pub fn probe(&self, name: &str) -> Probe {
+        let id = self.net_id(name);
+        Probe {
+            slot: self.compiled.resolve[id] as usize,
+            width: self.flat.nets[id].width,
+        }
+    }
+
+    /// A probed net's value on every lane (lane `l` at index `l`).
+    pub fn read(&self, probe: Probe) -> &[u64] {
+        &self.values[probe.slot * self.lanes..(probe.slot + 1) * self.lanes]
+    }
+
+    /// A probed net on one lane as a signed value of its declared width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn read_signed(&self, probe: Probe, lane: usize) -> i64 {
+        sign_extend(self.read(probe)[lane], probe.width, 64) as i64
+    }
+
+    /// Reads any net by hierarchical name on one lane.
     ///
     /// # Panics
     ///
     /// Panics if no such net exists or `lane` is out of range.
     pub fn peek_lane(&self, name: &str, lane: usize) -> u64 {
-        assert!(lane < self.lanes, "lane out of range");
-        let slot = self.compiled.resolve[self.net_id(name)] as usize;
-        self.values[slot * self.lanes + lane]
+        self.read(self.probe(name))[lane]
     }
 
     /// Reads a net on one lane as a signed value of its declared width.
     pub fn peek_signed_lane(&self, name: &str, lane: usize) -> i64 {
-        let id = self.net_id(name);
-        let w = self.flat.nets[id].width;
-        let slot = self.compiled.resolve[id] as usize;
-        sign_extend(self.values[slot * self.lanes + lane], w, 64) as i64
+        self.read_signed(self.probe(name), lane)
     }
 
     /// Preloads a bank's memory with the same words on every lane.

@@ -139,6 +139,43 @@ impl FaultSpec {
             kind: FaultKind::DropTransition { cycle },
         }
     }
+
+    /// The cycle a timed fault fires on; `None` for a stuck-at, which is
+    /// live from attach.
+    pub fn cycle(&self) -> Option<u64> {
+        match self.kind {
+            FaultKind::StuckAt { .. } => None,
+            FaultKind::TransientFlip { cycle, .. }
+            | FaultKind::BankFlip { cycle, .. }
+            | FaultKind::DropTransition { cycle } => Some(cycle),
+        }
+    }
+
+    /// The same fault for a run attached `steps` cycles later: a timed
+    /// fault's cycle moves `steps` earlier, so it still fires on the same
+    /// clock edge of the run. A stuck-at is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps > 0` and a timed fault would fire at or before the
+    /// attach (`cycle <= steps`): the skipped steps would have seen it.
+    pub fn shifted(&self, steps: u64) -> FaultSpec {
+        let mut kind = self.kind.clone();
+        if let FaultKind::TransientFlip { cycle, .. }
+        | FaultKind::BankFlip { cycle, .. }
+        | FaultKind::DropTransition { cycle } = &mut kind
+        {
+            assert!(
+                steps == 0 || steps < *cycle,
+                "{self} cannot start after {steps} steps"
+            );
+            *cycle -= steps;
+        }
+        FaultSpec {
+            target: self.target.clone(),
+            kind,
+        }
+    }
 }
 
 impl std::fmt::Display for FaultSpec {

@@ -1073,6 +1073,22 @@ struct BankOp {
     buf_sel: u64,
 }
 
+/// A simulator's architectural state without its design or compiled code:
+/// net values, bank words, bank read/write addresses and read latches,
+/// parity bits and parity counters. [`Interpreter::snapshot`] takes one
+/// from a scalar run; [`crate::batch::BatchSim::load_state`] broadcasts it
+/// onto every lane of a batch over the same design.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot {
+    pub(crate) values: Vec<u64>,
+    pub(crate) bank_mem: Vec<Vec<u64>>,
+    pub(crate) bank_raddr: Vec<u64>,
+    pub(crate) bank_waddr: Vec<u64>,
+    pub(crate) bank_rdata: Vec<u64>,
+    pub(crate) bank_parity: Vec<Option<Vec<u8>>>,
+    pub(crate) parity_errors: Vec<u64>,
+}
+
 /// Cycle-level interpreter over a [`FlatDesign`].
 ///
 /// Drive inputs with [`Interpreter::poke`] (or [`Interpreter::poke_many`] to
@@ -1320,6 +1336,25 @@ impl Interpreter {
     /// The attached fault state, if any.
     pub fn faults(&self) -> Option<&FaultState> {
         self.faults.as_deref()
+    }
+
+    /// The flattened design under simulation.
+    pub fn flat(&self) -> &FlatDesign {
+        &self.flat
+    }
+
+    /// The current architectural state (every public mutator leaves the
+    /// combinational logic settled, so the values are settled too).
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            values: self.values.clone(),
+            bank_mem: self.bank_mem.clone(),
+            bank_raddr: self.bank_raddr.clone(),
+            bank_waddr: self.bank_waddr.clone(),
+            bank_rdata: self.bank_rdata.clone(),
+            bank_parity: self.bank_parity.clone(),
+            parity_errors: self.parity_errors.clone(),
+        }
     }
 
     /// Total parity mismatches observed on reads of parity-protected banks

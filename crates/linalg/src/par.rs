@@ -320,9 +320,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes every test that runs the pool. The pool records
+    /// `par.*` metrics whenever the process-global obs recorder is on, so
+    /// a pool running beside the profiled test would add to its counters.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn preserves_input_order_for_any_worker_count() {
+        let _serial = serial();
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x)).collect();
         for workers in [1, 2, 3, 8, 64] {
@@ -333,6 +344,7 @@ mod tests {
 
     #[test]
     fn passes_original_indices() {
+        let _serial = serial();
         let items = ["a", "b", "c"];
         let got = par_map_indexed(&items, 2, 1, |i, &s| format!("{i}{s}"));
         assert_eq!(got, vec!["0a", "1b", "2c"]);
@@ -340,6 +352,7 @@ mod tests {
 
     #[test]
     fn handles_empty_and_oversized_chunks() {
+        let _serial = serial();
         let empty: Vec<u8> = Vec::new();
         assert!(par_map_indexed(&empty, 4, 16, |_, &x| x).is_empty());
         let got = par_map_indexed(&[1u8, 2], 8, 1000, |_, &x| x + 1);
@@ -348,6 +361,7 @@ mod tests {
 
     #[test]
     fn catch_isolates_panics_in_input_order_for_any_worker_count() {
+        let _serial = serial();
         let items: Vec<u64> = (0..100).collect();
         for workers in [1, 2, 8] {
             let got = par_map_catch(&items, workers, 3, |_, &x| {
@@ -367,6 +381,7 @@ mod tests {
 
     #[test]
     fn catch_handles_string_payloads_and_all_ok() {
+        let _serial = serial();
         let got = par_map_catch(&[1, 2], 1, 1, |_, &x: &i32| {
             if x == 2 {
                 panic!("{}", format!("boom {x}"));
@@ -381,6 +396,7 @@ mod tests {
 
     #[test]
     fn profiled_round_robin_matches_unprofiled_results() {
+        let _serial = serial();
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         tensorlib_obs::enable();
@@ -397,6 +413,7 @@ mod tests {
 
     #[test]
     fn ctl_default_matches_catch_semantics() {
+        let _serial = serial();
         let items: Vec<u64> = (0..50).collect();
         for workers in [1, 2, 8] {
             let got = par_map_catch_ctl(&items, workers, 3, MapControl::default(), |_, &x| {
@@ -415,6 +432,7 @@ mod tests {
 
     #[test]
     fn ctl_cancel_skips_unstarted_items() {
+        let _serial = serial();
         let flag = AtomicBool::new(false);
         let items: Vec<u64> = (0..100).collect();
         let ctl = MapControl {
@@ -438,6 +456,7 @@ mod tests {
 
     #[test]
     fn ctl_expired_deadline_skips_everything() {
+        let _serial = serial();
         let ctl = MapControl {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             cancel: None,

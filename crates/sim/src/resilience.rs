@@ -30,13 +30,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
-use tensorlib_hw::batch::BatchSim;
+use tensorlib_hw::batch::{BatchSim, Probe};
 use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
 use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultKind, FaultSpec, Hardening};
-use tensorlib_hw::interp::{elaborate_design, ElaborateError, Interpreter};
+use tensorlib_hw::interp::{elaborate_design, ElaborateError, Interpreter, Snapshot};
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::workloads;
 use tensorlib_obs::json::Value;
@@ -245,119 +246,137 @@ struct RunResult {
     parity_errors: u64,
 }
 
-/// Steps one full controller round, waits for the ping-pong buffers to
-/// swing back, and harvests the result banks.
-///
-/// The interpreter must be a fresh clone of the preloaded base (banks
-/// loaded, `start` already poked high). Timing: the free-running controller
-/// completes round 1 in `1 + phases.total()` steps, with the drained
-/// results written to the double buffer selected by `phase` during drain.
-/// Readback ports read the *other* buffer, so the harvest waits one more
-/// compute phase for `phase` to toggle back before streaming the results
-/// out (readback also fires the parity checks on the result banks).
-fn run_round(sim: &mut Interpreter, design: &AcceleratorDesign, has_tmr: bool) -> RunResult {
-    let phases = design.phases();
-    let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
-    let mut tmr_seen = false;
-    for _ in 0..pre {
-        sim.step();
-        if has_tmr && sim.peek("tmr_mismatch") != 0 {
-            tmr_seen = true;
-        }
-    }
-    // Bottom-up drain order: word d of column j's bank holds C[rows-1-d][j].
-    let rows = design.config().array.rows;
-    let cols = design.config().array.cols;
-    let out_banks: Vec<usize> = design
-        .bank_bindings()
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.port.kind.is_input())
-        .map(|(bi, _)| bi)
-        .collect();
-    for &bi in &out_banks {
-        sim.poke(&format!("readback_{bi}"), 1);
-    }
-    let mut c = vec![0i64; rows * cols];
-    for d in 0..rows {
-        sim.step();
-        if has_tmr && sim.peek("tmr_mismatch") != 0 {
-            tmr_seen = true;
-        }
-        let row = rows - 1 - d;
-        for (j, &bi) in out_banks.iter().enumerate() {
-            c[row * cols + j] = sim.peek_signed(&format!("result_{bi}"));
-        }
-    }
-    RunResult {
-        c,
-        tmr_seen,
-        parity_errors: sim.parity_error_count(),
-    }
+/// The golden run's state after `steps` steps, where a lane group whose
+/// faults all fire later starts instead of at cycle 0.
+struct Fork {
+    steps: u64,
+    state: Snapshot,
+    /// `tmr_mismatch` was high on some golden step in `1..=steps`.
+    tmr_seen: bool,
 }
 
-/// [`run_round`] for a lane batch: one controller round advanced on every
-/// lane simultaneously, harvested per lane. Stimulus (readback pokes) is
-/// broadcast; divergence comes from the per-lane faults already attached.
-/// Lane `l`'s [`RunResult`] is bit-identical to a scalar [`run_round`] of an
-/// interpreter carrying lane `l`'s faults.
-fn run_round_batch(
-    sim: &mut BatchSim,
-    design: &AcceleratorDesign,
+/// One controller round as a campaign drives it: step the free-running
+/// controller through its round, wait for the ping-pong buffers to swing
+/// back, then raise the readback ports and harvest one result row per
+/// step.
+///
+/// Timing: from the preloaded base (banks loaded, `start` high) the
+/// controller completes round 1 in `1 + phases.total()` steps, with the
+/// drained results written to the double buffer selected by `phase` during
+/// drain. Readback ports read the *other* buffer, so the harvest waits one
+/// more compute phase for `phase` to toggle back before streaming the
+/// results out (readback also fires the parity checks on the result banks).
+struct Round {
+    /// Steps from the preloaded base to the readback pokes.
+    steps: u64,
+    rows: usize,
+    cols: usize,
     has_tmr: bool,
-) -> Vec<RunResult> {
-    let lanes = sim.lanes();
-    let phases = design.phases();
-    let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
-    let mut tmr_seen = vec![false; lanes];
-    for _ in 0..pre {
-        sim.step();
-        if has_tmr {
-            for (l, seen) in tmr_seen.iter_mut().enumerate() {
-                if sim.peek_lane("tmr_mismatch", l) != 0 {
-                    *seen = true;
-                }
-            }
+    /// `readback_{bi}` and `result_{bi}` for each output bank, in column
+    /// order. Bottom-up drain order: word `d` of column `j`'s bank holds
+    /// `C[rows-1-d][j]`.
+    readback: Vec<String>,
+    results: Vec<String>,
+}
+
+impl Round {
+    fn new(design: &AcceleratorDesign, has_tmr: bool) -> Round {
+        let phases = design.phases();
+        let out_banks: Vec<usize> = (design.bank_bindings().iter().enumerate())
+            .filter(|(_, b)| !b.port.kind.is_input())
+            .map(|(bi, _)| bi)
+            .collect();
+        Round {
+            steps: 1 + phases.total() + phases.load_cycles + phases.compute_cycles,
+            rows: design.config().array.rows,
+            cols: design.config().array.cols,
+            has_tmr,
+            readback: out_banks.iter().map(|bi| format!("readback_{bi}")).collect(),
+            results: out_banks.iter().map(|bi| format!("result_{bi}")).collect(),
         }
     }
-    let rows = design.config().array.rows;
-    let cols = design.config().array.cols;
-    let out_banks: Vec<usize> = design
-        .bank_bindings()
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.port.kind.is_input())
-        .map(|(bi, _)| bi)
-        .collect();
-    for &bi in &out_banks {
-        sim.poke(&format!("readback_{bi}"), 1);
+
+    /// Steps run per round, readback included.
+    fn total_steps(&self) -> u64 {
+        self.steps + self.rows as u64
     }
-    let mut c = vec![vec![0i64; rows * cols]; lanes];
-    for d in 0..rows {
-        sim.step();
-        if has_tmr {
-            for (l, seen) in tmr_seen.iter_mut().enumerate() {
-                if sim.peek_lane("tmr_mismatch", l) != 0 {
-                    *seen = true;
-                }
+
+    /// Runs one round on a scalar interpreter from cycle 0: a fresh clone
+    /// of the preloaded base, faults (if any) already attached.
+    fn run(&self, sim: &mut Interpreter) -> RunResult {
+        let mut tmr_seen = false;
+        let mut step = |sim: &mut Interpreter| {
+            sim.step();
+            tmr_seen |= self.has_tmr && sim.peek("tmr_mismatch") != 0;
+        };
+        {
+            let _span = tensorlib_obs::span("sim.fault.step");
+            for _ in 0..self.steps {
+                step(sim);
             }
         }
-        let row = rows - 1 - d;
-        for (j, &bi) in out_banks.iter().enumerate() {
-            let name = format!("result_{bi}");
-            for (l, lane_c) in c.iter_mut().enumerate() {
-                lane_c[row * cols + j] = sim.peek_signed_lane(&name, l);
+        let _span = tensorlib_obs::span("sim.fault.harvest");
+        sim.poke_many(self.readback.iter().map(|p| (p.as_str(), 1)));
+        let mut c = vec![0i64; self.rows * self.cols];
+        for d in 0..self.rows {
+            step(sim);
+            let row = self.rows - 1 - d;
+            for (j, result) in self.results.iter().enumerate() {
+                c[row * self.cols + j] = sim.peek_signed(result);
             }
         }
-    }
-    c.into_iter()
-        .enumerate()
-        .map(|(l, c)| RunResult {
+        RunResult {
             c,
-            tmr_seen: tmr_seen[l],
-            parity_errors: sim.parity_error_count_lane(l),
-        })
-        .collect()
+            tmr_seen,
+            parity_errors: sim.parity_error_count(),
+        }
+    }
+
+    /// [`Round::run`] for a lane batch loaded from `fork`: the rest of the
+    /// round advanced on every lane at once, harvested per lane. Stimulus
+    /// (the readback pokes) is broadcast; divergence comes from the per-lane
+    /// faults already attached. Lane `l`'s [`RunResult`] is bit-identical
+    /// to a scalar [`Round::run`] from cycle 0 of an interpreter carrying
+    /// lane `l`'s (unshifted) faults.
+    fn run_batch(&self, sim: &mut BatchSim, fork: &Fork) -> Vec<RunResult> {
+        let lanes = sim.lanes();
+        let mut tmr_seen = vec![fork.tmr_seen; lanes];
+        let tmr = self.has_tmr.then(|| sim.probe("tmr_mismatch"));
+        let mut step = |sim: &mut BatchSim| {
+            sim.step();
+            if let Some(tmr) = tmr {
+                for (seen, &v) in tmr_seen.iter_mut().zip(sim.read(tmr)) {
+                    *seen |= v != 0;
+                }
+            }
+        };
+        {
+            let _span = tensorlib_obs::span("sim.fault.step");
+            for _ in fork.steps..self.steps {
+                step(sim);
+            }
+        }
+        let _span = tensorlib_obs::span("sim.fault.harvest");
+        sim.poke_many(self.readback.iter().map(|p| (p.as_str(), 1)));
+        let results: Vec<Probe> = self.results.iter().map(|r| sim.probe(r)).collect();
+        let mut c = vec![vec![0i64; self.rows * self.cols]; lanes];
+        for d in 0..self.rows {
+            step(sim);
+            let row = self.rows - 1 - d;
+            for (j, &result) in results.iter().enumerate() {
+                for (l, lane_c) in c.iter_mut().enumerate() {
+                    lane_c[row * self.cols + j] = sim.read_signed(result, l);
+                }
+            }
+        }
+        (c.into_iter().zip(tmr_seen).enumerate())
+            .map(|(l, (c, tmr_seen))| RunResult {
+                c,
+                tmr_seen,
+                parity_errors: sim.parity_error_count_lane(l),
+            })
+            .collect()
+    }
 }
 
 /// Preloads the top-level input banks with the skewed systolic schedule for
@@ -431,14 +450,18 @@ pub struct FaultCampaign {
     variant: String,
     design: AcceleratorDesign,
     cycles: u64,
-    has_tmr: bool,
+    round: Round,
     faults: Vec<FaultSpec>,
-    /// The preloaded interpreter (banks loaded, `start` high) every run
-    /// clones.
+    /// The preloaded interpreter (banks loaded, `start` high): every scalar
+    /// run clones it, and every golden pass starts from it.
     base: Interpreter,
     golden: RunResult,
     abft_row_sums: Vec<i64>,
     abft_col_sums: Vec<i64>,
+    /// Compiled lane batches between lane groups: each group takes one of
+    /// its width (building it on first use), reloads it from its fork and
+    /// puts it back, so the bytecode is compiled about once per worker.
+    batches: Mutex<Vec<BatchSim>>,
 }
 
 impl FaultCampaign {
@@ -499,7 +522,7 @@ impl FaultCampaign {
         let flat = elaborate_design(&design, design.top())?;
         // One idle handshake cycle plus one full load/compute/drain round.
         let cycles = 1 + design.phases().total();
-        let has_tmr = cfg.hardening.tmr_ctrl;
+        let round = Round::new(&design, cfg.hardening.tmr_ctrl);
         let (faults, tag) = match selection {
             FaultSelection::Sampled => (
                 sample_faults(&enumerate_sites(&flat), cfg.faults, cfg.seed, cycles),
@@ -533,7 +556,7 @@ impl FaultCampaign {
         base.poke("start", 1);
         let golden = {
             let _golden_span = tensorlib_obs::span("sim.golden_run");
-            run_round(&mut base.clone(), &design, has_tmr)
+            round.run(&mut base.clone())
         };
         let (rows, cols) = (cfg.rows, cfg.cols);
         let (abft_row_sums, abft_col_sums) = match reference {
@@ -571,12 +594,13 @@ impl FaultCampaign {
             variant,
             design,
             cycles,
-            has_tmr,
+            round,
             faults,
             base,
             golden,
             abft_row_sums,
             abft_col_sums,
+            batches: Mutex::new(Vec::new()),
         })
     }
 
@@ -614,16 +638,98 @@ impl FaultCampaign {
         }
     }
 
+    /// Golden steps a lane group can skip for `fault`. A timed fault
+    /// changes nothing before its cycle, so its run can fork from the
+    /// golden state after `cycle - 1` steps — at most [`Round::steps`],
+    /// where the readback stimulus begins. A stuck-at is live from attach.
+    fn fork_steps(&self, fault: &FaultSpec) -> u64 {
+        fault
+            .cycle()
+            .map_or(0, |cycle| cycle.saturating_sub(1).min(self.round.steps))
+    }
+
+    /// The golden run's state after each of `starts` (ascending, distinct)
+    /// steps, from one scalar pass over the preloaded base.
+    fn golden_forks(&self, starts: &[u64]) -> Vec<Fork> {
+        let mut sim = self.base.clone();
+        let (mut at, mut tmr_seen) = (0, false);
+        (starts.iter())
+            .map(|&steps| {
+                for _ in at..steps {
+                    sim.step();
+                    tmr_seen |= self.round.has_tmr && sim.peek("tmr_mismatch") != 0;
+                }
+                at = steps;
+                Fork {
+                    steps,
+                    state: sim.snapshot(),
+                    tmr_seen,
+                }
+            })
+            .collect()
+    }
+
+    /// A compiled batch of `lanes` lanes from the pool, or a new one.
+    fn take_batch(&self, lanes: usize) -> BatchSim {
+        let mut pool = self.batches.lock().unwrap_or_else(PoisonError::into_inner);
+        match pool.iter().position(|b| b.lanes() == lanes) {
+            Some(i) => pool.swap_remove(i),
+            None => {
+                drop(pool);
+                BatchSim::new(self.base.flat().clone(), lanes)
+            }
+        }
+    }
+
+    /// Runs one fault on a clone of the scalar base from cycle 0.
+    fn run_scalar(&self, fault: &FaultSpec) -> Result<RunResult, HwError> {
+        let mut sim = {
+            let _span = tensorlib_obs::span("sim.fault.fork");
+            let mut sim = self.base.clone();
+            sim.attach_faults(std::slice::from_ref(fault))?;
+            sim
+        };
+        tensorlib_obs::counter_add("sim.fault.lane_steps", self.round.total_steps());
+        Ok(self.round.run(&mut sim))
+    }
+
+    /// Runs one lane group, one fault per lane, forked from `fork`: each
+    /// fault is attached with its cycle shifted by the skipped steps.
+    fn run_lanes(&self, group: &[&FaultSpec], fork: &Fork) -> Vec<Result<RunResult, HwError>> {
+        let mut sim = self.take_batch(group.len());
+        let attach = {
+            let _span = tensorlib_obs::span("sim.fault.fork");
+            sim.load_state(&fork.state);
+            let per_lane: Vec<Vec<FaultSpec>> =
+                group.iter().map(|f| vec![f.shifted(fork.steps)]).collect();
+            sim.attach_lane_faults(&per_lane)
+        };
+        tensorlib_obs::counter_add(
+            "sim.fault.lane_steps",
+            self.round.total_steps() - fork.steps,
+        );
+        tensorlib_obs::counter_add("sim.fault.steps_skipped", fork.steps);
+        let runs = self.round.run_batch(&mut sim, fork);
+        (self.batches.lock().unwrap_or_else(PoisonError::into_inner)).push(sim);
+        attach.into_iter().zip(runs).map(|(att, run)| att.map(|()| run)).collect()
+    }
+
     /// Injects `faults` (one chunk) and classifies each against golden.
     ///
-    /// The fault list is cut into lane groups *before* the worker pool: with
-    /// `lanes == 1` each fault runs on a clone of the scalar base
-    /// interpreter; wider groups are broadcast onto a [`BatchSim`] with one
-    /// fault per lane and retired in one batched round. Every lane is
-    /// bit-identical to its scalar run, so the outcomes — in fault order —
-    /// are byte-identical for any lane width and worker count. (The one
-    /// divergence: a panic poisons its whole lane group, so *which* faults
-    /// carry a panic error can differ. Clean campaigns are unaffected.)
+    /// The fault list is cut into lane groups *before* the worker pool.
+    /// With `lanes == 1` each fault runs on a clone of the scalar base from
+    /// cycle 0 — the reference every batched run is proved against. Wider
+    /// groups are cut from the chunk stable-sorted by
+    /// [`FaultCampaign::fork_steps`]: each group starts from the golden
+    /// snapshot at its earliest fork step (one scalar golden pass per chunk
+    /// takes just those snapshots), attaches one fault per lane with its
+    /// cycle shifted back by the skipped steps, and is retired in one
+    /// batched pass. Outcomes are scattered back to fault order. Every lane
+    /// is bit-identical to its scalar run, so the outcomes are
+    /// byte-identical for any lane width, worker count and chunk geometry.
+    /// (The one divergence: a panic poisons its whole lane group, so
+    /// *which* faults carry a panic error can differ. Clean campaigns are
+    /// unaffected.)
     ///
     /// `durability` supplies the watchdog deadline (groups not started in
     /// time come back [`FaultClass::Degraded`]), the bounded serial retry
@@ -632,73 +738,79 @@ impl FaultCampaign {
         let _span = tensorlib_obs::span("sim.fault_injection");
         tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
         let lanes = self.cfg.lanes.max(1);
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        if lanes > 1 {
+            order.sort_by_key(|&i| self.fork_steps(&faults[i]));
+        }
+        let groups: Vec<Vec<&FaultSpec>> = (order.chunks(lanes))
+            .map(|idx| idx.iter().map(|&i| &faults[i]).collect())
+            .collect();
+        let forks = if lanes > 1 {
+            let mut starts: Vec<u64> = groups.iter().map(|g| self.fork_steps(g[0])).collect();
+            starts.dedup();
+            self.golden_forks(&starts)
+        } else {
+            Vec::new()
+        };
         let attach_failed = |fault: &FaultSpec, e: &dyn fmt::Display| FaultOutcome {
             fault: fault.clone(),
             class: FaultClass::Masked,
             detectors: Vec::new(),
             error: Some(format!("attach failed: {e}")),
         };
-        let run_group = |group: &&[FaultSpec]| -> Vec<FaultOutcome> {
-            for fault in group.iter() {
+        let run_group = |group: &Vec<&FaultSpec>| -> Vec<FaultOutcome> {
+            for fault in group {
                 durability.chaos_check(&fault.target);
             }
-            if lanes == 1 {
-                let fault = &group[0];
-                let mut sim = self.base.clone();
-                return vec![match sim.attach_faults(std::slice::from_ref(fault)) {
-                    Ok(()) => {
-                        let run = run_round(&mut sim, &self.design, self.has_tmr);
-                        self.classify(fault, &run)
-                    }
-                    Err(e) => attach_failed(fault, &e),
-                }];
-            }
-            let mut sim = BatchSim::from_scalar(&self.base, group.len());
-            let per_lane: Vec<Vec<FaultSpec>> = group.iter().map(|f| vec![f.clone()]).collect();
-            let attach = sim.attach_lane_faults(&per_lane);
-            let runs = run_round_batch(&mut sim, &self.design, self.has_tmr);
-            (group.iter().zip(attach).zip(runs))
-                .map(|((fault, att), run)| match att {
-                    Ok(()) => self.classify(fault, &run),
+            let runs = if lanes == 1 {
+                vec![self.run_scalar(group[0])]
+            } else {
+                let start = self.fork_steps(group[0]);
+                let fork = &forks[forks.partition_point(|f| f.steps < start)];
+                self.run_lanes(group, fork)
+            };
+            (group.iter().zip(runs))
+                .map(|(fault, run)| match run {
+                    Ok(run) => self.classify(fault, &run),
                     Err(e) => attach_failed(fault, &e),
                 })
                 .collect()
         };
-        let groups: Vec<&[FaultSpec]> = faults.chunks(lanes).collect();
         let outcomes = journal::run_items(durability, &groups, self.cfg.workers, 1, run_group);
-        (outcomes.into_iter().zip(&groups))
-            .flat_map(|(outcome, group)| match outcome {
-                ItemOutcome::Done(outcomes) => outcomes,
-                ItemOutcome::Degraded => (group.iter())
+        let sorted = (outcomes.into_iter().zip(&groups)).flat_map(|(outcome, group)| match outcome {
+            ItemOutcome::Done(outcomes) => outcomes,
+            ItemOutcome::Degraded => (group.iter())
+                .map(|fault| FaultOutcome {
+                    fault: (*fault).clone(),
+                    class: FaultClass::Degraded,
+                    detectors: Vec::new(),
+                    error: None,
+                })
+                .collect(),
+            // The fault spec in the outcome *is* the repro: replaying it
+            // with the campaign seed reproduces the panic.
+            ItemOutcome::Quarantined { attempts, message } => {
+                let error = if attempts <= 1 {
+                    format!("injected run panicked: {message}")
+                } else {
+                    format!(
+                        "injected run panicked (quarantined after {attempts} attempts): \
+                         {message}"
+                    )
+                };
+                (group.iter())
                     .map(|fault| FaultOutcome {
-                        fault: fault.clone(),
-                        class: FaultClass::Degraded,
+                        fault: (*fault).clone(),
+                        class: FaultClass::Sdc,
                         detectors: Vec::new(),
-                        error: None,
+                        error: Some(error.clone()),
                     })
-                    .collect(),
-                // The fault spec in the outcome *is* the repro: replaying it
-                // with the campaign seed reproduces the panic.
-                ItemOutcome::Quarantined { attempts, message } => {
-                    let error = if attempts <= 1 {
-                        format!("injected run panicked: {message}")
-                    } else {
-                        format!(
-                            "injected run panicked (quarantined after {attempts} attempts): \
-                             {message}"
-                        )
-                    };
-                    (group.iter())
-                        .map(|fault| FaultOutcome {
-                            fault: fault.clone(),
-                            class: FaultClass::Sdc,
-                            detectors: Vec::new(),
-                            error: Some(error.clone()),
-                        })
-                        .collect()
-                }
-            })
-            .collect()
+                    .collect()
+            }
+        });
+        let mut scattered: Vec<(usize, FaultOutcome)> = order.into_iter().zip(sorted).collect();
+        scattered.sort_unstable_by_key(|&(i, _)| i);
+        scattered.into_iter().map(|(_, outcome)| outcome).collect()
     }
 }
 

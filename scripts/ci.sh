@@ -50,6 +50,26 @@ cargo test -q -p tensorlib-sim --lib trace
     > /tmp/ci_faults_lanes.json
 cmp /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
 rm -f /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
+# Multi-group forking: at --lanes 64 each chunk is sorted by injection cycle
+# and every lane group starts from the golden run's state at its earliest
+# fault. 512 sampled faults, and the 8x8 accumulator sweep (64 accumulators
+# x 8 bits), are 8 lane groups each; both reports must equal the unforked
+# scalar run's at 1 and 2 workers (the worker count is echoed twice).
+fork_dir=$(mktemp -d)
+strip_lane_shape() {
+    sed -e '/"phase_wall_times_us"/,/}/d' -e '/^    "lanes": /d' -e '/^    "workers": /d'
+}
+for mode in "--faults 512" "--sweep-acc"; do
+    ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden full -o - \
+        | strip_lane_shape > "$fork_dir/scalar.json"
+    for workers in 1 2; do
+        ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden full \
+            --lanes 64 --workers "$workers" -o - | strip_lane_shape > "$fork_dir/lanes.json"
+        cmp "$fork_dir/scalar.json" "$fork_dir/lanes.json"
+    done
+done
+grep -q '"faults": 512' "$fork_dir/scalar.json"
+rm -rf "$fork_dir"
 ./target/release/tensorlib fuzz --mode netlist --seed 0 --seeds 50 --lanes 8 -o - \
     | grep -q '"total_findings": 0'
 

@@ -224,3 +224,63 @@ fn journaled_sweep_records_explore_telemetry() {
     assert_eq!(point_spans, jobs, "one explore.point span per job");
     assert_eq!(session.metrics.histograms["explore.point_us"].count, jobs);
 }
+
+/// A fault campaign's simulation layer is visible: `sim.fault.fork`,
+/// `sim.fault.step` and `sim.fault.harvest` spans inside
+/// `sim.fault_injection`, and deterministic step counters. Lane groups
+/// fork from the golden run, so with lanes > 1 some golden-prefix steps are
+/// skipped, and every group still accounts for a whole round; the scalar
+/// path runs every fault from cycle 0. The counters do not depend on the
+/// worker count.
+#[test]
+fn fault_campaign_counts_forked_and_skipped_steps() {
+    use tensorlib::hw::fault::Hardening;
+    use tensorlib::sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    const FAULTS: u64 = 48;
+    let record = |lanes: usize, workers: usize| {
+        let cfg = CampaignConfig {
+            faults: FAULTS as usize,
+            seed: 5,
+            hardening: Hardening::full(),
+            lanes,
+            workers,
+            ..CampaignConfig::default()
+        };
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).expect("campaign runs");
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        session
+    };
+    let counters = |session: &tensorlib_obs::Session| {
+        ["sim.faults_injected", "sim.fault.lane_steps", "sim.fault.steps_skipped"]
+            .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
+    };
+    let serial = record(1, 1);
+    for phase in ["sim.fault.fork", "sim.fault.step", "sim.fault.harvest"] {
+        assert!(
+            (serial.spans.iter())
+                .any(|s| s.name == phase && s.path.contains("sim.fault_injection;")),
+            "no {phase} span inside sim.fault_injection"
+        );
+    }
+    let [injected, scalar_steps, scalar_skipped] = counters(&serial);
+    assert_eq!(injected, FAULTS);
+    assert_eq!(scalar_skipped, 0, "the scalar path never forks");
+    assert_eq!(scalar_steps % FAULTS, 0, "every scalar run steps a whole round");
+    let round = scalar_steps / FAULTS;
+    for lanes in [1, 8] {
+        let one = counters(&record(lanes, 1));
+        assert_eq!(one, counters(&record(lanes, 3)), "lanes={lanes}: counters vary with workers");
+        let [_, steps, skipped] = one;
+        if lanes > 1 {
+            assert!(skipped > 0, "lanes={lanes}: no golden prefix was skipped");
+            let groups = FAULTS.div_ceil(lanes as u64);
+            assert_eq!(steps + skipped, groups * round, "lanes={lanes}: every group is one round");
+        }
+    }
+}
