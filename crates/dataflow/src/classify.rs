@@ -3,7 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use tensorlib_linalg::{primitive_integer_vector, Frac, Mat};
+use tensorlib_linalg::{primitive_integer_vector, Mat};
 use tensorlib_ir::TensorRole;
 
 use crate::Stt;
@@ -214,7 +214,21 @@ fn orient(v: [i64; 3]) -> [i64; 3] {
 ///
 /// This is the paper's Table I decision procedure. The reuse subspace in
 /// space-time is `T · null(A_sel)`; its rank and orientation w.r.t. the time
-/// axis pick the class. The computation is exact.
+/// axis pick the class. The computation is exact and runs in integers.
+///
+/// Each null-space basis column is first scaled to its primitive integer
+/// vector, which changes no class. Scaling column `i` by a nonzero rational
+/// `sᵢ` scales its space-time image `bᵢ = T·colᵢ` by `sᵢ`, and every quantity
+/// the Table I rules read is invariant under that:
+///
+/// - the oriented primitive vector of the line through any `bᵢ` (the rank-1
+///   vector, the broadcast directions, the systolic component);
+/// - the spatial line `t₁·b₀ − t₀·b₁`, which is scaled by `s₀·s₁`;
+/// - the zero tests `tᵢ = 0` (which pick the broadcast case and the
+///   systolic column) and `b₀.x·b₁.y − b₀.y·b₁.x = 0` (the t-axis test),
+///   whose left-hand sides are scaled by nonzero factors.
+///
+/// So the classes equal those of the rational reuse matrix `T·null(A_sel)`.
 ///
 /// # Examples
 ///
@@ -230,36 +244,93 @@ fn orient(v: [i64; 3]) -> [i64; 3] {
 /// assert_eq!(class, FlowClass::Systolic { dp: [0, 1], dt: 1 });
 /// ```
 pub fn classify_tensor(a_sel: &Mat, stt: &Stt, role: TensorRole) -> FlowClass {
-    assert_eq!(a_sel.cols(), 3, "restricted access matrix must have 3 columns");
-    let null = a_sel.null_space();
-    let reuse = &stt.to_mat() * &null; // 3 × rank
-    classify_reuse(&reuse, role)
+    ReuseBasis::of(a_sel).classify(stt, role)
 }
 
-/// Classifies a tensor directly from its space-time reuse matrix
-/// `T · null(A_sel)` (3 × rank).
+/// One tensor's reuse subspace in loop space over one loop selection: a
+/// basis of `null(A_sel)` with every column scaled to its primitive integer
+/// vector.
 ///
-/// [`classify_tensor`] is the convenient entry point; this variant lets the
-/// design-space enumerator precompute each tensor's null-space basis once and
-/// re-multiply it by thousands of candidate `T` matrices.
-pub fn classify_reuse(reuse: &Mat, role: TensorRole) -> FlowClass {
-    assert_eq!(reuse.rows(), 3, "space-time reuse matrix must have 3 rows");
-    match reuse.cols() {
-        0 => FlowClass::Unicast,
-        1 => {
-            let v = primitive_of_col(reuse, 0);
-            classify_rank1(v, role)
+/// The design-space sweep builds one per (selection, tensor) and classifies
+/// it under thousands of STTs; [`classify_tensor`] builds one per call and
+/// documents why the scaling is exact.
+#[derive(Debug)]
+pub(crate) struct ReuseBasis(Vec<[i64; 3]>);
+
+impl ReuseBasis {
+    /// The integer reuse basis of a restricted (`dims × 3`) access matrix.
+    pub(crate) fn of(a_sel: &Mat) -> ReuseBasis {
+        assert_eq!(
+            a_sel.cols(),
+            3,
+            "restricted access matrix must have 3 columns"
+        );
+        let null = a_sel.null_space();
+        ReuseBasis(
+            (0..null.cols())
+                .map(|c| {
+                    let v = primitive_integer_vector(&null.col(c))
+                        .expect("null-space basis vectors are nonzero");
+                    [v[0], v[1], v[2]]
+                })
+                .collect(),
+        )
+    }
+
+    /// The tensor's Table I class under `stt`.
+    pub(crate) fn classify(&self, stt: &Stt, role: TensorRole) -> FlowClass {
+        let mut reuse = [[0i128; 3]; 3];
+        for (b, col) in reuse.iter_mut().zip(&self.0) {
+            *b = stt.rows().map(|row| {
+                row.iter().zip(col).fold(0, |acc: i128, (&t, &c)| {
+                    acc.checked_add(i128::from(t) * i128::from(c))
+                        .expect(OVERFLOW)
+                })
+            });
         }
-        2 => classify_rank2(reuse, role),
+        classify_reuse(&reuse[..self.0.len()], role)
+    }
+}
+
+/// Classifies a tensor from its space-time reuse columns `T · col`, one per
+/// basis column of its integer reuse basis (at most three).
+///
+/// All arithmetic is checked `i128`: `T` and the columns are `i64`, so one
+/// product cannot overflow, and a sum or cross term that would panics rather
+/// than wrapping.
+fn classify_reuse(reuse: &[[i128; 3]], role: TensorRole) -> FlowClass {
+    match *reuse {
+        [] => FlowClass::Unicast,
+        [v] => classify_rank1(primitive(v), role),
+        [b0, b1] => classify_rank2(b0, b1),
         _ => FlowClass::FullReuse,
     }
 }
 
-fn primitive_of_col(m: &Mat, col: usize) -> [i64; 3] {
-    let v = m.col(col);
-    let ints =
-        primitive_integer_vector(&v).expect("null-space basis vectors are nonzero");
-    orient([ints[0], ints[1], ints[2]])
+const OVERFLOW: &str = "space-time reuse arithmetic overflows i128";
+
+fn mul(a: i128, b: i128) -> i128 {
+    a.checked_mul(b).expect(OVERFLOW)
+}
+
+/// The oriented primitive integer vector on the line through `v` (nonzero).
+fn primitive(v: [i128; 3]) -> [i64; 3] {
+    let g = v.iter().fold(0u128, |mut a, x| {
+        let mut b = x.unsigned_abs();
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    });
+    assert_ne!(g, 0, "reuse vectors are nonzero");
+    orient(v.map(|x| {
+        let m = i64::try_from(x.unsigned_abs() / g).expect("primitive reuse vectors fit i64");
+        if x < 0 {
+            -m
+        } else {
+            m
+        }
+    }))
 }
 
 fn classify_rank1(v: [i64; 3], role: TensorRole) -> FlowClass {
@@ -276,42 +347,32 @@ fn classify_rank1(v: [i64; 3], role: TensorRole) -> FlowClass {
     }
 }
 
-fn classify_rank2(reuse: &Mat, role: TensorRole) -> FlowClass {
+/// Rank 2 decides the same way for inputs and outputs.
+fn classify_rank2(b0: [i128; 3], b1: [i128; 3]) -> FlowClass {
     // The time components of the two basis vectors.
-    let t0 = reuse[(2, 0)];
-    let t1 = reuse[(2, 1)];
-    if t0.is_zero() && t1.is_zero() {
+    let (t0, t1) = (b0[2], b1[2]);
+    if t0 == 0 && t1 == 0 {
         // Plane perpendicular to the t-axis: pure 2-D spatial reuse.
-        let d0 = primitive_of_col(reuse, 0);
-        let d1 = primitive_of_col(reuse, 1);
+        let (d0, d1) = (primitive(b0), primitive(b1));
         return FlowClass::Broadcast {
             dps: [[d0[0], d0[1]], [d1[0], d1[1]]],
         };
     }
     // The plane meets {dt = 0} in a line: combination t1·b0 − t0·b1.
-    let b0 = reuse.col(0);
-    let b1 = reuse.col(1);
-    let spatial: Vec<Frac> = (0..3).map(|i| b0[i] * t1 - b1[i] * t0).collect();
-    let sp = primitive_integer_vector(&spatial)
-        .expect("independent basis vectors give a nonzero spatial line");
-    let sp = orient([sp[0], sp[1], sp[2]]);
+    let sp =
+        primitive([0, 1, 2].map(|i| mul(b0[i], t1).checked_sub(mul(b1[i], t0)).expect(OVERFLOW)));
     debug_assert_eq!(sp[2], 0);
     let multicast_dp = [sp[0], sp[1]];
 
-    // Does the plane contain the t-axis? Solve reuse · c = e3.
-    let e3 = Mat::col_from_i64(&[0, 0, 1]);
-    let contains_t_axis = reuse
-        .solve(&e3)
-        .is_some_and(|c| (reuse * &c) == e3);
-    if contains_t_axis {
+    // The plane contains the t-axis iff det[b0 b1 e3] = b0.x·b1.y − b0.y·b1.x
+    // is zero (b0 and b1 are independent).
+    if mul(b0[0], b1[1]) == mul(b0[1], b1[0]) {
         // Parallel case: multicast then stationary.
-        let _ = role; // same decomposition for inputs and outputs
         FlowClass::MulticastStationary { dp: multicast_dp }
     } else {
         // Oblique case: multicast plus systolic traversal. The systolic
         // component is any basis vector with dt ≠ 0, reduced and oriented.
-        let sys_col = if !t0.is_zero() { 0 } else { 1 };
-        let sys = primitive_of_col(reuse, sys_col);
+        let sys = primitive(if t0 != 0 { b0 } else { b1 });
         FlowClass::SystolicMulticast {
             systolic_dp: [sys[0], sys[1]],
             systolic_dt: sys[2],

@@ -71,8 +71,9 @@ impl Dataflow {
         })
     }
 
-    /// Assembles a dataflow from already-classified parts. Used by the DSE
-    /// fast path, which precomputes null-space bases per selection.
+    /// Assembles a dataflow from already-classified parts. Used by the
+    /// design-space sweep, which classifies with reuse bases built once per
+    /// selection and assembles only the designs it keeps.
     pub(crate) fn from_parts(
         kernel: &Kernel,
         selection: LoopSelection,

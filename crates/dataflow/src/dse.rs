@@ -22,11 +22,13 @@
 //! }
 //! ```
 
+use std::collections::{HashMap, HashSet};
+
 use tensorlib_ir::{Kernel, TensorRole};
 use tensorlib_linalg::par::par_map_indexed;
-use tensorlib_linalg::Mat;
 
-use crate::{classify::classify_reuse, Dataflow, DataflowError, LoopSelection, Stt, TensorFlow};
+use crate::classify::ReuseBasis;
+use crate::{Dataflow, DataflowError, FlowClass, LoopSelection, Stt, TensorFlow};
 
 /// Configuration for design-space enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,11 +72,16 @@ impl Default for DseConfig {
 /// assert!(all.iter().all(|t| t.is_unimodular()));
 /// assert!(all.len() > 1000);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `config.max_coeff` is negative, or so large that the
+/// `(2·max_coeff + 1)⁹` candidate count overflows `usize` (above 68 on
+/// 64-bit targets).
 pub fn enumerate_stt(config: &DseConfig) -> Vec<Stt> {
     let _span = tensorlib_obs::span("dse.stt_enumeration");
     let c = config.max_coeff;
-    let span = (2 * c + 1) as usize;
-    let total = span.pow(9);
+    let (span, total) = candidate_count(c);
     let mut out = Vec::new();
     for code in 0..total {
         let mut rows = [[0i64; 3]; 3];
@@ -93,6 +100,21 @@ pub fn enumerate_stt(config: &DseConfig) -> Vec<Stt> {
     }
     tensorlib_obs::counter_add("dse.stt_candidates", out.len() as u64);
     out
+}
+
+/// The entry range `2c + 1` and the `(2c + 1)⁹` candidate count for
+/// `max_coeff = c`; panics naming the bound when either is out of range.
+fn candidate_count(c: i64) -> (usize, usize) {
+    let span = c.checked_mul(2).and_then(|d| d.checked_add(1));
+    span.and_then(|span| usize::try_from(span).ok())
+        .and_then(|span| Some((span, span.checked_pow(9)?)))
+        .unwrap_or_else(|| {
+            panic!(
+                "DseConfig::max_coeff = {c} is out of range: it must be at least 0 and \
+                 small enough that (2·max_coeff + 1)^9 candidates fit in usize \
+                 (at most 68 on 64-bit targets)"
+            )
+        })
 }
 
 /// Enumerates the loop selections to explore: every 3-combination of the
@@ -133,71 +155,91 @@ pub fn enumerate_selections(
 
 /// Enumerates the full de-duplicated dataflow design space of `kernel`.
 ///
-/// Returns one representative [`Dataflow`] per distinct signature, sorted by
-/// name for determinism. See the module docs for an example.
+/// Returns one representative [`Dataflow`] per distinct signature (the first
+/// candidate in enumeration order), sorted by name for determinism. See the
+/// module docs for an example.
 ///
 /// # Panics
 ///
 /// Panics if `config.selections` is invalid for the kernel (use
-/// [`enumerate_selections`] directly for fallible handling).
+/// [`enumerate_selections`] directly for fallible handling), or if
+/// `config.max_coeff` is out of range (see [`enumerate_stt`]).
 pub fn design_space(kernel: &Kernel, config: &DseConfig) -> Vec<Dataflow> {
     let _span = tensorlib_obs::span("dse.design_space");
     let selections =
         enumerate_selections(kernel, config).expect("valid DSE selections for kernel");
     let matrices = enumerate_stt(config);
-    let mut seen = std::collections::HashSet::new();
+    // Dedup keys: (selection tag id, per-tensor classes), equal exactly when
+    // the signatures are.
+    let mut tag_ids = HashMap::new();
+    let mut seen = HashSet::new();
     let mut out: Vec<Dataflow> = Vec::new();
     for sel in &selections {
-        // Precompute each tensor's null-space basis over this selection once.
+        let next_id = tag_ids.len();
+        let tag_id = *tag_ids.entry(sel.tag()).or_insert(next_id);
+        // Each tensor's integer reuse basis over this selection, built once.
         let idx = sel.indices();
-        let bases: Vec<(String, TensorRole, Mat)> = kernel
+        let bases: Vec<(TensorRole, ReuseBasis)> = kernel
             .tensors()
             .iter()
-            .map(|t| {
-                (
-                    t.name().to_string(),
-                    t.role(),
-                    t.access().restrict_to(&idx).null_space(),
-                )
-            })
+            .map(|t| (t.role(), ReuseBasis::of(&t.access().restrict_to(&idx))))
             .collect();
-        // Classification (three matrix products + reuse analysis per
-        // candidate) dominates; fan it out across the worker pool. The map
-        // preserves enumeration order, so the first-occurrence dedup and the
-        // `max_designs` cap below keep exactly the serial semantics for any
-        // worker count.
+        // Classification dominates; fan it out across the worker pool. The
+        // map preserves enumeration order, so the first-occurrence dedup and
+        // the `max_designs` cap below keep exactly the serial semantics for
+        // any worker count.
         let _sel_span = tensorlib_obs::span("dse.classification");
         let classified = par_map_indexed(&matrices, config.workers, 128, |_, stt| {
-            let t_mat = stt.to_mat();
-            let flows: Vec<TensorFlow> = bases
+            bases
                 .iter()
-                .map(|(name, role, basis)| TensorFlow {
-                    tensor: name.clone(),
-                    role: *role,
-                    class: classify_reuse(&(&t_mat * basis), *role),
-                })
-                .collect();
-            let df = Dataflow::from_parts(kernel, sel.clone(), stt.clone(), flows);
-            let sig = df.signature();
-            (sig, df)
+                .map(|(role, basis)| basis.classify(stt, *role))
+                .collect::<Vec<FlowClass>>()
         });
         let before = out.len();
-        for (sig, df) in classified {
-            if seen.insert(sig) {
-                out.push(df);
+        for (stt, classes) in matrices.iter().zip(classified) {
+            if seen.insert((tag_id, signature_key(&classes))) {
+                let flows = kernel
+                    .tensors()
+                    .iter()
+                    .zip(classes)
+                    .map(|(t, class)| TensorFlow {
+                        tensor: t.name().to_string(),
+                        role: t.role(),
+                        class,
+                    })
+                    .collect();
+                out.push(Dataflow::from_parts(
+                    kernel,
+                    sel.clone(),
+                    stt.clone(),
+                    flows,
+                ));
                 if out.len() >= config.max_designs {
-                    tensorlib_obs::counter_add("dse.classified", matrices.len() as u64);
-                    tensorlib_obs::counter_add("dse.unique_designs", (out.len() - before) as u64);
-                    out.sort_by_key(Dataflow::name);
-                    return out;
+                    break;
                 }
             }
         }
         tensorlib_obs::counter_add("dse.classified", matrices.len() as u64);
         tensorlib_obs::counter_add("dse.unique_designs", (out.len() - before) as u64);
+        if out.len() >= config.max_designs {
+            break;
+        }
     }
-    out.sort_by_key(Dataflow::name);
+    out.sort_by_cached_key(Dataflow::name);
     out
+}
+
+/// The per-tensor part of a dedup key: the classes as [`Dataflow::signature`]
+/// renders them. `FlowClass`'s `Display` shows every field except a
+/// broadcast's directions, so those are cleared.
+fn signature_key(classes: &[FlowClass]) -> Vec<FlowClass> {
+    classes
+        .iter()
+        .map(|c| match c {
+            FlowClass::Broadcast { .. } => FlowClass::Broadcast { dps: [[0; 2]; 2] },
+            other => other.clone(),
+        })
+        .collect()
 }
 
 /// Finds a dataflow by its paper-style name, e.g. `"KCX-SST"` for Conv2D.
@@ -300,7 +342,6 @@ fn matrix_simplicity(stt: &Stt) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use tensorlib_ir::workloads;
 
     #[test]
@@ -314,6 +355,22 @@ mod tests {
             ..DseConfig::default()
         });
         assert!(nonsing.len() > uni.len());
+    }
+
+    #[test]
+    fn max_coeff_is_bounded_by_the_candidate_count() {
+        assert_eq!(candidate_count(1), (3, 19_683));
+        if usize::BITS == 64 {
+            assert_eq!(candidate_count(68), (137, 137usize.pow(9)));
+        }
+        for bad in [-1, 69, i64::MAX] {
+            let got = std::panic::catch_unwind(|| candidate_count(bad));
+            let msg = *got.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                msg.contains("max_coeff") && msg.contains("at most 68"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -361,6 +418,34 @@ mod tests {
         sigs.sort();
         sigs.dedup();
         assert_eq!(sigs.len(), designs.len());
+    }
+
+    #[test]
+    fn signature_key_partitions_like_signature() {
+        // Under Conv2D's KCP selection some tensors are broadcast along
+        // directions that differ between STTs with the same signature.
+        let kernel = workloads::conv2d(4, 4, 4, 4, 3, 3);
+        let sel = LoopSelection::by_names(&kernel, ["k", "c", "p"]).unwrap();
+        let mut by_sig: HashMap<String, Vec<FlowClass>> = HashMap::new();
+        let mut by_key: HashMap<Vec<FlowClass>, String> = HashMap::new();
+        let mut raw = HashSet::new();
+        for stt in enumerate_stt(&DseConfig::default()) {
+            let df = Dataflow::analyze(&kernel, sel.clone(), stt).unwrap();
+            let classes: Vec<FlowClass> = df.flows().iter().map(|f| f.class.clone()).collect();
+            let key = signature_key(&classes);
+            let sig = df.signature();
+            raw.insert(classes);
+            assert_eq!(
+                by_sig.entry(sig.clone()).or_insert_with(|| key.clone()),
+                &key
+            );
+            assert_eq!(by_key.entry(key).or_insert_with(|| sig.clone()), &sig);
+        }
+        assert_eq!(by_sig.len(), by_key.len());
+        assert!(
+            raw.len() > by_sig.len(),
+            "some signatures hide broadcast directions"
+        );
     }
 
     #[test]

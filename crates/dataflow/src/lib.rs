@@ -19,7 +19,7 @@
 //! | 2    | plane ∥ t-axis       | multicast + stationary |
 //! | 2    | plane ∦ t-axis       | systolic + multicast |
 //!
-//! This crate implements that analysis exactly (over rationals), plus:
+//! This crate implements that analysis exactly (in integer arithmetic), plus:
 //!
 //! - [`Stt`]: validated space-time transformation matrices.
 //! - [`LoopSelection`]: the choice of three loops mapped to space-time; the

@@ -250,30 +250,6 @@ impl Mat {
             .expect("FFᵀ is invertible for full row rank F");
         &(&(&f.transpose() * &fft_inv) * &ctc_inv) * &c.transpose()
     }
-
-    /// Solves `A·x = b` for a single solution, or `None` if inconsistent.
-    ///
-    /// When the system is under-determined an arbitrary particular solution
-    /// (free variables set to zero) is returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not a column with `rows()` entries.
-    pub fn solve(&self, b: &Mat) -> Option<Mat> {
-        assert_eq!(b.cols(), 1, "rhs must be a column vector");
-        assert_eq!(b.rows(), self.rows(), "rhs length must match rows");
-        let aug = self.hstack(b);
-        let (r, pivots) = aug.rref();
-        // Inconsistent iff a pivot lands in the augmented column.
-        if pivots.contains(&self.cols()) {
-            return None;
-        }
-        let mut x = Mat::zeros(self.cols(), 1);
-        for (row, &pc) in pivots.iter().enumerate() {
-            x[(pc, 0)] = r[(row, self.cols())];
-        }
-        Some(x)
-    }
 }
 
 #[cfg(test)]
@@ -381,19 +357,5 @@ mod tests {
         assert_eq!(proj.rank(), expected.cols());
         // Every column of `expected` is fixed by proj.
         assert_eq!(&proj * &expected, expected);
-    }
-
-    #[test]
-    fn solve_consistent_and_inconsistent() {
-        let a = Mat::from_i64(&[&[1, 1], &[0, 1]]);
-        let b = Mat::col_from_i64(&[3, 1]);
-        let x = a.solve(&b).unwrap();
-        assert_eq!(&a * &x, b);
-        let sing = Mat::from_i64(&[&[1, 1], &[1, 1]]);
-        assert!(sing.solve(&Mat::col_from_i64(&[1, 2])).is_none());
-        // Under-determined system still yields a particular solution.
-        let wide = Mat::from_i64(&[&[1, 2, 3]]);
-        let x = wide.solve(&Mat::col_from_i64(&[6])).unwrap();
-        assert_eq!(&wide * &x, Mat::col_from_i64(&[6]));
     }
 }

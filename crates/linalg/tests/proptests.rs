@@ -112,16 +112,6 @@ proptest! {
     }
 
     #[test]
-    fn solve_produces_solutions(a in int_mat(3, 3), x in int_mat(3, 1)) {
-        // Construct a consistent system and check we solve it.
-        let b = &a * &x;
-        let got = a.solve(&b);
-        prop_assert!(got.is_some());
-        let got = got.unwrap();
-        prop_assert_eq!(&a * &got, b);
-    }
-
-    #[test]
     fn primitive_vector_is_primitive(v in proptest::collection::vec(small_frac(), 1..5)) {
         match primitive_integer_vector(&v) {
             None => prop_assert!(v.iter().all(|f| f.is_zero())),

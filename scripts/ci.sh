@@ -111,7 +111,8 @@ rm -rf "$rt_dir"
 # binary rewrites reports/<fig>.json in place, so the JSON is compared
 # against a copy taken first (on a mismatch, `git diff reports/` shows the
 # drift). The stdout's `wrote <path>` line names the checkout, so it is
-# dropped from both sides of the text comparison.
+# dropped from both sides of the text comparison. table1 prints only its
+# table, computed by the Table I classifier.
 fig_dir=$(mktemp -d)
 for fig in fig5 fig6; do
     cp "reports/$fig.json" "$fig_dir/$fig.committed.json"
@@ -119,6 +120,7 @@ for fig in fig5 fig6; do
     grep -v '^wrote ' "reports/$fig.txt" | cmp - "$fig_dir/$fig.txt"
     cmp "$fig_dir/$fig.committed.json" "reports/$fig.json"
 done
+./target/release/table1 | cmp reports/table1.txt -
 rm -rf "$fig_dir"
 
 # Optimizer smokes. First, 200 netlist-fuzz seeds with the opt-vs-unoptimized

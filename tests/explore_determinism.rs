@@ -72,3 +72,46 @@ fn design_space_dedup_is_identical_for_any_worker_count() {
         assert_eq!(a.signature(), b.signature());
     }
 }
+
+/// The six Fig. 5 kernels' default design spaces, pinned: the design count
+/// and an FNV-1a hash over every design's `Display` (its name, per-tensor
+/// flows and STT), in output order. A change to classification, dedup or
+/// ordering moves the hash. The values were recorded with the earlier
+/// rational-arithmetic classifier, so they also hold the integer classifier
+/// to its exact output.
+#[test]
+fn fig5_design_spaces_are_pinned() {
+    use tensorlib::dataflow::dse::{design_space, DseConfig};
+    use tensorlib::sim::journal::fnv1a64;
+
+    let pinned: [(tensorlib::Kernel, usize, u64); 6] = [
+        (workloads::gemm(256, 256, 256), 870, 0x7fb6_c768_c467_83a1),
+        (
+            workloads::batched_gemv(256, 256, 256),
+            138,
+            0x5922_4c48_dacb_9069,
+        ),
+        (workloads::resnet_layer2(), 10_000, 0xc11e_0be3_59a3_0955),
+        (
+            workloads::depthwise_conv(64, 56, 56, 3, 3),
+            5_430,
+            0x48e4_12ba_02d2_2a47,
+        ),
+        (
+            workloads::mttkrp(64, 64, 64, 64),
+            3_480,
+            0x9090_5436_0b81_dba3,
+        ),
+        (
+            workloads::ttmc(32, 32, 32, 32, 32),
+            8_700,
+            0x37fc_e339_cd11_009d,
+        ),
+    ];
+    for (kernel, count, hash) in &pinned {
+        let designs = design_space(kernel, &DseConfig::default());
+        let text: String = designs.iter().map(|d| format!("{d}\n")).collect();
+        assert_eq!(designs.len(), *count, "{}", kernel.name());
+        assert_eq!(fnv1a64(text.as_bytes()), *hash, "{}", kernel.name());
+    }
+}

@@ -181,6 +181,32 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
     );
 }
 
+/// The design-space sweep counts every candidate it classifies and every
+/// design it keeps. For GEMM's one selection that is all 6,960 unimodular
+/// STTs and 870 distinct designs, at any worker count.
+#[test]
+fn design_space_counts_classified_candidates_and_unique_designs() {
+    use tensorlib::dataflow::dse::{design_space, DseConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let kernel = workloads::gemm(16, 16, 16);
+    for workers in [1, 2] {
+        tensorlib_obs::enable();
+        let config = DseConfig {
+            workers,
+            ..DseConfig::default()
+        };
+        let designs = design_space(&kernel, &config);
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        let counter = |name: &str| session.metrics.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(counter("dse.classified"), 6_960, "{workers} workers");
+        assert_eq!(counter("dse.unique_designs"), 870, "{workers} workers");
+        assert_eq!(designs.len(), 870);
+    }
+}
+
 /// A journaled (`explore --resume`) sweep scores through the same core as
 /// [`explore_outcome`], so it records the same `explore.*` counters, one
 /// `explore.point` span per job, and one `explore.point_us` sample per
