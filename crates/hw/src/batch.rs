@@ -1,13 +1,22 @@
 //! Lane-batched simulation: N independent runs of one [`FlatDesign`] per
-//! bytecode pass.
+//! pass over one lane program.
 //!
-//! [`BatchSim`] executes the same compiled instruction streams as the scalar
-//! [`Interpreter`], but every net value, register, bank address, and bank
-//! word is a *lane vector*: a struct-of-arrays row of `lanes` u64 values,
-//! one per independent simulation. Each instruction dispatch then performs
-//! its operation across all lanes in a tight inner loop, so dispatch cost —
-//! the dominant cost of the scalar interpreter — is amortized `lanes`-fold
-//! and the lane loops autovectorize.
+//! [`BatchSim`] runs the scalar [`Interpreter`]'s compiled instruction
+//! streams, but every net value, register, bank address, and bank word is a
+//! *lane vector*: a struct-of-arrays row of `lanes` u64 values, one per
+//! independent simulation.
+//!
+//! The shared [`Compiled`] settle and register streams are rewritten once
+//! per batch into a register-form *lane program*. Its operands are value
+//! rows (nets, staged register samples, constants, then a few temporaries),
+//! so loads and constants are row references rather than copies, and each
+//! op writes one row. Most rows of a fault campaign hold the same value on
+//! every lane, so each row carries a `uniform` flag: if set, all lanes of
+//! the row are equal. An op whose operands are all uniform computes one
+//! scalar and writes the row only if it changes; any other op runs a
+//! straight-line lane loop and then checks whether its result came out
+//! uniform (a TMR voter reconverges a faulty lane, for instance). Every
+//! row is always fully materialized, so lane reads need no flag.
 //!
 //! Per-lane divergence is the point of the engine:
 //!
@@ -39,9 +48,10 @@ use std::collections::HashMap;
 use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultSpec, RegHold, SlotFlip, StuckForce};
 use crate::interp::{
-    mask, resolve_fault_spec, sign_extend, Compiled, FlatDesign, Instr, Interpreter, ResolvedFault,
-    Snapshot,
+    mask, resolve_fault_spec, sign_extend, width_mask, Compiled, FlatBank, FlatDesign, Instr,
+    Interpreter, ResolvedFault, Snapshot,
 };
+use crate::mem::next_addr;
 use crate::netlist::{BinOp, NetId};
 
 /// A stuck-at force scoped to one lane.
@@ -92,322 +102,480 @@ pub struct Probe {
     width: u32,
 }
 
-/// Lane-batched interpreter over a [`FlatDesign`]. See the module docs for
-/// the lane layout and determinism contract.
+/// What a lane-program op computes from its operand rows `a`, `b` and `c`.
+/// Masks fold in the mask of the store the op feeds, if any, so the scalar
+/// engine's `Store` needs no op of its own.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// `!a & mask`.
+    Not { mask: u64 },
+    /// `(a op b) & mask`. Arithmetic carries the operator's width mask;
+    /// the logical and compare operators, which the scalar `bin_eval` never
+    /// masks, start from all ones.
+    Bin { op: BinOp, mask: u64 },
+    /// `if a & 1 == 1 { b & t_mask } else { c & f_mask }`. A register
+    /// sample is this mux of its enable, next value and current value.
+    Mux { t_mask: u64, f_mask: u64 },
+    /// `a & mask`: a resize, a wire copy, or a constant store.
+    Mask { mask: u64 },
+    /// Sign extension, parameters as in [`Instr::SignExt`].
+    SignExt {
+        from_mask: u64,
+        sign_bit: u64,
+        ext_bits: u64,
+        to_mask: u64,
+    },
+}
+
+impl Kind {
+    /// ANDs `m` into every result this op can produce.
+    fn mask_result(&mut self, m: u64) {
+        match self {
+            Kind::Not { mask } | Kind::Bin { mask, .. } | Kind::Mask { mask } => *mask &= m,
+            Kind::Mux { t_mask, f_mask } => {
+                *t_mask &= m;
+                *f_mask &= m;
+            }
+            Kind::SignExt { to_mask, .. } => *to_mask &= m,
+        }
+    }
+}
+
+/// One op of the lane program: `dst = kind(a, b, c)` over value rows. An
+/// op with fewer operands repeats `a` in the unused slots, so "all operands
+/// uniform" is always the same three-flag test. `dst` is never an operand.
+#[derive(Debug, Clone, Copy)]
+struct LaneOp {
+    kind: Kind,
+    dst: u32,
+    a: u32,
+    b: u32,
+    c: u32,
+}
+
+/// The shared [`Compiled`] streams rewritten over value rows: nets, then one
+/// staged-sample row per register, then one row per distinct constant, then
+/// the temporaries.
 #[derive(Debug)]
-pub struct BatchSim {
-    flat: FlatDesign,
-    compiled: Compiled,
+struct LaneProgram {
+    settle: Vec<LaneOp>,
+    sample: Vec<LaneOp>,
+    /// Row of register 0's staged sample; register `r`'s is `staged + r`.
+    staged: usize,
+    /// Constant rows start here, one per entry of `consts` (ascending).
+    const_base: usize,
+    consts: Vec<u64>,
+    /// Total row count (the temporaries end the row space).
+    rows: usize,
+}
+
+/// Rewrites one postfix stream into register-form ops. The operand stack
+/// holds row numbers; every op takes a free temporary row for its result
+/// before its operands' temporaries are freed, so `dst` never aliases an
+/// operand.
+struct Lowering<'a> {
+    consts: &'a [u64],
+    const_base: u32,
+    temp_base: u32,
+    temps: u32,
+    free: Vec<u32>,
+    stack: Vec<u32>,
+    ops: Vec<LaneOp>,
+}
+
+impl Lowering<'_> {
+    fn pop(&mut self) -> u32 {
+        self.stack.pop().expect("postfix operand")
+    }
+
+    fn const_row(&self, v: u64) -> u32 {
+        let i = self.consts.binary_search(&v).expect("constant collected");
+        self.const_base + i as u32
+    }
+
+    /// Returns `row` to the temporary pool if it is a temporary.
+    fn release(&mut self, row: u32) {
+        if row >= self.temp_base {
+            self.free.push(row);
+        }
+    }
+
+    /// Emits `kind` over the popped operands `srcs[..n]` into `dst`, or into
+    /// a fresh temporary pushed as the result when `dst` is `None`.
+    fn emit(&mut self, kind: Kind, srcs: [u32; 3], n: usize, dst: Option<u32>) {
+        let dst = dst.unwrap_or_else(|| {
+            let t = self.free.pop().unwrap_or_else(|| {
+                self.temps += 1;
+                self.temp_base + self.temps - 1
+            });
+            self.stack.push(t);
+            t
+        });
+        assert!(!srcs.contains(&dst), "an op never writes its own operand");
+        for &s in &srcs[..n] {
+            self.release(s);
+        }
+        let [a, b, c] = srcs;
+        self.ops.push(LaneOp { kind, dst, a, b, c });
+    }
+
+    fn unary(&mut self, kind: Kind) {
+        let a = self.pop();
+        self.emit(kind, [a, a, a], 1, None);
+    }
+
+    fn bin(&mut self, op: BinOp, mask: u64) {
+        let b = self.pop();
+        let a = self.pop();
+        let mask = match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul => mask,
+            _ => u64::MAX,
+        };
+        self.emit(Kind::Bin { op, mask }, [a, b, a], 2, None);
+    }
+
+    fn mux(&mut self) {
+        let f = self.pop();
+        let t = self.pop();
+        let sel = self.pop();
+        let kind = Kind::Mux {
+            t_mask: u64::MAX,
+            f_mask: u64::MAX,
+        };
+        self.emit(kind, [sel, t, f], 3, None);
+    }
+
+    /// A store of the top operand into `net`: the op that computed it writes
+    /// the net directly, or, for a bare row reference, a masked copy.
+    fn store(&mut self, net: u32, mask: u64) {
+        let top = self.pop();
+        match self.ops.last_mut() {
+            Some(op) if op.dst == top && top >= self.temp_base => {
+                assert!(![op.a, op.b, op.c].contains(&net), "a net never feeds itself");
+                op.dst = net;
+                op.kind.mask_result(mask);
+                self.release(top);
+            }
+            _ => self.emit(Kind::Mask { mask }, [top; 3], 1, Some(net)),
+        }
+    }
+
+    /// A register sample into its staged row: `next` masked, or, with an
+    /// enable `Some((en, target))`, a mux of that and `target`'s current
+    /// value.
+    fn sample(&mut self, staged: u32, next: u32, mask: u64, en: Option<(u32, u32)>) {
+        match en {
+            Some((en, target)) => {
+                let kind = Kind::Mux {
+                    t_mask: mask,
+                    f_mask: u64::MAX,
+                };
+                self.emit(kind, [en, next, target], 2, Some(staged));
+            }
+            None => self.emit(Kind::Mask { mask }, [next; 3], 1, Some(staged)),
+        }
+    }
+
+    /// Lowers one stream. Register samples (the register stream only) go to
+    /// consecutive staged rows from `staged`, in `FlatDesign::regs` order.
+    fn stream(&mut self, code: &[Instr], staged: u32) -> Vec<LaneOp> {
+        let mut reg = staged;
+        for ins in code {
+            match *ins {
+                Instr::Const(v) => {
+                    let row = self.const_row(v);
+                    self.stack.push(row);
+                }
+                Instr::Load(n) => self.stack.push(n),
+                Instr::Not { mask } => self.unary(Kind::Not { mask }),
+                Instr::Bin { op, mask } => self.bin(op, mask),
+                Instr::Mux => self.mux(),
+                Instr::Resize { mask } => self.unary(Kind::Mask { mask }),
+                Instr::SignExt {
+                    from_mask,
+                    sign_bit,
+                    ext_bits,
+                    to_mask,
+                } => self.unary(Kind::SignExt {
+                    from_mask,
+                    sign_bit,
+                    ext_bits,
+                    to_mask,
+                }),
+                Instr::Store { net, mask } => self.store(net, mask),
+                Instr::Copy { src, dst, mask } => {
+                    self.stack.push(src);
+                    self.store(dst, mask);
+                }
+                Instr::StoreConst { dst, value } => {
+                    let row = self.const_row(value);
+                    self.stack.push(row);
+                    self.store(dst, u64::MAX);
+                }
+                Instr::SampleReg { mask, target } => {
+                    let next = self.pop();
+                    let en = self.pop();
+                    self.sample(reg, next, mask, Some((en, target)));
+                    reg += 1;
+                }
+                Instr::SampleRegAlways { mask } => {
+                    let next = self.pop();
+                    self.sample(reg, next, mask, None);
+                    reg += 1;
+                }
+                Instr::Bin2 { op, a, b, mask } => {
+                    self.stack.extend([a, b]);
+                    self.bin(op, mask);
+                }
+                Instr::LoadSext {
+                    net,
+                    from_mask,
+                    sign_bit,
+                    ext_bits,
+                    to_mask,
+                } => {
+                    self.stack.push(net);
+                    self.unary(Kind::SignExt {
+                        from_mask,
+                        sign_bit,
+                        ext_bits,
+                        to_mask,
+                    });
+                }
+                Instr::LoadMasked { net, mask } => {
+                    self.stack.push(net);
+                    self.unary(Kind::Mask { mask });
+                }
+                Instr::NotNet { net, mask } => {
+                    self.stack.push(net);
+                    self.unary(Kind::Not { mask });
+                }
+                Instr::Mux3 { sel, t, f } => {
+                    self.stack.extend([sel, t, f]);
+                    self.mux();
+                }
+                Instr::SampleRegNets {
+                    en,
+                    next,
+                    mask,
+                    target,
+                } => {
+                    self.sample(reg, next, mask, Some((en, target)));
+                    reg += 1;
+                }
+                Instr::SampleRegAlwaysNet { net, mask } => {
+                    self.sample(reg, net, mask, None);
+                    reg += 1;
+                }
+            }
+        }
+        assert!(self.stack.is_empty(), "stream leaves no operands");
+        std::mem::take(&mut self.ops)
+    }
+}
+
+impl LaneProgram {
+    fn lower(compiled: &Compiled, nets: usize) -> LaneProgram {
+        let staged = nets;
+        let const_base = staged + compiled.reg_targets.len();
+        let code = || compiled.settle_code.iter().chain(&compiled.reg_code);
+        let mut consts: Vec<u64> = code()
+            .filter_map(|ins| match *ins {
+                Instr::Const(v) | Instr::StoreConst { value: v, .. } => Some(v),
+                _ => None,
+            })
+            .collect();
+        consts.sort_unstable();
+        consts.dedup();
+        let row = |r: usize| u32::try_from(r).expect("row count fits u32");
+        let mut lowering = Lowering {
+            consts: &consts,
+            const_base: row(const_base),
+            temp_base: row(const_base + consts.len()),
+            temps: 0,
+            free: Vec::new(),
+            stack: Vec::new(),
+            ops: Vec::new(),
+        };
+        let settle = lowering.stream(&compiled.settle_code, row(staged));
+        let sample = lowering.stream(&compiled.reg_code, row(staged));
+        let rows = const_base + consts.len() + lowering.temps as usize;
+        LaneProgram {
+            settle,
+            sample,
+            staged,
+            const_base,
+            consts,
+            rows,
+        }
+    }
+}
+
+/// `true` if every lane of `row` holds the same value.
+fn is_uniform(row: &[u64]) -> bool {
+    row.iter().all(|&v| v == row[0])
+}
+
+/// Lane-major value rows, each with a uniform flag, and the counts of ops
+/// run once and across lanes.
+///
+/// Invariant: if `uniform[r]` is set, every lane of row `r` holds the same
+/// value. Every writer keeps it: a uniform write sets the flag, a write of
+/// lanes clears or re-checks it. A clear flag promises nothing, so clearing
+/// it is always safe, only slower.
+#[derive(Debug)]
+struct Rows {
     lanes: usize,
-    /// Net values, lane-major per net: net `n`'s lane `l` lives at
-    /// `values[n * lanes + l]`.
+    /// Row `r`'s lane `l` lives at `values[r * lanes + l]`.
     values: Vec<u64>,
-    /// Operand stack of lane frames (each frame is `lanes` words).
-    stack: Vec<u64>,
-    /// Register sample buffer: reg `r`'s lanes at `[r * lanes, (r+1) * lanes)`.
-    next_regs: Vec<u64>,
-    /// Per bank: word-major lane rows (`word * lanes + l`), both buffers for
-    /// double-buffered banks.
-    bank_mem: Vec<Vec<u64>>,
-    /// Per bank × lane sequential read/write addresses and latched rdata.
-    bank_raddr: Vec<u64>,
-    bank_waddr: Vec<u64>,
-    bank_rdata: Vec<u64>,
-    /// Sampled bank port activity, per bank × lane (bits 0..=2: read, write;
-    /// wdata and buf_sel in their own rows). Reused across steps.
-    bank_op_read: Vec<u64>,
-    bank_op_write: Vec<u64>,
-    bank_op_wdata: Vec<u64>,
-    bank_op_bufsel: Vec<u64>,
-    /// Parity bookkeeping per bank (same lane layout as `bank_mem`).
-    bank_parity: Vec<Option<Vec<u8>>>,
-    /// Sticky parity-mismatch counters, per bank × lane.
-    parity_errors: Vec<u64>,
-    net_by_name: HashMap<String, NetId>,
-    port_by_name: HashMap<String, NetId>,
-    dirty: bool,
-    faults: Option<Box<BatchFaultState>>,
+    uniform: Vec<bool>,
+    uniform_ops: u64,
+    lane_ops: u64,
 }
 
-/// Applies one binary operator across lane frames, with the operator match
-/// hoisted out of the lane loop so each arm is a straight-line
-/// autovectorizable loop. Masking rules are identical to the scalar
-/// `bin_eval`.
-#[inline]
-fn bin_eval_lanes(op: BinOp, a: &mut [u64], b: &[u64], mask: u64) {
-    match op {
-        BinOp::Add => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.wrapping_add(*y) & mask;
-            }
+impl Rows {
+    fn row(&self, r: usize) -> &[u64] {
+        &self.values[r * self.lanes..(r + 1) * self.lanes]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.values[r * self.lanes..(r + 1) * self.lanes]
+    }
+
+    /// Row `r`'s value on lane 0: its value on every lane if it is uniform.
+    fn first(&self, r: usize) -> u64 {
+        self.values[r * self.lanes]
+    }
+
+    /// Sets every lane of row `r` to `v`; writes nothing if it already
+    /// holds `v` everywhere.
+    fn fill(&mut self, r: usize, v: u64) {
+        if !(self.uniform[r] && self.first(r) == v) {
+            self.row_mut(r).fill(v);
+            self.uniform[r] = true;
         }
-        BinOp::Sub => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.wrapping_sub(*y) & mask;
-            }
+    }
+
+    /// Writes `f(lane)` to every lane of row `r`, clearing its flag.
+    fn set_lanes(&mut self, r: usize, f: impl Fn(usize) -> u64) {
+        for (l, v) in self.row_mut(r).iter_mut().enumerate() {
+            *v = f(l);
         }
-        BinOp::Mul => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.wrapping_mul(*y) & mask;
-            }
+        self.uniform[r] = false;
+    }
+
+    /// Writes `v` to lane `l` of row `r`, clearing its flag.
+    fn set_lane(&mut self, r: usize, l: usize, v: u64) {
+        self.values[r * self.lanes + l] = v;
+        self.uniform[r] = false;
+    }
+
+    /// Copies row `src` into row `dst`.
+    fn copy_row(&mut self, src: usize, dst: usize) {
+        if self.uniform[src] {
+            self.fill(dst, self.first(src));
+        } else {
+            let lanes = self.lanes;
+            self.values
+                .copy_within(src * lanes..(src + 1) * lanes, dst * lanes);
+            self.uniform[dst] = false;
         }
-        BinOp::And => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x &= *y;
-            }
-        }
-        BinOp::Or => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x |= *y;
-            }
-        }
-        BinOp::Xor => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x ^= *y;
-            }
-        }
-        BinOp::Eq => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = u64::from(*x == *y);
-            }
-        }
-        BinOp::Lt => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = u64::from(*x < *y);
+    }
+
+    /// Applies lane-scoped stuck-at forces, re-checking each row a force
+    /// changed.
+    fn force<'a>(&mut self, forced: impl IntoIterator<Item = &'a LaneStuck>) {
+        for s in forced {
+            let r = s.force.slot as usize;
+            let i = r * self.lanes + s.lane as usize;
+            let v = (self.values[i] | s.force.or_mask) & s.force.and_mask;
+            if v != self.values[i] {
+                self.values[i] = v;
+                self.uniform[r] = is_uniform(self.row(r));
             }
         }
     }
-}
 
-/// Re-applies lane-scoped stuck-at forces to `slot` after a store clobbered
-/// its row. Linear scan, mirroring the scalar `reforce`.
-#[inline]
-fn reforce_lanes(forced: &[LaneStuck], slot: u32, lanes: usize, values: &mut [u64]) {
-    for s in forced {
-        if s.force.slot == slot {
-            let idx = slot as usize * lanes + s.lane as usize;
-            values[idx] = (values[idx] | s.force.or_mask) & s.force.and_mask;
-        }
-    }
-}
-
-/// Executes one bytecode stream over the lane-major value array. Exactly
-/// the scalar `exec_stream_impl` semantics, instruction for instruction,
-/// with every value operation widened to a lane loop. `FORCED` monomorphizes
-/// fault re-forcing away on the clean path, as in the scalar engine.
-fn exec_stream_lanes<const FORCED: bool>(
-    code: &[Instr],
-    lanes: usize,
-    values: &mut [u64],
-    stack: &mut Vec<u64>,
-    next_regs: &mut Vec<u64>,
-    forced: &[LaneStuck],
-) {
-    stack.clear();
-    for ins in code {
-        match *ins {
-            Instr::Const(v) => {
-                let base = stack.len();
-                stack.resize(base + lanes, v);
-            }
-            Instr::Load(n) => {
-                let row = n as usize * lanes;
-                stack.extend_from_slice(&values[row..row + lanes]);
-            }
-            Instr::Not { mask } => {
-                let base = stack.len() - lanes;
-                for a in &mut stack[base..] {
-                    *a = !*a & mask;
-                }
-            }
-            Instr::Bin { op, mask } => {
-                let split = stack.len() - lanes;
-                let (head, b) = stack.split_at_mut(split);
-                let a = &mut head[split - lanes..];
-                bin_eval_lanes(op, a, b, mask);
-                stack.truncate(split);
-            }
-            Instr::Mux => {
-                let len = stack.len();
-                let (head, f) = stack.split_at_mut(len - lanes);
-                let (head, t) = head.split_at_mut(len - 2 * lanes);
-                let sel = &mut head[len - 3 * lanes..];
-                for ((s, &tv), &fv) in sel.iter_mut().zip(t.iter()).zip(f.iter()) {
-                    let m = (*s & 1).wrapping_neg();
-                    *s = (tv & m) | (fv & !m);
-                }
-                stack.truncate(len - 2 * lanes);
-            }
-            Instr::Resize { mask } => {
-                let base = stack.len() - lanes;
-                for a in &mut stack[base..] {
-                    *a &= mask;
-                }
-            }
-            Instr::SignExt {
-                from_mask,
-                sign_bit,
-                ext_bits,
-                to_mask,
-            } => {
-                let base = stack.len() - lanes;
-                for a in &mut stack[base..] {
-                    let v = *a & from_mask;
-                    let m = u64::from(v & sign_bit != 0).wrapping_neg();
-                    *a = (v | (ext_bits & m)) & to_mask;
-                }
-            }
-            Instr::Store { net, mask } => {
-                let base = stack.len() - lanes;
-                let row = net as usize * lanes;
-                for (dst, &s) in values[row..row + lanes].iter_mut().zip(&stack[base..]) {
-                    *dst = s & mask;
-                }
-                stack.truncate(base);
-                if FORCED {
-                    reforce_lanes(forced, net, lanes, values);
-                }
-            }
-            Instr::Copy { src, dst, mask } => {
-                let s = src as usize * lanes;
-                let d = dst as usize * lanes;
-                // Rows of distinct nets never overlap, so split at the later
-                // row to get disjoint src/dst slices the loop can vectorize.
-                if s < d {
-                    let (lo, hi) = values.split_at_mut(d);
-                    for (dv, &sv) in hi[..lanes].iter_mut().zip(&lo[s..s + lanes]) {
-                        *dv = sv & mask;
-                    }
-                } else if d < s {
-                    let (lo, hi) = values.split_at_mut(s);
-                    for (dv, &sv) in lo[d..d + lanes].iter_mut().zip(&hi[..lanes]) {
-                        *dv = sv & mask;
-                    }
+    /// Runs one op: once if its operands are uniform, else across lanes.
+    fn exec(&mut self, op: &LaneOp) {
+        match op.kind {
+            Kind::Not { mask } => self.apply(op, |a, _, _| !a & mask),
+            Kind::Bin { op: bin, mask } => match bin {
+                BinOp::Add => self.apply(op, |a, b, _| a.wrapping_add(b) & mask),
+                BinOp::Sub => self.apply(op, |a, b, _| a.wrapping_sub(b) & mask),
+                BinOp::Mul => self.apply(op, |a, b, _| a.wrapping_mul(b) & mask),
+                BinOp::And => self.apply(op, |a, b, _| a & b & mask),
+                BinOp::Or => self.apply(op, |a, b, _| (a | b) & mask),
+                BinOp::Xor => self.apply(op, |a, b, _| (a ^ b) & mask),
+                BinOp::Eq => self.apply(op, |a, b, _| u64::from(a == b) & mask),
+                BinOp::Lt => self.apply(op, |a, b, _| u64::from(a < b) & mask),
+            },
+            // A uniform select picks one whole row: a masked copy.
+            Kind::Mux { t_mask, f_mask } if self.uniform[op.a as usize] => {
+                let (src, mask) = if self.first(op.a as usize) & 1 == 1 {
+                    (op.b, t_mask)
                 } else {
-                    for v in &mut values[d..d + lanes] {
-                        *v &= mask;
-                    }
-                }
-                if FORCED {
-                    reforce_lanes(forced, dst, lanes, values);
-                }
+                    (op.c, f_mask)
+                };
+                let copy = LaneOp {
+                    a: src,
+                    b: src,
+                    c: src,
+                    ..*op
+                };
+                self.apply(&copy, |v, _, _| v & mask);
             }
-            Instr::StoreConst { dst, value } => {
-                let row = dst as usize * lanes;
-                for v in &mut values[row..row + lanes] {
-                    *v = value;
-                }
-                if FORCED {
-                    reforce_lanes(forced, dst, lanes, values);
-                }
-            }
-            Instr::SampleReg { mask, target } => {
-                let len = stack.len();
-                let en = len - 2 * lanes;
-                let row = target as usize * lanes;
-                let base = next_regs.len();
-                next_regs.resize(base + lanes, 0);
-                let dst = &mut next_regs[base..];
-                let (en_s, next_s) = stack[en..].split_at(lanes);
-                let cur = &values[row..row + lanes];
-                for l in 0..lanes {
-                    let m = (en_s[l] & 1).wrapping_neg();
-                    dst[l] = (next_s[l] & mask & m) | (cur[l] & !m);
-                }
-                stack.truncate(en);
-            }
-            Instr::SampleRegAlways { mask } => {
-                let from = stack.len() - lanes;
-                let base = next_regs.len();
-                next_regs.resize(base + lanes, 0);
-                for (d, &s) in next_regs[base..].iter_mut().zip(&stack[from..]) {
-                    *d = s & mask;
-                }
-                stack.truncate(from);
-            }
-            Instr::Bin2 { op, a, b, mask } => {
-                let ra = a as usize * lanes;
-                let rb = b as usize * lanes;
-                let base = stack.len();
-                stack.extend_from_slice(&values[ra..ra + lanes]);
-                bin_eval_lanes(op, &mut stack[base..], &values[rb..rb + lanes], mask);
-            }
-            Instr::LoadSext {
-                net,
+            Kind::Mux { t_mask, f_mask } => self.apply(op, |s, t, f| {
+                let m = (s & 1).wrapping_neg();
+                (t & t_mask & m) | (f & f_mask & !m)
+            }),
+            Kind::Mask { mask } => self.apply(op, |a, _, _| a & mask),
+            Kind::SignExt {
                 from_mask,
                 sign_bit,
                 ext_bits,
                 to_mask,
-            } => {
-                let row = net as usize * lanes;
-                let base = stack.len();
-                stack.resize(base + lanes, 0);
-                for (d, &raw) in stack[base..].iter_mut().zip(&values[row..row + lanes]) {
-                    let v = raw & from_mask;
-                    let m = u64::from(v & sign_bit != 0).wrapping_neg();
-                    *d = (v | (ext_bits & m)) & to_mask;
-                }
-            }
-            Instr::LoadMasked { net, mask } => {
-                let row = net as usize * lanes;
-                let base = stack.len();
-                stack.resize(base + lanes, 0);
-                for (d, &v) in stack[base..].iter_mut().zip(&values[row..row + lanes]) {
-                    *d = v & mask;
-                }
-            }
-            Instr::NotNet { net, mask } => {
-                let row = net as usize * lanes;
-                let base = stack.len();
-                stack.resize(base + lanes, 0);
-                for (d, &v) in stack[base..].iter_mut().zip(&values[row..row + lanes]) {
-                    *d = !v & mask;
-                }
-            }
-            Instr::Mux3 { sel, t, f } => {
-                let rs = sel as usize * lanes;
-                let rt = t as usize * lanes;
-                let rf = f as usize * lanes;
-                let base = stack.len();
-                stack.resize(base + lanes, 0);
-                let dst = &mut stack[base..];
-                let sel_s = &values[rs..rs + lanes];
-                let t_s = &values[rt..rt + lanes];
-                let f_s = &values[rf..rf + lanes];
-                for l in 0..lanes {
-                    let m = (sel_s[l] & 1).wrapping_neg();
-                    dst[l] = (t_s[l] & m) | (f_s[l] & !m);
-                }
-            }
-            Instr::SampleRegNets {
-                en,
-                next,
-                mask,
-                target,
-            } => {
-                let re = en as usize * lanes;
-                let rn = next as usize * lanes;
-                let rt = target as usize * lanes;
-                let base = next_regs.len();
-                next_regs.resize(base + lanes, 0);
-                let dst = &mut next_regs[base..];
-                let en_s = &values[re..re + lanes];
-                let n_s = &values[rn..rn + lanes];
-                let t_s = &values[rt..rt + lanes];
-                for l in 0..lanes {
-                    let m = (en_s[l] & 1).wrapping_neg();
-                    dst[l] = (n_s[l] & mask & m) | (t_s[l] & !m);
-                }
-            }
-            Instr::SampleRegAlwaysNet { net, mask } => {
-                let row = net as usize * lanes;
-                let base = next_regs.len();
-                next_regs.resize(base + lanes, 0);
-                for (d, &v) in next_regs[base..].iter_mut().zip(&values[row..row + lanes]) {
-                    *d = v & mask;
-                }
-            }
+            } => self.apply(op, |a, _, _| {
+                let v = a & from_mask;
+                let m = u64::from(v & sign_bit != 0).wrapping_neg();
+                (v | (ext_bits & m)) & to_mask
+            }),
         }
+    }
+
+    /// `dst = f(a, b, c)`: one scalar when every operand row is uniform,
+    /// otherwise a lane loop over disjoint row slices whose result is
+    /// checked for uniformity again.
+    #[inline(always)]
+    fn apply(&mut self, op: &LaneOp, f: impl Fn(u64, u64, u64) -> u64) {
+        let (d, a, b, c) = (op.dst as usize, op.a as usize, op.b as usize, op.c as usize);
+        if self.uniform[a] && self.uniform[b] && self.uniform[c] {
+            self.uniform_ops += 1;
+            let v = f(self.first(a), self.first(b), self.first(c));
+            self.fill(d, v);
+            return;
+        }
+        self.lane_ops += 1;
+        let lanes = self.lanes;
+        let (lo, rest) = self.values.split_at_mut(d * lanes);
+        let (dst, hi) = rest.split_at_mut(lanes);
+        // `dst` is never an operand, so every source row lies wholly in
+        // `lo` or wholly in `hi`.
+        let src = |r: usize| {
+            if r < d {
+                &lo[r * lanes..(r + 1) * lanes]
+            } else {
+                &hi[(r - d - 1) * lanes..(r - d) * lanes]
+            }
+        };
+        let (a, b, c) = (src(a), src(b), src(c));
+        let first = f(a[0], b[0], c[0]);
+        let mut diff = 0;
+        for (((x, &a), &b), &c) in dst.iter_mut().zip(a).zip(b).zip(c) {
+            *x = f(a, b, c);
+            diff |= *x ^ first;
+        }
+        self.uniform[d] = diff == 0;
     }
 }
 
@@ -418,6 +586,42 @@ fn broadcast<T: Copy>(dst: &mut [T], src: &[T], lanes: usize) {
     for (row, &v) in dst.chunks_exact_mut(lanes).zip(src) {
         row.fill(v);
     }
+}
+
+/// The parity bit stored for a bank word.
+fn parity(word: u64) -> u8 {
+    (word.count_ones() & 1) as u8
+}
+
+/// Lane-batched interpreter over a [`FlatDesign`]. See the module docs for
+/// the lane layout and determinism contract.
+#[derive(Debug)]
+pub struct BatchSim {
+    flat: FlatDesign,
+    compiled: Compiled,
+    program: LaneProgram,
+    lanes: usize,
+    /// Every value row of [`LaneProgram`]; net `n` is row `n`.
+    rows: Rows,
+    /// Per bank: word-major lane rows (`word * lanes + l`), both buffers for
+    /// double-buffered banks.
+    bank_mem: Vec<Vec<u64>>,
+    /// Per bank × lane sequential read/write addresses and latched rdata.
+    bank_raddr: Vec<u64>,
+    bank_waddr: Vec<u64>,
+    bank_rdata: Vec<u64>,
+    /// Per bank: both address rows are uniform across lanes.
+    addr_uniform: Vec<bool>,
+    /// Per bank: the latched rdata row is uniform across lanes.
+    rdata_uniform: Vec<bool>,
+    /// Parity bookkeeping per bank (same lane layout as `bank_mem`).
+    bank_parity: Vec<Option<Vec<u8>>>,
+    /// Sticky parity-mismatch counters, per bank × lane.
+    parity_errors: Vec<u64>,
+    net_by_name: HashMap<String, NetId>,
+    port_by_name: HashMap<String, NetId>,
+    dirty: bool,
+    faults: Option<Box<BatchFaultState>>,
 }
 
 impl BatchSim {
@@ -431,27 +635,17 @@ impl BatchSim {
         assert!(lanes >= 1, "a batch needs at least one lane");
         let _span = tensorlib_obs::span("hw.batch_compile");
         let compiled = Compiled::build(&flat);
-        let n_nets = flat.nets.len();
+        let program = LaneProgram::lower(&compiled, flat.nets.len());
         let n_banks = flat.banks.len();
-        let bank_mem: Vec<Vec<u64>> = flat
-            .banks
-            .iter()
-            .map(|b| {
-                let mult = if b.spec.is_double_buffered() { 2 } else { 1 };
-                vec![0u64; (b.spec.words() * mult) as usize * lanes]
-            })
+        let bank_words = |b: &FlatBank| {
+            let mult = if b.spec.is_double_buffered() { 2 } else { 1 };
+            (b.spec.words() * mult) as usize * lanes
+        };
+        let bank_mem = flat.banks.iter().map(|b| vec![0u64; bank_words(b)]).collect();
+        let bank_parity = (flat.banks.iter())
+            .map(|b| b.spec.has_parity().then(|| vec![0u8; bank_words(b)]))
             .collect();
-        let bank_parity = flat
-            .banks
-            .iter()
-            .map(|b| {
-                let mult = if b.spec.is_double_buffered() { 2 } else { 1 };
-                b.spec
-                    .has_parity()
-                    .then(|| vec![0u8; (b.spec.words() * mult) as usize * lanes])
-            })
-            .collect();
-        let mut net_by_name = HashMap::with_capacity(n_nets);
+        let mut net_by_name = HashMap::with_capacity(flat.nets.len());
         for (id, net) in flat.nets.iter().enumerate() {
             net_by_name.entry(net.name.clone()).or_insert(id);
         }
@@ -459,19 +653,21 @@ impl BatchSim {
         for &(id, _) in &flat.ports {
             port_by_name.entry(flat.nets[id].name.clone()).or_insert(id);
         }
-        let n_regs = flat.regs.len();
+        let rows = Rows {
+            lanes,
+            values: vec![0; program.rows * lanes],
+            uniform: vec![true; program.rows],
+            uniform_ops: 0,
+            lane_ops: 0,
+        };
         let mut sim = BatchSim {
-            values: vec![0; n_nets * lanes],
-            stack: Vec::with_capacity(16 * lanes),
-            next_regs: Vec::with_capacity(n_regs * lanes),
+            rows,
             bank_mem,
             bank_raddr: vec![0; n_banks * lanes],
             bank_waddr: vec![0; n_banks * lanes],
             bank_rdata: vec![0; n_banks * lanes],
-            bank_op_read: vec![0; n_banks * lanes],
-            bank_op_write: vec![0; n_banks * lanes],
-            bank_op_wdata: vec![0; n_banks * lanes],
-            bank_op_bufsel: vec![0; n_banks * lanes],
+            addr_uniform: vec![true; n_banks],
+            rdata_uniform: vec![true; n_banks],
             bank_parity,
             parity_errors: vec![0; n_banks * lanes],
             net_by_name,
@@ -480,13 +676,19 @@ impl BatchSim {
             faults: None,
             flat,
             compiled,
+            program,
             lanes,
         };
+        for (i, &v) in sim.program.consts.iter().enumerate() {
+            sim.rows.fill(sim.program.const_base + i, v);
+        }
         for r in &sim.flat.regs {
-            let init = mask(r.init, sim.flat.nets[r.target].width);
-            sim.values[r.target * lanes..(r.target + 1) * lanes].fill(init);
+            sim.rows.fill(r.target, mask(r.init, sim.flat.nets[r.target].width));
         }
         sim.settle();
+        // Construction is not counted: a pooled batch and a fresh one report
+        // the same ops for the same work.
+        sim.take_op_counts();
         sim
     }
 
@@ -524,10 +726,14 @@ impl BatchSim {
     /// sizes do not match this batch's).
     pub fn load_state(&mut self, state: &Snapshot) {
         let lanes = self.lanes;
-        broadcast(&mut self.values, &state.values, lanes);
+        let nets = self.flat.nets.len();
+        broadcast(&mut self.rows.values[..nets * lanes], &state.values, lanes);
+        self.rows.uniform[..nets].fill(true);
         broadcast(&mut self.bank_raddr, &state.bank_raddr, lanes);
         broadcast(&mut self.bank_waddr, &state.bank_waddr, lanes);
         broadcast(&mut self.bank_rdata, &state.bank_rdata, lanes);
+        self.addr_uniform.fill(true);
+        self.rdata_uniform.fill(true);
         broadcast(&mut self.parity_errors, &state.parity_errors, lanes);
         for (dst, src) in self.bank_mem.iter_mut().zip(&state.bank_mem) {
             broadcast(dst, src, lanes);
@@ -552,6 +758,18 @@ impl BatchSim {
         &self.flat
     }
 
+    /// Lane-program ops run since construction or the last call, as
+    /// `(uniform, lane)`: those computed once because every operand row was
+    /// uniform, and those run across every lane. Deterministic for a given
+    /// state and stimulus, whatever ran on the batch before its last
+    /// [`BatchSim::load_state`].
+    pub fn take_op_counts(&mut self) -> (u64, u64) {
+        let counts = (self.rows.uniform_ops, self.rows.lane_ops);
+        self.rows.uniform_ops = 0;
+        self.rows.lane_ops = 0;
+        counts
+    }
+
     fn net_id(&self, name: &str) -> NetId {
         *self
             .net_by_name
@@ -573,11 +791,7 @@ impl BatchSim {
     ///
     /// Panics if no such port exists.
     pub fn poke(&mut self, port: &str, value: u64) {
-        let id = self.port_id(port);
-        let v = mask(value, self.flat.nets[id].width);
-        self.values[id * self.lanes..(id + 1) * self.lanes].fill(v);
-        self.dirty = true;
-        self.settle();
+        self.poke_many([(port, value)]);
     }
 
     /// Drives a batch of ports, each broadcast across all lanes, settling
@@ -589,8 +803,7 @@ impl BatchSim {
     pub fn poke_many<'a>(&mut self, pokes: impl IntoIterator<Item = (&'a str, u64)>) {
         for (port, value) in pokes {
             let id = self.port_id(port);
-            let v = mask(value, self.flat.nets[id].width);
-            self.values[id * self.lanes..(id + 1) * self.lanes].fill(v);
+            self.rows.fill(id, mask(value, self.flat.nets[id].width));
         }
         self.dirty = true;
         self.settle();
@@ -604,14 +817,7 @@ impl BatchSim {
     /// Panics if no such port exists or the value count is not the lane
     /// count.
     pub fn poke_lanes(&mut self, port: &str, values: &[u64]) {
-        assert_eq!(values.len(), self.lanes, "one value per lane");
-        let id = self.port_id(port);
-        let w = self.flat.nets[id].width;
-        for (l, &v) in values.iter().enumerate() {
-            self.values[id * self.lanes + l] = mask(v, w);
-        }
-        self.dirty = true;
-        self.settle();
+        self.poke_lanes_many([(port, values)]);
     }
 
     /// Drives a batch of ports, each with a distinct value per lane,
@@ -632,10 +838,7 @@ impl BatchSim {
             assert_eq!(values.len(), self.lanes, "one value per lane");
             let id = self.port_id(port);
             let w = self.flat.nets[id].width;
-            let row = &mut self.values[id * self.lanes..(id + 1) * self.lanes];
-            for (dst, &v) in row.iter_mut().zip(values) {
-                *dst = mask(v, w);
-            }
+            self.rows.set_lanes(id, |l| mask(values[l], w));
         }
         self.dirty = true;
         self.settle();
@@ -649,7 +852,8 @@ impl BatchSim {
     pub fn poke_lane(&mut self, port: &str, lane: usize, value: u64) {
         assert!(lane < self.lanes, "lane out of range");
         let id = self.port_id(port);
-        self.values[id * self.lanes + lane] = mask(value, self.flat.nets[id].width);
+        self.rows
+            .set_lane(id, lane, mask(value, self.flat.nets[id].width));
         self.dirty = true;
         self.settle();
     }
@@ -671,7 +875,7 @@ impl BatchSim {
 
     /// A probed net's value on every lane (lane `l` at index `l`).
     pub fn read(&self, probe: Probe) -> &[u64] {
-        &self.values[probe.slot * self.lanes..(probe.slot + 1) * self.lanes]
+        self.rows.row(probe.slot)
     }
 
     /// A probed net on one lane as a signed value of its declared width.
@@ -709,8 +913,7 @@ impl BatchSim {
         }
         if let Some(p) = &mut self.bank_parity[bank] {
             for (w, &word) in words.iter().enumerate() {
-                let parity = (word.count_ones() & 1) as u8;
-                p[w * self.lanes..(w + 1) * self.lanes].fill(parity);
+                p[w * self.lanes..(w + 1) * self.lanes].fill(parity(word));
             }
         }
         Ok(())
@@ -733,7 +936,7 @@ impl BatchSim {
         }
         if let Some(p) = &mut self.bank_parity[bank] {
             for (w, &word) in words.iter().enumerate() {
-                p[w * self.lanes + lane] = (word.count_ones() & 1) as u8;
+                p[w * self.lanes + lane] = parity(word);
             }
         }
         Ok(())
@@ -857,8 +1060,8 @@ impl BatchSim {
 
     /// Settles combinational logic on every lane (no-op when already
     /// settled). Mirrors the scalar settle: bank read data first, then the
-    /// compiled settle stream, with the stuck-at prologue + per-store
-    /// re-forcing on the faulty path.
+    /// stuck-at prologue, then the settle program, re-forcing each net it
+    /// writes when stuck-ats are attached.
     fn settle(&mut self) {
         if !self.dirty {
             return;
@@ -867,175 +1070,201 @@ impl BatchSim {
         let lanes = self.lanes;
         for (i, b) in self.flat.banks.iter().enumerate() {
             let w = self.flat.nets[b.rdata].width;
-            let row = b.rdata * lanes;
-            for l in 0..lanes {
-                self.values[row + l] = mask(self.bank_rdata[i * lanes + l], w);
+            let rdata = &self.bank_rdata[i * lanes..(i + 1) * lanes];
+            if self.rdata_uniform[i] {
+                self.rows.fill(b.rdata, mask(rdata[0], w));
+            } else {
+                self.rows.set_lanes(b.rdata, |l| mask(rdata[l], w));
             }
         }
-        match &self.faults {
-            // No stuck-ats anywhere (transients/holds only): re-forcing is a
-            // no-op by construction, so run the clean stream — same shortcut
-            // as the scalar settle.
-            Some(f) if f.stuck.is_empty() => {
-                exec_stream_lanes::<false>(
-                    &self.compiled.settle_code,
-                    lanes,
-                    &mut self.values,
-                    &mut self.stack,
-                    &mut self.next_regs,
-                    &[],
-                );
-            }
-            Some(f) => {
-                for s in &f.stuck {
-                    let idx = s.force.slot as usize * lanes + s.lane as usize;
-                    self.values[idx] = (self.values[idx] | s.force.or_mask) & s.force.and_mask;
-                }
-                exec_stream_lanes::<true>(
-                    &self.compiled.settle_code,
-                    lanes,
-                    &mut self.values,
-                    &mut self.stack,
-                    &mut self.next_regs,
-                    &f.stuck,
-                );
-            }
-            None => {
-                exec_stream_lanes::<false>(
-                    &self.compiled.settle_code,
-                    lanes,
-                    &mut self.values,
-                    &mut self.stack,
-                    &mut self.next_regs,
-                    &[],
-                );
+        let forced = self.faults.as_ref().map_or(&[][..], |f| &f.stuck);
+        self.rows.force(forced);
+        for op in &self.program.settle {
+            self.rows.exec(op);
+            if !forced.is_empty() {
+                self.rows.force(forced.iter().filter(|s| s.force.slot == op.dst));
             }
         }
     }
 
-    /// Advances one clock on every lane: sample registers and bank ports,
-    /// commit simultaneously, apply scheduled faults, resettle. The ordering
-    /// is the scalar [`Interpreter::step`]'s, stage for stage.
+    /// Advances one clock on every lane: sample registers, commit banks
+    /// then registers, apply scheduled faults, resettle. The result is the
+    /// scalar [`Interpreter::step`]'s: banks read the pre-commit port rows
+    /// here, where the scalar engine samples them before its register
+    /// commit.
     pub fn step(&mut self) {
         self.settle();
         let lanes = self.lanes;
-        // Sample registers (reg streams contain no stores, so no forcing —
-        // same as the scalar path).
-        self.next_regs.clear();
-        exec_stream_lanes::<false>(
-            &self.compiled.reg_code,
-            lanes,
-            &mut self.values,
-            &mut self.stack,
-            &mut self.next_regs,
-            &[],
-        );
-        // Pre-commit holds: a dropped transition overwrites the sampled next
-        // value with the register's current value on its lane.
+        let staged = self.program.staged;
+        // Sample registers (the sample program writes no nets, so no
+        // forcing — same as the scalar path).
+        for op in &self.program.sample {
+            self.rows.exec(op);
+        }
+        // Pre-commit holds: a dropped transition overwrites the staged
+        // sample with the register's current value on its lane.
         if let Some(f) = &self.faults {
             let now = f.cycle + 1;
-            for h in &f.holds {
-                if h.hold.cycle == now {
-                    self.next_regs[h.hold.reg * lanes + h.lane as usize] =
-                        self.values[h.hold.target * lanes + h.lane as usize];
-                }
+            for h in f.holds.iter().filter(|h| h.hold.cycle == now) {
+                let l = h.lane as usize;
+                let current = self.rows.values[h.hold.target * lanes + l];
+                self.rows.set_lane(staged + h.hold.reg, l, current);
             }
         }
-        // Sample bank port activity through the alias-resolved port nets,
-        // then commit registers.
-        for (i, b) in self.compiled.bank_nets.iter().enumerate() {
-            let (re, rw, rd) = (
-                b.en as usize * lanes,
-                b.wen as usize * lanes,
-                b.wdata as usize * lanes,
-            );
-            let o = i * lanes;
-            for l in 0..lanes {
-                self.bank_op_read[o + l] = self.values[re + l] & 1;
-                self.bank_op_write[o + l] = self.values[rw + l] & 1;
-                self.bank_op_wdata[o + l] = self.values[rd + l];
-            }
-            match b.buf_sel {
-                Some(n) => {
-                    let rs = n as usize * lanes;
-                    for l in 0..lanes {
-                        self.bank_op_bufsel[o + l] = self.values[rs + l] & 1;
-                    }
-                }
-                None => self.bank_op_bufsel[o..o + lanes].fill(0),
-            }
-        }
+        self.commit_banks();
         for (r, &t) in self.compiled.reg_targets.iter().enumerate() {
-            let row = t as usize * lanes;
-            self.values[row..row + lanes].copy_from_slice(&self.next_regs[r * lanes..(r + 1) * lanes]);
-        }
-        // Commit banks: read the inactive buffer, write the active one,
-        // per-lane addresses and parity.
-        for (i, b) in self.flat.banks.iter().enumerate() {
-            let words = b.spec.words();
-            let dbuf = b.spec.is_double_buffered();
-            let width = b.spec.width();
-            for l in 0..lanes {
-                let o = i * lanes + l;
-                if self.bank_op_read[o] == 1 {
-                    let base = if dbuf {
-                        (1 - self.bank_op_bufsel[o]) * words
-                    } else {
-                        0
-                    };
-                    let addr = (base + self.bank_raddr[o] % words) as usize;
-                    let widx = addr * lanes + l;
-                    self.bank_rdata[o] = self.bank_mem[i][widx];
-                    self.bank_raddr[o] = (self.bank_raddr[o] + 1) % words;
-                    if let Some(p) = &self.bank_parity[i] {
-                        if (self.bank_mem[i][widx].count_ones() & 1) as u8 != p[widx] {
-                            self.parity_errors[o] += 1;
-                        }
-                    }
-                }
-                if self.bank_op_write[o] == 1 {
-                    let base = if dbuf {
-                        self.bank_op_bufsel[o] * words
-                    } else {
-                        0
-                    };
-                    let addr = (base + self.bank_waddr[o] % words) as usize;
-                    let widx = addr * lanes + l;
-                    self.bank_mem[i][widx] = mask(self.bank_op_wdata[o], width);
-                    self.bank_waddr[o] = (self.bank_waddr[o] + 1) % words;
-                    if let Some(p) = &mut self.bank_parity[i] {
-                        p[widx] = (self.bank_mem[i][widx].count_ones() & 1) as u8;
-                    }
-                }
-            }
+            self.rows.copy_row(staged + r, t as usize);
         }
         // Post-commit faults: transient flips corrupt just-committed state
         // on their lanes without touching parity bookkeeping.
         if let Some(f) = &mut self.faults {
             f.cycle += 1;
             let now = f.cycle;
-            for fl in &f.flips {
-                if fl.flip.cycle == now {
-                    self.values[fl.flip.slot * lanes + fl.lane as usize] ^= fl.flip.xor;
-                }
+            for fl in f.flips.iter().filter(|fl| fl.flip.cycle == now) {
+                let (slot, l) = (fl.flip.slot, fl.lane as usize);
+                let flipped = self.rows.values[slot * lanes + l] ^ fl.flip.xor;
+                self.rows.set_lane(slot, l, flipped);
             }
-            for bf in &f.bank_flips {
-                if bf.flip.cycle == now {
-                    self.bank_mem[bf.flip.bank][bf.flip.word * lanes + bf.lane as usize] ^=
-                        bf.flip.xor;
-                }
+            for bf in f.bank_flips.iter().filter(|bf| bf.flip.cycle == now) {
+                self.bank_mem[bf.flip.bank][bf.flip.word * lanes + bf.lane as usize] ^= bf.flip.xor;
             }
         }
         self.dirty = true;
         self.settle();
+    }
+
+    /// Commits every bank's port activity, read from the settled
+    /// pre-commit port rows: read the inactive buffer, write the active
+    /// one. When the enables, buffer select and addresses agree on every
+    /// lane, all lanes touch the same word, so one address update and row
+    /// copies serve the whole bank (parity still per lane); otherwise each
+    /// lane commits on its own.
+    fn commit_banks(&mut self) {
+        let lanes = self.lanes;
+        let rows = &self.rows;
+        let banks = self.flat.banks.iter().zip(&self.compiled.bank_nets);
+        for (i, (b, nets)) in banks.enumerate() {
+            let words = b.spec.words();
+            let dbuf = b.spec.is_double_buffered();
+            let wmask = width_mask(b.spec.width());
+            let lane_rows = i * lanes..(i + 1) * lanes;
+            let raddr = &mut self.bank_raddr[lane_rows.clone()];
+            let waddr = &mut self.bank_waddr[lane_rows.clone()];
+            let rdata = &mut self.bank_rdata[lane_rows.clone()];
+            let errors = &mut self.parity_errors[lane_rows];
+            let mem = &mut self.bank_mem[i];
+            let mut bits = self.bank_parity[i].as_mut();
+            let (en, wen, wdata) = (nets.en as usize, nets.wen as usize, nets.wdata as usize);
+            let sel = nets.buf_sel.map(|n| n as usize);
+            let ports_uniform =
+                rows.uniform[en] && rows.uniform[wen] && sel.is_none_or(|s| rows.uniform[s]);
+            if self.addr_uniform[i] && ports_uniform {
+                let buf_sel = sel.map_or(0, |s| rows.first(s) & 1);
+                if rows.first(en) & 1 == 1 {
+                    let (word, next) = next_addr(raddr[0], words);
+                    let base = if dbuf { (1 - buf_sel) * words } else { 0 };
+                    let at = (base + word) as usize * lanes;
+                    let data = &mem[at..at + lanes];
+                    rdata.copy_from_slice(data);
+                    raddr.fill(next);
+                    self.rdata_uniform[i] = is_uniform(data);
+                    if let Some(p) = &bits {
+                        for ((e, &v), &bit) in errors.iter_mut().zip(data).zip(&p[at..at + lanes]) {
+                            *e += u64::from(parity(v) != bit);
+                        }
+                    }
+                }
+                if rows.first(wen) & 1 == 1 {
+                    let (word, next) = next_addr(waddr[0], words);
+                    let base = if dbuf { buf_sel * words } else { 0 };
+                    let at = (base + word) as usize * lanes;
+                    let data = &mut mem[at..at + lanes];
+                    for (m, &v) in data.iter_mut().zip(rows.row(wdata)) {
+                        *m = v & wmask;
+                    }
+                    waddr.fill(next);
+                    if let Some(p) = &mut bits {
+                        for (bit, &v) in p[at..at + lanes].iter_mut().zip(&*data) {
+                            *bit = parity(v);
+                        }
+                    }
+                }
+                continue;
+            }
+            let (en, wen, wdata) = (rows.row(en), rows.row(wen), rows.row(wdata));
+            let sel = sel.map(|s| rows.row(s));
+            for l in 0..lanes {
+                let buf_sel = sel.map_or(0, |s| s[l] & 1);
+                if en[l] & 1 == 1 {
+                    let (word, next) = next_addr(raddr[l], words);
+                    let base = if dbuf { (1 - buf_sel) * words } else { 0 };
+                    let at = (base + word) as usize * lanes + l;
+                    rdata[l] = mem[at];
+                    raddr[l] = next;
+                    if let Some(p) = &bits {
+                        errors[l] += u64::from(parity(mem[at]) != p[at]);
+                    }
+                }
+                if wen[l] & 1 == 1 {
+                    let (word, next) = next_addr(waddr[l], words);
+                    let base = if dbuf { buf_sel * words } else { 0 };
+                    let at = (base + word) as usize * lanes + l;
+                    mem[at] = wdata[l] & wmask;
+                    waddr[l] = next;
+                    if let Some(p) = &mut bits {
+                        p[at] = parity(mem[at]);
+                    }
+                }
+            }
+            self.addr_uniform[i] = is_uniform(raddr) && is_uniform(waddr);
+            self.rdata_uniform[i] = is_uniform(rdata);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{gen_netlist, NetlistFuzzConfig};
     use crate::interp::elaborate;
-    use crate::netlist::{Expr, Module};
+    use crate::netlist::{Dir, Expr, Module};
+    use tensorlib_linalg::rng::SplitMix64;
+
+    /// The uniform-row invariant: every flagged row holds one value on
+    /// every lane.
+    fn assert_flags_honest(sim: &BatchSim, what: &str) {
+        for (r, &uniform) in sim.rows.uniform.iter().enumerate() {
+            assert!(!uniform || is_uniform(sim.rows.row(r)), "{what}: row {r} is flagged uniform");
+        }
+    }
+
+    #[test]
+    fn uniform_flags_hold_under_mixed_pokes_on_fuzzed_netlists() {
+        let cfg = NetlistFuzzConfig::default();
+        for seed in 0..60 {
+            let (modules, top) = gen_netlist(seed, &cfg);
+            let flat = elaborate(&modules, &[], &top).expect("generated netlists elaborate");
+            let inputs: Vec<String> = (flat.ports().iter())
+                .filter(|(_, d)| *d == Dir::Input)
+                .map(|(id, _)| flat.nets()[*id].name.clone())
+                .collect();
+            let mut sim = BatchSim::new(flat, 4);
+            let mut rng = SplitMix64::new(seed);
+            for cycle in 0..cfg.cycles {
+                for name in &inputs {
+                    let v = rng.next_u64();
+                    match rng.next_u64() % 3 {
+                        0 => sim.poke(name, v),
+                        1 => sim.poke_lane(name, (v % 4) as usize, v >> 7),
+                        _ => sim.poke_lanes(name, &[v, v, v ^ 1, v]),
+                    }
+                    assert_flags_honest(&sim, &format!("seed {seed} cycle {cycle} poke {name}"));
+                }
+                sim.step();
+                assert_flags_honest(&sim, &format!("seed {seed} cycle {cycle} step"));
+            }
+        }
+    }
 
     fn counter_flat() -> FlatDesign {
         let mut m = Module::new("cnt");

@@ -400,7 +400,10 @@ pub const DEFAULT_ORACLE_LANES: usize = 4;
 /// lanes against `lanes` independent scalar [`Interpreter`]s, each lane
 /// driven by its own seeded stimulus stream (lane 0's stream is exactly the
 /// scalar campaign stream for `seed`, so scalar findings reproduce on lane
-/// 0). Every flat net is compared on every lane after every cycle.
+/// 0). Each cycle a seeded choice per input port gives the other lanes
+/// their own values, lane 0's value, or lane 0's value with one lane
+/// perturbed, so lanes diverge and reconverge. Every flat net is compared
+/// on every lane after every cycle.
 ///
 /// # Errors
 ///
@@ -431,12 +434,26 @@ pub fn check_batch_netlist(
     let mut rngs: Vec<SplitMix64> = (0..lanes)
         .map(|l| SplitMix64::new(seed.wrapping_add(l as u64) ^ 0xD1F7_0000_0000_0001))
         .collect();
+    let mut shape = SplitMix64::new(seed ^ 0xB7A0_0000_0000_0002);
     let mut vals = vec![vec![0u64; lanes]; inputs.len()];
     for cycle in 0..cycles {
+        // Per port, a seeded choice: independent lanes, one value on every
+        // lane, or that value with one lane perturbed. Rows then go
+        // uniform, diverge and reconverge across cycles, so the batch's
+        // once-per-row and per-lane paths both run.
         for (i, name) in inputs.iter().enumerate() {
-            for (l, r) in refs.iter_mut().enumerate() {
-                vals[i][l] = rngs[l].next_u64();
-                r.poke(name, vals[i][l]);
+            let v0 = rngs[0].next_u64();
+            let (kind, pick) = (shape.next_u64() % 3, shape.next_u64());
+            for (l, row) in vals[i].iter_mut().enumerate() {
+                *row = match kind {
+                    _ if l == 0 => v0,
+                    0 => rngs[l].next_u64(),
+                    2 if l == 1 + (pick % (lanes as u64 - 1)) as usize => rngs[l].next_u64(),
+                    _ => v0,
+                };
+            }
+            for (r, &v) in refs.iter_mut().zip(&vals[i]) {
+                r.poke(name, v);
             }
         }
         batch.poke_lanes_many(

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultKind, FaultSpec, FaultState, RegHold, SlotFlip, StuckForce};
-use crate::mem::MemBank;
+use crate::mem::{next_addr, MemBank};
 use crate::netlist::{BinOp, Dir, Expr, Module, Net, NetId, RegDef};
 use crate::trace::{InterpreterStats, TraceConfig, TraceEvent, TraceState};
 
@@ -1706,9 +1706,10 @@ impl Interpreter {
                 } else {
                     0
                 };
-                let addr = (base + self.bank_raddr[i] % words) as usize;
+                let (word, next) = next_addr(self.bank_raddr[i], words);
+                let addr = (base + word) as usize;
                 self.bank_rdata[i] = self.bank_mem[i][addr];
-                self.bank_raddr[i] = (self.bank_raddr[i] + 1) % words;
+                self.bank_raddr[i] = next;
                 // Parity check on read: a stored word whose parity no
                 // longer matches its bookkeeping bit was corrupted in
                 // place. The counter is sticky.
@@ -1724,9 +1725,10 @@ impl Interpreter {
                 } else {
                     0
                 };
-                let addr = (base + self.bank_waddr[i] % words) as usize;
+                let (word, next) = next_addr(self.bank_waddr[i], words);
+                let addr = (base + word) as usize;
                 self.bank_mem[i][addr] = mask(op.wdata, b.spec.width());
-                self.bank_waddr[i] = (self.bank_waddr[i] + 1) % words;
+                self.bank_waddr[i] = next;
                 if let Some(p) = &mut self.bank_parity[i] {
                     p[addr] = (self.bank_mem[i][addr].count_ones() & 1) as u8;
                 }

@@ -124,6 +124,17 @@ impl MemBank {
     }
 }
 
+/// The word a sequential bank port at address `addr` touches and the
+/// address it advances to: `(addr % words, (addr + 1) % words)`. Both
+/// interpreters step every bank access through here. An in-range address,
+/// which is all a bank port ever produces, wraps by compare and costs no
+/// divide; an out-of-range one still wraps with `%`.
+pub(crate) fn next_addr(addr: u64, words: u64) -> (u64, u64) {
+    let word = if addr < words { addr } else { addr % words };
+    let next = if word + 1 == words { 0 } else { word + 1 };
+    (word, next)
+}
+
 impl fmt::Display for MemBank {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -175,6 +186,16 @@ mod tests {
     #[should_panic(expected = "positive capacity")]
     fn zero_words_panics() {
         let _ = MemBank::new(0, 8, false);
+    }
+
+    #[test]
+    fn next_addr_wraps_like_modulo() {
+        for words in [1, 2, 3, 7, 64] {
+            for addr in (0..3 * words).chain([u64::MAX - 1, u64::MAX]) {
+                let want = (addr % words, (addr % words + 1) % words);
+                assert_eq!(next_addr(addr, words), want, "addr {addr} words {words}");
+            }
+        }
     }
 
     #[test]

@@ -710,6 +710,9 @@ impl FaultCampaign {
         );
         tensorlib_obs::counter_add("sim.fault.steps_skipped", fork.steps);
         let runs = self.round.run_batch(&mut sim, fork);
+        let (uniform_ops, lane_ops) = sim.take_op_counts();
+        tensorlib_obs::counter_add("hw.batch.uniform_ops", uniform_ops);
+        tensorlib_obs::counter_add("hw.batch.lane_ops", lane_ops);
         (self.batches.lock().unwrap_or_else(PoisonError::into_inner)).push(sim);
         attach.into_iter().zip(runs).map(|(att, run)| att.map(|()| run)).collect()
     }

@@ -54,21 +54,27 @@ rm -f /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
 # and every lane group starts from the golden run's state at its earliest
 # fault. 512 sampled faults, and the 8x8 accumulator sweep (64 accumulators
 # x 8 bits), are 8 lane groups each; both reports must equal the unforked
-# scalar run's at 1 and 2 workers (the worker count is echoed twice).
+# scalar run's at 1 and 2 workers (the worker count is echoed twice). Each
+# runs fully hardened, parity-only (no TMR voter reconverges a faulty
+# controller, and banks commit lane by lane once addresses diverge) and
+# unhardened.
 fork_dir=$(mktemp -d)
 strip_lane_shape() {
     sed -e '/"phase_wall_times_us"/,/}/d' -e '/^    "lanes": /d' -e '/^    "workers": /d'
 }
-for mode in "--faults 512" "--sweep-acc"; do
-    ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden full -o - \
-        | strip_lane_shape > "$fork_dir/scalar.json"
-    for workers in 1 2; do
-        ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden full \
-            --lanes 64 --workers "$workers" -o - | strip_lane_shape > "$fork_dir/lanes.json"
-        cmp "$fork_dir/scalar.json" "$fork_dir/lanes.json"
+for harden in full parity none; do
+    for mode in "--faults 512" "--sweep-acc"; do
+        ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden "$harden" \
+            -o - | strip_lane_shape > "$fork_dir/scalar.json"
+        for workers in 1 2; do
+            ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 \
+                --harden "$harden" --lanes 64 --workers "$workers" -o - \
+                | strip_lane_shape > "$fork_dir/lanes.json"
+            cmp "$fork_dir/scalar.json" "$fork_dir/lanes.json"
+        done
     done
+    grep -q '"faults": 512' "$fork_dir/scalar.json"
 done
-grep -q '"faults": 512' "$fork_dir/scalar.json"
 rm -rf "$fork_dir"
 ./target/release/tensorlib fuzz --mode netlist --seed 0 --seeds 50 --lanes 8 -o - \
     | grep -q '"total_findings": 0'

@@ -34,8 +34,10 @@ fn run_gemm(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
 /// compared against a scalar reference on every lane after every cycle, at
 /// lane widths 1 (degenerate batch), 8, and 64. `check_batch_netlist` seeds
 /// each lane with its own stimulus stream (lane 0 replays the scalar
-/// campaign stream), so wider widths genuinely diversify the state space
-/// rather than replicating lane 0.
+/// campaign stream) and per port and cycle either gives lanes their own
+/// values or broadcasts one (sometimes with one lane perturbed), so wider
+/// widths diversify the state space while rows still go uniform, diverge
+/// and reconverge.
 #[test]
 fn batched_engine_matches_scalar_on_fuzzed_netlists() {
     let cfg = NetlistFuzzConfig::default();
@@ -267,4 +269,174 @@ fn forked_campaign_reports_match_scalar_bytes_across_geometry() {
             }
         }
     }
+}
+
+/// Steps `batch` and `refs` (one scalar reference per lane) `steps` times,
+/// checking every lane against its reference after each step.
+fn lockstep(batch: &mut BatchSim, refs: &mut [Interpreter], steps: usize, what: &str) {
+    for t in 1..=steps {
+        batch.step();
+        for (lane, r) in refs.iter_mut().enumerate() {
+            r.step();
+            assert_lane_matches(batch, lane, r, &format!("{what}, step {t}, lane {lane}"));
+        }
+    }
+}
+
+/// One scalar reference per lane of a batch forked from `base`: lane `l`
+/// carries `faults[l]` (no fault past the end of `faults`).
+fn references(base: &Interpreter, lanes: usize, faults: &[Vec<FaultSpec>]) -> Vec<Interpreter> {
+    (0..lanes)
+        .map(|l| {
+            let mut r = base.clone();
+            if let Some(specs) = faults.get(l) {
+                r.attach_faults(specs).expect("fault attaches");
+            }
+            r
+        })
+        .collect()
+}
+
+/// A batch of `lanes` lanes forked from `base` with `faults` attached per
+/// lane, and its scalar references.
+fn forked(
+    base: &Interpreter,
+    lanes: usize,
+    faults: &[Vec<FaultSpec>],
+) -> (BatchSim, Vec<Interpreter>) {
+    let mut batch = BatchSim::from_scalar(base, lanes);
+    let attach = batch.attach_lane_faults(faults);
+    assert!(attach.iter().all(Result::is_ok), "{attach:?}");
+    (batch, references(base, lanes, faults))
+}
+
+// The lane engine computes rows that agree on every lane once, so each
+// writer of a row must keep its "uniform" flag honest. The tests below
+// drive one writer each and check every lane against a scalar run at every
+// step.
+
+/// A flip of one TMR replica's controller state on one lane: the replica
+/// row diverges, the voter out-votes it, and every accumulator stays equal
+/// to the clean lanes' (the lane reconverges at the voter).
+#[test]
+fn tmr_voter_reconverges_a_one_lane_controller_flip() {
+    let base = hardened_base();
+    let sites = enumerate_sites(base.flat());
+    let state = &sites.ctrl_states[1];
+    let flip = FaultSpec::flip(state.clone(), 0, 3);
+    let (mut batch, mut refs) = forked(&base, 4, &[vec![], vec![], vec![flip]]);
+    let accs: Vec<&String> = (sites.regs.iter())
+        .filter(|(n, _)| n.ends_with("_acc"))
+        .map(|(n, _)| n)
+        .collect();
+    let mut diverged = 0;
+    for t in 1..=40 {
+        lockstep(&mut batch, &mut refs, 1, &format!("controller flip, cycle {t}"));
+        if batch.peek_lane(state, 2) != batch.peek_lane(state, 0) {
+            diverged += 1;
+            for acc in &accs {
+                assert_eq!(batch.peek_lane(acc, 2), batch.peek_lane(acc, 0), "{acc} at {t}");
+            }
+        }
+    }
+    assert!(diverged > 0, "the flip never reached the replica state");
+}
+
+/// A dropped transition on a register whose sample is the same on every
+/// lane: the hold must land on its lane only, even though the staged sample
+/// was computed once.
+#[test]
+fn dropped_transition_on_a_uniformly_sampled_register() {
+    let base = hardened_base();
+    let sites = enumerate_sites(base.flat());
+    let (acc, _) = sites.regs.iter().find(|(n, _)| n.ends_with("_acc")).expect("acc reg");
+    // The first cycle at which the accumulator changes on the golden run.
+    let mut golden = base.clone();
+    let cycle = (1..=40)
+        .find(|_| {
+            let before = golden.peek(acc);
+            golden.step();
+            golden.peek(acc) != before
+        })
+        .expect("the accumulator changes");
+    let hold = FaultSpec::drop_transition(acc.clone(), cycle);
+    let (mut batch, mut refs) = forked(&base, 3, &[vec![], vec![hold]]);
+    lockstep(&mut batch, &mut refs, cycle as usize, "dropped transition");
+    assert_ne!(batch.peek_lane(acc, 1), batch.peek_lane(acc, 0), "the hold took effect");
+    lockstep(&mut batch, &mut refs, 10, "after the dropped transition");
+}
+
+/// A stuck-at attached right after `load_state`, when every row is uniform:
+/// the force must show on its lane at once and survive every resettle.
+#[test]
+fn stuck_at_on_a_uniform_net_after_load_state() {
+    let base = hardened_base();
+    let sites = enumerate_sites(base.flat());
+    let (acc, _) = sites.regs.iter().find(|(n, _)| n.ends_with("_acc")).expect("acc reg");
+    let mut golden = base.clone();
+    for _ in 0..12 {
+        golden.step();
+    }
+    let mut batch = BatchSim::new(base.flat().clone(), 3);
+    batch.load_state(&golden.snapshot());
+    let forced = golden.peek(acc) & 1 == 0;
+    let stuck = vec![vec![], vec![FaultSpec::stuck_at(acc.clone(), 0, forced)]];
+    let attach = batch.attach_lane_faults(&stuck);
+    assert!(attach.iter().all(Result::is_ok), "{attach:?}");
+    let mut refs = references(&golden, 3, &stuck);
+    for (lane, r) in refs.iter().enumerate() {
+        assert_lane_matches(&batch, lane, r, &format!("on attach, lane {lane}"));
+    }
+    assert_ne!(batch.peek_lane(acc, 1), batch.peek_lane(acc, 0), "the force shows at once");
+    lockstep(&mut batch, &mut refs, 20, "stuck-at");
+}
+
+/// A per-lane poke on one lane of a uniform input, then a broadcast poke
+/// of the same input: the row diverges, then is uniform again.
+#[test]
+fn poke_lane_then_broadcast_poke() {
+    let mut base = hardened_base();
+    base.poke("start", 0);
+    let (mut batch, mut refs) = forked(&base, 3, &[]);
+    batch.poke_lane("start", 1, 1);
+    refs[1].poke("start", 1);
+    lockstep(&mut batch, &mut refs, 6, "one lane started");
+    batch.poke("start", 1);
+    for r in &mut refs {
+        r.poke("start", 1);
+    }
+    lockstep(&mut batch, &mut refs, 20, "every lane started");
+    batch.poke("start", 0);
+    for r in &mut refs {
+        r.poke("start", 0);
+    }
+    lockstep(&mut batch, &mut refs, 4, "start released");
+}
+
+/// One-lane bank-word flips read back through addresses that agree on every
+/// lane: the bank commits once per bank, so parity must still be checked,
+/// and counted, per lane.
+#[test]
+fn one_lane_bank_flips_are_caught_by_per_lane_parity() {
+    let base = hardened_base();
+    let sites = enumerate_sites(base.flat());
+    let (bank, words, width) = &sites.banks[0];
+    // Lane l > 0 flips one of the first words of either buffer.
+    let half = words / 2;
+    let faults: Vec<Vec<FaultSpec>> = (0..17)
+        .map(|l: usize| match l {
+            0 => vec![],
+            _ => {
+                let word = (l - 1) % 8 + if l > 8 { half } else { 0 };
+                vec![FaultSpec::bank_flip(bank.clone(), word, width - 1, 1)]
+            }
+        })
+        .collect();
+    let (mut batch, mut refs) = forked(&base, faults.len(), &faults);
+    lockstep(&mut batch, &mut refs, 40, "bank flips");
+    assert_eq!(batch.parity_error_count_lane(0), 0);
+    assert!(
+        (1..faults.len()).any(|l| batch.parity_error_count_lane(l) > 0),
+        "no flipped word was read back"
+    );
 }

@@ -310,3 +310,40 @@ fn fault_campaign_counts_forked_and_skipped_steps() {
         }
     }
 }
+
+/// The lane engine counts the lane-program ops it ran once (every operand
+/// row uniform across lanes) and across lanes. The counts are
+/// deterministic, so they do not depend on the worker count, and on the
+/// 8×8 TMR campaign, where a fault touches one lane of 64, the ops run once
+/// dominate.
+#[test]
+fn batch_op_counts_are_deterministic_and_mostly_uniform() {
+    use tensorlib::hw::fault::Hardening;
+    use tensorlib::sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let record = |workers: usize| {
+        let cfg = CampaignConfig {
+            rows: 8,
+            cols: 8,
+            faults: 256,
+            seed: 3,
+            hardening: Hardening::full(),
+            lanes: 64,
+            workers,
+            ..CampaignConfig::default()
+        };
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).expect("campaign runs");
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        ["hw.batch.uniform_ops", "hw.batch.lane_ops"]
+            .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
+    };
+    let [uniform, lane] = record(1);
+    assert_eq!([uniform, lane], record(2), "op counts vary with workers");
+    assert!(lane > 0, "some rows diverge");
+    assert!(uniform > 4 * lane, "uniform ops {uniform} vs lane ops {lane}");
+}
