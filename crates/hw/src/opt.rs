@@ -177,9 +177,13 @@ pub(crate) fn to_parts(m: &Module) -> Parts {
 
 pub(crate) fn from_parts(p: &Parts) -> Module {
     let mut m = Module::new(&p.name);
+    // The first port entry naming a net gives its direction.
+    let mut dirs: Vec<Option<Dir>> = vec![None; p.nets.len()];
+    for &(id, d) in p.ports.iter().rev() {
+        dirs[id] = Some(d);
+    }
     for (id, net) in p.nets.iter().enumerate() {
-        let port = p.ports.iter().find(|(pid, _)| *pid == id).map(|&(_, d)| d);
-        let got = match port {
+        let got = match dirs[id] {
             Some(Dir::Input) => m.input(&net.name, net.width),
             Some(Dir::Output) => m.output(&net.name, net.width),
             None => m.net(&net.name, net.width),
@@ -286,6 +290,10 @@ pub(crate) fn gc_nets(p: &mut Parts, ports: GcPorts) {
                 used[id] = true;
             }
         }
+    }
+    if used.iter().all(|&u| u) {
+        // Nothing to delete: the renumbering below would be the identity.
+        return;
     }
     let mut map: Vec<Option<NetId>> = vec![None; p.nets.len()];
     let mut next = 0usize;
@@ -764,22 +772,19 @@ fn reg_cost(nets: &[Net], identity: &[u32], r: &RegDef) -> usize {
     }
 }
 
-fn parts_cost(p: &Parts) -> usize {
-    let identity: Vec<u32> = (0..p.nets.len() as u32).collect();
-    let mut total = 0usize;
-    for (t, e) in &p.assigns {
-        total += assign_cost(&p.nets, &identity, *t, e);
-    }
-    for r in &p.regs {
-        total += reg_cost(&p.nets, &identity, r);
-    }
-    total
-}
-
 /// Estimated compiled-bytecode instruction count for one module, using the
 /// interpreter's own lowering and fusion rules (alias copies cost zero).
+/// Every settle assign and register sample is costed as its own segment.
 pub fn module_lowered_ops(m: &Module) -> usize {
-    parts_cost(&to_parts(m))
+    let nets = m.nets();
+    let identity: Vec<u32> = (0..nets.len() as u32).collect();
+    let assigns: usize = m
+        .assigns()
+        .iter()
+        .map(|(t, e)| assign_cost(nets, &identity, *t, e))
+        .sum();
+    let regs: usize = m.regs().iter().map(|r| reg_cost(nets, &identity, r)).sum();
+    assigns + regs
 }
 
 // ---------------------------------------------------------------------------
@@ -810,36 +815,101 @@ fn expr_key(e: &Expr) -> String {
     }
 }
 
-fn scan_subexprs(e: &Expr, nets: &[Net], counts: &mut HashMap<String, (usize, Expr)>) {
-    match e {
-        Expr::Const { .. } | Expr::Net(_) => return,
-        _ => {
-            if well_masked(e, nets) {
-                let entry = counts
-                    .entry(expr_key(e))
-                    .or_insert_with(|| (0, e.clone()));
-                entry.0 += 1;
+/// The structure of one interned node: the operator with its payload, and
+/// the interned ids of its operands. Two subexpressions get the same id
+/// exactly when they are structurally equal (`Expr`'s derived equality).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    Const(u64, u32),
+    Net(NetId),
+    Not(u32),
+    Bin(BinOp, u32, u32),
+    Mux(u32, u32, u32),
+    Resize(u32, u32),
+    SignExtend(u32, u32),
+}
+
+/// One distinct subexpression of a CSE round.
+struct Interned<'e> {
+    /// The first occurrence (every occurrence is structurally equal).
+    expr: &'e Expr,
+    width: u32,
+    well_masked: bool,
+    /// Counted occurrences: well-masked operator nodes only, nested
+    /// occurrences included.
+    count: usize,
+    /// Items containing the subexpression, ascending and distinct. Item `i <
+    /// assigns.len()` is assign `i`; item `assigns.len() + j` is register `j`
+    /// (next and enable together, as [`reg_cost`] costs them).
+    items: Vec<usize>,
+}
+
+/// Hash-consing of every subexpression of a module's items, bottom-up, into
+/// dense `u32` ids. One pass computes each node's width and masking from its
+/// operands' entries, so nothing is recomputed per occurrence.
+struct Interner<'e> {
+    ids: HashMap<Shape, u32>,
+    nodes: Vec<Interned<'e>>,
+}
+
+impl<'e> Interner<'e> {
+    fn intern(&mut self, e: &'e Expr, nets: &[Net], item: usize) -> u32 {
+        let shape = match e {
+            Expr::Const { value, width } => Shape::Const(*value, *width),
+            Expr::Net(id) => Shape::Net(*id),
+            Expr::Not(x) => Shape::Not(self.intern(x, nets, item)),
+            Expr::Bin(op, a, b) => {
+                let a = self.intern(a, nets, item);
+                Shape::Bin(*op, a, self.intern(b, nets, item))
+            }
+            Expr::Mux {
+                sel,
+                on_true,
+                on_false,
+            } => {
+                let s = self.intern(sel, nets, item);
+                let t = self.intern(on_true, nets, item);
+                Shape::Mux(s, t, self.intern(on_false, nets, item))
+            }
+            Expr::Resize(x, w) => Shape::Resize(self.intern(x, nets, item), *w),
+            Expr::SignExtend(x, w) => Shape::SignExtend(self.intern(x, nets, item), *w),
+        };
+        let next = self.nodes.len() as u32;
+        let id = *self.ids.entry(shape).or_insert(next);
+        if id == next {
+            let node = |i: u32| &self.nodes[i as usize];
+            // The rules of `Expr::width` and `well_masked`, one level deep.
+            let (width, well_masked) = match shape {
+                Shape::Const(_, w) | Shape::Resize(_, w) | Shape::SignExtend(_, w) => (w, true),
+                Shape::Net(n) => (nets[n].width, true),
+                Shape::Not(x) => (node(x).width, true),
+                Shape::Bin(BinOp::Eq | BinOp::Lt, ..) => (1, true),
+                Shape::Bin(op, a, b) => {
+                    let (a, b) = (node(a), node(b));
+                    let raw = matches!(op, BinOp::And | BinOp::Or | BinOp::Xor);
+                    (a.width.max(b.width), !raw || (a.well_masked && b.well_masked))
+                }
+                Shape::Mux(_, t, f) => {
+                    let (t, f) = (node(t), node(f));
+                    (t.width, f.width <= t.width && t.well_masked && f.well_masked)
+                }
+            };
+            self.nodes.push(Interned {
+                expr: e,
+                width,
+                well_masked,
+                count: 0,
+                items: Vec::new(),
+            });
+        }
+        let n = &mut self.nodes[id as usize];
+        if n.well_masked && !matches!(shape, Shape::Const(..) | Shape::Net(_)) {
+            n.count += 1;
+            if n.items.last() != Some(&item) {
+                n.items.push(item);
             }
         }
-    }
-    match e {
-        Expr::Const { .. } | Expr::Net(_) => {}
-        Expr::Not(x) | Expr::Resize(x, _) | Expr::SignExtend(x, _) => {
-            scan_subexprs(x, nets, counts)
-        }
-        Expr::Bin(_, a, b) => {
-            scan_subexprs(a, nets, counts);
-            scan_subexprs(b, nets, counts);
-        }
-        Expr::Mux {
-            sel,
-            on_true,
-            on_false,
-        } => {
-            scan_subexprs(sel, nets, counts);
-            scan_subexprs(on_true, nets, counts);
-            scan_subexprs(on_false, nets, counts);
-        }
+        id
     }
 }
 
@@ -871,51 +941,10 @@ fn replace_subexpr(e: &Expr, what: &Expr, with: NetId) -> Expr {
     }
 }
 
-fn apply_cse(p: &mut Parts, e: &Expr, counter: &mut usize) {
-    let width = e.width(&p.nets);
-    let used: HashSet<String> = p.nets.iter().map(|n| n.name.clone()).collect();
-    let name = loop {
-        let candidate = format!("cse_{}", *counter);
-        *counter += 1;
-        if !used.contains(&candidate) {
-            break candidate;
-        }
-    };
-    p.nets.push(Net { name, width });
-    let id = p.nets.len() - 1;
-    for (_, a) in &mut p.assigns {
-        *a = replace_subexpr(a, e, id);
-    }
-    for r in &mut p.regs {
-        r.next = replace_subexpr(&r.next, e, id);
-        r.enable = r.enable.as_ref().map(|en| replace_subexpr(en, e, id));
-    }
-    // Define the shared net *after* rewriting, so the defining right-hand
-    // side is not rewritten into a self-reference.
-    p.assigns.push((id, e.clone()));
-}
-
-/// Whether `e` contains `what` as a subexpression (including `e == what`).
-fn contains_subexpr(e: &Expr, what: &Expr) -> bool {
-    if e == what {
-        return true;
-    }
-    match e {
-        Expr::Const { .. } | Expr::Net(_) => false,
-        Expr::Not(x) | Expr::Resize(x, _) | Expr::SignExtend(x, _) => {
-            contains_subexpr(x, what)
-        }
-        Expr::Bin(_, a, b) => contains_subexpr(a, what) || contains_subexpr(b, what),
-        Expr::Mux {
-            sel,
-            on_true,
-            on_false,
-        } => {
-            contains_subexpr(sel, what)
-                || contains_subexpr(on_true, what)
-                || contains_subexpr(on_false, what)
-        }
-    }
+/// An item rewritten to read the shared net, with its new cost.
+enum Rewrite {
+    Assign(usize, Expr, usize),
+    Reg(usize, RegDef, usize),
 }
 
 /// Cost-gated CSE: hoists the cheapest profitable candidate, recounts, and
@@ -923,87 +952,134 @@ fn contains_subexpr(e: &Expr, what: &Expr) -> bool {
 /// strictly drops — sharing a subexpression that a fused superinstruction
 /// already evaluates for free is rejected by construction.
 ///
-/// The gate is evaluated *incrementally*: every settle assign and register
-/// sample is costed as its own independent bytecode segment (exactly how
-/// [`parts_cost`] sums them), so a candidate's effect is the cost delta over
-/// the items that actually contain it plus the new defining assign. This is
-/// bit-for-bit the same accept/reject decision as re-costing a cloned
-/// module, an order of magnitude cheaper — the pipeline runs inside the
-/// compile path, so its own wall time is part of the perf gate.
+/// Each round interns every subexpression into an [`Interner`], and the
+/// candidates (well-masked operator subexpressions occurring at least
+/// twice) are tried in `(expr_nodes, expr_key)` order; both are computed
+/// only for candidates. The gate is evaluated *incrementally*: every settle assign
+/// and register sample is costed as its own independent bytecode segment
+/// (exactly how [`module_lowered_ops`] sums them), so a candidate's effect
+/// is the cost delta over the items its occurrence list names plus the new
+/// defining assign. This is bit-for-bit the same accept/reject decision as
+/// re-costing a cloned module. Item costs are cached across rounds: a hoist
+/// changes only the items it rewrites and adds one assign. The net table
+/// carries one extra slot for the hypothetical shared net while CSE runs.
 fn cse_parts(p: &mut Parts) {
     let mut counter = 0usize;
+    let (mut rounds, mut hoists) = (0u64, 0u64);
+    let Parts {
+        nets,
+        assigns,
+        regs,
+        ..
+    } = p;
+    let mut shared = nets.len();
+    nets.push(Net {
+        name: String::new(),
+        width: 1,
+    });
+    let mut identity: Vec<u32> = (0..nets.len() as u32).collect();
+    let mut assign_costs: Vec<usize> = assigns
+        .iter()
+        .map(|(t, e)| assign_cost(nets, &identity, *t, e))
+        .collect();
+    let mut reg_costs: Vec<usize> = regs.iter().map(|r| reg_cost(nets, &identity, r)).collect();
+    // Reused across rounds, so each round interns into an already sized table.
+    let mut ids: HashMap<Shape, u32> = HashMap::new();
     for _round in 0..256 {
-        let mut counts: HashMap<String, (usize, Expr)> = HashMap::new();
-        for (_, e) in &p.assigns {
-            scan_subexprs(e, &p.nets, &mut counts);
+        rounds += 1;
+        ids.clear();
+        let mut interner = Interner {
+            nodes: Vec::with_capacity(ids.capacity()),
+            ids,
+        };
+        for (i, (_, e)) in assigns.iter().enumerate() {
+            interner.intern(e, nets, i);
         }
-        for r in &p.regs {
-            scan_subexprs(&r.next, &p.nets, &mut counts);
+        for (j, r) in regs.iter().enumerate() {
+            let item = assigns.len() + j;
+            interner.intern(&r.next, nets, item);
             if let Some(en) = &r.enable {
-                scan_subexprs(en, &p.nets, &mut counts);
+                interner.intern(en, nets, item);
             }
         }
-        let mut cands: Vec<(usize, String, Expr)> = counts
-            .into_iter()
-            .filter(|(_, (count, _))| *count >= 2)
-            .map(|(key, (_, e))| (expr_nodes(&e), key, e))
+        let mut cands: Vec<(usize, String, &Interned)> = interner
+            .nodes
+            .iter()
+            .filter(|n| n.count >= 2)
+            .map(|n| (expr_nodes(n.expr), expr_key(n.expr), n))
             .collect();
         cands.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        // Per-item base costs, shared across every candidate this round. The
-        // identity map and the net table carry one extra slot for the
-        // hypothetical shared net (id = nets.len()).
-        let id = p.nets.len();
-        let identity: Vec<u32> = (0..=id as u32).collect();
-        let mut nets_ext = p.nets.clone();
-        nets_ext.push(Net {
-            name: String::new(),
-            width: 1,
-        });
-        let assign_costs: Vec<usize> = p
-            .assigns
-            .iter()
-            .map(|(t, e)| assign_cost(&nets_ext, &identity, *t, e))
-            .collect();
-        let reg_costs: Vec<usize> = p
-            .regs
-            .iter()
-            .map(|r| reg_cost(&nets_ext, &identity, r))
-            .collect();
-        let mut applied = false;
-        for (_, _, e) in &cands {
-            nets_ext[id].width = e.width(&p.nets);
-            let mut delta = assign_cost(&nets_ext, &identity, id, e) as isize;
-            for (i, (t, old)) in p.assigns.iter().enumerate() {
-                if contains_subexpr(old, e) {
-                    let new = replace_subexpr(old, e, id);
-                    delta += assign_cost(&nets_ext, &identity, *t, &new) as isize
-                        - assign_costs[i] as isize;
-                }
-            }
-            for (j, r) in p.regs.iter().enumerate() {
-                let touches = contains_subexpr(&r.next, e)
-                    || r.enable.as_ref().is_some_and(|en| contains_subexpr(en, e));
-                if touches {
-                    let rewritten = RegDef {
+        let mut accepted = None;
+        for (_, _, cand) in &cands {
+            let e = cand.expr;
+            nets[shared].width = cand.width;
+            let define = assign_cost(nets, &identity, shared, e);
+            let mut delta = define as isize;
+            let mut rewrites = Vec::with_capacity(cand.items.len());
+            for &item in &cand.items {
+                if let Some((t, old)) = assigns.get(item) {
+                    let new = replace_subexpr(old, e, shared);
+                    let cost = assign_cost(nets, &identity, *t, &new);
+                    delta += cost as isize - assign_costs[item] as isize;
+                    rewrites.push(Rewrite::Assign(item, new, cost));
+                } else {
+                    let j = item - assigns.len();
+                    let r = &regs[j];
+                    let new = RegDef {
                         target: r.target,
-                        next: replace_subexpr(&r.next, e, id),
-                        enable: r.enable.as_ref().map(|en| replace_subexpr(en, e, id)),
+                        next: replace_subexpr(&r.next, e, shared),
+                        enable: r.enable.as_ref().map(|en| replace_subexpr(en, e, shared)),
                         init: r.init,
                     };
-                    delta += reg_cost(&nets_ext, &identity, &rewritten) as isize
-                        - reg_costs[j] as isize;
+                    let cost = reg_cost(nets, &identity, &new);
+                    delta += cost as isize - reg_costs[j] as isize;
+                    rewrites.push(Rewrite::Reg(j, new, cost));
                 }
             }
             if delta < 0 {
-                apply_cse(p, e, &mut counter);
-                applied = true;
+                accepted = Some((e.clone(), cand.width, define, rewrites));
                 break;
             }
         }
-        if !applied {
+        ids = interner.ids;
+        let Some((e, width, define, rewrites)) = accepted else {
             break;
+        };
+        hoists += 1;
+        for rewrite in rewrites {
+            match rewrite {
+                Rewrite::Assign(i, new, cost) => {
+                    assigns[i].1 = new;
+                    assign_costs[i] = cost;
+                }
+                Rewrite::Reg(j, new, cost) => {
+                    regs[j] = new;
+                    reg_costs[j] = cost;
+                }
+            }
         }
+        let name = loop {
+            let candidate = format!("cse_{counter}");
+            counter += 1;
+            if !nets.iter().any(|n| n.name == candidate) {
+                break candidate;
+            }
+        };
+        nets[shared] = Net { name, width };
+        // The shared net is defined *after* rewriting, so the defining
+        // right-hand side is not rewritten into a self-reference.
+        assigns.push((shared, e));
+        assign_costs.push(define);
+        shared = nets.len();
+        nets.push(Net {
+            name: String::new(),
+            width: 1,
+        });
+        identity.push(shared as u32);
     }
+    nets.pop();
+    tensorlib_obs::counter_add("hw.opt.cse_rounds", rounds);
+    tensorlib_obs::counter_add("hw.opt.cse_hoists", hoists);
 }
 
 // ---------------------------------------------------------------------------
@@ -1174,11 +1250,11 @@ pub fn optimize_module(m: &Module, opts: &OptOptions) -> Module {
     if opts.fold || opts.peephole || opts.rebalance {
         for _ in 0..8 {
             let mut changed = false;
-            let nets = p.nets.clone();
+            let nets = &p.nets;
             let rewrite = |e: &Expr, changed: &mut bool| -> Expr {
-                let mut cur = simplify(e, &nets, opts, changed);
+                let mut cur = simplify(e, nets, opts, changed);
                 if opts.rebalance {
-                    cur = rebalance_expr(&cur, &nets, changed);
+                    cur = rebalance_expr(&cur, nets, changed);
                 }
                 cur
             };
@@ -1195,6 +1271,7 @@ pub fn optimize_module(m: &Module, opts: &OptOptions) -> Module {
         }
     }
     if opts.cse {
+        let _span = tensorlib_obs::span("hw.opt.cse");
         cse_parts(&mut p);
     }
     if opts.gc {
@@ -1212,6 +1289,7 @@ pub fn optimize_netlist(
     top: &str,
     opts: &OptOptions,
 ) -> (Vec<Module>, OptStats) {
+    let _span = tensorlib_obs::span("hw.opt");
     let pre = netlist_stats(modules);
     let mut out: Vec<Module> = modules.iter().map(|m| optimize_module(m, opts)).collect();
     if opts.gc && out.iter().any(|m| m.name() == top) {

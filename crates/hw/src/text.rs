@@ -202,6 +202,7 @@ fn emit_expr(e: &Expr, out: &mut String) {
 /// Renders `doc` as the textual interchange format. Deterministic: equal
 /// documents emit byte-identical text.
 pub fn emit_text(doc: &NetlistDoc) -> String {
+    let _span = tensorlib_obs::span("hw.text.emit");
     let mut s = String::new();
     s.push_str("tensorlib-netlist v1\n");
     for b in &doc.banks {
@@ -845,6 +846,7 @@ impl<'a> Parser<'a> {
 /// problems beyond what the grammar can express (width mismatches, missing
 /// drivers, unknown instance ports) are left to [`NetlistDoc::validate`].
 pub fn parse_text(input: &str) -> Result<NetlistDoc, TextError> {
+    let _span = tensorlib_obs::span("hw.text.parse");
     let mut p = Parser::new(input);
     p.expect_word("tensorlib-netlist")?;
     p.expect_word("v1")?;

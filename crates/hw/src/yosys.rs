@@ -64,11 +64,39 @@ impl fmt::Display for YosysError {
 
 impl std::error::Error for YosysError {}
 
-fn err<T>(path: impl Into<String>, msg: impl Into<String>) -> Result<T, YosysError> {
+fn err<T>(path: impl fmt::Display, msg: impl Into<String>) -> Result<T, YosysError> {
     Err(YosysError {
-        path: path.into(),
+        path: path.to_string(),
         msg: msg.into(),
     })
+}
+
+/// A document path — `modules.<module>`, optionally followed by
+/// `.<section>.<key>` — kept as borrowed parts and rendered only when an
+/// error reports it.
+#[derive(Clone, Copy)]
+struct Loc<'a> {
+    module: &'a str,
+    entry: Option<(&'static str, &'a str)>,
+}
+
+impl<'a> Loc<'a> {
+    fn at(self, section: &'static str, key: &'a str) -> Loc<'a> {
+        Loc {
+            module: self.module,
+            entry: Some((section, key)),
+        }
+    }
+}
+
+impl fmt::Display for Loc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "modules.{}", self.module)?;
+        if let Some((section, key)) = self.entry {
+            write!(f, ".{section}.{key}")?;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +606,10 @@ pub fn export_yosys(doc: &NetlistDoc) -> Value {
 
 /// Exports `doc` and serializes it to JSON text (trailing newline included).
 pub fn emit_yosys(doc: &NetlistDoc) -> String {
-    format!("{}\n", export_yosys(doc))
+    let _span = tensorlib_obs::span("hw.yosys.emit");
+    let mut text = json::to_pretty(&export_yosys(doc));
+    text.push('\n');
+    text
 }
 
 // ---------------------------------------------------------------------------
@@ -589,7 +620,7 @@ fn get_attr<'v>(module_or_cell: &'v Value, name: &str) -> Option<&'v Value> {
     module_or_cell.get("attributes").and_then(|a| a.get(name))
 }
 
-fn attr_u64_str(v: &Value, name: &str, path: &str) -> Result<u64, YosysError> {
+fn attr_u64_str(v: &Value, name: &str, path: Loc) -> Result<u64, YosysError> {
     let raw = get_attr(v, name)
         .and_then(Value::as_str)
         .ok_or_else(|| YosysError {
@@ -602,7 +633,7 @@ fn attr_u64_str(v: &Value, name: &str, path: &str) -> Result<u64, YosysError> {
     })
 }
 
-fn import_bank(name: &str, v: &Value, path: &str) -> Result<MemBank, YosysError> {
+fn import_bank(name: &str, v: &Value, path: Loc) -> Result<MemBank, YosysError> {
     let words = attr_u64_str(v, "tensorlib_words", path)?;
     let width = attr_u64_str(v, "tensorlib_width", path)?;
     let db = attr_u64_str(v, "tensorlib_db", path)?;
@@ -627,7 +658,7 @@ fn import_bank(name: &str, v: &Value, path: &str) -> Result<MemBank, YosysError>
 }
 
 /// Decoded bit connection: each entry is a bit index or a constant bit.
-fn conn_bits(v: &Value, path: &str) -> Result<Vec<BitRef>, YosysError> {
+fn conn_bits(v: &Value, path: Loc) -> Result<Vec<BitRef>, YosysError> {
     let arr = v.as_array().ok_or_else(|| YosysError {
         path: path.to_string(),
         msg: "connection is not an array".to_string(),
@@ -664,7 +695,7 @@ fn wire_vec(bits: &[BitRef]) -> Option<Vec<u64>> {
         .collect()
 }
 
-fn param_u64(cell: &Value, name: &str, path: &str) -> Result<u64, YosysError> {
+fn param_u64(cell: &Value, name: &str, path: Loc) -> Result<u64, YosysError> {
     cell.get("parameters")
         .and_then(|p| p.get(name))
         .and_then(Value::as_u64)
@@ -675,7 +706,7 @@ fn param_u64(cell: &Value, name: &str, path: &str) -> Result<u64, YosysError> {
 }
 
 struct ModuleImporter<'v> {
-    path: String,
+    path: Loc<'v>,
     m: Module,
     /// Exact bit-run → visible net.
     visible: HashMap<Vec<u64>, NetId>,
@@ -684,12 +715,7 @@ struct ModuleImporter<'v> {
 }
 
 impl<'v> ModuleImporter<'v> {
-    fn cell_conn(
-        &self,
-        cell: &'v Value,
-        port: &str,
-        path: &str,
-    ) -> Result<Vec<BitRef>, YosysError> {
+    fn cell_conn(&self, cell: &'v Value, port: &str, path: Loc) -> Result<Vec<BitRef>, YosysError> {
         let v = cell
             .get("connections")
             .and_then(|c| c.get(port))
@@ -702,7 +728,7 @@ impl<'v> ModuleImporter<'v> {
 
     /// Rebuilds the expression a bit-run denotes: an inline constant, a
     /// visible net, or (recursively) a hidden operator cell's output.
-    fn resolve_expr(&self, bits: &[BitRef], path: &str, depth: u32) -> Result<Expr, YosysError> {
+    fn resolve_expr(&self, bits: &[BitRef], path: Loc, depth: u32) -> Result<Expr, YosysError> {
         if depth > 1000 {
             return err(path, "expression nesting too deep (cyclic cell graph?)");
         }
@@ -746,15 +772,15 @@ impl<'v> ModuleImporter<'v> {
         cell: &'v Value,
         depth: u32,
     ) -> Result<Expr, YosysError> {
-        let path = format!("{}.cells.{key}", self.path);
+        let path = self.path.at("cells", key);
         let ty = cell.get("type").and_then(Value::as_str).unwrap_or("");
         let unary = |op: fn(Box<Expr>) -> Expr, s: &Self| -> Result<Expr, YosysError> {
-            let a = s.resolve_expr(&s.cell_conn(cell, "A", &path)?, &path, depth)?;
+            let a = s.resolve_expr(&s.cell_conn(cell, "A", path)?, path, depth)?;
             Ok(op(Box::new(a)))
         };
         let bin = |op: BinOp, s: &Self| -> Result<Expr, YosysError> {
-            let a = s.resolve_expr(&s.cell_conn(cell, "A", &path)?, &path, depth)?;
-            let b = s.resolve_expr(&s.cell_conn(cell, "B", &path)?, &path, depth)?;
+            let a = s.resolve_expr(&s.cell_conn(cell, "A", path)?, path, depth)?;
+            let b = s.resolve_expr(&s.cell_conn(cell, "B", path)?, path, depth)?;
             Ok(Expr::Bin(op, Box::new(a), Box::new(b)))
         };
         match ty {
@@ -768,11 +794,9 @@ impl<'v> ModuleImporter<'v> {
             "$eq" => bin(BinOp::Eq, self),
             "$lt" => bin(BinOp::Lt, self),
             "$mux" => {
-                let sel = self.resolve_expr(&self.cell_conn(cell, "S", &path)?, &path, depth)?;
-                let on_true =
-                    self.resolve_expr(&self.cell_conn(cell, "B", &path)?, &path, depth)?;
-                let on_false =
-                    self.resolve_expr(&self.cell_conn(cell, "A", &path)?, &path, depth)?;
+                let sel = self.resolve_expr(&self.cell_conn(cell, "S", path)?, path, depth)?;
+                let on_true = self.resolve_expr(&self.cell_conn(cell, "B", path)?, path, depth)?;
+                let on_false = self.resolve_expr(&self.cell_conn(cell, "A", path)?, path, depth)?;
                 Ok(Expr::Mux {
                     sel: Box::new(sel),
                     on_true: Box::new(on_true),
@@ -780,15 +804,15 @@ impl<'v> ModuleImporter<'v> {
                 })
             }
             "$pos" => {
-                let a = self.resolve_expr(&self.cell_conn(cell, "A", &path)?, &path, depth)?;
+                let a = self.resolve_expr(&self.cell_conn(cell, "A", path)?, path, depth)?;
                 if get_attr(cell, "tensorlib_resize").is_some() {
-                    let w = param_u64(cell, "Y_WIDTH", &path)?;
+                    let w = param_u64(cell, "Y_WIDTH", path)?;
                     let w = u32::try_from(w)
                         .map_err(|_| YosysError {
-                            path: path.clone(),
+                            path: path.to_string(),
                             msg: "Y_WIDTH overflows u32".to_string(),
                         })?;
-                    if param_u64(cell, "A_SIGNED", &path)? == 1 {
+                    if param_u64(cell, "A_SIGNED", path)? == 1 {
                         Ok(Expr::SignExtend(Box::new(a), w))
                     } else {
                         Ok(Expr::Resize(Box::new(a), w))
@@ -798,39 +822,39 @@ impl<'v> ModuleImporter<'v> {
                     Ok(a)
                 }
             }
-            other => err(&path, format!("unsupported cell type {other:?}")),
+            other => err(path, format!("unsupported cell type {other:?}")),
         }
     }
 
     fn import(mut self, v: &'v Value) -> Result<Module, YosysError> {
-        let path = self.path.clone();
+        let path = self.path;
         // Nets, in bit order (the exporter allocates bits in declaration
         // order, so sorting by first bit recovers NetId order).
         let netnames = v
             .get("netnames")
             .and_then(Value::as_object)
             .ok_or_else(|| YosysError {
-                path: path.clone(),
+                path: path.to_string(),
                 msg: "missing `netnames` object".to_string(),
             })?;
         let mut nets: Vec<(Vec<u64>, String)> = Vec::with_capacity(netnames.len());
         for (key, nv) in netnames {
-            let npath = format!("{path}.netnames.{key}");
+            let npath = path.at("netnames", key);
             let bits = conn_bits(
                 nv.get("bits").ok_or_else(|| YosysError {
-                    path: npath.clone(),
+                    path: npath.to_string(),
                     msg: "missing `bits`".to_string(),
                 })?,
-                &npath,
+                npath,
             )?;
             let Some(wires) = wire_vec(&bits) else {
-                return err(&npath, "net bits must be wire indices, not constants");
+                return err(npath, "net bits must be wire indices, not constants");
             };
             if wires.is_empty() {
-                return err(&npath, "net has no bits");
+                return err(npath, "net has no bits");
             }
             if wires.len() > u32::MAX as usize {
-                return err(&npath, "net wider than u32::MAX bits");
+                return err(npath, "net wider than u32::MAX bits");
             }
             let name = get_attr(nv, "tensorlib_name")
                 .and_then(Value::as_str)
@@ -844,24 +868,24 @@ impl<'v> ModuleImporter<'v> {
         let mut port_order: Vec<Vec<u64>> = Vec::new();
         if let Some(ports) = v.get("ports").and_then(Value::as_object) {
             for (key, pv) in ports {
-                let ppath = format!("{path}.ports.{key}");
+                let ppath = path.at("ports", key);
                 let dir = match pv.get("direction").and_then(Value::as_str) {
                     Some("input") => Dir::Input,
                     Some("output") => Dir::Output,
-                    _ => return err(&ppath, "port direction must be \"input\" or \"output\""),
+                    _ => return err(ppath, "port direction must be \"input\" or \"output\""),
                 };
                 let bits = conn_bits(
                     pv.get("bits").ok_or_else(|| YosysError {
-                        path: ppath.clone(),
+                        path: ppath.to_string(),
                         msg: "missing `bits`".to_string(),
                     })?,
-                    &ppath,
+                    ppath,
                 )?;
                 let Some(wires) = wire_vec(&bits) else {
-                    return err(&ppath, "port bits must be wire indices");
+                    return err(ppath, "port bits must be wire indices");
                 };
                 if port_dirs.insert(wires.clone(), dir).is_some() {
-                    return err(&ppath, "duplicate port bit run");
+                    return err(ppath, "duplicate port bit run");
                 }
                 port_order.push(wires);
             }
@@ -877,12 +901,12 @@ impl<'v> ModuleImporter<'v> {
                 None => self.m.net(name.clone(), width),
             };
             if self.visible.insert(wires.clone(), id).is_some() {
-                return err(&path, format!("two nets share the bit run {wires:?}"));
+                return err(path, format!("two nets share the bit run {wires:?}"));
             }
         }
         for wires in &port_order {
             if !self.visible.contains_key(wires) {
-                return err(&path, "port bits do not match any net");
+                return err(path, "port bits do not match any net");
             }
         }
         // Cells: first index hidden operator outputs, then walk in document
@@ -894,8 +918,8 @@ impl<'v> ModuleImporter<'v> {
             if !ty.starts_with('$') || ty == "$sdff" || ty == "$sdffe" {
                 continue;
             }
-            let cpath = format!("{path}.cells.{key}");
-            let y = self.cell_conn(cv, "Y", &cpath)?;
+            let cpath = path.at("cells", key);
+            let y = self.cell_conn(cv, "Y", cpath)?;
             if let Some(wires) = wire_vec(&y) {
                 if !self.visible.contains_key(&wires) {
                     self.hidden.insert(wires, (key.as_str(), cv));
@@ -903,24 +927,20 @@ impl<'v> ModuleImporter<'v> {
             }
         }
         for (key, cv) in cells {
-            let cpath = format!("{path}.cells.{key}");
+            let cpath = path.at("cells", key);
             let ty = cv.get("type").and_then(Value::as_str).unwrap_or("");
             match ty {
                 "$sdff" | "$sdffe" => {
-                    let q = self.cell_conn(cv, "Q", &cpath)?;
+                    let q = self.cell_conn(cv, "Q", cpath)?;
                     let Some(wires) = wire_vec(&q) else {
-                        return err(&cpath, "register Q bits must be wire indices");
+                        return err(cpath, "register Q bits must be wire indices");
                     };
                     let Some(&target) = self.visible.get(&wires) else {
-                        return err(&cpath, "register Q must drive a named net");
+                        return err(cpath, "register Q must drive a named net");
                     };
-                    let next = self.resolve_expr(&self.cell_conn(cv, "D", &cpath)?, &cpath, 0)?;
+                    let next = self.resolve_expr(&self.cell_conn(cv, "D", cpath)?, cpath, 0)?;
                     let enable = if ty == "$sdffe" {
-                        Some(self.resolve_expr(
-                            &self.cell_conn(cv, "EN", &cpath)?,
-                            &cpath,
-                            0,
-                        )?)
+                        Some(self.resolve_expr(&self.cell_conn(cv, "EN", cpath)?, cpath, 0)?)
                     } else {
                         None
                     };
@@ -929,7 +949,7 @@ impl<'v> ModuleImporter<'v> {
                         .and_then(|p| p.get("SRST_VALUE"))
                         .and_then(Value::as_str)
                         .ok_or_else(|| YosysError {
-                            path: cpath.clone(),
+                            path: cpath.to_string(),
                             msg: "missing SRST_VALUE string parameter".to_string(),
                         })?;
                     let mut init = 0u64;
@@ -937,14 +957,14 @@ impl<'v> ModuleImporter<'v> {
                         match c {
                             '0' => {}
                             '1' if i < 64 => init |= 1 << i,
-                            '1' => return err(&cpath, "SRST_VALUE has set bits above bit 63"),
-                            _ => return err(&cpath, "SRST_VALUE must be a binary string"),
+                            '1' => return err(cpath, "SRST_VALUE has set bits above bit 63"),
+                            _ => return err(cpath, "SRST_VALUE must be a binary string"),
                         }
                     }
                     self.m.reg(target, next, enable, init);
                 }
                 t if t.starts_with('$') => {
-                    let y = self.cell_conn(cv, "Y", &cpath)?;
+                    let y = self.cell_conn(cv, "Y", cpath)?;
                     if let Some(wires) = wire_vec(&y) {
                         if let Some(&target) = self.visible.get(&wires) {
                             let expr = self.rebuild_cell(key, cv, 0)?;
@@ -953,7 +973,7 @@ impl<'v> ModuleImporter<'v> {
                         // Hidden intermediates are reached through
                         // resolve_expr from their consumers.
                     } else {
-                        return err(&cpath, "cell output bits must be wire indices");
+                        return err(cpath, "cell output bits must be wire indices");
                     }
                 }
                 _ => {
@@ -966,21 +986,18 @@ impl<'v> ModuleImporter<'v> {
                         .get("connections")
                         .and_then(Value::as_object)
                         .ok_or_else(|| YosysError {
-                            path: cpath.clone(),
+                            path: cpath.to_string(),
                             msg: "missing `connections` object".to_string(),
                         })?;
                     let mut conns: Vec<(String, NetId)> = Vec::with_capacity(conns_v.len());
                     for (port, bv) in conns_v {
-                        let bits = conn_bits(bv, &cpath)?;
+                        let bits = conn_bits(bv, cpath)?;
                         let Some(wires) = wire_vec(&bits) else {
-                            return err(
-                                &cpath,
-                                format!("connection {port:?} must be wire indices"),
-                            );
+                            return err(cpath, format!("connection {port:?} must be wire indices"));
                         };
                         let Some(&net) = self.visible.get(&wires) else {
                             return err(
-                                &cpath,
+                                cpath,
                                 format!("connection {port:?} must be a whole named net"),
                             );
                         };
@@ -1015,14 +1032,17 @@ pub fn import_yosys(root: &Value) -> Result<NetlistDoc, YosysError> {
     };
     let mut top: Option<String> = None;
     for (name, mv) in modules {
-        let path = format!("modules.{name}");
+        let path = Loc {
+            module: name,
+            entry: None,
+        };
         if get_attr(mv, "tensorlib_bank").is_some() {
-            doc.banks.push(import_bank(name, mv, &path)?);
+            doc.banks.push(import_bank(name, mv, path)?);
             continue;
         }
         if get_attr(mv, "top").is_some() {
             if top.is_some() {
-                return err(&path, "more than one module carries the `top` attribute");
+                return err(path, "more than one module carries the `top` attribute");
             }
             top = Some(name.clone());
         }
@@ -1048,6 +1068,7 @@ pub fn import_yosys(root: &Value) -> Result<NetlistDoc, YosysError> {
 /// JSON syntax errors surface at path `$`; structural problems carry the
 /// offending JSON path.
 pub fn parse_yosys(input: &str) -> Result<NetlistDoc, YosysError> {
+    let _span = tensorlib_obs::span("hw.yosys.parse");
     let root = json::parse(input).map_err(|msg| YosysError {
         path: "$".to_string(),
         msg,

@@ -15,6 +15,8 @@
 //! overflow `f64` entirely (e.g. `1e309`) are a parse error, never a
 //! silent infinity.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -303,8 +305,17 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 /// use the shortest representation that reparses to the same `f64`.
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write_value(f, self, 0)
+        f.write_str(&to_pretty(self))
     }
+}
+
+/// The pretty [`Display`] form as a `String`, written directly (no
+/// formatter in between); the writer for large documents such as Yosys
+/// JSON netlists.
+pub fn to_pretty(v: &Value) -> String {
+    let mut out = String::new();
+    write_pretty(&mut out, v, 0);
+    out
 }
 
 /// Serializes a [`Value`] to single-line JSON (no newlines, no indentation,
@@ -314,95 +325,140 @@ impl std::fmt::Display for Value {
 /// reconstructs `v` exactly.
 pub fn to_compact(v: &Value) -> String {
     let mut out = String::new();
-    write_compact(&mut out, v).expect("writing to a String cannot fail");
+    write_compact(&mut out, v);
     out
 }
 
-fn write_compact<W: std::fmt::Write>(f: &mut W, v: &Value) -> std::fmt::Result {
+fn write_compact(out: &mut String, v: &Value) {
     match v {
-        Value::Null | Value::Bool(_) | Value::Num(_) | Value::Str(_) => write_value(f, v, 0),
         Value::Arr(items) => {
-            f.write_str("[")?;
+            out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    f.write_str(",")?;
+                    out.push(',');
                 }
-                write_compact(f, item)?;
+                write_compact(out, item);
             }
-            f.write_str("]")
+            out.push(']');
         }
         Value::Obj(entries) => {
-            f.write_str("{")?;
+            out.push('{');
             for (i, (k, item)) in entries.iter().enumerate() {
                 if i > 0 {
-                    f.write_str(",")?;
+                    out.push(',');
                 }
-                write_string(f, k)?;
-                f.write_str(":")?;
-                write_compact(f, item)?;
+                write_string(out, k);
+                out.push(':');
+                write_compact(out, item);
             }
-            f.write_str("}")
+            out.push('}');
         }
+        scalar => write_pretty(out, scalar, 0),
     }
 }
 
-fn write_value<W: std::fmt::Write>(f: &mut W, v: &Value, indent: usize) -> std::fmt::Result {
+/// Spaces copied for indentation; deeper levels copy it more than once.
+const INDENT: &str = "                                ";
+
+fn push_indent(out: &mut String, mut n: usize) {
+    while n > INDENT.len() {
+        out.push_str(INDENT);
+        n -= INDENT.len();
+    }
+    out.push_str(&INDENT[..n]);
+}
+
+fn write_pretty(out: &mut String, v: &Value, indent: usize) {
     match v {
-        Value::Null => f.write_str("null"),
-        Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Num(n) => {
             const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
             if n.fract() == 0.0 && n.abs() <= EXACT {
-                write!(f, "{}", *n as i64)
+                write_int(out, *n as i64);
             } else {
                 // `{:?}` prints the shortest string that reparses exactly.
-                write!(f, "{n:?}")
+                write!(out, "{n:?}").expect("writing to a String cannot fail");
             }
         }
-        Value::Str(s) => write_string(f, s),
+        Value::Str(s) => write_string(out, s),
         Value::Arr(items) => {
             if items.is_empty() {
-                return f.write_str("[]");
+                out.push_str("[]");
+                return;
             }
-            f.write_str("[\n")?;
+            out.push_str("[\n");
             for (i, item) in items.iter().enumerate() {
-                write!(f, "{:indent$}", "", indent = indent + 2)?;
-                write_value(f, item, indent + 2)?;
-                f.write_str(if i + 1 < items.len() { ",\n" } else { "\n" })?;
+                push_indent(out, indent + 2);
+                write_pretty(out, item, indent + 2);
+                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
             }
-            write!(f, "{:indent$}]", "")
+            push_indent(out, indent);
+            out.push(']');
         }
         Value::Obj(entries) => {
             if entries.is_empty() {
-                return f.write_str("{}");
+                out.push_str("{}");
+                return;
             }
-            f.write_str("{\n")?;
+            out.push_str("{\n");
             for (i, (k, item)) in entries.iter().enumerate() {
-                write!(f, "{:indent$}", "", indent = indent + 2)?;
-                write_string(f, k)?;
-                f.write_str(": ")?;
-                write_value(f, item, indent + 2)?;
-                f.write_str(if i + 1 < entries.len() { ",\n" } else { "\n" })?;
+                push_indent(out, indent + 2);
+                write_string(out, k);
+                out.push_str(": ");
+                write_pretty(out, item, indent + 2);
+                out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
             }
-            write!(f, "{:indent$}}}", "")
+            push_indent(out, indent);
+            out.push('}');
         }
     }
 }
 
-fn write_string<W: std::fmt::Write>(f: &mut W, s: &str) -> std::fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Decimal digits of `n`, least significant first into a stack buffer.
+fn write_int(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut m = n.unsigned_abs();
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// A JSON string literal. Runs of bytes that need no escape are copied
+/// whole; only ASCII bytes are ever escaped, so a run never splits a
+/// UTF-8 sequence.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -567,5 +623,86 @@ mod tests {
             parse("9007199254740992").unwrap().to_string(),
             "9007199254740992"
         );
+    }
+
+    #[test]
+    fn writer_indents_past_the_indentation_constant() {
+        // 20 levels of nesting put the innermost value 40 spaces deep, past
+        // the 32-space INDENT slice.
+        let depth = 20;
+        let mut v = Value::Num(1.0);
+        for _ in 0..depth {
+            v = Value::Arr(vec![v]);
+        }
+        let mut expected = String::new();
+        for d in 1..=depth {
+            expected += "[\n";
+            expected += &" ".repeat(2 * d);
+        }
+        expected += "1";
+        for d in (0..depth).rev() {
+            expected += "\n";
+            expected += &" ".repeat(2 * d);
+            expected += "]";
+        }
+        assert_eq!(v.to_string(), expected);
+        assert!(v.to_string().contains(&format!("\n{}1\n", " ".repeat(40))));
+        assert_eq!(
+            to_compact(&v),
+            format!("{}1{}", "[".repeat(depth), "]".repeat(depth))
+        );
+    }
+
+    #[test]
+    fn writer_number_forms() {
+        let cases: [(f64, &str); 13] = [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (-7.0, "-7"),
+            (-9_007_199_254_740_992.0, "-9007199254740992"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            // 2^53 + 1 is not an f64: the literal rounds to 2^53.
+            (9_007_199_254_740_993.0, "9007199254740992"),
+            (9_007_199_254_740_994.0, "9007199254740994.0"),
+            (2.5, "2.5"),
+            (-0.125, "-0.125"),
+            (0.1, "0.1"),
+            (1e300, "1e300"),
+            (1.5e-7, "1.5e-7"),
+            (-2e20, "-2e20"),
+        ];
+        for (n, text) in cases {
+            assert_eq!(Value::Num(n).to_string(), text, "{n:?}");
+            assert_eq!(to_compact(&Value::Num(n)), text, "{n:?}");
+        }
+        assert_eq!(
+            parse("9007199254740993").unwrap().to_string(),
+            "9007199254740992"
+        );
+    }
+
+    #[test]
+    fn writer_escapes_control_characters_in_keys_and_values() {
+        let v = Value::Obj(vec![
+            (
+                "k\u{1}é\t".to_string(),
+                Value::Str("\u{0}😀\u{1f}\u{7f}\"\\/".to_string()),
+            ),
+            (
+                "日本\r\n".to_string(),
+                Value::Arr(vec![Value::Str("ü\u{8}\u{c}".to_string())]),
+            ),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            "{\n  \"k\\u0001é\\t\": \"\\u0000😀\\u001f\u{7f}\\\"\\\\/\",\n  \
+             \"日本\\r\\n\": [\n    \"ü\\u0008\\u000c\"\n  ]\n}"
+        );
+        assert_eq!(
+            to_compact(&v),
+            "{\"k\\u0001é\\t\":\"\\u0000😀\\u001f\u{7f}\\\"\\\\/\",\
+             \"日本\\r\\n\":[\"ü\\u0008\\u000c\"]}"
+        );
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
     }
 }

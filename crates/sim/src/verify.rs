@@ -34,7 +34,7 @@ use tensorlib_hw::fuzz::{
     check_batch_netlist, check_netlist, check_opt_netlist, check_text_roundtrip,
     check_yosys_roundtrip, gen_netlist, rust_repro, shrink_netlist, NetlistFuzzConfig,
 };
-use tensorlib_hw::interp::{elaborate_design, Interpreter};
+use tensorlib_hw::interp::{elaborate_design, FlatDesign, Interpreter};
 use tensorlib_hw::trace::TraceConfig;
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::{workloads, Kernel};
@@ -373,10 +373,12 @@ fn build_design(s: &PipelineSample) -> Result<(Kernel, AcceleratorDesign), Pipel
 }
 
 /// Runs one controller round on both engines, comparing every output port,
-/// detector, and the full hardware-counter block.
-fn differential_round(design: &AcceleratorDesign) -> Result<(), (String, String)> {
-    let flat = elaborate_design(design, design.top())
-        .map_err(|e| ("elaborate".to_string(), e.to_string()))?;
+/// detector, and the full hardware-counter block. `flat` is the design's
+/// elaboration.
+fn differential_round(
+    design: &AcceleratorDesign,
+    flat: FlatDesign,
+) -> Result<(), (String, String)> {
     let cfg = TraceConfig::counters_only();
     let mut fast = Interpreter::with_trace(flat.clone(), &cfg)
         .map_err(|e| ("trace".to_string(), e.to_string()))?;
@@ -468,10 +470,12 @@ fn differential_round(design: &AcceleratorDesign) -> Result<(), (String, String)
 /// on every lane every cycle plus the per-lane parity counters. This is the
 /// batched engine's pipeline-sampler integration: real generated designs,
 /// per-lane stimulus divergence.
-fn batched_round(design: &AcceleratorDesign, lanes: usize) -> Result<(), (String, String)> {
+fn batched_round(
+    design: &AcceleratorDesign,
+    flat: FlatDesign,
+    lanes: usize,
+) -> Result<(), (String, String)> {
     let load_err = |e: HwError| ("load".to_string(), e.to_string());
-    let flat = elaborate_design(design, design.top())
-        .map_err(|e| ("elaborate".to_string(), e.to_string()))?;
     let mut refs: Vec<Interpreter> =
         (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
     let mut batch = BatchSim::new(flat, lanes);
@@ -579,16 +583,26 @@ fn pipeline_outcome(seed: u64, lanes: usize, opt: bool) -> PipelineOutcome {
             }
         }
     }
-    if let Err((kind, detail)) = differential_round(&design) {
+    // One elaboration of the unoptimized design serves every round below.
+    let flat = match elaborate_design(&design, design.top()) {
+        Ok(flat) => flat,
+        Err(e) => {
+            return PipelineOutcome::Failed {
+                kind: "elaborate".into(),
+                detail: e.to_string(),
+            }
+        }
+    };
+    if let Err((kind, detail)) = differential_round(&design, flat.clone()) {
         return PipelineOutcome::Failed { kind, detail };
     }
     if lanes > 1 {
-        if let Err((kind, detail)) = batched_round(&design, lanes) {
+        if let Err((kind, detail)) = batched_round(&design, flat.clone(), lanes) {
             return PipelineOutcome::Failed { kind, detail };
         }
     }
     if opt {
-        if let Err((kind, detail)) = opt_round(&design) {
+        if let Err((kind, detail)) = opt_round(&design, flat) {
             return PipelineOutcome::Failed { kind, detail };
         }
     }
@@ -600,16 +614,15 @@ fn pipeline_outcome(seed: u64, lanes: usize, opt: bool) -> PipelineOutcome {
 /// controller round — the optimized design must validate, and a compiled
 /// interpreter running it must match a compiled interpreter running the
 /// unoptimized design on every watched output port every cycle (including
-/// the readback drain) plus the parity counters.
-fn opt_round(design: &AcceleratorDesign) -> Result<(), (String, String)> {
+/// the readback drain) plus the parity counters. `flat_ref` is the
+/// unoptimized design's elaboration.
+fn opt_round(design: &AcceleratorDesign, flat_ref: FlatDesign) -> Result<(), (String, String)> {
     let opt_err = |detail: String| ("opt_mismatch".to_string(), detail);
     let mut opt_design = design.clone();
     opt_design.optimize(&tensorlib_hw::opt::OptOptions::default());
     opt_design
         .validate()
         .map_err(|e| opt_err(format!("optimized design fails validation: {e}")))?;
-    let flat_ref = elaborate_design(design, design.top())
-        .map_err(|e| ("elaborate".to_string(), e.to_string()))?;
     let flat_opt = elaborate_design(&opt_design, opt_design.top())
         .map_err(|e| opt_err(format!("optimized design fails elaboration: {e}")))?;
     let mut reference = Interpreter::new(flat_ref);

@@ -165,6 +165,14 @@ done
 test -s "$profile_dir/p.folded"
 ./target/release/tensorlib stats gemm:4,4,4 MNK-SST --rows 4 --cols 4 -o - \
     | grep -q '"provenance"'
+# A profiled fuzz run splits the optimizer and the interchange round trips
+# into their own spans.
+./target/release/tensorlib fuzz --mode both --seeds 50 -o - \
+    --profile "$profile_dir/fuzz.trace.json" | grep -q '"total_findings": 0'
+for needle in '"hw.opt"' '"hw.opt.cse"' '"hw.text.emit"' '"hw.text.parse"' \
+    '"hw.yosys.emit"' '"hw.yosys.parse"'; do
+    grep -q "$needle" "$profile_dir/fuzz.trace.json"
+done
 rm -rf "$profile_dir"
 
 # Explore smoke: a small sweep prints the same top-20 table inert, journaled

@@ -347,3 +347,50 @@ fn batch_op_counts_are_deterministic_and_mostly_uniform() {
     assert!(lane > 0, "some rows diverge");
     assert!(uniform > 4 * lane, "uniform ops {uniform} vs lane ops {lane}");
 }
+
+/// The optimizer counts its CSE rounds and hoists. A pipeline campaign
+/// optimizes every sampled design, and the counts are deterministic, so
+/// they do not depend on the worker count. The `hw.opt.cse` span nests
+/// inside `hw.opt`.
+#[test]
+fn pipeline_campaign_counts_cse_work_independently_of_workers() {
+    use tensorlib::sim::verify::{run_pipeline_campaign, VerifyConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let record = |workers: usize| {
+        let cfg = VerifyConfig {
+            seed_start: 40,
+            seeds: 24,
+            workers,
+            ..VerifyConfig::default()
+        };
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        let report = run_pipeline_campaign(&cfg);
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        session
+    };
+    let counters = |session: &tensorlib_obs::Session| {
+        ["hw.opt.cse_rounds", "hw.opt.cse_hoists"]
+            .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
+    };
+    let serial = record(1);
+    assert!(
+        (serial.spans.iter()).any(|s| s.name == "hw.opt.cse" && s.path.contains("hw.opt;")),
+        "no hw.opt.cse span inside hw.opt"
+    );
+    let [rounds, hoists] = counters(&serial);
+    assert!(hoists > 0, "no subexpression was shared");
+    assert!(
+        rounds > hoists,
+        "every module ends with a round that hoists nothing"
+    );
+    assert_eq!(
+        counters(&serial),
+        counters(&record(2)),
+        "CSE counts vary with workers"
+    );
+}

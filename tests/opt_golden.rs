@@ -5,11 +5,23 @@
 //! bytecode op counts, and the worst combinational depth. Any optimizer or
 //! generator change that moves these numbers must update the table — the
 //! diff review then *is* the size/depth regression review.
+//!
+//! Two byte pins sit beside the size pins: FNV-1a digests of the optimized
+//! netlists' text and of the unoptimized Yosys-JSON, over 300 fuzz netlists
+//! and the six Fig. 5 designs. A change to the optimizer's or the JSON
+//! writer's internals that is meant to be output-neutral must leave both
+//! digests where they are.
 
+use tensorlib::hw::fuzz::{gen_netlist, NetlistFuzzConfig};
 use tensorlib::hw::interp::{elaborate, elaborate_design, flat_op_count};
 use tensorlib::hw::opt::{netlist_stats, optimize_netlist, OptOptions};
 use tensorlib::hw::pe::{build_pe, PeIoKind, PeSpec, PeTensorSpec};
+use tensorlib::hw::text::{emit_text, NetlistDoc};
+use tensorlib::hw::yosys::emit_yosys;
 use tensorlib::ir::DataType;
+use tensorlib::sim::journal::fnv1a64;
+use tensorlib_cli::resolve_workload;
+use tensorlib_dataflow::dse::{find_named, DseConfig};
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib_hw::design::{generate, HwConfig};
 use tensorlib_hw::fault::Hardening;
@@ -181,4 +193,72 @@ fn tmr_hardened_gemm_clears_the_ten_percent_bar() {
         (post_ops as f64) <= 0.9 * pre_ops as f64,
         "op reduction below 10% on the hardened reference: {pre_ops} -> {post_ops}"
     );
+}
+
+/// The byte-pin corpus: 300 fuzz netlists (default generator config) and
+/// the six Fig. 5 designs on a 4×4 array, unhardened and hardened with
+/// TMR, parity and ABFT. Each entry is an interchange document.
+fn byte_pin_corpus() -> Vec<NetlistDoc> {
+    let cfg = NetlistFuzzConfig::default();
+    let mut docs: Vec<NetlistDoc> = (0..300)
+        .map(|seed| {
+            let (modules, top) = gen_netlist(seed, &cfg);
+            NetlistDoc::from_modules(&modules, &top)
+        })
+        .collect();
+    let fig5 = [
+        ("gemm", "MNK-SST"),
+        ("batched-gemv", "MNK-UTS"),
+        ("conv2d", "KCX-SST"),
+        ("depthwise", "XYP-MMM"),
+        ("mttkrp", "IKL-UBBB"),
+        ("ttmc", "IJK-BBBU"),
+    ];
+    for harden in ["none", "tmr,parity,abft"] {
+        for (workload, dataflow) in fig5 {
+            let kernel = resolve_workload(workload).expect("Fig. 5 workload");
+            let df = find_named(&kernel, dataflow, &DseConfig::default()).expect("Fig. 5 dataflow");
+            let cfg = HwConfig {
+                array: ArrayConfig::square(4),
+                hardening: Hardening::parse(harden).expect("hardening list"),
+                ..HwConfig::default()
+            };
+            let design = generate(&df, &cfg).expect("Fig. 5 design generates");
+            docs.push(NetlistDoc::from_design(&design));
+        }
+    }
+    docs
+}
+
+/// FNV-1a over the concatenation of `render(doc)` for every document.
+fn corpus_digest(docs: &[NetlistDoc], render: impl Fn(&NetlistDoc) -> String) -> u64 {
+    let text: String = docs.iter().map(render).collect();
+    fnv1a64(text.as_bytes())
+}
+
+/// Pins the optimizer's output bytes: the textual emission of every
+/// optimized corpus document. The optimizer's candidate order, hoist
+/// choices and `cse_<n>` naming all show up in these bytes, so a rewrite of
+/// its internals that changes any decision moves the digest.
+#[test]
+fn optimizer_output_bytes_are_pinned() {
+    let docs = byte_pin_corpus();
+    let digest = corpus_digest(&docs, |doc| {
+        let (modules, _) = optimize_netlist(&doc.modules, &doc.top, &OptOptions::default());
+        emit_text(&NetlistDoc {
+            modules,
+            banks: doc.banks.clone(),
+            top: doc.top.clone(),
+        })
+    });
+    assert_eq!(digest, 0x5c01_b58f_5183_6c74, "optimizer output bytes moved: {digest:#018x}");
+}
+
+/// Pins the Yosys-JSON writer's output bytes over the same corpus,
+/// unoptimized, as the fuzz round-trip oracle emits it.
+#[test]
+fn yosys_json_bytes_are_pinned() {
+    let docs = byte_pin_corpus();
+    let digest = corpus_digest(&docs, emit_yosys);
+    assert_eq!(digest, 0xf898_377f_f366_1c37, "Yosys-JSON bytes moved: {digest:#018x}");
 }
