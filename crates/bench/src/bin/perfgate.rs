@@ -57,9 +57,16 @@ const BATCH_SIM_LANES: usize = 64;
 const BATCH_SIM_SPEEDUP_FLOOR: f64 = 4.0;
 
 /// On a multi-core host, the parallel [`explore`] sweep must beat the
-/// serial one by at least this factor. Skipped when `host_cores == 1`,
-/// where 1.0× is expected and the gate is meaningless.
+/// serial one by at least this factor (the median of [`EXPLORE_PAIRS`]
+/// paired ratios). Skipped when `host_cores == 1`, where 1.0× is expected
+/// and the gate is meaningless.
 const EXPLORE_SPEEDUP_FLOOR: f64 = 1.15;
+
+/// Interleaved serial/parallel sweep pairs behind the explore-speedup gate;
+/// odd so the median is a true middle element. One GEMM-32 sweep takes
+/// tens of milliseconds, so a single pair is at the mercy of one scheduling
+/// hiccup on a shared host.
+const EXPLORE_PAIRS: usize = 15;
 
 /// The netlist optimizer must remove at least this fraction of the compiled
 /// bytecode ops-per-cycle on the redundancy-bearing reference design — the
@@ -341,14 +348,26 @@ struct ExploreReport {
     /// speedup because the gate on it is only meaningful when this exceeds
     /// one.
     host_cores: usize,
+    /// Median serial sweep time over the pairs.
     serial_seconds: f64,
+    /// Median parallel sweep time over the pairs.
     parallel_seconds: f64,
     parallel_workers: usize,
+    /// Median of the per-pair `serial / parallel` ratios.
     speedup: f64,
+    /// Every timed pair, in run order; even pairs ran serial first, odd
+    /// pairs parallel first.
+    pairs: Vec<ExplorePair>,
     /// `Some` when the parallel-speedup gate was skipped (single-core host:
     /// serial and parallel sweeps are expected to tie); `null` when the
     /// gate ran. Uniform [`GateSkip`] shape.
     skipped: Option<GateSkip>,
+}
+
+#[derive(Serialize)]
+struct ExplorePair {
+    serial_seconds: f64,
+    parallel_seconds: f64,
 }
 
 /// Builds the flattened 4×4 output-stationary (MNK-SST) GEMM array.
@@ -696,21 +715,24 @@ fn bench_obs_overhead() -> ObsOverheadReport {
     }
 }
 
+/// Times [`EXPLORE_PAIRS`] serial/parallel GEMM-32 sweep pairs, alternating
+/// which side runs first, after one untimed pair that also checks the
+/// results do not depend on the worker count.
 fn bench_explore(host_cores: usize) -> ExploreReport {
     let kernel = workloads::gemm(32, 32, 32);
     let serial_opts = ExploreOptions {
         workers: 1,
         ..ExploreOptions::default()
     };
-    let start = Instant::now();
-    let serial = explore(&kernel, &serial_opts);
-    let serial_seconds = start.elapsed().as_secs_f64();
-
     let parallel_opts = ExploreOptions::default(); // workers = 0 → per-core
-    let start = Instant::now();
-    let parallel = explore(&kernel, &parallel_opts);
-    let parallel_seconds = start.elapsed().as_secs_f64();
+    let sweep = |opts: &ExploreOptions| {
+        let start = Instant::now();
+        let points = explore(&kernel, opts);
+        (start.elapsed().as_secs_f64(), points)
+    };
 
+    let (_, serial) = sweep(&serial_opts);
+    let (_, parallel) = sweep(&parallel_opts);
     assert_eq!(serial.len(), parallel.len(), "worker count changed results");
     assert!(
         serial
@@ -719,14 +741,35 @@ fn bench_explore(host_cores: usize) -> ExploreReport {
             .all(|(a, b)| a.name == b.name && a.performance.total_cycles == b.performance.total_cycles),
         "worker count changed result ordering"
     );
+
+    let pairs: Vec<ExplorePair> = (0..EXPLORE_PAIRS)
+        .map(|round| {
+            let (serial_seconds, parallel_seconds) = if round % 2 == 0 {
+                let s = sweep(&serial_opts).0;
+                (s, sweep(&parallel_opts).0)
+            } else {
+                let p = sweep(&parallel_opts).0;
+                (sweep(&serial_opts).0, p)
+            };
+            ExplorePair {
+                serial_seconds,
+                parallel_seconds,
+            }
+        })
+        .collect();
+    let mut serial_times: Vec<f64> = pairs.iter().map(|p| p.serial_seconds).collect();
+    let mut parallel_times: Vec<f64> = pairs.iter().map(|p| p.parallel_seconds).collect();
+    // Paired ratios first: `median` sorts its samples.
+    let speedup = median_ratio(&serial_times, &parallel_times);
     ExploreReport {
         workload: "GEMM-32 full sweep".into(),
         designs: serial.len(),
         host_cores,
-        serial_seconds,
-        parallel_seconds,
+        speedup,
+        serial_seconds: median(&mut serial_times),
+        parallel_seconds: median(&mut parallel_times),
         parallel_workers: host_cores,
-        speedup: serial_seconds / parallel_seconds,
+        pairs,
         skipped: (host_cores == 1).then(|| GateSkip {
             reason: "host_cores == 1: serial and parallel sweeps are expected to tie".into(),
         }),

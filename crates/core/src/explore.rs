@@ -620,32 +620,22 @@ impl journal::Campaign for ExploreCampaign<'_> {
     }
 
     /// Scored designs, point errors (with the `panicked` subset), skipped
-    /// and degraded candidates. An undecodable payload counts as nothing:
-    /// telemetry is best-effort.
-    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
-        let mut counts = BTreeMap::new();
-        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-            return counts;
-        };
-        if let Some(rows) = doc.get("rows").and_then(Value::as_array) {
-            *counts.entry("designs".to_string()).or_insert(0) += rows.len() as u64;
-        }
-        if let Some(errors) = doc.get("errors").and_then(Value::as_array) {
-            *counts.entry("errors".to_string()).or_insert(0) += errors.len() as u64;
-            let panicked = errors
-                .iter()
-                .filter(|e| e.get("Panicked").is_some())
-                .count() as u64;
-            if panicked > 0 {
-                *counts.entry("panicked".to_string()).or_insert(0) += panicked;
-            }
-        }
-        for key in ["skipped", "degraded"] {
-            if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-                *counts.entry(key.to_string()).or_insert(0) += n;
-            }
-        }
-        counts
+    /// and degraded candidates.
+    fn count_outcomes(chunk: &ExploreSweepReport) -> BTreeMap<String, u64> {
+        let panicked = (chunk.errors.iter())
+            .filter(|e| matches!(e, PointError::Panicked { .. }))
+            .count() as u64;
+        [
+            ("designs", chunk.rows.len() as u64),
+            ("errors", chunk.errors.len() as u64),
+            ("panicked", panicked),
+            ("skipped", chunk.skipped),
+            ("degraded", chunk.degraded),
+        ]
+        .into_iter()
+        .filter(|&(key, n)| key != "panicked" || n > 0)
+        .map(|(key, n)| (key.to_string(), n))
+        .collect()
     }
 }
 

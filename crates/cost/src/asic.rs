@@ -163,9 +163,10 @@ fn broadcast_endpoint_count(s: &tensorlib_hw::ResourceSummary) -> f64 {
 /// during the short load phase (charged at load duty cycle ≈ 10%).
 fn broadcast_byte_endpoints(design: &DesignPlan) -> f64 {
     use tensorlib_hw::array::PortKind;
+    // Summed port by port, in port order: the sum's bits depend on it.
     design
-        .array_ports()
-        .iter()
+        .array_catalog()
+        .port_shapes()
         .filter(|p| p.fanout > 1)
         .map(|p| {
             let duty = match p.kind {

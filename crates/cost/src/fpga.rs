@@ -115,8 +115,8 @@ pub fn fpga_cost(
         k::LUT_PER_INT16_MAC
     };
     let broadcast_endpoints: u64 = design
-        .array_ports()
-        .iter()
+        .array_catalog()
+        .port_shapes()
         .filter(|p| p.fanout > 1)
         .map(|p| p.fanout as u64)
         .sum();

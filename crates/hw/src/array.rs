@@ -209,44 +209,70 @@ pub enum PortLines {
 
 impl PortLines {
     /// Each line's first PE and length on a `rows × cols` grid, in line
-    /// order, without materializing the lines.
+    /// order (row-major by first PE), without materializing the lines.
     ///
     /// # Panics
     ///
-    /// Panics on `Along([0, 0])`.
-    pub fn spans(self, rows: usize, cols: usize) -> Vec<((usize, usize), usize)> {
+    /// Panics on `Along([0, 0])` or a direction stepping more than one PE
+    /// per axis.
+    pub fn spans(self, rows: usize, cols: usize) -> impl Iterator<Item = ((usize, usize), usize)> {
+        if let PortLines::Along(dp) = self {
+            assert!(dp != [0, 0], "direction must be nonzero");
+            assert!(
+                dp[0].abs() <= 1 && dp[1].abs() <= 1,
+                "direction must step at most one PE per axis"
+            );
+        }
+        (0..rows).flat_map(move |r| {
+            self.starts_in_row(r, rows, cols)
+                .map(move |c| ((r, c), self.span_len(r, c, rows, cols)))
+        })
+    }
+
+    /// The columns of row `r` where a line starts.
+    fn starts_in_row(self, r: usize, rows: usize, cols: usize) -> std::ops::Range<usize> {
         match self {
-            PortLines::Along(dp) => {
-                assert!(dp != [0, 0], "direction must be nonzero");
-                let in_grid =
-                    |r: i64, c: i64| r >= 0 && c >= 0 && (r as usize) < rows && (c as usize) < cols;
-                let mut spans = Vec::new();
-                for r in 0..rows as i64 {
-                    for c in 0..cols as i64 {
-                        // A line starts only at a cell with no predecessor.
-                        if in_grid(r - dp[0], c - dp[1]) {
-                            continue;
-                        }
-                        let mut len = 0;
-                        while in_grid(r + len as i64 * dp[0], c + len as i64 * dp[1]) {
-                            len += 1;
-                        }
-                        spans.push(((r as usize, c as usize), len));
-                    }
+            // A cell starts a line when the step back from it leaves the
+            // grid: every cell of the first row along the direction, else
+            // the first column along it.
+            PortLines::Along([dr, dc]) => {
+                let first_row = match dr {
+                    1 => r == 0,
+                    -1 => r + 1 == rows,
+                    _ => false,
+                };
+                match (first_row, dc) {
+                    (true, _) => 0..cols,
+                    (false, 1) => 0..1,
+                    (false, -1) => cols - 1..cols,
+                    _ => 0..0,
                 }
-                spans
             }
-            PortLines::Whole => vec![((0, 0), rows * cols)],
-            PortLines::PerPe => (0..rows)
-                .flat_map(|r| (0..cols).map(move |c| ((r, c), 1)))
-                .collect(),
+            PortLines::Whole if r == 0 => 0..1,
+            PortLines::Whole => 0..0,
+            PortLines::PerPe => 0..cols,
+        }
+    }
+
+    /// Length of the line starting at `(r, c)`.
+    fn span_len(self, r: usize, c: usize, rows: usize, cols: usize) -> usize {
+        match self {
+            PortLines::Along([dr, dc]) => {
+                let steps = |d: i64, i: usize, n: usize| match d {
+                    1 => n - i,
+                    -1 => i + 1,
+                    _ => usize::MAX,
+                };
+                steps(dr, r, rows).min(steps(dc, c, cols))
+            }
+            PortLines::Whole => rows * cols,
+            PortLines::PerPe => 1,
         }
     }
 
     /// The PE lines of a `rows × cols` grid: each span walked in order.
     pub fn lines(self, rows: usize, cols: usize) -> Vec<Vec<(usize, usize)>> {
         self.spans(rows, cols)
-            .into_iter()
             .map(|((r, c), len)| match self {
                 PortLines::Along(dp) => (0..len as i64)
                     .map(|i| {
@@ -276,15 +302,70 @@ pub enum PortWiring {
     Tree,
 }
 
-/// One tensor's share of the [`ArrayCatalog`].
+/// How a group's port names are formed from its tensor's lowercased name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortStem {
+    /// `{tensor}_{stem}{line}`: numbered in line order.
+    Line(&'static str),
+    /// `{tensor}_bc`: the one port of a full-array broadcast.
+    Broadcast,
+    /// `{tensor}_u_r{r}c{c}` for inputs, `{tensor}_o_r{r}c{c}` for outputs:
+    /// one port per PE, named by grid position.
+    Grid,
+}
+
+/// One tensor's share of the [`ArrayCatalog`]: its ports, one per line,
+/// which share a tensor, role, width and naming scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortGroup {
-    /// The PE lines its ports serve.
+    /// Which tensor the ports serve.
+    pub tensor: String,
+    /// Their role.
+    pub kind: PortKind,
+    /// Their width in bits.
+    pub width: u32,
+    /// How they are named.
+    pub stem: PortStem,
+    /// The PE lines they serve.
     pub lines: PortLines,
     /// How each port meets its line.
     pub wiring: PortWiring,
-    /// Its ports, as a range of [`ArrayCatalog::ports`].
+    /// Their indices in catalog port order.
     pub ports: std::ops::Range<usize>,
+}
+
+impl PortGroup {
+    /// How many PEs observe the port of a line of `len` PEs.
+    fn fanout(&self, len: usize) -> usize {
+        match self.wiring {
+            PortWiring::Chain => 1,
+            PortWiring::Fanout | PortWiring::Tree => len,
+        }
+    }
+
+    /// The name of the port serving line `li`, which starts at PE
+    /// `(r, c)`; `lo` is the lowercased tensor name.
+    fn port_name(&self, lo: &str, li: usize, (r, c): (usize, usize)) -> String {
+        match self.stem {
+            PortStem::Line(stem) => format!("{lo}_{stem}{li}"),
+            PortStem::Broadcast => format!("{lo}_bc"),
+            PortStem::Grid => {
+                let io = if self.kind.is_input() { "u" } else { "o" };
+                format!("{lo}_{io}_r{r}c{c}")
+            }
+        }
+    }
+}
+
+/// What the resource census and the cost models read of one array port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortShape {
+    /// Its role.
+    pub kind: PortKind,
+    /// Width in bits.
+    pub width: u32,
+    /// How many PEs observe it combinationally (1 for chains).
+    pub fanout: usize,
 }
 
 /// A reduction-tree module the array instantiates.
@@ -301,11 +382,17 @@ pub struct TreeSpec {
 /// The array's interface and reduction-tree census, derived from the flows
 /// alone: everything the cost and cycle models read about the array, and
 /// the plan [`build_array`] wires the netlist from.
+///
+/// Ports are described per group, not one by one: nothing here names a
+/// port. [`ArrayCatalog::port_shapes`] walks the ports' shapes without
+/// allocating, and [`ArrayCatalog::ports`] materializes the named ports for
+/// the consumers that wire or drive them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayCatalog {
-    /// Top-level data ports, in deterministic order.
-    pub ports: Vec<ArrayPort>,
-    /// Port groups, one per flow (and PE spec entry), in flow order.
+    /// The PE grid the lines lie on.
+    pub grid: ArrayConfig,
+    /// Port groups, one per flow (and PE spec entry), in flow order; their
+    /// ports are numbered consecutively in this order.
     pub groups: Vec<PortGroup>,
     /// Distinct reduction-tree modules, in first-use order.
     pub trees: Vec<TreeSpec>,
@@ -316,6 +403,58 @@ pub struct ArrayCatalog {
 }
 
 impl ArrayCatalog {
+    /// Number of top-level data ports.
+    pub fn port_count(&self) -> usize {
+        self.groups.last().map_or(0, |g| g.ports.end)
+    }
+
+    /// The group holding port `port` (an index in port order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not below [`ArrayCatalog::port_count`].
+    pub fn group_of(&self, port: usize) -> &PortGroup {
+        &self.groups[self.groups.partition_point(|g| g.ports.end <= port)]
+    }
+
+    /// Each port's shape, in port order.
+    pub fn port_shapes(&self) -> impl Iterator<Item = PortShape> + '_ {
+        let ArrayConfig { rows, cols } = self.grid;
+        self.groups.iter().flat_map(move |g| {
+            g.lines.spans(rows, cols).map(move |(_, len)| PortShape {
+                kind: g.kind,
+                width: g.width,
+                fanout: g.fanout(len),
+            })
+        })
+    }
+
+    /// The top-level data ports' names, in port order.
+    pub fn port_names(&self) -> Vec<String> {
+        let ArrayConfig { rows, cols } = self.grid;
+        let mut names = Vec::with_capacity(self.port_count());
+        for g in &self.groups {
+            let lo = g.tensor.to_lowercase();
+            let lines = g.lines.spans(rows, cols).enumerate();
+            names.extend(lines.map(|(li, (start, _))| g.port_name(&lo, li, start)));
+        }
+        names
+    }
+
+    /// The top-level data ports, named, in port order.
+    pub fn ports(&self) -> Vec<ArrayPort> {
+        let tensors = (self.groups.iter()).flat_map(|g| g.ports.clone().map(move |_| &g.tensor));
+        (self.port_names().into_iter().zip(tensors).zip(self.port_shapes()))
+            .map(|((name, tensor), p)| ArrayPort {
+                tensor: tensor.clone(),
+                kind: p.kind,
+                name,
+                width: p.width,
+                fanout: p.fanout,
+            })
+            .collect()
+    }
+
     /// Builds the reduction-tree modules the array instantiates.
     pub fn tree_modules(&self) -> Vec<Module> {
         self.trees
@@ -350,10 +489,6 @@ fn tree_name(array: &str, lo: &str, inputs: usize) -> String {
 ///
 /// Panics if `dp` is zero or steps more than one PE per axis.
 pub fn direction_lines(rows: usize, cols: usize, dp: [i64; 2]) -> Vec<Vec<(usize, usize)>> {
-    assert!(
-        dp[0].abs() <= 1 && dp[1].abs() <= 1,
-        "direction must step at most one PE per axis"
-    );
     PortLines::Along(dp).lines(rows, cols)
 }
 
@@ -447,35 +582,33 @@ pub fn array_catalog(
     let w = pe_spec.datatype.bits();
     let acc_w = pe_spec.datatype.accumulator_bits();
     let mut catalog = ArrayCatalog {
-        ports: Vec::new(),
+        grid: *cfg,
         groups: Vec::with_capacity(flows.len()),
         trees: Vec::new(),
         tree_adders: 0,
         tree_reg_bits: 0,
     };
+    let mut ports = 0;
     for (fi, f) in flows.iter().enumerate() {
-        let lo = f.tensor.to_lowercase();
-        // (lines, wiring, port kind, name stem; `None` names ports by grid
-        // position instead of line index).
         let (lines, wiring, kind, stem) = match pe_spec.tensors[fi].kind {
             PeIoKind::SystolicIn => (
                 PortLines::Along(wiring_dp(&f.class).unwrap_or([1, 0])),
                 PortWiring::Chain,
                 PortKind::SystolicFeed,
-                Some("feed"),
+                PortStem::Line("feed"),
             ),
             PeIoKind::SystolicOut => (
                 PortLines::Along(wiring_dp(&f.class).unwrap_or([1, 0])),
                 PortWiring::Chain,
                 PortKind::SystolicDrain,
-                Some("drain"),
+                PortStem::Line("drain"),
             ),
             // Stationary outputs drain down columns.
             PeIoKind::StationaryOut => (
                 PortLines::Along([1, 0]),
                 PortWiring::Chain,
                 PortKind::StationaryDrain,
-                Some("drain"),
+                PortStem::Line("drain"),
             ),
             PeIoKind::StationaryIn => match &f.class {
                 // Load by line multicast (or full-array broadcast).
@@ -483,20 +616,20 @@ pub fn array_catalog(
                     PortLines::Along(*dp),
                     PortWiring::Fanout,
                     PortKind::StationaryLoad,
-                    Some("load"),
+                    PortStem::Line("load"),
                 ),
                 FlowClass::FullReuse => (
                     PortLines::Whole,
                     PortWiring::Fanout,
                     PortKind::StationaryLoad,
-                    Some("load"),
+                    PortStem::Line("load"),
                 ),
                 // Shift-chain load down columns.
                 _ => (
                     PortLines::Along([1, 0]),
                     PortWiring::Chain,
                     PortKind::StationaryLoad,
-                    Some("load"),
+                    PortStem::Line("load"),
                 ),
             },
             PeIoKind::DirectIn => match &f.class {
@@ -504,20 +637,20 @@ pub fn array_catalog(
                     PortLines::Along(*dp),
                     PortWiring::Fanout,
                     PortKind::Multicast,
-                    Some("mc"),
+                    PortStem::Line("mc"),
                 ),
                 FlowClass::Broadcast { .. } => (
                     PortLines::Whole,
                     PortWiring::Fanout,
                     PortKind::Multicast,
-                    Some("bc"),
+                    PortStem::Broadcast,
                 ),
                 // Unicast: a port per PE.
                 _ => (
                     PortLines::PerPe,
                     PortWiring::Fanout,
                     PortKind::Unicast,
-                    None,
+                    PortStem::Grid,
                 ),
             },
             PeIoKind::ReduceOut => (
@@ -528,34 +661,31 @@ pub fn array_catalog(
                 }),
                 PortWiring::Tree,
                 PortKind::ReduceSum,
-                Some("sum"),
+                PortStem::Line("sum"),
             ),
             PeIoKind::DirectOut => (
                 PortLines::PerPe,
                 PortWiring::Fanout,
                 PortKind::UnicastOut,
-                None,
+                PortStem::Grid,
             ),
         };
         // Inputs carry operands; outputs carry accumulators.
         let width = if kind.is_input() { w } else { acc_w };
-        let first = catalog.ports.len();
-        for (li, ((r, c), len)) in lines.spans(cfg.rows, cfg.cols).into_iter().enumerate() {
-            let port_name = match stem {
-                // The one broadcast port carries no line index.
-                Some("bc") => format!("{lo}_bc"),
-                Some(stem) => format!("{lo}_{stem}{li}"),
-                None => {
-                    let io = if kind.is_input() { "u" } else { "o" };
-                    format!("{lo}_{io}_r{r}c{c}")
-                }
-            };
-            let fanout = match wiring {
-                PortWiring::Chain => 1,
-                PortWiring::Fanout | PortWiring::Tree => len,
-            };
-            if wiring == PortWiring::Tree {
-                let tree = tree_name(name, &lo, len);
+        let first = ports;
+        // One tree instance per line; one tree module (and name) per
+        // distinct line length, in first-use order.
+        let mut tree_lens: Vec<usize> = Vec::new();
+        for (_, len) in lines.spans(cfg.rows, cfg.cols) {
+            ports += 1;
+            if wiring != PortWiring::Tree {
+                continue;
+            }
+            catalog.tree_adders += (len as u64).saturating_sub(1);
+            catalog.tree_reg_bits += tree_instance_reg_bits(len, width);
+            if !tree_lens.contains(&len) {
+                tree_lens.push(len);
+                let tree = tree_name(name, &f.tensor.to_lowercase(), len);
                 if !catalog.trees.iter().any(|t| t.name == tree) {
                     catalog.trees.push(TreeSpec {
                         name: tree,
@@ -563,21 +693,16 @@ pub fn array_catalog(
                         width,
                     });
                 }
-                catalog.tree_adders += (len as u64).saturating_sub(1);
-                catalog.tree_reg_bits += tree_instance_reg_bits(len, width);
             }
-            catalog.ports.push(ArrayPort {
-                tensor: f.tensor.clone(),
-                kind,
-                name: port_name,
-                width,
-                fanout,
-            });
         }
         catalog.groups.push(PortGroup {
+            tensor: f.tensor.clone(),
+            kind,
+            width,
+            stem,
             lines,
             wiring,
-            ports: first..catalog.ports.len(),
+            ports: first..ports,
         });
     }
     Ok(catalog)
@@ -585,7 +710,9 @@ pub fn array_catalog(
 
 /// Assembles the PE array module named `name`, wiring the ports of
 /// `catalog` (from [`array_catalog`] with the same arguments) to the PE
-/// grid. Reduction-tree modules come from [`ArrayCatalog::tree_modules`].
+/// grid; `port_names` are the catalog's [`ArrayCatalog::port_names`], which
+/// become the ports' nets. Reduction-tree modules come from
+/// [`ArrayCatalog::tree_modules`].
 #[allow(clippy::needless_range_loop)] // r/c are grid coordinates, not slice walks
 pub fn build_array(
     name: &str,
@@ -593,6 +720,7 @@ pub fn build_array(
     flows: &[TensorFlow],
     cfg: &ArrayConfig,
     catalog: &ArrayCatalog,
+    port_names: Vec<String>,
 ) -> Module {
     let w = pe_spec.datatype.bits();
     let acc_w = pe_spec.datatype.accumulator_bits();
@@ -667,45 +795,46 @@ pub fn build_array(
     }
 
     // Wire every catalog port to its line of PEs.
+    let mut port_names = port_names.into_iter();
     for (fi, group) in catalog.groups.iter().enumerate() {
-        let lo = flows[fi].tensor.to_lowercase();
-        let lines = group.lines.lines(cfg.rows, cfg.cols);
-        let ports = &catalog.ports[group.ports.clone()];
-        for (li, (port, line)) in ports.iter().zip(&lines).enumerate() {
-            match group.wiring {
-                PortWiring::Chain => {
-                    let (hr, hc) = line[0];
-                    if port.kind.is_input() {
-                        let p = m.input(port.name.clone(), port.width);
-                        m.assign(in_nets[hr][fi][hc], Expr::net(p));
-                    } else {
-                        // Output chains start from zero partial sums.
-                        m.assign(in_nets[hr][fi][hc], Expr::lit(0, port.width));
-                    }
-                    for win in line.windows(2) {
-                        let (pr, pc) = win[0];
-                        let (nr, nc) = win[1];
-                        m.assign(in_nets[nr][fi][nc], Expr::net(out_nets[pr][fi][pc]));
-                    }
-                    if !port.kind.is_input() {
-                        let (tr, tc) = *line.last().expect("nonempty line");
-                        let p = m.output(port.name.clone(), port.width);
-                        m.assign(p, Expr::net(out_nets[tr][fi][tc]));
-                    }
+        let lo = group.tensor.to_lowercase();
+        let width = group.width;
+        for (li, line) in group.lines.lines(cfg.rows, cfg.cols).iter().enumerate() {
+            let port_name = port_names.next().expect("one name per catalog port");
+            let link_chain = |m: &mut Module| {
+                for win in line.windows(2) {
+                    let (pr, pc) = win[0];
+                    let (nr, nc) = win[1];
+                    m.assign(in_nets[nr][fi][nc], Expr::net(out_nets[pr][fi][pc]));
                 }
-                PortWiring::Fanout if port.kind.is_input() => {
-                    let p = m.input(port.name.clone(), port.width);
+            };
+            let (hr, hc) = line[0];
+            match group.wiring {
+                PortWiring::Chain if group.kind.is_input() => {
+                    let p = m.input(port_name, width);
+                    m.assign(in_nets[hr][fi][hc], Expr::net(p));
+                    link_chain(&mut m);
+                }
+                PortWiring::Chain => {
+                    // Output chains start from zero partial sums.
+                    m.assign(in_nets[hr][fi][hc], Expr::lit(0, width));
+                    link_chain(&mut m);
+                    let (tr, tc) = *line.last().expect("nonempty line");
+                    let p = m.output(port_name, width);
+                    m.assign(p, Expr::net(out_nets[tr][fi][tc]));
+                }
+                PortWiring::Fanout if group.kind.is_input() => {
+                    let p = m.input(port_name, width);
                     for &(r, c) in line {
                         m.assign(in_nets[r][fi][c], Expr::net(p));
                     }
                 }
                 PortWiring::Fanout => {
-                    let (r, c) = line[0];
-                    let p = m.output(port.name.clone(), port.width);
-                    m.assign(p, Expr::net(out_nets[r][fi][c]));
+                    let p = m.output(port_name, width);
+                    m.assign(p, Expr::net(out_nets[hr][fi][hc]));
                 }
                 PortWiring::Tree => {
-                    let sum = m.output(port.name.clone(), port.width);
+                    let sum = m.output(port_name, width);
                     let mut conns = vec![("sum".to_string(), sum)];
                     for (i, &(r, c)) in line.iter().enumerate() {
                         conns.push((format!("in{i}"), out_nets[r][fi][c]));
@@ -752,7 +881,7 @@ mod tests {
     /// Catalog plus wired module, as `DesignPlan::build` assembles them.
     fn assemble(spec: &PeSpec, flows: &[TensorFlow], cfg: &ArrayConfig) -> (ArrayCatalog, Module) {
         let catalog = array_catalog("arr", spec, flows, cfg).unwrap();
-        let module = build_array("arr", spec, flows, cfg, &catalog);
+        let module = build_array("arr", spec, flows, cfg, &catalog, catalog.port_names());
         (catalog, module)
     }
 
@@ -780,6 +909,39 @@ mod tests {
             all.sort();
             all.dedup();
             assert_eq!(all.len(), 20, "dp {dp:?} double-covers");
+        }
+    }
+
+    #[test]
+    fn spans_match_the_walked_lines() {
+        // Reference: a line starts at every cell whose predecessor along
+        // `dp` is off the grid, and runs until it leaves the grid.
+        for (rows, cols) in [(1, 1), (1, 5), (4, 1), (3, 5), (4, 4), (6, 2)] {
+            for dp in [
+                [0, 1],
+                [1, 0],
+                [1, 1],
+                [1, -1],
+                [0, -1],
+                [-1, 0],
+                [-1, 1],
+                [-1, -1],
+            ] {
+                let inside =
+                    |r: i64, c: i64| (0..rows as i64).contains(&r) && (0..cols as i64).contains(&c);
+                let mut want = Vec::new();
+                for r in 0..rows as i64 {
+                    for c in 0..cols as i64 {
+                        if inside(r - dp[0], c - dp[1]) {
+                            continue;
+                        }
+                        let len = (0..).take_while(|&i| inside(r + i * dp[0], c + i * dp[1]));
+                        want.push(((r as usize, c as usize), len.count()));
+                    }
+                }
+                let got: Vec<_> = PortLines::Along(dp).spans(rows, cols).collect();
+                assert_eq!(got, want, "{rows}x{cols} along {dp:?}");
+            }
         }
     }
 
@@ -828,17 +990,17 @@ mod tests {
         module.validate().unwrap();
         // A feeds 3 rows, B feeds 4 columns, C drains 4 columns.
         let feeds_a = ab
-            .ports
+            .ports()
             .iter()
             .filter(|p| p.tensor == "A" && p.kind == PortKind::SystolicFeed)
             .count();
         let feeds_b = ab
-            .ports
+            .ports()
             .iter()
             .filter(|p| p.tensor == "B" && p.kind == PortKind::SystolicFeed)
             .count();
         let drains_c = ab
-            .ports
+            .ports()
             .iter()
             .filter(|p| p.kind == PortKind::StationaryDrain)
             .count();
@@ -859,7 +1021,7 @@ mod tests {
         module.validate().unwrap();
         // One tree per row.
         assert_eq!(
-            ab.ports
+            ab.ports()
                 .iter()
                 .filter(|p| p.kind == PortKind::ReduceSum)
                 .count(),
@@ -868,8 +1030,7 @@ mod tests {
         assert_eq!(ab.tree_adders, 4 * 3);
         // Multicast ports have fanout = column height.
         let mc = ab
-            .ports
-            .iter()
+            .port_shapes()
             .find(|p| p.kind == PortKind::Multicast)
             .unwrap();
         assert_eq!(mc.fanout, 4);
@@ -889,7 +1050,7 @@ mod tests {
         module.validate().unwrap();
         // 3 + 3 - 1 diagonal lines.
         assert_eq!(
-            ab.ports
+            ab.ports()
                 .iter()
                 .filter(|p| p.kind == PortKind::Multicast)
                 .count(),
@@ -909,14 +1070,14 @@ mod tests {
         let (ab, module) = assemble(&spec, &flows, &cfg);
         module.validate().unwrap();
         assert_eq!(
-            ab.ports
+            ab.ports()
                 .iter()
                 .filter(|p| p.kind == PortKind::Unicast)
                 .count(),
             4
         );
         assert_eq!(
-            ab.ports
+            ab.ports()
                 .iter()
                 .filter(|p| p.kind == PortKind::UnicastOut)
                 .count(),

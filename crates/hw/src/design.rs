@@ -8,7 +8,7 @@ use tensorlib_dataflow::{Dataflow, FlowClass};
 use tensorlib_ir::DataType;
 
 use crate::array::{
-    array_catalog, build_array, ArrayCatalog, ArrayConfig, ArrayPort, HwError, PortKind,
+    array_catalog, build_array, ArrayCatalog, ArrayConfig, ArrayPort, HwError, PortGroup, PortKind,
 };
 use crate::ctrl::{build_controller, CtrlPhases};
 use crate::fault::{build_tmr_controller, Hardening, TMR_VOTER_GATE_BITS};
@@ -114,14 +114,21 @@ impl ResourceSummary {
 }
 
 /// One scratchpad bank instance bound to an array port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankBinding {
     /// Index of the bank template in [`DesignPlan::mem_banks`].
     pub bank: usize,
-    /// Instance name in the top module.
-    pub instance: String,
-    /// The array port it serves.
-    pub port: ArrayPort,
+    /// The array port it serves, as an index in catalog port order
+    /// ([`DesignPlan::array_ports`]).
+    pub port: usize,
+}
+
+impl BankBinding {
+    /// The bank's instance name in the top module; `port_name` is the name
+    /// of the port it serves.
+    pub fn instance(&self, port_name: &str) -> String {
+        format!("bank_{}_{port_name}", self.port)
+    }
 }
 
 /// Stage one of generation: everything about an accelerator that the cost
@@ -130,8 +137,10 @@ pub struct BankBinding {
 /// A plan holds the name, the PE spec and its one PE module, the array's
 /// port catalog and reduction-tree census, the tiling and controller
 /// phases, the controller modules, the memory plan, and the resource
-/// summary. [`DesignPlan::build`] (stage two) adds the reduction-tree
-/// modules, the wired array, and the top level. `perf::estimate`,
+/// summary. It names no array port: the catalog keeps one record per port
+/// group, and [`DesignPlan::array_ports`] formats the names on demand.
+/// [`DesignPlan::build`] (stage two) adds the reduction-tree modules, the
+/// wired array, and the top level. `perf::estimate`,
 /// `asic_cost` and `fpga_cost` score a plan directly, which is how
 /// `explore` ranks thousands of candidates without building any of them.
 ///
@@ -208,14 +217,22 @@ impl DesignPlan {
         &self.mem_banks[binding.bank]
     }
 
+    /// The port group of the array port `binding` serves: its tensor,
+    /// kind and width.
+    pub fn port_group(&self, binding: &BankBinding) -> &PortGroup {
+        self.array.group_of(binding.port)
+    }
+
     /// The array's port catalog and reduction-tree census.
     pub fn array_catalog(&self) -> &ArrayCatalog {
         &self.array
     }
 
-    /// The array's top-level data ports.
-    pub fn array_ports(&self) -> &[ArrayPort] {
-        &self.array.ports
+    /// The array's top-level data ports, named, in catalog port order.
+    /// Each call formats every port name; the census and the cost models
+    /// read [`ArrayCatalog::port_shapes`] instead.
+    pub fn array_ports(&self) -> Vec<ArrayPort> {
+        self.array.ports()
     }
 
     /// The resource census.
@@ -229,14 +246,16 @@ impl DesignPlan {
     pub fn build(self) -> AcceleratorDesign {
         let _span = tensorlib_obs::span("hw.elaboration");
         let array_name = format!("{}_array", self.name);
+        let port_names = self.array.port_names();
+        let top = self.build_top(&array_name, &port_names);
         let array = build_array(
             &array_name,
             &self.pe_spec,
             self.dataflow.flows(),
             &self.config.array,
             &self.array,
+            port_names,
         );
-        let top = self.build_top(&array_name);
         let mut modules = vec![self.pe.clone()];
         modules.extend(self.array.tree_modules());
         modules.extend(self.ctrl.iter().cloned());
@@ -250,8 +269,9 @@ impl DesignPlan {
         }
     }
 
-    /// The top module: controller, one bank per array port, and the array.
-    fn build_top(&self, array_name: &str) -> Module {
+    /// The top module: controller, one bank per array port (named by
+    /// `port_names`, the catalog's), and the array.
+    fn build_top(&self, array_name: &str, port_names: &[String]) -> Module {
         let name = &self.name;
         let mut top = Module::new(format!("{name}_top"));
         let start = top.input("start", 1);
@@ -288,9 +308,10 @@ impl DesignPlan {
             array_conns.push(("drain_en".into(), drain_en));
         }
         for (bi, binding) in self.bank_bindings.iter().enumerate() {
-            let port = &binding.port;
-            let data_net = top.net(format!("n_{}", port.name), port.width);
-            array_conns.push((port.name.clone(), data_net));
+            let port = self.port_group(binding);
+            let port_name = &port_names[binding.port];
+            let data_net = top.net(format!("n_{port_name}"), port.width);
+            array_conns.push((port_name.clone(), data_net));
             let bank = self.bank(binding);
             let mut conns: Vec<(String, usize)> = Vec::new();
             if port.kind.is_input() {
@@ -324,7 +345,7 @@ impl DesignPlan {
             if bank.is_double_buffered() {
                 conns.push(("buf_sel".into(), phase));
             }
-            top.instance(bank.module_name(), binding.instance.clone(), conns);
+            top.instance(bank.module_name(), binding.instance(port_name), conns);
         }
         top.instance(array_name.to_string(), "array_i".to_string(), array_conns);
         top
@@ -650,19 +671,20 @@ pub fn plan(dataflow: &Dataflow, cfg: &HwConfig) -> Result<DesignPlan, HwError> 
         (vec![ctrl], bits)
     };
 
-    // 4. Memory plan: one bank instance per array data port.
+    // 4. Memory plan: one bank instance per array data port. A port's
+    // bank template depends only on its group's kind and width.
     let mut mem_banks: Vec<MemBank> = Vec::new();
-    let mut bank_bindings = Vec::with_capacity(array.ports.len());
-    for (i, port) in array.ports.iter().enumerate() {
+    let mut bank_bindings = Vec::with_capacity(array.port_count());
+    for group in &array.groups {
         let stationary = matches!(
-            port.kind,
+            group.kind,
             PortKind::StationaryLoad | PortKind::StationaryDrain
         );
-        let words = match port.kind {
+        let words = match group.kind {
             PortKind::StationaryLoad => next_pow2(cfg.array.rows as u64).max(16),
             _ => next_pow2(tiling.t_extent).clamp(16, 65_536),
         };
-        let mut bank = MemBank::new(words, port.width, stationary);
+        let mut bank = MemBank::new(words, group.width, stationary);
         if cfg.hardening.parity_banks {
             bank = bank.with_parity();
         }
@@ -673,11 +695,7 @@ pub fn plan(dataflow: &Dataflow, cfg: &HwConfig) -> Result<DesignPlan, HwError> 
                 mem_banks.len() - 1
             }
         };
-        bank_bindings.push(BankBinding {
-            bank,
-            instance: format!("bank_{i}_{}", port.name),
-            port: port.clone(),
-        });
+        bank_bindings.extend(group.ports.clone().map(|port| BankBinding { bank, port }));
     }
 
     // 5. Resource census.
@@ -721,7 +739,7 @@ pub fn plan(dataflow: &Dataflow, cfg: &HwConfig) -> Result<DesignPlan, HwError> 
         ctrl_reg_bits,
         ..ResourceSummary::default()
     };
-    for port in &array.ports {
+    for port in array.port_shapes() {
         summary.max_fanout = summary.max_fanout.max(port.fanout as u64);
         match port.kind {
             PortKind::Multicast => {
@@ -862,7 +880,7 @@ mod tests {
         for b in d.bank_bindings() {
             let bank = d.bank(b);
             if matches!(
-                b.port.kind,
+                d.port_group(b).kind,
                 PortKind::StationaryLoad | PortKind::StationaryDrain
             ) {
                 assert!(bank.is_double_buffered());

@@ -10,9 +10,10 @@
 //! 1. [`pe::PeIoKind::for_flow`] selects a per-tensor PE-internal template
 //!    from the classified dataflow.
 //! 2. [`pe::build_pe`] assembles the PE around the computation cell.
-//! 3. [`array::array_catalog`] enumerates the array's top-level ports
-//!    (systolic feeds and drains, multicast lines, reduction-tree sums,
-//!    load chains, unicast ports) and its reduction-tree census.
+//! 3. [`array::array_catalog`] describes the array's top-level ports, one
+//!    group per tensor (systolic feeds and drains, multicast lines,
+//!    reduction-tree sums, load chains, unicast ports), and its
+//!    reduction-tree census.
 //! 4. [`tiling::tile_for_array`] fits the selected loops onto the array.
 //! 5. [`ctrl::build_controller`] sequences load / compute / drain.
 //! 6. Memory banks ([`mem::MemBank`]) are planned one per array port.

@@ -705,8 +705,9 @@ pub fn emit_testbench(design: &AcceleratorDesign) -> String {
     let mut fill_regs = Vec::new();
     let mut result_wires = Vec::new();
     for (bi, binding) in design.bank_bindings().iter().enumerate() {
-        let w = binding.port.width;
-        if binding.port.kind.is_input() {
+        let port = design.port_group(binding);
+        let w = port.width;
+        if port.kind.is_input() {
             let _ = writeln!(s, "  reg{}fill_{bi} = 0;", width_decl(w));
             conns.push(format!(".fill_{bi}(fill_{bi})"));
             fill_regs.push(bi);
@@ -934,9 +935,9 @@ mod tests {
         assert!(tb.contains("$finish"));
         // Every input bank gets a stimulus register.
         let fills = design
-            .bank_bindings()
+            .array_ports()
             .iter()
-            .filter(|b| b.port.kind.is_input())
+            .filter(|p| p.kind.is_input())
             .count();
         assert_eq!(tb.matches("= $random;").count(), fills);
     }

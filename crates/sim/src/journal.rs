@@ -266,12 +266,18 @@ impl Journal {
     }
 
     /// Appends a completed chunk's payload and fsyncs, so the record
-    /// survives an immediate `kill -9`.
+    /// survives an immediate `kill -9`. [`Journal::entries`] keeps only what
+    /// was recovered at open.
+    ///
+    /// Records the `sim.journal.append` span (write plus sync) and the
+    /// `sim.journal.records` / `sim.journal.bytes_appended` counters (record
+    /// headers included).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] if the write or sync fails.
     pub fn append(&mut self, chunk_index: u32, payload: &str) -> Result<(), JournalError> {
+        let _span = tensorlib_obs::span("sim.journal.append");
         let bytes = payload.as_bytes();
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN + bytes.len());
         record.extend_from_slice(&chunk_index.to_le_bytes());
@@ -280,7 +286,8 @@ impl Journal {
         record.extend_from_slice(bytes);
         self.file.write_all(&record).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)?;
-        self.entries.insert(chunk_index, payload.to_string());
+        tensorlib_obs::counter_add("sim.journal.records", 1);
+        tensorlib_obs::counter_add("sim.journal.bytes_appended", record.len() as u64);
         Ok(())
     }
 }
@@ -486,7 +493,8 @@ pub trait Campaign {
 
     /// Decodes a journaled payload. Must invert `serde_json::to_string`
     /// exactly: that is what keeps a resumed report byte-identical to an
-    /// uninterrupted one.
+    /// uninterrupted one. Each replayed payload is decoded once, before any
+    /// chunk runs.
     ///
     /// # Errors
     ///
@@ -501,15 +509,15 @@ pub trait Campaign {
     /// history index.
     fn history_metrics(report: &Self::Report) -> BTreeMap<String, f64>;
 
-    /// Telemetry outcome counter for one chunk payload; see
+    /// Telemetry outcome counter for one chunk; see
     /// [`TelemetrySpec::count_outcomes`].
-    fn count_outcomes(payload: &str) -> BTreeMap<String, u64>;
+    fn count_outcomes(chunk: &Self::Chunk) -> BTreeMap<String, u64>;
 }
 
 /// Runs `campaign` through [`run_chunked_observed`]: chunk plan, journal
 /// key, telemetry, chunk loop, then aggregation of the completed prefix.
-/// Executed chunks stay typed; only the journal (and its telemetry) read
-/// their JSON, so an unjournaled run never serializes them.
+/// Chunks stay typed: only the journal reads their JSON, so an unjournaled
+/// run never serializes them, and a replayed payload is decoded once.
 ///
 /// # Errors
 ///
@@ -530,60 +538,51 @@ pub fn execute<C: Campaign>(
         kind: C::KIND,
         count_outcomes: &C::count_outcomes,
     };
-    let mut executed: Vec<Option<C::Chunk>> = (0..plan.chunks).map(|_| None).collect();
-    let (slots, stats) =
-        run_chunked_observed(durability, hash, plan.chunks, Some(&telemetry), |i| {
-            let chunk = campaign.run_chunk(&plan, i, durability);
-            let payload = match durability.dir {
-                Some(_) => serde_json::to_string(&chunk).expect("chunk serializes"),
-                None => String::new(),
-            };
-            executed[i] = Some(chunk);
-            payload
-        })?;
+    let (slots, stats) = run_chunked_observed(
+        durability,
+        hash,
+        plan.chunks,
+        Some(&telemetry),
+        C::decode_chunk,
+        |i| campaign.run_chunk(&plan, i, durability),
+    )?;
     // Completed chunks are always a prefix (chunks execute in ascending
     // order and an interrupt stops the loop), so assembly stops at the
     // first missing slot.
-    let mut chunks = Vec::with_capacity(plan.chunks);
-    for (typed, slot) in executed.into_iter().zip(slots) {
-        chunks.push(match (typed, slot) {
-            (Some(chunk), _) => chunk,
-            (None, Some(payload)) => C::decode_chunk(&payload).map_err(JournalError::Decode)?,
-            (None, None) => break,
-        });
-    }
+    let chunks = slots.into_iter().map_while(|slot| slot).collect();
     Ok((campaign.aggregate(&plan, chunks), stats))
 }
 
-/// How a campaign's chunk payloads translate into telemetry: the campaign
-/// kind plus a payload → per-outcome-counter function. Each campaign module
-/// owns its payload schema, so it supplies the counter; the journal layer
-/// owns the chunk loop, so it owns *when* events fire.
-pub struct TelemetrySpec<'a> {
+/// How a campaign's chunks translate into telemetry: the campaign kind plus
+/// a chunk → per-outcome-counter function. Each campaign module owns its
+/// chunk type, so it supplies the counter; the journal layer owns the chunk
+/// loop, so it owns *when* events fire.
+pub struct TelemetrySpec<'a, T> {
     /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
     pub kind: &'a str,
-    /// Counts outcomes in one chunk's canonical JSON payload (e.g.
-    /// `{"masked": 12, "sdc": 1}`). Must be a pure function of the payload —
-    /// it also runs over *replayed* payloads on resume so status counters
-    /// cover the whole campaign, not just this process's share.
-    pub count_outcomes: &'a dyn Fn(&str) -> BTreeMap<String, u64>,
+    /// Counts outcomes in one chunk (e.g. `{"masked": 12, "sdc": 1}`). Must
+    /// be a pure function of the chunk — it also runs over *replayed*
+    /// chunks on resume so status counters cover the whole campaign, not
+    /// just this process's share.
+    pub count_outcomes: &'a dyn Fn(&T) -> BTreeMap<String, u64>,
 }
 
 /// Runs a campaign as `total_chunks` deterministic work units with
 /// journaled checkpoint/resume and streaming telemetry. This is the one
 /// chunk loop every campaign runs through (see [`execute`]).
 ///
-/// Chunks already present in the journal are replayed without calling
-/// `exec`. Missing chunks run in ascending index order; each result is
-/// appended (and fsynced) to the journal before the next chunk starts. The
+/// Chunks already present in the journal are decoded with `decode`, once
+/// each, before any chunk runs, and never passed to `exec`. Missing chunks
+/// run in ascending index order; each result's compact JSON is appended
+/// (and fsynced) to the journal before the next chunk starts. The
 /// interrupt latch is checked *between* chunks — an in-flight chunk always
 /// drains to completion — so an interrupted run returns a prefix-complete
 /// set of slots plus `interrupted: true`, and a later resume picks up at
 /// the first missing chunk.
 ///
-/// `exec` receives the chunk index and returns the chunk's canonical JSON
-/// payload; determinism of `exec` is what makes a resumed report
-/// byte-identical to an uninterrupted one.
+/// `exec` receives the chunk index and returns the chunk; determinism of
+/// `exec`, and `decode` inverting the chunk's JSON, are what make a resumed
+/// report byte-identical to an uninterrupted one.
 ///
 /// When a journal directory is set and telemetry is on (a `spec` was
 /// supplied, `opts.telemetry_off` is false), the run additionally maintains
@@ -597,30 +596,34 @@ pub struct TelemetrySpec<'a> {
 ///
 /// # Errors
 ///
-/// Journal open/append failures ([`JournalError`]); `dir: None` runs the
-/// same chunked loop without persistence and cannot fail.
-pub fn run_chunked_observed<F>(
+/// Journal open/append failures ([`JournalError`]), and
+/// [`JournalError::Decode`] when a replayed payload does not decode;
+/// `dir: None` runs the same chunked loop without persistence and cannot
+/// fail.
+pub fn run_chunked_observed<T, F>(
     opts: &DurabilityOptions,
     config_hash: u64,
     total_chunks: usize,
-    telemetry: Option<&TelemetrySpec<'_>>,
+    telemetry: Option<&TelemetrySpec<'_, T>>,
+    decode: impl Fn(&str) -> Result<T, String>,
     mut exec: F,
-) -> Result<(Vec<Option<String>>, RunStats), JournalError>
+) -> Result<(Vec<Option<T>>, RunStats), JournalError>
 where
-    F: FnMut(usize) -> String,
+    T: serde::Serialize,
+    F: FnMut(usize) -> T,
 {
     let mut journal = match &opts.dir {
         Some(dir) => Some(Journal::open(dir, config_hash, total_chunks as u32)?),
         None => None,
     };
-    let mut slots: Vec<Option<String>> = vec![None; total_chunks];
+    let mut slots: Vec<Option<T>> = (0..total_chunks).map(|_| None).collect();
     let mut stats = RunStats {
         chunks_total: total_chunks,
         ..RunStats::default()
     };
     if let Some(j) = &journal {
         for (&idx, payload) in j.entries() {
-            slots[idx as usize] = Some(payload.clone());
+            slots[idx as usize] = Some(decode(payload).map_err(JournalError::Decode)?);
             stats.chunks_replayed += 1;
         }
     }
@@ -639,14 +642,15 @@ where
             break;
         }
         let chunk_started = Instant::now();
-        let payload = exec(i);
+        let chunk = exec(i);
         if let Some(j) = &mut journal {
+            let payload = serde_json::to_string(&chunk).expect("chunk serializes");
             j.append(i as u32, &payload)?;
         }
         if let Some(t) = &mut telemetry {
-            t.chunk_completed(i, &payload, chunk_started.elapsed());
+            t.chunk_completed(i, &chunk, chunk_started.elapsed());
         }
-        *slot = Some(payload);
+        *slot = Some(chunk);
         stats.chunks_executed += 1;
     }
     if let Some(t) = &mut telemetry {
@@ -658,8 +662,8 @@ where
 /// Live telemetry state for one journaled campaign run: the open event log
 /// plus the running counters behind `status.json`. All writes are
 /// best-effort; a telemetry I/O failure never fails the campaign.
-struct Telemetry<'a> {
-    spec: &'a TelemetrySpec<'a>,
+struct Telemetry<'a, T> {
+    spec: &'a TelemetrySpec<'a, T>,
     dir: PathBuf,
     log: tensorlib_obs::events::EventLog,
     config_hash: String,
@@ -673,20 +677,20 @@ struct Telemetry<'a> {
     ewma_chunk_ms: f64,
 }
 
-impl<'a> Telemetry<'a> {
+impl<'a, T> Telemetry<'a, T> {
     fn begin(
         dir: &Path,
-        spec: &'a TelemetrySpec<'a>,
+        spec: &'a TelemetrySpec<'a, T>,
         config_hash: u64,
         chunks_total: usize,
-        replayed_slots: &[Option<String>],
-    ) -> Option<Telemetry<'a>> {
+        replayed_slots: &[Option<T>],
+    ) -> Option<Telemetry<'a, T>> {
         use tensorlib_obs::events::{Event, EventLog};
         let mut log = EventLog::open(dir).ok()?;
         let mut outcomes = BTreeMap::new();
         let mut chunks_replayed = 0usize;
-        for payload in replayed_slots.iter().flatten() {
-            merge_counts(&mut outcomes, &(spec.count_outcomes)(payload));
+        for chunk in replayed_slots.iter().flatten() {
+            merge_counts(&mut outcomes, &(spec.count_outcomes)(chunk));
             chunks_replayed += 1;
         }
         let _ = log.append(
@@ -714,9 +718,9 @@ impl<'a> Telemetry<'a> {
         Some(t)
     }
 
-    fn chunk_completed(&mut self, index: usize, payload: &str, wall: Duration) {
+    fn chunk_completed(&mut self, index: usize, chunk: &T, wall: Duration) {
         use tensorlib_obs::events::Event;
-        let counts = (self.spec.count_outcomes)(payload);
+        let counts = (self.spec.count_outcomes)(chunk);
         merge_counts(&mut self.outcomes, &counts);
         self.chunks_executed += 1;
         let wall_ms = wall.as_secs_f64() * 1e3;
@@ -991,7 +995,7 @@ mod tests {
         };
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, decode_str, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -1006,7 +1010,7 @@ mod tests {
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, decode_str, |i| {
             ran.push(i);
             format!("chunk-{i}")
         })
@@ -1019,16 +1023,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn count_marks(payload: &str) -> BTreeMap<String, u64> {
+    /// The test chunks are strings; the journal holds their JSON.
+    fn decode_str(payload: &str) -> Result<String, String> {
+        (tensorlib_obs::json::parse(payload)?.as_str())
+            .map(str::to_string)
+            .ok_or_else(|| format!("not a string: {payload}"))
+    }
+
+    fn count_marks(chunk: &String) -> BTreeMap<String, u64> {
         let mut counts = BTreeMap::new();
         counts.insert("done".to_string(), 1);
-        if payload.contains("degraded") {
+        if chunk.contains("degraded") {
             counts.insert("degraded".to_string(), 1);
         }
         counts
     }
 
-    fn marks_spec() -> TelemetrySpec<'static> {
+    fn marks_spec() -> TelemetrySpec<'static, String> {
         TelemetrySpec {
             kind: "faults",
             count_outcomes: &count_marks,
@@ -1042,7 +1053,7 @@ mod tests {
         let hash = config_hash("faults", 1, 3, "cfg");
         let opts = DurabilityOptions::with_dir(&dir);
         let spec = marks_spec();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), decode_str, |i| {
             if i == 2 {
                 format!("chunk-{i}-degraded")
             } else {
@@ -1097,7 +1108,7 @@ mod tests {
         };
         let spec = marks_spec();
         let flag2 = flag.clone();
-        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), |i| {
+        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), decode_str, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -1111,8 +1122,10 @@ mod tests {
         // Resume: replayed chunks count into the snapshot via the same
         // outcome counter, so the totals cover the whole campaign.
         flag.store(false, Ordering::SeqCst);
-        let (_, stats) =
-            run_chunked_observed(&opts, hash, 4, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), decode_str, |i| {
+            format!("chunk-{i}")
+        })
+        .unwrap();
         assert_eq!(stats.chunks_replayed, 2);
         let status = StatusSnapshot::read(&dir).unwrap();
         assert_eq!(status.state, "finished");
@@ -1153,7 +1166,10 @@ mod tests {
             ..DurabilityOptions::with_dir(&dir)
         };
         let spec = marks_spec();
-        run_chunked_observed(&opts, hash, 2, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        run_chunked_observed(&opts, hash, 2, Some(&spec), decode_str, |i| {
+            format!("chunk-{i}")
+        })
+        .unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1163,7 +1179,7 @@ mod tests {
     fn run_chunked_without_dir_still_chunks() {
         let opts = DurabilityOptions::default();
         let (slots, stats) =
-            run_chunked_observed(&opts, 0, 3, None, |i| i.to_string()).unwrap();
+            run_chunked_observed(&opts, 0, 3, None, decode_str, |i| i.to_string()).unwrap();
         assert_eq!(slots.len(), 3);
         assert_eq!(stats.chunks_executed, 3);
         assert_eq!(stats.chunks_replayed, 0);

@@ -283,7 +283,7 @@ impl Round {
     fn new(design: &AcceleratorDesign, has_tmr: bool) -> Round {
         let phases = design.phases();
         let out_banks: Vec<usize> = (design.bank_bindings().iter().enumerate())
-            .filter(|(_, b)| !b.port.kind.is_input())
+            .filter(|(_, b)| !design.port_group(b).kind.is_input())
             .map(|(bi, _)| bi)
             .collect();
         Round {
@@ -388,14 +388,16 @@ fn load_skewed_inputs(
     b: &tensorlib_ir::DenseTensor,
     k: i64,
 ) -> Result<(), HwError> {
+    let ports = design.array_ports();
     for (bi, binding) in design.bank_bindings().iter().enumerate() {
-        if !binding.port.kind.is_input() {
+        let port = &ports[binding.port];
+        if !port.kind.is_input() {
             continue;
         }
         let bank = design.bank(binding);
         let mult = if bank.is_double_buffered() { 2 } else { 1 };
         let cap = (bank.words() * mult) as usize;
-        let name = &binding.port.name;
+        let name = &port.name;
         // Port names are `a_feed{i}` / `b_feed{j}`; word t carries the
         // operand entering that edge at compute cycle t (zero outside the
         // valid diagonal window).
@@ -981,24 +983,13 @@ impl journal::Campaign for FaultCampaign {
         .collect()
     }
 
-    /// Fault classes by lowercased name, plus `errors` for outcomes carrying
-    /// an error string and `panicked` for the quarantined-panic subset. An
-    /// undecodable payload counts as nothing: telemetry is best-effort.
-    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
+    /// Fault classes by name, plus `errors` for outcomes carrying an error
+    /// string and `panicked` for the quarantined-panic subset.
+    fn count_outcomes(chunk: &Vec<FaultOutcome>) -> BTreeMap<String, u64> {
         let mut counts = BTreeMap::new();
-        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-            return counts;
-        };
-        let Some(items) = doc.as_array() else {
-            return counts;
-        };
-        for item in items {
-            let class = item
-                .get("class")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown");
-            *counts.entry(class.to_ascii_lowercase()).or_insert(0) += 1;
-            if let Some(error) = item.get("error").and_then(Value::as_str) {
+        for outcome in chunk {
+            *counts.entry(outcome.class.to_string()).or_insert(0) += 1;
+            if let Some(error) = &outcome.error {
                 *counts.entry("errors".to_string()).or_insert(0) += 1;
                 if error.contains("panicked") {
                     *counts.entry("panicked".to_string()).or_insert(0) += 1;

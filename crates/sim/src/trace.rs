@@ -85,7 +85,7 @@ pub fn fill_input_banks(
     design: &AcceleratorDesign,
 ) -> Result<(), HwError> {
     for (bi, binding) in design.bank_bindings().iter().enumerate() {
-        if !binding.port.kind.is_input() {
+        if !design.port_group(binding).kind.is_input() {
             continue;
         }
         let bank = design.bank(binding);

@@ -398,7 +398,7 @@ fn differential_round(
             w.push("tmr_mismatch".to_string());
         }
         for (bi, b) in design.bank_bindings().iter().enumerate() {
-            if !b.port.kind.is_input() {
+            if !design.port_group(b).kind.is_input() {
                 w.push(format!("result_{bi}"));
             }
         }
@@ -422,7 +422,7 @@ fn differential_round(
     }
     // Drain the result banks through the readback ports on both engines.
     for (bi, b) in design.bank_bindings().iter().enumerate() {
-        if !b.port.kind.is_input() {
+        if !design.port_group(b).kind.is_input() {
             fast.poke(&format!("readback_{bi}"), 1);
             slow.poke(&format!("readback_{bi}"), 1);
         }
@@ -480,7 +480,7 @@ fn batched_round(
         (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
     let mut batch = BatchSim::new(flat, lanes);
     for (bi, binding) in design.bank_bindings().iter().enumerate() {
-        if !binding.port.kind.is_input() {
+        if !design.port_group(binding).kind.is_input() {
             continue;
         }
         let bank = design.bank(binding);
@@ -511,7 +511,7 @@ fn batched_round(
         .bank_bindings()
         .iter()
         .enumerate()
-        .filter(|(_, b)| !b.port.kind.is_input())
+        .filter(|(_, b)| !design.port_group(b).kind.is_input())
         .map(|(bi, _)| bi)
         .collect();
     for &bi in &out_banks {
@@ -641,7 +641,7 @@ fn opt_round(design: &AcceleratorDesign, flat_ref: FlatDesign) -> Result<(), (St
         .bank_bindings()
         .iter()
         .enumerate()
-        .filter(|(_, b)| !b.port.kind.is_input())
+        .filter(|(_, b)| !design.port_group(b).kind.is_input())
         .map(|(bi, _)| bi)
         .collect();
     for &bi in &out_banks {
@@ -963,28 +963,19 @@ impl journal::Campaign for VerifyCampaign {
 
     /// Seeds run, rejected and degraded seeds, findings, and the `panicked`
     /// subset of findings (quarantined panics surface as `kind: "panic"`).
-    /// An undecodable payload counts as nothing: telemetry is best-effort.
-    fn count_outcomes(payload: &str) -> BTreeMap<String, u64> {
-        let mut counts = BTreeMap::new();
-        let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-            return counts;
-        };
-        for key in ["seeds_run", "rejected", "degraded"] {
-            if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-                *counts.entry(key.to_string()).or_insert(0) += n;
-            }
-        }
-        if let Some(findings) = doc.get("findings").and_then(Value::as_array) {
-            *counts.entry("findings".to_string()).or_insert(0) += findings.len() as u64;
-            let panicked = findings
-                .iter()
-                .filter(|f| f.get("kind").and_then(Value::as_str) == Some("panic"))
-                .count() as u64;
-            if panicked > 0 {
-                *counts.entry("panicked".to_string()).or_insert(0) += panicked;
-            }
-        }
-        counts
+    fn count_outcomes(chunk: &ModeReport) -> BTreeMap<String, u64> {
+        let panicked = chunk.findings.iter().filter(|f| f.kind == "panic").count() as u64;
+        [
+            ("seeds_run", chunk.seeds_run),
+            ("rejected", chunk.rejected),
+            ("degraded", chunk.degraded),
+            ("findings", chunk.findings.len() as u64),
+            ("panicked", panicked),
+        ]
+        .into_iter()
+        .filter(|&(key, n)| key != "panicked" || n > 0)
+        .map(|(key, n)| (key.to_string(), n))
+        .collect()
     }
 }
 

@@ -173,6 +173,12 @@ for needle in '"hw.opt"' '"hw.opt.cse"' '"hw.text.emit"' '"hw.text.parse"' \
     '"hw.yosys.emit"' '"hw.yosys.parse"'; do
     grep -q "$needle" "$profile_dir/fuzz.trace.json"
 done
+# A profiled journaled fault campaign times each journal append (write plus
+# fsync) in its own span.
+./target/release/tensorlib faults --faults 512 --seed 7 --resume "$profile_dir/journal" \
+    --profile "$profile_dir/faults.trace.json" -o "$profile_dir/faults.json" >/dev/null
+grep -q '"faults": 512' "$profile_dir/faults.json"
+grep -q '"sim.journal.append"' "$profile_dir/faults.trace.json"
 rm -rf "$profile_dir"
 
 # Explore smoke: a small sweep prints the same top-20 table inert, journaled

@@ -90,7 +90,7 @@ fn bank_plan_matches_array_ports_exactly() {
         assert_eq!(design.bank_bindings().len(), design.array_ports().len());
         for binding in design.bank_bindings() {
             let bank = design.bank(binding);
-            assert_eq!(bank.width(), binding.port.width);
+            assert_eq!(bank.width(), design.port_group(binding).width);
         }
         // The top module instantiates exactly one bank per binding plus the
         // array and the controller.

@@ -3,13 +3,15 @@
 //! error, and the wired array module exposes exactly the plan's port
 //! catalog, in order.
 
+use tensorlib::cost::{asic_cost, fpga_cost};
 use tensorlib::dataflow::dse::{design_space, DseConfig};
 use tensorlib::dataflow::Dataflow;
 use tensorlib::hw::design::{generate, plan, HwConfig};
 use tensorlib::hw::fault::Hardening;
 use tensorlib::hw::netlist::Dir;
 use tensorlib::ir::{workloads, Kernel};
-use tensorlib::{AcceleratorDesign, ArrayConfig, DesignPlan};
+use tensorlib::sim::journal::fnv1a64;
+use tensorlib::{AcceleratorDesign, Activity, ArrayConfig, DesignPlan, FpgaDevice};
 
 /// The six Fig. 5 kernels at small extents.
 fn fig5_kernels() -> Vec<Kernel> {
@@ -60,8 +62,8 @@ fn assert_array_matches_catalog(d: &AcceleratorDesign, what: &str) {
         .map(|&(id, dir)| (array.nets()[id].name.as_str(), array.nets()[id].width, dir))
         .filter(|(name, _, _)| !control.contains(name))
         .collect();
-    let planned: Vec<(&str, u32, Dir)> = d
-        .array_ports()
+    let ports = d.array_ports();
+    let planned: Vec<(&str, u32, Dir)> = ports
         .iter()
         .map(|p| {
             let dir = if p.kind.is_input() {
@@ -157,4 +159,133 @@ fn plan_matches_generate_on_16x16_sampled() {
 #[ignore]
 fn plan_matches_generate_for_every_candidate_on_16x16() {
     sweep(16, 16, 1);
+}
+
+/// Everything a plan exposes, one line per fact: the materialized port list
+/// in catalog order, the bank templates, each binding's bank and instance
+/// name, the tree census, the resource summary, and the bit patterns of
+/// both cost models.
+fn render_plan(p: &DesignPlan, out: &mut String) {
+    use std::fmt::Write;
+    let ports = p.array_ports();
+    for port in ports.iter() {
+        let _ = writeln!(
+            out,
+            "port {} {} {:?} {} {}",
+            port.name, port.tensor, port.kind, port.width, port.fanout
+        );
+    }
+    for bank in p.mem_banks() {
+        let _ = writeln!(out, "bank {bank:?}");
+    }
+    for b in p.bank_bindings() {
+        let _ = writeln!(out, "binding {} {}", b.bank, b.instance(&ports[b.port].name));
+    }
+    for t in &p.array_catalog().trees {
+        let _ = writeln!(out, "tree {} {} {}", t.name, t.inputs, t.width);
+    }
+    let _ = writeln!(out, "summary {:?}", p.summary());
+    let a = asic_cost(p, &Activity::default());
+    let _ = writeln!(
+        out,
+        "asic {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+        a.area_mm2.to_bits(),
+        a.power_mw.to_bits(),
+        a.compute_mw.to_bits(),
+        a.register_mw.to_bits(),
+        a.sram_mw.to_bits(),
+        a.wire_mw.to_bits(),
+        a.control_mw.to_bits(),
+        a.leakage_mw.to_bits()
+    );
+    let f = fpga_cost(p, &FpgaDevice::vu9p(), false);
+    let _ = writeln!(
+        out,
+        "fpga {} {} {} {:x} {:x} {:x} {:x} {:x}",
+        f.luts,
+        f.dsps,
+        f.brams,
+        f.lut_util.to_bits(),
+        f.dsp_util.to_bits(),
+        f.bram_util.to_bits(),
+        f.freq_mhz.to_bits(),
+        f.peak_gops.to_bits()
+    );
+}
+
+/// FNV-1a digests of [`render_plan`] over every `stride`-th candidate of
+/// each Fig. 5 kernel on a `rows × cols` array, unhardened then fully
+/// hardened, one digest per kernel.
+fn plan_digests(rows: usize, cols: usize, stride: usize) -> Vec<u64> {
+    fig5_kernels()
+        .iter()
+        .map(|kernel| {
+            let candidates = design_space(kernel, &DseConfig::default());
+            let mut text = String::new();
+            for cfg in configs(rows, cols) {
+                for df in candidates.iter().step_by(stride) {
+                    match plan(df, &cfg) {
+                        Ok(p) => render_plan(&p, &mut text),
+                        Err(e) => text.push_str(&format!("error {e:?}\n")),
+                    }
+                }
+            }
+            fnv1a64(text.as_bytes())
+        })
+        .collect()
+}
+
+/// Pins every byte a plan exposes to its consumers. The digests were
+/// recorded before plans stored their ports per group, so a change to how
+/// the catalog, the bank plan, the census or the cost models iterate ports
+/// (including the order of the cost models' floating-point sums) that
+/// moves any name, count or cost bit fails here.
+#[test]
+fn plan_bytes_are_pinned() {
+    // Kernels in `fig5_kernels` order.
+    let pinned: [(usize, usize, usize, [u64; 6]); 3] = [
+        (
+            4,
+            4,
+            1,
+            [
+                0xb9560bbbf4ab0461,
+                0xfef302ce4b6b23a3,
+                0x65216d72676d7026,
+                0xd109b9c577cd9583,
+                0x19285a2a3f533cb7,
+                0xc10b438f84193859,
+            ],
+        ),
+        (
+            3,
+            5,
+            1,
+            [
+                0xe686bf5ad5702d55,
+                0x53bffc3b887ba0a8,
+                0x202ffa5830722f1f,
+                0x0e067254cb22436a,
+                0x00c3ef8135dc27ab,
+                0xaf1abbda098572f5,
+            ],
+        ),
+        (
+            16,
+            16,
+            16,
+            [
+                0x1e77f86a91cf1094,
+                0x2e10f13b8659c8e6,
+                0x94a5ef9346185463,
+                0x723fcaff0d7bebee,
+                0xaaf15ee474b76e5a,
+                0x7e50ccda116d9fab,
+            ],
+        ),
+    ];
+    for (rows, cols, stride, want) in pinned {
+        let got = plan_digests(rows, cols, stride);
+        assert_eq!(got, want, "plan digests on {rows}x{cols} (every {stride})");
+    }
 }

@@ -6,8 +6,12 @@
 //! offset inside the final record; the other tests pin the same contract
 //! for the fuzz and explore runners and for the panic-quarantine path.
 
-use tensorlib::explore::{explore_durable, ExploreOptions};
+use std::collections::BTreeMap;
+
+use tensorlib::explore::{explore_durable, ExploreOptions, PointError};
 use tensorlib::ir::workloads;
+use tensorlib_obs::events::{read_events, StatusSnapshot};
+use tensorlib_obs::json::Value;
 use tensorlib_sim::journal::JOURNAL_FILE;
 use tensorlib_sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
 use tensorlib_sim::verify::{run_verify_durable, VerifyConfig};
@@ -218,4 +222,157 @@ fn unjournaled_runs_are_one_chunk_per_campaign_mode() {
     let jobs = sweep.rows.len() + sweep.errors.len() + sweep.skipped as usize;
     let (_, stats) = explore_durable(&kernel, &opts, &watched).unwrap();
     assert_eq!(stats.chunks_total, jobs.div_ceil(32), "explore under a watchdog");
+}
+
+/// The outcome counters a journaled run left in `dir`: `status.json`'s, the
+/// final event's, and the sum of the `chunk_completed` events after the
+/// last `campaign_started` (this run's executed chunks).
+fn telemetry_counts(dir: &std::path::Path) -> [BTreeMap<String, u64>; 3] {
+    let counts = |event: &Value| -> BTreeMap<String, u64> {
+        (event
+            .get("outcomes")
+            .and_then(Value::as_object)
+            .expect("outcomes object")
+            .iter())
+        .map(|(k, v)| (k.clone(), v.as_u64().expect("count")))
+        .collect()
+    };
+    let events = read_events(dir).unwrap();
+    let name = |e: &Value| e.get("event").and_then(Value::as_str).unwrap().to_string();
+    let last_start = events
+        .iter()
+        .rposition(|e| name(e) == "campaign_started")
+        .unwrap();
+    let mut executed = BTreeMap::new();
+    for e in events[last_start..]
+        .iter()
+        .filter(|e| name(e) == "chunk_completed")
+    {
+        for (k, v) in counts(e) {
+            *executed.entry(k).or_insert(0) += v;
+        }
+    }
+    let last = events.last().unwrap();
+    assert_eq!(name(last), "campaign_finished");
+    [
+        StatusSnapshot::read(dir).unwrap().outcomes,
+        counts(last),
+        executed,
+    ]
+}
+
+/// Runs `campaign` journaled into a fresh directory, then resumes it twice:
+/// once with its last record torn off (one chunk re-executes, the rest are
+/// decoded from the journal) and once over the complete journal. Each run's
+/// `status.json` and final event must carry the fresh run's counters, which
+/// equal the sum of its per-chunk events. Returns those counters.
+fn counts_fresh_and_resumed(
+    tag: &str,
+    durability: impl Fn(&std::path::Path) -> DurabilityOptions,
+    campaign: impl Fn(&DurabilityOptions),
+) -> BTreeMap<String, u64> {
+    let dir = tmpdir(tag);
+    let opts = durability(&dir);
+    campaign(&opts);
+    let [status, finished, executed] = telemetry_counts(&dir);
+    assert_eq!(status, finished, "{tag}: fresh status vs final event");
+    assert_eq!(status, executed, "{tag}: fresh status vs chunk events");
+    let path = dir.join(JOURNAL_FILE);
+    let journal = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &journal[..last_record_start(&journal)]).unwrap();
+    for resume in ["torn", "complete"] {
+        campaign(&opts);
+        let [resumed, finished, _] = telemetry_counts(&dir);
+        assert_eq!(resumed, status, "{tag}: {resume} resume status");
+        assert_eq!(finished, status, "{tag}: {resume} resume final event");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    status
+}
+
+/// Telemetry counts typed chunks: a fresh run's counters and a resumed
+/// run's (replayed chunks are decoded once and counted from their typed
+/// form) agree with each other and with the report, for a chaos-quarantined
+/// item and for chunks the watchdog degraded.
+#[test]
+fn telemetry_counters_match_fresh_and_resumed() {
+    let cfg = CampaignConfig {
+        faults: 12,
+        seed: 3,
+        ..CampaignConfig::default()
+    };
+    let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
+    let victim = clean.outcomes[2].fault.target.clone();
+    let quarantined = DurabilityOptions {
+        chunk_size: Some(4),
+        chaos_panic_targets: vec![victim],
+        ..DurabilityOptions::default()
+    };
+    let degraded = DurabilityOptions {
+        chunk_size: Some(4),
+        chunk_timeout: Some(std::time::Duration::ZERO),
+        ..DurabilityOptions::default()
+    };
+    let journaled = |opts: &DurabilityOptions| {
+        let opts = opts.clone();
+        move |dir: &std::path::Path| DurabilityOptions {
+            dir: Some(dir.to_path_buf()),
+            ..opts.clone()
+        }
+    };
+
+    let faults = |opts: &DurabilityOptions| run_gemm_campaign_durable(&cfg, opts).unwrap().0;
+    let counts = counts_fresh_and_resumed("tele_faults_q", journaled(&quarantined), |o| {
+        drop(faults(o))
+    });
+    let report = faults(&quarantined);
+    let panicked = report.outcomes.iter().filter(|o| o.error.is_some()).count() as u64;
+    assert!(panicked > 0);
+    assert_eq!(counts["panicked"], panicked);
+    assert_eq!(counts["errors"], report.errors as u64);
+    for (class, n) in [
+        ("masked", report.masked),
+        ("detected", report.detected),
+        ("sdc", report.sdc),
+    ] {
+        assert_eq!(counts.get(class).copied().unwrap_or(0), n as u64, "{class}");
+    }
+    let counts =
+        counts_fresh_and_resumed("tele_faults_d", journaled(&degraded), |o| drop(faults(o)));
+    assert_eq!(counts, BTreeMap::from([("degraded".to_string(), 12)]));
+
+    let kernel = workloads::gemm(4, 4, 4);
+    let opts_x = ExploreOptions::default();
+    let sweep = explore_durable(&kernel, &opts_x, &DurabilityOptions::default())
+        .unwrap()
+        .0;
+    let victim = sweep.rows[0].name.clone();
+    let explore = |opts: &DurabilityOptions| explore_durable(&kernel, &opts_x, opts).unwrap().0;
+    let quarantined = DurabilityOptions {
+        chunk_size: Some(256),
+        chaos_panic_targets: vec![victim],
+        ..DurabilityOptions::default()
+    };
+    let counts = counts_fresh_and_resumed("tele_explore_q", journaled(&quarantined), |o| {
+        drop(explore(o))
+    });
+    let report = explore(&quarantined);
+    let panicked = (report.errors.iter())
+        .filter(|e| matches!(e, PointError::Panicked { .. }))
+        .count() as u64;
+    assert!(panicked > 0);
+    assert_eq!(counts["panicked"], panicked);
+    assert_eq!(counts["designs"], report.rows.len() as u64);
+    assert_eq!(counts["errors"], report.errors.len() as u64);
+    let degraded = DurabilityOptions {
+        chunk_size: Some(256),
+        ..degraded
+    };
+    let counts =
+        counts_fresh_and_resumed("tele_explore_d", journaled(&degraded), |o| drop(explore(o)));
+    assert_eq!(
+        counts["degraded"],
+        (sweep.rows.len() + sweep.errors.len()) as u64 + sweep.skipped
+    );
+    assert_eq!(counts["designs"], 0);
 }

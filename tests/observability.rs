@@ -394,3 +394,50 @@ fn pipeline_campaign_counts_cse_work_independently_of_workers() {
         "CSE counts vary with workers"
     );
 }
+
+/// Every journal append is one `sim.journal.append` span (write plus sync)
+/// and counts its record and bytes. The journal's bytes are deterministic,
+/// so the counters match the file and do not depend on the worker count.
+#[test]
+fn journal_appends_count_records_and_bytes_independently_of_workers() {
+    use tensorlib::sim::journal::JOURNAL_FILE;
+    use tensorlib::sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let record = |workers: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "tl_obs_journal_append_{workers}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CampaignConfig {
+            faults: 64,
+            seed: 5,
+            workers,
+            ..CampaignConfig::default()
+        };
+        let durability = DurabilityOptions {
+            chunk_size: Some(16),
+            ..DurabilityOptions::with_dir(&dir)
+        };
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        let (_, stats) = run_gemm_campaign_durable(&cfg, &durability).unwrap();
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        let journal_len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(stats.chunks_executed, 4);
+        let counters = ["sim.journal.records", "sim.journal.bytes_appended"]
+            .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0));
+        // The 24-byte file header is written at open, not appended.
+        assert_eq!(counters, [4, journal_len - 24], "{workers} workers");
+        let spans = (session.spans.iter())
+            .filter(|s| s.name == "sim.journal.append")
+            .count();
+        assert_eq!(spans, 4, "one append span per chunk");
+        counters
+    };
+    assert_eq!(record(1), record(2), "journal counters vary with workers");
+}
