@@ -1763,10 +1763,9 @@ fn run_parse(a: ParseArgs) -> Result<String, CliError> {
         flat.nets().len(),
     );
     if a.opt {
-        let (modules, _) =
-            tensorlib::hw::opt::optimize_netlist(&doc.modules, &doc.top, &OptOptions::default());
+        let modules = doc.modules.clone();
         let opt_doc = tensorlib::hw::text::NetlistDoc {
-            modules,
+            modules: tensorlib::hw::opt::optimize(modules, &doc.top, &OptOptions::default()),
             banks: doc.banks.clone(),
             top: doc.top.clone(),
         };

@@ -409,9 +409,16 @@ impl AcceleratorDesign {
     /// interface; the [`ResourceSummary`] census is computed at generation
     /// time from the template structure and is deliberately left untouched.
     pub fn optimize(&mut self, opts: &crate::opt::OptOptions) -> crate::opt::OptStats {
-        let (modules, stats) = crate::opt::optimize_netlist(&self.modules, &self.top, opts);
-        self.modules = modules;
-        stats
+        let pre = crate::opt::netlist_stats(&self.modules);
+        self.optimize_without_census(opts);
+        let post = crate::opt::netlist_stats(&self.modules);
+        crate::opt::OptStats { pre, post }
+    }
+
+    /// [`AcceleratorDesign::optimize`] without the census: the optimizer
+    /// core alone, moving the modules through it.
+    pub fn optimize_without_census(&mut self, opts: &crate::opt::OptOptions) {
+        self.modules = crate::opt::optimize(std::mem::take(&mut self.modules), &self.top, opts);
     }
 
     /// Validates the whole design: per-module structural checks plus

@@ -32,13 +32,16 @@
 //! Seed discipline: every random decision derives from the one `u64` seed,
 //! so a finding is its seed — reports need carry nothing else to reproduce.
 
+use std::cell::OnceCell;
+
 use serde::Serialize;
 
 use tensorlib_linalg::rng::SplitMix64;
 use crate::batch::BatchSim;
-use crate::interp::{elaborate, Interpreter};
+use crate::interp::{elaborate, FlatDesign, Interpreter};
 use crate::netlist::{BinOp, Dir, Expr, Module, NetId};
-use crate::opt::{self, gc_children, gc_nets, GcPorts, OptOptions, Parts};
+use crate::opt::{self, gc_children, gc_nets, GcPorts, OptOptions};
+use crate::text::NetlistDoc;
 use crate::verilog::emit_module;
 
 /// Knobs for the random netlist generator and differential runner.
@@ -313,6 +316,325 @@ pub fn gen_netlist(seed: u64, cfg: &NetlistFuzzConfig) -> (Vec<Module>, String) 
 // Differential oracle
 // ---------------------------------------------------------------------------
 
+/// One netlist under test, shared by every oracle that reads it. The
+/// validate pass and the `)[` lint run on request; the elaboration (with
+/// its net and port names) and the bytecode dump are each computed at most
+/// once, when an oracle first needs them, so a seed that runs all five
+/// oracles elaborates its reference once instead of five times.
+pub struct Reference<'a> {
+    modules: &'a [Module],
+    top: &'a str,
+    elaborated: OnceCell<Result<Elaborated, NetlistFailure>>,
+    bytecode: OnceCell<String>,
+}
+
+/// A reference's flat design and the names the oracles drive and compare.
+struct Elaborated {
+    flat: FlatDesign,
+    nets: Vec<String>,
+    inputs: Vec<String>,
+    outputs: Vec<String>,
+}
+
+impl<'a> Reference<'a> {
+    /// Wraps `modules`; computes nothing yet.
+    pub fn new(modules: &'a [Module], top: &'a str) -> Reference<'a> {
+        Reference {
+            modules,
+            top,
+            elaborated: OnceCell::new(),
+            bytecode: OnceCell::new(),
+        }
+    }
+
+    /// [`Module::validate`] on every module, then the `)[` emission lint.
+    fn validate(&self) -> Result<(), NetlistFailure> {
+        for m in self.modules {
+            m.validate().map_err(|e| NetlistFailure {
+                kind: NetlistFailureKind::Validate,
+                detail: e.to_string(),
+            })?;
+        }
+        match self.modules.iter().find(|m| emit_module(m).contains(")[")) {
+            Some(m) => Err(NetlistFailure {
+                kind: NetlistFailureKind::Emission,
+                detail: format!(
+                    "module {:?} emits a part-select of a compound expression",
+                    m.name()
+                ),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn elaborated(&self) -> Result<&Elaborated, NetlistFailure> {
+        self.elaborated
+            .get_or_init(|| {
+                let _span = tensorlib_obs::span("hw.fuzz.reference");
+                let flat = elaborate(self.modules, &[], self.top).map_err(|e| NetlistFailure {
+                    kind: NetlistFailureKind::Elaborate,
+                    detail: e.to_string(),
+                })?;
+                let name = |id: NetId| flat.nets()[id].name.clone();
+                let ports = |dir: Dir| -> Vec<String> {
+                    let ports = flat.ports().iter().filter(|(_, d)| *d == dir);
+                    ports.map(|&(id, _)| name(id)).collect()
+                };
+                Ok(Elaborated {
+                    nets: (0..flat.nets().len()).map(name).collect(),
+                    inputs: ports(Dir::Input),
+                    outputs: ports(Dir::Output),
+                    flat,
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn bytecode(&self) -> Result<&str, NetlistFailure> {
+        let flat = &self.elaborated()?.flat;
+        Ok(self.bytecode.get_or_init(|| {
+            let _span = tensorlib_obs::span("hw.fuzz.reference");
+            crate::interp::bytecode_dump(flat)
+        }))
+    }
+
+    /// The verification chain every fuzz seed runs: [`check_netlist`],
+    /// [`check_batch_netlist`] at `lanes`, [`check_opt_netlist`] when `opt`
+    /// is set, then both interchange round trips. Returns the first failure.
+    ///
+    /// # Errors
+    ///
+    /// The first [`NetlistFailure`] of the chain.
+    pub fn check_all(
+        &self,
+        seed: u64,
+        cycles: u64,
+        lanes: usize,
+        opt: bool,
+    ) -> Result<(), NetlistFailure> {
+        self.check_engines(seed, cycles, None)?;
+        self.check_batch(seed, cycles, lanes)?;
+        if opt {
+            self.check_opt(seed, cycles, lanes, &OptOptions::default())?;
+        }
+        self.check_roundtrip(NetlistFailureKind::TextRoundtrip)?;
+        self.check_roundtrip(NetlistFailureKind::YosysRoundtrip)
+    }
+
+    /// [`check_netlist`] on this reference.
+    fn check_engines(
+        &self,
+        seed: u64,
+        cycles: u64,
+        perturb_input: Option<usize>,
+    ) -> Result<(), NetlistFailure> {
+        self.validate()?;
+        let r = self.elaborated()?;
+        let mut compiled = Interpreter::new(r.flat.clone());
+        let mut tree = Interpreter::new_tree_walking(r.flat.clone());
+        debug_assert!(compiled.is_compiled() && !tree.is_compiled());
+
+        // Stimulus stream is decoupled from the structure stream so the same
+        // seed always drives the same values.
+        let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
+        for cycle in 0..cycles {
+            for (i, name) in r.inputs.iter().enumerate() {
+                let v = rng.next_u64();
+                compiled.poke(name, v);
+                let tv = if perturb_input == Some(i) { v ^ 1 } else { v };
+                tree.poke(name, tv);
+            }
+            compiled.step();
+            tree.step();
+            for name in &r.nets {
+                let c = compiled.peek(name);
+                let t = tree.peek(name);
+                if c != t {
+                    return Err(NetlistFailure {
+                        kind: NetlistFailureKind::Mismatch,
+                        detail: format!(
+                            "net {name:?} diverged at cycle {cycle}: compiled={c} tree={t}"
+                        ),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`check_batch_netlist`] on this reference.
+    fn check_batch(&self, seed: u64, cycles: u64, lanes: usize) -> Result<(), NetlistFailure> {
+        let r = self.elaborated()?;
+        let mut refs: Vec<Interpreter> = (0..lanes)
+            .map(|_| Interpreter::new(r.flat.clone()))
+            .collect();
+        let mut batch = BatchSim::new(r.flat.clone(), lanes);
+        let mut rngs: Vec<SplitMix64> = (0..lanes)
+            .map(|l| SplitMix64::new(seed.wrapping_add(l as u64) ^ 0xD1F7_0000_0000_0001))
+            .collect();
+        let mut shape = SplitMix64::new(seed ^ 0xB7A0_0000_0000_0002);
+        let mut vals = vec![vec![0u64; lanes]; r.inputs.len()];
+        for cycle in 0..cycles {
+            // Per port, a seeded choice: independent lanes, one value on every
+            // lane, or that value with one lane perturbed. Rows then go
+            // uniform, diverge and reconverge across cycles, so the batch's
+            // once-per-row and per-lane paths both run.
+            for (i, name) in r.inputs.iter().enumerate() {
+                let v0 = rngs[0].next_u64();
+                let (kind, pick) = (shape.next_u64() % 3, shape.next_u64());
+                for (l, row) in vals[i].iter_mut().enumerate() {
+                    *row = match kind {
+                        _ if l == 0 => v0,
+                        0 => rngs[l].next_u64(),
+                        2 if l == 1 + (pick % (lanes as u64 - 1)) as usize => rngs[l].next_u64(),
+                        _ => v0,
+                    };
+                }
+                for (s, &v) in refs.iter_mut().zip(&vals[i]) {
+                    s.poke(name, v);
+                }
+            }
+            batch.poke_lanes_many(
+                r.inputs
+                    .iter()
+                    .zip(&vals)
+                    .map(|(n, v)| (n.as_str(), v.as_slice())),
+            );
+            batch.step();
+            for s in &mut refs {
+                s.step();
+            }
+            for name in &r.nets {
+                for (l, s) in refs.iter().enumerate() {
+                    let b = batch.peek_lane(name, l);
+                    let s = s.peek(name);
+                    if b != s {
+                        return Err(NetlistFailure {
+                            kind: NetlistFailureKind::BatchMismatch,
+                            detail: format!(
+                                "net {name:?} diverged at cycle {cycle} lane {l}: batch={b} scalar={s}"
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`check_opt_netlist_with`] on this reference. The optimized netlist
+    /// is a [`Reference`] of its own, elaborated once for both its
+    /// lock-step run and its batch re-run.
+    fn check_opt(
+        &self,
+        seed: u64,
+        cycles: u64,
+        lanes: usize,
+        opts: &OptOptions,
+    ) -> Result<(), NetlistFailure> {
+        let opt_fail = |detail: String| NetlistFailure {
+            kind: NetlistFailureKind::OptMismatch,
+            detail,
+        };
+        let opt_modules = opt::optimize(self.modules.to_vec(), self.top, opts);
+        for m in &opt_modules {
+            m.validate().map_err(|e| {
+                opt_fail(format!(
+                    "optimized module {:?} fails validation: {e}",
+                    m.name()
+                ))
+            })?;
+            if emit_module(m).contains(")[") {
+                return Err(opt_fail(format!(
+                    "optimized module {:?} emits a part-select of a compound expression",
+                    m.name()
+                )));
+            }
+        }
+        let r = self.elaborated()?;
+        let optimized = Reference::new(&opt_modules, self.top);
+        let o = optimized
+            .elaborated()
+            .map_err(|f| opt_fail(format!("optimized netlist fails elaboration: {}", f.detail)))?;
+        let mut reference = Interpreter::new(r.flat.clone());
+        let mut opt_compiled = Interpreter::new(o.flat.clone());
+        let mut opt_tree = Interpreter::new_tree_walking(o.flat.clone());
+        let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
+        for cycle in 0..cycles {
+            for name in &r.inputs {
+                let v = rng.next_u64();
+                reference.poke(name, v);
+                opt_compiled.poke(name, v);
+                opt_tree.poke(name, v);
+            }
+            reference.step();
+            opt_compiled.step();
+            opt_tree.step();
+            for name in &r.outputs {
+                let r = reference.peek(name);
+                let o = opt_compiled.peek(name);
+                let t = opt_tree.peek(name);
+                if o != r || t != r {
+                    return Err(opt_fail(format!(
+                        "output {name:?} diverged at cycle {cycle}: \
+                         unoptimized={r} optimized={o} optimized_tree={t}"
+                    )));
+                }
+            }
+        }
+        optimized.check_batch(seed, cycles, lanes).map_err(|f| {
+            opt_fail(format!(
+                "optimized netlist failed the batch oracle: {}",
+                f.detail
+            ))
+        })
+    }
+
+    /// The two interchange round-trip oracles, picked by `kind`
+    /// ([`NetlistFailureKind::TextRoundtrip`] or
+    /// [`NetlistFailureKind::YosysRoundtrip`]): re-parse the emitted form,
+    /// demand structural identity, byte-identical re-emission, and
+    /// identical compiled bytecode ([`crate::interp::bytecode_dump`]).
+    fn check_roundtrip(&self, kind: NetlistFailureKind) -> Result<(), NetlistFailure> {
+        type Parse = fn(&str) -> Result<NetlistDoc, String>;
+        let (what, emit, parse): (&str, fn(&NetlistDoc) -> String, Parse) = match kind {
+            NetlistFailureKind::TextRoundtrip => ("text", crate::text::emit_text, |s| {
+                crate::text::parse_text(s).map_err(|e| e.to_string())
+            }),
+            NetlistFailureKind::YosysRoundtrip => ("yosys-json", crate::yosys::emit_yosys, |s| {
+                crate::yosys::parse_yosys(s).map_err(|e| e.to_string())
+            }),
+            other => unreachable!("{other:?} is not a round-trip kind"),
+        };
+        let fail = |detail: String| NetlistFailure { kind, detail };
+        let doc = NetlistDoc::from_modules(self.modules, self.top);
+        let emitted = emit(&doc);
+        let parsed =
+            parse(&emitted).map_err(|e| fail(format!("emitted {what} does not parse: {e}")))?;
+        if parsed != doc {
+            return Err(fail(format!(
+                "parsed {what} document is not structurally identical to the original"
+            )));
+        }
+        if emit(&parsed) != emitted {
+            return Err(fail(format!("{what} re-emission is not byte-identical")));
+        }
+        let reference = self.bytecode()?;
+        let flat_rt = elaborate(&parsed.modules, &[], &parsed.top).map_err(|e| {
+            fail(format!(
+                "round-tripped {what} netlist fails elaboration: {e}"
+            ))
+        })?;
+        if crate::interp::bytecode_dump(&flat_rt) != reference {
+            return Err(fail(format!(
+                "round-tripped {what} netlist compiles to different bytecode"
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Runs the full oracle stack on one netlist.
 ///
 /// `perturb_input` (an index into the top module's input ports) injects an
@@ -330,65 +652,7 @@ pub fn check_netlist(
     cycles: u64,
     perturb_input: Option<usize>,
 ) -> Result<(), NetlistFailure> {
-    for m in modules {
-        m.validate().map_err(|e| NetlistFailure {
-            kind: NetlistFailureKind::Validate,
-            detail: e.to_string(),
-        })?;
-    }
-    for m in modules {
-        let v = emit_module(m);
-        if v.contains(")[") {
-            return Err(NetlistFailure {
-                kind: NetlistFailureKind::Emission,
-                detail: format!(
-                    "module {:?} emits a part-select of a compound expression",
-                    m.name()
-                ),
-            });
-        }
-    }
-    let flat = elaborate(modules, &[], top).map_err(|e| NetlistFailure {
-        kind: NetlistFailureKind::Elaborate,
-        detail: e.to_string(),
-    })?;
-    let net_names: Vec<String> = flat.nets().iter().map(|n| n.name.clone()).collect();
-    let inputs: Vec<String> = flat
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Input)
-        .map(|(id, _)| flat.nets()[*id].name.clone())
-        .collect();
-    let mut compiled = Interpreter::new(flat.clone());
-    let mut tree = Interpreter::new_tree_walking(flat);
-    debug_assert!(compiled.is_compiled() && !tree.is_compiled());
-
-    // Stimulus stream is decoupled from the structure stream so the same
-    // seed always drives the same values.
-    let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
-    for cycle in 0..cycles {
-        for (i, name) in inputs.iter().enumerate() {
-            let v = rng.next_u64();
-            compiled.poke(name, v);
-            let tv = if perturb_input == Some(i) { v ^ 1 } else { v };
-            tree.poke(name, tv);
-        }
-        compiled.step();
-        tree.step();
-        for name in &net_names {
-            let c = compiled.peek(name);
-            let t = tree.peek(name);
-            if c != t {
-                return Err(NetlistFailure {
-                    kind: NetlistFailureKind::Mismatch,
-                    detail: format!(
-                        "net {name:?} diverged at cycle {cycle}: compiled={c} tree={t}"
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
+    Reference::new(modules, top).check_engines(seed, cycles, perturb_input)
 }
 
 /// Lane count [`assert_engines_agree`] uses for its built-in batched oracle:
@@ -418,70 +682,7 @@ pub fn check_batch_netlist(
     cycles: u64,
     lanes: usize,
 ) -> Result<(), NetlistFailure> {
-    let flat = elaborate(modules, &[], top).map_err(|e| NetlistFailure {
-        kind: NetlistFailureKind::Elaborate,
-        detail: e.to_string(),
-    })?;
-    let net_names: Vec<String> = flat.nets().iter().map(|n| n.name.clone()).collect();
-    let inputs: Vec<String> = flat
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Input)
-        .map(|(id, _)| flat.nets()[*id].name.clone())
-        .collect();
-    let mut refs: Vec<Interpreter> = (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
-    let mut batch = BatchSim::new(flat, lanes);
-    let mut rngs: Vec<SplitMix64> = (0..lanes)
-        .map(|l| SplitMix64::new(seed.wrapping_add(l as u64) ^ 0xD1F7_0000_0000_0001))
-        .collect();
-    let mut shape = SplitMix64::new(seed ^ 0xB7A0_0000_0000_0002);
-    let mut vals = vec![vec![0u64; lanes]; inputs.len()];
-    for cycle in 0..cycles {
-        // Per port, a seeded choice: independent lanes, one value on every
-        // lane, or that value with one lane perturbed. Rows then go
-        // uniform, diverge and reconverge across cycles, so the batch's
-        // once-per-row and per-lane paths both run.
-        for (i, name) in inputs.iter().enumerate() {
-            let v0 = rngs[0].next_u64();
-            let (kind, pick) = (shape.next_u64() % 3, shape.next_u64());
-            for (l, row) in vals[i].iter_mut().enumerate() {
-                *row = match kind {
-                    _ if l == 0 => v0,
-                    0 => rngs[l].next_u64(),
-                    2 if l == 1 + (pick % (lanes as u64 - 1)) as usize => rngs[l].next_u64(),
-                    _ => v0,
-                };
-            }
-            for (r, &v) in refs.iter_mut().zip(&vals[i]) {
-                r.poke(name, v);
-            }
-        }
-        batch.poke_lanes_many(
-            inputs
-                .iter()
-                .zip(&vals)
-                .map(|(n, v)| (n.as_str(), v.as_slice())),
-        );
-        batch.step();
-        for r in &mut refs {
-            r.step();
-        }
-        for name in &net_names {
-            for (l, r) in refs.iter().enumerate() {
-                let b = batch.peek_lane(name, l);
-                let s = r.peek(name);
-                if b != s {
-                    return Err(NetlistFailure {
-                        kind: NetlistFailureKind::BatchMismatch,
-                        detail: format!(
-                            "net {name:?} diverged at cycle {cycle} lane {l}: batch={b} scalar={s}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
+    Reference::new(modules, top).check_batch(seed, cycles, lanes)
 }
 
 /// Opt-vs-unoptimized lock-step differential oracle: runs the full
@@ -528,118 +729,7 @@ pub fn check_opt_netlist_with(
     lanes: usize,
     opts: &OptOptions,
 ) -> Result<(), NetlistFailure> {
-    let (opt_modules, _) = opt::optimize_netlist(modules, top, opts);
-    for m in &opt_modules {
-        m.validate().map_err(|e| NetlistFailure {
-            kind: NetlistFailureKind::OptMismatch,
-            detail: format!("optimized module {:?} fails validation: {e}", m.name()),
-        })?;
-        let v = emit_module(m);
-        if v.contains(")[") {
-            return Err(NetlistFailure {
-                kind: NetlistFailureKind::OptMismatch,
-                detail: format!(
-                    "optimized module {:?} emits a part-select of a compound expression",
-                    m.name()
-                ),
-            });
-        }
-    }
-    let flat_ref = elaborate(modules, &[], top).map_err(|e| NetlistFailure {
-        kind: NetlistFailureKind::Elaborate,
-        detail: e.to_string(),
-    })?;
-    let flat_opt = elaborate(&opt_modules, &[], top).map_err(|e| NetlistFailure {
-        kind: NetlistFailureKind::OptMismatch,
-        detail: format!("optimized netlist fails elaboration: {e}"),
-    })?;
-    let inputs: Vec<String> = flat_ref
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Input)
-        .map(|(id, _)| flat_ref.nets()[*id].name.clone())
-        .collect();
-    let outputs: Vec<String> = flat_ref
-        .ports()
-        .iter()
-        .filter(|(_, d)| *d == Dir::Output)
-        .map(|(id, _)| flat_ref.nets()[*id].name.clone())
-        .collect();
-    let mut reference = Interpreter::new(flat_ref);
-    let mut optimized = Interpreter::new(flat_opt.clone());
-    let mut opt_tree = Interpreter::new_tree_walking(flat_opt);
-    let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
-    for cycle in 0..cycles {
-        for name in &inputs {
-            let v = rng.next_u64();
-            reference.poke(name, v);
-            optimized.poke(name, v);
-            opt_tree.poke(name, v);
-        }
-        reference.step();
-        optimized.step();
-        opt_tree.step();
-        for name in &outputs {
-            let r = reference.peek(name);
-            let o = optimized.peek(name);
-            let t = opt_tree.peek(name);
-            if o != r || t != r {
-                return Err(NetlistFailure {
-                    kind: NetlistFailureKind::OptMismatch,
-                    detail: format!(
-                        "output {name:?} diverged at cycle {cycle}: \
-                         unoptimized={r} optimized={o} optimized_tree={t}"
-                    ),
-                });
-            }
-        }
-    }
-    check_batch_netlist(&opt_modules, top, seed, cycles, lanes).map_err(|f| NetlistFailure {
-        kind: NetlistFailureKind::OptMismatch,
-        detail: format!("optimized netlist failed the batch oracle: {}", f.detail),
-    })
-}
-
-/// Shared body of the two interchange round-trip oracles: re-parse the
-/// emitted form, demand structural identity, byte-identical re-emission,
-/// and identical compiled bytecode ([`crate::interp::bytecode_dump`]).
-fn check_roundtrip_with<E>(
-    modules: &[Module],
-    top: &str,
-    kind: NetlistFailureKind,
-    what: &str,
-    emit: impl Fn(&crate::text::NetlistDoc) -> String,
-    parse: impl Fn(&str) -> Result<crate::text::NetlistDoc, E>,
-) -> Result<(), NetlistFailure>
-where
-    E: std::fmt::Display,
-{
-    let fail = |detail: String| NetlistFailure { kind, detail };
-    let doc = crate::text::NetlistDoc::from_modules(modules, top);
-    let emitted = emit(&doc);
-    let parsed =
-        parse(&emitted).map_err(|e| fail(format!("emitted {what} does not parse: {e}")))?;
-    if parsed != doc {
-        return Err(fail(format!(
-            "parsed {what} document is not structurally identical to the original"
-        )));
-    }
-    let re_emitted = emit(&parsed);
-    if re_emitted != emitted {
-        return Err(fail(format!("{what} re-emission is not byte-identical")));
-    }
-    let flat_ref = elaborate(modules, &[], top).map_err(|e| NetlistFailure {
-        kind: NetlistFailureKind::Elaborate,
-        detail: e.to_string(),
-    })?;
-    let flat_rt = elaborate(&parsed.modules, &[], &parsed.top)
-        .map_err(|e| fail(format!("round-tripped {what} netlist fails elaboration: {e}")))?;
-    if crate::interp::bytecode_dump(&flat_rt) != crate::interp::bytecode_dump(&flat_ref) {
-        return Err(fail(format!(
-            "round-tripped {what} netlist compiles to different bytecode"
-        )));
-    }
-    Ok(())
+    Reference::new(modules, top).check_opt(seed, cycles, lanes, opts)
 }
 
 /// Round-trip oracle over the textual netlist format
@@ -647,28 +737,14 @@ where
 /// text must parse back to a structurally identical document, re-emit
 /// byte-identically, and compile to byte-identical bytecode.
 pub fn check_text_roundtrip(modules: &[Module], top: &str) -> Result<(), NetlistFailure> {
-    check_roundtrip_with(
-        modules,
-        top,
-        NetlistFailureKind::TextRoundtrip,
-        "text",
-        crate::text::emit_text,
-        crate::text::parse_text,
-    )
+    Reference::new(modules, top).check_roundtrip(NetlistFailureKind::TextRoundtrip)
 }
 
 /// Round-trip oracle over the Yosys-JSON interchange format
 /// ([`crate::yosys::emit_yosys`] / [`crate::yosys::parse_yosys`]): same
 /// contract as [`check_text_roundtrip`].
 pub fn check_yosys_roundtrip(modules: &[Module], top: &str) -> Result<(), NetlistFailure> {
-    check_roundtrip_with(
-        modules,
-        top,
-        NetlistFailureKind::YosysRoundtrip,
-        "yosys-json",
-        crate::yosys::emit_yosys,
-        crate::yosys::parse_yosys,
-    )
+    Reference::new(modules, top).check_roundtrip(NetlistFailureKind::YosysRoundtrip)
 }
 
 /// Panics if the two scalar interpreter engines (or any crash oracle)
@@ -680,11 +756,7 @@ pub fn check_yosys_roundtrip(modules: &[Module], top: &str) -> Result<(), Netlis
 /// to reproduce the design exactly. Convenience wrapper used by committed
 /// regression tests.
 pub fn assert_engines_agree(modules: &[Module], top: &str, seed: u64, cycles: u64) {
-    if let Err(f) = check_netlist(modules, top, seed, cycles, None)
-        .and_then(|()| check_batch_netlist(modules, top, seed, cycles, DEFAULT_ORACLE_LANES))
-        .and_then(|()| check_opt_netlist(modules, top, seed, cycles, DEFAULT_ORACLE_LANES))
-        .and_then(|()| check_text_roundtrip(modules, top))
-        .and_then(|()| check_yosys_roundtrip(modules, top))
+    if let Err(f) = Reference::new(modules, top).check_all(seed, cycles, DEFAULT_ORACLE_LANES, true)
     {
         panic!("{}: {}", f.kind.label(), f.detail);
     }
@@ -694,11 +766,10 @@ pub fn assert_engines_agree(modules: &[Module], top: &str, seed: u64, cycles: u6
 // Shrinker
 // ---------------------------------------------------------------------------
 
-// The editable module decomposition (`Parts`, `to_parts`, `from_parts`) and
-// the dead-net / dead-child GC now live in `crate::opt` — the optimizer's
-// GC pass and the shrinker share one implementation (the shrinker runs it
-// in `GcPorts::PruneUnreadInputs` mode, which additionally drops input
-// ports nothing reads).
+// The dead-net / dead-child GC lives in `crate::opt` — the optimizer's GC
+// pass and the shrinker share one implementation (the shrinker runs it in
+// `GcPorts::PruneUnreadInputs` mode, which additionally drops input ports
+// nothing reads).
 
 /// Greedily minimizes a failing netlist: one by one, tries deleting each
 /// assign, register, instance, and output port of every module (garbage
@@ -707,28 +778,22 @@ pub fn assert_engines_agree(modules: &[Module], top: &str, seed: u64, cycles: u6
 ///
 /// `still_fails` should reproduce the *same* failure (same oracle), not just
 /// any failure — the campaign driver pins the original failure kind.
-pub fn shrink_netlist<F>(
-    modules: &[Module],
-    top: &str,
-    still_fails: F,
-) -> (Vec<Module>, String)
+pub fn shrink_netlist<F>(modules: &[Module], top: &str, still_fails: F) -> (Vec<Module>, String)
 where
     F: Fn(&[Module], &str) -> bool,
 {
-    let mut parts: Vec<Parts> = modules.iter().map(opt::to_parts).collect();
-    let build =
-        |parts: &[Parts]| -> Vec<Module> { parts.iter().map(opt::from_parts).collect() };
+    let mut modules = modules.to_vec();
     loop {
         let mut improved = false;
-        'outer: for mi in 0..parts.len() {
-            let n_assigns = parts[mi].assigns.len();
-            let n_regs = parts[mi].regs.len();
-            let n_insts = parts[mi].instances.len();
-            let n_ports = parts[mi].ports.len();
+        'outer: for mi in 0..modules.len() {
+            let n_assigns = modules[mi].assigns.len();
+            let n_regs = modules[mi].regs.len();
+            let n_insts = modules[mi].instances.len();
+            let n_ports = modules[mi].ports.len();
             // Candidate deletions, coarsest first: instances, regs, assigns,
             // then output ports.
             for k in 0..(n_insts + n_regs + n_assigns + n_ports) {
-                let mut cand = parts.clone();
+                let mut cand = modules.clone();
                 if k < n_insts {
                     cand[mi].instances.remove(k);
                 } else if k < n_insts + n_regs {
@@ -748,15 +813,14 @@ where
                     cand[mi].regs.retain(|r| r.target != net);
                     cand[mi]
                         .instances
-                        .retain(|(_, _, conns)| conns.iter().all(|(_, n)| *n != net));
+                        .retain(|i| i.connections.iter().all(|(_, n)| *n != net));
                 }
                 for p in &mut cand {
                     gc_nets(p, GcPorts::PruneUnreadInputs);
                 }
                 gc_children(&mut cand, top);
-                let candidate = build(&cand);
-                if still_fails(&candidate, top) {
-                    parts = cand;
+                if still_fails(&cand, top) {
+                    modules = cand;
                     improved = true;
                     break 'outer;
                 }
@@ -766,7 +830,7 @@ where
             break;
         }
     }
-    (build(&parts), top.to_string())
+    (modules, top.to_string())
 }
 
 // ---------------------------------------------------------------------------

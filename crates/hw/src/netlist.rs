@@ -298,12 +298,14 @@ impl std::error::Error for NetlistError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Module {
-    name: String,
-    nets: Vec<Net>,
-    ports: Vec<(NetId, Dir)>,
-    assigns: Vec<(NetId, Expr)>,
-    regs: Vec<RegDef>,
-    instances: Vec<Instance>,
+    pub(crate) name: String,
+    pub(crate) nets: Vec<Net>,
+    /// In net order, each net once: only `input`/`output` add ports, each
+    /// with a fresh net, and the optimizer's GC renumbers monotonically.
+    pub(crate) ports: Vec<(NetId, Dir)>,
+    pub(crate) assigns: Vec<(NetId, Expr)>,
+    pub(crate) regs: Vec<RegDef>,
+    pub(crate) instances: Vec<Instance>,
 }
 
 impl Module {

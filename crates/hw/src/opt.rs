@@ -140,68 +140,6 @@ impl OptStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Editable module decomposition (shared with the fuzz shrinker)
-// ---------------------------------------------------------------------------
-
-/// `(child module, instance name, connections)` — an editable
-/// [`crate::netlist::Instance`].
-pub(crate) type InstParts = (String, String, Vec<(String, NetId)>);
-
-/// An editable decomposition of a [`Module`] (the builder API is
-/// append-only, so rewriting reconstructs modules from parts).
-#[derive(Clone)]
-pub(crate) struct Parts {
-    pub(crate) name: String,
-    pub(crate) nets: Vec<Net>,
-    pub(crate) ports: Vec<(NetId, Dir)>,
-    pub(crate) assigns: Vec<(NetId, Expr)>,
-    pub(crate) regs: Vec<RegDef>,
-    pub(crate) instances: Vec<InstParts>,
-}
-
-pub(crate) fn to_parts(m: &Module) -> Parts {
-    Parts {
-        name: m.name().to_string(),
-        nets: m.nets().to_vec(),
-        ports: m.ports().to_vec(),
-        assigns: m.assigns().to_vec(),
-        regs: m.regs().to_vec(),
-        instances: m
-            .instances()
-            .iter()
-            .map(|i| (i.module.clone(), i.name.clone(), i.connections.clone()))
-            .collect(),
-    }
-}
-
-pub(crate) fn from_parts(p: &Parts) -> Module {
-    let mut m = Module::new(&p.name);
-    // The first port entry naming a net gives its direction.
-    let mut dirs: Vec<Option<Dir>> = vec![None; p.nets.len()];
-    for &(id, d) in p.ports.iter().rev() {
-        dirs[id] = Some(d);
-    }
-    for (id, net) in p.nets.iter().enumerate() {
-        let got = match dirs[id] {
-            Some(Dir::Input) => m.input(&net.name, net.width),
-            Some(Dir::Output) => m.output(&net.name, net.width),
-            None => m.net(&net.name, net.width),
-        };
-        debug_assert_eq!(got, id);
-    }
-    for (target, expr) in &p.assigns {
-        m.assign(*target, expr.clone());
-    }
-    for r in &p.regs {
-        m.reg(r.target, r.next.clone(), r.enable.clone(), r.init);
-    }
-    for (module, name, conns) in &p.instances {
-        m.instance(module.clone(), name.clone(), conns.clone());
-    }
-    m
-}
-
 pub(crate) fn remap_expr(e: &Expr, map: &[Option<NetId>]) -> Expr {
     match e {
         Expr::Const { value, width } => Expr::Const {
@@ -244,7 +182,7 @@ pub(crate) enum GcPorts {
 /// This is the shared dead-net GC: the fuzz shrinker runs it in
 /// [`GcPorts::PruneUnreadInputs`] mode after every candidate deletion, the
 /// optimizer in [`GcPorts::PreservePorts`] mode after dead-assign removal.
-pub(crate) fn gc_nets(p: &mut Parts, ports: GcPorts) {
+pub(crate) fn gc_nets(p: &mut Module, ports: GcPorts) {
     let mut used = vec![false; p.nets.len()];
     let mut read_somewhere = vec![false; p.nets.len()];
     for (target, expr) in &p.assigns {
@@ -268,8 +206,8 @@ pub(crate) fn gc_nets(p: &mut Parts, ports: GcPorts) {
             read_somewhere[x] = true;
         }
     }
-    for (_, _, conns) in &p.instances {
-        for (_, n) in conns {
+    for inst in &p.instances {
+        for (_, n) in &inst.connections {
             used[*n] = true;
             read_somewhere[*n] = true;
         }
@@ -325,18 +263,18 @@ pub(crate) fn gc_nets(p: &mut Parts, ports: GcPorts) {
         r.next = remap_expr(&r.next, &map);
         r.enable = r.enable.as_ref().map(|e| remap_expr(e, &map));
     }
-    for (_, _, conns) in &mut p.instances {
-        for (_, n) in conns {
+    for inst in &mut p.instances {
+        for (_, n) in &mut inst.connections {
             *n = map[*n].expect("instance net survives gc");
         }
     }
 }
 
 /// Drops child modules no surviving instance references.
-pub(crate) fn gc_children(modules: &mut Vec<Parts>, top: &str) {
+pub(crate) fn gc_children(modules: &mut Vec<Module>, top: &str) {
     let referenced: HashSet<String> = modules
         .iter()
-        .flat_map(|p| p.instances.iter().map(|(m, _, _)| m.clone()))
+        .flat_map(|p| p.instances.iter().map(|i| i.module.clone()))
         .collect();
     modules.retain(|p| p.name == top || referenced.contains(&p.name));
 }
@@ -963,10 +901,10 @@ enum Rewrite {
 /// re-costing a cloned module. Item costs are cached across rounds: a hoist
 /// changes only the items it rewrites and adds one assign. The net table
 /// carries one extra slot for the hypothetical shared net while CSE runs.
-fn cse_parts(p: &mut Parts) {
+fn cse_module(p: &mut Module) {
     let mut counter = 0usize;
     let (mut rounds, mut hoists) = (0u64, 0u64);
-    let Parts {
+    let Module {
         nets,
         assigns,
         regs,
@@ -1089,13 +1027,13 @@ fn cse_parts(p: &mut Parts) {
 /// Drops assignments whose targets no live net transitively needs. Roots:
 /// every port, every instance connection, and every register (registers are
 /// never deleted — fault campaigns enumerate them by position).
-fn drop_dead_assigns(p: &mut Parts) -> bool {
+fn drop_dead_assigns(p: &mut Module) -> bool {
     let mut live = vec![false; p.nets.len()];
     for &(id, _) in &p.ports {
         live[id] = true;
     }
-    for (_, _, conns) in &p.instances {
-        for (_, n) in conns {
+    for inst in &p.instances {
+        for (_, n) in &inst.connections {
             live[*n] = true;
         }
     }
@@ -1245,8 +1183,8 @@ pub fn netlist_stats(modules: &[Module]) -> NetlistStats {
 /// fold/peephole rules bottom-up, then re-trees reduction chains), then
 /// cost-gated CSE, then dead-logic GC. Ports, registers, instances, and
 /// net names are preserved (see the module docs' preservation contract).
-pub fn optimize_module(m: &Module, opts: &OptOptions) -> Module {
-    let mut p = to_parts(m);
+/// The module is rewritten in place; nothing is copied.
+pub fn optimize_module(mut p: Module, opts: &OptOptions) -> Module {
     if opts.fold || opts.peephole || opts.rebalance {
         for _ in 0..8 {
             let mut changed = false;
@@ -1272,44 +1210,51 @@ pub fn optimize_module(m: &Module, opts: &OptOptions) -> Module {
     }
     if opts.cse {
         let _span = tensorlib_obs::span("hw.opt.cse");
-        cse_parts(&mut p);
+        cse_module(&mut p);
     }
     if opts.gc {
         drop_dead_assigns(&mut p);
         gc_nets(&mut p, GcPorts::PreservePorts);
     }
-    from_parts(&p)
+    p
 }
 
-/// Optimizes a whole module list and collects unreachable child modules
-/// (when [`OptOptions::gc`] is on). Returns the optimized list plus the
-/// pre/post census. Module order is preserved for the survivors.
+/// The optimizer core: optimizes a whole module list, taken by value, and
+/// collects child modules the top no longer reaches (when
+/// [`OptOptions::gc`] is on). Module order is preserved for the survivors.
+/// It computes no census; [`optimize_netlist`] is this plus one.
+pub fn optimize(modules: Vec<Module>, top: &str, opts: &OptOptions) -> Vec<Module> {
+    let _span = tensorlib_obs::span("hw.opt");
+    let mut out: Vec<Module> = modules
+        .into_iter()
+        .map(|m| optimize_module(m, opts))
+        .collect();
+    if opts.gc && out.iter().any(|m| m.name() == top) {
+        // Transitive reachability from the top module over instances.
+        let by_name: HashMap<&str, &Module> = out.iter().map(|m| (m.name(), m)).collect();
+        let mut reachable: HashSet<String> = HashSet::new();
+        let mut stack = vec![top];
+        while let Some(name) = stack.pop() {
+            if !reachable.insert(name.to_string()) {
+                continue;
+            }
+            if let Some(m) = by_name.get(name) {
+                stack.extend(m.instances().iter().map(|inst| inst.module.as_str()));
+            }
+        }
+        out.retain(|m| reachable.contains(m.name()));
+    }
+    out
+}
+
+/// [`optimize`] over a copy of `modules`, plus the pre/post census.
 pub fn optimize_netlist(
     modules: &[Module],
     top: &str,
     opts: &OptOptions,
 ) -> (Vec<Module>, OptStats) {
-    let _span = tensorlib_obs::span("hw.opt");
     let pre = netlist_stats(modules);
-    let mut out: Vec<Module> = modules.iter().map(|m| optimize_module(m, opts)).collect();
-    if opts.gc && out.iter().any(|m| m.name() == top) {
-        // Transitive reachability from the top module over instances.
-        let by_name: HashMap<&str, &Module> =
-            out.iter().map(|m| (m.name(), m)).collect();
-        let mut reachable: HashSet<String> = HashSet::new();
-        let mut stack = vec![top.to_string()];
-        while let Some(name) = stack.pop() {
-            if !reachable.insert(name.clone()) {
-                continue;
-            }
-            if let Some(m) = by_name.get(name.as_str()) {
-                for inst in m.instances() {
-                    stack.push(inst.module.clone());
-                }
-            }
-        }
-        out.retain(|m| reachable.contains(m.name()));
-    }
+    let out = optimize(modules.to_vec(), top, opts);
     let post = netlist_stats(&out);
     (out, OptStats { pre, post })
 }
@@ -1399,7 +1344,7 @@ mod tests {
         assert_eq!(depth(&e), 8);
         assert!(depth(&t) <= 4, "depth {} > ceil(log2 9)", depth(&t));
         m.assign(y, e);
-        let opt = optimize_module(&m, &OptOptions::default());
+        let opt = optimize_module(m.clone(), &OptOptions::default());
         assert_engines_agree(
             &[m.clone()],
             "chain",
@@ -1439,7 +1384,7 @@ mod tests {
         m.assign(y, shared().mul(Expr::net(b)).resize(8));
         m.assign(z, shared().add(Expr::lit(1, 8)).resize(8));
         let before = module_lowered_ops(&m);
-        let opt = optimize_module(&m, &OptOptions::default());
+        let opt = optimize_module(m.clone(), &OptOptions::default());
         let after = module_lowered_ops(&opt);
         assert!(after < before, "no sharing happened: {before} -> {after}");
         assert!(
@@ -1461,7 +1406,7 @@ mod tests {
         m.assign(dead, Expr::net(a).add(Expr::lit(1, 8)));
         m.reg(dead_reg, Expr::net(dead_reg).add(Expr::lit(1, 8)), None, 0);
         m.assign(y, Expr::net(a));
-        let opt = optimize_module(&m, &OptOptions::default());
+        let opt = optimize_module(m.clone(), &OptOptions::default());
         assert!(opt.port_dir("unused_in").is_some(), "ports preserved");
         assert_eq!(opt.regs().len(), 1, "registers preserved");
         assert!(
@@ -1472,7 +1417,7 @@ mod tests {
         let _ = unused_in;
         // Every surviving net is referenced: a port, a reg target, read
         // somewhere, or instance-connected.
-        let p = to_parts(&opt);
+        let p = opt;
         let mut referenced = vec![false; p.nets.len()];
         for &(id, _) in &p.ports {
             referenced[id] = true;

@@ -1,11 +1,11 @@
 //! Yosys-JSON netlist interchange.
 //!
-//! [`export_yosys`] renders a [`NetlistDoc`] as the JSON netlist schema
+//! [`emit_yosys`] renders a [`NetlistDoc`] as the JSON netlist schema
 //! Yosys's `write_json` emits (modules → ports/cells/netnames over a global
 //! bit-index space, word-level `$add`/`$mux`/`$sdff`/… cells, constants as
 //! inline `"0"`/`"1"` bit strings), so external EDA tooling can inspect or
 //! transform our designs; [`import_yosys`] reads it back. The round-trip
-//! contract matches [`crate::text`]: `import_yosys(&export_yosys(doc))`
+//! contract matches [`crate::text`]: `parse_yosys(&emit_yosys(doc))`
 //! is structurally identical to `doc`, re-exports byte-identically, and
 //! compiles to byte-identical bytecode.
 //!
@@ -38,10 +38,11 @@
 //! checked and violations surface as a [`YosysError`] naming the module
 //! and cell at fault.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use tensorlib_obs::json::{self, Value};
+use tensorlib_obs::json::{self, Pretty, Value};
 
 use crate::mem::MemBank;
 use crate::netlist::{BinOp, Dir, Expr, Module, NetId};
@@ -103,157 +104,175 @@ impl fmt::Display for Loc<'_> {
 // Export
 // ---------------------------------------------------------------------------
 
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
+/// A parameter or attribute value: a number, or a string (bit strings such
+/// as `SRST_VALUE`, and bank parameters that must stay u64-exact).
+#[derive(Clone, Copy)]
+enum Param<'a> {
+    N(u64),
+    S(&'a str),
 }
 
-fn s(t: impl Into<String>) -> Value {
-    Value::Str(t.into())
+use Param::{N, S};
+
+/// Named parameters or attributes, in document order.
+type Params<'a> = [(&'a str, Param<'a>)];
+
+fn write_params(w: &mut Pretty, params: &Params) {
+    w.open('{');
+    for &(name, p) in params {
+        match p {
+            N(n) => w.key(name).num(n as f64),
+            S(s) => w.key(name).str(s),
+        }
+    }
+    w.close('}');
 }
 
-fn obj(entries: Vec<(String, Value)>) -> Value {
-    Value::Obj(entries)
+/// Connection bits: a contiguous run of bit indices (a net's, or a hidden
+/// intermediate's), a constant's `"0"`/`"1"` bits, or the one `"x"` bit of
+/// a register's clock and reset.
+#[derive(Clone, Copy)]
+enum Bits {
+    Run(u64, u32),
+    Const(u64, u32),
+    X,
 }
 
-fn kv(entries: &[(&str, Value)]) -> Value {
-    Value::Obj(
-        entries
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-    )
+impl Bits {
+    fn write(self, w: &mut Pretty) {
+        w.open('[');
+        match self {
+            Bits::Run(start, width) => {
+                (start..start + u64::from(width)).for_each(|b| w.num(b as f64));
+            }
+            Bits::Const(value, width) => {
+                for i in 0..width {
+                    w.str(["0", "1"][(value.checked_shr(i).unwrap_or(0) & 1) as usize]);
+                }
+            }
+            Bits::X => w.str("x"),
+        }
+        w.close(']');
+    }
 }
 
 /// Uniquifies display keys: the true name when it is unique, nonempty, and
 /// does not collide with generated `$…` names; otherwise `base$<index>`.
-fn display_keys(names: Vec<String>, placeholder: &str) -> Vec<String> {
+fn display_keys<'n>(names: Vec<&'n str>, placeholder: &str) -> Vec<Cow<'n, str>> {
     let mut counts: HashMap<&str, usize> = HashMap::new();
     for n in &names {
-        *counts.entry(n.as_str()).or_insert(0) += 1;
+        *counts.entry(n).or_insert(0) += 1;
     }
     names
         .iter()
         .enumerate()
-        .map(|(i, n)| {
+        .map(|(i, &n)| {
             if n.is_empty() || n.starts_with('$') {
-                format!("${placeholder}${i}")
-            } else if counts[n.as_str()] > 1 {
-                format!("{n}${i}")
+                Cow::Owned(format!("${placeholder}${i}"))
+            } else if counts[n] > 1 {
+                Cow::Owned(format!("{n}${i}"))
             } else {
-                n.clone()
+                Cow::Borrowed(n)
             }
         })
         .collect()
 }
 
+/// Writes one cell; ports named `Y` or `Q` are outputs, the rest inputs.
+fn write_cell(
+    w: &mut Pretty,
+    key: &str,
+    ty: &str,
+    params: &Params,
+    attrs: &Params,
+    conns: &[(&str, Bits)],
+) {
+    w.key(key).open('{');
+    w.key("hide_name").num(1.0);
+    w.key("type").str(ty);
+    write_params(w.key("parameters"), params);
+    write_params(w.key("attributes"), attrs);
+    w.key("port_directions").open('{');
+    for (port, _) in conns {
+        w.key(port)
+            .str(["input", "output"][usize::from(matches!(*port, "Y" | "Q"))]);
+    }
+    w.close('}');
+    w.key("connections").open('{');
+    for (port, bits) in conns {
+        bits.write(w.key(port));
+    }
+    w.close('}');
+    w.close('}');
+}
+
+/// Writes one module entry as it goes: nets get contiguous bit runs from 2
+/// upward, and each cell is written the moment it is produced.
 struct ModuleExporter<'m> {
     m: &'m Module,
-    net_bits: Vec<Vec<u64>>,
+    net_start: Vec<u64>,
     next_bit: u64,
-    cells: Vec<(String, Value)>,
     expr_counter: usize,
 }
 
 impl<'m> ModuleExporter<'m> {
     fn new(m: &'m Module) -> ModuleExporter<'m> {
         let mut next_bit = 2u64; // Yosys reserves bits 0 and 1
-        let mut net_bits = Vec::with_capacity(m.nets().len());
-        for net in m.nets() {
-            let run: Vec<u64> = (next_bit..next_bit + u64::from(net.width)).collect();
-            next_bit += u64::from(net.width);
-            net_bits.push(run);
-        }
+        let net_start = m
+            .nets()
+            .iter()
+            .map(|net| {
+                next_bit += u64::from(net.width);
+                next_bit - u64::from(net.width)
+            })
+            .collect();
         ModuleExporter {
             m,
-            net_bits,
+            net_start,
             next_bit,
-            cells: Vec::new(),
             expr_counter: 0,
         }
     }
 
-    fn fresh_bits(&mut self, width: u32) -> Vec<u64> {
-        let run: Vec<u64> = (self.next_bit..self.next_bit + u64::from(width)).collect();
-        self.next_bit += u64::from(width);
-        run
+    fn net_bits(&self, id: NetId) -> Bits {
+        Bits::Run(self.net_start[id], self.m.nets()[id].width)
     }
 
-    fn bits_value(bits: &[u64]) -> Vec<Value> {
-        bits.iter().map(|b| num(*b)).collect()
-    }
-
-    fn const_bits(value: u64, width: u32) -> Vec<Value> {
-        (0..width)
-            .map(|i| {
-                let bit = if i < 64 { (value >> i) & 1 } else { 0 };
-                s(if bit == 1 { "1" } else { "0" })
-            })
-            .collect()
-    }
-
-    fn push_cell(
+    /// A hidden operator cell, keyed `$expr$<n>` in post order. Its `Y`
+    /// bits are `root_y` if given, else a fresh hidden run of `width`.
+    fn expr_cell(
         &mut self,
-        key: String,
-        ty: &str,
-        params: Vec<(String, Value)>,
-        attrs: Vec<(String, Value)>,
-        dirs: Vec<(String, Value)>,
-        conns: Vec<(String, Value)>,
-    ) {
-        self.cells.push((
-            key,
-            obj(vec![
-                ("hide_name".to_string(), num(1)),
-                ("type".to_string(), s(ty)),
-                ("parameters".to_string(), obj(params)),
-                ("attributes".to_string(), obj(attrs)),
-                ("port_directions".to_string(), obj(dirs)),
-                ("connections".to_string(), obj(conns)),
-            ]),
-        ));
+        w: &mut Pretty,
+        root_y: Option<Bits>,
+        width: u32,
+        (ty, params, attrs): (&str, &Params, &Params),
+        inputs: &[(&str, Bits)],
+    ) -> Bits {
+        let y = root_y.unwrap_or_else(|| {
+            self.next_bit += u64::from(width);
+            Bits::Run(self.next_bit - u64::from(width), width)
+        });
+        let mut conns = inputs.to_vec();
+        conns.push(("Y", y));
+        let key = format!("$expr${}", self.expr_counter);
+        self.expr_counter += 1;
+        write_cell(w, &key, ty, params, attrs, &conns);
+        y
     }
 
-    /// Connection bits for `e`, materializing hidden cells for operators.
+    /// Connection bits for `e`, writing hidden cells for operators.
     /// With `root_y`, the outermost operator drives those (visible) bits.
-    fn expr_bits(&mut self, e: &Expr, root_y: Option<Vec<u64>>) -> Vec<Value> {
+    fn expr_bits(&mut self, w: &mut Pretty, e: &Expr, root_y: Option<Bits>) -> Bits {
         let nets = self.m.nets();
         let width = e.width(nets);
-        let alloc_y = |ex: &mut Self| match root_y.clone() {
-            Some(y) => y,
-            None => ex.fresh_bits(width),
-        };
-        let cell_key = |ex: &mut Self| {
-            let k = format!("$expr${}", ex.expr_counter);
-            ex.expr_counter += 1;
-            k
-        };
+        let n = |e: &Expr| N(u64::from(e.width(nets)));
         match e {
-            Expr::Const { value, width } => Self::const_bits(*value, *width),
-            Expr::Net(id) => Self::bits_value(&self.net_bits[*id]),
+            Expr::Const { value, width } => Bits::Const(*value, *width),
+            Expr::Net(id) => self.net_bits(*id),
             Expr::Not(a) => {
-                let aw = a.width(nets);
-                let a_bits = self.expr_bits(a, None);
-                let y = alloc_y(self);
-                let k = cell_key(self);
-                self.push_cell(
-                    k,
-                    "$not",
-                    vec![
-                        ("A_SIGNED".to_string(), num(0)),
-                        ("A_WIDTH".to_string(), num(u64::from(aw))),
-                        ("Y_WIDTH".to_string(), num(u64::from(width))),
-                    ],
-                    vec![],
-                    vec![
-                        ("A".to_string(), s("input")),
-                        ("Y".to_string(), s("output")),
-                    ],
-                    vec![
-                        ("A".to_string(), Value::Arr(a_bits)),
-                        ("Y".to_string(), Value::Arr(Self::bits_value(&y))),
-                    ],
-                );
-                Self::bits_value(&y)
+                let a_bits = self.expr_bits(w, a, None);
+                let params = [("A_SIGNED", N(0)), ("A_WIDTH", n(a)), ("Y_WIDTH", n(e))];
+                self.expr_cell(w, root_y, width, ("$not", &params, &[]), &[("A", a_bits)])
             }
             Expr::Bin(op, a, b) => {
                 let ty = match op {
@@ -266,34 +285,17 @@ impl<'m> ModuleExporter<'m> {
                     BinOp::Eq => "$eq",
                     BinOp::Lt => "$lt",
                 };
-                let (aw, bw) = (a.width(nets), b.width(nets));
-                let a_bits = self.expr_bits(a, None);
-                let b_bits = self.expr_bits(b, None);
-                let y = alloc_y(self);
-                let k = cell_key(self);
-                self.push_cell(
-                    k,
-                    ty,
-                    vec![
-                        ("A_SIGNED".to_string(), num(0)),
-                        ("B_SIGNED".to_string(), num(0)),
-                        ("A_WIDTH".to_string(), num(u64::from(aw))),
-                        ("B_WIDTH".to_string(), num(u64::from(bw))),
-                        ("Y_WIDTH".to_string(), num(u64::from(width))),
-                    ],
-                    vec![],
-                    vec![
-                        ("A".to_string(), s("input")),
-                        ("B".to_string(), s("input")),
-                        ("Y".to_string(), s("output")),
-                    ],
-                    vec![
-                        ("A".to_string(), Value::Arr(a_bits)),
-                        ("B".to_string(), Value::Arr(b_bits)),
-                        ("Y".to_string(), Value::Arr(Self::bits_value(&y))),
-                    ],
-                );
-                Self::bits_value(&y)
+                let a_bits = self.expr_bits(w, a, None);
+                let b_bits = self.expr_bits(w, b, None);
+                let params = [
+                    ("A_SIGNED", N(0)),
+                    ("B_SIGNED", N(0)),
+                    ("A_WIDTH", n(a)),
+                    ("B_WIDTH", n(b)),
+                    ("Y_WIDTH", n(e)),
+                ];
+                let inputs = [("A", a_bits), ("B", b_bits)];
+                self.expr_cell(w, root_y, width, (ty, &params, &[]), &inputs)
             }
             Expr::Mux {
                 sel,
@@ -301,313 +303,161 @@ impl<'m> ModuleExporter<'m> {
                 on_false,
             } => {
                 // Yosys $mux: Y = S ? B : A.
-                let s_bits = self.expr_bits(sel, None);
-                let b_bits = self.expr_bits(on_true, None);
-                let a_bits = self.expr_bits(on_false, None);
-                let y = alloc_y(self);
-                let k = cell_key(self);
-                self.push_cell(
-                    k,
-                    "$mux",
-                    vec![("WIDTH".to_string(), num(u64::from(width)))],
-                    vec![],
-                    vec![
-                        ("A".to_string(), s("input")),
-                        ("B".to_string(), s("input")),
-                        ("S".to_string(), s("input")),
-                        ("Y".to_string(), s("output")),
-                    ],
-                    vec![
-                        ("A".to_string(), Value::Arr(a_bits)),
-                        ("B".to_string(), Value::Arr(b_bits)),
-                        ("S".to_string(), Value::Arr(s_bits)),
-                        ("Y".to_string(), Value::Arr(Self::bits_value(&y))),
-                    ],
-                );
-                Self::bits_value(&y)
+                let s_bits = self.expr_bits(w, sel, None);
+                let b_bits = self.expr_bits(w, on_true, None);
+                let a_bits = self.expr_bits(w, on_false, None);
+                let inputs = [("A", a_bits), ("B", b_bits), ("S", s_bits)];
+                self.expr_cell(w, root_y, width, ("$mux", &[("WIDTH", n(e))], &[]), &inputs)
             }
-            Expr::Resize(a, w) | Expr::SignExtend(a, w) => {
+            Expr::Resize(a, _) | Expr::SignExtend(a, _) => {
                 let signed = matches!(e, Expr::SignExtend(..));
-                let aw = a.width(nets);
-                let a_bits = self.expr_bits(a, None);
-                let y = alloc_y(self);
-                let k = cell_key(self);
-                self.push_cell(
-                    k,
-                    "$pos",
-                    vec![
-                        ("A_SIGNED".to_string(), num(u64::from(signed))),
-                        ("A_WIDTH".to_string(), num(u64::from(aw))),
-                        ("Y_WIDTH".to_string(), num(u64::from(*w))),
-                    ],
-                    vec![("tensorlib_resize".to_string(), num(1))],
-                    vec![
-                        ("A".to_string(), s("input")),
-                        ("Y".to_string(), s("output")),
-                    ],
-                    vec![
-                        ("A".to_string(), Value::Arr(a_bits)),
-                        ("Y".to_string(), Value::Arr(Self::bits_value(&y))),
-                    ],
-                );
-                Self::bits_value(&y)
+                let a_bits = self.expr_bits(w, a, None);
+                let params = [
+                    ("A_SIGNED", N(u64::from(signed))),
+                    ("A_WIDTH", n(a)),
+                    ("Y_WIDTH", n(e)),
+                ];
+                let attrs = [("tensorlib_resize", N(1))];
+                self.expr_cell(
+                    w,
+                    root_y,
+                    width,
+                    ("$pos", &params, &attrs),
+                    &[("A", a_bits)],
+                )
             }
         }
     }
 
-    fn export(mut self) -> Value {
+    /// Writes the module entry: `attributes`, then `ports`, `cells` and
+    /// `netnames`, ports and netnames in declaration order.
+    fn export(mut self, w: &mut Pretty, attrs: &Params) {
         let m = self.m;
+        let net_keys = display_keys(m.nets().iter().map(|n| n.name.as_str()).collect(), "n");
+        w.key(m.name()).open('{');
+        write_params(w.key("attributes"), attrs);
+        w.key("ports").open('{');
+        for &(id, dir) in m.ports() {
+            w.key(&net_keys[id]).open('{');
+            w.key("direction").str(match dir {
+                Dir::Input => "input",
+                Dir::Output => "output",
+            });
+            self.net_bits(id).write(w.key("bits"));
+            w.close('}');
+        }
+        w.close('}');
+        w.key("cells").open('{');
         // Assign roots: operator roots drive the target bits directly;
         // bare net/constant right-hand sides become unmarked $pos buffers.
         for (target, expr) in m.assigns() {
-            let y = self.net_bits[*target].clone();
-            match expr {
-                Expr::Net(_) | Expr::Const { .. } => {
-                    let aw = expr.width(m.nets());
-                    let a_bits = self.expr_bits(expr, None);
-                    let k = format!("$expr${}", self.expr_counter);
-                    self.expr_counter += 1;
-                    self.push_cell(
-                        k,
-                        "$pos",
-                        vec![
-                            ("A_SIGNED".to_string(), num(0)),
-                            ("A_WIDTH".to_string(), num(u64::from(aw))),
-                            ("Y_WIDTH".to_string(), num(y.len() as u64)),
-                        ],
-                        vec![],
-                        vec![
-                            ("A".to_string(), s("input")),
-                            ("Y".to_string(), s("output")),
-                        ],
-                        vec![
-                            ("A".to_string(), Value::Arr(a_bits)),
-                            ("Y".to_string(), Value::Arr(Self::bits_value(&y))),
-                        ],
-                    );
-                }
-                _ => {
-                    self.expr_bits(expr, Some(y));
-                }
+            let y = self.net_bits(*target);
+            if let Expr::Net(_) | Expr::Const { .. } = expr {
+                let a_bits = self.expr_bits(w, expr, None);
+                let width = m.nets()[*target].width;
+                let params = [
+                    ("A_SIGNED", N(0)),
+                    ("A_WIDTH", N(u64::from(expr.width(m.nets())))),
+                    ("Y_WIDTH", N(u64::from(width))),
+                ];
+                self.expr_cell(w, Some(y), width, ("$pos", &params, &[]), &[("A", a_bits)]);
+            } else {
+                self.expr_bits(w, expr, Some(y));
             }
         }
-        // Registers.
         for (i, r) in m.regs().iter().enumerate() {
             let width = m.nets()[r.target].width;
-            let d_bits = self.expr_bits(&r.next, None);
-            let en_bits = r.enable.as_ref().map(|en| self.expr_bits(en, None));
-            let q = self.net_bits[r.target].clone();
+            let d = self.expr_bits(w, &r.next, None);
+            let en = r.enable.as_ref().map(|en| self.expr_bits(w, en, None));
             let srst_value: String = (0..width)
                 .rev()
-                .map(|i| {
-                    let bit = if i < 64 { (r.init >> i) & 1 } else { 0 };
-                    if bit == 1 {
-                        '1'
-                    } else {
-                        '0'
-                    }
-                })
+                .map(|i| ['0', '1'][(r.init.checked_shr(i).unwrap_or(0) & 1) as usize])
                 .collect();
             let mut params = vec![
-                ("WIDTH".to_string(), num(u64::from(width))),
-                ("CLK_POLARITY".to_string(), num(1)),
-                ("SRST_POLARITY".to_string(), num(1)),
-                ("SRST_VALUE".to_string(), s(srst_value)),
+                ("WIDTH", N(u64::from(width))),
+                ("CLK_POLARITY", N(1)),
+                ("SRST_POLARITY", N(1)),
+                ("SRST_VALUE", S(&srst_value)),
             ];
-            let mut dirs = vec![
-                ("CLK".to_string(), s("input")),
-                ("SRST".to_string(), s("input")),
-                ("D".to_string(), s("input")),
-                ("Q".to_string(), s("output")),
-            ];
-            let mut conns = vec![
-                ("CLK".to_string(), Value::Arr(vec![s("x")])),
-                ("SRST".to_string(), Value::Arr(vec![s("x")])),
-                ("D".to_string(), Value::Arr(d_bits)),
-                ("Q".to_string(), Value::Arr(Self::bits_value(&q))),
-            ];
-            let ty = if let Some(en) = en_bits {
-                params.push(("EN_POLARITY".to_string(), num(1)));
-                dirs.insert(2, ("EN".to_string(), s("input")));
-                conns.insert(2, ("EN".to_string(), Value::Arr(en)));
+            let q = self.net_bits(r.target);
+            let mut conns = vec![("CLK", Bits::X), ("SRST", Bits::X), ("D", d), ("Q", q)];
+            let ty = if let Some(en) = en {
+                params.push(("EN_POLARITY", N(1)));
+                conns.insert(2, ("EN", en));
                 "$sdffe"
             } else {
                 "$sdff"
             };
-            let key = format!("$reg${i}");
-            self.push_cell(key, ty, params, vec![], dirs, conns);
+            write_cell(w, &format!("$reg${i}"), ty, &params, &[], &conns);
         }
-        // Child-module instances.
-        let inst_keys = display_keys(
-            m.instances().iter().map(|i| i.name.clone()).collect(),
-            "inst",
-        );
-        for (inst, key) in m.instances().iter().zip(inst_keys) {
-            let conns: Vec<(String, Value)> = inst
-                .connections
-                .iter()
-                .map(|(port, net)| {
-                    (
-                        port.clone(),
-                        Value::Arr(Self::bits_value(&self.net_bits[*net])),
-                    )
-                })
-                .collect();
-            self.cells.push((
-                key,
-                obj(vec![
-                    ("hide_name".to_string(), num(0)),
-                    ("type".to_string(), s(&inst.module)),
-                    ("parameters".to_string(), obj(vec![])),
-                    (
-                        "attributes".to_string(),
-                        obj(vec![
-                            ("tensorlib_name".to_string(), s(&inst.name)),
-                            ("module_not_derived".to_string(), num(1)),
-                        ]),
-                    ),
-                    ("connections".to_string(), obj(conns)),
-                ]),
-            ));
-        }
-        // Ports and netnames in declaration order.
-        let net_keys = display_keys(
-            m.nets().iter().map(|n| n.name.clone()).collect(),
-            "n",
-        );
-        let ports: Vec<(String, Value)> = m
-            .ports()
-            .iter()
-            .map(|(id, dir)| {
-                (
-                    net_keys[*id].clone(),
-                    kv(&[
-                        (
-                            "direction",
-                            s(match dir {
-                                Dir::Input => "input",
-                                Dir::Output => "output",
-                            }),
-                        ),
-                        ("bits", Value::Arr(Self::bits_value(&self.net_bits[*id]))),
-                    ]),
-                )
-            })
-            .collect();
-        let netnames: Vec<(String, Value)> = m
-            .nets()
-            .iter()
-            .enumerate()
-            .map(|(id, net)| {
-                (
-                    net_keys[id].clone(),
-                    obj(vec![
-                        ("hide_name".to_string(), num(u64::from(net.name.is_empty()))),
-                        ("bits".to_string(), Value::Arr(Self::bits_value(&self.net_bits[id]))),
-                        (
-                            "attributes".to_string(),
-                            obj(vec![("tensorlib_name".to_string(), s(&net.name))]),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        obj(vec![
-            ("attributes".to_string(), obj(vec![])),
-            ("ports".to_string(), obj(ports)),
-            ("cells".to_string(), obj(self.cells)),
-            ("netnames".to_string(), obj(netnames)),
-        ])
-    }
-}
-
-fn export_bank(bank: &MemBank) -> Value {
-    let iface = bank.interface_module();
-    let mut next_bit = 2u64;
-    let mut ports = Vec::new();
-    let mut netnames = Vec::new();
-    for (id, dir) in iface.ports() {
-        let net = &iface.nets()[*id];
-        let bits: Vec<Value> = (next_bit..next_bit + u64::from(net.width))
-            .map(num)
-            .collect();
-        next_bit += u64::from(net.width);
-        ports.push((
-            net.name.clone(),
-            kv(&[
-                (
-                    "direction",
-                    s(match dir {
-                        Dir::Input => "input",
-                        Dir::Output => "output",
-                    }),
-                ),
-                ("bits", Value::Arr(bits.clone())),
-            ]),
-        ));
-        netnames.push((
-            net.name.clone(),
-            obj(vec![
-                ("hide_name".to_string(), num(0)),
-                ("bits".to_string(), Value::Arr(bits)),
-                (
-                    "attributes".to_string(),
-                    obj(vec![("tensorlib_name".to_string(), s(&net.name))]),
-                ),
-            ]),
-        ));
-    }
-    obj(vec![
-        (
-            "attributes".to_string(),
-            obj(vec![
-                ("blackbox".to_string(), num(1)),
-                ("tensorlib_bank".to_string(), num(1)),
-                ("tensorlib_words".to_string(), s(bank.words().to_string())),
-                ("tensorlib_width".to_string(), s(bank.width().to_string())),
-                (
-                    "tensorlib_db".to_string(),
-                    s(if bank.is_double_buffered() { "1" } else { "0" }),
-                ),
-                (
-                    "tensorlib_parity".to_string(),
-                    s(if bank.has_parity() { "1" } else { "0" }),
-                ),
-            ]),
-        ),
-        ("ports".to_string(), obj(ports)),
-        ("cells".to_string(), obj(vec![])),
-        ("netnames".to_string(), obj(netnames)),
-    ])
-}
-
-/// Exports `doc` as a Yosys-JSON document tree. Deterministic: equal
-/// documents export identical trees (and therefore identical text via
-/// [`emit_yosys`]).
-pub fn export_yosys(doc: &NetlistDoc) -> Value {
-    let mut modules: Vec<(String, Value)> = Vec::new();
-    for bank in &doc.banks {
-        modules.push((bank.module_name(), export_bank(bank)));
-    }
-    for m in &doc.modules {
-        let mut v = ModuleExporter::new(m).export();
-        if m.name() == doc.top {
-            if let Value::Obj(entries) = &mut v {
-                entries[0].1 = obj(vec![("top".to_string(), num(1))]);
+        let inst_names = m.instances().iter().map(|i| i.name.as_str()).collect();
+        for (inst, key) in m.instances().iter().zip(display_keys(inst_names, "inst")) {
+            w.key(&key).open('{');
+            w.key("hide_name").num(0.0);
+            w.key("type").str(&inst.module);
+            write_params(w.key("parameters"), &[]);
+            let attrs = [
+                ("tensorlib_name", S(&inst.name)),
+                ("module_not_derived", N(1)),
+            ];
+            write_params(w.key("attributes"), &attrs);
+            w.key("connections").open('{');
+            for (port, net) in &inst.connections {
+                self.net_bits(*net).write(w.key(port));
             }
+            w.close('}');
+            w.close('}');
         }
-        modules.push((m.name().to_string(), v));
+        w.close('}');
+        w.key("netnames").open('{');
+        for (id, net) in m.nets().iter().enumerate() {
+            w.key(&net_keys[id]).open('{');
+            w.key("hide_name")
+                .num(f64::from(u8::from(net.name.is_empty())));
+            self.net_bits(id).write(w.key("bits"));
+            write_params(w.key("attributes"), &[("tensorlib_name", S(&net.name))]);
+            w.close('}');
+        }
+        w.close('}');
+        w.close('}');
     }
-    obj(vec![
-        ("creator".to_string(), s("tensorlib netlist interchange v1")),
-        ("modules".to_string(), obj(modules)),
-    ])
 }
 
-/// Exports `doc` and serializes it to JSON text (trailing newline included).
+/// Renders `doc` as Yosys-JSON text (trailing newline included), written
+/// as it goes with no document tree in between. Deterministic: equal
+/// documents emit identical text. A memory bank exports as a blackbox
+/// module with its interface module's ports and its parameters in
+/// `tensorlib_*` attributes.
 pub fn emit_yosys(doc: &NetlistDoc) -> String {
     let _span = tensorlib_obs::span("hw.yosys.emit");
-    let mut text = json::to_pretty(&export_yosys(doc));
+    let mut w = Pretty::default();
+    w.open('{');
+    w.key("creator").str("tensorlib netlist interchange v1");
+    w.key("modules").open('{');
+    for bank in &doc.banks {
+        let (words, width) = (bank.words().to_string(), bank.width().to_string());
+        let flag = |on: bool| S(if on { "1" } else { "0" });
+        let iface = bank.interface_module();
+        ModuleExporter::new(&iface).export(
+            &mut w,
+            &[
+                ("blackbox", N(1)),
+                ("tensorlib_bank", N(1)),
+                ("tensorlib_words", S(&words)),
+                ("tensorlib_width", S(&width)),
+                ("tensorlib_db", flag(bank.is_double_buffered())),
+                ("tensorlib_parity", flag(bank.has_parity())),
+            ],
+        );
+    }
+    for m in &doc.modules {
+        let top = [("top", N(1))];
+        let attrs = if m.name() == doc.top { &top[..] } else { &[] };
+        ModuleExporter::new(m).export(&mut w, attrs);
+    }
+    w.close('}');
+    w.close('}');
+    let mut text = w.finish();
     text.push('\n');
     text
 }
@@ -1011,7 +861,7 @@ impl<'v> ModuleImporter<'v> {
     }
 }
 
-/// Imports a Yosys-JSON document tree produced by [`export_yosys`] (or by
+/// Imports a Yosys-JSON document tree produced by [`emit_yosys`] (or by
 /// Yosys itself, within the encoding subset documented at module level).
 ///
 /// # Errors
@@ -1151,7 +1001,7 @@ mod tests {
     #[test]
     fn top_attribute_is_required_and_unique() {
         let doc = tiny_doc();
-        let mut root = export_yosys(&doc);
+        let mut root = json::parse(&emit_yosys(&doc)).unwrap();
         // Strip every `top` attribute.
         if let Value::Obj(entries) = &mut root {
             if let Some((_, Value::Obj(mods))) =
@@ -1177,7 +1027,7 @@ mod tests {
     #[test]
     fn unknown_cell_type_is_a_pathed_error() {
         let doc = tiny_doc();
-        let mut root = export_yosys(&doc);
+        let mut root = json::parse(&emit_yosys(&doc)).unwrap();
         if let Value::Obj(entries) = &mut root {
             if let Some((_, Value::Obj(mods))) =
                 entries.iter_mut().find(|(k, _)| k == "modules")

@@ -309,13 +309,108 @@ impl std::fmt::Display for Value {
     }
 }
 
-/// The pretty [`Display`] form as a `String`, written directly (no
-/// formatter in between); the writer for large documents such as Yosys
-/// JSON netlists.
+/// The pretty [`Display`] form as a `String`, written by [`Pretty`].
 pub fn to_pretty(v: &Value) -> String {
-    let mut out = String::new();
-    write_pretty(&mut out, v, 0);
-    out
+    fn tree(w: &mut Pretty, v: &Value) {
+        match v {
+            Value::Arr(items) => {
+                w.open('[');
+                items.iter().for_each(|item| tree(w, item));
+                w.close(']');
+            }
+            Value::Obj(entries) => {
+                w.open('{');
+                for (k, item) in entries {
+                    tree(w.key(k), item);
+                }
+                w.close('}');
+            }
+            scalar => {
+                w.value();
+                write_scalar(&mut w.out, scalar);
+            }
+        }
+    }
+    let mut w = Pretty::default();
+    tree(&mut w, v);
+    w.out
+}
+
+/// The streaming writer of the pretty form: each value is written as it is
+/// produced, so a large document (a Yosys JSON netlist) need never exist as
+/// a [`Value`] tree. The text is byte-identical to [`to_pretty`] of the
+/// equivalent tree. The caller balances each [`Pretty::open`] with a
+/// [`Pretty::close`] and writes exactly one value after each [`Pretty::key`].
+#[derive(Default)]
+pub struct Pretty {
+    out: String,
+    depth: usize,
+    /// The innermost open container has no entry yet.
+    empty: bool,
+    /// A key was just written; its value follows on the same line.
+    keyed: bool,
+}
+
+impl Pretty {
+    /// Opens an object (`'{'`) or an array (`'['`) as the next value.
+    pub fn open(&mut self, bracket: char) {
+        self.value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    /// Closes the innermost object (`'}'`) or array (`']'`).
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.out.push('\n');
+            push_indent(&mut self.out, 2 * self.depth);
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    /// Starts an entry of the innermost object; the next value is its value.
+    pub fn key(&mut self, key: &str) -> &mut Pretty {
+        self.entry();
+        write_string(&mut self.out, key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) {
+        self.value();
+        write_string(&mut self.out, s);
+    }
+
+    /// Writes a number value, in the same form as [`Value::Num`].
+    pub fn num(&mut self, n: f64) {
+        self.value();
+        write_scalar(&mut self.out, &Value::Num(n));
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// The separator and indentation of a new entry in the open container.
+    fn entry(&mut self) {
+        self.out.push_str(if self.empty { "\n" } else { ",\n" });
+        self.empty = false;
+        push_indent(&mut self.out, 2 * self.depth);
+    }
+
+    /// Positions the next value: after its key, as a new array item, or at
+    /// the top level.
+    fn value(&mut self) {
+        if !std::mem::take(&mut self.keyed) && self.depth > 0 {
+            self.entry();
+        }
+    }
 }
 
 /// Serializes a [`Value`] to single-line JSON (no newlines, no indentation,
@@ -353,7 +448,7 @@ fn write_compact(out: &mut String, v: &Value) {
             }
             out.push('}');
         }
-        scalar => write_pretty(out, scalar, 0),
+        scalar => write_scalar(out, scalar),
     }
 }
 
@@ -368,7 +463,8 @@ fn push_indent(out: &mut String, mut n: usize) {
     out.push_str(&INDENT[..n]);
 }
 
-fn write_pretty(out: &mut String, v: &Value, indent: usize) {
+/// A scalar in the one number, string and literal form both writers share.
+fn write_scalar(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -382,36 +478,7 @@ fn write_pretty(out: &mut String, v: &Value, indent: usize) {
             }
         }
         Value::Str(s) => write_string(out, s),
-        Value::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                push_indent(out, indent + 2);
-                write_pretty(out, item, indent + 2);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Obj(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, item)) in entries.iter().enumerate() {
-                push_indent(out, indent + 2);
-                write_string(out, k);
-                out.push_str(": ");
-                write_pretty(out, item, indent + 2);
-                out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-            }
-            push_indent(out, indent);
-            out.push('}');
-        }
+        Value::Arr(_) | Value::Obj(_) => unreachable!("containers are not scalars"),
     }
 }
 
@@ -704,5 +771,38 @@ mod tests {
              \"日本\\r\\n\":[\"ü\\u0008\\u000c\"]}"
         );
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn numbers_parse_to_the_bits_of_str_parse() {
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "-12",
+            "9007199254740991", // 2^53 - 1
+            "9007199254740992", // 2^53
+            "9007199254740993", // 2^53 + 1
+            "123456789012345",  // 15 digits
+            "-999999999999999",
+            "1234567890123456", // 16 digits
+            "12345678901234567890",
+            "-99999999999999999999",
+            "1e3",
+            "1.5",
+        ] {
+            let want: f64 = text.parse().unwrap();
+            let got = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+        for (text, err) in [
+            ("1e999", "number `1e999` at byte 0 overflows f64"),
+            ("-", "bad number `-` at byte 0"),
+            ("1.2.3", "bad number `1.2.3` at byte 0"),
+            ("[1, 2-3]", "bad number `2-3` at byte 4"),
+        ] {
+            assert_eq!(parse(text).unwrap_err(), err, "{text}");
+        }
     }
 }

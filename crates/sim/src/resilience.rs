@@ -519,7 +519,7 @@ impl FaultCampaign {
         };
         let mut design = generate(&df, &hw).map_err(CampaignError::Generate)?;
         if cfg.opt {
-            design.optimize(&tensorlib_hw::opt::OptOptions::default());
+            design.optimize_without_census(&tensorlib_hw::opt::OptOptions::default());
         }
         let flat = elaborate_design(&design, design.top())?;
         // One idle handshake cycle plus one full load/compute/drain round.

@@ -30,10 +30,7 @@ use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_linalg::rng::SplitMix64;
 use tensorlib_hw::batch::BatchSim;
-use tensorlib_hw::fuzz::{
-    check_batch_netlist, check_netlist, check_opt_netlist, check_text_roundtrip,
-    check_yosys_roundtrip, gen_netlist, rust_repro, shrink_netlist, NetlistFuzzConfig,
-};
+use tensorlib_hw::fuzz::{gen_netlist, rust_repro, shrink_netlist, NetlistFuzzConfig, Reference};
 use tensorlib_hw::interp::{elaborate_design, FlatDesign, Interpreter};
 use tensorlib_hw::trace::TraceConfig;
 use tensorlib_hw::{ArrayConfig, HwError};
@@ -153,19 +150,8 @@ fn netlist_finding(seed: u64, cfg: &VerifyConfig) -> Option<Finding> {
     // Full scalar oracle stack, then the lane-vs-scalar batched oracle
     // (lane 0 replays the scalar stimulus; extra lanes add fresh streams).
     let lanes = cfg.lanes.max(1);
-    let opt = cfg.opt;
     let check = |mods: &[tensorlib_hw::netlist::Module], t: &str| {
-        check_netlist(mods, t, seed, cfg.cycles, None)
-            .and_then(|()| check_batch_netlist(mods, t, seed, cfg.cycles, lanes))
-            .and_then(|()| {
-                if opt {
-                    check_opt_netlist(mods, t, seed, cfg.cycles, lanes)
-                } else {
-                    Ok(())
-                }
-            })
-            .and_then(|()| check_text_roundtrip(mods, t))
-            .and_then(|()| check_yosys_roundtrip(mods, t))
+        Reference::new(mods, t).check_all(seed, cfg.cycles, lanes, cfg.opt)
     };
     let failure = match check(&modules, &top) {
         Ok(()) => return None,
@@ -372,6 +358,84 @@ fn build_design(s: &PipelineSample) -> Result<(Kernel, AcceleratorDesign), Pipel
     }
 }
 
+/// The shape every pipeline-mode round shares: the steps before the
+/// readback drain, the drain's length (one step per array row), the result
+/// banks drained, and the ports compared every cycle (`done`, the TMR
+/// detector when present, and each result port).
+struct RoundShape {
+    pre: u64,
+    rows: u64,
+    out_banks: Vec<usize>,
+    watched: Vec<String>,
+}
+
+impl RoundShape {
+    fn of(design: &AcceleratorDesign) -> RoundShape {
+        let phases = design.phases();
+        let out_banks: Vec<usize> = design
+            .bank_bindings()
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !design.port_group(b).kind.is_input())
+            .map(|(bi, _)| bi)
+            .collect();
+        let mut watched = vec!["done".to_string()];
+        if design.config().hardening.tmr_ctrl {
+            watched.push("tmr_mismatch".to_string());
+        }
+        watched.extend(out_banks.iter().map(|bi| format!("result_{bi}")));
+        RoundShape {
+            pre: 1 + phases.total() + phases.load_cycles + phases.compute_cycles,
+            rows: design.config().array.rows as u64,
+            out_banks,
+            watched,
+        }
+    }
+}
+
+/// Runs one controller round on two scalar engines in lock step: both load
+/// the input banks, see `start`, step through the round and the readback
+/// drain, and are compared on every watched port every cycle and on their
+/// parity counters at the end. A divergence is a `kind` failure naming each
+/// engine by its label.
+fn lockstep(
+    design: &AcceleratorDesign,
+    kind: &str,
+    (a_is, a): (&str, &mut Interpreter),
+    (b_is, b): (&str, &mut Interpreter),
+) -> Result<(), (String, String)> {
+    for sim in [&mut *a, &mut *b] {
+        fill_input_banks(sim, design).map_err(|e| ("load".to_string(), e.to_string()))?;
+        sim.poke("start", 1);
+    }
+    let shape = RoundShape::of(design);
+    for cycle in 0..shape.pre + shape.rows {
+        if cycle == shape.pre {
+            for bi in &shape.out_banks {
+                let port = format!("readback_{bi}");
+                a.poke(&port, 1);
+                b.poke(&port, 1);
+            }
+        }
+        a.step();
+        b.step();
+        for name in &shape.watched {
+            let (x, y) = (a.peek(name), b.peek(name));
+            if x != y {
+                let detail =
+                    format!("port {name:?} diverged at cycle {cycle}: {a_is}={x} {b_is}={y}");
+                return Err((kind.to_string(), detail));
+            }
+        }
+    }
+    let (x, y) = (a.parity_error_count(), b.parity_error_count());
+    if x != y {
+        let detail = format!("parity counters diverged: {a_is}={x} {b_is}={y}");
+        return Err((kind.to_string(), detail));
+    }
+    Ok(())
+}
+
 /// Runs one controller round on both engines, comparing every output port,
 /// detector, and the full hardware-counter block. `flat` is the design's
 /// elaboration.
@@ -379,74 +443,19 @@ fn differential_round(
     design: &AcceleratorDesign,
     flat: FlatDesign,
 ) -> Result<(), (String, String)> {
+    let _span = tensorlib_obs::span("sim.verify.differential_round");
     let cfg = TraceConfig::counters_only();
     let mut fast = Interpreter::with_trace(flat.clone(), &cfg)
         .map_err(|e| ("trace".to_string(), e.to_string()))?;
     let mut slow = Interpreter::new_tree_walking(flat);
     slow.attach_trace(&cfg)
         .map_err(|e| ("trace".to_string(), e.to_string()))?;
-    for sim in [&mut fast, &mut slow] {
-        fill_input_banks(sim, design).map_err(|e| ("load".to_string(), e.to_string()))?;
-        sim.poke("start", 1);
-    }
-    let phases = design.phases();
-    let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
-    let has_tmr = design.config().hardening.tmr_ctrl;
-    let watched: Vec<String> = {
-        let mut w = vec!["done".to_string()];
-        if has_tmr {
-            w.push("tmr_mismatch".to_string());
-        }
-        for (bi, b) in design.bank_bindings().iter().enumerate() {
-            if !design.port_group(b).kind.is_input() {
-                w.push(format!("result_{bi}"));
-            }
-        }
-        w
-    };
-    let mismatch = |cycle: u64, name: &str, f: u64, s: u64| {
-        (
-            "mismatch".to_string(),
-            format!("port {name:?} diverged at cycle {cycle}: compiled={f} tree={s}"),
-        )
-    };
-    for cycle in 0..pre {
-        fast.step();
-        slow.step();
-        for name in &watched {
-            let (f, s) = (fast.peek(name), slow.peek(name));
-            if f != s {
-                return Err(mismatch(cycle, name, f, s));
-            }
-        }
-    }
-    // Drain the result banks through the readback ports on both engines.
-    for (bi, b) in design.bank_bindings().iter().enumerate() {
-        if !design.port_group(b).kind.is_input() {
-            fast.poke(&format!("readback_{bi}"), 1);
-            slow.poke(&format!("readback_{bi}"), 1);
-        }
-    }
-    for d in 0..design.config().array.rows as u64 {
-        fast.step();
-        slow.step();
-        for name in &watched {
-            let (f, s) = (fast.peek(name), slow.peek(name));
-            if f != s {
-                return Err(mismatch(pre + d, name, f, s));
-            }
-        }
-    }
-    if fast.parity_error_count() != slow.parity_error_count() {
-        return Err((
-            "mismatch".to_string(),
-            format!(
-                "parity counters diverged: compiled={} tree={}",
-                fast.parity_error_count(),
-                slow.parity_error_count()
-            ),
-        ));
-    }
+    lockstep(
+        design,
+        "mismatch",
+        ("compiled", &mut fast),
+        ("tree", &mut slow),
+    )?;
     if fast.stats() != slow.stats() {
         let render = |s: Option<&tensorlib_hw::trace::InterpreterStats>| {
             s.and_then(|s| serde_json::to_string(s).ok())
@@ -476,8 +485,7 @@ fn batched_round(
     lanes: usize,
 ) -> Result<(), (String, String)> {
     let load_err = |e: HwError| ("load".to_string(), e.to_string());
-    let mut refs: Vec<Interpreter> =
-        (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
+    let mut refs: Vec<Interpreter> = (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
     let mut batch = BatchSim::new(flat, lanes);
     for (bi, binding) in design.bank_bindings().iter().enumerate() {
         if !design.port_group(binding).kind.is_input() {
@@ -500,33 +508,16 @@ fn batched_round(
     for r in &mut refs {
         r.poke("start", 1);
     }
-    let phases = design.phases();
-    let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
-    let has_tmr = design.config().hardening.tmr_ctrl;
-    let mut watched = vec!["done".to_string()];
-    if has_tmr {
-        watched.push("tmr_mismatch".to_string());
-    }
-    let out_banks: Vec<usize> = design
-        .bank_bindings()
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !design.port_group(b).kind.is_input())
-        .map(|(bi, _)| bi)
-        .collect();
-    for &bi in &out_banks {
-        watched.push(format!("result_{bi}"));
-    }
+    let shape = RoundShape::of(design);
     let mismatch = |cycle: u64, name: &str, lane: usize, b: u64, s: u64| {
         (
             "batch_mismatch".to_string(),
             format!("port {name:?} diverged at cycle {cycle} lane {lane}: batch={b} scalar={s}"),
         )
     };
-    let rows = design.config().array.rows as u64;
-    for cycle in 0..pre + rows {
-        if cycle == pre {
-            for &bi in &out_banks {
+    for cycle in 0..shape.pre + shape.rows {
+        if cycle == shape.pre {
+            for bi in &shape.out_banks {
                 let port = format!("readback_{bi}");
                 batch.poke(&port, 1);
                 for r in &mut refs {
@@ -538,7 +529,7 @@ fn batched_round(
         for r in &mut refs {
             r.step();
         }
-        for name in &watched {
+        for name in &shape.watched {
             for (l, r) in refs.iter().enumerate() {
                 let (b, s) = (batch.peek_lane(name, l), r.peek(name));
                 if b != s {
@@ -617,9 +608,10 @@ fn pipeline_outcome(seed: u64, lanes: usize, opt: bool) -> PipelineOutcome {
 /// the readback drain) plus the parity counters. `flat_ref` is the
 /// unoptimized design's elaboration.
 fn opt_round(design: &AcceleratorDesign, flat_ref: FlatDesign) -> Result<(), (String, String)> {
+    let _span = tensorlib_obs::span("sim.verify.opt_round");
     let opt_err = |detail: String| ("opt_mismatch".to_string(), detail);
     let mut opt_design = design.clone();
-    opt_design.optimize(&tensorlib_hw::opt::OptOptions::default());
+    opt_design.optimize_without_census(&tensorlib_hw::opt::OptOptions::default());
     opt_design
         .validate()
         .map_err(|e| opt_err(format!("optimized design fails validation: {e}")))?;
@@ -627,54 +619,12 @@ fn opt_round(design: &AcceleratorDesign, flat_ref: FlatDesign) -> Result<(), (St
         .map_err(|e| opt_err(format!("optimized design fails elaboration: {e}")))?;
     let mut reference = Interpreter::new(flat_ref);
     let mut optimized = Interpreter::new(flat_opt);
-    for sim in [&mut reference, &mut optimized] {
-        fill_input_banks(sim, design).map_err(|e| ("load".to_string(), e.to_string()))?;
-        sim.poke("start", 1);
-    }
-    let phases = design.phases();
-    let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
-    let mut watched = vec!["done".to_string()];
-    if design.config().hardening.tmr_ctrl {
-        watched.push("tmr_mismatch".to_string());
-    }
-    let out_banks: Vec<usize> = design
-        .bank_bindings()
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !design.port_group(b).kind.is_input())
-        .map(|(bi, _)| bi)
-        .collect();
-    for &bi in &out_banks {
-        watched.push(format!("result_{bi}"));
-    }
-    let rows = design.config().array.rows as u64;
-    for cycle in 0..pre + rows {
-        if cycle == pre {
-            for &bi in &out_banks {
-                let port = format!("readback_{bi}");
-                reference.poke(&port, 1);
-                optimized.poke(&port, 1);
-            }
-        }
-        reference.step();
-        optimized.step();
-        for name in &watched {
-            let (r, o) = (reference.peek(name), optimized.peek(name));
-            if r != o {
-                return Err(opt_err(format!(
-                    "port {name:?} diverged at cycle {cycle}: unoptimized={r} optimized={o}"
-                )));
-            }
-        }
-    }
-    if reference.parity_error_count() != optimized.parity_error_count() {
-        return Err(opt_err(format!(
-            "parity counters diverged: unoptimized={} optimized={}",
-            reference.parity_error_count(),
-            optimized.parity_error_count()
-        )));
-    }
-    Ok(())
+    lockstep(
+        design,
+        "opt_mismatch",
+        ("unoptimized", &mut reference),
+        ("optimized", &mut optimized),
+    )
 }
 
 /// Runs the pipeline-mode campaign: `cfg.seeds` sampled generation

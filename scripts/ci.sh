@@ -165,12 +165,13 @@ done
 test -s "$profile_dir/p.folded"
 ./target/release/tensorlib stats gemm:4,4,4 MNK-SST --rows 4 --cols 4 -o - \
     | grep -q '"provenance"'
-# A profiled fuzz run splits the optimizer and the interchange round trips
-# into their own spans.
+# A profiled fuzz run splits the optimizer, the interchange round trips, the
+# shared fuzz reference and the pipeline rounds into their own spans.
 ./target/release/tensorlib fuzz --mode both --seeds 50 -o - \
     --profile "$profile_dir/fuzz.trace.json" | grep -q '"total_findings": 0'
 for needle in '"hw.opt"' '"hw.opt.cse"' '"hw.text.emit"' '"hw.text.parse"' \
-    '"hw.yosys.emit"' '"hw.yosys.parse"'; do
+    '"hw.yosys.emit"' '"hw.yosys.parse"' '"hw.fuzz.reference"' \
+    '"sim.verify.differential_round"' '"sim.verify.opt_round"'; do
     grep -q "$needle" "$profile_dir/fuzz.trace.json"
 done
 # A profiled journaled fault campaign times each journal append (write plus
