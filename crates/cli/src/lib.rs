@@ -1184,10 +1184,16 @@ fn emit_campaign<C: Campaign, D: serde::Serialize>(
         None => "campaign interrupted before completion".to_string(),
     });
     let doc = doc(report, provenance.clone(), stats.interrupted, resume_hint);
-    let text = serde_json::to_string_pretty(&doc)
-        .map_err(|err| CliError(format!("serializing report: {err}")))?
-        + "\n";
-    let msg = emit_report(&args.out, output.default_path.clone(), &text, output.what)?;
+    let text = {
+        let _span = tensorlib_obs::span("report.serialize");
+        serde_json::to_string_pretty(&doc)
+            .map_err(|err| CliError(format!("serializing report: {err}")))?
+            + "\n"
+    };
+    let msg = {
+        let _span = tensorlib_obs::span("report.write");
+        emit_report(&args.out, output.default_path.clone(), text, output.what)?
+    };
     let history_note = match metrics {
         Some(metrics) => append_history(
             resolved_report_path(&args.out, &output.default_path).as_deref(),
@@ -1218,16 +1224,17 @@ fn report_path(kind: &str, workload: &str, dataflow: &str, ext: &str) -> String 
     format!("reports/{slug}.{ext}")
 }
 
-/// Prints `text` for `-`, otherwise writes it to `out` (or `default_path`
-/// when `out` is empty), creating parent directories.
+/// For `-`, hands `text` back, uncopied, for the caller to print; otherwise
+/// writes it to `out` (or `default_path` when `out` is empty), creating
+/// parent directories.
 fn emit_report(
     out: &str,
     default_path: String,
-    text: &str,
+    text: String,
     what: &str,
 ) -> Result<String, CliError> {
     let Some(path) = resolved_report_path(out, &default_path) else {
-        return Ok(text.to_string());
+        return Ok(text);
     };
     if let Some(parent) = std::path::Path::new(&path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -1820,7 +1827,7 @@ fn run_stats(a: StatsArgs, echo: &str) -> Result<String, CliError> {
     emit_report(
         &a.out,
         report_path("stats", &d.workload, &d.dataflow, "json"),
-        &text,
+        text,
         "stats report",
     )
 }
@@ -1853,7 +1860,7 @@ fn run_trace(a: TraceArgs) -> Result<String, CliError> {
     emit_report(
         &a.out,
         report_path("trace", &a.design.workload, &a.design.dataflow, "vcd"),
-        &vcd,
+        vcd,
         &format!("VCD ({summary})"),
     )
 }
@@ -2084,7 +2091,7 @@ fn run_profile(a: ProfileArgs, echo: &str) -> Result<String, CliError> {
     }
     let trace = session.to_chrome_trace(Some(&provenance));
     let default_path = report_path("profile", &a.workload, "sweep", "trace.json");
-    let msg = emit_report(&a.out, default_path.clone(), &trace, "Chrome trace")?;
+    let msg = emit_report(&a.out, default_path.clone(), trace, "Chrome trace")?;
     // A folded-stacks sibling rides along for flamegraph tooling whenever
     // the trace goes to a file.
     let trace_path = resolved_report_path(&a.out, &default_path);
@@ -2147,7 +2154,7 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
     let (output, code) = result?;
     let provenance = provenance(&echo, Vec::new(), 1, t0, &session);
     let trace = session.to_chrome_trace(Some(&provenance));
-    let note = emit_report(&trace_path, String::new(), &trace, "profile trace")?;
+    let note = emit_report(&trace_path, String::new(), trace, "profile trace")?;
     Ok((format!("{output}{note}"), code))
 }
 

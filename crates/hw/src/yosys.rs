@@ -42,7 +42,8 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use tensorlib_obs::json::{self, Pretty, Value};
+use serde::JsonWriter;
+use tensorlib_obs::json::{self, Value};
 
 use crate::mem::MemBank;
 use crate::netlist::{BinOp, Dir, Expr, Module, NetId};
@@ -117,11 +118,11 @@ use Param::{N, S};
 /// Named parameters or attributes, in document order.
 type Params<'a> = [(&'a str, Param<'a>)];
 
-fn write_params(w: &mut Pretty, params: &Params) {
+fn write_params(w: &mut JsonWriter, params: &Params) {
     w.open('{');
     for &(name, p) in params {
         match p {
-            N(n) => w.key(name).num(n as f64),
+            N(n) => w.key(name).u64(n),
             S(s) => w.key(name).str(s),
         }
     }
@@ -139,11 +140,11 @@ enum Bits {
 }
 
 impl Bits {
-    fn write(self, w: &mut Pretty) {
+    fn write(self, w: &mut JsonWriter) {
         w.open('[');
         match self {
             Bits::Run(start, width) => {
-                (start..start + u64::from(width)).for_each(|b| w.num(b as f64));
+                (start..start + u64::from(width)).for_each(|b| w.u64(b));
             }
             Bits::Const(value, width) => {
                 for i in 0..width {
@@ -180,7 +181,7 @@ fn display_keys<'n>(names: Vec<&'n str>, placeholder: &str) -> Vec<Cow<'n, str>>
 
 /// Writes one cell; ports named `Y` or `Q` are outputs, the rest inputs.
 fn write_cell(
-    w: &mut Pretty,
+    w: &mut JsonWriter,
     key: &str,
     ty: &str,
     params: &Params,
@@ -188,7 +189,7 @@ fn write_cell(
     conns: &[(&str, Bits)],
 ) {
     w.key(key).open('{');
-    w.key("hide_name").num(1.0);
+    w.key("hide_name").u64(1);
     w.key("type").str(ty);
     write_params(w.key("parameters"), params);
     write_params(w.key("attributes"), attrs);
@@ -242,7 +243,7 @@ impl<'m> ModuleExporter<'m> {
     /// bits are `root_y` if given, else a fresh hidden run of `width`.
     fn expr_cell(
         &mut self,
-        w: &mut Pretty,
+        w: &mut JsonWriter,
         root_y: Option<Bits>,
         width: u32,
         (ty, params, attrs): (&str, &Params, &Params),
@@ -262,7 +263,7 @@ impl<'m> ModuleExporter<'m> {
 
     /// Connection bits for `e`, writing hidden cells for operators.
     /// With `root_y`, the outermost operator drives those (visible) bits.
-    fn expr_bits(&mut self, w: &mut Pretty, e: &Expr, root_y: Option<Bits>) -> Bits {
+    fn expr_bits(&mut self, w: &mut JsonWriter, e: &Expr, root_y: Option<Bits>) -> Bits {
         let nets = self.m.nets();
         let width = e.width(nets);
         let n = |e: &Expr| N(u64::from(e.width(nets)));
@@ -331,7 +332,7 @@ impl<'m> ModuleExporter<'m> {
 
     /// Writes the module entry: `attributes`, then `ports`, `cells` and
     /// `netnames`, ports and netnames in declaration order.
-    fn export(mut self, w: &mut Pretty, attrs: &Params) {
+    fn export(mut self, w: &mut JsonWriter, attrs: &Params) {
         let m = self.m;
         let net_keys = display_keys(m.nets().iter().map(|n| n.name.as_str()).collect(), "n");
         w.key(m.name()).open('{');
@@ -393,7 +394,7 @@ impl<'m> ModuleExporter<'m> {
         let inst_names = m.instances().iter().map(|i| i.name.as_str()).collect();
         for (inst, key) in m.instances().iter().zip(display_keys(inst_names, "inst")) {
             w.key(&key).open('{');
-            w.key("hide_name").num(0.0);
+            w.key("hide_name").u64(0);
             w.key("type").str(&inst.module);
             write_params(w.key("parameters"), &[]);
             let attrs = [
@@ -412,8 +413,7 @@ impl<'m> ModuleExporter<'m> {
         w.key("netnames").open('{');
         for (id, net) in m.nets().iter().enumerate() {
             w.key(&net_keys[id]).open('{');
-            w.key("hide_name")
-                .num(f64::from(u8::from(net.name.is_empty())));
+            w.key("hide_name").u64(u64::from(net.name.is_empty()));
             self.net_bits(id).write(w.key("bits"));
             write_params(w.key("attributes"), &[("tensorlib_name", S(&net.name))]);
             w.close('}');
@@ -430,7 +430,7 @@ impl<'m> ModuleExporter<'m> {
 /// `tensorlib_*` attributes.
 pub fn emit_yosys(doc: &NetlistDoc) -> String {
     let _span = tensorlib_obs::span("hw.yosys.emit");
-    let mut w = Pretty::default();
+    let mut w = JsonWriter::pretty();
     w.open('{');
     w.key("creator").str("tensorlib netlist interchange v1");
     w.key("modules").open('{');

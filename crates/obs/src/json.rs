@@ -4,10 +4,10 @@
 //! trace well-formedness tests need a reader. This is a small recursive
 //! descent parser: full JSON syntax, objects kept in document order,
 //! numbers as `f64` (plus a lossless `u64` view for integer fields). It is
-//! a validator for our own reports plus the document substrate for the
-//! Yosys-JSON netlist interchange in `tensorlib-hw`, which also needs the
-//! [`std::fmt::Display`] serializer: `parse(&v.to_string())` reconstructs
-//! `v` exactly.
+//! a validator for our own reports plus the document substrate of the
+//! Yosys-JSON netlist import in `tensorlib-hw`. A [`Value`] writes through
+//! the workspace's one JSON writer (`serde::JsonWriter`), and
+//! `parse(&v.to_string())` reconstructs `v` exactly.
 //!
 //! Numbers are stored as `f64`, so integers beyond 2^53 parse but round;
 //! [`Value::as_u64`] returns `None` outside the exactly-representable
@@ -15,7 +15,7 @@
 //! overflow `f64` entirely (e.g. `1e309`) are a parse error, never a
 //! silent infinity.
 
-use std::fmt::Write as _;
+use serde::{JsonWriter, Serialize};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,116 +301,52 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 /// Serializes a [`Value`] back to JSON text: pretty-printed with two-space
 /// indentation, deterministic (object entries in stored order), and
 /// round-trippable — `parse(&v.to_string()) == Ok(v)` for any parsed `v`.
-/// Integers up to 2^53 in magnitude print in integer form; other numbers
-/// use the shortest representation that reparses to the same `f64`.
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&to_pretty(self))
     }
 }
 
-/// The pretty [`Display`] form as a `String`, written by [`Pretty`].
-pub fn to_pretty(v: &Value) -> String {
-    fn tree(w: &mut Pretty, v: &Value) {
-        match v {
+/// Writes a [`Value`] through the workspace's one JSON writer. Numbers keep
+/// their own rule, not serde's `f64` one: integers up to 2^53 in magnitude
+/// print in integer form; other numbers use the shortest representation
+/// that reparses to the same `f64`.
+impl serde::Serialize for Value {
+    fn serialize(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Num(n) => {
+                const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+                if n.fract() == 0.0 && n.abs() <= EXACT {
+                    w.i64(*n as i64);
+                } else {
+                    // `{:?}` prints the shortest string that reparses exactly.
+                    w.raw(format_args!("{n:?}"));
+                }
+            }
+            Value::Str(s) => w.str(s),
             Value::Arr(items) => {
                 w.open('[');
-                items.iter().for_each(|item| tree(w, item));
+                items.iter().for_each(|item| item.serialize(w));
                 w.close(']');
             }
             Value::Obj(entries) => {
                 w.open('{');
                 for (k, item) in entries {
-                    tree(w.key(k), item);
+                    item.serialize(w.key(k));
                 }
                 w.close('}');
             }
-            scalar => {
-                w.value();
-                write_scalar(&mut w.out, scalar);
-            }
         }
     }
-    let mut w = Pretty::default();
-    tree(&mut w, v);
-    w.out
 }
 
-/// The streaming writer of the pretty form: each value is written as it is
-/// produced, so a large document (a Yosys JSON netlist) need never exist as
-/// a [`Value`] tree. The text is byte-identical to [`to_pretty`] of the
-/// equivalent tree. The caller balances each [`Pretty::open`] with a
-/// [`Pretty::close`] and writes exactly one value after each [`Pretty::key`].
-#[derive(Default)]
-pub struct Pretty {
-    out: String,
-    depth: usize,
-    /// The innermost open container has no entry yet.
-    empty: bool,
-    /// A key was just written; its value follows on the same line.
-    keyed: bool,
-}
-
-impl Pretty {
-    /// Opens an object (`'{'`) or an array (`'['`) as the next value.
-    pub fn open(&mut self, bracket: char) {
-        self.value();
-        self.out.push(bracket);
-        self.depth += 1;
-        self.empty = true;
-    }
-
-    /// Closes the innermost object (`'}'`) or array (`']'`).
-    pub fn close(&mut self, bracket: char) {
-        self.depth -= 1;
-        if !self.empty {
-            self.out.push('\n');
-            push_indent(&mut self.out, 2 * self.depth);
-        }
-        self.out.push(bracket);
-        self.empty = false;
-    }
-
-    /// Starts an entry of the innermost object; the next value is its value.
-    pub fn key(&mut self, key: &str) -> &mut Pretty {
-        self.entry();
-        write_string(&mut self.out, key);
-        self.out.push_str(": ");
-        self.keyed = true;
-        self
-    }
-
-    /// Writes a string value.
-    pub fn str(&mut self, s: &str) {
-        self.value();
-        write_string(&mut self.out, s);
-    }
-
-    /// Writes a number value, in the same form as [`Value::Num`].
-    pub fn num(&mut self, n: f64) {
-        self.value();
-        write_scalar(&mut self.out, &Value::Num(n));
-    }
-
-    /// The text written so far.
-    pub fn finish(self) -> String {
-        self.out
-    }
-
-    /// The separator and indentation of a new entry in the open container.
-    fn entry(&mut self) {
-        self.out.push_str(if self.empty { "\n" } else { ",\n" });
-        self.empty = false;
-        push_indent(&mut self.out, 2 * self.depth);
-    }
-
-    /// Positions the next value: after its key, as a new array item, or at
-    /// the top level.
-    fn value(&mut self) {
-        if !std::mem::take(&mut self.keyed) && self.depth > 0 {
-            self.entry();
-        }
-    }
+/// The pretty [`Display`] form as a `String`.
+pub fn to_pretty(v: &Value) -> String {
+    let mut w = JsonWriter::pretty();
+    v.serialize(&mut w);
+    w.finish()
 }
 
 /// Serializes a [`Value`] to single-line JSON (no newlines, no indentation,
@@ -419,113 +355,9 @@ impl Pretty {
 /// guarantees as the pretty [`Display`] form: `parse(&to_compact(&v))`
 /// reconstructs `v` exactly.
 pub fn to_compact(v: &Value) -> String {
-    let mut out = String::new();
-    write_compact(&mut out, v);
-    out
-}
-
-fn write_compact(out: &mut String, v: &Value) {
-    match v {
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Obj(entries) => {
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, k);
-                out.push(':');
-                write_compact(out, item);
-            }
-            out.push('}');
-        }
-        scalar => write_scalar(out, scalar),
-    }
-}
-
-/// Spaces copied for indentation; deeper levels copy it more than once.
-const INDENT: &str = "                                ";
-
-fn push_indent(out: &mut String, mut n: usize) {
-    while n > INDENT.len() {
-        out.push_str(INDENT);
-        n -= INDENT.len();
-    }
-    out.push_str(&INDENT[..n]);
-}
-
-/// A scalar in the one number, string and literal form both writers share.
-fn write_scalar(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-            if n.fract() == 0.0 && n.abs() <= EXACT {
-                write_int(out, *n as i64);
-            } else {
-                // `{:?}` prints the shortest string that reparses exactly.
-                write!(out, "{n:?}").expect("writing to a String cannot fail");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Arr(_) | Value::Obj(_) => unreachable!("containers are not scalars"),
-    }
-}
-
-/// Decimal digits of `n`, least significant first into a stack buffer.
-fn write_int(out: &mut String, n: i64) {
-    if n < 0 {
-        out.push('-');
-    }
-    let mut m = n.unsigned_abs();
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (m % 10) as u8;
-        m /= 10;
-        if m == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
-}
-
-/// A JSON string literal. Runs of bytes that need no escape are copied
-/// whole; only ASCII bytes are ever escaped, so a run never splits a
-/// UTF-8 sequence.
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\t' => Some("\\t"),
-            b'\r' => Some("\\r"),
-            0..=0x1f => None,
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        match escape {
-            Some(e) => out.push_str(e),
-            None => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
+    let mut w = JsonWriter::compact();
+    v.serialize(&mut w);
+    w.finish()
 }
 
 #[cfg(test)]

@@ -622,6 +622,7 @@ where
         ..RunStats::default()
     };
     if let Some(j) = &journal {
+        let _span = tensorlib_obs::span("sim.journal.decode");
         for (&idx, payload) in j.entries() {
             slots[idx as usize] = Some(decode(payload).map_err(JournalError::Decode)?);
             stats.chunks_replayed += 1;

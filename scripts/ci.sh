@@ -175,11 +175,20 @@ for needle in '"hw.opt"' '"hw.opt.cse"' '"hw.text.emit"' '"hw.text.parse"' \
     grep -q "$needle" "$profile_dir/fuzz.trace.json"
 done
 # A profiled journaled fault campaign times each journal append (write plus
-# fsync) in its own span.
+# fsync) in its own span, and the report's serialization and write in
+# theirs; its profiled replay times the journal decode.
 ./target/release/tensorlib faults --faults 512 --seed 7 --resume "$profile_dir/journal" \
     --profile "$profile_dir/faults.trace.json" -o "$profile_dir/faults.json" >/dev/null
 grep -q '"faults": 512' "$profile_dir/faults.json"
-grep -q '"sim.journal.append"' "$profile_dir/faults.trace.json"
+for needle in '"sim.journal.append"' '"report.serialize"' '"report.write"'; do
+    grep -q "$needle" "$profile_dir/faults.trace.json"
+done
+./target/release/tensorlib faults --faults 512 --seed 7 --resume "$profile_dir/journal" \
+    --profile "$profile_dir/replay.trace.json" -o "$profile_dir/replay.json" >/dev/null
+grep -q '"faults": 512' "$profile_dir/replay.json"
+for needle in '"sim.journal.decode"' '"report.serialize"' '"report.write"'; do
+    grep -q "$needle" "$profile_dir/replay.trace.json"
+done
 rm -rf "$profile_dir"
 
 # Explore smoke: a small sweep prints the same top-20 table inert, journaled
