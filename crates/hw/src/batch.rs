@@ -10,13 +10,18 @@
 //! per batch into a register-form *lane program*. Its operands are value
 //! rows (nets, staged register samples, constants, then a few temporaries),
 //! so loads and constants are row references rather than copies, and each
-//! op writes one row. Most rows of a fault campaign hold the same value on
-//! every lane, so each row carries a `uniform` flag: if set, all lanes of
-//! the row are equal. An op whose operands are all uniform computes one
-//! scalar and writes the row only if it changes; any other op runs a
-//! straight-line lane loop and then checks whether its result came out
-//! uniform (a TMR voter reconverges a faulty lane, for instance). Every
-//! row is always fully materialized, so lane reads need no flag.
+//! op writes one row. Bank words, their parity bits, the bank addresses,
+//! read latches and parity counters are rows of the same store.
+//!
+//! Most rows of a fault campaign hold the same value on every lane, so a
+//! row whose lanes agree is stored once, as a scalar (see `RowState`). An
+//! op whose operands are all uniform computes one scalar and stores only
+//! that; any other op runs a straight-line lane loop and then checks
+//! whether its result came out uniform (a TMR voter reconverges a faulty
+//! lane, for instance). A uniform row's lanes are written out
+//! (*materialized*) only when something needs them: a lane-loop operand, a
+//! write to one lane, or a whole-row [`BatchSim::read`]. Lane reads go
+//! through the state, so they never materialize.
 //!
 //! Per-lane divergence is the point of the engine:
 //!
@@ -26,9 +31,10 @@
 //!   with its own stimulus, so fuzz and measured-stats campaigns evaluate
 //!   `lanes` seeds at once.
 //!
-//! [`BatchSim::load_state`] broadcasts a scalar run's [`Snapshot`] onto
-//! every lane, so one compiled batch can be reused and can start mid-run:
-//! fault campaigns fork each lane group from the golden run.
+//! [`BatchSim::load_state`] loads a scalar run's [`Snapshot`] onto every
+//! lane (as scalars, one per row), so one compiled batch can be reused and
+//! can start mid-run: fault campaigns fork each lane group from the golden
+//! run.
 //!
 //! **Determinism contract:** lane `l` of a batched run is bit-identical —
 //! every net, every cycle, every bank word, every parity counter — to a
@@ -48,8 +54,8 @@ use std::collections::HashMap;
 use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultSpec, RegHold, SlotFlip, StuckForce};
 use crate::interp::{
-    mask, resolve_fault_spec, sign_extend, width_mask, Compiled, FlatBank, FlatDesign, Instr,
-    Interpreter, ResolvedFault, Snapshot,
+    mask, resolve_fault_spec, sign_extend, width_mask, Compiled, FlatDesign, Instr, Interpreter,
+    ResolvedFault, Snapshot,
 };
 use crate::mem::next_addr;
 use crate::netlist::{BinOp, NetId};
@@ -87,7 +93,11 @@ struct LaneHold {
 /// at the same instant).
 #[derive(Debug, Default)]
 struct BatchFaultState {
+    /// Sorted by slot (stably, so one lane's forces on a slot keep their
+    /// attach order).
     stuck: Vec<LaneStuck>,
+    /// Per row: some lane forces it. Empty when no stuck-at is attached.
+    forced: Vec<bool>,
     flips: Vec<LaneFlip>,
     bank_flips: Vec<LaneBankFlip>,
     holds: Vec<LaneHold>,
@@ -165,7 +175,8 @@ struct LaneProgram {
     /// Constant rows start here, one per entry of `consts` (ascending).
     const_base: usize,
     consts: Vec<u64>,
-    /// Total row count (the temporaries end the row space).
+    /// The program's row count (the temporaries come last); a batch puts
+    /// its bank rows after them.
     rows: usize,
 }
 
@@ -416,24 +427,89 @@ fn is_uniform(row: &[u64]) -> bool {
     row.iter().all(|&v| v == row[0])
 }
 
-/// Lane-major value rows, each with a uniform flag, and the counts of ops
-/// run once and across lanes.
+/// Row `r`'s lane words in `values` (rows of `lanes` words), and a reader
+/// of every other row's.
+fn split<'a>(
+    values: &'a mut [u64],
+    lanes: usize,
+    r: usize,
+) -> (&'a mut [u64], impl Fn(usize) -> &'a [u64]) {
+    let (lo, rest) = values.split_at_mut(r * lanes);
+    let (row, hi) = rest.split_at_mut(lanes);
+    let (lo, hi) = (&*lo, &*hi);
+    let other = move |o: usize| {
+        if o < r {
+            &lo[o * lanes..(o + 1) * lanes]
+        } else {
+            &hi[(o - r - 1) * lanes..(o - r) * lanes]
+        }
+    };
+    (row, other)
+}
+
+/// Where a row's value lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowState {
+    /// The lanes may differ: the lane words are the value.
+    Lanes,
+    /// Every lane holds the row's scalar, and so do its lane words.
+    Uniform,
+    /// Every lane holds the row's scalar, but its lane words are out of
+    /// date: they are written (materialized) when lanes are first needed.
+    Stale,
+}
+
+/// Work the lane engine did since construction or the last
+/// [`BatchSim::take_op_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// Lane-program ops computed once, every operand row being uniform.
+    pub uniform_ops: u64,
+    /// Lane-program ops run across every lane.
+    pub lane_ops: u64,
+    /// Uniform rows written out to every lane because lanes were needed.
+    pub materialized: u64,
+}
+
+/// Lane-major value rows, each stored once, as a scalar, while its lanes
+/// agree.
 ///
-/// Invariant: if `uniform[r]` is set, every lane of row `r` holds the same
-/// value. Every writer keeps it: a uniform write sets the flag, a write of
-/// lanes clears or re-checks it. A clear flag promises nothing, so clearing
-/// it is always safe, only slower.
+/// Invariant: a row that is not [`RowState::Lanes`] holds `scalar[r]` on
+/// every lane, and a [`RowState::Uniform`] row's lane words hold it too.
+/// Every writer keeps it: a uniform write stores the scalar and marks the
+/// row stale; a write of some lanes materializes the row first. Lane reads
+/// go through the state, and a lane loop materializes its operands. Calling
+/// a row of lanes that happen to agree [`RowState::Lanes`] is always safe,
+/// only slower.
 #[derive(Debug)]
 struct Rows {
     lanes: usize,
     /// Row `r`'s lane `l` lives at `values[r * lanes + l]`.
     values: Vec<u64>,
-    uniform: Vec<bool>,
-    uniform_ops: u64,
-    lane_ops: u64,
+    /// Row `r`'s value on every lane, unless it is [`RowState::Lanes`].
+    scalar: Vec<u64>,
+    state: Vec<RowState>,
+    counts: BatchCounts,
 }
 
 impl Rows {
+    /// `rows` rows of `lanes` lanes, all zero.
+    fn new(rows: usize, lanes: usize) -> Rows {
+        Rows {
+            lanes,
+            values: vec![0; rows * lanes],
+            scalar: vec![0; rows],
+            state: vec![RowState::Uniform; rows],
+            counts: BatchCounts::default(),
+        }
+    }
+
+    /// `true` if every lane of row `r` holds `scalar[r]`.
+    fn uniform(&self, r: usize) -> bool {
+        self.state[r] != RowState::Lanes
+    }
+
+    /// Row `r`'s lane words (out of date if the row is stale).
     fn row(&self, r: usize) -> &[u64] {
         &self.values[r * self.lanes..(r + 1) * self.lanes]
     }
@@ -442,57 +518,136 @@ impl Rows {
         &mut self.values[r * self.lanes..(r + 1) * self.lanes]
     }
 
-    /// Row `r`'s value on lane 0: its value on every lane if it is uniform.
-    fn first(&self, r: usize) -> u64 {
-        self.values[r * self.lanes]
-    }
-
-    /// Sets every lane of row `r` to `v`; writes nothing if it already
-    /// holds `v` everywhere.
-    fn fill(&mut self, r: usize, v: u64) {
-        if !(self.uniform[r] && self.first(r) == v) {
-            self.row_mut(r).fill(v);
-            self.uniform[r] = true;
+    /// Row `r` on lane `l`.
+    fn get(&self, r: usize, l: usize) -> u64 {
+        if self.uniform(r) {
+            self.scalar[r]
+        } else {
+            self.values[r * self.lanes + l]
         }
     }
 
-    /// Writes `f(lane)` to every lane of row `r`, clearing its flag.
+    /// Writes a stale row's scalar out to its lanes.
+    fn materialize(&mut self, r: usize) {
+        if self.state[r] == RowState::Stale {
+            let v = self.scalar[r];
+            self.row_mut(r).fill(v);
+            self.state[r] = RowState::Uniform;
+            self.counts.materialized += 1;
+        }
+    }
+
+    /// Sets every lane of row `r` to `v`: one word, and none if the row
+    /// already holds `v` everywhere.
+    fn fill(&mut self, r: usize, v: u64) {
+        if !(self.uniform(r) && self.scalar[r] == v) {
+            self.scalar[r] = v;
+            self.state[r] = RowState::Stale;
+        }
+    }
+
+    /// Stores `values` as the stale scalars of the rows from `first` on,
+    /// also where a row holds its value already, so that afterwards the
+    /// rows' states do not depend on what ran before.
+    fn load(&mut self, first: usize, values: impl IntoIterator<Item = u64>) {
+        for (r, v) in (first..).zip(values) {
+            self.scalar[r] = v;
+            self.state[r] = RowState::Stale;
+        }
+    }
+
+    /// Writes `f(lane)` to every lane of row `r`.
     fn set_lanes(&mut self, r: usize, f: impl Fn(usize) -> u64) {
         for (l, v) in self.row_mut(r).iter_mut().enumerate() {
             *v = f(l);
         }
-        self.uniform[r] = false;
+        self.state[r] = RowState::Lanes;
     }
 
-    /// Writes `v` to lane `l` of row `r`, clearing its flag.
+    /// Writes `v` to lane `l` of row `r`.
     fn set_lane(&mut self, r: usize, l: usize, v: u64) {
+        if self.uniform(r) {
+            if self.scalar[r] == v {
+                return;
+            }
+            self.materialize(r);
+            self.state[r] = RowState::Lanes;
+        }
         self.values[r * self.lanes + l] = v;
-        self.uniform[r] = false;
     }
 
-    /// Copies row `src` into row `dst`.
-    fn copy_row(&mut self, src: usize, dst: usize) {
-        if self.uniform[src] {
-            self.fill(dst, self.first(src));
+    /// Flips the bits `xor` of row `r` on lane `l`.
+    fn xor_lane(&mut self, r: usize, l: usize, xor: u64) {
+        let v = self.get(r, l) ^ xor;
+        self.set_lane(r, l, v);
+    }
+
+    /// Applies `f` to row `r` on every lane.
+    fn map(&mut self, r: usize, f: impl Fn(u64) -> u64) {
+        if self.uniform(r) {
+            self.fill(r, f(self.scalar[r]));
         } else {
-            let lanes = self.lanes;
-            self.values
-                .copy_within(src * lanes..(src + 1) * lanes, dst * lanes);
-            self.uniform[dst] = false;
+            for v in self.row_mut(r) {
+                *v = f(*v);
+            }
         }
     }
 
-    /// Applies lane-scoped stuck-at forces, re-checking each row a force
-    /// changed.
-    fn force<'a>(&mut self, forced: impl IntoIterator<Item = &'a LaneStuck>) {
-        for s in forced {
-            let r = s.force.slot as usize;
-            let i = r * self.lanes + s.lane as usize;
-            let v = (self.values[i] | s.force.or_mask) & s.force.and_mask;
-            if v != self.values[i] {
-                self.values[i] = v;
-                self.uniform[r] = is_uniform(self.row(r));
+    /// `dst = f(src)` on every lane; `src` and `dst` are different rows.
+    fn copy_map(&mut self, src: usize, dst: usize, f: impl Fn(u64) -> u64) {
+        if self.uniform(src) {
+            self.fill(dst, f(self.scalar[src]));
+            return;
+        }
+        let (to, other) = split(&mut self.values, self.lanes, dst);
+        for (d, &s) in to.iter_mut().zip(other(src)) {
+            *d = f(s);
+        }
+        self.state[dst] = RowState::Lanes;
+    }
+
+    /// Marks row `r` uniform again if its lanes agree.
+    fn recheck(&mut self, r: usize) {
+        if !self.uniform(r) && is_uniform(self.row(r)) {
+            self.scalar[r] = self.values[r * self.lanes];
+            self.state[r] = RowState::Uniform;
+        }
+    }
+
+    /// Applies lane-scoped stuck-at forces, sorted by slot, re-checking
+    /// each row a force changed.
+    fn force(&mut self, forced: &[LaneStuck]) {
+        for on_row in forced.chunk_by(|x, y| x.force.slot == y.force.slot) {
+            let r = on_row[0].force.slot as usize;
+            let mut changed = false;
+            for s in on_row {
+                let l = s.lane as usize;
+                let v = self.get(r, l);
+                let forced = (v | s.force.or_mask) & s.force.and_mask;
+                if forced != v {
+                    self.set_lane(r, l, forced);
+                    changed = true;
+                }
             }
+            if changed {
+                self.recheck(r);
+            }
+        }
+    }
+
+    /// Adds one to row `errors` on each lane where word row `word` no
+    /// longer matches its parity bit row `bit`.
+    fn check_parity(&mut self, word: usize, bit: usize, errors: usize) {
+        if self.uniform(word) && self.uniform(bit) {
+            if parity(self.scalar[word]) != self.scalar[bit] {
+                self.map(errors, |e| e + 1);
+            }
+            return;
+        }
+        for l in 0..self.lanes {
+            let mismatch = parity(self.get(word, l)) != self.get(bit, l);
+            let e = self.get(errors, l) + u64::from(mismatch);
+            self.set_lane(errors, l, e);
         }
     }
 
@@ -511,8 +666,8 @@ impl Rows {
                 BinOp::Lt => self.apply(op, |a, b, _| u64::from(a < b) & mask),
             },
             // A uniform select picks one whole row: a masked copy.
-            Kind::Mux { t_mask, f_mask } if self.uniform[op.a as usize] => {
-                let (src, mask) = if self.first(op.a as usize) & 1 == 1 {
+            Kind::Mux { t_mask, f_mask } if self.uniform(op.a as usize) => {
+                let (src, mask) = if self.scalar[op.a as usize] & 1 == 1 {
                     (op.b, t_mask)
                 } else {
                     (op.c, f_mask)
@@ -544,53 +699,87 @@ impl Rows {
     }
 
     /// `dst = f(a, b, c)`: one scalar when every operand row is uniform,
-    /// otherwise a lane loop over disjoint row slices whose result is
-    /// checked for uniformity again.
+    /// otherwise a lane loop over materialized operand rows whose result
+    /// is checked for uniformity again.
     #[inline(always)]
     fn apply(&mut self, op: &LaneOp, f: impl Fn(u64, u64, u64) -> u64) {
         let (d, a, b, c) = (op.dst as usize, op.a as usize, op.b as usize, op.c as usize);
-        if self.uniform[a] && self.uniform[b] && self.uniform[c] {
-            self.uniform_ops += 1;
-            let v = f(self.first(a), self.first(b), self.first(c));
+        if self.uniform(a) && self.uniform(b) && self.uniform(c) {
+            self.counts.uniform_ops += 1;
+            let v = f(self.scalar[a], self.scalar[b], self.scalar[c]);
             self.fill(d, v);
             return;
         }
-        self.lane_ops += 1;
-        let lanes = self.lanes;
-        let (lo, rest) = self.values.split_at_mut(d * lanes);
-        let (dst, hi) = rest.split_at_mut(lanes);
-        // `dst` is never an operand, so every source row lies wholly in
-        // `lo` or wholly in `hi`.
-        let src = |r: usize| {
-            if r < d {
-                &lo[r * lanes..(r + 1) * lanes]
-            } else {
-                &hi[(r - d - 1) * lanes..(r - d) * lanes]
-            }
-        };
-        let (a, b, c) = (src(a), src(b), src(c));
+        self.counts.lane_ops += 1;
+        for r in [a, b, c] {
+            self.materialize(r);
+        }
+        // `dst` is never an operand, so `split` reaches every operand row.
+        let (dst, other) = split(&mut self.values, self.lanes, d);
+        let (a, b, c) = (other(a), other(b), other(c));
         let first = f(a[0], b[0], c[0]);
         let mut diff = 0;
         for (((x, &a), &b), &c) in dst.iter_mut().zip(a).zip(b).zip(c) {
             *x = f(a, b, c);
             diff |= *x ^ first;
         }
-        self.uniform[d] = diff == 0;
-    }
-}
-
-/// Fills lane row `i` of `dst` with `src[i]`: one scalar value per row of
-/// `lanes` lane words.
-fn broadcast<T: Copy>(dst: &mut [T], src: &[T], lanes: usize) {
-    assert_eq!(dst.len(), src.len() * lanes, "snapshot of a different design");
-    for (row, &v) in dst.chunks_exact_mut(lanes).zip(src) {
-        row.fill(v);
+        self.scalar[d] = first;
+        self.state[d] = if diff == 0 {
+            RowState::Uniform
+        } else {
+            RowState::Lanes
+        };
     }
 }
 
 /// The parity bit stored for a bank word.
-fn parity(word: u64) -> u8 {
-    (word.count_ones() & 1) as u8
+fn parity(word: u64) -> u64 {
+    u64::from(word.count_ones() & 1)
+}
+
+/// One bank's rows in the [`Rows`] store.
+#[derive(Debug, Clone, Copy)]
+struct BankRows {
+    /// The sequential read and write addresses.
+    raddr: usize,
+    waddr: usize,
+    /// The latched read data.
+    rdata: usize,
+    /// The sticky parity-mismatch counter.
+    errors: usize,
+    /// Word `w`, counted across both buffers of a double-buffered bank, is
+    /// row `mem + w`.
+    mem: usize,
+    /// Its parity bit is row `parity + w`, if the bank has parity.
+    parity: Option<usize>,
+    /// Words per buffer.
+    words: u64,
+    double_buffered: bool,
+}
+
+impl BankRows {
+    /// Words across both buffers.
+    fn capacity(&self) -> usize {
+        let buffers = if self.double_buffered { 2 } else { 1 };
+        (self.words * buffers) as usize
+    }
+
+    /// The word row a port at `addr` touches in buffer `buf` (ignored for
+    /// a single-buffered bank), and the port's next address.
+    fn word(&self, buf: u64, addr: u64) -> (usize, u64) {
+        let (word, next) = next_addr(addr, self.words);
+        let base = if self.double_buffered {
+            buf * self.words
+        } else {
+            0
+        };
+        (self.mem + (base + word) as usize, next)
+    }
+
+    /// The parity bit row of word row `at`, if the bank has parity.
+    fn parity_of(&self, at: usize) -> Option<usize> {
+        self.parity.map(|p| p + (at - self.mem))
+    }
 }
 
 /// Lane-batched interpreter over a [`FlatDesign`]. See the module docs for
@@ -601,23 +790,9 @@ pub struct BatchSim {
     compiled: Compiled,
     program: LaneProgram,
     lanes: usize,
-    /// Every value row of [`LaneProgram`]; net `n` is row `n`.
+    /// The [`LaneProgram`]'s rows (net `n` is row `n`), then every bank's.
     rows: Rows,
-    /// Per bank: word-major lane rows (`word * lanes + l`), both buffers for
-    /// double-buffered banks.
-    bank_mem: Vec<Vec<u64>>,
-    /// Per bank × lane sequential read/write addresses and latched rdata.
-    bank_raddr: Vec<u64>,
-    bank_waddr: Vec<u64>,
-    bank_rdata: Vec<u64>,
-    /// Per bank: both address rows are uniform across lanes.
-    addr_uniform: Vec<bool>,
-    /// Per bank: the latched rdata row is uniform across lanes.
-    rdata_uniform: Vec<bool>,
-    /// Parity bookkeeping per bank (same lane layout as `bank_mem`).
-    bank_parity: Vec<Option<Vec<u8>>>,
-    /// Sticky parity-mismatch counters, per bank × lane.
-    parity_errors: Vec<u64>,
+    banks: Vec<BankRows>,
     net_by_name: HashMap<String, NetId>,
     port_by_name: HashMap<String, NetId>,
     dirty: bool,
@@ -636,14 +811,26 @@ impl BatchSim {
         let _span = tensorlib_obs::span("hw.batch_compile");
         let compiled = Compiled::build(&flat);
         let program = LaneProgram::lower(&compiled, flat.nets.len());
-        let n_banks = flat.banks.len();
-        let bank_words = |b: &FlatBank| {
-            let mult = if b.spec.is_double_buffered() { 2 } else { 1 };
-            (b.spec.words() * mult) as usize * lanes
+        let mut next_row = program.rows;
+        let mut take = |n: usize| {
+            next_row += n;
+            next_row - n
         };
-        let bank_mem = flat.banks.iter().map(|b| vec![0u64; bank_words(b)]).collect();
-        let bank_parity = (flat.banks.iter())
-            .map(|b| b.spec.has_parity().then(|| vec![0u8; bank_words(b)]))
+        let banks: Vec<BankRows> = (flat.banks.iter())
+            .map(|b| {
+                let words = b.spec.words();
+                let capacity = (words * if b.spec.is_double_buffered() { 2 } else { 1 }) as usize;
+                BankRows {
+                    raddr: take(1),
+                    waddr: take(1),
+                    rdata: take(1),
+                    errors: take(1),
+                    mem: take(capacity),
+                    parity: b.spec.has_parity().then(|| take(capacity)),
+                    words,
+                    double_buffered: b.spec.is_double_buffered(),
+                }
+            })
             .collect();
         let mut net_by_name = HashMap::with_capacity(flat.nets.len());
         for (id, net) in flat.nets.iter().enumerate() {
@@ -653,23 +840,9 @@ impl BatchSim {
         for &(id, _) in &flat.ports {
             port_by_name.entry(flat.nets[id].name.clone()).or_insert(id);
         }
-        let rows = Rows {
-            lanes,
-            values: vec![0; program.rows * lanes],
-            uniform: vec![true; program.rows],
-            uniform_ops: 0,
-            lane_ops: 0,
-        };
         let mut sim = BatchSim {
-            rows,
-            bank_mem,
-            bank_raddr: vec![0; n_banks * lanes],
-            bank_waddr: vec![0; n_banks * lanes],
-            bank_rdata: vec![0; n_banks * lanes],
-            addr_uniform: vec![true; n_banks],
-            rdata_uniform: vec![true; n_banks],
-            bank_parity,
-            parity_errors: vec![0; n_banks * lanes],
+            rows: Rows::new(next_row, lanes),
+            banks,
             net_by_name,
             port_by_name,
             dirty: true,
@@ -679,8 +852,12 @@ impl BatchSim {
             program,
             lanes,
         };
+        // Constant rows are never written again, so their lanes are written
+        // here, once per batch rather than once per lane group.
         for (i, &v) in sim.program.consts.iter().enumerate() {
-            sim.rows.fill(sim.program.const_base + i, v);
+            let r = sim.program.const_base + i;
+            sim.rows.fill(r, v);
+            sim.rows.materialize(r);
         }
         for r in &sim.flat.regs {
             sim.rows.fill(r.target, mask(r.init, sim.flat.nets[r.target].width));
@@ -710,12 +887,16 @@ impl BatchSim {
         sim
     }
 
-    /// Broadcasts `state` onto every lane — net values, bank words, bank
+    /// Loads `state` onto every lane — net values, bank words, bank
     /// addresses and read latches, parity bits and counters — detaches all
     /// faults, and resettles. Afterwards every lane is bit-identical to the
     /// scalar run the snapshot came from, so stepping the batch continues
     /// that run on every lane; the next [`BatchSim::attach_lane_faults`]
     /// counts fault cycles from here.
+    ///
+    /// Each value is stored once, as a uniform row's scalar. Every row but
+    /// the constants restarts stale, so what the batch ran before leaves
+    /// no trace in [`BatchSim::take_op_counts`].
     ///
     /// This is how fault campaigns reuse one compiled batch for many lane
     /// groups, each forked from the golden run at its own cycle.
@@ -725,22 +906,24 @@ impl BatchSim {
     /// Panics if `state` was taken from a different design (its net or bank
     /// sizes do not match this batch's).
     pub fn load_state(&mut self, state: &Snapshot) {
-        let lanes = self.lanes;
-        let nets = self.flat.nets.len();
-        broadcast(&mut self.rows.values[..nets * lanes], &state.values, lanes);
-        self.rows.uniform[..nets].fill(true);
-        broadcast(&mut self.bank_raddr, &state.bank_raddr, lanes);
-        broadcast(&mut self.bank_waddr, &state.bank_waddr, lanes);
-        broadcast(&mut self.bank_rdata, &state.bank_rdata, lanes);
-        self.addr_uniform.fill(true);
-        self.rdata_uniform.fill(true);
-        broadcast(&mut self.parity_errors, &state.parity_errors, lanes);
-        for (dst, src) in self.bank_mem.iter_mut().zip(&state.bank_mem) {
-            broadcast(dst, src, lanes);
-        }
-        for (dst, src) in self.bank_parity.iter_mut().zip(&state.bank_parity) {
-            if let (Some(dst), Some(src)) = (dst, src) {
-                broadcast(dst, src, lanes);
+        let different = "snapshot of a different design";
+        assert_eq!(state.values.len(), self.flat.nets.len(), "{different}");
+        assert_eq!(state.bank_mem.len(), self.banks.len(), "{different}");
+        let (p, rows) = (&self.program, &mut self.rows);
+        rows.load(0, state.values.iter().copied());
+        // Staged samples and temporaries are written before they are read.
+        let temps = p.const_base + p.consts.len();
+        rows.load(p.staged, std::iter::repeat_n(0, p.const_base - p.staged));
+        rows.load(temps, std::iter::repeat_n(0, p.rows - temps));
+        for (i, b) in self.banks.iter().enumerate() {
+            assert_eq!(state.bank_mem[i].len(), b.capacity(), "{different}");
+            rows.load(b.raddr, [state.bank_raddr[i]]);
+            rows.load(b.waddr, [state.bank_waddr[i]]);
+            rows.load(b.rdata, [state.bank_rdata[i]]);
+            rows.load(b.errors, [state.parity_errors[i]]);
+            rows.load(b.mem, state.bank_mem[i].iter().copied());
+            if let (Some(at), Some(bits)) = (b.parity, &state.bank_parity[i]) {
+                rows.load(at, bits.iter().map(|&bit| u64::from(bit)));
             }
         }
         self.faults = None;
@@ -758,16 +941,11 @@ impl BatchSim {
         &self.flat
     }
 
-    /// Lane-program ops run since construction or the last call, as
-    /// `(uniform, lane)`: those computed once because every operand row was
-    /// uniform, and those run across every lane. Deterministic for a given
-    /// state and stimulus, whatever ran on the batch before its last
-    /// [`BatchSim::load_state`].
-    pub fn take_op_counts(&mut self) -> (u64, u64) {
-        let counts = (self.rows.uniform_ops, self.rows.lane_ops);
-        self.rows.uniform_ops = 0;
-        self.rows.lane_ops = 0;
-        counts
+    /// The work done since construction or the last call. Deterministic
+    /// for a given state and stimulus, whatever ran on the batch before its
+    /// last [`BatchSim::load_state`].
+    pub fn take_op_counts(&mut self) -> BatchCounts {
+        std::mem::take(&mut self.rows.counts)
     }
 
     fn net_id(&self, name: &str) -> NetId {
@@ -873,9 +1051,17 @@ impl BatchSim {
         }
     }
 
-    /// A probed net's value on every lane (lane `l` at index `l`).
-    pub fn read(&self, probe: Probe) -> &[u64] {
+    /// A probed net's value on every lane (lane `l` at index `l`). A row
+    /// stored once is written out to its lanes first.
+    pub fn read(&mut self, probe: Probe) -> &[u64] {
+        self.rows.materialize(probe.slot);
         self.rows.row(probe.slot)
+    }
+
+    /// A probed net's value on one lane.
+    fn read_lane(&self, probe: Probe, lane: usize) -> u64 {
+        assert!(lane < self.lanes, "lane out of range");
+        self.rows.get(probe.slot, lane)
     }
 
     /// A probed net on one lane as a signed value of its declared width.
@@ -884,7 +1070,7 @@ impl BatchSim {
     ///
     /// Panics if `lane` is out of range.
     pub fn read_signed(&self, probe: Probe, lane: usize) -> i64 {
-        sign_extend(self.read(probe)[lane], probe.width, 64) as i64
+        sign_extend(self.read_lane(probe, lane), probe.width, 64) as i64
     }
 
     /// Reads any net by hierarchical name on one lane.
@@ -893,7 +1079,7 @@ impl BatchSim {
     ///
     /// Panics if no such net exists or `lane` is out of range.
     pub fn peek_lane(&self, name: &str, lane: usize) -> u64 {
-        self.read(self.probe(name))[lane]
+        self.read_lane(self.probe(name), lane)
     }
 
     /// Reads a net on one lane as a signed value of its declared width.
@@ -908,12 +1094,11 @@ impl BatchSim {
     /// Same contract as the scalar [`Interpreter::load_bank`].
     pub fn load_bank(&mut self, bank: usize, words: &[u64]) -> Result<(), HwError> {
         self.check_bank(bank, words.len())?;
+        let b = self.banks[bank];
         for (w, &word) in words.iter().enumerate() {
-            self.bank_mem[bank][w * self.lanes..(w + 1) * self.lanes].fill(word);
-        }
-        if let Some(p) = &mut self.bank_parity[bank] {
-            for (w, &word) in words.iter().enumerate() {
-                p[w * self.lanes..(w + 1) * self.lanes].fill(parity(word));
+            self.rows.fill(b.mem + w, word);
+            if let Some(p) = b.parity {
+                self.rows.fill(p + w, parity(word));
             }
         }
         Ok(())
@@ -931,23 +1116,22 @@ impl BatchSim {
     pub fn load_bank_lane(&mut self, bank: usize, lane: usize, words: &[u64]) -> Result<(), HwError> {
         assert!(lane < self.lanes, "lane out of range");
         self.check_bank(bank, words.len())?;
+        let b = self.banks[bank];
         for (w, &word) in words.iter().enumerate() {
-            self.bank_mem[bank][w * self.lanes + lane] = word;
-        }
-        if let Some(p) = &mut self.bank_parity[bank] {
-            for (w, &word) in words.iter().enumerate() {
-                p[w * self.lanes + lane] = parity(word);
+            self.rows.set_lane(b.mem + w, lane, word);
+            if let Some(p) = b.parity {
+                self.rows.set_lane(p + w, lane, parity(word));
             }
         }
         Ok(())
     }
 
     fn check_bank(&self, bank: usize, given: usize) -> Result<(), HwError> {
-        let banks = self.bank_mem.len();
+        let banks = self.banks.len();
         if bank >= banks {
             return Err(HwError::NoSuchBank { bank, banks });
         }
-        let capacity = self.bank_mem[bank].len() / self.lanes;
+        let capacity = self.banks[bank].capacity();
         if given > capacity {
             return Err(HwError::BankOverflow {
                 bank,
@@ -965,8 +1149,9 @@ impl BatchSim {
     /// Panics if `lane` is out of range.
     pub fn parity_error_count_lane(&self, lane: usize) -> u64 {
         assert!(lane < self.lanes, "lane out of range");
-        (0..self.flat.banks.len())
-            .map(|i| self.parity_errors[i * self.lanes + lane])
+        self.banks
+            .iter()
+            .map(|b| self.rows.get(b.errors, lane))
             .sum()
     }
 
@@ -975,9 +1160,9 @@ impl BatchSim {
     /// run.
     pub fn bank_words_lane(&self, bank: usize, lane: usize) -> Vec<u64> {
         assert!(lane < self.lanes, "lane out of range");
-        let capacity = self.bank_mem[bank].len() / self.lanes;
-        (0..capacity)
-            .map(|w| self.bank_mem[bank][w * self.lanes + lane])
+        let b = &self.banks[bank];
+        (0..b.capacity())
+            .map(|w| self.rows.get(b.mem + w, lane))
             .collect()
     }
 
@@ -1038,6 +1223,13 @@ impl BatchSim {
             }
             results.push(outcome);
         }
+        if !state.stuck.is_empty() {
+            state.stuck.sort_by_key(|s| s.force.slot);
+            state.forced = vec![false; self.rows.state.len()];
+            for s in &state.stuck {
+                state.forced[s.force.slot as usize] = true;
+            }
+        }
         let empty = state.stuck.is_empty()
             && state.flips.is_empty()
             && state.bank_flips.is_empty()
@@ -1061,28 +1253,30 @@ impl BatchSim {
     /// Settles combinational logic on every lane (no-op when already
     /// settled). Mirrors the scalar settle: bank read data first, then the
     /// stuck-at prologue, then the settle program, re-forcing each net it
-    /// writes when stuck-ats are attached.
+    /// writes that a lane forces.
     fn settle(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        let lanes = self.lanes;
-        for (i, b) in self.flat.banks.iter().enumerate() {
-            let w = self.flat.nets[b.rdata].width;
-            let rdata = &self.bank_rdata[i * lanes..(i + 1) * lanes];
-            if self.rdata_uniform[i] {
-                self.rows.fill(b.rdata, mask(rdata[0], w));
-            } else {
-                self.rows.set_lanes(b.rdata, |l| mask(rdata[l], w));
-            }
+        for (b, rows) in self.flat.banks.iter().zip(&self.banks) {
+            let m = width_mask(self.flat.nets[b.rdata].width);
+            self.rows.copy_map(rows.rdata, b.rdata, |v| v & m);
         }
-        let forced = self.faults.as_ref().map_or(&[][..], |f| &f.stuck);
-        self.rows.force(forced);
+        let stuck = self.faults.as_deref().filter(|f| !f.stuck.is_empty());
+        let Some(f) = stuck else {
+            for op in &self.program.settle {
+                self.rows.exec(op);
+            }
+            return;
+        };
+        self.rows.force(&f.stuck);
         for op in &self.program.settle {
             self.rows.exec(op);
-            if !forced.is_empty() {
-                self.rows.force(forced.iter().filter(|s| s.force.slot == op.dst));
+            if f.forced[op.dst as usize] {
+                let lo = f.stuck.partition_point(|s| s.force.slot < op.dst);
+                let hi = f.stuck.partition_point(|s| s.force.slot <= op.dst);
+                self.rows.force(&f.stuck[lo..hi]);
             }
         }
     }
@@ -1094,7 +1288,6 @@ impl BatchSim {
     /// commit.
     pub fn step(&mut self) {
         self.settle();
-        let lanes = self.lanes;
         let staged = self.program.staged;
         // Sample registers (the sample program writes no nets, so no
         // forcing — same as the scalar path).
@@ -1107,13 +1300,13 @@ impl BatchSim {
             let now = f.cycle + 1;
             for h in f.holds.iter().filter(|h| h.hold.cycle == now) {
                 let l = h.lane as usize;
-                let current = self.rows.values[h.hold.target * lanes + l];
+                let current = self.rows.get(h.hold.target, l);
                 self.rows.set_lane(staged + h.hold.reg, l, current);
             }
         }
         self.commit_banks();
         for (r, &t) in self.compiled.reg_targets.iter().enumerate() {
-            self.rows.copy_row(staged + r, t as usize);
+            self.rows.copy_map(staged + r, t as usize, |v| v);
         }
         // Post-commit faults: transient flips corrupt just-committed state
         // on their lanes without touching parity bookkeeping.
@@ -1121,12 +1314,12 @@ impl BatchSim {
             f.cycle += 1;
             let now = f.cycle;
             for fl in f.flips.iter().filter(|fl| fl.flip.cycle == now) {
-                let (slot, l) = (fl.flip.slot, fl.lane as usize);
-                let flipped = self.rows.values[slot * lanes + l] ^ fl.flip.xor;
-                self.rows.set_lane(slot, l, flipped);
+                self.rows
+                    .xor_lane(fl.flip.slot, fl.lane as usize, fl.flip.xor);
             }
             for bf in f.bank_flips.iter().filter(|bf| bf.flip.cycle == now) {
-                self.bank_mem[bf.flip.bank][bf.flip.word * lanes + bf.lane as usize] ^= bf.flip.xor;
+                let word = self.banks[bf.flip.bank].mem + bf.flip.word;
+                self.rows.xor_lane(word, bf.lane as usize, bf.flip.xor);
             }
         }
         self.dirty = true;
@@ -1135,89 +1328,63 @@ impl BatchSim {
 
     /// Commits every bank's port activity, read from the settled
     /// pre-commit port rows: read the inactive buffer, write the active
-    /// one. When the enables, buffer select and addresses agree on every
-    /// lane, all lanes touch the same word, so one address update and row
-    /// copies serve the whole bank (parity still per lane); otherwise each
-    /// lane commits on its own.
+    /// one. When the enables, buffer select and addresses are uniform, all
+    /// lanes touch the same word, so each port moves one row: a single word
+    /// while that row is uniform too, with parity checked once. Otherwise
+    /// each lane commits on its own.
     fn commit_banks(&mut self) {
-        let lanes = self.lanes;
-        let rows = &self.rows;
+        let rows = &mut self.rows;
         let banks = self.flat.banks.iter().zip(&self.compiled.bank_nets);
-        for (i, (b, nets)) in banks.enumerate() {
-            let words = b.spec.words();
-            let dbuf = b.spec.is_double_buffered();
+        for ((b, nets), bank) in banks.zip(&self.banks) {
             let wmask = width_mask(b.spec.width());
-            let lane_rows = i * lanes..(i + 1) * lanes;
-            let raddr = &mut self.bank_raddr[lane_rows.clone()];
-            let waddr = &mut self.bank_waddr[lane_rows.clone()];
-            let rdata = &mut self.bank_rdata[lane_rows.clone()];
-            let errors = &mut self.parity_errors[lane_rows];
-            let mem = &mut self.bank_mem[i];
-            let mut bits = self.bank_parity[i].as_mut();
             let (en, wen, wdata) = (nets.en as usize, nets.wen as usize, nets.wdata as usize);
             let sel = nets.buf_sel.map(|n| n as usize);
-            let ports_uniform =
-                rows.uniform[en] && rows.uniform[wen] && sel.is_none_or(|s| rows.uniform[s]);
-            if self.addr_uniform[i] && ports_uniform {
-                let buf_sel = sel.map_or(0, |s| rows.first(s) & 1);
-                if rows.first(en) & 1 == 1 {
-                    let (word, next) = next_addr(raddr[0], words);
-                    let base = if dbuf { (1 - buf_sel) * words } else { 0 };
-                    let at = (base + word) as usize * lanes;
-                    let data = &mem[at..at + lanes];
-                    rdata.copy_from_slice(data);
-                    raddr.fill(next);
-                    self.rdata_uniform[i] = is_uniform(data);
-                    if let Some(p) = &bits {
-                        for ((e, &v), &bit) in errors.iter_mut().zip(data).zip(&p[at..at + lanes]) {
-                            *e += u64::from(parity(v) != bit);
-                        }
+            let mut ports = [en, wen, bank.raddr, bank.waddr].into_iter().chain(sel);
+            if ports.all(|r| rows.uniform(r)) {
+                let sel = sel.map_or(0, |s| rows.scalar[s] & 1);
+                if rows.scalar[en] & 1 == 1 {
+                    let (at, next) = bank.word(1 - sel, rows.scalar[bank.raddr]);
+                    rows.copy_map(at, bank.rdata, |v| v);
+                    rows.fill(bank.raddr, next);
+                    if let Some(bit) = bank.parity_of(at) {
+                        rows.check_parity(at, bit, bank.errors);
                     }
                 }
-                if rows.first(wen) & 1 == 1 {
-                    let (word, next) = next_addr(waddr[0], words);
-                    let base = if dbuf { buf_sel * words } else { 0 };
-                    let at = (base + word) as usize * lanes;
-                    let data = &mut mem[at..at + lanes];
-                    for (m, &v) in data.iter_mut().zip(rows.row(wdata)) {
-                        *m = v & wmask;
-                    }
-                    waddr.fill(next);
-                    if let Some(p) = &mut bits {
-                        for (bit, &v) in p[at..at + lanes].iter_mut().zip(&*data) {
-                            *bit = parity(v);
-                        }
+                if rows.scalar[wen] & 1 == 1 {
+                    let (at, next) = bank.word(sel, rows.scalar[bank.waddr]);
+                    rows.copy_map(wdata, at, |v| v & wmask);
+                    rows.fill(bank.waddr, next);
+                    if let Some(bit) = bank.parity_of(at) {
+                        rows.copy_map(at, bit, parity);
                     }
                 }
                 continue;
             }
-            let (en, wen, wdata) = (rows.row(en), rows.row(wen), rows.row(wdata));
-            let sel = sel.map(|s| rows.row(s));
-            for l in 0..lanes {
-                let buf_sel = sel.map_or(0, |s| s[l] & 1);
-                if en[l] & 1 == 1 {
-                    let (word, next) = next_addr(raddr[l], words);
-                    let base = if dbuf { (1 - buf_sel) * words } else { 0 };
-                    let at = (base + word) as usize * lanes + l;
-                    rdata[l] = mem[at];
-                    raddr[l] = next;
-                    if let Some(p) = &bits {
-                        errors[l] += u64::from(parity(mem[at]) != p[at]);
+            for l in 0..rows.lanes {
+                let sel = sel.map_or(0, |s| rows.get(s, l) & 1);
+                if rows.get(en, l) & 1 == 1 {
+                    let (at, next) = bank.word(1 - sel, rows.get(bank.raddr, l));
+                    let v = rows.get(at, l);
+                    rows.set_lane(bank.rdata, l, v);
+                    rows.set_lane(bank.raddr, l, next);
+                    if let Some(bit) = bank.parity_of(at) {
+                        let e = rows.get(bank.errors, l) + u64::from(parity(v) != rows.get(bit, l));
+                        rows.set_lane(bank.errors, l, e);
                     }
                 }
-                if wen[l] & 1 == 1 {
-                    let (word, next) = next_addr(waddr[l], words);
-                    let base = if dbuf { buf_sel * words } else { 0 };
-                    let at = (base + word) as usize * lanes + l;
-                    mem[at] = wdata[l] & wmask;
-                    waddr[l] = next;
-                    if let Some(p) = &mut bits {
-                        p[at] = parity(mem[at]);
+                if rows.get(wen, l) & 1 == 1 {
+                    let (at, next) = bank.word(sel, rows.get(bank.waddr, l));
+                    let v = rows.get(wdata, l) & wmask;
+                    rows.set_lane(at, l, v);
+                    rows.set_lane(bank.waddr, l, next);
+                    if let Some(bit) = bank.parity_of(at) {
+                        rows.set_lane(bit, l, parity(v));
                     }
                 }
             }
-            self.addr_uniform[i] = is_uniform(raddr) && is_uniform(waddr);
-            self.rdata_uniform[i] = is_uniform(rdata);
+            for r in [bank.raddr, bank.waddr, bank.rdata, bank.errors] {
+                rows.recheck(r);
+            }
         }
     }
 }
@@ -1233,8 +1400,11 @@ mod tests {
     /// The uniform-row invariant: every flagged row holds one value on
     /// every lane.
     fn assert_flags_honest(sim: &BatchSim, what: &str) {
-        for (r, &uniform) in sim.rows.uniform.iter().enumerate() {
-            assert!(!uniform || is_uniform(sim.rows.row(r)), "{what}: row {r} is flagged uniform");
+        let rows = &sim.rows;
+        for (r, &state) in rows.state.iter().enumerate() {
+            let honest =
+                state != RowState::Uniform || rows.row(r).iter().all(|&v| v == rows.scalar[r]);
+            assert!(honest, "{what}: row {r} is marked uniform");
         }
     }
 

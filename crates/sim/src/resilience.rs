@@ -712,9 +712,10 @@ impl FaultCampaign {
         );
         tensorlib_obs::counter_add("sim.fault.steps_skipped", fork.steps);
         let runs = self.round.run_batch(&mut sim, fork);
-        let (uniform_ops, lane_ops) = sim.take_op_counts();
-        tensorlib_obs::counter_add("hw.batch.uniform_ops", uniform_ops);
-        tensorlib_obs::counter_add("hw.batch.lane_ops", lane_ops);
+        let counts = sim.take_op_counts();
+        tensorlib_obs::counter_add("hw.batch.uniform_ops", counts.uniform_ops);
+        tensorlib_obs::counter_add("hw.batch.lane_ops", counts.lane_ops);
+        tensorlib_obs::counter_add("hw.batch.materialized", counts.materialized);
         (self.batches.lock().unwrap_or_else(PoisonError::into_inner)).push(sim);
         attach.into_iter().zip(runs).map(|(att, run)| att.map(|()| run)).collect()
     }
@@ -725,7 +726,9 @@ impl FaultCampaign {
     /// With `lanes == 1` each fault runs on a clone of the scalar base from
     /// cycle 0 — the reference every batched run is proved against. Wider
     /// groups are cut from the chunk stable-sorted by
-    /// [`FaultCampaign::fork_steps`]: each group starts from the golden
+    /// [`FaultCampaign::fork_steps`] and then by fault target, so a
+    /// group's lanes fault neighbouring sites and more of its rows stay
+    /// uniform across lanes. Each group starts from the golden
     /// snapshot at its earliest fork step (one scalar golden pass per chunk
     /// takes just those snapshots), attaches one fault per lane with its
     /// cycle shifted back by the skipped steps, and is retired in one
@@ -745,7 +748,7 @@ impl FaultCampaign {
         let lanes = self.cfg.lanes.max(1);
         let mut order: Vec<usize> = (0..faults.len()).collect();
         if lanes > 1 {
-            order.sort_by_key(|&i| self.fork_steps(&faults[i]));
+            order.sort_by_key(|&i| (self.fork_steps(&faults[i]), faults[i].target.as_str()));
         }
         let groups: Vec<Vec<&FaultSpec>> = (order.chunks(lanes))
             .map(|idx| idx.iter().map(|&i| &faults[i]).collect())

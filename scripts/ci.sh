@@ -57,20 +57,23 @@ rm -f /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
 # scalar run's at 1 and 2 workers (the worker count is echoed twice). Each
 # runs fully hardened, parity-only (no TMR voter reconverges a faulty
 # controller, and banks commit lane by lane once addresses diverge) and
-# unhardened.
+# unhardened, with the optimizer on and off (an unoptimized netlist keeps
+# the wire copies and aliases that the lane program lowers differently).
 fork_dir=$(mktemp -d)
 strip_lane_shape() {
     sed -e '/"phase_wall_times_us"/,/}/d' -e '/^    "lanes": /d' -e '/^    "workers": /d'
 }
 for harden in full parity none; do
     for mode in "--faults 512" "--sweep-acc"; do
-        ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 --harden "$harden" \
-            -o - | strip_lane_shape > "$fork_dir/scalar.json"
-        for workers in 1 2; do
+        for opt in on off; do
             ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 \
-                --harden "$harden" --lanes 64 --workers "$workers" -o - \
-                | strip_lane_shape > "$fork_dir/lanes.json"
-            cmp "$fork_dir/scalar.json" "$fork_dir/lanes.json"
+                --harden "$harden" --opt "$opt" -o - | strip_lane_shape > "$fork_dir/scalar.json"
+            for workers in 1 2; do
+                ./target/release/tensorlib faults --rows 8 --cols 8 $mode --seed 7 \
+                    --harden "$harden" --opt "$opt" --lanes 64 --workers "$workers" -o - \
+                    | strip_lane_shape > "$fork_dir/lanes.json"
+                cmp "$fork_dir/scalar.json" "$fork_dir/lanes.json"
+            done
         done
     done
     grep -q '"faults": 512' "$fork_dir/scalar.json"

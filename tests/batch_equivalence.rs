@@ -13,7 +13,8 @@ use tensorlib::hw::batch::BatchSim;
 use tensorlib::hw::design::{generate, HwConfig};
 use tensorlib::hw::fault::{enumerate_sites, FaultSpec};
 use tensorlib::hw::fuzz::{check_batch_netlist, gen_netlist, NetlistFuzzConfig};
-use tensorlib::hw::interp::{elaborate_design, Interpreter};
+use tensorlib::hw::interp::{elaborate, elaborate_design, Interpreter};
+use tensorlib::hw::netlist::{Expr, Module};
 use tensorlib::hw::ArrayConfig;
 use tensorlib::ir::workloads;
 use tensorlib::sim::journal;
@@ -310,10 +311,10 @@ fn forked(
     (batch, references(base, lanes, faults))
 }
 
-// The lane engine computes rows that agree on every lane once, so each
-// writer of a row must keep its "uniform" flag honest. The tests below
-// drive one writer each and check every lane against a scalar run at every
-// step.
+// The lane engine computes and stores rows that agree on every lane once,
+// so each writer of a row must keep its state honest, and each reader of
+// lanes must see a uniform row's current value. The tests below drive one
+// writer each and check every lane against a scalar run at every step.
 
 /// A flip of one TMR replica's controller state on one lane: the replica
 /// row diverges, the voter out-votes it, and every accumulator stays equal
@@ -439,4 +440,84 @@ fn one_lane_bank_flips_are_caught_by_per_lane_parity() {
         (1..faults.len()).any(|l| batch.parity_error_count_lane(l) > 0),
         "no flipped word was read back"
     );
+}
+
+/// A uniform row whose value changes between two lane loops that read it:
+/// a register enable toggled on every lane at once while the register's
+/// next value differs per lane. The enable is stored once, so each lane
+/// loop that adds it to the diverged register must see its new value on
+/// every lane.
+#[test]
+fn toggled_uniform_enable_under_per_lane_next_values() {
+    let mut m = Module::new("toggle");
+    let en = m.input("en", 1);
+    let d = m.input("d", 8);
+    let q = m.output("q", 8);
+    let y = m.output("y", 8);
+    m.reg(q, Expr::net(d), Some(Expr::net(en)), 0);
+    m.assign(y, Expr::net(q).add(Expr::net(en).resize(8)));
+    let flat = elaborate(&[m], &[], "toggle").expect("elaborates");
+    let lanes = 4;
+    let mut batch = BatchSim::new(flat.clone(), lanes);
+    let mut refs: Vec<Interpreter> = (0..lanes).map(|_| Interpreter::new(flat.clone())).collect();
+    for cycle in 0..12u64 {
+        let en = (cycle / 2 + cycle) % 2;
+        let d: Vec<u64> = (0..lanes as u64).map(|l| 16 * l + cycle).collect();
+        batch.poke("en", en);
+        batch.poke_lanes("d", &d);
+        for (r, &d) in refs.iter_mut().zip(&d) {
+            r.poke_many([("en", en), ("d", d)]);
+        }
+        for (lane, r) in refs.iter().enumerate() {
+            assert_lane_matches(&batch, lane, r, &format!("cycle {cycle} en {en}, poked"));
+        }
+        batch.step();
+        for (lane, r) in refs.iter_mut().enumerate() {
+            r.step();
+            assert_lane_matches(&batch, lane, r, &format!("cycle {cycle} en {en}, stepped"));
+        }
+    }
+    assert_ne!(
+        batch.peek_lane("q", 0),
+        batch.peek_lane("q", 1),
+        "the lanes diverged"
+    );
+}
+
+/// A bank word that is uniform across lanes is flipped on one lane, then
+/// read back once through addresses that agree on every lane (the bank
+/// commits once for all lanes) and once through addresses that diverge
+/// (each lane commits on its own, here because one lane never starts).
+/// Both paths must read the flipped lane's word, and count its parity
+/// error, on that lane only.
+#[test]
+fn one_lane_flip_of_a_uniform_bank_word_on_both_commit_paths() {
+    let mut base = hardened_base();
+    base.poke("start", 0);
+    let sites = enumerate_sites(base.flat());
+    let (bank, words, width) = &sites.banks[0];
+    let flips: Vec<Vec<FaultSpec>> = [0, words / 2]
+        .iter()
+        .map(|&word| vec![FaultSpec::bank_flip(bank.clone(), word, width - 1, 1)])
+        .collect();
+    let faults = vec![vec![], flips[0].clone(), flips[1].clone()];
+    for all_started in [true, false] {
+        let (mut batch, mut refs) = forked(&base, 3, &faults);
+        if all_started {
+            batch.poke("start", 1);
+        } else {
+            batch.poke_lane("start", 0, 1);
+            batch.poke_lane("start", 1, 1);
+        }
+        for r in &mut refs[..if all_started { 3 } else { 2 }] {
+            r.poke("start", 1);
+        }
+        let what = format!("all lanes started: {all_started}");
+        lockstep(&mut batch, &mut refs, 40, &what);
+        assert_eq!(batch.parity_error_count_lane(0), 0, "{what}");
+        assert!(
+            batch.parity_error_count_lane(1) > 0,
+            "{what}: the flipped word was never read"
+        );
+    }
 }

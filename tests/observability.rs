@@ -312,10 +312,11 @@ fn fault_campaign_counts_forked_and_skipped_steps() {
 }
 
 /// The lane engine counts the lane-program ops it ran once (every operand
-/// row uniform across lanes) and across lanes. The counts are
-/// deterministic, so they do not depend on the worker count, and on the
-/// 8×8 TMR campaign, where a fault touches one lane of 64, the ops run once
-/// dominate.
+/// row uniform across lanes) and across lanes, and the uniform rows it had
+/// to write out to every lane. The counts are deterministic, so they do not
+/// depend on the worker count, and on the 8×8 TMR campaign, where a fault
+/// touches one lane of 64, the ops run once dominate and few uniform rows
+/// are ever written lane by lane.
 #[test]
 fn batch_op_counts_are_deterministic_and_mostly_uniform() {
     use tensorlib::hw::fault::Hardening;
@@ -339,13 +340,18 @@ fn batch_op_counts_are_deterministic_and_mostly_uniform() {
         run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).expect("campaign runs");
         let session = tensorlib_obs::drain();
         tensorlib_obs::disable();
-        ["hw.batch.uniform_ops", "hw.batch.lane_ops"]
+        ["hw.batch.uniform_ops", "hw.batch.lane_ops", "hw.batch.materialized"]
             .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
     };
-    let [uniform, lane] = record(1);
-    assert_eq!([uniform, lane], record(2), "op counts vary with workers");
+    let [uniform, lane, materialized] = record(1);
+    assert_eq!([uniform, lane, materialized], record(2), "op counts vary with workers");
     assert!(lane > 0, "some rows diverge");
     assert!(uniform > 4 * lane, "uniform ops {uniform} vs lane ops {lane}");
+    assert!(materialized > 0, "some lane loop reads a uniform row");
+    assert!(
+        materialized < uniform / 8,
+        "materialized rows {materialized} vs uniform ops {uniform}"
+    );
 }
 
 /// The optimizer counts its CSE rounds and hoists. A pipeline campaign
