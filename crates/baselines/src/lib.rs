@@ -33,7 +33,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_cost::{fpga_cost, FpgaDevice, FpgaReport};
 use tensorlib_dataflow::dse::{design_space, DseConfig};
 use tensorlib_dataflow::{Dataflow, FlowClass};
@@ -42,7 +42,7 @@ use tensorlib_hw::ArrayConfig;
 use tensorlib_ir::{DataType, Kernel};
 
 /// Which baseline tool to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BaselineKind {
     /// PolySA (Cong & Wang, ICCAD 2018): polyhedral systolic-array
     /// auto-compilation targeting the same VU9P.

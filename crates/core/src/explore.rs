@@ -3,14 +3,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
 use tensorlib_dataflow::dse::{design_space, DseConfig};
 use tensorlib_dataflow::Dataflow;
 use tensorlib_hw::design::{plan, DesignPlan, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
-use tensorlib_obs::json::Value;
 use tensorlib_sim::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use tensorlib_sim::{functional, perf, SimConfig, SimError, SimReport};
 
@@ -91,7 +90,7 @@ impl Default for ExploreOptions {
 
 /// Why one candidate produced no [`DesignPoint`] (enumeration order is
 /// preserved in [`ExploreOutcome::errors`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PointError {
     /// Scoring the candidate panicked; the panic was caught and isolated, so
     /// the rest of the sweep is unaffected.
@@ -396,7 +395,7 @@ pub fn pareto_power_area(points: &[DesignPoint]) -> Vec<&DesignPoint> {
 /// This is what durable sweeps journal per candidate: unlike
 /// [`DesignPoint`] it round-trips losslessly through the replay decoder, and
 /// it is all the Figure 6-style scatter needs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExploreRow {
     /// Paper-style dataflow name with hardening suffix.
     pub name: String,
@@ -428,7 +427,7 @@ impl ExploreRow {
 /// A durable sweep's full accounting: reduced rows plus typed failures,
 /// demotions, and skips. Byte-stable for a given kernel and options
 /// regardless of worker count, chunking, or crash/resume history.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExploreSweepReport {
     /// Scored candidates, sorted by total cycles (fastest first, ties by
     /// name) — the same order [`explore`] returns points in.
@@ -439,42 +438,6 @@ pub struct ExploreSweepReport {
     pub skipped: u64,
     /// Candidates demoted by the per-chunk watchdog before they could run.
     pub degraded: u64,
-}
-
-fn decode_row(v: &Value) -> Result<ExploreRow, String> {
-    Ok(ExploreRow {
-        name: journal::field_str(v, "name")?.to_string(),
-        letters: journal::field_str(v, "letters")?.to_string(),
-        total_cycles: journal::field_u64(v, "total_cycles")?,
-        normalized_perf: journal::field_f64(v, "normalized_perf")?,
-        power_mw: journal::field_f64(v, "power_mw")?,
-        area_mm2: journal::field_f64(v, "area_mm2")?,
-    })
-}
-
-fn decode_point_error(v: &Value) -> Result<PointError, String> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| "point error is not an object".to_string())?;
-    let (tag, body) = entries
-        .first()
-        .ok_or_else(|| "point error object is empty".to_string())?;
-    match tag.as_str() {
-        "Panicked" => Ok(PointError::Panicked {
-            name: journal::field_str(body, "name")?.to_string(),
-            message: journal::field_str(body, "message")?.to_string(),
-        }),
-        "BudgetExceeded" => Ok(PointError::BudgetExceeded {
-            name: journal::field_str(body, "name")?.to_string(),
-            budget: journal::field_u64(body, "budget")?,
-            needed: journal::field_u64(body, "needed")?,
-        }),
-        "Functional" => Ok(PointError::Functional {
-            name: journal::field_str(body, "name")?.to_string(),
-            message: journal::field_str(body, "message")?.to_string(),
-        }),
-        other => Err(format!("unknown point error tag `{other}`")),
-    }
 }
 
 /// A design-space sweep as a chunked campaign for
@@ -565,22 +528,6 @@ impl journal::Campaign for ExploreCampaign<'_> {
             }
         }
         chunk
-    }
-
-    fn decode_chunk(payload: &str) -> Result<ExploreSweepReport, String> {
-        let doc = tensorlib_obs::json::parse(payload)?;
-        Ok(ExploreSweepReport {
-            rows: journal::field_array(&doc, "rows")?
-                .iter()
-                .map(decode_row)
-                .collect::<Result<Vec<ExploreRow>, String>>()?,
-            errors: journal::field_array(&doc, "errors")?
-                .iter()
-                .map(decode_point_error)
-                .collect::<Result<Vec<PointError>, String>>()?,
-            skipped: journal::field_u64(&doc, "skipped")?,
-            degraded: journal::field_u64(&doc, "degraded")?,
-        })
     }
 
     fn aggregate(

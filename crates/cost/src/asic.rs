@@ -1,13 +1,13 @@
 //! ASIC area and power model (55 nm class).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_hw::design::DesignPlan;
 
 use crate::calibration::asic55 as k;
 
 /// Switching-activity inputs for the power model, typically taken from a
 /// `tensorlib-sim` performance report (its `normalized_perf` field).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Activity {
     /// Fraction of (PE × cycle) slots doing real work (`normalized_perf`).
     pub utilization: f64,
@@ -39,7 +39,7 @@ impl Activity {
 }
 
 /// Area/power breakdown of one design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AsicReport {
     /// Total cell + macro area, mm².
     pub area_mm2: f64,

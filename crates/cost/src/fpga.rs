@@ -1,13 +1,13 @@
 //! FPGA resource and frequency model (Xilinx VU9P class).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_hw::design::DesignPlan;
 use tensorlib_ir::DataType;
 
 use crate::calibration::vu9p as k;
 
 /// A target FPGA device's capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FpgaDevice {
     /// Device name (reporting only).
     pub name: &'static str,
@@ -43,7 +43,7 @@ impl FpgaDevice {
 }
 
 /// FPGA synthesis estimate for one design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FpgaReport {
     /// LUTs used.
     pub luts: u64,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_linalg::{primitive_integer_vector, Mat};
 use tensorlib_ir::TensorRole;
 
@@ -16,7 +16,7 @@ use crate::Stt;
 /// carry the decomposition into 1-D components that the paper's hardware
 /// generator wires up (multicast group + stationary register, or multicast
 /// group + systolic chain).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum FlowClass {
     /// Rank 0: every element touched exactly once — each PE streams from
     /// memory independently.
@@ -175,7 +175,7 @@ impl fmt::Display for FlowClass {
 }
 
 /// The analyzed dataflow of one tensor: its name, role, and [`FlowClass`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TensorFlow {
     /// The tensor's name in the kernel.
     pub tensor: String,

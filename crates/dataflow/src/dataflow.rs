@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_ir::Kernel;
 
 use crate::{classify_tensor, DataflowError, FlowClass, LoopSelection, Stt, TensorFlow};
@@ -27,7 +27,7 @@ use crate::{classify_tensor, DataflowError, FlowClass, LoopSelection, Stt, Tenso
 /// assert_eq!(df.letters(), "SST");
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Dataflow {
     kernel_name: String,
     selection: LoopSelection,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_ir::Kernel;
 
 use crate::DataflowError;
@@ -25,7 +25,7 @@ use crate::DataflowError;
 /// assert_eq!(sel.outer_indices(&conv).len(), 3); // y, p, q stay sequential
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct LoopSelection {
     names: [String; 3],
     indices: [usize; 3],

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_linalg::{Frac, Mat};
 
 use crate::DataflowError;
@@ -27,7 +27,7 @@ use crate::DataflowError;
 /// assert_eq!(t.det().abs(), 1);
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Stt {
     rows: [[i64; 3]; 3],
     det: i64,

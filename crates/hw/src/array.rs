@@ -14,14 +14,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_dataflow::{FlowClass, TensorFlow};
 
 use crate::netlist::{Expr, Module};
 use crate::pe::{PeIoKind, PeSpec};
 
 /// PE-array dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ArrayConfig {
     /// Rows (first spatial coordinate `p1`).
     pub rows: usize,
@@ -147,7 +147,7 @@ impl std::error::Error for HwError {}
 
 /// The role a top-level array port plays, used by memory generation to bank
 /// and connect the scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PortKind {
     /// Streams one word per cycle into a systolic chain head.
     SystolicFeed,
@@ -181,7 +181,7 @@ impl PortKind {
 }
 
 /// One top-level data port of the generated array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ArrayPort {
     /// Which tensor it serves.
     pub tensor: String,

@@ -6,12 +6,12 @@
 //! drain stationary outputs. All thresholds are baked in at generation time —
 //! STT schedules are fully static.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::netlist::{BinOp, Expr, Module};
 
 /// Cycle budget for each controller phase of one tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CtrlPhases {
     /// Cycles to fill stationary buffers (0 if nothing is stationary).
     pub load_cycles: u64,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, FlowClass};
 use tensorlib_ir::DataType;
 
@@ -18,7 +18,7 @@ use crate::pe::{build_pe, PeIoKind, PeSpec, PeTensorSpec};
 use crate::tiling::{tile_for_array, Tiling};
 
 /// Generation-time configuration for one accelerator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HwConfig {
     /// PE-array dimensions.
     pub array: ArrayConfig,
@@ -44,7 +44,7 @@ impl Default for HwConfig {
 }
 
 /// Resource census of a generated design, consumed by the cost models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ResourceSummary {
     /// Array rows.
     pub pe_rows: usize,
@@ -114,7 +114,7 @@ impl ResourceSummary {
 }
 
 /// One scratchpad bank instance bound to an array port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BankBinding {
     /// Index of the bank template in [`DesignPlan::mem_banks`].
     pub bank: usize,

@@ -252,7 +252,7 @@ impl FaultState {
 /// unhardened design is bit-identical to pre-hardening generation, and each
 /// enabled option's area/power overhead is carried in the
 /// [`crate::design::ResourceSummary`] so the cost models price it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct Hardening {
     /// Triplicate the controller FSM with per-output majority voting and a
     /// `tmr_mismatch` detection output on the top module.

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::netlist::Module;
 
@@ -24,7 +24,7 @@ use crate::netlist::Module;
 /// assert_eq!(b.bits(), 2 * 1024 * 16); // double buffered
 /// assert!(b.module_name().contains("w16"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct MemBank {
     words: u64,
     width: u32,

@@ -10,13 +10,13 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a net within its [`Module`].
 pub type NetId = usize;
 
 /// Port direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Dir {
     /// Driven from outside the module.
     Input,
@@ -25,7 +25,7 @@ pub enum Dir {
 }
 
 /// A named wire with a bit width.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Net {
     /// Verilog-safe identifier.
     pub name: String,
@@ -34,7 +34,7 @@ pub struct Net {
 }
 
 /// Binary combinational operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BinOp {
     /// Two's-complement addition (result width = max operand width).
     Add,
@@ -56,7 +56,7 @@ pub enum BinOp {
 }
 
 /// A combinational expression tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Expr {
     /// A literal.
     Const {
@@ -173,7 +173,7 @@ impl Expr {
 }
 
 /// A D-register with optional enable and a reset value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RegDef {
     /// The net holding the register's current value.
     pub target: NetId,
@@ -186,7 +186,7 @@ pub struct RegDef {
 }
 
 /// An instantiation of a child module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Instance {
     /// Name of the instantiated module.
     pub module: String,
@@ -296,7 +296,7 @@ impl std::error::Error for NetlistError {}
 /// m.reg(acc, Expr::net(acc).add(Expr::net(din)), None, 0);
 /// m.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Module {
     pub(crate) name: String,
     pub(crate) nets: Vec<Net>,
@@ -520,7 +520,7 @@ impl Module {
 }
 
 /// Operator census of one module, from [`Module::count_ops`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OpCounts {
     /// `Add`/`Sub` operators.
     pub adders: u64,

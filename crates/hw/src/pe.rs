@@ -16,14 +16,14 @@
 //! The templates compose freely because they only meet at the computation
 //! cell, exactly as the paper observes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_dataflow::FlowClass;
 use tensorlib_ir::{DataType, TensorRole};
 
 use crate::netlist::{Expr, Module};
 
 /// Which Figure 3 template a tensor uses inside the PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PeIoKind {
     /// (a) Register and forward to the neighbouring PE every cycle.
     SystolicIn,
@@ -84,7 +84,7 @@ impl PeIoKind {
 }
 
 /// One tensor's slot in a PE.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PeTensorSpec {
     /// Tensor name (lower-cased into port names).
     pub tensor: String,
@@ -96,7 +96,7 @@ pub struct PeTensorSpec {
 
 /// A complete PE specification: datatype plus one [`PeTensorSpec`] per
 /// kernel tensor (inputs first, output last).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PeSpec {
     /// Module name for the generated PE.
     pub name: String,

@@ -5,13 +5,13 @@
 //! the mapped tile fits `rows × cols`; the remaining iterations run as
 //! sequential tile steps (plus the kernel's never-selected outer loops).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::array::ArrayConfig;
 use tensorlib_dataflow::Stt;
 
 /// The result of fitting a space-time tile onto a PE array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Tiling {
     /// Tile sizes of the three selected loops.
     pub tile_extents: [u64; 3],

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The element type an accelerator instance computes on.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(DataType::Int16.bits(), 16);
 /// assert!(DataType::Fp32.is_float());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[derive(Default)]
 pub enum DataType {
     /// 8-bit signed integer.

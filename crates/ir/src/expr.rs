@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_linalg::{Frac, Mat};
 
 use crate::LoopNest;
@@ -23,7 +23,7 @@ use crate::LoopNest;
 /// let e = AffineExpr::sum_of(&nest, &["y", "p"]);
 /// assert_eq!(e.eval(&[5, 2]), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct AffineExpr {
     coeffs: Vec<i64>,
 }
@@ -97,7 +97,7 @@ impl AffineExpr {
 /// assert_eq!(a.eval(&[1, 2, 3]), vec![1, 3]);
 /// assert_eq!(a.to_mat().rank(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct AccessMap {
     rows: Vec<AffineExpr>,
 }

@@ -2,12 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{AccessMap, DenseTensor, LoopNest};
 
 /// Whether a tensor is read or accumulated by the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TensorRole {
     /// The tensor is an input operand (read-only).
     Input,
@@ -38,7 +38,7 @@ impl fmt::Display for TensorRole {
 /// );
 /// assert_eq!(a.name(), "A");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct TensorDecl {
     name: String,
     role: TensorRole,
@@ -154,7 +154,7 @@ impl std::error::Error for KernelError {}
 /// assert_eq!(k.output().name(), "C");
 /// assert_eq!(k.macs(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Kernel {
     name: String,
     nest: LoopNest,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One loop iterator: a name and an extent (the loop runs `0..extent`).
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(it.name(), "k");
 /// assert_eq!(it.extent(), 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct LoopIter {
     name: String,
     extent: u64,
@@ -64,7 +64,7 @@ impl fmt::Display for LoopIter {
 /// assert_eq!(nest.index_of("k"), Some(2));
 /// assert_eq!(nest.total_points(), 16 * 16 * 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct LoopNest {
     iters: Vec<LoopIter>,
 }

@@ -4,7 +4,7 @@ use std::fmt;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A dense row-major tensor of `i64` elements.
 ///
@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.get(&[1, 2]), 7);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct DenseTensor {
     dims: Vec<usize>,
     strides: Vec<usize>,

@@ -1,13 +1,11 @@
-//! A minimal JSON parser for report validation.
+//! A JSON document tree, for documents walked by path rather than decoded
+//! into a type: the Yosys-JSON netlist import in `tensorlib-hw`, the
+//! `events`, `history` and `status` files, and report schema checks.
 //!
-//! The vendored `serde_json` stub only *writes* JSON, so schema checks and
-//! trace well-formedness tests need a reader. This is a small recursive
-//! descent parser: full JSON syntax, objects kept in document order,
-//! numbers as `f64` (plus a lossless `u64` view for integer fields). It is
-//! a validator for our own reports plus the document substrate of the
-//! Yosys-JSON netlist import in `tensorlib-hw`. A [`Value`] writes through
-//! the workspace's one JSON writer (`serde::JsonWriter`), and
-//! `parse(&v.to_string())` reconstructs `v` exactly.
+//! [`parse`] reads a [`Value`] through the workspace's one JSON reader
+//! (`serde::JsonReader`, nesting capped at `serde::MAX_DEPTH`), keeping
+//! objects in document order; a [`Value`] writes through its one writer
+//! (`serde::JsonWriter`), and `parse(&v.to_string())` reconstructs `v`.
 //!
 //! Numbers are stored as `f64`, so integers beyond 2^53 parse but round;
 //! [`Value::as_u64`] returns `None` outside the exactly-representable
@@ -15,7 +13,7 @@
 //! overflow `f64` entirely (e.g. `1e309`) are a parse error, never a
 //! silent infinity.
 
-use serde::{JsonWriter, Serialize};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,213 +87,30 @@ impl Value {
 /// Parses a complete JSON document; trailing whitespace allowed, trailing
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
+    serde_json::from_str(input).map_err(|e| e.to_string())
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Value,
-) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{literal}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '{'
-    let mut entries = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(entries));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        entries.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(entries));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // consume opening quote
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        // `*pos` is the `u`; the escape starts one byte back.
-                        let at = *pos - 1;
-                        let hi = read_hex4(bytes, *pos + 1, at)?;
-                        *pos += 5;
-                        let ch = if (0xD800..=0xDBFF).contains(&hi) {
-                            // High surrogate: a low surrogate escape must
-                            // follow immediately (UTF-16 pair for a
-                            // supplementary-plane character).
-                            if bytes.get(*pos) != Some(&b'\\')
-                                || bytes.get(*pos + 1) != Some(&b'u')
-                            {
-                                return Err(format!(
-                                    "unpaired high surrogate \\u{hi:04x} at byte {at}"
-                                ));
-                            }
-                            let lo = read_hex4(bytes, *pos + 2, at)?;
-                            if !(0xDC00..=0xDFFF).contains(&lo) {
-                                return Err(format!(
-                                    "invalid surrogate pair \\u{hi:04x}\\u{lo:04x} at byte {at}"
-                                ));
-                            }
-                            *pos += 6;
-                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(code).expect("surrogate pairs decode to valid scalars")
-                        } else if (0xDC00..=0xDFFF).contains(&hi) {
-                            return Err(format!("lone low surrogate \\u{hi:04x} at byte {at}"));
-                        } else {
-                            char::from_u32(hi).expect("non-surrogate BMP values are scalars")
-                        };
-                        out.push(ch);
-                        continue;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+/// Reads any JSON value through the workspace's one reader
+/// (`serde::JsonReader`), which caps nesting at [`serde::MAX_DEPTH`].
+impl Deserialize for Value {
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Value, String> {
+        Ok(match r.peek()? {
+            b'{' => {
+                r.open(b'{')?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    entries.push((key.into_owned(), Value::deserialize(r)?));
                 }
-                *pos += 1;
+                Value::Obj(entries)
             }
-            Some(_) => {
-                // Copy the maximal run of unescaped bytes in one go. The
-                // delimiters are ASCII and UTF-8 continuation bytes are
-                // ≥ 0x80, so stopping on `"` or `\` never splits a scalar,
-                // and the run is valid UTF-8 (the input is a &str).
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-                out.push_str(run);
-            }
-        }
+            b'[' => Value::Arr(Vec::deserialize(r)?),
+            b'"' => Value::Str(r.str()?),
+            b't' | b'f' => Value::Bool(r.bool()?),
+            b'n' => r.null().map(|()| Value::Null)?,
+            c if c.is_ascii_digit() || c == b'-' => Value::Num(r.f64()?),
+            c => return Err(format!("unexpected byte {c:#x} at {}", r.pos())),
+        })
     }
-}
-
-/// Reads the four hex digits of a `\u` escape starting at byte `at`;
-/// `esc_at` is the position of the backslash, used only for the error.
-fn read_hex4(bytes: &[u8], at: usize, esc_at: usize) -> Result<u32, String> {
-    let hex = bytes
-        .get(at..at + 4)
-        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-        .ok_or_else(|| format!("bad \\u escape at byte {esc_at}"))?;
-    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
-    Ok(u32::from_str_radix(hex, 16).expect("four hex digits fit u32"))
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    let n: f64 = text
-        .parse()
-        .map_err(|_| format!("bad number `{text}` at byte {start}"))?;
-    // `f64::from_str` saturates to ±inf past ~1.8e308; surfacing that as a
-    // Value would silently corrupt any arithmetic downstream. Integers
-    // beyond 2^53 stay finite but round — `as_u64` refuses those, so the
-    // loss is detectable, and the only hard failure is true overflow.
-    if !n.is_finite() {
-        return Err(format!("number `{text}` at byte {start} overflows f64"));
-    }
-    Ok(Value::Num(n))
 }
 
 /// Serializes a [`Value`] back to JSON text: pretty-printed with two-space
@@ -603,6 +418,26 @@ mod tests {
              \"日本\\r\\n\":[\"ü\\u0008\\u000c\"]}"
         );
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_positioned_error() {
+        let cap = serde::MAX_DEPTH;
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", cap)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", cap - 1).replace(":}", ":{}}")).is_ok());
+        let err = format!("nesting deeper than {cap} levels at byte {cap}");
+        assert_eq!(parse(&nested("[", "]", cap + 1)).unwrap_err(), err);
+        // A document far deeper than any stack allows fails the same way,
+        // without recursing past the cap.
+        assert_eq!(parse(&"[".repeat(200_000)).unwrap_err(), err);
+        let objects = "{\"k\":".repeat(200_000);
+        assert_eq!(
+            parse(&objects).unwrap_err(),
+            format!("nesting deeper than {cap} levels at byte {}", 5 * cap)
+        );
     }
 
     #[test]

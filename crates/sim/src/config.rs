@@ -1,12 +1,12 @@
 //! Simulation configuration and reports.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// System-level simulation parameters.
 ///
 /// Defaults match the paper's §VI-A evaluation: 320 MHz, 32 GB/s between the
 /// PE array and the scratchpad (= 100 bytes per cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Clock frequency in MHz (used only to convert cycles to wall time).
     pub freq_mhz: f64,
@@ -31,7 +31,7 @@ impl Default for SimConfig {
 }
 
 /// The analytical cycle model's output for one (design, kernel) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimReport {
     /// Total execution cycles, all overheads included.
     pub total_cycles: u64,

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tensorlib_hw::design::AcceleratorDesign;
 use tensorlib_ir::{DenseTensor, Kernel};
 
@@ -87,7 +87,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Statistics from a successful functional run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FunctionalRun {
     /// `true` — returned only when the output matched the reference.
     pub matches_reference: bool,

@@ -474,8 +474,10 @@ pub trait Campaign {
     /// Campaign kind (`"faults"`, `"fuzz"`, `"explore"`): part of the
     /// journal key and the telemetry and history kind.
     const KIND: &'static str;
-    /// One chunk's results; its compact JSON is the journal payload.
-    type Chunk: serde::Serialize;
+    /// One chunk's results; its compact JSON is the journal payload. Its
+    /// `Deserialize` must invert that exactly: that is what keeps a resumed
+    /// report byte-identical to an uninterrupted one.
+    type Chunk: serde::Serialize + serde::Deserialize;
     /// The assembled report.
     type Report;
 
@@ -490,16 +492,6 @@ pub trait Campaign {
     /// Runs chunk `index`.
     fn run_chunk(&self, plan: &ChunkPlan, index: usize, durability: &DurabilityOptions)
         -> Self::Chunk;
-
-    /// Decodes a journaled payload. Must invert `serde_json::to_string`
-    /// exactly: that is what keeps a resumed report byte-identical to an
-    /// uninterrupted one. Each replayed payload is decoded once, before any
-    /// chunk runs.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first field that fails to decode.
-    fn decode_chunk(payload: &str) -> Result<Self::Chunk, String>;
 
     /// Assembles the report from the completed chunks, a prefix of the
     /// plan's chunks (all of them unless the run was interrupted).
@@ -538,14 +530,10 @@ pub fn execute<C: Campaign>(
         kind: C::KIND,
         count_outcomes: &C::count_outcomes,
     };
-    let (slots, stats) = run_chunked_observed(
-        durability,
-        hash,
-        plan.chunks,
-        Some(&telemetry),
-        C::decode_chunk,
-        |i| campaign.run_chunk(&plan, i, durability),
-    )?;
+    let (slots, stats) =
+        run_chunked_observed(durability, hash, plan.chunks, Some(&telemetry), |i| {
+            campaign.run_chunk(&plan, i, durability)
+        })?;
     // Completed chunks are always a prefix (chunks execute in ascending
     // order and an interrupt stops the loop), so assembly stops at the
     // first missing slot.
@@ -571,8 +559,8 @@ pub struct TelemetrySpec<'a, T> {
 /// journaled checkpoint/resume and streaming telemetry. This is the one
 /// chunk loop every campaign runs through (see [`execute`]).
 ///
-/// Chunks already present in the journal are decoded with `decode`, once
-/// each, before any chunk runs, and never passed to `exec`. Missing chunks
+/// Chunks already present in the journal are decoded with
+/// `serde_json::from_str`, once each, before any chunk runs, and never passed to `exec`. Missing chunks
 /// run in ascending index order; each result's compact JSON is appended
 /// (and fsynced) to the journal before the next chunk starts. The
 /// interrupt latch is checked *between* chunks — an in-flight chunk always
@@ -581,8 +569,8 @@ pub struct TelemetrySpec<'a, T> {
 /// the first missing chunk.
 ///
 /// `exec` receives the chunk index and returns the chunk; determinism of
-/// `exec`, and `decode` inverting the chunk's JSON, are what make a resumed
-/// report byte-identical to an uninterrupted one.
+/// `exec`, and `T`'s `Deserialize` inverting its `Serialize`, are what make
+/// a resumed report byte-identical to an uninterrupted one.
 ///
 /// When a journal directory is set and telemetry is on (a `spec` was
 /// supplied, `opts.telemetry_off` is false), the run additionally maintains
@@ -605,11 +593,10 @@ pub fn run_chunked_observed<T, F>(
     config_hash: u64,
     total_chunks: usize,
     telemetry: Option<&TelemetrySpec<'_, T>>,
-    decode: impl Fn(&str) -> Result<T, String>,
     mut exec: F,
 ) -> Result<(Vec<Option<T>>, RunStats), JournalError>
 where
-    T: serde::Serialize,
+    T: serde::Serialize + serde::Deserialize,
     F: FnMut(usize) -> T,
 {
     let mut journal = match &opts.dir {
@@ -624,7 +611,9 @@ where
     if let Some(j) = &journal {
         let _span = tensorlib_obs::span("sim.journal.decode");
         for (&idx, payload) in j.entries() {
-            slots[idx as usize] = Some(decode(payload).map_err(JournalError::Decode)?);
+            let chunk =
+                serde_json::from_str(payload).map_err(|e| JournalError::Decode(e.to_string()))?;
+            slots[idx as usize] = Some(chunk);
             stats.chunks_replayed += 1;
         }
     }
@@ -813,72 +802,10 @@ fn merge_counts(into: &mut BTreeMap<String, u64>, from: &BTreeMap<String, u64>) 
     }
 }
 
-// ---------------------------------------------------------------------------
-// Replay decode helpers.
-//
-// The vendored serde stack only *writes* JSON (its `Deserialize` is a marker
-// trait), so journal replay decodes chunk payloads with the observability
-// crate's recursive-descent parser and hand-reconstructs the typed results.
-// These helpers give the campaign modules uniform field access with
-// descriptive errors; every decoded chunk is re-serialized through the normal
-// serde path, which is what makes a resumed report byte-identical.
-// ---------------------------------------------------------------------------
-
-use tensorlib_obs::json::Value;
-
-/// Looks up `key` in a JSON object, with a descriptive error.
-pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// Decodes object field `key` as an unsigned integer.
-pub fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-/// Decodes object field `key` as a float.
-pub fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-/// Decodes object field `key` as a bool.
-pub fn field_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match field(v, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("field `{key}` is not a bool")),
-    }
-}
-
-/// Decodes object field `key` as a string slice.
-pub fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-/// Decodes object field `key` as an optional string (`null` → `None`).
-pub fn field_opt_string(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        Value::Str(s) => Ok(Some(s.clone())),
-        _ => Err(format!("field `{key}` is neither null nor a string")),
-    }
-}
-
-/// Decodes object field `key` as an array slice.
-pub fn field_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensorlib_obs::json::Value;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tl_journal_{tag}_{}", std::process::id()));
@@ -996,7 +923,7 @@ mod tests {
         };
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, decode_str, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -1011,7 +938,7 @@ mod tests {
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, decode_str, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
             ran.push(i);
             format!("chunk-{i}")
         })
@@ -1025,12 +952,6 @@ mod tests {
     }
 
     /// The test chunks are strings; the journal holds their JSON.
-    fn decode_str(payload: &str) -> Result<String, String> {
-        (tensorlib_obs::json::parse(payload)?.as_str())
-            .map(str::to_string)
-            .ok_or_else(|| format!("not a string: {payload}"))
-    }
-
     fn count_marks(chunk: &String) -> BTreeMap<String, u64> {
         let mut counts = BTreeMap::new();
         counts.insert("done".to_string(), 1);
@@ -1054,7 +975,7 @@ mod tests {
         let hash = config_hash("faults", 1, 3, "cfg");
         let opts = DurabilityOptions::with_dir(&dir);
         let spec = marks_spec();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), decode_str, |i| {
+        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), |i| {
             if i == 2 {
                 format!("chunk-{i}-degraded")
             } else {
@@ -1109,7 +1030,7 @@ mod tests {
         };
         let spec = marks_spec();
         let flag2 = flag.clone();
-        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), decode_str, |i| {
+        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -1123,10 +1044,8 @@ mod tests {
         // Resume: replayed chunks count into the snapshot via the same
         // outcome counter, so the totals cover the whole campaign.
         flag.store(false, Ordering::SeqCst);
-        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), decode_str, |i| {
-            format!("chunk-{i}")
-        })
-        .unwrap();
+        let (_, stats) =
+            run_chunked_observed(&opts, hash, 4, Some(&spec), |i| format!("chunk-{i}")).unwrap();
         assert_eq!(stats.chunks_replayed, 2);
         let status = StatusSnapshot::read(&dir).unwrap();
         assert_eq!(status.state, "finished");
@@ -1167,10 +1086,7 @@ mod tests {
             ..DurabilityOptions::with_dir(&dir)
         };
         let spec = marks_spec();
-        run_chunked_observed(&opts, hash, 2, Some(&spec), decode_str, |i| {
-            format!("chunk-{i}")
-        })
-        .unwrap();
+        run_chunked_observed(&opts, hash, 2, Some(&spec), |i| format!("chunk-{i}")).unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1179,8 +1095,7 @@ mod tests {
     #[test]
     fn run_chunked_without_dir_still_chunks() {
         let opts = DurabilityOptions::default();
-        let (slots, stats) =
-            run_chunked_observed(&opts, 0, 3, None, decode_str, |i| i.to_string()).unwrap();
+        let (slots, stats) = run_chunked_observed(&opts, 0, 3, None, |i| i.to_string()).unwrap();
         assert_eq!(slots.len(), 3);
         assert_eq!(stats.chunks_executed, 3);
         assert_eq!(stats.chunks_replayed, 0);

@@ -32,21 +32,20 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib_hw::batch::{BatchSim, Probe};
 use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
-use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultKind, FaultSpec, Hardening};
+use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultSpec, Hardening};
 use tensorlib_hw::interp::{elaborate_design, ElaborateError, Interpreter, Snapshot};
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::workloads;
-use tensorlib_obs::json::Value;
 
 use crate::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Outcome class of one injected fault (standard fault-injection taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultClass {
     /// Outputs matched golden and no detector fired.
     Masked,
@@ -122,7 +121,7 @@ impl Default for CampaignConfig {
 }
 
 /// The fate of one injected fault.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultOutcome {
     /// The injected fault.
     pub fault: FaultSpec,
@@ -822,65 +821,6 @@ impl FaultCampaign {
     }
 }
 
-fn decode_fault_kind(v: &Value) -> Result<FaultKind, String> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| "fault kind is not an object".to_string())?;
-    let (tag, body) = entries
-        .first()
-        .ok_or_else(|| "fault kind object is empty".to_string())?;
-    match tag.as_str() {
-        "StuckAt" => Ok(FaultKind::StuckAt {
-            bit: journal::field_u64(body, "bit")? as u32,
-            value: journal::field_bool(body, "value")?,
-        }),
-        "TransientFlip" => Ok(FaultKind::TransientFlip {
-            bit: journal::field_u64(body, "bit")? as u32,
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        "BankFlip" => Ok(FaultKind::BankFlip {
-            word: journal::field_u64(body, "word")? as usize,
-            bit: journal::field_u64(body, "bit")? as u32,
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        "DropTransition" => Ok(FaultKind::DropTransition {
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        other => Err(format!("unknown fault kind `{other}`")),
-    }
-}
-
-fn decode_fault_class(v: &Value) -> Result<FaultClass, String> {
-    match v.as_str() {
-        Some("Masked") => Ok(FaultClass::Masked),
-        Some("Detected") => Ok(FaultClass::Detected),
-        Some("Sdc") => Ok(FaultClass::Sdc),
-        Some("Degraded") => Ok(FaultClass::Degraded),
-        other => Err(format!("unknown fault class {other:?}")),
-    }
-}
-
-fn decode_outcome(v: &Value) -> Result<FaultOutcome, String> {
-    let fault = journal::field(v, "fault")?;
-    let detectors = journal::field_array(v, "detectors")?
-        .iter()
-        .map(|d| {
-            d.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "detector is not a string".to_string())
-        })
-        .collect::<Result<Vec<String>, String>>()?;
-    Ok(FaultOutcome {
-        fault: FaultSpec {
-            target: journal::field_str(fault, "target")?.to_string(),
-            kind: decode_fault_kind(journal::field(fault, "kind")?)?,
-        },
-        class: decode_fault_class(journal::field(v, "class")?)?,
-        detectors,
-        error: journal::field_opt_string(v, "error")?,
-    })
-}
-
 impl journal::Campaign for FaultCampaign {
     const KIND: &'static str = "faults";
     type Chunk = Vec<FaultOutcome>;
@@ -926,15 +866,6 @@ impl journal::Campaign for FaultCampaign {
         let lo = index * plan.chunk_size;
         let hi = (lo + plan.chunk_size).min(self.faults.len());
         self.drive(&self.faults[lo..hi], durability)
-    }
-
-    fn decode_chunk(payload: &str) -> Result<Vec<FaultOutcome>, String> {
-        let doc = tensorlib_obs::json::parse(payload)?;
-        (doc.as_array())
-            .ok_or_else(|| "chunk payload is not an array".to_string())?
-            .iter()
-            .map(decode_outcome)
-            .collect()
     }
 
     fn aggregate(

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
 use tensorlib_hw::fault::Hardening;
@@ -35,7 +35,6 @@ use tensorlib_hw::interp::{elaborate_design, FlatDesign, Interpreter};
 use tensorlib_hw::trace::TraceConfig;
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::{workloads, Kernel};
-use tensorlib_obs::json::Value;
 
 use crate::functional::{simulate_budgeted, SimError};
 use crate::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
@@ -84,7 +83,7 @@ impl Default for VerifyConfig {
 }
 
 /// One surviving disagreement, minimized where a shrinker exists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
     /// `"netlist"` or `"pipeline"`.
     pub mode: String,
@@ -106,7 +105,7 @@ pub struct Finding {
 }
 
 /// Per-mode campaign tallies.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModeReport {
     /// Seeds executed.
     pub seeds_run: u64,
@@ -183,7 +182,7 @@ fn netlist_finding(seed: u64, cfg: &VerifyConfig) -> Option<Finding> {
 // ---------------------------------------------------------------------------
 
 /// A sampled point in the generation pipeline's input space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineSample {
     /// Workload family.
     pub kernel: String,
@@ -706,72 +705,6 @@ fn run_seed_chunk(
     out
 }
 
-fn decode_sample(v: &Value) -> Result<PipelineSample, String> {
-    let str_at = |vals: &[Value], i: usize, what: &str| -> Result<String, String> {
-        vals.get(i)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{what}[{i}] is not a string"))
-    };
-    let sel = journal::field_array(v, "selection")?;
-    let stt_rows = journal::field_array(v, "stt")?;
-    let mut stt = [[0i64; 3]; 3];
-    for (ri, row) in stt.iter_mut().enumerate() {
-        let cells = stt_rows
-            .get(ri)
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("stt[{ri}] is not an array"))?;
-        for (ci, cell) in row.iter_mut().enumerate() {
-            let n = cells
-                .get(ci)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("stt[{ri}][{ci}] is not a number"))?;
-            *cell = n as i64;
-        }
-    }
-    Ok(PipelineSample {
-        kernel: journal::field_str(v, "kernel")?.to_string(),
-        dims: journal::field_array(v, "dims")?
-            .iter()
-            .map(|d| d.as_u64().ok_or_else(|| "dim is not an integer".to_string()))
-            .collect::<Result<Vec<u64>, String>>()?,
-        selection: [
-            str_at(sel, 0, "selection")?,
-            str_at(sel, 1, "selection")?,
-            str_at(sel, 2, "selection")?,
-        ],
-        stt,
-        rows: journal::field_u64(v, "rows")? as usize,
-        cols: journal::field_u64(v, "cols")? as usize,
-        hardening: journal::field_str(v, "hardening")?.to_string(),
-    })
-}
-
-fn decode_finding(v: &Value) -> Result<Finding, String> {
-    let shrunk_nets = match journal::field(v, "shrunk_nets")? {
-        Value::Null => None,
-        n => Some(
-            n.as_u64()
-                .ok_or_else(|| "field `shrunk_nets` is neither null nor an integer".to_string())?
-                as usize,
-        ),
-    };
-    let pipeline = match journal::field(v, "pipeline")? {
-        Value::Null => None,
-        s => Some(decode_sample(s)?),
-    };
-    Ok(Finding {
-        mode: journal::field_str(v, "mode")?.to_string(),
-        seed: journal::field_u64(v, "seed")?,
-        kind: journal::field_str(v, "kind")?.to_string(),
-        detail: journal::field_str(v, "detail")?.to_string(),
-        shrunk_nets,
-        modules_json: journal::field_opt_string(v, "modules_json")?,
-        rust_snippet: journal::field_opt_string(v, "rust_snippet")?,
-        pipeline,
-    })
-}
-
 /// The fuzz campaign over the enabled modes, for [`journal::execute`].
 /// Each mode's seed range is split into the same chunks; netlist chunks
 /// come first, then pipeline chunks, sharing one journal.
@@ -853,19 +786,6 @@ impl journal::Campaign for VerifyCampaign {
         let lo = cfg.seed_start + (ci * plan.chunk_size) as u64;
         let hi = (lo + plan.chunk_size as u64).min(cfg.seed_start + cfg.seeds);
         run_seed_chunk(cfg, netlist_mode, lo, hi, durability)
-    }
-
-    fn decode_chunk(payload: &str) -> Result<ModeReport, String> {
-        let doc = tensorlib_obs::json::parse(payload)?;
-        Ok(ModeReport {
-            seeds_run: journal::field_u64(&doc, "seeds_run")?,
-            rejected: journal::field_u64(&doc, "rejected")?,
-            degraded: journal::field_u64(&doc, "degraded")?,
-            findings: journal::field_array(&doc, "findings")?
-                .iter()
-                .map(decode_finding)
-                .collect::<Result<Vec<Finding>, String>>()?,
-        })
     }
 
     fn aggregate(&self, plan: &journal::ChunkPlan, chunks: Vec<ModeReport>) -> VerifyReport {

@@ -115,21 +115,23 @@ roundtrip_16x16 mttkrp IKL-UBBB
 roundtrip_16x16 ttmc IJK-BBBU
 rm -rf "$rt_dir"
 
-# Committed-figure smoke: fig5 and fig6 regenerate reports/ byte for byte,
-# which also pins the matrix find_named picks for every Fig. 5 name. Each
-# binary rewrites reports/<fig>.json in place, so the JSON is compared
-# against a copy taken first (on a mismatch, `git diff reports/` shows the
-# drift). The stdout's `wrote <path>` line names the checkout, so it is
-# dropped from both sides of the text comparison. table1 prints only its
-# table, computed by the Table I classifier.
+# Committed-figure smoke: fig5, fig6 and table3 regenerate reports/ byte
+# for byte, which also pins the matrix find_named picks for every Fig. 5
+# name. Each binary rewrites reports/<fig>.json in place, so the JSON is
+# compared against a copy taken first (on a mismatch, `git diff reports/`
+# shows the drift). The stdout's `wrote <path>` line names the checkout, so
+# it is dropped from both sides of the text comparison. table1 prints only
+# its table, computed by the Table I classifier; table2 prints only its
+# table, with reference-executor checksums over seeded random inputs.
 fig_dir=$(mktemp -d)
-for fig in fig5 fig6; do
+for fig in fig5 fig6 table3; do
     cp "reports/$fig.json" "$fig_dir/$fig.committed.json"
     ./target/release/$fig | grep -v '^wrote ' > "$fig_dir/$fig.txt"
     grep -v '^wrote ' "reports/$fig.txt" | cmp - "$fig_dir/$fig.txt"
     cmp "$fig_dir/$fig.committed.json" "reports/$fig.json"
 done
 ./target/release/table1 | cmp reports/table1.txt -
+./target/release/table2 | cmp reports/table2.txt -
 rm -rf "$fig_dir"
 
 # Optimizer smokes. First, 200 netlist-fuzz seeds with the opt-vs-unoptimized
