@@ -157,6 +157,5 @@ fn main() {
         "Batched-GEMV dataflows where A is not unicast: {non_unicast_a} (paper: A can never be reused)"
     );
 
-    let path = dump_json("fig5", &all_points);
-    println!("\nwrote {}", path.display());
+    println!("\nwrote {}", dump_json("fig5", &all_points));
 }

@@ -103,6 +103,5 @@ fn main() {
         );
     }
 
-    let path = dump_json("fig6", &all);
-    println!("wrote {}", path.display());
+    println!("wrote {}", dump_json("fig6", &all));
 }

@@ -146,6 +146,5 @@ fn main() {
     }
     println!("  TensorLib on Depthwise-Conv: supported (see fig5/fig6 sweeps)");
 
-    let path = dump_json("table3", &rows);
-    println!("\nwrote {}", path.display());
+    println!("\nwrote {}", dump_json("table3", &rows));
 }

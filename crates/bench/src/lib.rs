@@ -94,14 +94,15 @@ pub fn reports_dir() -> PathBuf {
 }
 
 /// Serializes `value` as pretty JSON into `reports/<name>.json` and returns
-/// the path.
-pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = reports_dir().join(format!("{name}.json"));
+/// that path relative to the workspace root, the same on every checkout.
+pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) -> String {
+    let file = format!("{name}.json");
     let json = serde_json::to_string_pretty(value).expect("report serializes");
     // Atomic (tmp + fsync + rename): a crash mid-dump never leaves a
     // truncated report where a previous run's good one stood.
-    tensorlib_obs::atomic_write(&path, json.as_bytes()).expect("report file is writable");
-    path
+    tensorlib_obs::atomic_write(reports_dir().join(&file), json.as_bytes())
+        .expect("report file is writable");
+    format!("reports/{file}")
 }
 
 #[cfg(test)]
@@ -131,7 +132,11 @@ mod tests {
 
     #[test]
     fn json_dump_round_trips() {
-        let path = dump_json("selftest", &vec![1, 2, 3]);
+        assert_eq!(
+            dump_json("selftest", &vec![1, 2, 3]),
+            "reports/selftest.json"
+        );
+        let path = reports_dir().join("selftest.json");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains('2'));
         std::fs::remove_file(path).ok();

@@ -3360,12 +3360,12 @@ mod tests {
                     "{name} report missing {needle}:\n{doc}"
                 );
             }
-            // Every emitted document passes the reader-side schema check.
-            assert_eq!(
-                tensorlib_obs::check_schema_version(doc).unwrap(),
-                1,
-                "{name}"
-            );
+            // Every emitted document parses and stamps the schema version.
+            let version = tensorlib_obs::json::parse(doc)
+                .unwrap()
+                .get("schema_version")
+                .and_then(|v| v.as_u64());
+            assert_eq!(version, Some(1), "{name}");
         }
         // The campaign seeds land in the provenance block, machine-readably.
         let seeds_of = |doc: &str| {
@@ -3465,7 +3465,11 @@ mod tests {
             "{trace_path:?} not a trace"
         );
         assert!(trace.contains("\"provenance\""));
-        assert_eq!(tensorlib_obs::check_schema_version(&trace).unwrap(), 1);
+        let trace_doc = tensorlib_obs::json::parse(&trace).unwrap();
+        assert_eq!(
+            trace_doc.get("schema_version").and_then(|v| v.as_u64()),
+            Some(1)
+        );
         let folded = std::fs::read_to_string(dir.join("p.folded")).unwrap();
         assert!(folded.contains("explore"), "folded stacks empty:\n{folded}");
         std::fs::remove_dir_all(&dir).unwrap();

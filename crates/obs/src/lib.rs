@@ -92,10 +92,7 @@ mod span;
 
 pub use clock::now_micros;
 pub use fs::atomic_write;
-pub use manifest::{
-    check_schema_version, extract_schema_version, JournalProvenance, Provenance, SchemaError,
-    SCHEMA_VERSION,
-};
+pub use manifest::{JournalProvenance, Provenance, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsSnapshot, HIST_BUCKETS};
 pub use session::{FinishedSpan, Session};
 pub use span::{

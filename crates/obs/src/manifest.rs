@@ -4,39 +4,9 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::json;
-
 /// Current report schema version. Bump when the JSON report layout changes
-/// incompatibly; readers reject anything newer than what they know.
+/// incompatibly.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// A schema-version check failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaError {
-    /// The document carries no `schema_version` field (pre-provenance report
-    /// or not a report at all).
-    Missing,
-    /// The document was written by a newer tool than this reader.
-    TooNew {
-        /// Version found in the document.
-        found: u32,
-        /// Newest version this reader understands.
-        supported: u32,
-    },
-}
-
-impl std::fmt::Display for SchemaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchemaError::Missing => write!(f, "report has no schema_version field"),
-            SchemaError::TooNew { found, supported } => write!(
-                f,
-                "report schema_version {found} is newer than supported {supported}; \
-                 upgrade the reader"
-            ),
-        }
-    }
-}
 
 /// Journal/resume provenance for a durably-run campaign: which journal the
 /// run wrote, and how much of the work was replayed from a previous run
@@ -102,54 +72,9 @@ impl Provenance {
     }
 }
 
-/// Pulls the top-level `schema_version` out of a JSON report, if present.
-pub fn extract_schema_version(report_json: &str) -> Option<u32> {
-    let doc = json::parse(report_json).ok()?;
-    let v = doc.get("schema_version")?.as_u64()?;
-    u32::try_from(v).ok()
-}
-
-/// Validates that a JSON report's schema version is one this build can
-/// read. Reports from the future are rejected rather than misread.
-pub fn check_schema_version(report_json: &str) -> Result<u32, SchemaError> {
-    let found = extract_schema_version(report_json).ok_or(SchemaError::Missing)?;
-    if found > SCHEMA_VERSION {
-        Err(SchemaError::TooNew {
-            found,
-            supported: SCHEMA_VERSION,
-        })
-    } else {
-        Ok(found)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn current_schema_is_accepted() {
-        let doc = format!("{{\"schema_version\": {SCHEMA_VERSION}, \"x\": 1}}");
-        assert_eq!(check_schema_version(&doc), Ok(SCHEMA_VERSION));
-    }
-
-    #[test]
-    fn future_schema_is_rejected() {
-        let doc = format!("{{\"schema_version\": {}}}", SCHEMA_VERSION + 1);
-        assert_eq!(
-            check_schema_version(&doc),
-            Err(SchemaError::TooNew {
-                found: SCHEMA_VERSION + 1,
-                supported: SCHEMA_VERSION,
-            })
-        );
-    }
-
-    #[test]
-    fn missing_schema_is_flagged() {
-        assert_eq!(check_schema_version("{\"x\": 1}"), Err(SchemaError::Missing));
-        assert_eq!(check_schema_version("not json"), Err(SchemaError::Missing));
-    }
 
     #[test]
     fn provenance_serializes_with_ordered_fields() {

@@ -952,7 +952,7 @@ mod tests {
     }
 
     /// The test chunks are strings; the journal holds their JSON.
-    fn count_marks(chunk: &String) -> BTreeMap<String, u64> {
+    fn count_marks(chunk: &str) -> BTreeMap<String, u64> {
         let mut counts = BTreeMap::new();
         counts.insert("done".to_string(), 1);
         if chunk.contains("degraded") {
@@ -964,7 +964,7 @@ mod tests {
     fn marks_spec() -> TelemetrySpec<'static, String> {
         TelemetrySpec {
             kind: "faults",
-            count_outcomes: &count_marks,
+            count_outcomes: &|chunk: &String| count_marks(chunk),
         }
     }
 
