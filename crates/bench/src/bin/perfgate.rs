@@ -68,10 +68,14 @@ const BATCH_SIM_SPEEDUP_FLOOR: f64 = 4.0;
 const EXPLORE_SPEEDUP_FLOOR: f64 = 1.15;
 
 /// Interleaved serial/parallel sweep pairs behind the explore-speedup gate;
-/// odd so the median is a true middle element. One GEMM-32 sweep takes
-/// tens of milliseconds, so a single pair is at the mercy of one scheduling
-/// hiccup on a shared host.
+/// odd so the median is a true middle element.
 const EXPLORE_PAIRS: usize = 15;
+
+/// GEMM-32 sweeps timed back to back in one explore sample. One sweep takes
+/// 15–30 ms on a 2-vCPU host, short enough that one scheduling hiccup moved
+/// a whole pair's ratio (the gate read 1.09× in 1 of 25 runs of an
+/// unchanged tree); eight make every sample run at least ~100 ms.
+const EXPLORE_SWEEPS: usize = 8;
 
 /// Interleaved rounds for the sections whose samples are whole runs of
 /// tens to hundreds of milliseconds (the observability sweep and the
@@ -409,9 +413,10 @@ struct ExploreReport {
     /// speedup because the gate on it is only meaningful when this exceeds
     /// one.
     host_cores: usize,
-    /// Median serial sweep time over the pairs.
+    /// Median serial sweep time over the pairs (each sample's time over
+    /// its [`EXPLORE_SWEEPS`] sweeps).
     serial_seconds: f64,
-    /// Median parallel sweep time over the pairs.
+    /// Median parallel sweep time over the pairs, per sweep likewise.
     parallel_seconds: f64,
     parallel_workers: usize,
     /// Median of the per-pair `serial / parallel` ratios.
@@ -766,9 +771,10 @@ fn bench_obs_overhead() -> ObsOverheadReport {
     }
 }
 
-/// Times [`EXPLORE_PAIRS`] interleaved serial/parallel GEMM-32 sweep pairs,
-/// after one untimed pair that also checks the results do not depend on
-/// the worker count.
+/// Times [`EXPLORE_PAIRS`] interleaved serial/parallel sample pairs, each
+/// sample [`EXPLORE_SWEEPS`] GEMM-32 sweeps, after one untimed pair that
+/// also checks the results do not depend on the worker count. Times are
+/// per sweep.
 fn bench_explore(host_cores: usize) -> ExploreReport {
     let kernel = workloads::gemm(32, 32, 32);
     let serial_opts = ExploreOptions {
@@ -789,13 +795,18 @@ fn bench_explore(host_cores: usize) -> ExploreReport {
         "worker count changed result ordering"
     );
 
-    let [mut serial_times, mut parallel_times] = interleave(
-        EXPLORE_PAIRS,
-        [
-            &mut |_| seconds(|| explore(&kernel, &serial_opts)),
-            &mut |_| seconds(|| explore(&kernel, &parallel_opts)),
-        ],
-    );
+    let sweeps = |opts: &ExploreOptions| {
+        let total = seconds(|| {
+            (0..EXPLORE_SWEEPS)
+                .map(|_| explore(&kernel, opts).len())
+                .sum::<usize>()
+        });
+        total / EXPLORE_SWEEPS as f64
+    };
+    let mut serial_sample = |_: u64| sweeps(&serial_opts);
+    let mut parallel_sample = |_: u64| sweeps(&parallel_opts);
+    let [mut serial_times, mut parallel_times] =
+        interleave(EXPLORE_PAIRS, [&mut serial_sample, &mut parallel_sample]);
     ExploreReport {
         workload: "GEMM-32 full sweep".into(),
         designs: serial.len(),
@@ -946,9 +957,10 @@ fn bench_journal() -> JournalReport {
     };
     let campaign = FaultCampaign::gemm(&cfg).expect("campaign config is valid");
     let dir = std::env::temp_dir().join(format!("tl_perfgate_journal_{}", std::process::id()));
-    // All three sides run the same chunks: the chunk geometry changes how
-    // faults group into lanes, so an unjournaled single chunk would time
-    // different work.
+    // All three sides run the same four chunks, so each pays the same
+    // per-chunk costs (a worker-pool spawn, a fork pass). The lane groups
+    // would match a single chunk's too: every chunk is a slice of the
+    // campaign's one execution order, cut at a multiple of the lane width.
     let chunk_size = Some(cfg.faults.div_ceil(JOURNAL_BENCH_CHUNKS));
     let plain = DurabilityOptions {
         chunk_size,

@@ -35,11 +35,21 @@
 //!
 //! # Chunk keying
 //!
-//! The header's `config_hash` covers the campaign kind, the chunk size, the
-//! total chunk count, and a canonical serialization of the config with
-//! run-irrelevant knobs (worker count) zeroed. Resuming with a config whose
-//! hash differs — different seed, different design, different `--lanes`
-//! (lane width determines chunk boundaries) — fails loudly with
+//! The header's `config_hash` covers:
+//!
+//! - the campaign kind;
+//! - the chunk size and the total chunk count;
+//! - the campaign's canonical config ([`Campaign::canonical_config`]): its
+//!   serialization with run-irrelevant knobs (worker count) zeroed, plus
+//!   the knobs that decide which work items a chunk holds. For a fault
+//!   campaign these are `--lanes` (the default chunk size and the order
+//!   faults run in), `--opt`, and at `lanes > 1` an `order` tag: chunk `k`
+//!   holds the faults at `order[k·size..]` of the campaign-wide execution
+//!   order, not consecutive faults.
+//!
+//! Resuming with a config whose hash differs — different seed, different
+//! design, different `--lanes`, or a lane journal written before the
+//! execution order was campaign-wide — fails loudly with
 //! [`JournalError::ConfigMismatch`] rather than silently restarting or,
 //! worse, splicing chunks from two different campaigns into one report.
 

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
@@ -254,6 +254,15 @@ struct Fork {
     tmr_seen: bool,
 }
 
+/// A scalar golden run that only moves forward: each chunk's fork pass
+/// steps it on from where the last one stopped.
+struct GoldenCursor {
+    sim: Interpreter,
+    steps: u64,
+    /// `tmr_mismatch` was high on some golden step in `1..=steps`.
+    tmr_seen: bool,
+}
+
 /// One controller round as a campaign drives it: step the free-running
 /// controller through its round, wait for the ping-pong buffers to swing
 /// back, then raise the readback ports and harvest one result row per
@@ -453,9 +462,13 @@ pub struct FaultCampaign {
     cycles: u64,
     round: Round,
     faults: Vec<FaultSpec>,
+    /// The order faults run in; see [`FaultCampaign::order`].
+    order: OnceLock<Vec<usize>>,
     /// The preloaded interpreter (banks loaded, `start` high): every scalar
-    /// run clones it, and every golden pass starts from it.
+    /// run clones it, and the golden cursor starts from it.
     base: Interpreter,
+    /// Where the fork passes left the golden run (`None` before the first).
+    golden_cursor: Mutex<Option<GoldenCursor>>,
     golden: RunResult,
     abft_row_sums: Vec<i64>,
     abft_col_sums: Vec<i64>,
@@ -597,7 +610,9 @@ impl FaultCampaign {
             cycles,
             round,
             faults,
+            order: OnceLock::new(),
             base,
+            golden_cursor: Mutex::new(None),
             golden,
             abft_row_sums,
             abft_col_sums,
@@ -649,25 +664,58 @@ impl FaultCampaign {
             .map_or(0, |cycle| cycle.saturating_sub(1).min(self.round.steps))
     }
 
+    /// The order faults run in, cut into chunks and then lane groups: with
+    /// `lanes > 1` the fault indices sorted by
+    /// ([`FaultCampaign::fork_steps`], fault target), with `lanes == 1` the
+    /// identity. Built on first use, so a replayed run builds it after the
+    /// journal's payloads are decoded and freed, outside that run's memory
+    /// peak.
+    fn order(&self) -> &[usize] {
+        self.order.get_or_init(|| {
+            let faults = &self.faults;
+            let mut order: Vec<usize> = (0..faults.len()).collect();
+            if self.cfg.lanes > 1 {
+                order.sort_by_cached_key(|&i| (self.fork_steps(&faults[i]), &faults[i].target));
+            }
+            order
+        })
+    }
+
     /// The golden run's state after each of `starts` (ascending, distinct)
-    /// steps, from one scalar pass over the preloaded base.
+    /// steps, taken from the golden cursor. The cursor restarts from the
+    /// preloaded base only when the first start lies behind it; chunks run
+    /// in ascending order and their starts never decrease, so a campaign's
+    /// fork passes step the golden run through at most one round.
     fn golden_forks(&self, starts: &[u64]) -> Vec<Fork> {
-        let mut sim = self.base.clone();
-        let (mut at, mut tmr_seen) = (0, false);
-        (starts.iter())
+        let mut guard = self
+            .golden_cursor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let cursor = match &mut *guard {
+            Some(cursor) if starts.first().is_none_or(|&s| cursor.steps <= s) => cursor,
+            slot => slot.insert(GoldenCursor {
+                sim: self.base.clone(),
+                steps: 0,
+                tmr_seen: false,
+            }),
+        };
+        let from = cursor.steps;
+        let forks = (starts.iter())
             .map(|&steps| {
-                for _ in at..steps {
-                    sim.step();
-                    tmr_seen |= self.round.has_tmr && sim.peek("tmr_mismatch") != 0;
+                for _ in cursor.steps..steps {
+                    cursor.sim.step();
+                    cursor.tmr_seen |= self.round.has_tmr && cursor.sim.peek("tmr_mismatch") != 0;
                 }
-                at = steps;
+                cursor.steps = steps;
                 Fork {
                     steps,
-                    state: sim.snapshot(),
-                    tmr_seen,
+                    state: cursor.sim.snapshot(),
+                    tmr_seen: cursor.tmr_seen,
                 }
             })
-            .collect()
+            .collect();
+        tensorlib_obs::counter_add("sim.fault.golden_steps", cursor.steps - from);
+        forks
     }
 
     /// A compiled batch of `lanes` lanes from the pool, or a new one.
@@ -719,38 +767,36 @@ impl FaultCampaign {
         attach.into_iter().zip(runs).map(|(att, run)| att.map(|()| run)).collect()
     }
 
-    /// Injects `faults` (one chunk) and classifies each against golden.
+    /// Injects the faults at `indices` (one chunk's slice of the campaign's
+    /// execution order) and classifies each against golden, returning the
+    /// outcomes in `indices` order.
     ///
-    /// The fault list is cut into lane groups *before* the worker pool.
-    /// With `lanes == 1` each fault runs on a clone of the scalar base from
+    /// The slice is cut into lane groups *before* the worker pool. With
+    /// `lanes == 1` each fault runs on a clone of the scalar base from
     /// cycle 0 — the reference every batched run is proved against. Wider
-    /// groups are cut from the chunk stable-sorted by
-    /// [`FaultCampaign::fork_steps`] and then by fault target, so a
-    /// group's lanes fault neighbouring sites and more of its rows stay
-    /// uniform across lanes. Each group starts from the golden
-    /// snapshot at its earliest fork step (one scalar golden pass per chunk
-    /// takes just those snapshots), attaches one fault per lane with its
-    /// cycle shifted back by the skipped steps, and is retired in one
-    /// batched pass. Outcomes are scattered back to fault order. Every lane
-    /// is bit-identical to its scalar run, so the outcomes are
-    /// byte-identical for any lane width, worker count and chunk geometry.
-    /// (The one divergence: a panic poisons its whole lane group, so
-    /// *which* faults carry a panic error can differ. Clean campaigns are
-    /// unaffected.)
+    /// groups are consecutive runs of the campaign-wide order, sorted by
+    /// [`FaultCampaign::fork_steps`] and then by fault target, so a group's
+    /// lanes fault neighbouring sites and more of its rows stay uniform
+    /// across lanes; a chunk whose size is a multiple of the lane width
+    /// holds exactly the one-chunk run's groups. Each group starts from the
+    /// golden snapshot at its earliest fork step (taken from the golden
+    /// cursor, which steps forward across chunks), attaches one fault per
+    /// lane with its cycle shifted back by the skipped steps, and is
+    /// retired in one batched pass. Every lane is bit-identical to its
+    /// scalar run, so the outcomes are byte-identical for any lane width,
+    /// worker count and chunk geometry. (The one divergence: a panic
+    /// poisons its whole lane group, so *which* faults carry a panic error
+    /// can differ. Clean campaigns are unaffected.)
     ///
     /// `durability` supplies the watchdog deadline (groups not started in
     /// time come back [`FaultClass::Degraded`]), the bounded serial retry
     /// before a panicking group is quarantined, and the chaos hook.
-    fn drive(&self, faults: &[FaultSpec], durability: &DurabilityOptions) -> Vec<FaultOutcome> {
+    fn drive(&self, indices: &[usize], durability: &DurabilityOptions) -> Vec<FaultOutcome> {
         let _span = tensorlib_obs::span("sim.fault_injection");
-        tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
+        tensorlib_obs::counter_add("sim.faults_injected", indices.len() as u64);
         let lanes = self.cfg.lanes.max(1);
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        if lanes > 1 {
-            order.sort_by_key(|&i| (self.fork_steps(&faults[i]), faults[i].target.as_str()));
-        }
-        let groups: Vec<Vec<&FaultSpec>> = (order.chunks(lanes))
-            .map(|idx| idx.iter().map(|&i| &faults[i]).collect())
+        let groups: Vec<Vec<&FaultSpec>> = (indices.chunks(lanes))
+            .map(|idx| idx.iter().map(|&i| &self.faults[i]).collect())
             .collect();
         let forks = if lanes > 1 {
             let mut starts: Vec<u64> = groups.iter().map(|g| self.fork_steps(g[0])).collect();
@@ -784,7 +830,7 @@ impl FaultCampaign {
                 .collect()
         };
         let outcomes = journal::run_items(durability, &groups, self.cfg.workers, 1, run_group);
-        let sorted = (outcomes.into_iter().zip(&groups)).flat_map(|(outcome, group)| match outcome {
+        let out = (outcomes.into_iter().zip(&groups)).flat_map(|(outcome, group)| match outcome {
             ItemOutcome::Done(outcomes) => outcomes,
             ItemOutcome::Degraded => (group.iter())
                 .map(|fault| FaultOutcome {
@@ -815,9 +861,7 @@ impl FaultCampaign {
                     .collect()
             }
         });
-        let mut scattered: Vec<(usize, FaultOutcome)> = order.into_iter().zip(sorted).collect();
-        scattered.sort_unstable_by_key(|&(i, _)| i);
-        scattered.into_iter().map(|(_, outcome)| outcome).collect()
+        out.collect()
     }
 }
 
@@ -830,25 +874,31 @@ impl journal::Campaign for FaultCampaign {
     /// different `--workers` is legal — reports are worker-count
     /// independent), plus the knobs serde skips but which shape the run
     /// (`lanes` sets lane-group and default chunk boundaries; `opt` selects
-    /// which netlist is faulted).
+    /// which netlist is faulted). With `lanes > 1` an `order` tag names the
+    /// campaign-wide execution order, which decides the faults each chunk
+    /// (and so each journal record) holds; a lane journal written when each
+    /// chunk held consecutive faults has no tag and does not resume.
     fn canonical_config(&self) -> String {
         let canon = CampaignConfig {
             workers: 0,
             ..self.cfg
         };
+        let lanes = self.cfg.lanes.max(1);
         format!(
-            "{}|{}|lanes={}|opt={}",
+            "{}|{}|lanes={lanes}|opt={}{}",
             serde_json::to_string(&canon).expect("campaign config serializes"),
             self.variant,
-            self.cfg.lanes.max(1),
             self.cfg.opt,
+            if lanes > 1 { "|order=fork,target" } else { "" },
         )
     }
 
-    /// A chunk is a multiple of the lane width by default, so lane-group
-    /// boundaries inside a chunk coincide with a single-chunk run's. (Any
-    /// other size gives the same bytes too: every lane is bit-identical to
-    /// its scalar run.)
+    /// Chunk `k` is the slice `order[k * chunk_size..]` of the campaign's
+    /// execution order. The journaled default is a multiple of the lane
+    /// width, so a chunked run cuts exactly the lane groups (and forks from
+    /// exactly the golden steps) of a single-chunk run. Any other size
+    /// gives the same bytes too: every lane is bit-identical to its scalar
+    /// run.
     fn chunk_plan(&self, durability: &DurabilityOptions) -> journal::ChunkPlan {
         let chunk_size = durability.chunk_size_for(self.faults.len(), 16 * self.cfg.lanes.max(1));
         journal::ChunkPlan {
@@ -857,6 +907,7 @@ impl journal::Campaign for FaultCampaign {
         }
     }
 
+    /// The outcomes of chunk `index`, in execution order.
     fn run_chunk(
         &self,
         plan: &journal::ChunkPlan,
@@ -865,9 +916,12 @@ impl journal::Campaign for FaultCampaign {
     ) -> Vec<FaultOutcome> {
         let lo = index * plan.chunk_size;
         let hi = (lo + plan.chunk_size).min(self.faults.len());
-        self.drive(&self.faults[lo..hi], durability)
+        self.drive(&self.order()[lo..hi], durability)
     }
 
+    /// Puts the outcomes of the completed chunks back in fault order, in
+    /// place, and counts them. An interrupted run lists just the faults of
+    /// its completed chunks, in fault order.
     fn aggregate(
         &self,
         _plan: &journal::ChunkPlan,
@@ -877,6 +931,7 @@ impl journal::Campaign for FaultCampaign {
         let mut chunks = chunks.into_iter();
         let mut outcomes = chunks.next().unwrap_or_default();
         outcomes.extend(chunks.flatten());
+        restore_fault_order(self.order(), &mut outcomes);
         let count = |class| outcomes.iter().filter(|o| o.class == class).count();
         let (masked, detected, sdc) = (
             count(FaultClass::Masked),
@@ -931,6 +986,37 @@ impl journal::Campaign for FaultCampaign {
             }
         }
         counts
+    }
+}
+
+/// Sorts `items`, which ran in the order `order[..items.len()]`, into fault
+/// order in place. An item's slot is its fault index, or, when the run was
+/// interrupted, the fault's rank among the faults that ran. Each cycle of
+/// the permutation is walked once: every swap puts one item in its slot.
+fn restore_fault_order<T>(order: &[usize], items: &mut [T]) {
+    let ranks: Vec<usize>;
+    let slots = if items.len() == order.len() {
+        order
+    } else {
+        let mut ran = order[..items.len()].to_vec();
+        ran.sort_unstable();
+        ranks = (order[..items.len()].iter())
+            .map(|i| ran.binary_search(i).expect("a fault that ran"))
+            .collect();
+        &ranks
+    };
+    let mut placed = vec![false; slots.len()];
+    for i in 0..slots.len() {
+        if placed[i] {
+            continue;
+        }
+        let mut slot = slots[i];
+        while slot != i {
+            items.swap(i, slot);
+            placed[slot] = true;
+            slot = slots[slot];
+        }
+        placed[i] = true;
     }
 }
 
@@ -1114,9 +1200,18 @@ mod tests {
                 assert_eq!(stats.chunks_total, 1, "{name}: derived single chunk");
                 let want = serde_json::to_string(&single).unwrap();
                 let items = single.faults;
-                // 1, the lane width, the journaled default, the derived
-                // single chunk, and no override at all.
-                for chunk_size in [Some(1), Some(lanes), Some(16 * lanes), Some(items), None] {
+                // 1, the lane width, a size that is not a multiple of it (so
+                // lane groups straddle chunk ends), the journaled default,
+                // the derived single chunk, and no override at all.
+                let sizes = [
+                    Some(1),
+                    Some(lanes),
+                    Some(lanes + 3),
+                    Some(16 * lanes),
+                    Some(items),
+                    None,
+                ];
+                for chunk_size in sizes {
                     for journaled in [false, true] {
                         let tag = format!("{name}_{lanes}_{chunk_size:?}_{journaled}");
                         let dir = tmpdir(&format!("geom_{tag}"));
@@ -1128,11 +1223,39 @@ mod tests {
                         let (report, stats) = run(&cfg, &opts).unwrap();
                         assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
                         assert_eq!(stats.chunks_executed, stats.chunks_total, "{tag}");
+                        if journaled {
+                            // Replayed whole, then resumed from the first
+                            // record alone, as a crash after chunk 0 leaves it.
+                            let (report, stats) = run(&cfg, &opts).unwrap();
+                            assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
+                            assert_eq!(stats.chunks_replayed, stats.chunks_total, "{tag}");
+                            let path = dir.join(journal::JOURNAL_FILE);
+                            let bytes = std::fs::read(&path).unwrap();
+                            // 24 header bytes, then the record's 16-byte
+                            // header: index, payload length, checksum.
+                            let len = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
+                            std::fs::write(&path, &bytes[..40 + len as usize]).unwrap();
+                            let (report, stats) = run(&cfg, &opts).unwrap();
+                            assert_eq!(serde_json::to_string(&report).unwrap(), want, "{tag}");
+                            assert_eq!(stats.chunks_replayed, 1, "{tag}");
+                        }
                         let _ = std::fs::remove_dir_all(&dir);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn restore_fault_order_sorts_whole_and_interrupted_runs_in_place() {
+        let order = [3, 0, 4, 1, 2];
+        let mut whole = order.to_vec();
+        restore_fault_order(&order, &mut whole);
+        assert_eq!(whole, [0, 1, 2, 3, 4]);
+        // An interrupted run ran a prefix of the order: faults 3, 0 and 4.
+        let mut partial = order[..3].to_vec();
+        restore_fault_order(&order, &mut partial);
+        assert_eq!(partial, [0, 3, 4]);
     }
 
     #[test]

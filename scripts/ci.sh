@@ -53,9 +53,9 @@ cargo test -q -p tensorlib-sim --lib trace
     > /tmp/ci_faults_lanes.json
 cmp /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
 rm -f /tmp/ci_faults_scalar.json /tmp/ci_faults_lanes.json
-# Multi-group forking: at --lanes 64 each chunk is sorted by injection cycle
-# and every lane group starts from the golden run's state at its earliest
-# fault. 512 sampled faults, and the 8x8 accumulator sweep (64 accumulators
+# Multi-group forking: at --lanes 64 the campaign's faults are sorted once
+# by fork step and every lane group starts from the golden run's state at
+# its earliest fault. 512 sampled faults, and the 8x8 accumulator sweep (64 accumulators
 # x 8 bits), are 8 lane groups each; both reports must equal the unforked
 # scalar run's at 1 and 2 workers (the worker count is echoed twice). Each
 # runs fully hardened, parity-only (no TMR voter reconverges a faulty

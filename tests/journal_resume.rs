@@ -7,15 +7,20 @@
 //! for the fuzz and explore runners and for the panic-quarantine path.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use tensorlib::explore::{explore_durable, ExploreOptions, PointError};
+use tensorlib::hw::fault::Hardening;
 use tensorlib::ir::workloads;
 use tensorlib_obs::events::{read_events, StatusSnapshot};
 use tensorlib_obs::json::Value;
-use tensorlib_sim::journal::JOURNAL_FILE;
-use tensorlib_sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+use tensorlib_sim::journal::{config_hash, run_chunked_observed, Campaign, Journal, JOURNAL_FILE};
+use tensorlib_sim::resilience::{
+    run_gemm_campaign_durable, CampaignConfig, CampaignError, FaultCampaign, FaultOutcome,
+};
 use tensorlib_sim::verify::{run_verify_durable, VerifyConfig};
-use tensorlib_sim::DurabilityOptions;
+use tensorlib_sim::{DurabilityOptions, JournalError};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tl_it_journal_{tag}_{}", std::process::id()));
@@ -375,4 +380,131 @@ fn telemetry_counters_match_fresh_and_resumed() {
         (sweep.rows.len() + sweep.errors.len()) as u64 + sweep.skipped
     );
     assert_eq!(counts["designs"], 0);
+}
+
+/// A lane campaign runs its faults in one campaign-wide order sorted by
+/// fork step, so a chunk does not hold consecutive faults. Interrupted
+/// after two chunks, its partial report lists exactly the faults of those
+/// chunks, in fault order, each with the clean run's outcome; resumed, it
+/// reproduces the clean report byte for byte.
+#[test]
+fn interrupted_lane_campaign_reports_its_completed_chunks_in_fault_order() {
+    let cfg = CampaignConfig {
+        faults: 40,
+        seed: 3,
+        hardening: Hardening::full(),
+        lanes: 4,
+        ..CampaignConfig::default()
+    };
+    let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
+    let dir = tmpdir("lane_interrupt");
+    let flag = Arc::new(AtomicBool::new(false));
+    let opts = DurabilityOptions {
+        chunk_size: Some(8),
+        interrupt: Some(flag.clone()),
+        ..DurabilityOptions::with_dir(&dir)
+    };
+    // `journal::execute`'s chunk loop, with the interrupt latched while
+    // chunk 1 runs: chunks 0 and 1 complete and journal, chunk 2 never
+    // starts.
+    let campaign = FaultCampaign::gemm(&cfg).unwrap();
+    let plan = campaign.chunk_plan(&opts);
+    let hash = config_hash(
+        FaultCampaign::KIND,
+        plan.chunk_size,
+        plan.chunks,
+        &campaign.canonical_config(),
+    );
+    let (slots, stats) = run_chunked_observed(&opts, hash, plan.chunks, None, |i| {
+        if i == 1 {
+            flag.store(true, Ordering::SeqCst);
+        }
+        campaign.run_chunk(&plan, i, &opts)
+    })
+    .unwrap();
+    assert!(stats.interrupted);
+    let chunks: Vec<Vec<FaultOutcome>> = slots.into_iter().map_while(|slot| slot).collect();
+    assert_eq!(chunks.len(), 2);
+    let partial = campaign.aggregate(&plan, chunks.clone());
+    // The clean outcomes of exactly the faults that ran, in fault order.
+    let mut ran: Vec<&FaultOutcome> = chunks.iter().flatten().collect();
+    let want: Vec<&FaultOutcome> = (clean.outcomes.iter())
+        .filter(|o| ran.iter().position(|r| r == o).map(|at| ran.swap_remove(at)).is_some())
+        .collect();
+    assert!(ran.is_empty(), "outcomes unlike the clean run's: {ran:?}");
+    assert_eq!(partial.outcomes.iter().collect::<Vec<_>>(), want);
+    assert_eq!(partial.faults, 16);
+    assert_ne!(
+        partial.outcomes[..],
+        clean.outcomes[..16],
+        "the completed chunks hold the first faults, so the sort was not exercised"
+    );
+    drop(campaign);
+    flag.store(false, Ordering::SeqCst);
+    let (resumed, stats) = run_gemm_campaign_durable(&cfg, &opts).unwrap();
+    assert_eq!((stats.chunks_replayed, stats.chunks_executed), (2, 3));
+    assert_eq!(
+        serde_json::to_string(&resumed).unwrap(),
+        serde_json::to_string(&clean).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A lane campaign's journal key names its campaign-wide execution order:
+/// a lane journal keyed by the canonical config without that tag (each of
+/// its chunks held consecutive faults) is refused instead of spliced into
+/// the report. Scalar keys carry no tag and are unchanged, so older scalar
+/// journals still resume (`tests/journal_decode.rs` pins one).
+#[test]
+fn lane_journal_without_the_order_tag_is_refused() {
+    let cfg = CampaignConfig {
+        faults: 24,
+        seed: 7,
+        lanes: 4,
+        ..CampaignConfig::default()
+    };
+    let untagged = |cfg: &CampaignConfig| {
+        let canon = CampaignConfig { workers: 0, ..*cfg };
+        format!(
+            "{}|sampled|lanes={}|opt={}",
+            serde_json::to_string(&canon).unwrap(),
+            cfg.lanes,
+            cfg.opt
+        )
+    };
+    let scalar = CampaignConfig { lanes: 1, ..cfg };
+    assert_eq!(
+        FaultCampaign::gemm(&scalar).unwrap().canonical_config(),
+        untagged(&scalar),
+        "the scalar key changed"
+    );
+    let campaign = FaultCampaign::gemm(&cfg).unwrap();
+    assert_ne!(campaign.canonical_config(), untagged(&cfg));
+    let dir = tmpdir("untagged_lane_journal");
+    let opts = DurabilityOptions {
+        chunk_size: Some(8),
+        ..DurabilityOptions::with_dir(&dir)
+    };
+    let plan = campaign.chunk_plan(&opts);
+    let hash = config_hash(
+        FaultCampaign::KIND,
+        plan.chunk_size,
+        plan.chunks,
+        &untagged(&cfg),
+    );
+    let mut journal = Journal::open(&dir, hash, plan.chunks as u32).unwrap();
+    let chunk = campaign.run_chunk(&plan, 0, &opts);
+    journal
+        .append(0, &serde_json::to_string(&chunk).unwrap())
+        .unwrap();
+    drop(journal);
+    let err = run_gemm_campaign_durable(&cfg, &opts).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CampaignError::Journal(JournalError::ConfigMismatch { .. })
+        ),
+        "got {err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -256,8 +256,10 @@ fn journaled_sweep_records_explore_telemetry() {
 /// `sim.fault_injection`, and deterministic step counters. Lane groups
 /// fork from the golden run, so with lanes > 1 some golden-prefix steps are
 /// skipped, and every group still accounts for a whole round; the scalar
-/// path runs every fault from cycle 0. The counters do not depend on the
-/// worker count.
+/// path runs every fault from cycle 0 and takes no forks. The fork passes
+/// step one golden run forward across chunks, so a campaign cut into one
+/// chunk per lane group steps it no further than the one-chunk run, at
+/// most one round. The counters do not depend on the worker count.
 #[test]
 fn fault_campaign_counts_forked_and_skipped_steps() {
     use tensorlib::hw::fault::Hardening;
@@ -266,27 +268,39 @@ fn fault_campaign_counts_forked_and_skipped_steps() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     tensorlib_obs::disable();
     const FAULTS: u64 = 48;
-    let record = |lanes: usize, workers: usize| {
+    let cfg = CampaignConfig {
+        faults: FAULTS as usize,
+        seed: 5,
+        hardening: Hardening::full(),
+        ..CampaignConfig::default()
+    };
+    let record = |lanes: usize, workers: usize, chunk_size: Option<usize>| {
         let cfg = CampaignConfig {
-            faults: FAULTS as usize,
-            seed: 5,
-            hardening: Hardening::full(),
             lanes,
             workers,
-            ..CampaignConfig::default()
+            ..cfg
+        };
+        let durability = DurabilityOptions {
+            chunk_size,
+            ..DurabilityOptions::default()
         };
         let _ = tensorlib_obs::drain();
         tensorlib_obs::enable();
-        run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).expect("campaign runs");
+        run_gemm_campaign_durable(&cfg, &durability).expect("campaign runs");
         let session = tensorlib_obs::drain();
         tensorlib_obs::disable();
         session
     };
     let counters = |session: &tensorlib_obs::Session| {
-        ["sim.faults_injected", "sim.fault.lane_steps", "sim.fault.steps_skipped"]
-            .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
+        [
+            "sim.faults_injected",
+            "sim.fault.lane_steps",
+            "sim.fault.steps_skipped",
+            "sim.fault.golden_steps",
+        ]
+        .map(|name| session.metrics.counters.get(name).copied().unwrap_or(0))
     };
-    let serial = record(1, 1);
+    let serial = record(1, 1, None);
     for phase in ["sim.fault.fork", "sim.fault.step", "sim.fault.harvest"] {
         assert!(
             (serial.spans.iter())
@@ -294,19 +308,32 @@ fn fault_campaign_counts_forked_and_skipped_steps() {
             "no {phase} span inside sim.fault_injection"
         );
     }
-    let [injected, scalar_steps, scalar_skipped] = counters(&serial);
+    let [injected, scalar_steps, scalar_skipped, scalar_golden] = counters(&serial);
     assert_eq!(injected, FAULTS);
     assert_eq!(scalar_skipped, 0, "the scalar path never forks");
+    assert_eq!(scalar_golden, 0, "the scalar path steps no golden run");
     assert_eq!(scalar_steps % FAULTS, 0, "every scalar run steps a whole round");
     let round = scalar_steps / FAULTS;
+    // The readback takes one step per array row after the steps a fork can
+    // skip.
+    let forkable = round - cfg.rows as u64;
     for lanes in [1, 8] {
-        let one = counters(&record(lanes, 1));
-        assert_eq!(one, counters(&record(lanes, 3)), "lanes={lanes}: counters vary with workers");
-        let [_, steps, skipped] = one;
+        let one = counters(&record(lanes, 1, None));
+        assert_eq!(one, counters(&record(lanes, 3, None)), "lanes={lanes}: counters vary with workers");
+        let [_, steps, skipped, golden] = one;
         if lanes > 1 {
             assert!(skipped > 0, "lanes={lanes}: no golden prefix was skipped");
             let groups = FAULTS.div_ceil(lanes as u64);
             assert_eq!(steps + skipped, groups * round, "lanes={lanes}: every group is one round");
+            assert!(
+                golden > 0 && golden <= forkable,
+                "lanes={lanes}: the fork passes took {golden} golden steps, over {forkable}"
+            );
+            assert_eq!(
+                counters(&record(lanes, 1, Some(lanes))),
+                one,
+                "lanes={lanes}: one chunk per lane group changed the counted work"
+            );
         }
     }
 }
@@ -352,6 +379,56 @@ fn batch_op_counts_are_deterministic_and_mostly_uniform() {
         materialized < uniform / 8,
         "materialized rows {materialized} vs uniform ops {uniform}"
     );
+}
+
+/// A journaled lane campaign at the default chunk (`16 × lanes` faults)
+/// cuts its chunks from the one campaign-wide execution order, so on the
+/// 8×8 TMR campaign it runs exactly the lane groups, fork starts and golden
+/// steps of the one-chunk run: every deterministic simulation counter
+/// agrees.
+#[test]
+fn journaled_lane_campaign_counts_the_one_chunk_work() {
+    use tensorlib::hw::fault::Hardening;
+    use tensorlib::sim::resilience::{run_gemm_campaign_durable, CampaignConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let cfg = CampaignConfig {
+        rows: 8,
+        cols: 8,
+        faults: 2500,
+        seed: 3,
+        hardening: Hardening::full(),
+        lanes: 64,
+        workers: 2,
+        ..CampaignConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("tl_obs_lane_chunks_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let record = |durability: &DurabilityOptions| {
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        let (_, stats) = run_gemm_campaign_durable(&cfg, durability).expect("campaign runs");
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        let counters = [
+            "hw.batch.uniform_ops",
+            "hw.batch.lane_ops",
+            "hw.batch.materialized",
+            "sim.fault.lane_steps",
+            "sim.fault.steps_skipped",
+            "sim.fault.golden_steps",
+        ]
+        .map(|name| (name, session.metrics.counters.get(name).copied().unwrap_or(0)));
+        (counters, stats.chunks_total)
+    };
+    let (one_chunk, chunks) = record(&DurabilityOptions::default());
+    assert_eq!(chunks, 1);
+    let (journaled, chunks) = record(&DurabilityOptions::with_dir(&dir));
+    assert_eq!(chunks, 3, "2,500 faults in chunks of 16 × 64");
+    assert_eq!(journaled, one_chunk);
+    assert!(one_chunk.iter().all(|&(_, n)| n > 0), "{one_chunk:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The optimizer counts its CSE rounds and hoists. A pipeline campaign
