@@ -1203,27 +1203,28 @@ fn repo_root() -> PathBuf {
 }
 
 /// Appends the run to the cross-run history index, so `tensorlib history
-/// --check` can compare consecutive runs on the same machine shape.
-/// Best-effort: a failed append never fails the gate.
+/// --check` can compare consecutive runs on the same machine shape. Its
+/// metrics are counts the report holds, which do not jitter between runs
+/// as the timed rates do. Best-effort: a failed append never fails the gate.
 fn append_history(report: &PerfGateReport, wall_ms: u64) {
+    let (opt, explore, journal) = (&report.opt, &report.explore, &report.journal);
     let metrics = [
-        (
-            "compiled_cycles_per_sec",
-            report.interpreter.compiled_cycles_per_sec,
-        ),
-        ("interp_speedup", report.interpreter.speedup),
-        ("batch_speedup", report.batch_sim.speedup),
-        (
-            "hardened_op_reduction_pct",
-            report.opt.hardened_op_reduction_pct,
-        ),
+        ("opt_plain_pre_ops", opt.plain_pre_ops),
+        ("opt_plain_post_ops", opt.plain_post_ops),
+        ("opt_hardened_pre_ops", opt.hardened_pre_ops),
+        ("opt_hardened_post_ops", opt.hardened_post_ops),
+        ("explore_designs", explore.designs),
+        ("journal_chunks", journal.chunks),
     ];
     let entry = tensorlib_obs::history::HistoryEntry {
+        schema_version: tensorlib_obs::history::HISTORY_SCHEMA_VERSION,
         kind: "perfgate".to_string(),
+        // The metric set is part of the key: entries that recorded timed
+        // rates form a series of their own.
         config_hash: format!(
             "{:016x}",
             tensorlib::sim::journal::fnv1a64(
-                format!("perfgate|schema={}", tensorlib_obs::SCHEMA_VERSION).as_bytes()
+                format!("perfgate|schema={}|counts", tensorlib_obs::SCHEMA_VERSION).as_bytes()
             )
         ),
         command: "perfgate".to_string(),
@@ -1231,9 +1232,11 @@ fn append_history(report: &PerfGateReport, wall_ms: u64) {
         host_cores: report.host_cores as u64,
         workers: 0,
         lanes: 0,
-        metrics: metrics.map(|(k, v)| (k.to_string(), v)).into(),
-        unix_ms: tensorlib_obs::events::unix_ms(),
-        wall_ms,
+        metrics: metrics.map(|(k, v)| (k.to_string(), v as f64)).into(),
+        timing: tensorlib_obs::history::HistoryTiming {
+            unix_ms: tensorlib_obs::events::unix_ms(),
+            wall_ms,
+        },
     };
     let history_path = repo_root().join("reports").join("history.jsonl");
     match tensorlib_obs::history::append(&history_path, &entry) {

@@ -1297,6 +1297,7 @@ fn append_history(
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
     let path = dir.join(tensorlib_obs::history::HISTORY_FILE);
     let entry = tensorlib_obs::history::HistoryEntry {
+        schema_version: tensorlib_obs::history::HISTORY_SCHEMA_VERSION,
         kind: kind.to_string(),
         config_hash: history_config_hash(canonical_config),
         command: provenance.command.clone(),
@@ -1305,8 +1306,10 @@ fn append_history(
         workers: provenance.workers as u64,
         lanes: provenance.lanes as u64,
         metrics,
-        unix_ms: tensorlib_obs::events::unix_ms(),
-        wall_ms,
+        timing: tensorlib_obs::history::HistoryTiming {
+            unix_ms: tensorlib_obs::events::unix_ms(),
+            wall_ms,
+        },
     };
     match tensorlib_obs::history::append(&path, &entry) {
         Ok(()) => format!("appended history entry to {}\n", path.display()),
@@ -1345,7 +1348,6 @@ fn status_resume_hint(dir: &str) -> String {
 /// the exit code distinguishing finished (0) / running (2) / interrupted (3).
 fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
     use tensorlib_obs::events::StatusSnapshot;
-    use tensorlib_obs::json::Value;
     let mut snapshot = StatusSnapshot::read(std::path::Path::new(dir))
         .map_err(|err| CliError(format!("reading campaign status in {dir}: {err}")))?;
     snapshot.state = effective_status_state(&snapshot);
@@ -1356,12 +1358,14 @@ fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
         _ => 3,
     };
     if json {
-        let mut v = snapshot.to_value();
-        if let (Value::Obj(entries), "interrupted") = (&mut v, state.as_str()) {
-            let hint = Value::Str(status_resume_hint(dir));
-            entries.push(("resume_hint".to_string(), hint));
+        let mut w = serde::JsonWriter::pretty();
+        serde::Serialize::serialize(&snapshot, &mut w);
+        if state == "interrupted" {
+            w.reopen('}');
+            w.key("resume_hint").str(&status_resume_hint(dir));
+            w.close('}');
         }
-        return Ok((format!("{v}\n"), code));
+        return Ok((w.finish() + "\n", code));
     }
     let mut s = format!(
         "campaign    {} (config {})\nstate       {state}",
@@ -3647,6 +3651,7 @@ mod tests {
     fn status_running_snapshot_with_dead_writer_is_interrupted() {
         let dir = tmpdir("status_dead_pid");
         let snapshot = tensorlib_obs::events::StatusSnapshot {
+            schema_version: tensorlib_obs::events::TELEMETRY_SCHEMA_VERSION,
             kind: "faults".to_string(),
             state: "running".to_string(),
             // No live process has this pid (PID_MAX_LIMIT is 2^22 on Linux).
@@ -3690,10 +3695,13 @@ mod tests {
 
     #[test]
     fn history_check_flags_regressions_and_refuses_shape_mismatch() {
-        use tensorlib_obs::history::{append, HistoryEntry, HISTORY_FILE};
+        use tensorlib_obs::history::{
+            append, HistoryEntry, HistoryTiming, HISTORY_FILE, HISTORY_SCHEMA_VERSION,
+        };
         let dir = tmpdir("history_check");
         let path = dir.join(HISTORY_FILE);
         let entry = |coverage: f64, lanes: u64| HistoryEntry {
+            schema_version: HISTORY_SCHEMA_VERSION,
             kind: "faults".to_string(),
             config_hash: "aa".to_string(),
             command: "faults --rows 4".to_string(),
@@ -3704,8 +3712,10 @@ mod tests {
             metrics: [("detection_coverage".to_string(), coverage)]
                 .into_iter()
                 .collect(),
-            unix_ms: 1,
-            wall_ms: 10,
+            timing: HistoryTiming {
+                unix_ms: 1,
+                wall_ms: 10,
+            },
         };
         append(&path, &entry(0.9, 4)).unwrap();
         append(&path, &entry(0.5, 4)).unwrap(); // -44%: flagged at 10%

@@ -657,6 +657,7 @@ pub fn emit_mem_bank(bank: &MemBank) -> String {
 /// # Ok::<(), tensorlib_dataflow::DataflowError>(())
 /// ```
 pub fn emit_design(design: &AcceleratorDesign) -> String {
+    let _span = tensorlib_obs::span("hw.verilog.emit");
     let mut s = String::new();
     let _ = writeln!(
         s,

@@ -30,6 +30,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use serde::{Deserialize, JsonWriter, Serialize};
+
 use crate::json::{self, Value};
 
 /// Schema version stamped on every event line and status snapshot.
@@ -50,44 +52,39 @@ pub fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Builder for one telemetry event line. Field order is insertion order, so
-/// every event renders `schema_version`, then `event`, then its payload,
-/// with `timing` conventionally last.
-#[derive(Debug, Clone)]
+/// Builder for one telemetry event line, written as it is built into a
+/// compact [`JsonWriter`]. Field order is call order, so every event
+/// renders `schema_version`, then `event`, then its payload, with `timing`
+/// conventionally last.
 pub struct Event {
-    entries: Vec<(String, Value)>,
+    w: JsonWriter,
 }
 
 impl Event {
     /// Starts an event named `event` (e.g. `"chunk_completed"`).
     pub fn new(event: &str) -> Self {
-        Event {
-            entries: vec![
-                (
-                    "schema_version".to_string(),
-                    Value::Num(TELEMETRY_SCHEMA_VERSION as f64),
-                ),
-                ("event".to_string(), Value::Str(event.to_string())),
-            ],
-        }
+        let mut w = JsonWriter::compact();
+        w.open('{');
+        w.key("schema_version").u64(TELEMETRY_SCHEMA_VERSION);
+        w.key("event").str(event);
+        Event { w }
     }
 
     /// Appends a string field.
     pub fn str(mut self, key: &str, val: &str) -> Self {
-        self.entries
-            .push((key.to_string(), Value::Str(val.to_string())));
+        self.w.key(key).str(val);
         self
     }
 
     /// Appends an unsigned integer field.
     pub fn u64(mut self, key: &str, val: u64) -> Self {
-        self.entries.push((key.to_string(), Value::Num(val as f64)));
+        self.w.key(key).u64(val);
         self
     }
 
     /// Appends a per-outcome counter object (sorted keys, from the map).
     pub fn counts(mut self, key: &str, counts: &BTreeMap<String, u64>) -> Self {
-        self.entries.push((key.to_string(), counts_value(counts)));
+        counts.serialize(self.w.key(key));
         self
     }
 
@@ -95,30 +92,15 @@ impl Event {
     /// allowed. `updated_unix_ms` is always included; extra `(key, ms)`
     /// pairs follow in the given order.
     pub fn timing(mut self, extra_ms: &[(&str, f64)]) -> Self {
-        let mut t = vec![(
-            "updated_unix_ms".to_string(),
-            Value::Num(unix_ms() as f64),
-        )];
-        for (k, v) in extra_ms {
-            t.push((k.to_string(), Value::Num(*v)));
+        let w = self.w.key("timing");
+        w.open('{');
+        w.key("updated_unix_ms").u64(unix_ms());
+        for &(k, v) in extra_ms {
+            w.key(k).f64(v);
         }
-        self.entries.push(("timing".to_string(), Value::Obj(t)));
+        w.close('}');
         self
     }
-
-    /// Finishes the builder into a JSON value.
-    pub fn into_value(self) -> Value {
-        Value::Obj(self.entries)
-    }
-}
-
-fn counts_value(counts: &BTreeMap<String, u64>) -> Value {
-    Value::Obj(
-        counts
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Num(*v as f64)))
-            .collect(),
-    )
 }
 
 /// An open handle on a campaign's `events.jsonl`. Each append writes one
@@ -142,7 +124,9 @@ impl EventLog {
 
     /// Appends one event as a single JSONL line and flushes it to disk.
     pub fn append(&mut self, event: Event) -> io::Result<()> {
-        let mut line = json::to_compact(&event.into_value());
+        let mut w = event.w;
+        w.close('}');
+        let mut line = w.finish();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
@@ -150,7 +134,8 @@ impl EventLog {
 }
 
 /// Reads and validates every line of `dir/events.jsonl` (each line must be a
-/// complete JSON object). Returns the parsed events in file order.
+/// complete JSON object). Returns the parsed events in file order: event
+/// payloads differ by kind, so they are walked by path.
 pub fn read_events(dir: &Path) -> Result<Vec<Value>, String> {
     let path = dir.join(EVENTS_FILE);
     let text = std::fs::read_to_string(&path)
@@ -176,7 +161,7 @@ pub fn read_events(dir: &Path) -> Result<Vec<Value>, String> {
 
 /// Wall-clock-derived status fields, structurally quarantined so the rest of
 /// [`StatusSnapshot`] is deterministic for a given campaign state.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StatusTiming {
     /// When this snapshot was written (ms since Unix epoch).
     pub updated_unix_ms: u64,
@@ -191,9 +176,12 @@ pub struct StatusTiming {
 }
 
 /// The atomically-replaced `status.json` snapshot of a running (or just
-/// finished / interrupted) campaign.
-#[derive(Debug, Clone, PartialEq)]
+/// finished / interrupted) campaign. Fields are in file order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
+    /// [`TELEMETRY_SCHEMA_VERSION`] when written; [`StatusSnapshot::read`]
+    /// refuses any other.
+    pub schema_version: u64,
     /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
     pub kind: String,
     /// `"running"`, `"finished"`, or `"interrupted"`.
@@ -218,104 +206,9 @@ pub struct StatusSnapshot {
 }
 
 impl StatusSnapshot {
-    /// Renders the snapshot as a JSON value (stable field order).
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Value::Num(TELEMETRY_SCHEMA_VERSION as f64),
-            ),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("state".to_string(), Value::Str(self.state.clone())),
-            ("pid".to_string(), Value::Num(self.pid as f64)),
-            (
-                "config_hash".to_string(),
-                Value::Str(self.config_hash.clone()),
-            ),
-            (
-                "chunks_total".to_string(),
-                Value::Num(self.chunks_total as f64),
-            ),
-            (
-                "chunks_done".to_string(),
-                Value::Num(self.chunks_done as f64),
-            ),
-            (
-                "chunks_replayed".to_string(),
-                Value::Num(self.chunks_replayed as f64),
-            ),
-            (
-                "chunks_executed".to_string(),
-                Value::Num(self.chunks_executed as f64),
-            ),
-            ("outcomes".to_string(), counts_value(&self.outcomes)),
-            (
-                "timing".to_string(),
-                Value::Obj(vec![
-                    (
-                        "updated_unix_ms".to_string(),
-                        Value::Num(self.timing.updated_unix_ms as f64),
-                    ),
-                    (
-                        "elapsed_ms".to_string(),
-                        Value::Num(self.timing.elapsed_ms as f64),
-                    ),
-                    (
-                        "ewma_chunk_ms".to_string(),
-                        Value::Num(self.timing.ewma_chunk_ms),
-                    ),
-                    (
-                        "throughput_chunks_per_s".to_string(),
-                        Value::Num(self.timing.throughput_chunks_per_s),
-                    ),
-                    ("eta_ms".to_string(), Value::Num(self.timing.eta_ms as f64)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Decodes a snapshot from a parsed `status.json` document.
-    pub fn from_value(v: &Value) -> Result<StatusSnapshot, String> {
-        let version = req_u64(v, "schema_version")?;
-        if version != TELEMETRY_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported status schema_version {version} (expected {TELEMETRY_SCHEMA_VERSION})"
-            ));
-        }
-        let timing = req(v, "timing")?;
-        let mut outcomes = BTreeMap::new();
-        for (k, n) in req(v, "outcomes")?
-            .as_object()
-            .ok_or_else(|| "`outcomes` is not an object".to_string())?
-        {
-            let n = n
-                .as_u64()
-                .ok_or_else(|| format!("outcome `{k}` is not an unsigned integer"))?;
-            outcomes.insert(k.clone(), n);
-        }
-        Ok(StatusSnapshot {
-            kind: req_str(v, "kind")?.to_string(),
-            state: req_str(v, "state")?.to_string(),
-            pid: req_u64(v, "pid")? as u32,
-            config_hash: req_str(v, "config_hash")?.to_string(),
-            chunks_total: req_u64(v, "chunks_total")?,
-            chunks_done: req_u64(v, "chunks_done")?,
-            chunks_replayed: req_u64(v, "chunks_replayed")?,
-            chunks_executed: req_u64(v, "chunks_executed")?,
-            outcomes,
-            timing: StatusTiming {
-                updated_unix_ms: req_u64(timing, "updated_unix_ms")?,
-                elapsed_ms: req_u64(timing, "elapsed_ms")?,
-                ewma_chunk_ms: req_f64(timing, "ewma_chunk_ms")?,
-                throughput_chunks_per_s: req_f64(timing, "throughput_chunks_per_s")?,
-                eta_ms: req_u64(timing, "eta_ms")?,
-            },
-        })
-    }
-
     /// Atomically replaces `dir/status.json` with this snapshot.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
-        let mut text = self.to_value().to_string();
+        let mut text = serde_json::to_string_pretty(self).expect("snapshot serializes");
         text.push('\n');
         crate::atomic_write(dir.join(STATUS_FILE), text.as_bytes())
     }
@@ -325,31 +218,16 @@ impl StatusSnapshot {
         let path = dir.join(STATUS_FILE);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        StatusSnapshot::from_value(&v)
+        let snapshot: StatusSnapshot =
+            serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        if snapshot.schema_version != TELEMETRY_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported status schema_version {} (expected {TELEMETRY_SCHEMA_VERSION})",
+                snapshot.schema_version
+            ));
+        }
+        Ok(snapshot)
     }
-}
-
-pub(crate) fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-pub(crate) fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-pub(crate) fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    req(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-pub(crate) fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
 }
 
 #[cfg(test)]
@@ -369,6 +247,7 @@ mod tests {
         outcomes.insert("masked".to_string(), 12);
         outcomes.insert("sdc".to_string(), 1);
         StatusSnapshot {
+            schema_version: TELEMETRY_SCHEMA_VERSION,
             kind: "faults".to_string(),
             state: "running".to_string(),
             pid: 4242,
@@ -389,13 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn status_snapshot_round_trips() {
-        let s = snapshot();
-        let back = StatusSnapshot::from_value(&s.to_value()).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
     fn status_write_read_round_trips() {
         let dir = tmpdir("status_rw");
         let s = snapshot();
@@ -406,12 +278,32 @@ mod tests {
 
     #[test]
     fn status_rejects_unknown_schema_version() {
-        let mut v = snapshot().to_value();
-        if let Value::Obj(entries) = &mut v {
-            entries[0].1 = Value::Num(99.0);
-        }
-        let err = StatusSnapshot::from_value(&v).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
+        let dir = tmpdir("status_version");
+        let s = StatusSnapshot {
+            schema_version: 99,
+            ..snapshot()
+        };
+        s.write(&dir).unwrap();
+        let err = StatusSnapshot::read(&dir).unwrap_err();
+        assert_eq!(err, "unsupported status schema_version 99 (expected 1)");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn status_pid_past_u32_is_an_error_not_a_truncation() {
+        // 2^32 + 1 would truncate to pid 1, which is always alive, so a dead
+        // campaign would read as running forever.
+        let dir = tmpdir("status_pid");
+        snapshot().write(&dir).unwrap();
+        let path = dir.join(STATUS_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("\"pid\": 4242", "\"pid\": 4294967297")).unwrap();
+        let err = StatusSnapshot::read(&dir).unwrap_err();
+        assert!(
+            err.ends_with("expected u32, found `4294967297` at byte 76"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,8 +25,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::events::{req, req_str, req_u64};
-use crate::json::{self, Value};
+use serde::{Deserialize, Serialize};
 
 /// History index file name (lives next to the reports it indexes).
 pub const HISTORY_FILE: &str = "history.jsonl";
@@ -37,9 +36,12 @@ pub const HISTORY_SCHEMA_VERSION: u64 = 1;
 /// Default `--check` flagging threshold, in percent relative delta.
 pub const DEFAULT_CHECK_THRESHOLD_PCT: f64 = 10.0;
 
-/// One completed run, as recorded in `history.jsonl`.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed run, as recorded in `history.jsonl`. Fields are in line
+/// order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistoryEntry {
+    /// [`HISTORY_SCHEMA_VERSION`] when written; [`read`] refuses any other.
+    pub schema_version: u64,
     /// Run kind: `"faults"`, `"fuzz"`, `"explore"`, `"profile"`, `"perfgate"`.
     pub kind: String,
     /// Hex hash of the run's deterministic configuration. Two entries are
@@ -57,85 +59,17 @@ pub struct HistoryEntry {
     pub lanes: u64,
     /// Deterministic key metrics — the regression-comparison surface.
     pub metrics: BTreeMap<String, f64>,
-    /// Wall clock: when the run finished (ms since Unix epoch). Quarantined
-    /// under `timing` in the serialized form; never threshold-compared.
-    pub unix_ms: u64,
-    /// Wall clock: how long the run took, in ms. Quarantined likewise.
-    pub wall_ms: u64,
+    /// Wall-clock fields, quarantined: never threshold-compared.
+    pub timing: HistoryTiming,
 }
 
-impl HistoryEntry {
-    /// Renders the entry as a JSON value (stable field order, timing last).
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Value::Num(HISTORY_SCHEMA_VERSION as f64),
-            ),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            (
-                "config_hash".to_string(),
-                Value::Str(self.config_hash.clone()),
-            ),
-            ("command".to_string(), Value::Str(self.command.clone())),
-            (
-                "pkg_version".to_string(),
-                Value::Str(self.pkg_version.clone()),
-            ),
-            ("host_cores".to_string(), Value::Num(self.host_cores as f64)),
-            ("workers".to_string(), Value::Num(self.workers as f64)),
-            ("lanes".to_string(), Value::Num(self.lanes as f64)),
-            (
-                "metrics".to_string(),
-                Value::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "timing".to_string(),
-                Value::Obj(vec![
-                    ("unix_ms".to_string(), Value::Num(self.unix_ms as f64)),
-                    ("wall_ms".to_string(), Value::Num(self.wall_ms as f64)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Decodes an entry from one parsed history line.
-    pub fn from_value(v: &Value) -> Result<HistoryEntry, String> {
-        let version = req_u64(v, "schema_version")?;
-        if version != HISTORY_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported history schema_version {version} (expected {HISTORY_SCHEMA_VERSION})"
-            ));
-        }
-        let mut metrics = BTreeMap::new();
-        for (k, n) in req(v, "metrics")?
-            .as_object()
-            .ok_or_else(|| "`metrics` is not an object".to_string())?
-        {
-            let n = n
-                .as_f64()
-                .ok_or_else(|| format!("metric `{k}` is not a number"))?;
-            metrics.insert(k.clone(), n);
-        }
-        let timing = req(v, "timing")?;
-        Ok(HistoryEntry {
-            kind: req_str(v, "kind")?.to_string(),
-            config_hash: req_str(v, "config_hash")?.to_string(),
-            command: req_str(v, "command")?.to_string(),
-            pkg_version: req_str(v, "pkg_version")?.to_string(),
-            host_cores: req_u64(v, "host_cores")?,
-            workers: req_u64(v, "workers")?,
-            lanes: req_u64(v, "lanes")?,
-            metrics,
-            unix_ms: req_u64(timing, "unix_ms")?,
-            wall_ms: req_u64(timing, "wall_ms")?,
-        })
-    }
+/// The wall-clock fields of a [`HistoryEntry`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistoryTiming {
+    /// When the run finished (ms since Unix epoch).
+    pub unix_ms: u64,
+    /// How long the run took, in ms.
+    pub wall_ms: u64,
 }
 
 /// Appends one entry to the history file at `path` (creating parent
@@ -146,7 +80,7 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let mut line = json::to_compact(&entry.to_value());
+    let mut line = serde_json::to_string(entry).expect("history entry serializes");
     line.push('\n');
     let mut file = std::fs::OpenOptions::new()
         .append(true)
@@ -169,12 +103,17 @@ pub fn read(path: &Path) -> Result<Vec<HistoryEntry>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line)
-            .map_err(|e| format!("{}:{}: malformed history line: {e}", path.display(), i + 1))?;
-        out.push(
-            HistoryEntry::from_value(&v)
-                .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?,
-        );
+        let at = || format!("{}:{}", path.display(), i + 1);
+        let entry: HistoryEntry = serde_json::from_str(line)
+            .map_err(|e| format!("{}: malformed history line: {e}", at()))?;
+        if entry.schema_version != HISTORY_SCHEMA_VERSION {
+            return Err(format!(
+                "{}: unsupported history schema_version {} (expected {HISTORY_SCHEMA_VERSION})",
+                at(),
+                entry.schema_version
+            ));
+        }
+        out.push(entry);
     }
     Ok(out)
 }
@@ -292,13 +231,13 @@ pub fn check(entries: &[HistoryEntry], threshold_pct: f64) -> Result<CheckOutcom
         });
     }
     let flagged = deltas.iter().filter(|d| d.flagged).count();
-    let wall_delta_pct = (baseline.wall_ms > 0).then(|| {
-        (newest.wall_ms as f64 - baseline.wall_ms as f64) / baseline.wall_ms as f64 * 100.0
-    });
+    let (prior_ms, wall_ms) = (baseline.timing.wall_ms, newest.timing.wall_ms);
+    let wall_delta_pct =
+        (prior_ms > 0).then(|| (wall_ms as f64 - prior_ms as f64) / prior_ms as f64 * 100.0);
     Ok(CheckOutcome::Compared {
         kind: newest.kind.clone(),
         config_hash: newest.config_hash.clone(),
-        baseline_unix_ms: baseline.unix_ms,
+        baseline_unix_ms: baseline.timing.unix_ms,
         deltas,
         wall_delta_pct,
         flagged,
@@ -322,6 +261,7 @@ mod tests {
         metrics.insert("detection_coverage".to_string(), coverage);
         metrics.insert("faults".to_string(), 64.0);
         HistoryEntry {
+            schema_version: HISTORY_SCHEMA_VERSION,
             kind: "faults".to_string(),
             config_hash: config_hash.to_string(),
             command: "faults --rows 4 --cols 4".to_string(),
@@ -330,20 +270,41 @@ mod tests {
             workers: 2,
             lanes: 4,
             metrics,
-            unix_ms: 1_700_000_000_000,
-            wall_ms: 900,
+            timing: HistoryTiming {
+                unix_ms: 1_700_000_000_000,
+                wall_ms: 900,
+            },
         }
     }
 
     #[test]
     fn entry_round_trips_and_quarantines_timing() {
         let e = entry("abcd", 0.75);
-        let v = e.to_value();
-        // Wall-clock fields live only under `timing`.
-        assert!(v.get("unix_ms").is_none());
-        assert!(v.get("wall_ms").is_none());
-        assert!(v.get("timing").and_then(|t| t.get("wall_ms")).is_some());
-        assert_eq!(HistoryEntry::from_value(&v).unwrap(), e);
+        let line = serde_json::to_string(&e).unwrap();
+        // Wall-clock fields live only under `timing`, which comes last.
+        assert!(
+            line.ends_with(r#""timing":{"unix_ms":1700000000000,"wall_ms":900}}"#),
+            "{line}"
+        );
+        assert_eq!(serde_json::from_str::<HistoryEntry>(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn read_refuses_unknown_schema_version_with_its_line() {
+        let dir = tmpdir("version");
+        let path = dir.join(HISTORY_FILE);
+        append(&path, &entry("aa", 0.5)).unwrap();
+        let future = HistoryEntry {
+            schema_version: 2,
+            ..entry("aa", 0.5)
+        };
+        append(&path, &future).unwrap();
+        let err = read(&path).unwrap_err();
+        assert!(
+            err.ends_with(":2: unsupported history schema_version 2 (expected 1)"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -364,7 +325,7 @@ mod tests {
     fn check_flags_only_deltas_beyond_threshold() {
         let baseline = entry("aa", 0.50);
         let mut current = entry("aa", 0.51); // +2%: below a 10% threshold
-        current.unix_ms += 1000;
+        current.timing.unix_ms += 1000;
         let out = check(&[baseline.clone(), current], 10.0).unwrap();
         match out {
             CheckOutcome::Compared { flagged, deltas, .. } => {
@@ -392,7 +353,7 @@ mod tests {
     fn check_ignores_wall_time_for_flagging() {
         let baseline = entry("aa", 0.5);
         let mut slow = entry("aa", 0.5);
-        slow.wall_ms = baseline.wall_ms * 50; // 50× slower wall clock
+        slow.timing.wall_ms = baseline.timing.wall_ms * 50; // 50× slower wall clock
         let out = check(&[baseline, slow], 10.0).unwrap();
         match out {
             CheckOutcome::Compared {

@@ -1,6 +1,9 @@
 //! A JSON document tree, for documents walked by path rather than decoded
-//! into a type: the Yosys-JSON netlist import in `tensorlib-hw`, the
-//! `events`, `history` and `status` files, and report schema checks.
+//! into a type: the Yosys-JSON netlist import in `tensorlib-hw`, event
+//! lines read back by [`crate::events::read_events`] (their payloads differ
+//! by event), and report checks in tests and benchmarks. Files with one
+//! shape — status snapshots, history lines, reports, journal chunks — are
+//! derived types read and written by `serde` directly, with no tree.
 //!
 //! [`parse`] reads a [`Value`] through the workspace's one JSON reader
 //! (`serde::JsonReader`, nesting capped at `serde::MAX_DEPTH`), keeping

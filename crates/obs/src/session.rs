@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
+use serde::{JsonWriter, Serialize};
 
 use crate::manifest::Provenance;
 use crate::metrics::MetricsSnapshot;
@@ -94,57 +94,58 @@ impl Session {
     /// order, so output is byte-stable modulo the `ts`/`dur` values.
     pub fn to_chrome_trace(&self, provenance: Option<&Provenance>) -> String {
         let tids = self.thread_ids();
-        let mut out = String::with_capacity(4096 + self.spans.len() * 160);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n",
-            crate::manifest::SCHEMA_VERSION
-        ));
-        if let Some(p) = provenance {
-            let body = serde_json::to_string(p).expect("provenance serialization");
-            out.push_str(&format!("  \"provenance\": {body},\n"));
-        }
-        out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-        out.push_str("  \"traceEvents\": [");
-        let mut first = true;
-        let mut push_event = |out: &mut String, event: String| {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&event);
+        // A pretty envelope with one compact line per event: each event is
+        // written by its own compact writer and placed as one item.
+        let mut w = JsonWriter::pretty();
+        let line = |w: &mut JsonWriter, write: &dyn Fn(&mut JsonWriter)| {
+            let mut e = JsonWriter::compact();
+            write(&mut e);
+            w.raw(format_args!("{}", e.finish()));
         };
-        for (label, tid) in &tids {
-            push_event(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    escape(label)
-                ),
-            );
+        w.open('{');
+        w.key("schema_version")
+            .u64(crate::manifest::SCHEMA_VERSION.into());
+        if let Some(p) = provenance {
+            line(w.key("provenance"), &|e| p.serialize(e));
+        }
+        w.key("displayTimeUnit").str("ms");
+        w.key("traceEvents").open('[');
+        for (label, &tid) in &tids {
+            line(&mut w, &|e| {
+                e.open('{');
+                e.key("name").str("thread_name");
+                e.key("ph").str("M");
+                e.key("pid").u64(1);
+                e.key("tid").u64(tid);
+                e.key("args").open('{');
+                e.key("name").str(label);
+                e.close('}');
+                e.close('}');
+            });
         }
         for s in &self.spans {
-            let tid = tids[&s.thread];
-            push_event(
-                &mut out,
-                format!(
-                    "{{\"name\":{},\"cat\":\"tensorlib\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"path\":{},\"gen\":{},\"seq\":{},\
-                     \"depth\":{}}}}}",
-                    escape(&s.name),
-                    s.start_us,
-                    s.dur_us,
-                    escape(&s.path),
-                    s.generation,
-                    s.seq,
-                    s.depth
-                ),
-            );
+            line(&mut w, &|e| {
+                e.open('{');
+                e.key("name").str(&s.name);
+                e.key("cat").str("tensorlib");
+                e.key("ph").str("X");
+                e.key("ts").u64(s.start_us);
+                e.key("dur").u64(s.dur_us);
+                e.key("pid").u64(1);
+                e.key("tid").u64(tids[&s.thread]);
+                e.key("args").open('{');
+                e.key("path").str(&s.path);
+                e.key("gen").u64(s.generation);
+                e.key("seq").u64(s.seq);
+                e.key("depth").u64(s.depth.into());
+                e.close('}');
+                e.close('}');
+            });
         }
-        out.push_str("\n  ]\n}\n");
+        w.close(']');
+        w.close('}');
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
 
@@ -172,13 +173,13 @@ impl Session {
     }
 
     /// Deterministic thread numbering: sorted label → tid starting at 1.
-    fn thread_ids(&self) -> BTreeMap<String, usize> {
+    fn thread_ids(&self) -> BTreeMap<String, u64> {
         let labels: std::collections::BTreeSet<&str> =
             self.spans.iter().map(|s| s.thread.as_str()).collect();
         labels
             .into_iter()
             .enumerate()
-            .map(|(i, k)| (k.to_string(), i + 1))
+            .map(|(i, k)| (k.to_string(), i as u64 + 1))
             .collect()
     }
 }
@@ -189,25 +190,6 @@ fn is_direct_child(parent: &str, child: &str) -> bool {
         .strip_prefix(parent)
         .and_then(|rest| rest.strip_prefix(';'))
         .is_some_and(|seg| !seg.is_empty() && !seg.contains(';'))
-}
-
-/// JSON string escape (quotes included).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -321,8 +303,46 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(escape("tab\there"), "\"tab\\there\"");
+    fn chrome_trace_layout_is_pinned() {
+        let mk = |name: &str, path: &str, thread: &str, depth, start, dur| FinishedSpan {
+            name: name.to_string(),
+            path: path.to_string(),
+            thread: thread.to_string(),
+            generation: 1,
+            seq: 0,
+            depth,
+            start_us: start,
+            dur_us: dur,
+        };
+        let mut session = Session {
+            spans: vec![
+                mk("explore", "explore", "main", 0, 0, 100),
+                mk("say \"hi\"\n", "explore;say \"hi\"\n", "w\t00", 1, 10, 40),
+            ],
+            metrics: MetricsSnapshot::default(),
+        };
+        session.sort();
+        assert_eq!(
+            session.to_chrome_trace(None),
+            r#"{
+  "schema_version": 1,
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"main"}},
+    {"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"w\t00"}},
+    {"name":"explore","cat":"tensorlib","ph":"X","ts":0,"dur":100,"pid":1,"tid":1,"args":{"path":"explore","gen":1,"seq":0,"depth":0}},
+    {"name":"say \"hi\"\n","cat":"tensorlib","ph":"X","ts":10,"dur":40,"pid":1,"tid":2,"args":{"path":"explore;say \"hi\"\n","gen":1,"seq":0,"depth":1}}
+  ]
+}
+"#
+        );
+        let with_provenance = session.to_chrome_trace(Some(&Provenance::new("cmd \"x\"")));
+        assert!(with_provenance.starts_with(
+            "{\n  \"schema_version\": 1,\n  \"provenance\": {\"generator\":\"tensorlib\","
+        ));
+        assert_eq!(
+            Session::default().to_chrome_trace(None),
+            "{\n  \"schema_version\": 1,\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": []\n}\n"
+        );
     }
 }

@@ -55,7 +55,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -191,28 +191,35 @@ impl Journal {
     /// for filesystem failures.
     pub fn open(dir: &Path, config_hash: u64, total_chunks: u32) -> Result<Journal, JournalError> {
         std::fs::create_dir_all(dir).map_err(io_err)?;
-        let path = dir.join(JOURNAL_FILE);
-        let existing = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .write(true)
+            .truncate(false)
+            .open(dir.join(JOURNAL_FILE))
+            .map_err(io_err)?;
+        let file_len = file.metadata().map_err(io_err)?.len() as usize;
         // A file shorter than the header can only be a crash during initial
         // creation (the header is written with one fsynced write); treat it
         // as fresh. Anything longer must carry our magic.
-        let fresh = existing.len() < HEADER_LEN;
+        let fresh = file_len < HEADER_LEN;
         let mut entries = BTreeMap::new();
         let mut good_len = HEADER_LEN;
         if !fresh {
-            if &existing[0..8] != MAGIC {
+            // Records are read one at a time, so each payload is allocated
+            // once, as the entry that holds it.
+            let mut reader = BufReader::new(&file);
+            let mut header = [0u8; HEADER_LEN];
+            reader.read_exact(&mut header).map_err(io_err)?;
+            if &header[0..8] != MAGIC {
                 return Err(JournalError::BadMagic);
             }
-            let version = u32::from_le_bytes(existing[8..12].try_into().unwrap());
+            let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
             if version != VERSION {
                 return Err(JournalError::BadVersion { found: version });
             }
-            let found_hash = u64::from_le_bytes(existing[12..20].try_into().unwrap());
-            let found_chunks = u32::from_le_bytes(existing[20..24].try_into().unwrap());
+            let found_hash = u64::from_le_bytes(header[12..20].try_into().unwrap());
+            let found_chunks = u32::from_le_bytes(header[20..24].try_into().unwrap());
             if found_hash != config_hash || found_chunks != total_chunks {
                 return Err(JournalError::ConfigMismatch {
                     expected_hash: config_hash,
@@ -221,38 +228,30 @@ impl Journal {
                     found_chunks,
                 });
             }
-            let mut off = HEADER_LEN;
-            while off + RECORD_HEADER_LEN <= existing.len() {
-                let idx = u32::from_le_bytes(existing[off..off + 4].try_into().unwrap());
-                let len =
-                    u32::from_le_bytes(existing[off + 4..off + 8].try_into().unwrap()) as usize;
-                let sum = u64::from_le_bytes(existing[off + 8..off + 16].try_into().unwrap());
-                let start = off + RECORD_HEADER_LEN;
-                let Some(end) = start.checked_add(len) else {
+            let mut record = [0u8; RECORD_HEADER_LEN];
+            while good_len + RECORD_HEADER_LEN <= file_len {
+                reader.read_exact(&mut record).map_err(io_err)?;
+                let idx = u32::from_le_bytes(record[0..4].try_into().unwrap());
+                let len = u32::from_le_bytes(record[4..8].try_into().unwrap()) as usize;
+                let sum = u64::from_le_bytes(record[8..16].try_into().unwrap());
+                let Some(end) = (good_len + RECORD_HEADER_LEN).checked_add(len) else {
                     break;
                 };
-                if end > existing.len() || idx >= total_chunks {
+                if end > file_len || idx >= total_chunks {
                     break;
                 }
-                let payload = &existing[start..end];
-                if fnv1a64(payload) != sum {
+                let mut payload = vec![0u8; len];
+                reader.read_exact(&mut payload).map_err(io_err)?;
+                if fnv1a64(&payload) != sum {
                     break;
                 }
-                let Ok(text) = std::str::from_utf8(payload) else {
+                let Ok(text) = String::from_utf8(payload) else {
                     break;
                 };
-                entries.insert(idx, text.to_string());
-                off = end;
-                good_len = off;
+                entries.insert(idx, text);
+                good_len = end;
             }
         }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(io_err)?;
         if fresh {
             file.set_len(0).map_err(io_err)?;
             let mut header = Vec::with_capacity(HEADER_LEN);
@@ -262,7 +261,7 @@ impl Journal {
             header.extend_from_slice(&total_chunks.to_le_bytes());
             file.write_all(&header).map_err(io_err)?;
             file.sync_all().map_err(io_err)?;
-        } else if good_len < existing.len() {
+        } else if good_len < file_len {
             file.set_len(good_len as u64).map_err(io_err)?;
             file.sync_all().map_err(io_err)?;
         }
@@ -270,14 +269,16 @@ impl Journal {
         Ok(Journal { file, entries })
     }
 
-    /// The chunk results recovered from disk, keyed by chunk index.
-    pub fn entries(&self) -> &BTreeMap<u32, String> {
-        &self.entries
+    /// Moves out the chunk results recovered from disk, keyed by chunk
+    /// index, so a replay can free each payload once it is decoded; the
+    /// journal is left with none.
+    pub fn take_entries(&mut self) -> BTreeMap<u32, String> {
+        std::mem::take(&mut self.entries)
     }
 
     /// Appends a completed chunk's payload and fsyncs, so the record
-    /// survives an immediate `kill -9`. [`Journal::entries`] keeps only what
-    /// was recovered at open.
+    /// survives an immediate `kill -9`. [`Journal::take_entries`] holds only
+    /// what was recovered at open.
     ///
     /// Records the `sim.journal.append` span (write plus sync) and the
     /// `sim.journal.records` / `sim.journal.bytes_appended` counters (record
@@ -618,11 +619,13 @@ where
         chunks_total: total_chunks,
         ..RunStats::default()
     };
-    if let Some(j) = &journal {
+    if let Some(j) = &mut journal {
         let _span = tensorlib_obs::span("sim.journal.decode");
-        for (&idx, payload) in j.entries() {
+        // Each payload is dropped as soon as it is decoded, so the text and
+        // the decoded chunks are never all held at once.
+        for (idx, payload) in j.take_entries() {
             let chunk =
-                serde_json::from_str(payload).map_err(|e| JournalError::Decode(e.to_string()))?;
+                serde_json::from_str(&payload).map_err(|e| JournalError::Decode(e.to_string()))?;
             slots[idx as usize] = Some(chunk);
             stats.chunks_replayed += 1;
         }
@@ -686,23 +689,14 @@ impl<'a, T> Telemetry<'a, T> {
         replayed_slots: &[Option<T>],
     ) -> Option<Telemetry<'a, T>> {
         use tensorlib_obs::events::{Event, EventLog};
-        let mut log = EventLog::open(dir).ok()?;
+        let log = EventLog::open(dir).ok()?;
         let mut outcomes = BTreeMap::new();
         let mut chunks_replayed = 0usize;
         for chunk in replayed_slots.iter().flatten() {
             merge_counts(&mut outcomes, &(spec.count_outcomes)(chunk));
             chunks_replayed += 1;
         }
-        let _ = log.append(
-            Event::new("campaign_started")
-                .str("kind", spec.kind)
-                .str("config_hash", &format!("{config_hash:016x}"))
-                .u64("total_chunks", chunks_total as u64)
-                .u64("chunks_replayed", chunks_replayed as u64)
-                .u64("pid", std::process::id() as u64)
-                .timing(&[]),
-        );
-        let t = Telemetry {
+        let mut t = Telemetry {
             spec,
             dir: dir.to_path_buf(),
             log,
@@ -714,8 +708,23 @@ impl<'a, T> Telemetry<'a, T> {
             started: Instant::now(),
             ewma_chunk_ms: 0.0,
         };
+        t.log(
+            Event::new("campaign_started")
+                .str("kind", spec.kind)
+                .str("config_hash", &t.config_hash)
+                .u64("total_chunks", chunks_total as u64)
+                .u64("chunks_replayed", chunks_replayed as u64)
+                .u64("pid", std::process::id() as u64)
+                .timing(&[]),
+        );
         t.write_status("running");
         Some(t)
+    }
+
+    /// Appends one event, best-effort, in a `sim.telemetry.write` span.
+    fn log(&mut self, event: tensorlib_obs::events::Event) {
+        let _span = tensorlib_obs::span("sim.telemetry.write");
+        let _ = self.log.append(event);
     }
 
     fn chunk_completed(&mut self, index: usize, chunk: &T, wall: Duration) {
@@ -729,14 +738,14 @@ impl<'a, T> Telemetry<'a, T> {
         } else {
             0.3 * wall_ms + 0.7 * self.ewma_chunk_ms
         };
-        let _ = self.log.append(
+        self.log(
             Event::new("chunk_completed")
                 .u64("chunk", index as u64)
                 .counts("outcomes", &counts)
                 .timing(&[("chunk_wall_ms", wall_ms)]),
         );
         if let Some(&n) = counts.get("degraded").filter(|&&n| n > 0) {
-            let _ = self.log.append(
+            self.log(
                 Event::new("chunk_degraded")
                     .u64("chunk", index as u64)
                     .u64("degraded", n)
@@ -744,7 +753,7 @@ impl<'a, T> Telemetry<'a, T> {
             );
         }
         if let Some(&n) = counts.get("panicked").filter(|&&n| n > 0) {
-            let _ = self.log.append(
+            self.log(
                 Event::new("panic_retry")
                     .u64("chunk", index as u64)
                     .u64("panicked", n)
@@ -761,18 +770,24 @@ impl<'a, T> Telemetry<'a, T> {
         } else {
             ("campaign_finished", "finished")
         };
-        let _ = self.log.append(
-            Event::new(event)
-                .u64("chunks_done", (self.chunks_replayed + self.chunks_executed) as u64)
-                .u64("total_chunks", self.chunks_total as u64)
-                .counts("outcomes", &self.outcomes)
-                .timing(&[("elapsed_ms", self.started.elapsed().as_secs_f64() * 1e3)]),
-        );
+        let event = Event::new(event)
+            .u64(
+                "chunks_done",
+                (self.chunks_replayed + self.chunks_executed) as u64,
+            )
+            .u64("total_chunks", self.chunks_total as u64)
+            .counts("outcomes", &self.outcomes)
+            .timing(&[("elapsed_ms", self.started.elapsed().as_secs_f64() * 1e3)]);
+        self.log(event);
         self.write_status(state);
     }
 
+    /// Replaces `status.json`, best-effort, in a `sim.telemetry.write` span.
     fn write_status(&self, state: &str) {
-        use tensorlib_obs::events::{unix_ms, StatusSnapshot, StatusTiming};
+        use tensorlib_obs::events::{
+            unix_ms, StatusSnapshot, StatusTiming, TELEMETRY_SCHEMA_VERSION,
+        };
+        let _span = tensorlib_obs::span("sim.telemetry.write");
         let done = self.chunks_replayed + self.chunks_executed;
         let remaining = self.chunks_total.saturating_sub(done);
         let eta_ms = if state == "running" && self.ewma_chunk_ms > 0.0 {
@@ -781,6 +796,7 @@ impl<'a, T> Telemetry<'a, T> {
             0
         };
         let snapshot = StatusSnapshot {
+            schema_version: TELEMETRY_SCHEMA_VERSION,
             kind: self.spec.kind.to_string(),
             state: state.to_string(),
             pid: std::process::id(),
@@ -838,14 +854,16 @@ mod tests {
         let hash = config_hash("faults", 4, 3, "cfg");
         {
             let mut j = Journal::open(&dir, hash, 3).unwrap();
-            assert!(j.entries().is_empty());
+            assert!(j.take_entries().is_empty());
             j.append(0, "{\"a\":1}").unwrap();
             j.append(1, "{\"b\":2}").unwrap();
         }
-        let j = Journal::open(&dir, hash, 3).unwrap();
-        assert_eq!(j.entries().len(), 2);
-        assert_eq!(j.entries()[&0], "{\"a\":1}");
-        assert_eq!(j.entries()[&1], "{\"b\":2}");
+        let mut j = Journal::open(&dir, hash, 3).unwrap();
+        let entries = j.take_entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[&0], "{\"a\":1}");
+        assert_eq!(entries[&1], "{\"b\":2}");
+        assert!(j.take_entries().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -866,9 +884,9 @@ mod tests {
         // record must always survive, the torn second must always be dropped.
         for cut in first_end..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let j = Journal::open(&dir, hash, 2).unwrap();
-            assert_eq!(j.entries().len(), 1, "cut={cut}");
-            assert_eq!(j.entries()[&0], "{\"first\":true}");
+            let entries = Journal::open(&dir, hash, 2).unwrap().take_entries();
+            assert_eq!(entries.len(), 1, "cut={cut}");
+            assert_eq!(entries[&0], "{\"first\":true}");
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len(),
                 first_end as u64,
@@ -892,8 +910,8 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let j = Journal::open(&dir, hash, 2).unwrap();
-        assert_eq!(j.entries().len(), 1);
+        let entries = Journal::open(&dir, hash, 2).unwrap().take_entries();
+        assert_eq!(entries.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -334,6 +334,13 @@ grep -q -- "--resume" "$tele_dir/status.out"
     | grep -q "no metric moved"
 rm -rf "$tele_dir"
 
+# A history index appended by earlier perfgate binaries (a committed copy;
+# reports/history.jsonl itself is untracked): every line still reads and
+# lists.
+old_history=tests/data/telemetry/perfgate/history.jsonl
+test "$(./target/release/tensorlib history "$old_history" | wc -l)" \
+    -eq "$(wc -l < "$old_history")"
+
 # Campaign-argument validation smoke: nonsense is rejected up front with a
 # descriptive error, never a hung or silently-empty campaign.
 for bad in "faults --faults 8 --lanes 70" "faults --faults 8 --workers 0" \
