@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -34,7 +35,9 @@ use tensorlib::sim::resilience::{CampaignConfig, FaultCampaign, ResilienceReport
 use tensorlib::sim::verify::{VerifyCampaign, VerifyConfig};
 use tensorlib::sim::{DurabilityOptions, RunStats};
 use tensorlib::{Accelerator, ArrayConfig, HwConfig, Kernel, SimConfig, TraceConfig};
-use tensorlib_obs::{atomic_write, JournalProvenance, Provenance, Session, SCHEMA_VERSION};
+use tensorlib_obs::{
+    atomic_write, atomic_write_with, JournalProvenance, Provenance, Session, SCHEMA_VERSION,
+};
 
 /// The process-wide SIGINT latch campaigns drain on; `main` installs it for
 /// `--resume` runs and maps a latched interrupt to exit code 130.
@@ -1149,6 +1152,10 @@ struct CampaignOutput<'a> {
 /// The history entry is keyed by the campaign's journal canonical config,
 /// so a clean run, its `--resume` re-run, and a run with different
 /// `--workers` share one series.
+///
+/// A report bound for a file is serialized straight into it
+/// ([`emit_report`]), so its text never sits in memory whole: faults-tmr's
+/// is 12 MB, about half of what the rest of that run holds at its peak.
 fn emit_campaign<C: Campaign, D: serde::Serialize>(
     campaign: C,
     (report, stats): (C::Report, RunStats),
@@ -1184,16 +1191,12 @@ fn emit_campaign<C: Campaign, D: serde::Serialize>(
         None => "campaign interrupted before completion".to_string(),
     });
     let doc = doc(report, provenance.clone(), stats.interrupted, resume_hint);
-    let text = {
-        let _span = tensorlib_obs::span("report.serialize");
-        serde_json::to_string_pretty(&doc)
-            .map_err(|err| CliError(format!("serializing report: {err}")))?
-            + "\n"
-    };
-    let msg = {
-        let _span = tensorlib_obs::span("report.write");
-        emit_report(&args.out, output.default_path.clone(), text, output.what)?
-    };
+    let msg = emit_report(
+        &args.out,
+        &output.default_path,
+        Report::Json(&doc),
+        wrote(output.what),
+    )?;
     let history_note = match metrics {
         Some(metrics) => append_history(
             resolved_report_path(&args.out, &output.default_path).as_deref(),
@@ -1224,17 +1227,40 @@ fn report_path(kind: &str, workload: &str, dataflow: &str, ext: &str) -> String 
     format!("reports/{slug}.{ext}")
 }
 
-/// For `-`, hands `text` back, uncopied, for the caller to print; otherwise
-/// writes it to `out` (or `default_path` when `out` is empty), creating
-/// parent directories.
+/// What a command reports: text it already built, or a document written as
+/// pretty JSON plus a newline.
+enum Report<'a> {
+    Text(String),
+    Json(&'a dyn serde::Serialize),
+}
+
+/// For `-`, hands the report's text back for the caller to print (text
+/// uncopied); otherwise writes it to `out` (or `default_path` when `out` is
+/// empty), creating parent directories, and returns `note` of the path.
+///
+/// The file write is atomic (tmp + fsync + rename): a reader — or a crash
+/// or a full disk mid-write — never sees a half-written report where a
+/// previous run's good one stood. A JSON document is serialized straight
+/// into the temp file through a draining [`serde::JsonWriter`]. The
+/// `report.write` span covers the write, sync and rename, `report.serialize`
+/// the serialization within it, and the `report.bytes` counter adds the
+/// file's length.
 fn emit_report(
     out: &str,
-    default_path: String,
-    text: String,
-    what: &str,
+    default_path: &str,
+    report: Report<'_>,
+    note: impl FnOnce(&str) -> String,
 ) -> Result<String, CliError> {
-    let Some(path) = resolved_report_path(out, &default_path) else {
-        return Ok(text);
+    let Some(path) = resolved_report_path(out, default_path) else {
+        return match report {
+            Report::Text(text) => Ok(text),
+            Report::Json(doc) => {
+                let _span = tensorlib_obs::span("report.serialize");
+                let text = serde_json::to_string_pretty(doc)
+                    .map_err(|err| CliError(format!("serializing report: {err}")))?;
+                Ok(text + "\n")
+            }
+        };
     };
     if let Some(parent) = std::path::Path::new(&path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -1242,11 +1268,26 @@ fn emit_report(
                 .map_err(|err| CliError(format!("creating {}: {err}", parent.display())))?;
         }
     }
-    // Atomic (tmp + fsync + rename): a reader — or a crash mid-write — never
-    // sees a half-written report where a previous run's good one stood.
-    atomic_write(&path, text.as_bytes())
-        .map_err(|err| CliError(format!("writing {path}: {err}")))?;
-    Ok(format!("wrote {what} to {path}\n"))
+    let _span = tensorlib_obs::span("report.write");
+    let bytes = atomic_write_with(&path, |file| match report {
+        Report::Text(text) => file.write_all(text.as_bytes()).map(|()| text.len() as u64),
+        Report::Json(doc) => {
+            let _span = tensorlib_obs::span("report.serialize");
+            let mut w = serde::JsonWriter::pretty_into(file);
+            doc.serialize(&mut w);
+            let written = w.end()?;
+            file.write_all(b"\n")?;
+            Ok(written + 1)
+        }
+    })
+    .map_err(|err| CliError(format!("writing {path}: {err}")))?;
+    tensorlib_obs::counter_add("report.bytes", bytes);
+    Ok(note(&path))
+}
+
+/// The note of a report file write: `wrote <what> to <path>`.
+fn wrote(what: &str) -> impl FnOnce(&str) -> String + '_ {
+    move |path| format!("wrote {what} to {path}\n")
 }
 
 /// Where a report actually lands: `None` when it goes to stdout (`-`).
@@ -1602,20 +1643,6 @@ fn build_design(d: &DesignArgs) -> Result<(Kernel, AcceleratorDesign, Option<Opt
     Ok((kernel, design, opt_stats))
 }
 
-/// Writes `text` to `out`, or returns it for `-` (stdout); `note` is what a
-/// file write reports instead.
-fn write_or_print(
-    out: &str,
-    text: String,
-    note: impl FnOnce() -> String,
-) -> Result<String, CliError> {
-    if out == "-" {
-        return Ok(text);
-    }
-    atomic_write(out, text.as_bytes()).map_err(|err| CliError(format!("writing {out}: {err}")))?;
-    Ok(note())
-}
-
 /// Runs the smoke trace when the pair of flags asked for one, returning the
 /// note to print.
 fn write_smoke_trace(
@@ -1670,12 +1697,8 @@ pub fn run_coded(cmd: Command) -> Result<(String, u8), CliError> {
             let (_, design, _) = build_design(&a.design)?;
             let verilog = tensorlib::hw::verilog::emit_design(&design);
             let lines = verilog.lines().count();
-            write_or_print(&a.out, verilog, || {
-                format!(
-                    "wrote {}: {lines} lines, top module {}\n",
-                    a.out,
-                    design.top()
-                )
+            emit_report(&a.out, "", Report::Text(verilog), |path| {
+                format!("wrote {path}: {lines} lines, top module {}\n", design.top())
             })?
         }
         Command::Emit(a) => run_emit(a)?,
@@ -1738,10 +1761,9 @@ fn run_emit(a: EmitArgs) -> Result<String, CliError> {
     // On stdout the netlist itself is the payload; the trace (if any)
     // already landed in its own file.
     let lines = emitted.lines().count();
-    write_or_print(&a.out, emitted, || {
+    emit_report(&a.out, "", Report::Text(emitted), |path| {
         format!(
-            "wrote {format} netlist to {}: {lines} lines, top module {}\n{trace_note}",
-            a.out,
+            "wrote {format} netlist to {path}: {lines} lines, top module {}\n{trace_note}",
             design.top()
         )
     })
@@ -1794,7 +1816,7 @@ fn run_parse(a: ParseArgs) -> Result<String, CliError> {
         ));
     }
     s.push_str(&write_smoke_trace(&a.smoke, || Ok(flat))?);
-    write_or_print(&a.out, s, || format!("wrote parse report to {}\n", a.out))
+    emit_report(&a.out, "", Report::Text(s), wrote("parse report"))
 }
 
 fn run_stats(a: StatsArgs, echo: &str) -> Result<String, CliError> {
@@ -1825,14 +1847,11 @@ fn run_stats(a: StatsArgs, echo: &str) -> Result<String, CliError> {
         cross_check: cross,
         opt: opt_stats,
     };
-    let text = serde_json::to_string_pretty(&report)
-        .map_err(|err| CliError(format!("serializing report: {err}")))?
-        + "\n";
     emit_report(
         &a.out,
-        report_path("stats", &d.workload, &d.dataflow, "json"),
-        text,
-        "stats report",
+        &report_path("stats", &d.workload, &d.dataflow, "json"),
+        Report::Json(&report),
+        wrote("stats report"),
     )
 }
 
@@ -1863,9 +1882,9 @@ fn run_trace(a: TraceArgs) -> Result<String, CliError> {
     );
     emit_report(
         &a.out,
-        report_path("trace", &a.design.workload, &a.design.dataflow, "vcd"),
-        vcd,
-        &format!("VCD ({summary})"),
+        &report_path("trace", &a.design.workload, &a.design.dataflow, "vcd"),
+        Report::Text(vcd),
+        wrote(&format!("VCD ({summary})")),
     )
 }
 
@@ -2095,7 +2114,12 @@ fn run_profile(a: ProfileArgs, echo: &str) -> Result<String, CliError> {
     }
     let trace = session.to_chrome_trace(Some(&provenance));
     let default_path = report_path("profile", &a.workload, "sweep", "trace.json");
-    let msg = emit_report(&a.out, default_path.clone(), trace, "Chrome trace")?;
+    let msg = emit_report(
+        &a.out,
+        &default_path,
+        Report::Text(trace),
+        wrote("Chrome trace"),
+    )?;
     // A folded-stacks sibling rides along for flamegraph tooling whenever
     // the trace goes to a file.
     let trace_path = resolved_report_path(&a.out, &default_path);
@@ -2158,7 +2182,7 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
     let (output, code) = result?;
     let provenance = provenance(&echo, Vec::new(), 1, t0, &session);
     let trace = session.to_chrome_trace(Some(&provenance));
-    let note = emit_report(&trace_path, String::new(), trace, "profile trace")?;
+    let note = emit_report(&trace_path, "", Report::Text(trace), wrote("profile trace"))?;
     Ok((format!("{output}{note}"), code))
 }
 

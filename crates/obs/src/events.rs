@@ -57,7 +57,7 @@ pub fn unix_ms() -> u64 {
 /// renders `schema_version`, then `event`, then its payload, with `timing`
 /// conventionally last.
 pub struct Event {
-    w: JsonWriter,
+    w: JsonWriter<'static>,
 }
 
 impl Event {

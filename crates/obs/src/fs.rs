@@ -2,19 +2,30 @@
 //!
 //! A report written with a plain `std::fs::write` can be left truncated if
 //! the process dies mid-write — a half-JSON file that downstream tooling
-//! then chokes on. [`atomic_write`] gives every writer the standard
-//! tmp-file/fsync/rename discipline: readers observe either the old
-//! contents or the complete new contents, never a torn intermediate.
+//! then chokes on. [`atomic_write`] and its streaming form
+//! [`atomic_write_with`] give every writer the standard tmp-file/fsync/rename
+//! discipline: readers observe either the old contents or the complete new
+//! contents, never a torn intermediate.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Writes `bytes` to `path` atomically: the data goes to `<path>.tmp` in
-/// the same directory, is fsynced, and is renamed over `path`. The rename
-/// is atomic on POSIX filesystems, so a crash at any point leaves either
-/// the previous file or the complete new one. The containing directory is
-/// fsynced best-effort afterwards so the rename itself is durable.
+/// Writes `bytes` to `path` atomically; see [`atomic_write_with`].
+///
+/// # Errors
+///
+/// As [`atomic_write_with`].
+pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |file| file.write_all(bytes))
+}
+
+/// Writes the file `write` produces to `path` atomically: `write` streams
+/// into `<path>.tmp` in the same directory, which is fsynced and renamed
+/// over `path`. The rename is atomic on POSIX filesystems, so a crash at
+/// any point leaves either the previous file or the complete new one. The
+/// containing directory is fsynced best-effort afterwards so the rename
+/// itself is durable. Returns what `write` returned.
 ///
 /// A target that exists but is not a regular file (`/dev/null`, a FIFO, a
 /// terminal) is written in place: renaming over it would replace the node
@@ -22,12 +33,15 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Any I/O failure from create, write, sync, or rename, with the temp file
-/// cleaned up on the way out.
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+/// The first I/O failure from create, `write`, sync, or rename; the temp
+/// file is removed on the way out and `path` keeps its previous contents.
+pub fn atomic_write_with<T>(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<T> {
     let path = path.as_ref();
     if std::fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
-        return OpenOptions::new().write(true).open(path)?.write_all(bytes);
+        return write(&mut OpenOptions::new().write(true).open(path)?);
     }
     let tmp = {
         let mut os = path.as_os_str().to_os_string();
@@ -40,9 +54,10 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(bytes)?;
+        let written = write(&mut f)?;
         f.sync_all()?;
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        Ok(written)
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -58,7 +73,7 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
             }
         }
     }
-    Ok(())
+    result
 }
 
 #[cfg(test)]
@@ -100,6 +115,27 @@ mod tests {
         assert!(kind.is_fifo(), "the FIFO was replaced by {kind:?}");
         assert_eq!(reader.join().unwrap(), b"report");
         assert!(!dir.join("report.fifo.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_stream_keeps_the_previous_file_and_no_tmp() {
+        let dir = tmpdir("stream_fail");
+        let path = dir.join("report.json");
+        atomic_write(&path, b"{\"v\": 1}").unwrap();
+        let err = atomic_write_with(&path, |file| {
+            file.write_all(b"{\"v\": ")?;
+            Err::<(), _>(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"v\": 1}");
+        assert!(!dir.join("report.json.tmp").exists());
+        assert_eq!(
+            atomic_write_with(&path, |file| file.write_all(b"{}").map(|()| 2)).unwrap(),
+            2
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"{}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -91,7 +91,7 @@ mod session;
 mod span;
 
 pub use clock::now_micros;
-pub use fs::atomic_write;
+pub use fs::{atomic_write, atomic_write_with};
 pub use manifest::{JournalProvenance, Provenance, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsSnapshot, HIST_BUCKETS};
 pub use session::{FinishedSpan, Session};

@@ -274,6 +274,20 @@ geometry_smoke 2 fuzz --mode both --seed 0 --seeds 200
 geometry_smoke 1 faults --faults 64 --lanes 8 --harden full --seed 7
 rm -rf "$geom_dir"
 
+# Report-stream smoke: a report written to a file is serialized straight
+# into it, drained many times over (the 2,000-fault report is ~580 KB); it
+# must hold the bytes the same command prints on stdout, once the run-dependent
+# provenance is stripped.
+stream_dir=$(mktemp -d)
+./target/release/tensorlib faults --faults 2000 --lanes 8 -o "$stream_dir/file.json" >/dev/null
+./target/release/tensorlib faults --faults 2000 --lanes 8 -o - > "$stream_dir/stdout.json"
+test "$(wc -c < "$stream_dir/file.json")" -gt $((4 * 65536))
+for run in file stdout; do
+    strip_run_provenance "$stream_dir/$run.json" > "$stream_dir/$run.stripped"
+done
+cmp "$stream_dir/file.stripped" "$stream_dir/stdout.stripped"
+rm -rf "$stream_dir"
+
 # Campaign-telemetry smoke (DESIGN.md §16): a journaled campaign streams an
 # append-only events.jsonl and an atomically-replaced status.json into its
 # --resume dir. `tensorlib status` renders a parsable running snapshot

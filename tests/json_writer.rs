@@ -1,8 +1,9 @@
 //! Byte pins for the one JSON writer: every derive shape, the edge scalars,
 //! the two number rules (serde's `f64` rule and `Value::Num`'s), and the
-//! compact and pretty bytes of three real campaign reports. The expected
-//! texts and FNV-1a digests were recorded from the tree-building
-//! serializer this writer replaced; any byte that moves fails here.
+//! compact and pretty bytes of three real campaign reports, also when
+//! streamed through a draining writer. The expected texts and FNV-1a
+//! digests were recorded from the tree-building serializer this writer
+//! replaced; any byte that moves fails here.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -27,6 +28,20 @@ fn compact<T: Serialize + ?Sized>(v: &T) -> String {
 
 fn pretty<T: Serialize + ?Sized>(v: &T) -> String {
     serde_json::to_string_pretty(v).expect("serializes")
+}
+
+/// The compact or pretty text written by a writer that drains into a sink
+/// as it goes; reports past the drain size take several drains.
+fn streamed<T: Serialize + ?Sized>(v: &T, pretty: bool) -> String {
+    let mut sink = Vec::new();
+    let mut w = if pretty {
+        serde::JsonWriter::pretty_into(&mut sink)
+    } else {
+        serde::JsonWriter::compact_into(&mut sink)
+    };
+    v.serialize(&mut w);
+    w.end().expect("a Vec takes every byte");
+    String::from_utf8(sink).expect("the writer writes UTF-8")
 }
 
 #[derive(Serialize)]
@@ -230,6 +245,7 @@ fn faults_report_bytes_are_pinned() {
         (fnv1a(&c), c.len(), fnv1a(&p), p.len()),
         (1215770878599124174, 35072, 15601792432261902034, 70041)
     );
+    assert!(streamed(&report, false) == c && streamed(&report, true) == p);
 }
 
 /// A 50-seed `fuzz --mode both` report.
@@ -275,4 +291,5 @@ fn explore_report_bytes_are_pinned() {
         (fnv1a(&c), c.len(), fnv1a(&p), p.len()),
         (349216087392454357, 118887, 8539586466331353633, 169367)
     );
+    assert!(streamed(&report, false) == c && streamed(&report, true) == p);
 }

@@ -524,3 +524,49 @@ fn journal_appends_count_records_and_bytes_independently_of_workers() {
     };
     assert_eq!(record(1), record(2), "journal counters vary with workers");
 }
+
+/// A report written to a file counts its bytes in `report.bytes`, whether
+/// it fits one drain of the streaming writer (`stats`) or takes several
+/// (`faults`), and times its serialization inside its write.
+#[test]
+fn report_bytes_count_the_file_written() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let dir = std::env::temp_dir().join(format!("tl_obs_report_bytes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("report.json");
+    let out = out.to_str().unwrap();
+    for command in [
+        "stats gemm:4,4,4 MNK-SST --rows 4 --cols 4",
+        "faults --faults 512 --lanes 8 --seed 3",
+    ] {
+        let mut argv: Vec<String> = command.split(' ').map(String::from).collect();
+        argv.extend(["-o".to_string(), out.to_string()]);
+        let cmd = tensorlib_cli::parse_args(&argv).unwrap();
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        tensorlib_cli::run(cmd).unwrap_or_else(|e| panic!("{command}: {e}"));
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        let len = std::fs::metadata(out).unwrap().len();
+        assert_eq!(
+            session.metrics.counters.get("report.bytes"),
+            Some(&len),
+            "{command}"
+        );
+        let paths = |name: &str| {
+            (session.spans.iter())
+                .filter(|s| s.name == name)
+                .map(|s| s.path.as_str())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(paths("report.write"), ["report.write"], "{command}");
+        assert_eq!(
+            paths("report.serialize"),
+            ["report.write;report.serialize"],
+            "{command}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
