@@ -1208,7 +1208,7 @@ fn emit_campaign<C: Campaign, D: serde::Serialize>(
         ),
         None => String::new(),
     };
-    Ok(format!("{msg}{history_note}"))
+    Ok(msg + &history_note)
 }
 
 /// Default report path for `stats`/`trace`: `reports/<kind>_<workload>_<dataflow>.<ext>`
@@ -1602,25 +1602,14 @@ fn run_history(path: &str, check: bool, threshold: f64) -> Result<(String, u8), 
 /// exactly when the interchange preserved the design. Each cycle drives every
 /// input in one batch, so the design settles once per cycle.
 fn smoke_trace(flat: tensorlib::hw::interp::FlatDesign, cycles: u64) -> String {
-    use tensorlib::hw::interp::Interpreter;
-    use tensorlib::hw::netlist::Dir;
-    let port_names = |dir: Dir| -> Vec<String> {
-        flat.ports()
-            .iter()
-            .filter(|(_, d)| *d == dir)
-            .map(|(id, _)| flat.nets()[*id].name.clone())
-            .collect()
-    };
-    let inputs = port_names(Dir::Input);
-    let outputs = port_names(Dir::Output);
-    let mut sim = Interpreter::new(flat);
-    let input_ids: Vec<_> = inputs.iter().map(|name| sim.input_id(name)).collect();
+    let mut sim = tensorlib::hw::interp::Interpreter::new(flat.clone());
     let mut rng = tensorlib::linalg::rng::SplitMix64::new(0x7E57_0A7C_0000_0001);
     let mut text = String::new();
     for cycle in 0..cycles {
-        sim.poke_by_id(input_ids.iter().map(|&id| (id, rng.next_u64())));
+        sim.poke_by_id(flat.inputs().iter().map(|&id| (id, rng.next_u64())));
         sim.step();
-        for name in &outputs {
+        for &id in flat.outputs() {
+            let name = &flat.nets()[id].name;
             text.push_str(&format!("{cycle} {name}={}\n", sim.peek(name)));
         }
     }
@@ -1786,16 +1775,10 @@ fn run_parse(a: ParseArgs) -> Result<String, CliError> {
     };
     doc.validate().map_err(|msg| at_input(&msg))?;
     let flat = elaborate(&doc.modules, &doc.banks, &doc.top).map_err(|err| at_input(&err))?;
-    let ops = flat_op_count(&flat);
-    let mut s = format!(
-        "parsed {fmt} netlist {input}: top module {:?}, {} modules, {} banks\n\
-         elaborated: {} flat nets, {ops} bytecode ops\n",
-        doc.top,
-        doc.modules.len(),
-        doc.banks.len(),
-        flat.nets().len(),
-    );
-    if a.opt {
+    // The optimized netlist is elaborated and compiled only to be counted,
+    // so it is dropped before the parsed design compiles the program its
+    // smoke trace runs.
+    let opt_ops = if a.opt {
         let modules = doc.modules.clone();
         let opt_doc = tensorlib::hw::text::NetlistDoc {
             modules: tensorlib::hw::opt::optimize(modules, &doc.top, &OptOptions::default()),
@@ -1810,10 +1793,21 @@ fn run_parse(a: ParseArgs) -> Result<String, CliError> {
             .map_err(|msg| at_opt("validation", &msg))?;
         let opt_flat = elaborate(&opt_doc.modules, &opt_doc.banks, &opt_doc.top)
             .map_err(|err| at_opt("elaboration", &err))?;
-        s.push_str(&format!(
-            "optimizer recompile: {ops} -> {} bytecode ops\n",
-            flat_op_count(&opt_flat),
-        ));
+        Some(flat_op_count(&opt_flat))
+    } else {
+        None
+    };
+    let ops = flat_op_count(&flat);
+    let mut s = format!(
+        "parsed {fmt} netlist {input}: top module {:?}, {} modules, {} banks\n\
+         elaborated: {} flat nets, {ops} bytecode ops\n",
+        doc.top,
+        doc.modules.len(),
+        doc.banks.len(),
+        flat.nets().len(),
+    );
+    if let Some(opt_ops) = opt_ops {
+        s.push_str(&format!("optimizer recompile: {ops} -> {opt_ops} bytecode ops\n"));
     }
     s.push_str(&write_smoke_trace(&a.smoke, || Ok(flat))?);
     emit_report(&a.out, "", Report::Text(s), wrote("parse report"))
@@ -2183,7 +2177,7 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
     let provenance = provenance(&echo, Vec::new(), 1, t0, &session);
     let trace = session.to_chrome_trace(Some(&provenance));
     let note = emit_report(&trace_path, "", Report::Text(trace), wrote("profile trace"))?;
-    Ok((format!("{output}{note}"), code))
+    Ok((output + &note, code))
 }
 
 #[cfg(test)]

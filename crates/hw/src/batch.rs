@@ -39,17 +39,16 @@
 //! **Determinism contract:** lane `l` of a batched run is bit-identical —
 //! every net, every cycle, every bank word, every parity counter — to a
 //! scalar [`Interpreter`] run given the same initial state, stimulus, and
-//! fault set. The engine shares the scalar path's compiled bytecode
-//! ([`Compiled::build`]), fault resolution, masking rules, and commit
-//! ordering, and the fuzz oracle (`crate::fuzz::check_batch_netlist`)
-//! re-proves the contract over random netlists on every campaign. Batched
+//! fault set. The engine lowers the one compiled program the design shares
+//! with every scalar engine over it, resolves faults through the scalar
+//! path's code, and keeps its masking rules and commit ordering; the fuzz
+//! oracle (`crate::fuzz::check_batch_netlist`) re-proves the contract over
+//! random netlists on every campaign. Batched
 //! campaign reports are therefore byte-identical to scalar ones for any
 //! lane width.
 //!
 //! The batch engine carries no observability layer (attach a trace to a
 //! scalar interpreter for waveforms) and always runs compiled.
-
-use std::collections::HashMap;
 
 use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultSpec, RegHold, SlotFlip, StuckForce};
@@ -58,7 +57,7 @@ use crate::interp::{
     ResolvedFault, Snapshot,
 };
 use crate::mem::next_addr;
-use crate::netlist::{BinOp, NetId};
+use crate::netlist::BinOp;
 
 /// A stuck-at force scoped to one lane.
 #[derive(Debug, Clone, Copy)]
@@ -787,14 +786,11 @@ impl BankRows {
 #[derive(Debug)]
 pub struct BatchSim {
     flat: FlatDesign,
-    compiled: Compiled,
     program: LaneProgram,
     lanes: usize,
     /// The [`LaneProgram`]'s rows (net `n` is row `n`), then every bank's.
     rows: Rows,
     banks: Vec<BankRows>,
-    net_by_name: HashMap<String, NetId>,
-    port_by_name: HashMap<String, NetId>,
     dirty: bool,
     faults: Option<Box<BatchFaultState>>,
 }
@@ -808,9 +804,9 @@ impl BatchSim {
     /// Panics if `lanes` is zero.
     pub fn new(flat: FlatDesign, lanes: usize) -> BatchSim {
         assert!(lanes >= 1, "a batch needs at least one lane");
+        let compiled = flat.compiled();
         let _span = tensorlib_obs::span("hw.batch_compile");
-        let compiled = Compiled::build(&flat);
-        let program = LaneProgram::lower(&compiled, flat.nets.len());
+        let program = LaneProgram::lower(compiled, flat.nets.len());
         let mut next_row = program.rows;
         let mut take = |n: usize| {
             next_row += n;
@@ -832,23 +828,12 @@ impl BatchSim {
                 }
             })
             .collect();
-        let mut net_by_name = HashMap::with_capacity(flat.nets.len());
-        for (id, net) in flat.nets.iter().enumerate() {
-            net_by_name.entry(net.name.clone()).or_insert(id);
-        }
-        let mut port_by_name = HashMap::with_capacity(flat.ports.len());
-        for &(id, _) in &flat.ports {
-            port_by_name.entry(flat.nets[id].name.clone()).or_insert(id);
-        }
         let mut sim = BatchSim {
             rows: Rows::new(next_row, lanes),
             banks,
-            net_by_name,
-            port_by_name,
             dirty: true,
             faults: None,
             flat,
-            compiled,
             program,
             lanes,
         };
@@ -948,20 +933,6 @@ impl BatchSim {
         std::mem::take(&mut self.rows.counts)
     }
 
-    fn net_id(&self, name: &str) -> NetId {
-        *self
-            .net_by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("no net {name:?}"))
-    }
-
-    fn port_id(&self, port: &str) -> NetId {
-        *self
-            .port_by_name
-            .get(port)
-            .unwrap_or_else(|| panic!("no port {port:?}"))
-    }
-
     /// Drives a top-level input port with the same value on every lane and
     /// resettles.
     ///
@@ -980,7 +951,7 @@ impl BatchSim {
     /// Panics if any named port does not exist.
     pub fn poke_many<'a>(&mut self, pokes: impl IntoIterator<Item = (&'a str, u64)>) {
         for (port, value) in pokes {
-            let id = self.port_id(port);
+            let id = self.flat.port_id(port);
             self.rows.fill(id, mask(value, self.flat.nets[id].width));
         }
         self.dirty = true;
@@ -1014,7 +985,7 @@ impl BatchSim {
     ) {
         for (port, values) in pokes {
             assert_eq!(values.len(), self.lanes, "one value per lane");
-            let id = self.port_id(port);
+            let id = self.flat.port_id(port);
             let w = self.flat.nets[id].width;
             self.rows.set_lanes(id, |l| mask(values[l], w));
         }
@@ -1029,7 +1000,7 @@ impl BatchSim {
     /// Panics if no such port exists or `lane` is out of range.
     pub fn poke_lane(&mut self, port: &str, lane: usize, value: u64) {
         assert!(lane < self.lanes, "lane out of range");
-        let id = self.port_id(port);
+        let id = self.flat.port_id(port);
         self.rows
             .set_lane(id, lane, mask(value, self.flat.nets[id].width));
         self.dirty = true;
@@ -1044,9 +1015,9 @@ impl BatchSim {
     ///
     /// Panics if no such net exists.
     pub fn probe(&self, name: &str) -> Probe {
-        let id = self.net_id(name);
+        let id = self.flat.net_id(name);
         Probe {
-            slot: self.compiled.resolve[id] as usize,
+            slot: self.flat.compiled().resolve[id] as usize,
             width: self.flat.nets[id].width,
         }
     }
@@ -1196,12 +1167,7 @@ impl BatchSim {
             let mut resolved = Vec::with_capacity(specs.len());
             let mut outcome = Ok(());
             for spec in specs {
-                match resolve_fault_spec(
-                    spec,
-                    &self.flat,
-                    Some(&self.compiled.resolve),
-                    &self.net_by_name,
-                ) {
+                match resolve_fault_spec(spec, &self.flat, Some(&self.flat.compiled().resolve)) {
                     Ok(r) => resolved.push(r),
                     Err(e) => {
                         outcome = Err(e);
@@ -1259,8 +1225,9 @@ impl BatchSim {
             return;
         }
         self.dirty = false;
+        let nets = &self.flat.nets[..];
         for (b, rows) in self.flat.banks.iter().zip(&self.banks) {
-            let m = width_mask(self.flat.nets[b.rdata].width);
+            let m = width_mask(nets[b.rdata].width);
             self.rows.copy_map(rows.rdata, b.rdata, |v| v & m);
         }
         let stuck = self.faults.as_deref().filter(|f| !f.stuck.is_empty());
@@ -1305,7 +1272,7 @@ impl BatchSim {
             }
         }
         self.commit_banks();
-        for (r, &t) in self.compiled.reg_targets.iter().enumerate() {
+        for (r, &t) in self.flat.compiled().reg_targets.iter().enumerate() {
             self.rows.copy_map(staged + r, t as usize, |v| v);
         }
         // Post-commit faults: transient flips corrupt just-committed state
@@ -1334,7 +1301,7 @@ impl BatchSim {
     /// each lane commits on its own.
     fn commit_banks(&mut self) {
         let rows = &mut self.rows;
-        let banks = self.flat.banks.iter().zip(&self.compiled.bank_nets);
+        let banks = self.flat.banks.iter().zip(&self.flat.compiled().bank_nets);
         for ((b, nets), bank) in banks.zip(&self.banks) {
             let wmask = width_mask(b.spec.width());
             let (en, wen, wdata) = (nets.en as usize, nets.wen as usize, nets.wdata as usize);

@@ -317,23 +317,14 @@ pub fn gen_netlist(seed: u64, cfg: &NetlistFuzzConfig) -> (Vec<Module>, String) 
 // ---------------------------------------------------------------------------
 
 /// One netlist under test, shared by every oracle that reads it. The
-/// validate pass and the `)[` lint run on request; the elaboration (with
-/// its net and port names) and the bytecode dump are each computed at most
-/// once, when an oracle first needs them, so a seed that runs all five
-/// oracles elaborates its reference once instead of five times.
+/// validate pass and the `)[` lint run on request; the elaboration is
+/// computed at most once, when an oracle first needs it, so a seed that
+/// runs all five oracles elaborates (and compiles) its reference once
+/// instead of five times.
 pub struct Reference<'a> {
     modules: &'a [Module],
     top: &'a str,
-    elaborated: OnceCell<Result<Elaborated, NetlistFailure>>,
-    bytecode: OnceCell<String>,
-}
-
-/// A reference's flat design and the names the oracles drive and compare.
-struct Elaborated {
-    flat: FlatDesign,
-    nets: Vec<String>,
-    inputs: Vec<String>,
-    outputs: Vec<String>,
+    elaborated: OnceCell<Result<FlatDesign, NetlistFailure>>,
 }
 
 impl<'a> Reference<'a> {
@@ -343,7 +334,6 @@ impl<'a> Reference<'a> {
             modules,
             top,
             elaborated: OnceCell::new(),
-            bytecode: OnceCell::new(),
         }
     }
 
@@ -367,36 +357,17 @@ impl<'a> Reference<'a> {
         }
     }
 
-    fn elaborated(&self) -> Result<&Elaborated, NetlistFailure> {
+    fn elaborated(&self) -> Result<&FlatDesign, NetlistFailure> {
         self.elaborated
             .get_or_init(|| {
                 let _span = tensorlib_obs::span("hw.fuzz.reference");
-                let flat = elaborate(self.modules, &[], self.top).map_err(|e| NetlistFailure {
+                elaborate(self.modules, &[], self.top).map_err(|e| NetlistFailure {
                     kind: NetlistFailureKind::Elaborate,
                     detail: e.to_string(),
-                })?;
-                let name = |id: NetId| flat.nets()[id].name.clone();
-                let ports = |dir: Dir| -> Vec<String> {
-                    let ports = flat.ports().iter().filter(|(_, d)| *d == dir);
-                    ports.map(|&(id, _)| name(id)).collect()
-                };
-                Ok(Elaborated {
-                    nets: (0..flat.nets().len()).map(name).collect(),
-                    inputs: ports(Dir::Input),
-                    outputs: ports(Dir::Output),
-                    flat,
                 })
             })
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    fn bytecode(&self) -> Result<&str, NetlistFailure> {
-        let flat = &self.elaborated()?.flat;
-        Ok(self.bytecode.get_or_init(|| {
-            let _span = tensorlib_obs::span("hw.fuzz.reference");
-            crate::interp::bytecode_dump(flat)
-        }))
     }
 
     /// The verification chain every fuzz seed runs: [`check_netlist`],
@@ -431,15 +402,16 @@ impl<'a> Reference<'a> {
     ) -> Result<(), NetlistFailure> {
         self.validate()?;
         let r = self.elaborated()?;
-        let mut compiled = Interpreter::new(r.flat.clone());
-        let mut tree = Interpreter::new_tree_walking(r.flat.clone());
+        let mut compiled = Interpreter::new(r.clone());
+        let mut tree = Interpreter::new_tree_walking(r.clone());
         debug_assert!(compiled.is_compiled() && !tree.is_compiled());
 
         // Stimulus stream is decoupled from the structure stream so the same
         // seed always drives the same values.
         let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
         for cycle in 0..cycles {
-            for (i, name) in r.inputs.iter().enumerate() {
+            for (i, &id) in r.inputs().iter().enumerate() {
+                let name = &r.nets()[id].name;
                 let v = rng.next_u64();
                 compiled.poke(name, v);
                 let tv = if perturb_input == Some(i) { v ^ 1 } else { v };
@@ -447,7 +419,8 @@ impl<'a> Reference<'a> {
             }
             compiled.step();
             tree.step();
-            for name in &r.nets {
+            for net in r.nets() {
+                let name = &net.name;
                 let c = compiled.peek(name);
                 let t = tree.peek(name);
                 if c != t {
@@ -467,20 +440,21 @@ impl<'a> Reference<'a> {
     fn check_batch(&self, seed: u64, cycles: u64, lanes: usize) -> Result<(), NetlistFailure> {
         let r = self.elaborated()?;
         let mut refs: Vec<Interpreter> = (0..lanes)
-            .map(|_| Interpreter::new(r.flat.clone()))
+            .map(|_| Interpreter::new(r.clone()))
             .collect();
-        let mut batch = BatchSim::new(r.flat.clone(), lanes);
+        let mut batch = BatchSim::new(r.clone(), lanes);
         let mut rngs: Vec<SplitMix64> = (0..lanes)
             .map(|l| SplitMix64::new(seed.wrapping_add(l as u64) ^ 0xD1F7_0000_0000_0001))
             .collect();
         let mut shape = SplitMix64::new(seed ^ 0xB7A0_0000_0000_0002);
-        let mut vals = vec![vec![0u64; lanes]; r.inputs.len()];
+        let mut vals = vec![vec![0u64; lanes]; r.inputs().len()];
         for cycle in 0..cycles {
             // Per port, a seeded choice: independent lanes, one value on every
             // lane, or that value with one lane perturbed. Rows then go
             // uniform, diverge and reconverge across cycles, so the batch's
             // once-per-row and per-lane paths both run.
-            for (i, name) in r.inputs.iter().enumerate() {
+            for (i, &id) in r.inputs().iter().enumerate() {
+                let name = &r.nets()[id].name;
                 let v0 = rngs[0].next_u64();
                 let (kind, pick) = (shape.next_u64() % 3, shape.next_u64());
                 for (l, row) in vals[i].iter_mut().enumerate() {
@@ -496,16 +470,17 @@ impl<'a> Reference<'a> {
                 }
             }
             batch.poke_lanes_many(
-                r.inputs
+                r.inputs()
                     .iter()
                     .zip(&vals)
-                    .map(|(n, v)| (n.as_str(), v.as_slice())),
+                    .map(|(&id, v)| (r.nets()[id].name.as_str(), v.as_slice())),
             );
             batch.step();
             for s in &mut refs {
                 s.step();
             }
-            for name in &r.nets {
+            for net in r.nets() {
+                let name = &net.name;
                 for (l, s) in refs.iter().enumerate() {
                     let b = batch.peek_lane(name, l);
                     let s = s.peek(name);
@@ -557,12 +532,13 @@ impl<'a> Reference<'a> {
         let o = optimized
             .elaborated()
             .map_err(|f| opt_fail(format!("optimized netlist fails elaboration: {}", f.detail)))?;
-        let mut reference = Interpreter::new(r.flat.clone());
-        let mut opt_compiled = Interpreter::new(o.flat.clone());
-        let mut opt_tree = Interpreter::new_tree_walking(o.flat.clone());
+        let mut reference = Interpreter::new(r.clone());
+        let mut opt_compiled = Interpreter::new(o.clone());
+        let mut opt_tree = Interpreter::new_tree_walking(o.clone());
         let mut rng = SplitMix64::new(seed ^ 0xD1F7_0000_0000_0001);
         for cycle in 0..cycles {
-            for name in &r.inputs {
+            for &id in r.inputs() {
+                let name = &r.nets()[id].name;
                 let v = rng.next_u64();
                 reference.poke(name, v);
                 opt_compiled.poke(name, v);
@@ -571,7 +547,8 @@ impl<'a> Reference<'a> {
             reference.step();
             opt_compiled.step();
             opt_tree.step();
-            for name in &r.outputs {
+            for &id in r.outputs() {
+                let name = &r.nets()[id].name;
                 let r = reference.peek(name);
                 let o = opt_compiled.peek(name);
                 let t = opt_tree.peek(name);
@@ -595,7 +572,8 @@ impl<'a> Reference<'a> {
     /// ([`NetlistFailureKind::TextRoundtrip`] or
     /// [`NetlistFailureKind::YosysRoundtrip`]): re-parse the emitted form,
     /// demand structural identity, byte-identical re-emission, and
-    /// identical compiled bytecode ([`crate::interp::bytecode_dump`]).
+    /// an identical compiled program (what [`crate::interp::bytecode_dump`]
+    /// prints).
     fn check_roundtrip(&self, kind: NetlistFailureKind) -> Result<(), NetlistFailure> {
         type Parse = fn(&str) -> Result<NetlistDoc, String>;
         let (what, emit, parse): (&str, fn(&NetlistDoc) -> String, Parse) = match kind {
@@ -620,13 +598,13 @@ impl<'a> Reference<'a> {
         if emit(&parsed) != emitted {
             return Err(fail(format!("{what} re-emission is not byte-identical")));
         }
-        let reference = self.bytecode()?;
+        let reference = self.elaborated()?;
         let flat_rt = elaborate(&parsed.modules, &[], &parsed.top).map_err(|e| {
             fail(format!(
                 "round-tripped {what} netlist fails elaboration: {e}"
             ))
         })?;
-        if crate::interp::bytecode_dump(&flat_rt) != reference {
+        if flat_rt.compiled() != reference.compiled() {
             return Err(fail(format!(
                 "round-tripped {what} netlist compiles to different bytecode"
             )));

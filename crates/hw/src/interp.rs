@@ -12,6 +12,7 @@
 //! `tests/netlist_execution.rs`).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::array::HwError;
 use crate::fault::{BankWordFlip, FaultKind, FaultSpec, FaultState, RegHold, SlotFlip, StuckForce};
@@ -38,18 +39,52 @@ pub struct FlatBank {
     pub buf_sel: Option<NetId>,
 }
 
-/// A fully elaborated (flattened) netlist.
+/// A fully elaborated (flattened) netlist: a shared, immutable handle that
+/// dereferences to its [`FlatNetlist`]. A clone copies a pointer, so every
+/// engine over the design ([`Interpreter`], [`crate::batch::BatchSim`] and
+/// their clones) reads one copy. The name index and the compiled bytecode
+/// are built on first use and then shared: a design compiles at most once,
+/// and never if only the tree-walking engine runs it.
+///
+/// Names resolve to their first occurrence: elaboration keeps duplicate and
+/// empty names, and every lookup by name (peeks, pokes, probes, trace
+/// watches, fault targets) picks the lowest net id carrying the name, or
+/// for ports the first such port in [`FlatNetlist::ports`] order.
 #[derive(Debug, Clone)]
-pub struct FlatDesign {
+pub struct FlatDesign(Arc<FlatNetlist>);
+
+impl std::ops::Deref for FlatDesign {
+    type Target = FlatNetlist;
+
+    fn deref(&self) -> &FlatNetlist {
+        &self.0
+    }
+}
+
+/// The contents of a [`FlatDesign`].
+#[derive(Debug)]
+pub struct FlatNetlist {
     pub(crate) nets: Vec<Net>,
     pub(crate) ports: Vec<(NetId, Dir)>,
     pub(crate) assigns: Vec<(NetId, Expr)>,
     pub(crate) regs: Vec<RegDef>,
     pub(crate) banks: Vec<FlatBank>,
     pub(crate) topo: Vec<usize>,
+    inputs: Vec<NetId>,
+    outputs: Vec<NetId>,
+    names: OnceLock<NameIndex>,
+    compiled: OnceLock<Compiled>,
 }
 
-impl FlatDesign {
+/// First-occurrence name → net id maps over every net and over the
+/// top-level ports.
+#[derive(Debug)]
+struct NameIndex {
+    nets: HashMap<String, NetId>,
+    ports: HashMap<String, NetId>,
+}
+
+impl FlatNetlist {
     /// All flat nets (names are hierarchical, `inst.inst.net`).
     pub fn nets(&self) -> &[Net] {
         &self.nets
@@ -60,12 +95,34 @@ impl FlatDesign {
         &self.ports
     }
 
-    /// The flat net id of the top-level port named `name`.
+    /// The top-level input ports, in port order.
+    pub fn inputs(&self) -> &[NetId] {
+        &self.inputs
+    }
+
+    /// The top-level output ports, in port order.
+    pub fn outputs(&self) -> &[NetId] {
+        &self.outputs
+    }
+
+    /// The flat net id of the first net named `name`.
+    pub fn net(&self, name: &str) -> Option<NetId> {
+        self.names().nets.get(name).copied()
+    }
+
+    /// The flat net id of the first top-level port named `name`.
     pub fn port(&self, name: &str) -> Option<NetId> {
-        self.ports
-            .iter()
-            .find(|(id, _)| self.nets[*id].name == name)
-            .map(|&(id, _)| id)
+        self.names().ports.get(name).copied()
+    }
+
+    /// [`FlatNetlist::net`] for the engines, which panic on unknown names.
+    pub(crate) fn net_id(&self, name: &str) -> NetId {
+        self.net(name).unwrap_or_else(|| panic!("no net {name:?}"))
+    }
+
+    /// [`FlatNetlist::port`] for the engines, which panic on unknown names.
+    pub(crate) fn port_id(&self, port: &str) -> NetId {
+        self.port(port).unwrap_or_else(|| panic!("no port {port:?}"))
     }
 
     /// Total registers after flattening.
@@ -78,7 +135,7 @@ impl FlatDesign {
         self.banks.len()
     }
 
-    /// All registers after flattening (targets index [`FlatDesign::nets`]).
+    /// All registers after flattening (targets index [`FlatNetlist::nets`]).
     pub fn regs(&self) -> &[RegDef] {
         &self.regs
     }
@@ -86,6 +143,19 @@ impl FlatDesign {
     /// The behavioural bank instances.
     pub fn flat_banks(&self) -> &[FlatBank] {
         &self.banks
+    }
+
+    /// The name indexes, built by the first lookup by name.
+    fn names(&self) -> &NameIndex {
+        self.names.get_or_init(|| NameIndex {
+            nets: first_occurrence(&self.nets, 0..self.nets.len()),
+            ports: first_occurrence(&self.nets, self.ports.iter().map(|&(id, _)| id)),
+        })
+    }
+
+    /// The design's compiled bytecode, built by the first caller.
+    pub(crate) fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled::build(self))
     }
 }
 
@@ -155,16 +225,21 @@ pub fn elaborate(
         .get(top)
         .ok_or_else(|| ElaborateError::UnknownModule(top.to_string()))?;
 
-    let mut flat = FlatDesign {
+    let mut flat = FlatNetlist {
         nets: Vec::new(),
         ports: Vec::new(),
         assigns: Vec::new(),
         regs: Vec::new(),
         banks: Vec::new(),
         topo: Vec::new(),
+        inputs: Vec::new(),
+        outputs: Vec::new(),
+        names: OnceLock::new(),
+        compiled: OnceLock::new(),
     };
 
-    // Top-level ports become flat nets first so `port()` lookups stay simple.
+    // Top-level ports become flat nets first, so a port's name finds the
+    // port before any internal net of that name.
     let mut top_map: Vec<Option<NetId>> = vec![None; top_module.nets().len()];
     for (id, dir) in top_module.ports() {
         let flat_id = flat.nets.len();
@@ -183,10 +258,12 @@ pub fn elaborate(
 
     // Topological order over combinational assigns.
     flat.topo = topo_order(&flat);
+    let direction = |dir: Dir| flat.ports.iter().filter(|p| p.1 == dir).map(|p| p.0).collect();
+    (flat.inputs, flat.outputs) = (direction(Dir::Input), direction(Dir::Output));
     tensorlib_obs::counter_add("hw.flat_nets", flat.nets.len() as u64);
     tensorlib_obs::counter_add("hw.flat_assigns", flat.assigns.len() as u64);
     tensorlib_obs::hist_record("hw.design_nets", flat.nets.len() as u64);
-    Ok(flat)
+    Ok(FlatDesign(Arc::new(flat)))
 }
 
 /// Convenience: elaborates a complete [`crate::design::AcceleratorDesign`]
@@ -199,6 +276,15 @@ pub fn elaborate_design(
     elaborate(design.modules(), design.mem_banks(), top)
 }
 
+/// Maps each name among `ids` to the first of them carrying it.
+fn first_occurrence(nets: &[Net], ids: impl ExactSizeIterator<Item = NetId>) -> HashMap<String, NetId> {
+    let mut index = HashMap::with_capacity(ids.len());
+    for id in ids {
+        index.entry(nets[id].name.clone()).or_insert(id);
+    }
+    index
+}
+
 fn inline(
     module: &Module,
     prefix: &str,
@@ -207,7 +293,7 @@ fn inline(
     mut map: Vec<Option<NetId>>,
     by_name: &HashMap<&str, &Module>,
     bank_by_name: &HashMap<String, &MemBank>,
-    flat: &mut FlatDesign,
+    flat: &mut FlatNetlist,
 ) -> Result<(), ElaborateError> {
     // Allocate fresh flat nets for everything unbound.
     for (id, net) in module.nets().iter().enumerate() {
@@ -305,7 +391,7 @@ fn rewrite(expr: &Expr, map: &[Option<NetId>]) -> Expr {
     }
 }
 
-fn topo_order(flat: &FlatDesign) -> Vec<usize> {
+fn topo_order(flat: &FlatNetlist) -> Vec<usize> {
     // Map: net -> assign index driving it.
     let mut driver: HashMap<NetId, usize> = HashMap::new();
     for (i, (target, _)) in flat.assigns.iter().enumerate() {
@@ -315,7 +401,7 @@ fn topo_order(flat: &FlatDesign) -> Vec<usize> {
     let mut state = vec![0u8; flat.assigns.len()];
     fn visit(
         i: usize,
-        flat: &FlatDesign,
+        flat: &FlatNetlist,
         driver: &HashMap<NetId, usize>,
         state: &mut [u8],
         order: &mut Vec<usize>,
@@ -380,7 +466,7 @@ pub(crate) fn width_mask(width: u32) -> u64 {
 /// Operands live on a value stack; widths, masks, and sign-extension
 /// parameters are folded in at compile time so evaluation is a single linear
 /// pass with no tree recursion and no per-node width re-derivation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Instr {
     /// Push a pre-masked literal.
     Const(u64),
@@ -538,7 +624,7 @@ pub(crate) fn peephole(seg: &mut Vec<Instr>) {
 
 /// Bank port nets with alias resolution applied (the compiled step samples
 /// through these instead of the raw [`FlatBank`] nets).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CompiledBankNets {
     pub(crate) en: u32,
     pub(crate) wen: u32,
@@ -555,7 +641,7 @@ pub(crate) struct CompiledBankNets {
 /// are eliminated entirely: no instruction is emitted and every compiled
 /// read of `dst` — including [`Interpreter::peek`], bank port sampling, and
 /// downstream expressions — is redirected to `src` through `resolve`.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Compiled {
     pub(crate) settle_code: Vec<Instr>,
     pub(crate) reg_code: Vec<Instr>,
@@ -574,7 +660,11 @@ impl Compiled {
         self.settle_code.len() + self.reg_code.len()
     }
 
-    pub(crate) fn build(flat: &FlatDesign) -> Compiled {
+    /// Lowers `flat`; only [`FlatNetlist::compiled`] calls this, so the
+    /// `hw.bytecode_compile` span and `hw.bytecode_ops` counter record once
+    /// per design.
+    fn build(flat: &FlatNetlist) -> Compiled {
+        let _span = tensorlib_obs::span("hw.bytecode_compile");
         let mut resolve: Vec<u32> = (0..flat.nets.len() as u32).collect();
         let mut settle_code = Vec::new();
         let mut seg = Vec::new();
@@ -659,13 +749,15 @@ impl Compiled {
                 buf_sel: b.buf_sel.map(|n| resolve[n]),
             })
             .collect();
-        Compiled {
+        let compiled = Compiled {
             settle_code,
             reg_code,
             resolve,
             reg_targets,
             bank_nets,
-        }
+        };
+        tensorlib_obs::counter_add("hw.bytecode_ops", compiled.op_count() as u64);
+        compiled
     }
 }
 
@@ -740,7 +832,7 @@ pub(crate) fn lower_onto(expr: &Expr, nets: &[Net], resolve: &[u32], code: &mut 
 /// peephole fusion. This is the metric the optimizer's pre/post reports and
 /// the performance gate's `opt` section are pinned against.
 pub fn flat_op_count(flat: &FlatDesign) -> usize {
-    Compiled::build(flat).op_count()
+    flat.compiled().op_count()
 }
 
 /// Deterministic textual dump of the full compiled bytecode for a flat
@@ -752,7 +844,7 @@ pub fn flat_op_count(flat: &FlatDesign) -> usize {
 /// single-line `Debug` form, which holds every field the multi-line form
 /// does and formats about three times faster.
 pub fn bytecode_dump(flat: &FlatDesign) -> String {
-    format!("{:?}", Compiled::build(flat))
+    format!("{:?}", flat.compiled())
 }
 
 /// One [`FaultSpec`] resolved against a flat netlist: the canonical value
@@ -774,12 +866,9 @@ pub(crate) fn resolve_fault_spec(
     spec: &FaultSpec,
     flat: &FlatDesign,
     resolve: Option<&[u32]>,
-    net_by_name: &HashMap<String, NetId>,
 ) -> Result<ResolvedFault, HwError> {
     let lookup = |name: &str| -> Result<NetId, HwError> {
-        net_by_name
-            .get(name)
-            .copied()
+        flat.net(name)
             .ok_or_else(|| HwError::UnknownNet { net: name.into() })
     };
     let read_slot = |id: NetId| -> usize {
@@ -1098,25 +1187,24 @@ pub struct Snapshot {
 /// [`Interpreter::step`], observe with [`Interpreter::peek`]. Combinational
 /// logic settles automatically before every read and commit.
 ///
-/// By default the netlist is compiled once into a linear postfix bytecode
+/// By default it runs the design's compiled bytecode, a linear postfix
 /// stream (precomputed widths/masks, value-array operands, reusable operand
-/// stack) — the evaluation hot path allocates nothing per cycle.
+/// stack) that the design builds once and shares with every engine over it
+/// — the evaluation hot path allocates nothing per cycle. Cloning an
+/// interpreter copies its state, not the design.
 /// [`Interpreter::new_tree_walking`] selects the original recursive
 /// evaluator, kept as the differential-testing reference; both paths are
 /// bit-identical by construction and by test.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     pub(crate) flat: FlatDesign,
-    pub(crate) compiled: Option<Compiled>,
+    /// Runs the design's shared bytecode rather than walking its trees.
+    compiled: bool,
     pub(crate) values: Vec<u64>,
     pub(crate) bank_mem: Vec<Vec<u64>>,
     pub(crate) bank_raddr: Vec<u64>,
     pub(crate) bank_waddr: Vec<u64>,
     pub(crate) bank_rdata: Vec<u64>,
-    /// First-occurrence name → net index (peeks are O(1), not O(nets)).
-    pub(crate) net_by_name: HashMap<String, NetId>,
-    /// First-occurrence port name → net index.
-    pub(crate) port_by_name: HashMap<String, NetId>,
     /// Reusable operand stack for the compiled evaluator.
     stack: Vec<u64>,
     /// Reusable register-sample buffer for [`Interpreter::step`] (disabled
@@ -1166,20 +1254,6 @@ impl Interpreter {
             })
             .collect();
         let n_banks = flat.banks.len();
-        let mut net_by_name = HashMap::with_capacity(flat.nets.len());
-        for (id, net) in flat.nets.iter().enumerate() {
-            net_by_name.entry(net.name.clone()).or_insert(id);
-        }
-        let mut port_by_name = HashMap::with_capacity(flat.ports.len());
-        for &(id, _) in &flat.ports {
-            port_by_name.entry(flat.nets[id].name.clone()).or_insert(id);
-        }
-        let compiled = compile.then(|| {
-            let _span = tensorlib_obs::span("hw.bytecode_compile");
-            let compiled = Compiled::build(&flat);
-            tensorlib_obs::counter_add("hw.bytecode_ops", compiled.op_count() as u64);
-            compiled
-        });
         let n_regs = flat.regs.len();
         let bank_parity = flat
             .banks
@@ -1193,14 +1267,12 @@ impl Interpreter {
             .collect();
         let mut interp = Interpreter {
             flat,
-            compiled,
+            compiled: compile,
             values,
             bank_mem,
             bank_raddr: vec![0; n_banks],
             bank_waddr: vec![0; n_banks],
             bank_rdata: vec![0; n_banks],
-            net_by_name,
-            port_by_name,
             stack: Vec::with_capacity(16),
             next_regs: Vec::with_capacity(n_regs),
             bank_ops: Vec::with_capacity(n_banks),
@@ -1219,7 +1291,7 @@ impl Interpreter {
 
     /// `true` if this interpreter runs the compiled bytecode evaluator.
     pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
+        self.compiled
     }
 
     /// Creates a compiled interpreter with the observability layer attached
@@ -1249,7 +1321,7 @@ impl Interpreter {
             self.trace = None;
             return Ok(());
         }
-        let resolve = self.compiled.as_ref().map(|c| c.resolve.as_slice());
+        let resolve = self.program().map(|c| c.resolve.as_slice());
         let mut state = TraceState::build(&self.flat, resolve, cfg)?;
         state.snapshot(&self.values);
         self.trace = Some(state);
@@ -1309,9 +1381,9 @@ impl Interpreter {
             specs: faults.to_vec(),
             ..FaultState::default()
         };
-        let resolve = self.compiled.as_ref().map(|c| c.resolve.as_slice());
+        let resolve = self.program().map(|c| c.resolve.as_slice());
         for spec in faults {
-            match resolve_fault_spec(spec, &self.flat, resolve, &self.net_by_name)? {
+            match resolve_fault_spec(spec, &self.flat, resolve)? {
                 ResolvedFault::Stuck(s) => state.stuck.push(s),
                 ResolvedFault::Flip(f) => state.flips.push(f),
                 ResolvedFault::Bank(b) => state.bank_flips.push(b),
@@ -1426,10 +1498,7 @@ impl Interpreter {
     }
 
     fn set_port(&mut self, port: &str, value: u64) {
-        let id = *self
-            .port_by_name
-            .get(port)
-            .unwrap_or_else(|| panic!("no port {port:?}"));
+        let id = self.input_id(port);
         self.values[id] = mask(value, self.flat.nets[id].width);
         self.dirty = true;
     }
@@ -1442,10 +1511,7 @@ impl Interpreter {
     ///
     /// Panics if no such port exists.
     pub fn input_id(&self, port: &str) -> NetId {
-        *self
-            .port_by_name
-            .get(port)
-            .unwrap_or_else(|| panic!("no port {port:?}"))
+        self.flat.port_id(port)
     }
 
     /// Sets a batch of ports by id (from [`Interpreter::input_id`]) and
@@ -1459,11 +1525,9 @@ impl Interpreter {
         self.settle();
     }
 
-    fn net_id(&self, name: &str) -> NetId {
-        *self
-            .net_by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("no net {name:?}"))
+    /// The design's shared bytecode, if this interpreter runs it.
+    fn program(&self) -> Option<&Compiled> {
+        self.compiled.then(|| self.flat.compiled())
     }
 
     /// The value slot holding `id`'s value: the alias-resolved slot on the
@@ -1471,10 +1535,7 @@ impl Interpreter {
     /// whose value is bit-identical by construction), `id` itself otherwise.
     #[inline]
     fn read_slot(&self, id: NetId) -> usize {
-        match &self.compiled {
-            Some(c) => c.resolve[id] as usize,
-            None => id,
-        }
+        self.program().map_or(id, |c| c.resolve[id] as usize)
     }
 
     /// Reads any net by (hierarchical) name after settling.
@@ -1483,12 +1544,12 @@ impl Interpreter {
     ///
     /// Panics if no such net exists.
     pub fn peek(&self, name: &str) -> u64 {
-        self.values[self.read_slot(self.net_id(name))]
+        self.values[self.read_slot(self.flat.net_id(name))]
     }
 
     /// Reads a net as a signed value of its declared width.
     pub fn peek_signed(&self, name: &str) -> i64 {
-        let id = self.net_id(name);
+        let id = self.flat.net_id(name);
         let w = self.flat.nets[id].width;
         sign_extend(self.values[self.read_slot(id)], w, 64) as i64
     }
@@ -1538,14 +1599,15 @@ impl Interpreter {
         }
         self.dirty = false;
         // Bank read data drives its net.
+        let nets = &self.flat.nets[..];
         for (i, b) in self.flat.banks.iter().enumerate() {
-            self.values[b.rdata] = mask(self.bank_rdata[i], self.flat.nets[b.rdata].width);
+            self.values[b.rdata] = mask(self.bank_rdata[i], nets[b.rdata].width);
         }
         if self.faults.is_some() {
             self.settle_faulty();
             return;
         }
-        match &self.compiled {
+        match self.compiled.then(|| self.flat.compiled()) {
             Some(compiled) => {
                 // The settle stream contains no register samples, so the
                 // sample buffer is passed only to satisfy the executor.
@@ -1582,7 +1644,7 @@ impl Interpreter {
             let v = self.values[s.slot as usize];
             self.values[s.slot as usize] = (v | s.or_mask) & s.and_mask;
         }
-        match &self.compiled {
+        match self.compiled.then(|| self.flat.compiled()) {
             Some(compiled) if f.stuck.is_empty() => {
                 exec_stream(
                     &compiled.settle_code,
@@ -1628,7 +1690,7 @@ impl Interpreter {
         }
         // Sample registers.
         self.next_regs.clear();
-        match &self.compiled {
+        match self.compiled.then(|| self.flat.compiled()) {
             Some(compiled) => {
                 // One linear pass samples every register (the stream's
                 // `SampleReg` ops append in `flat.regs` order).
@@ -1670,7 +1732,7 @@ impl Interpreter {
         // the compiled path) and commit registers. The compiled commit walks
         // the compact target array instead of the full `RegDef` structs.
         self.bank_ops.clear();
-        match &self.compiled {
+        match self.compiled.then(|| self.flat.compiled()) {
             Some(compiled) => {
                 for b in &compiled.bank_nets {
                     self.bank_ops.push(BankOp {

@@ -273,12 +273,7 @@ impl TraceState {
         let slot_of = |id: usize| -> usize {
             resolve.map_or(id, |r| r[id] as usize)
         };
-        let find_net = |name: &str| -> Option<usize> {
-            flat.nets
-                .iter()
-                .position(|n| n.name == name)
-                .map(&slot_of)
-        };
+        let find_net = |name: &str| flat.net(name).map(&slot_of);
 
         let mut pes = Vec::new();
         let mut pe_slots = Vec::new();
@@ -327,13 +322,9 @@ impl TraceState {
 
         let mut watched = Vec::with_capacity(cfg.watch.len());
         for name in &cfg.watch {
-            let id = flat
-                .nets
-                .iter()
-                .position(|n| n.name == *name)
-                .ok_or_else(|| HwError::UnknownNet {
-                    net: name.clone(),
-                })?;
+            let id = flat.net(name).ok_or_else(|| HwError::UnknownNet {
+                net: name.clone(),
+            })?;
             watched.push(WatchedNet {
                 name: name.clone(),
                 width: flat.nets[id].width,

@@ -472,9 +472,10 @@ pub struct FaultCampaign {
     golden: RunResult,
     abft_row_sums: Vec<i64>,
     abft_col_sums: Vec<i64>,
-    /// Compiled lane batches between lane groups: each group takes one of
-    /// its width (building it on first use), reloads it from its fork and
-    /// puts it back, so the bytecode is compiled about once per worker.
+    /// Lane batches between lane groups: each group takes one of its width
+    /// (building it on first use), reloads it from its fork and puts it
+    /// back, so the design's bytecode is lowered to a lane program about
+    /// once per worker.
     batches: Mutex<Vec<BatchSim>>,
 }
 

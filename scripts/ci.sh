@@ -181,6 +181,15 @@ for needle in '"hw.opt"' '"hw.opt.cse"' '"hw.text.emit"' '"hw.text.parse"' \
     '"sim.verify.differential_round"' '"sim.verify.opt_round"'; do
     grep -q "$needle" "$profile_dir/fuzz.trace.json"
 done
+# A design compiles its bytecode once, whatever runs it: the trace holds no
+# more compile events than flatten events (counted as events, since the
+# provenance's phase table names both spans on one line).
+compiles=$(grep -c '"name":"hw.bytecode_compile"' "$profile_dir/fuzz.trace.json")
+flattens=$(grep -c '"name":"hw.flatten"' "$profile_dir/fuzz.trace.json")
+if [ "$compiles" -gt "$flattens" ]; then
+    echo "fuzz trace: $compiles bytecode compiles for $flattens flattens" >&2
+    exit 1
+fi
 # A profiled journaled fault campaign times each journal append (write plus
 # fsync) in its own span, and the report's serialization and write in
 # theirs; its profiled replay times the journal decode.

@@ -570,3 +570,55 @@ fn report_bytes_count_the_file_written() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A design compiles its bytecode once, on first use, and every engine over
+/// it shares that program: a compiled interpreter, its clone, a lane batch,
+/// `flat_op_count` and `bytecode_dump` together record one
+/// `hw.bytecode_compile` span, and a tree-walking interpreter alone records
+/// none.
+#[test]
+fn a_design_compiles_its_bytecode_once() {
+    use tensorlib::hw::batch::BatchSim;
+    use tensorlib::hw::interp::{bytecode_dump, elaborate, flat_op_count, Interpreter};
+    use tensorlib::hw::netlist::{Expr, Module};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    tensorlib_obs::disable();
+    let mut m = Module::new("mac");
+    let a = m.input("a", 8);
+    let b = m.input("b", 8);
+    let q = m.output("q", 16);
+    m.reg(q, Expr::net(q).add(Expr::net(a).mul(Expr::net(b))), None, 0);
+    let compiles = |run: &dyn Fn()| {
+        let _ = tensorlib_obs::drain();
+        tensorlib_obs::enable();
+        run();
+        let session = tensorlib_obs::drain();
+        tensorlib_obs::disable();
+        (session.spans.iter())
+            .filter(|s| s.name == "hw.bytecode_compile")
+            .count()
+    };
+    let tree_only = compiles(&|| {
+        let flat = elaborate(&[m.clone()], &[], "mac").unwrap();
+        let mut sim = Interpreter::new_tree_walking(flat);
+        sim.poke_many([("a", 3), ("b", 4)]);
+        sim.step();
+        assert_eq!(sim.peek("q"), 12);
+    });
+    assert_eq!(tree_only, 0, "a tree-walking interpreter compiled the design");
+    let shared = compiles(&|| {
+        let flat = elaborate(&[m.clone()], &[], "mac").unwrap();
+        let mut sim = Interpreter::new(flat.clone());
+        sim.poke_many([("a", 3), ("b", 4)]);
+        let mut copy = sim.clone();
+        copy.step();
+        let mut batch = BatchSim::new(flat.clone(), 4);
+        batch.poke_many([("a", 3), ("b", 4)]);
+        batch.step();
+        assert_eq!((copy.peek("q"), batch.peek_lane("q", 3)), (12, 12));
+        assert!(flat_op_count(&flat) > 0);
+        assert!(!bytecode_dump(&flat).is_empty());
+    });
+    assert_eq!(shared, 1, "one design compiled {shared} times");
+}
