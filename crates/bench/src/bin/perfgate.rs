@@ -200,8 +200,18 @@ fn median(samples: &mut [f64]) -> f64 {
 /// hit both and cancel in the ratio, while the median rejects the rounds a
 /// noise burst split. Take it before [`median`] sorts either side.
 fn median_ratio(a: &[f64], b: &[f64]) -> f64 {
-    let mut ratios: Vec<f64> = a.iter().zip(b).map(|(x, y)| x / y).collect();
-    median(&mut ratios)
+    median(&mut paired_ratios(a, b))
+}
+
+/// The per-round ratios `a[i] / b[i]`, in round order.
+fn paired_ratios(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x / y).collect()
+}
+
+/// The host's `/proc/loadavg` line, or why it is missing.
+fn loadavg() -> String {
+    std::fs::read_to_string("/proc/loadavg")
+        .map_or_else(|e| format!("unreadable ({e})"), |s| s.trim().to_string())
 }
 
 /// `100 × (ratio − 1)`: a time ratio as a percentage slowdown.
@@ -226,6 +236,9 @@ struct Row {
     value: f64,
     unit: &'static str,
     bound: Bound,
+    /// Printed under the row's failure: what tells a loaded host from a
+    /// regression.
+    on_fail: Option<String>,
 }
 
 impl Row {
@@ -235,6 +248,14 @@ impl Row {
             value,
             unit,
             bound,
+            on_fail: None,
+        }
+    }
+
+    fn on_fail(self, detail: String) -> Row {
+        Row {
+            on_fail: Some(detail),
+            ..self
         }
     }
 
@@ -292,6 +313,9 @@ fn gate(rows: &[Row]) -> ExitCode {
             row.show(row.value),
             row.bound_text()
         );
+        if let Some(detail) = &row.on_fail {
+            eprintln!("  {detail}");
+        }
     }
     if failed.is_empty() {
         ExitCode::SUCCESS
@@ -421,6 +445,13 @@ struct ExploreReport {
     parallel_workers: usize,
     /// Median of the per-pair `serial / parallel` ratios.
     speedup: f64,
+    /// The per-pair ratios, in round order; printed when the gate fails.
+    #[serde(skip)]
+    ratios: Vec<f64>,
+    /// `/proc/loadavg` before and after the timed pairs; printed when the
+    /// gate fails.
+    #[serde(skip)]
+    loadavg: [String; 2],
     /// `Some` when the parallel-speedup gate was skipped (single-core host:
     /// serial and parallel sweeps are expected to tie); `null` when the
     /// gate ran.
@@ -805,13 +836,17 @@ fn bench_explore(host_cores: usize) -> ExploreReport {
     };
     let mut serial_sample = |_: u64| sweeps(&serial_opts);
     let mut parallel_sample = |_: u64| sweeps(&parallel_opts);
+    let load_before = loadavg();
     let [mut serial_times, mut parallel_times] =
         interleave(EXPLORE_PAIRS, [&mut serial_sample, &mut parallel_sample]);
+    let ratios = paired_ratios(&serial_times, &parallel_times);
     ExploreReport {
         workload: "GEMM-32 full sweep".into(),
         designs: serial.len(),
         host_cores,
-        speedup: median_ratio(&serial_times, &parallel_times),
+        speedup: median(&mut ratios.clone()),
+        ratios,
+        loadavg: [load_before, loadavg()],
         serial_seconds: median(&mut serial_times),
         parallel_seconds: median(&mut parallel_times),
         parallel_workers: host_cores,
@@ -990,12 +1025,19 @@ fn bench_journal() -> JournalReport {
             &campaign.canonical_config(),
         );
         let mut compute = 0.0;
-        let (chunks, stats) = run_chunked_observed(opts, hash, plan.chunks, Some(&spec), |i| {
-            let chunk_start = Instant::now();
-            let chunk = campaign.run_chunk(&plan, i, opts);
-            compute += chunk_start.elapsed().as_secs_f64();
-            chunk
-        })
+        let (chunks, stats) = run_chunked_observed(
+            opts,
+            hash,
+            plan.chunks,
+            Some(&spec),
+            |i, chunk| campaign.check_replayed(&plan, i, chunk),
+            |i| {
+                let chunk_start = Instant::now();
+                let chunk = campaign.run_chunk(&plan, i, opts);
+                compute += chunk_start.elapsed().as_secs_f64();
+                chunk
+            },
+        )
         .expect("campaign runs");
         let wall = start.elapsed().as_secs_f64();
         assert_eq!(
@@ -1145,7 +1187,15 @@ fn rows(report: &PerfGateReport) -> Vec<Row> {
             "s",
             Info,
         ),
-        Row::new("explore speedup", explore.speedup, "x", explore_bound),
+        Row::new("explore speedup", explore.speedup, "x", explore_bound).on_fail(format!(
+            "serial/parallel ratios in round order: {}; /proc/loadavg before: {}, after: {}",
+            (explore.ratios.iter())
+                .map(|r| format!("{r:.2}"))
+                .collect::<Vec<_>>()
+                .join(" "),
+            explore.loadavg[0],
+            explore.loadavg[1]
+        )),
         Row::new(
             "opt plain GEMM op reduction",
             opt.plain_op_reduction_pct,

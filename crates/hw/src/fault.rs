@@ -30,6 +30,8 @@
 //! (mirroring the trace layer), which perfgate holds under its overhead
 //! ceiling.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ctrl::{build_controller, CtrlPhases};
@@ -102,14 +104,19 @@ impl std::fmt::Display for FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Hierarchical net name (or bank instance name for bank faults).
-    pub target: String,
+    /// Shared, not owned: [`enumerate_sites`] makes one string per fault
+    /// site, and every fault sampled there, its [`FaultSpec::shifted`]
+    /// copies and every campaign outcome that records it point at that
+    /// string, so cloning a fault copies a pointer. It serializes as the
+    /// plain string.
+    pub target: Arc<str>,
     /// What happens to the target.
     pub kind: FaultKind,
 }
 
 impl FaultSpec {
     /// A permanent stuck-at fault on `target`'s bit `bit`.
-    pub fn stuck_at(target: impl Into<String>, bit: u32, value: bool) -> FaultSpec {
+    pub fn stuck_at(target: impl Into<Arc<str>>, bit: u32, value: bool) -> FaultSpec {
         FaultSpec {
             target: target.into(),
             kind: FaultKind::StuckAt { bit, value },
@@ -117,7 +124,7 @@ impl FaultSpec {
     }
 
     /// A single-cycle transient flip of a register bit.
-    pub fn flip(target: impl Into<String>, bit: u32, cycle: u64) -> FaultSpec {
+    pub fn flip(target: impl Into<Arc<str>>, bit: u32, cycle: u64) -> FaultSpec {
         FaultSpec {
             target: target.into(),
             kind: FaultKind::TransientFlip { bit, cycle },
@@ -125,7 +132,7 @@ impl FaultSpec {
     }
 
     /// A single-shot flip of one stored scratchpad word bit.
-    pub fn bank_flip(bank: impl Into<String>, word: usize, bit: u32, cycle: u64) -> FaultSpec {
+    pub fn bank_flip(bank: impl Into<Arc<str>>, word: usize, bit: u32, cycle: u64) -> FaultSpec {
         FaultSpec {
             target: bank.into(),
             kind: FaultKind::BankFlip { word, bit, cycle },
@@ -133,7 +140,7 @@ impl FaultSpec {
     }
 
     /// A dropped register transition (the register holds for one cycle).
-    pub fn drop_transition(target: impl Into<String>, cycle: u64) -> FaultSpec {
+    pub fn drop_transition(target: impl Into<Arc<str>>, cycle: u64) -> FaultSpec {
         FaultSpec {
             target: target.into(),
             kind: FaultKind::DropTransition { cycle },
@@ -420,17 +427,20 @@ pub fn build_tmr_controller(name: &str, phases: &CtrlPhases) -> Vec<Module> {
 }
 
 /// The injectable fault sites of one elaborated design, enumerated in
-/// deterministic (elaboration) order for seeded campaign sampling.
+/// deterministic (elaboration) order for seeded campaign sampling. Each
+/// site's name is allocated once: the faults [`sample_faults`] draws share
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSites {
     /// `(hierarchical net name, width)` of every register target.
-    pub regs: Vec<(String, u32)>,
+    pub regs: Vec<(Arc<str>, u32)>,
     /// `(bank instance name, total storage words, word width)` of every
     /// behavioural bank (both buffers counted for double-buffered banks).
-    pub banks: Vec<(String, usize, u32)>,
+    pub banks: Vec<(Arc<str>, usize, u32)>,
     /// Register nets whose leaf name is `state` — controller FSM state (and
-    /// its TMR replicas), the targets for dropped-transition faults.
-    pub ctrl_states: Vec<String>,
+    /// its TMR replicas), the targets for dropped-transition faults. Each
+    /// shares its name with its entry in `regs`.
+    pub ctrl_states: Vec<Arc<str>>,
 }
 
 impl FaultSites {
@@ -450,16 +460,17 @@ pub fn enumerate_sites(flat: &FlatDesign) -> FaultSites {
     let nets = flat.nets();
     for r in flat.regs() {
         let n = &nets[r.target];
-        sites.regs.push((n.name.clone(), n.width));
+        let name: Arc<str> = n.name.as_str().into();
         if n.name == "state" || n.name.ends_with(".state") {
-            sites.ctrl_states.push(n.name.clone());
+            sites.ctrl_states.push(name.clone());
         }
+        sites.regs.push((name, n.width));
     }
     for b in flat.flat_banks() {
         let mult = if b.spec.is_double_buffered() { 2 } else { 1 };
         sites
             .banks
-            .push((b.name.clone(), (b.spec.words() * mult) as usize, b.spec.width()));
+            .push((b.name.as_str().into(), (b.spec.words() * mult) as usize, b.spec.width()));
     }
     sites
 }
@@ -654,7 +665,7 @@ mod tests {
         let flat = elaborate(&[ctrl], &[], "c").unwrap();
         let sites = enumerate_sites(&flat);
         assert!(!sites.regs.is_empty());
-        assert_eq!(sites.ctrl_states, vec!["state".to_string()]);
+        assert_eq!(sites.ctrl_states, vec![Arc::from("state")]);
         let a = sample_faults(&sites, 32, 7, 20);
         let b = sample_faults(&sites, 32, 7, 20);
         assert_eq!(a, b, "same seed, same campaign");

@@ -883,7 +883,7 @@ pub(crate) fn resolve_fault_spec(
             let width = flat.nets[id].width;
             if *bit >= width {
                 return Err(HwError::FaultBitOutOfRange {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                     bit: *bit,
                     width,
                 });
@@ -900,14 +900,14 @@ pub(crate) fn resolve_fault_spec(
             let width = flat.nets[id].width;
             if *bit >= width {
                 return Err(HwError::FaultBitOutOfRange {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                     bit: *bit,
                     width,
                 });
             }
             if !flat.regs.iter().any(|r| r.target == id) {
                 return Err(HwError::NotARegister {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                 });
             }
             Ok(ResolvedFault::Flip(SlotFlip {
@@ -920,16 +920,16 @@ pub(crate) fn resolve_fault_spec(
             let bank = flat
                 .banks
                 .iter()
-                .position(|b| b.name == spec.target)
+                .position(|b| *b.name == *spec.target)
                 .ok_or_else(|| HwError::UnknownNet {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                 })?;
             let spec_bank = &flat.banks[bank].spec;
             let mult = if spec_bank.is_double_buffered() { 2 } else { 1 };
             let capacity = (spec_bank.words() * mult) as usize;
             if *word >= capacity {
                 return Err(HwError::FaultWordOutOfRange {
-                    bank: spec.target.clone(),
+                    bank: spec.target.to_string(),
                     word: *word,
                     capacity,
                 });
@@ -937,7 +937,7 @@ pub(crate) fn resolve_fault_spec(
             let width = spec_bank.width();
             if *bit >= width {
                 return Err(HwError::FaultBitOutOfRange {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                     bit: *bit,
                     width,
                 });
@@ -956,7 +956,7 @@ pub(crate) fn resolve_fault_spec(
                 .iter()
                 .position(|r| r.target == id)
                 .ok_or_else(|| HwError::NotARegister {
-                    net: spec.target.clone(),
+                    net: spec.target.to_string(),
                 })?;
             Ok(ResolvedFault::Hold(RegHold {
                 cycle: *cycle,

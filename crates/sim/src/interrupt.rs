@@ -231,10 +231,17 @@ mod tests {
             ..crate::DurabilityOptions::default()
         };
         let mut executed = 0usize;
-        let (slots, stats) = crate::journal::run_chunked_observed(&opts, 0xfeed, 3, None, |_| {
-            executed += 1;
-            "unreachable".to_string()
-        })
+        let (slots, stats) = crate::journal::run_chunked_observed(
+            &opts,
+            0xfeed,
+            3,
+            None,
+            |_, _| Ok(()),
+            |_| {
+                executed += 1;
+                "unreachable".to_string()
+            },
+        )
         .unwrap();
         assert_eq!(executed, 0);
         assert!(stats.interrupted);

@@ -52,6 +52,10 @@
 //! execution order was campaign-wide — fails loudly with
 //! [`JournalError::ConfigMismatch`] rather than silently restarting or,
 //! worse, splicing chunks from two different campaigns into one report.
+//! The key does not cover what a campaign derives from its config (a fault
+//! campaign's sampled fault list), so each replayed chunk is also checked
+//! against the work the campaign runs there ([`Campaign::check_replayed`]);
+//! a chunk of other work fails with [`JournalError::ForeignChunk`].
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -109,6 +113,16 @@ pub enum JournalError {
     /// back into typed results — version drift between the writer and this
     /// reader.
     Decode(String),
+    /// A replayed chunk decoded, but it does not hold the work items this
+    /// campaign runs in that chunk: the journal was written over a
+    /// different item list under the same config key (for instance by a
+    /// build that samples or orders faults differently).
+    ForeignChunk {
+        /// Index of the chunk.
+        chunk: u32,
+        /// The first difference found.
+        detail: String,
+    },
     /// The journal belongs to a different campaign configuration. Resuming
     /// it would splice results from two different campaigns into one
     /// report, so this is a hard error — never a silent restart.
@@ -132,6 +146,11 @@ impl std::fmt::Display for JournalError {
                 f,
                 "journal record failed to decode ({e}); the journal was likely \
                  written by a different build — pass a fresh --resume directory"
+            ),
+            JournalError::ForeignChunk { chunk, detail } => write!(
+                f,
+                "journal chunk {chunk} holds other work than this campaign runs \
+                 there ({detail}); refusing to resume — pass a fresh --resume directory"
             ),
             JournalError::BadMagic => write!(
                 f,
@@ -515,6 +534,24 @@ pub trait Campaign {
     /// Telemetry outcome counter for one chunk; see
     /// [`TelemetrySpec::count_outcomes`].
     fn count_outcomes(chunk: &Self::Chunk) -> BTreeMap<String, u64>;
+
+    /// Checks chunk `index`, decoded from the journal, against the work
+    /// this campaign runs there, before the chunk is used; it may swap
+    /// parts of the chunk for equal ones the campaign already holds. The
+    /// default accepts every chunk that decodes.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::ForeignChunk`] when the chunk is not this
+    /// campaign's.
+    fn check_replayed(
+        &self,
+        _plan: &ChunkPlan,
+        _index: usize,
+        _chunk: &mut Self::Chunk,
+    ) -> Result<(), JournalError> {
+        Ok(())
+    }
 }
 
 /// Runs `campaign` through [`run_chunked_observed`]: chunk plan, journal
@@ -524,8 +561,8 @@ pub trait Campaign {
 ///
 /// # Errors
 ///
-/// Journal open/append failures, and [`JournalError::Decode`] when a
-/// replayed payload does not decode.
+/// Journal open/append failures, [`JournalError::Decode`] when a replayed
+/// payload does not decode, and [`Campaign::check_replayed`]'s refusals.
 pub fn execute<C: Campaign>(
     campaign: &C,
     durability: &DurabilityOptions,
@@ -541,10 +578,14 @@ pub fn execute<C: Campaign>(
         kind: C::KIND,
         count_outcomes: &C::count_outcomes,
     };
-    let (slots, stats) =
-        run_chunked_observed(durability, hash, plan.chunks, Some(&telemetry), |i| {
-            campaign.run_chunk(&plan, i, durability)
-        })?;
+    let (slots, stats) = run_chunked_observed(
+        durability,
+        hash,
+        plan.chunks,
+        Some(&telemetry),
+        |i, chunk| campaign.check_replayed(&plan, i, chunk),
+        |i| campaign.run_chunk(&plan, i, durability),
+    )?;
     // Completed chunks are always a prefix (chunks execute in ascending
     // order and an interrupt stops the loop), so assembly stops at the
     // first missing slot.
@@ -571,7 +612,8 @@ pub struct TelemetrySpec<'a, T> {
 /// chunk loop every campaign runs through (see [`execute`]).
 ///
 /// Chunks already present in the journal are decoded with
-/// `serde_json::from_str`, once each, before any chunk runs, and never passed to `exec`. Missing chunks
+/// `serde_json::from_str`, once each, and passed to `check` with their
+/// index, before any chunk runs; they are never passed to `exec`. Missing chunks
 /// run in ascending index order; each result's compact JSON is appended
 /// (and fsynced) to the journal before the next chunk starts. The
 /// interrupt latch is checked *between* chunks — an in-flight chunk always
@@ -595,19 +637,21 @@ pub struct TelemetrySpec<'a, T> {
 ///
 /// # Errors
 ///
-/// Journal open/append failures ([`JournalError`]), and
-/// [`JournalError::Decode`] when a replayed payload does not decode;
-/// `dir: None` runs the same chunked loop without persistence and cannot
-/// fail.
-pub fn run_chunked_observed<T, F>(
+/// Journal open/append failures ([`JournalError`]),
+/// [`JournalError::Decode`] when a replayed payload does not decode, and
+/// `check`'s errors; `dir: None` runs the same chunked loop without
+/// persistence and cannot fail.
+pub fn run_chunked_observed<T, C, F>(
     opts: &DurabilityOptions,
     config_hash: u64,
     total_chunks: usize,
     telemetry: Option<&TelemetrySpec<'_, T>>,
+    mut check: C,
     mut exec: F,
 ) -> Result<(Vec<Option<T>>, RunStats), JournalError>
 where
     T: serde::Serialize + serde::Deserialize,
+    C: FnMut(usize, &mut T) -> Result<(), JournalError>,
     F: FnMut(usize) -> T,
 {
     let mut journal = match &opts.dir {
@@ -624,8 +668,9 @@ where
         // Each payload is dropped as soon as it is decoded, so the text and
         // the decoded chunks are never all held at once.
         for (idx, payload) in j.take_entries() {
-            let chunk =
+            let mut chunk =
                 serde_json::from_str(&payload).map_err(|e| JournalError::Decode(e.to_string()))?;
+            check(idx as usize, &mut chunk)?;
             slots[idx as usize] = Some(chunk);
             stats.chunks_replayed += 1;
         }
@@ -951,12 +996,19 @@ mod tests {
         };
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
-            if i == 1 {
-                flag2.store(true, Ordering::SeqCst);
-            }
-            format!("chunk-{i}")
-        })
+        let (slots, stats) = run_chunked_observed(
+            &opts,
+            hash,
+            4,
+            None,
+            |_, _| Ok(()),
+            |i| {
+                if i == 1 {
+                    flag2.store(true, Ordering::SeqCst);
+                }
+                format!("chunk-{i}")
+            },
+        )
         .unwrap();
         assert_eq!(slots[0].as_deref(), Some("chunk-0"));
         assert_eq!(slots[1].as_deref(), Some("chunk-1"));
@@ -966,10 +1018,17 @@ mod tests {
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 4, None, |i| {
-            ran.push(i);
-            format!("chunk-{i}")
-        })
+        let (slots, stats) = run_chunked_observed(
+            &opts,
+            hash,
+            4,
+            None,
+            |_, _| Ok(()),
+            |i| {
+                ran.push(i);
+                format!("chunk-{i}")
+            },
+        )
         .unwrap();
         assert_eq!(ran, vec![2, 3]);
         assert_eq!(stats.chunks_replayed, 2);
@@ -1003,13 +1062,20 @@ mod tests {
         let hash = config_hash("faults", 1, 3, "cfg");
         let opts = DurabilityOptions::with_dir(&dir);
         let spec = marks_spec();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), |i| {
-            if i == 2 {
-                format!("chunk-{i}-degraded")
-            } else {
-                format!("chunk-{i}")
-            }
-        })
+        let (slots, stats) = run_chunked_observed(
+            &opts,
+            hash,
+            3,
+            Some(&spec),
+            |_, _| Ok(()),
+            |i| {
+                if i == 2 {
+                    format!("chunk-{i}-degraded")
+                } else {
+                    format!("chunk-{i}")
+                }
+            },
+        )
         .unwrap();
         assert!(slots.iter().all(|s| s.is_some()));
         assert!(!stats.interrupted);
@@ -1058,12 +1124,19 @@ mod tests {
         };
         let spec = marks_spec();
         let flag2 = flag.clone();
-        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), |i| {
-            if i == 1 {
-                flag2.store(true, Ordering::SeqCst);
-            }
-            format!("chunk-{i}")
-        })
+        let (_, stats) = run_chunked_observed(
+            &opts,
+            hash,
+            4,
+            Some(&spec),
+            |_, _| Ok(()),
+            |i| {
+                if i == 1 {
+                    flag2.store(true, Ordering::SeqCst);
+                }
+                format!("chunk-{i}")
+            },
+        )
         .unwrap();
         assert!(stats.interrupted);
         let status = StatusSnapshot::read(&dir).unwrap();
@@ -1072,8 +1145,15 @@ mod tests {
         // Resume: replayed chunks count into the snapshot via the same
         // outcome counter, so the totals cover the whole campaign.
         flag.store(false, Ordering::SeqCst);
-        let (_, stats) =
-            run_chunked_observed(&opts, hash, 4, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        let (_, stats) = run_chunked_observed(
+            &opts,
+            hash,
+            4,
+            Some(&spec),
+            |_, _| Ok(()),
+            |i| format!("chunk-{i}"),
+        )
+        .unwrap();
         assert_eq!(stats.chunks_replayed, 2);
         let status = StatusSnapshot::read(&dir).unwrap();
         assert_eq!(status.state, "finished");
@@ -1114,7 +1194,15 @@ mod tests {
             ..DurabilityOptions::with_dir(&dir)
         };
         let spec = marks_spec();
-        run_chunked_observed(&opts, hash, 2, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        run_chunked_observed(
+            &opts,
+            hash,
+            2,
+            Some(&spec),
+            |_, _| Ok(()),
+            |i| format!("chunk-{i}"),
+        )
+        .unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1123,7 +1211,8 @@ mod tests {
     #[test]
     fn run_chunked_without_dir_still_chunks() {
         let opts = DurabilityOptions::default();
-        let (slots, stats) = run_chunked_observed(&opts, 0, 3, None, |i| i.to_string()).unwrap();
+        let (slots, stats) =
+            run_chunked_observed(&opts, 0, 3, None, |_, _| Ok(()), |i| i.to_string()).unwrap();
         assert_eq!(slots.len(), 3);
         assert_eq!(stats.chunks_executed, 3);
         assert_eq!(stats.chunks_replayed, 0);

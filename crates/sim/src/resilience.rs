@@ -120,15 +120,77 @@ impl Default for CampaignConfig {
     }
 }
 
-/// The fate of one injected fault.
+/// The hardening detectors that fired on one injected run, as a bit set.
+/// It lists, and serializes as a JSON array of names, in the order
+/// `classify` checks them: `parity`, `tmr`, `abft`. Decoding accepts each
+/// name once and only in that order, so `Deserialize` inverts `Serialize`
+/// exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Detectors(u8);
+
+impl Detectors {
+    /// Sticky scratchpad parity counters.
+    pub const PARITY: Detectors = Detectors(1);
+    /// The TMR controller's `tmr_mismatch` output.
+    pub const TMR: Detectors = Detectors(2);
+    /// ABFT row and column checksums.
+    pub const ABFT: Detectors = Detectors(4);
+    /// Names by bit, in serialization order.
+    const NAMES: [&'static str; 3] = ["parity", "tmr", "abft"];
+
+    /// `true` when no detector fired.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Adds the detectors of `other`.
+    fn insert(&mut self, other: Detectors) {
+        self.0 |= other.0;
+    }
+
+    /// The names of the detectors that fired, in serialization order.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        (Detectors::NAMES.into_iter().enumerate())
+            .filter(move |(bit, _)| self.0 >> bit & 1 == 1)
+            .map(|(_, name)| name)
+    }
+}
+
+impl Serialize for Detectors {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.open('[');
+        self.names().for_each(|name| w.str(name));
+        w.close(']');
+    }
+}
+
+impl Deserialize for Detectors {
+    fn deserialize(r: &mut serde::JsonReader<'_>) -> Result<Detectors, String> {
+        r.open(b'[')?;
+        let mut set = Detectors::default();
+        while r.next_item()? {
+            let name = r.str()?;
+            let bit = (Detectors::NAMES.iter().position(|&n| n == name))
+                .ok_or_else(|| r.error(&format!("unknown detector `{name}`")))?;
+            if set.0 >> bit != 0 {
+                return Err(r.error(&format!("detector `{name}` repeated or out of order")));
+            }
+            set.0 |= 1 << bit;
+        }
+        Ok(set)
+    }
+}
+
+/// The fate of one injected fault. It owns no string but an error: the
+/// fault shares its target with the campaign's fault list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultOutcome {
     /// The injected fault.
     pub fault: FaultSpec,
     /// Classification against the golden run.
     pub class: FaultClass,
-    /// Which detectors fired (`parity`, `tmr`, `abft`).
-    pub detectors: Vec<String>,
+    /// Which detectors fired.
+    pub detectors: Detectors,
     /// Set when the injected run itself failed (attach error or panic);
     /// such faults are counted separately and classified as `Detected`
     /// only if a detector fired before the failure.
@@ -623,12 +685,12 @@ impl FaultCampaign {
 
     /// Classifies one faulted run against golden.
     fn classify(&self, fault: &FaultSpec, run: &RunResult) -> FaultOutcome {
-        let mut detectors = Vec::new();
+        let mut detectors = Detectors::default();
         if run.parity_errors > 0 {
-            detectors.push("parity".to_string());
+            detectors.insert(Detectors::PARITY);
         }
         if run.tmr_seen {
-            detectors.push("tmr".to_string());
+            detectors.insert(Detectors::TMR);
         }
         if self.cfg.hardening.abft {
             let (rows, cols) = (self.cfg.rows, self.cfg.cols);
@@ -637,7 +699,7 @@ impl FaultCampaign {
             let col_bad = (self.abft_col_sums.iter().enumerate().take(cols))
                 .any(|(j, &want)| (0..rows).map(|i| run.c[i * cols + j]).sum::<i64>() != want);
             if row_bad || col_bad {
-                detectors.push("abft".to_string());
+                detectors.insert(Detectors::ABFT);
             }
         }
         let class = if !detectors.is_empty() {
@@ -668,9 +730,8 @@ impl FaultCampaign {
     /// The order faults run in, cut into chunks and then lane groups: with
     /// `lanes > 1` the fault indices sorted by
     /// ([`FaultCampaign::fork_steps`], fault target), with `lanes == 1` the
-    /// identity. Built on first use, so a replayed run builds it after the
-    /// journal's payloads are decoded and freed, outside that run's memory
-    /// peak.
+    /// identity. Built on first use: by the first chunk that runs, or by
+    /// the check of the first replayed one.
     fn order(&self) -> &[usize] {
         self.order.get_or_init(|| {
             let faults = &self.faults;
@@ -809,7 +870,7 @@ impl FaultCampaign {
         let attach_failed = |fault: &FaultSpec, e: &dyn fmt::Display| FaultOutcome {
             fault: fault.clone(),
             class: FaultClass::Masked,
-            detectors: Vec::new(),
+            detectors: Detectors::default(),
             error: Some(format!("attach failed: {e}")),
         };
         let run_group = |group: &Vec<&FaultSpec>| -> Vec<FaultOutcome> {
@@ -831,38 +892,44 @@ impl FaultCampaign {
                 .collect()
         };
         let outcomes = journal::run_items(durability, &groups, self.cfg.workers, 1, run_group);
-        let out = (outcomes.into_iter().zip(&groups)).flat_map(|(outcome, group)| match outcome {
-            ItemOutcome::Done(outcomes) => outcomes,
-            ItemOutcome::Degraded => (group.iter())
-                .map(|fault| FaultOutcome {
-                    fault: (*fault).clone(),
-                    class: FaultClass::Degraded,
-                    detectors: Vec::new(),
-                    error: None,
-                })
-                .collect(),
-            // The fault spec in the outcome *is* the repro: replaying it
-            // with the campaign seed reproduces the panic.
-            ItemOutcome::Quarantined { attempts, message } => {
-                let error = if attempts <= 1 {
-                    format!("injected run panicked: {message}")
-                } else {
-                    format!(
-                        "injected run panicked (quarantined after {attempts} attempts): \
-                         {message}"
-                    )
-                };
-                (group.iter())
-                    .map(|fault| FaultOutcome {
-                        fault: (*fault).clone(),
-                        class: FaultClass::Sdc,
-                        detectors: Vec::new(),
-                        error: Some(error.clone()),
-                    })
-                    .collect()
-            }
-        });
-        out.collect()
+        let mut out = Vec::with_capacity(indices.len());
+        for (outcome, group) in outcomes.into_iter().zip(&groups) {
+            let (class, error) = match outcome {
+                ItemOutcome::Done(outcomes) => {
+                    out.extend(outcomes);
+                    continue;
+                }
+                ItemOutcome::Degraded => (FaultClass::Degraded, None),
+                // The fault spec in the outcome *is* the repro: replaying it
+                // with the campaign seed reproduces the panic.
+                ItemOutcome::Quarantined { attempts, message } => (
+                    FaultClass::Sdc,
+                    Some(if attempts <= 1 {
+                        format!("injected run panicked: {message}")
+                    } else {
+                        format!(
+                            "injected run panicked (quarantined after {attempts} attempts): \
+                             {message}"
+                        )
+                    }),
+                ),
+            };
+            out.extend(group.iter().map(|fault| FaultOutcome {
+                fault: (*fault).clone(),
+                class,
+                detectors: Detectors::default(),
+                error: error.clone(),
+            }));
+        }
+        out
+    }
+
+    /// The slice of [`FaultCampaign::order`] that chunk `index` of `plan`
+    /// runs.
+    fn chunk_slots(&self, plan: &journal::ChunkPlan, index: usize) -> &[usize] {
+        let lo = index * plan.chunk_size;
+        let hi = (lo + plan.chunk_size).min(self.faults.len());
+        &self.order()[lo..hi]
     }
 }
 
@@ -915,9 +982,43 @@ impl journal::Campaign for FaultCampaign {
         index: usize,
         durability: &DurabilityOptions,
     ) -> Vec<FaultOutcome> {
-        let lo = index * plan.chunk_size;
-        let hi = (lo + plan.chunk_size).min(self.faults.len());
-        self.drive(&self.order()[lo..hi], durability)
+        self.drive(self.chunk_slots(plan, index), durability)
+    }
+
+    /// A replayed chunk must list exactly the faults this campaign runs in
+    /// chunk `index`, in order: the journal key covers the config but not
+    /// the fault list that sampling derives from it. Each outcome then
+    /// takes the campaign's own fault, so a replay shares the campaign's
+    /// target strings instead of keeping one decoded copy per outcome.
+    fn check_replayed(
+        &self,
+        plan: &journal::ChunkPlan,
+        index: usize,
+        chunk: &mut Vec<FaultOutcome>,
+    ) -> Result<(), JournalError> {
+        let slots = self.chunk_slots(plan, index);
+        let foreign = |detail: String| JournalError::ForeignChunk {
+            chunk: index as u32,
+            detail,
+        };
+        if chunk.len() != slots.len() {
+            return Err(foreign(format!(
+                "{} outcomes where the campaign runs {} faults",
+                chunk.len(),
+                slots.len()
+            )));
+        }
+        for (k, (outcome, &i)) in chunk.iter_mut().zip(slots).enumerate() {
+            let fault = &self.faults[i];
+            if outcome.fault != *fault {
+                return Err(foreign(format!(
+                    "outcome {k} is for `{}` where the campaign runs `{fault}`",
+                    outcome.fault
+                )));
+            }
+            outcome.fault.target = fault.target.clone();
+        }
+        Ok(())
     }
 
     /// Puts the outcomes of the completed chunks back in fault order, in
@@ -928,10 +1029,13 @@ impl journal::Campaign for FaultCampaign {
         _plan: &journal::ChunkPlan,
         chunks: Vec<Vec<FaultOutcome>>,
     ) -> ResilienceReport {
-        // Appending onto the first chunk keeps a single-chunk run copy-free.
+        // Appending onto the first chunk keeps a single-chunk run copy-free;
+        // with more, the vector is sized once, not grown by doubling.
+        let total: usize = chunks.iter().map(Vec::len).sum();
         let mut chunks = chunks.into_iter();
         let mut outcomes = chunks.next().unwrap_or_default();
-        outcomes.extend(chunks.flatten());
+        outcomes.reserve_exact(total - outcomes.len());
+        chunks.for_each(|chunk| outcomes.extend(chunk));
         restore_fault_order(self.order(), &mut outcomes);
         let count = |class| outcomes.iter().filter(|o| o.class == class).count();
         let (masked, detected, sdc) = (
@@ -976,17 +1080,29 @@ impl journal::Campaign for FaultCampaign {
     /// Fault classes by name, plus `errors` for outcomes carrying an error
     /// string and `panicked` for the quarantined-panic subset.
     fn count_outcomes(chunk: &Vec<FaultOutcome>) -> BTreeMap<String, u64> {
-        let mut counts = BTreeMap::new();
+        let mut by_class = [0u64; 4];
+        let (mut errors, mut panicked) = (0, 0);
         for outcome in chunk {
-            *counts.entry(outcome.class.to_string()).or_insert(0) += 1;
+            by_class[outcome.class as usize] += 1;
             if let Some(error) = &outcome.error {
-                *counts.entry("errors".to_string()).or_insert(0) += 1;
-                if error.contains("panicked") {
-                    *counts.entry("panicked".to_string()).or_insert(0) += 1;
-                }
+                errors += 1;
+                panicked += u64::from(error.contains("panicked"));
             }
         }
-        counts
+        let classes = [
+            FaultClass::Masked,
+            FaultClass::Detected,
+            FaultClass::Sdc,
+            FaultClass::Degraded,
+        ];
+        (classes.iter())
+            .map(|&class| (class.to_string(), by_class[class as usize]))
+            .chain([
+                ("errors".to_string(), errors),
+                ("panicked".to_string(), panicked),
+            ])
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 }
 
@@ -1387,7 +1503,7 @@ mod tests {
         // the full campaign would quarantine everything, so aim at one
         // sampled target by running a clean campaign first.
         let clean = run_gemm(&cfg).unwrap();
-        let victim = clean.outcomes[2].fault.target.clone();
+        let victim = clean.outcomes[2].fault.target.to_string();
         let opts = DurabilityOptions {
             chunk_size: Some(4),
             panic_retries: 1,

@@ -326,9 +326,9 @@ fn tmr_voter_reconverges_a_one_lane_controller_flip() {
     let state = &sites.ctrl_states[1];
     let flip = FaultSpec::flip(state.clone(), 0, 3);
     let (mut batch, mut refs) = forked(&base, 4, &[vec![], vec![], vec![flip]]);
-    let accs: Vec<&String> = (sites.regs.iter())
+    let accs: Vec<&str> = (sites.regs.iter())
         .filter(|(n, _)| n.ends_with("_acc"))
-        .map(|(n, _)| n)
+        .map(|(n, _)| &**n)
         .collect();
     let mut diverged = 0;
     for t in 1..=40 {

@@ -84,12 +84,15 @@ fn check_decode_errors<C: Campaign>(
 
 #[test]
 fn faults_payload_that_does_not_decode_fails_the_resume() {
+    // One fault, so chunk 0 holds just it: the payload must name the fault
+    // the campaign samples there, or the resume refuses it as foreign
+    // (tests/journal_resume.rs) before any of these decode errors matter.
     let cfg = CampaignConfig {
-        faults: 8,
-        seed: 3,
+        faults: 1,
+        seed: 2,
         ..CampaignConfig::default()
     };
-    let valid = r#"[{"fault":{"target":"pe_0_0.acc","kind":{"TransientFlip":{"bit":2,"cycle":3}}},"class":"Masked","detectors":["tmr"],"error":null}]"#;
+    let valid = r#"[{"fault":{"target":"array_i.pe_r2c2.c_acc","kind":{"TransientFlip":{"bit":4,"cycle":4}}},"class":"Masked","detectors":["tmr"],"error":null}]"#;
     check_decode_errors(
         "faults",
         &FaultCampaign::gemm(&cfg).unwrap(),
@@ -102,7 +105,18 @@ fn faults_payload_that_does_not_decode_fails_the_resume() {
                 r#""detectors":"tmr""#,
                 "expected `[`",
             ),
-            (r#""bit":2"#, r#""bit":-2"#, "expected u32, found `-2`"),
+            (r#"["tmr"]"#, r#"["ecc"]"#, "unknown detector `ecc`"),
+            (
+                r#"["tmr"]"#,
+                r#"["tmr","parity"]"#,
+                "detector `parity` repeated or out of order",
+            ),
+            (
+                r#"["tmr"]"#,
+                r#"["tmr","tmr"]"#,
+                "detector `tmr` repeated or out of order",
+            ),
+            (r#""bit":4"#, r#""bit":-2"#, "expected u32, found `-2`"),
             (
                 "TransientFlip",
                 "Melt",
@@ -204,7 +218,7 @@ fn fault_outcomes_of_every_kind_round_trip() {
     let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
     // A quarantined fault carries an error string.
     let chaos = DurabilityOptions {
-        chaos_panic_targets: vec![clean.outcomes[0].fault.target.clone()],
+        chaos_panic_targets: vec![clean.outcomes[0].fault.target.to_string()],
         ..DurabilityOptions::default()
     };
     let (report, _) = run_gemm_campaign_durable(&cfg, &chaos).unwrap();

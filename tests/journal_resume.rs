@@ -162,7 +162,7 @@ fn quarantined_panic_survives_resume() {
         ..CampaignConfig::default()
     };
     let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
-    let victim = clean.outcomes[2].fault.target.clone();
+    let victim = clean.outcomes[2].fault.target.to_string();
     let dir = tmpdir("quarantine");
     let opts = DurabilityOptions {
         chunk_size: Some(4),
@@ -307,7 +307,7 @@ fn telemetry_counters_match_fresh_and_resumed() {
         ..CampaignConfig::default()
     };
     let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
-    let victim = clean.outcomes[2].fault.target.clone();
+    let victim = clean.outcomes[2].fault.target.to_string();
     let quarantined = DurabilityOptions {
         chunk_size: Some(4),
         chaos_panic_targets: vec![victim],
@@ -415,12 +415,19 @@ fn interrupted_lane_campaign_reports_its_completed_chunks_in_fault_order() {
         plan.chunks,
         &campaign.canonical_config(),
     );
-    let (slots, stats) = run_chunked_observed(&opts, hash, plan.chunks, None, |i| {
-        if i == 1 {
-            flag.store(true, Ordering::SeqCst);
-        }
-        campaign.run_chunk(&plan, i, &opts)
-    })
+    let (slots, stats) = run_chunked_observed(
+        &opts,
+        hash,
+        plan.chunks,
+        None,
+        |i, chunk| campaign.check_replayed(&plan, i, chunk),
+        |i| {
+            if i == 1 {
+                flag.store(true, Ordering::SeqCst);
+            }
+            campaign.run_chunk(&plan, i, &opts)
+        },
+    )
     .unwrap();
     assert!(stats.interrupted);
     let chunks: Vec<Vec<FaultOutcome>> = slots.into_iter().map_while(|slot| slot).collect();
@@ -505,6 +512,95 @@ fn lane_journal_without_the_order_tag_is_refused() {
             CampaignError::Journal(JournalError::ConfigMismatch { .. })
         ),
         "got {err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The journal key covers the config, not the fault list sampling derives
+/// from it, so a replayed chunk must name, slot by slot, the faults the
+/// campaign runs there. A checksummed record that names other faults (a
+/// renamed target, two slots swapped, one missing) is refused with a typed
+/// error before any chunk runs, never reported. A genuine record resumes to
+/// the clean report, its outcomes sharing the campaign's target strings.
+#[test]
+fn journaled_chunk_for_other_faults_is_refused() {
+    let cfg = CampaignConfig {
+        faults: 24,
+        seed: 7,
+        lanes: 4,
+        ..CampaignConfig::default()
+    };
+    let (clean, _) = run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
+    let campaign = FaultCampaign::gemm(&cfg).unwrap();
+    let dir = tmpdir("foreign_chunk");
+    let opts = DurabilityOptions {
+        chunk_size: Some(8),
+        ..DurabilityOptions::with_dir(&dir)
+    };
+    let plan = campaign.chunk_plan(&opts);
+    let hash = config_hash(
+        FaultCampaign::KIND,
+        plan.chunk_size,
+        plan.chunks,
+        &campaign.canonical_config(),
+    );
+    let genuine = campaign.run_chunk(&plan, 1, &opts);
+    let journal_with = |chunk: &Vec<FaultOutcome>| {
+        let _ = std::fs::remove_file(dir.join(JOURNAL_FILE));
+        let mut journal = Journal::open(&dir, hash, plan.chunks as u32).unwrap();
+        journal
+            .append(1, &serde_json::to_string(chunk).unwrap())
+            .unwrap();
+    };
+    let mut renamed = genuine.clone();
+    renamed[3].fault.target = format!("{}_x", renamed[3].fault.target).into();
+    let swapped = [
+        &genuine[..2],
+        &[genuine[3].clone(), genuine[2].clone()],
+        &genuine[4..],
+    ]
+    .concat();
+    assert_ne!(swapped, genuine, "the swapped slots hold different faults");
+    let short = genuine[..7].to_vec();
+    for (name, chunk, detail) in [
+        ("renamed", renamed, "outcome 3 is for"),
+        ("swapped", swapped, "outcome 2 is for"),
+        (
+            "short",
+            short,
+            "7 outcomes where the campaign runs 8 faults",
+        ),
+    ] {
+        journal_with(&chunk);
+        let before = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let err = run_gemm_campaign_durable(&cfg, &opts).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CampaignError::Journal(JournalError::ForeignChunk { chunk: 1, .. })
+            ),
+            "{name}: got {err}"
+        );
+        assert!(err.to_string().contains(detail), "{name}: {err}");
+        let after = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(after, before, "{name}: a chunk ran before the refusal");
+    }
+    journal_with(&genuine);
+    let (resumed, stats) = run_gemm_campaign_durable(&cfg, &opts).unwrap();
+    assert_eq!(stats.chunks_replayed, 1);
+    assert_eq!(resumed, clean);
+    let mut first_of: BTreeMap<&str, &FaultOutcome> = BTreeMap::new();
+    for o in &resumed.outcomes {
+        let first = first_of.entry(&o.fault.target).or_insert(o);
+        assert!(
+            Arc::ptr_eq(&first.fault.target, &o.fault.target),
+            "two copies of target {}",
+            o.fault.target
+        );
+    }
+    assert!(
+        first_of.len() < resumed.outcomes.len(),
+        "some target repeats"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

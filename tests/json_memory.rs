@@ -3,7 +3,7 @@
 //! process's peak while it is read.
 
 use tensorlib_hw::fault::FaultSpec;
-use tensorlib_sim::resilience::{FaultClass, FaultOutcome, ResilienceReport};
+use tensorlib_sim::resilience::{Detectors, FaultClass, FaultOutcome, ResilienceReport};
 
 /// The process's peak resident set (`VmHWM`) in bytes, or `None` where
 /// `/proc` is absent.
@@ -22,9 +22,9 @@ fn pretty_report_peak_growth_is_a_small_multiple_of_its_text() {
             fault: FaultSpec::flip(format!("array.pe_{}_{}.acc", i % 8, i / 8 % 8), 3, i as u64),
             class: [FaultClass::Masked, FaultClass::Detected, FaultClass::Sdc][i % 3],
             detectors: if i % 3 == 1 {
-                vec!["tmr".to_string()]
+                Detectors::TMR
             } else {
-                Vec::new()
+                Detectors::default()
             },
             error: None,
         })
