@@ -38,14 +38,6 @@ impl Tiling {
     pub fn points_per_tile(&self) -> u64 {
         self.tile_extents.iter().product()
     }
-
-    /// Fraction of (PE × cycle) slots of one tile that hold real work,
-    /// on the given array. Captures both non-rectangular mappings (skewed
-    /// `T`) and arrays larger than the tile footprint.
-    pub fn tile_occupancy(&self, array: &ArrayConfig) -> f64 {
-        let slots = (array.rows as u64 * array.cols as u64) * self.t_extent;
-        self.points_per_tile() as f64 / slots as f64
-    }
 }
 
 /// Computes a tiling of `extents` (the three selected loops) such that the
@@ -136,8 +128,6 @@ mod tests {
         assert_eq!(tiling.t_extent, 100);
         assert_eq!(tiling.total_tiles(), 9);
         assert_eq!(tiling.points_per_tile(), 16 * 16 * 100);
-        let occ = tiling.tile_occupancy(&ArrayConfig::square(16));
-        assert!((occ - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -146,9 +136,6 @@ mod tests {
         let tiling = tile_for_array(&t, [64, 64, 256], &ArrayConfig::square(16));
         assert_eq!(tiling.tile_extents, [16, 16, 256]);
         assert_eq!(tiling.t_extent, 16 + 16 + 256 - 2);
-        // Skew wastes some slots: occupancy < 1.
-        let occ = tiling.tile_occupancy(&ArrayConfig::square(16));
-        assert!(occ < 1.0 && occ > 0.8, "occ = {occ}");
     }
 
     #[test]
@@ -158,8 +145,6 @@ mod tests {
         let tiling = tile_for_array(&t, [3, 16, 64], &ArrayConfig::square(16));
         assert_eq!(tiling.tile_extents, [3, 16, 64]);
         assert_eq!(tiling.space_size, [3, 16]);
-        let occ = tiling.tile_occupancy(&ArrayConfig::square(16));
-        assert!((occ - 3.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   warning — a loud refusal beats a silent false positive.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -74,6 +74,10 @@ pub struct HistoryTiming {
 
 /// Appends one entry to the history file at `path` (creating parent
 /// directories and the file as needed) and flushes it to disk.
+///
+/// A file that does not end in `\n` holds the tail of an interrupted
+/// append. A tail that decodes as an entry only lost its newline and gets
+/// one; any other tail is cut off, so the new entry starts its own line.
 pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -83,29 +87,52 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
     let mut line = serde_json::to_string(entry).expect("history entry serializes");
     line.push('\n');
     let mut file = std::fs::OpenOptions::new()
+        .read(true)
         .append(true)
         .create(true)
         .open(path)?;
+    let mut text = Vec::new();
+    file.read_to_end(&mut text)?;
+    if text.last().is_some_and(|&b| b != b'\n') {
+        let start = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if decodes(&text[start..]) {
+            line.insert(0, '\n');
+        } else {
+            file.set_len(start as u64)?;
+        }
+    }
     file.write_all(line.as_bytes())?;
     file.sync_data()
 }
 
+fn decodes(line: &[u8]) -> bool {
+    std::str::from_utf8(line).is_ok_and(|l| serde_json::from_str::<HistoryEntry>(l).is_ok())
+}
+
 /// Reads every entry from the history file at `path`, in append order. A
-/// missing file is an empty history, not an error; a malformed line is.
+/// missing file is an empty history, not an error; a malformed line is,
+/// except a final line without its `\n` that does not decode: that is an
+/// interrupted append, and the next [`append`] cuts it off.
 pub fn read(path: &Path) -> Result<Vec<HistoryEntry>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
+    // Lossy: a torn append may end inside a multi-byte character.
+    let text = String::from_utf8_lossy(&bytes);
+    let torn_tail = (!text.ends_with('\n')).then(|| text.lines().count());
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let at = || format!("{}:{}", path.display(), i + 1);
-        let entry: HistoryEntry = serde_json::from_str(line)
-            .map_err(|e| format!("{}: malformed history line: {e}", at()))?;
+        let entry: HistoryEntry = match serde_json::from_str(line) {
+            Ok(entry) => entry,
+            Err(_) if torn_tail == Some(i + 1) => break,
+            Err(e) => return Err(format!("{}: malformed history line: {e}", at())),
+        };
         if entry.schema_version != HISTORY_SCHEMA_VERSION {
             return Err(format!(
                 "{}: unsupported history schema_version {} (expected {HISTORY_SCHEMA_VERSION})",
@@ -318,6 +345,65 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].config_hash, "aa");
         assert_eq!(back[1].config_hash, "bb");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Cuts the last `n` bytes off `path`, as a short write would leave it.
+    fn tear(path: &Path, n: u64) {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        let len = file.metadata().unwrap().len();
+        file.set_len(len - n).unwrap();
+    }
+
+    #[test]
+    fn read_skips_a_torn_final_line() {
+        let dir = tmpdir("torn_read");
+        let path = dir.join(HISTORY_FILE);
+        append(&path, &entry("aa", 0.5)).unwrap();
+        append(&path, &entry("bb", 0.6)).unwrap();
+        // A torn append that lost only its newline still reads whole.
+        tear(&path, 1);
+        assert_eq!(read(&path).unwrap(), vec![entry("aa", 0.5), entry("bb", 0.6)]);
+        tear(&path, 40);
+        assert_eq!(read(&path).unwrap(), vec![entry("aa", 0.5)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_a_torn_tail_starts_a_clean_line() {
+        let dir = tmpdir("torn_append");
+        let path = dir.join(HISTORY_FILE);
+        append(&path, &entry("aa", 0.5)).unwrap();
+        append(&path, &entry("bb", 0.6)).unwrap();
+        tear(&path, 40);
+        append(&path, &entry("cc", 0.7)).unwrap();
+        assert_eq!(read(&path).unwrap(), vec![entry("aa", 0.5), entry("cc", 0.7)]);
+        // A tail that only lost its newline is kept, not cut.
+        tear(&path, 1);
+        append(&path, &entry("dd", 0.8)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        assert_eq!(read(&path).unwrap()[2], entry("dd", 0.8));
+        // A torn first line leaves an empty file behind it.
+        std::fs::write(&path, "{\"schema_version\":1,\"ki").unwrap();
+        append(&path, &entry("ee", 0.9)).unwrap();
+        assert_eq!(read(&path).unwrap(), vec![entry("ee", 0.9)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn complete_malformed_line_stays_an_error() {
+        let dir = tmpdir("malformed");
+        let path = dir.join(HISTORY_FILE);
+        append(&path, &entry("aa", 0.5)).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"schema_version\":1,\"ki\n");
+        std::fs::write(&path, &text).unwrap();
+        let err = read(&path).unwrap_err();
+        assert!(err.contains(":2: malformed history line"), "{err}");
+        // Also when it is not the last line.
+        append(&path, &entry("bb", 0.6)).unwrap();
+        assert!(read(&path).unwrap_err().contains(":2: malformed"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

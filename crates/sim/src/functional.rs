@@ -1,23 +1,26 @@
 //! Bit-exact functional simulation of a generated design.
 //!
-//! Every (tile, cycle, PE) slot recovers its loop point through the inverse
-//! STT (`x = T⁻¹·[p; t]`), performs one multiply-accumulate on real data, and
-//! the accumulated output is compared against the reference executor. This
-//! closes the loop on the whole analysis chain: if the dataflow
-//! classification, tiling, or transformation math were wrong, outputs would
-//! disagree or coverage would be incomplete.
+//! The design's space-time schedule (`crate::schedule`) lists, once per
+//! design, every loop point of a tile with its (PE, cycle) stamp under the
+//! STT. Each outer point and tile replays those slots in cycle order, each
+//! slot performs one multiply-accumulate on real data, and the accumulated
+//! output is compared against the reference executor. This closes the loop
+//! on the whole analysis chain: if the dataflow classification, tiling, or
+//! transformation math were wrong, outputs would disagree or coverage would
+//! be incomplete (a point stamped off the array never runs).
 //!
 //! The simulator also measures *true* scratchpad traffic: a tensor element is
 //! charged to the cycle of its first use inside a tile (later uses ride the
 //! reuse structure — stationary registers, systolic forwarding, or multicast
 //! fan-out), which is exactly the paper's premise that reuse saves bandwidth.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::Serialize;
 use tensorlib_hw::design::AcceleratorDesign;
 use tensorlib_ir::{DenseTensor, Kernel};
+
+use crate::schedule::{self, OdometerIter};
 
 /// Functional-simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,29 +149,8 @@ pub fn simulate_budgeted(
             given_kernel: kernel.name().to_string(),
         });
     }
-    if let Some(budget) = cycle_budget {
-        let outer_idx = design.dataflow().selection().outer_indices(kernel);
-        let outer_points: u64 = outer_idx
-            .iter()
-            .map(|&i| kernel.loop_nest().iters()[i].extent())
-            .product();
-        let tiles: u64 = design.tiling().tile_counts.iter().product();
-        let needed = outer_points
-            .saturating_mul(tiles)
-            .saturating_mul(design.tiling().t_extent);
-        if needed > budget {
-            return Err(SimError::CycleBudgetExceeded { budget, needed });
-        }
-    }
-    let inputs = kernel.random_inputs(seed);
-    let reference = kernel
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-
     let dataflow = design.dataflow();
-    let stt = dataflow.stt();
-    let tiling = *design.tiling();
-    let array = design.config().array;
+    let tiling = design.tiling();
     let sel_idx = dataflow.selection().indices();
     let sel_ext = dataflow.selected_extents();
     let outer_idx = dataflow.selection().outer_indices(kernel);
@@ -176,86 +158,69 @@ pub fn simulate_budgeted(
         .iter()
         .map(|&i| kernel.loop_nest().iters()[i].extent())
         .collect();
-    let n_loops = kernel.loop_nest().len();
+    let cycles_simulated = outer_ext
+        .iter()
+        .product::<u64>()
+        .saturating_mul(tiling.total_tiles())
+        .saturating_mul(tiling.t_extent);
+    if let Some(budget) = cycle_budget.filter(|&b| cycles_simulated > b) {
+        return Err(SimError::CycleBudgetExceeded {
+            budget,
+            needed: cycles_simulated,
+        });
+    }
+    let inputs = kernel.random_inputs(seed);
+    let reference = kernel
+        .execute_reference(&inputs)
+        .expect("self-generated inputs fit the kernel");
 
+    let array = design.config().array;
+    let slots = schedule::tile_slots(dataflow.stt(), tiling, &array);
     let input_decls = kernel.inputs();
     let out_access = kernel.output().access().clone();
     let mut out = DenseTensor::zeros(&kernel.output_dims());
 
     let mut macs_executed = 0u64;
-    let mut cycles_simulated = 0u64;
     let mut total_new_words = 0u64;
     let mut peak_new_words = 0u64;
+    // First-use tracking for traffic accounting: an input element is new to
+    // a tile when its stamp is not the current (outer point, tile) serial.
+    let mut stamps: Vec<Vec<u64>> = inputs.iter().map(|t| vec![0; t.len()]).collect();
+    let mut serial = 0u64;
+    let mut per_cycle_new: Vec<u64> = vec![0; tiling.t_extent as usize];
+    let mut point = vec![0i64; kernel.loop_nest().len()];
 
-    // Enumerate outer loop points.
-    let outer_points = OdometerIter::new(&outer_ext);
-    for outer_point in outer_points {
-        // Enumerate tiles of the selected loops.
-        let tile_counts = tiling.tile_counts;
-        let tiles = OdometerIter::new(&tile_counts);
-        for tile in tiles {
-            // First-use tracking for traffic accounting, per tile.
-            let mut first_use: HashMap<(usize, Vec<i64>), u64> = HashMap::new();
-            let mut per_cycle_new: Vec<u64> = vec![0; tiling.t_extent as usize];
-            for t_local in 0..tiling.t_extent as i64 {
-                cycles_simulated += 1;
-                for pe_r in 0..array.rows as i64 {
-                    for pe_c in 0..array.cols as i64 {
-                        let st = [
-                            pe_r - tiling.space_offset[0],
-                            pe_c - tiling.space_offset[1],
-                            t_local - tiling.t_offset,
-                        ];
-                        let Some(x_local) = stt.unapply(&st) else {
-                            continue;
-                        };
-                        // Inside the tile?
-                        let mut global_sel = [0i64; 3];
-                        let mut ok = true;
-                        for d in 0..3 {
-                            if x_local[d] < 0 || x_local[d] >= tiling.tile_extents[d] as i64 {
-                                ok = false;
-                                break;
-                            }
-                            let g = tile[d] as i64 * tiling.tile_extents[d] as i64 + x_local[d];
-                            if g >= sel_ext[d] as i64 {
-                                ok = false;
-                                break;
-                            }
-                            global_sel[d] = g;
-                        }
-                        if !ok {
-                            continue;
-                        }
-                        // Assemble the full loop point.
-                        let mut point = vec![0i64; n_loops];
-                        for d in 0..3 {
-                            point[sel_idx[d]] = global_sel[d];
-                        }
-                        for (oi, &li) in outer_idx.iter().enumerate() {
-                            point[li] = outer_point[oi] as i64;
-                        }
-                        // One MAC.
-                        let mut prod = 1i64;
-                        for (ti, decl) in input_decls.iter().enumerate() {
-                            let idx = decl.access().eval(&point);
-                            prod *= inputs[ti].get(&idx);
-                            first_use
-                                .entry((ti, idx))
-                                .or_insert_with(|| {
-                                    per_cycle_new[t_local as usize] += 1;
-                                    t_local as u64
-                                });
-                        }
-                        out.accumulate(&out_access.eval(&point), prod);
-                        macs_executed += 1;
+    for outer_point in OdometerIter::new(&outer_ext) {
+        for (oi, &li) in outer_idx.iter().enumerate() {
+            point[li] = outer_point[oi] as i64;
+        }
+        for tile in OdometerIter::new(&tiling.tile_counts) {
+            serial += 1;
+            per_cycle_new.fill(0);
+            'slots: for slot in &slots {
+                for d in 0..3 {
+                    let g = (tile[d] * tiling.tile_extents[d]) as i64 + slot.x[d];
+                    // Clipped: an edge tile runs past the loop bound.
+                    if g >= sel_ext[d] as i64 {
+                        continue 'slots;
+                    }
+                    point[sel_idx[d]] = g;
+                }
+                // One MAC.
+                let mut prod = 1i64;
+                for (ti, decl) in input_decls.iter().enumerate() {
+                    let off = inputs[ti].offset(&decl.access().eval(&point));
+                    prod *= inputs[ti].as_slice()[off];
+                    if stamps[ti][off] != serial {
+                        stamps[ti][off] = serial;
+                        per_cycle_new[slot.t] += 1;
                     }
                 }
+                out.accumulate(&out_access.eval(&point), prod);
+                macs_executed += 1;
             }
-            for &n in &per_cycle_new {
-                total_new_words += n;
-                peak_new_words = peak_new_words.max(n);
-            }
+            total_new_words += per_cycle_new.iter().sum::<u64>();
+            peak_new_words = peak_new_words.max(*per_cycle_new.iter().max().unwrap_or(&0));
         }
     }
 
@@ -289,53 +254,15 @@ pub fn simulate_budgeted(
         }
     }
 
-    let slots = cycles_simulated * array.pes() as u64;
+    let pe_slots = cycles_simulated * array.pes() as u64;
     Ok(FunctionalRun {
         matches_reference: true,
         cycles_simulated,
         macs_executed,
         avg_new_words_per_cycle: total_new_words as f64 / cycles_simulated.max(1) as f64,
         peak_new_words_per_cycle: peak_new_words,
-        pe_busy_fraction: macs_executed as f64 / slots.max(1) as f64,
+        pe_busy_fraction: macs_executed as f64 / pe_slots.max(1) as f64,
     })
-}
-
-/// Odometer over a multi-dimensional extent box (empty extents yield a single
-/// empty point — the natural unit for "no outer loops").
-struct OdometerIter {
-    extents: Vec<u64>,
-    current: Vec<u64>,
-    done: bool,
-}
-
-impl OdometerIter {
-    fn new(extents: &[u64]) -> OdometerIter {
-        OdometerIter {
-            extents: extents.to_vec(),
-            current: vec![0; extents.len()],
-            done: extents.contains(&0),
-        }
-    }
-}
-
-impl Iterator for OdometerIter {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.done {
-            return None;
-        }
-        let out = self.current.clone();
-        for d in (0..self.current.len()).rev() {
-            self.current[d] += 1;
-            if self.current[d] < self.extents[d] {
-                return Some(out);
-            }
-            self.current[d] = 0;
-        }
-        self.done = true;
-        Some(out)
-    }
 }
 
 #[cfg(test)]

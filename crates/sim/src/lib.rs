@@ -2,9 +2,10 @@
 //!
 //! Two complementary engines:
 //!
-//! - [`functional::simulate`] executes a design **exactly**: every cycle,
-//!   every PE recovers its loop point through the inverse STT, performs one
-//!   multiply-accumulate, and the final output tensor is compared bit-exactly
+//! - [`functional::simulate`] executes a design **exactly**: it walks the
+//!   STT forward once per design into a per-tile schedule of
+//!   (loop point, PE, cycle) slots, performs one multiply-accumulate per
+//!   slot, and the final output tensor is compared bit-exactly
 //!   against the [`tensorlib_ir`] reference executor. It also measures true
 //!   per-cycle scratchpad traffic by tracking which tensor elements must be
 //!   newly delivered versus reused in place/forwarded.
@@ -57,6 +58,7 @@ pub mod interrupt;
 pub mod journal;
 pub mod perf;
 pub mod resilience;
+mod schedule;
 pub mod trace;
 pub mod verify;
 

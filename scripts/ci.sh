@@ -357,6 +357,19 @@ grep -q -- "--resume" "$tele_dir/status.out"
     | grep -q "no metric moved"
 rm -rf "$tele_dir"
 
+# A torn history append (a short write cut the last line) neither breaks
+# `history --check` nor the appends after it: the third run replaces the
+# fragment of the second and compares against the first.
+torn_dir=$(mktemp -d)
+for run in 1 2 3; do
+    if [ "$run" -eq 3 ]; then
+        truncate -s -40 "$torn_dir/history.jsonl"
+    fi
+    ./target/release/tensorlib faults --faults 64 --seed 3 -o "$torn_dir/run$run.json" >/dev/null
+done
+./target/release/tensorlib history "$torn_dir" --check | grep -q "no metric moved"
+rm -rf "$torn_dir"
+
 # A history index appended by earlier perfgate binaries (a committed copy;
 # reports/history.jsonl itself is untracked): every line still reads and
 # lists.
